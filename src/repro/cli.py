@@ -330,7 +330,7 @@ def _cmd_stream(args) -> int:
             if args.updates == "-":
                 updates = load_update_stream(sys.stdin)
             else:
-                # Accepts a JSON-lines file or a directory of segments.
+                # Accepts a JSON-lines or .npz file, or a directory of segments.
                 updates = open_update_source(args.updates).collect()
         except FileNotFoundError:
             raise SystemExit(f"update stream not found: {args.updates}")
@@ -616,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(stream)
     stream.add_argument(
         "--updates",
-        help="JSON-lines update stream ('-' for stdin, '.gz' ok) or a "
+        help="JSON-lines update stream ('-' for stdin, '.gz' ok), a "
+        "columnar '.npz' stream such as a checkpoint's updates.npz, or a "
         "directory of segment files; omit to generate churn via --churn",
     )
     stream.add_argument(
@@ -741,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--updates", default=None,
         help="override the stored update stream (default: the checkpoint's "
-        "updates.jsonl)",
+        "updates.npz, or updates.jsonl in older checkpoints)",
     )
     resume.add_argument(
         "--workers", type=int, default=0,

@@ -97,6 +97,7 @@ from repro.dynamic.updates import (
     update_from_json,
     update_to_json,
 )
+from repro.graphs.updates import InvalidUpdateError, UpdateColumns
 
 __all__ = [
     "BatchReport",
@@ -112,6 +113,7 @@ __all__ = [
     "FileSource",
     "GraphUpdate",
     "IncrementalCoverMaintainer",
+    "InvalidUpdateError",
     "KERNEL_PROFILE_KEYS",
     "MemorySource",
     "ResolveDecision",
@@ -119,6 +121,7 @@ __all__ = [
     "RestoredState",
     "StreamRecord",
     "StreamSummary",
+    "UpdateColumns",
     "UpdateRouter",
     "UpdateSource",
     "WALCorruptionError",

@@ -14,16 +14,21 @@ mid-stream:
   digest, scalar state, and caller counters (stream position, policy
   cooldown, re-solve tally).
 
-The container is an NPZ archive (arrays stay binary; member compression is
-deflate by default and can be disabled per write — ``np.savez_compressed``
-dominates snapshot cost on large graphs — the header is one JSON string
-member), gzip-wrapped when the path ends in ``.gz``.  Format version 2
-stores the duals as one flat ``dual_codes`` array (the ``(u << 32) | v``
-encoding of :mod:`repro.dynamic.duals`) plus values — the
-:class:`~repro.dynamic.duals.DualStore` serializes straight into the
-archive with a single vectorized encode; version-1 snapshots (two-column
-``dual_keys``) keep loading through the migration path in
-:func:`load_snapshot`.  Two integrity layers make restores trustworthy:
+The container is an NPZ archive (arrays stay binary, ``np.load`` reads it;
+the header is one JSON string member), gzip-wrapped when the path ends in
+``.gz``.  Format version 3, which this build writes, stores the edges as two
+``int32`` arrays in canonical order — ``edge_row_deltas`` (the step of the
+lower endpoint from the previous edge, mostly 0) and ``edge_cols`` (the
+upper endpoint) — taken straight from the graph's sorted edge codes, so a
+save never materializes a :class:`~repro.graphs.WeightedGraph`.  Members
+are deflated at level 1 (``compress_arrays=True``; weights and loads,
+which barely deflate, are stored either way) or stored.  The duals
+are the flat ``dual_codes`` array (the ``(u << 32) | v`` encoding of
+:mod:`repro.dynamic.duals`) plus values, as the
+:class:`~repro.dynamic.duals.DualStore` exports them.  Versions 1 (int64
+``edges_u``/``edges_v``, two-column ``dual_keys``) and 2 (int64 edges,
+``dual_codes``) keep loading through :func:`load_snapshot`.
+Two integrity layers make restores trustworthy:
 
 1. a **content digest** over the header + every array, recomputed on load
    (bit rot, torn copies, and hand-edits raise
@@ -44,6 +49,7 @@ import hashlib
 import io
 import json
 import os
+import zipfile
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -53,7 +59,7 @@ import numpy as np
 from repro.dynamic.duals import decode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.maintainer import IncrementalCoverMaintainer
-from repro.graphs.graph import WeightedGraph
+from repro.graphs.graph import WeightedGraph, graph_content_digest
 from repro.graphs.io import write_bytes_atomic
 
 __all__ = [
@@ -70,13 +76,14 @@ __all__ = [
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 _MAGIC = "repro-dynamic-snapshot"
 
 #: Array members of the archive by format version, in digest order.
 #: Version 2 replaced the two-column ``dual_keys`` with the flat encoded
-#: ``dual_codes`` (see :mod:`repro.dynamic.duals`).
+#: ``dual_codes`` (see :mod:`repro.dynamic.duals`); version 3 replaced the
+#: int64 endpoint arrays with int32 row deltas and columns.
 _ARRAY_FIELDS_V1 = (
     "edges_u",
     "edges_v",
@@ -95,7 +102,20 @@ _ARRAY_FIELDS_V2 = (
     "dual_codes",
     "dual_values",
 )
-_ARRAY_FIELDS_BY_VERSION = {1: _ARRAY_FIELDS_V1, 2: _ARRAY_FIELDS_V2}
+_ARRAY_FIELDS_V3 = (
+    "edge_row_deltas",
+    "edge_cols",
+    "weights",
+    "cover",
+    "loads",
+    "dual_codes",
+    "dual_values",
+)
+_ARRAY_FIELDS_BY_VERSION = {
+    1: _ARRAY_FIELDS_V1,
+    2: _ARRAY_FIELDS_V2,
+    3: _ARRAY_FIELDS_V3,
+}
 
 
 class CheckpointError(Exception):
@@ -140,7 +160,7 @@ def _digest(meta_sans_digest: dict, arrays: dict, fields=None) -> str:
     """
     if fields is None:
         version = meta_sans_digest.get("format_version", CHECKPOINT_FORMAT_VERSION)
-        fields = _ARRAY_FIELDS_BY_VERSION.get(version, _ARRAY_FIELDS_V2)
+        fields = _ARRAY_FIELDS_BY_VERSION.get(version, _ARRAY_FIELDS_V3)
     h = hashlib.sha256()
     h.update(_MAGIC.encode("ascii"))
     h.update(
@@ -172,6 +192,29 @@ def snapshot_meta(path: PathLike) -> dict:
     return _read(path).meta
 
 
+#: Members written stored even when the rest are deflated: float64 vertex
+#: weights and loads deflate to ~95% at level 1, for ~5 ms a save at
+#: n = 10k.
+_STORED_MEMBERS = ("weights", "loads")
+
+
+def _npz_bytes(members: dict, compress: bool) -> bytes:
+    """An NPZ archive of ``members``, deflated at level 1 or stored."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, arr in members.items():
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, np.asarray(arr), allow_pickle=False)
+            deflate = compress and name not in _STORED_MEMBERS
+            zf.writestr(
+                name + ".npy",
+                npy.getvalue(),
+                compress_type=zipfile.ZIP_DEFLATED if deflate else zipfile.ZIP_STORED,
+                compresslevel=1,
+            )
+    return buf.getvalue()
+
+
 def save_snapshot(
     path: PathLike,
     maintainer: IncrementalCoverMaintainer,
@@ -185,17 +228,18 @@ def save_snapshot(
     ``extra`` is an arbitrary JSON-friendly dict stored verbatim in the
     header — the stream layer records its position and counters there.
     The file appears atomically; with ``fsync`` it also survives power
-    loss.  ``compress_arrays=False`` writes a plain (store-only) NPZ —
-    deflate dominates snapshot wall clock on large graphs, and the
-    stream layer exposes the choice as ``--snapshot-compression``.
-    Returns the snapshot's content digest.
+    loss.  ``compress_arrays=False`` stores the members instead of
+    deflating them (``--snapshot-compression none``).  Returns the
+    snapshot's content digest.
     """
-    graph = maintainer.dyn.materialize()
+    dyn = maintainer.dyn
+    edges_u, edges_v = decode_edge_codes(dyn.edge_codes())
+    weights = dyn.weights
     state = maintainer.export_state()
     arrays = {
-        "edges_u": np.asarray(graph.edges_u, dtype=np.int64),
-        "edges_v": np.asarray(graph.edges_v, dtype=np.int64),
-        "weights": np.asarray(graph.weights, dtype=np.float64),
+        "edge_row_deltas": np.diff(edges_u, prepend=0).astype(np.int32),
+        "edge_cols": edges_v.astype(np.int32),
+        "weights": weights,
         "cover": state["cover"],
         "loads": state["loads"],
         # export_state emits the store's codes directly — no re-encode.
@@ -205,23 +249,20 @@ def save_snapshot(
     meta = {
         "magic": _MAGIC,
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "n": int(graph.n),
-        "m": int(graph.m),
-        "graph_digest": graph.content_digest(),
+        "n": int(dyn.n),
+        "m": int(edges_u.size),
+        "graph_digest": graph_content_digest(dyn.n, edges_u, edges_v, weights),
         "dual_value": state["dual_value"],
         "base_ratio": state["base_ratio"],
         "batches_applied": state["batches_applied"],
         "extra": dict(extra or {}),
     }
-    digest = _digest(meta, arrays, _ARRAY_FIELDS_V2)
+    digest = _digest(meta, arrays, _ARRAY_FIELDS_V3)
     meta["content_digest"] = digest
 
-    buf = io.BytesIO()
-    savez = np.savez_compressed if compress_arrays else np.savez
-    savez(buf, meta_json=np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    ), **arrays)
-    data = buf.getvalue()
+    header = json.dumps(meta, sort_keys=True).encode("utf-8")
+    members = {"meta_json": np.frombuffer(header, dtype=np.uint8), **arrays}
+    data = _npz_bytes(members, compress_arrays)
     if str(path).endswith(".gz"):
         data = gzip.compress(data)
     try:
@@ -315,10 +356,13 @@ def load_snapshot(path: PathLike) -> RestoredState:
     """
     raw = _read(path)
     meta, arrays = raw.meta, raw.arrays
+    if "edge_cols" in arrays:
+        edges_u = np.cumsum(arrays["edge_row_deltas"], dtype=np.int64)
+        edges_v = arrays["edge_cols"].astype(np.int64)
+    else:
+        edges_u, edges_v = arrays["edges_u"], arrays["edges_v"]
     try:
-        graph = WeightedGraph(
-            int(meta["n"]), arrays["edges_u"], arrays["edges_v"], arrays["weights"]
-        )
+        graph = WeightedGraph(int(meta["n"]), edges_u, edges_v, arrays["weights"])
     except (KeyError, ValueError) as exc:
         raise CheckpointCorruptionError(
             f"snapshot {os.fspath(path)}: graph arrays are inconsistent ({exc})"

@@ -33,10 +33,17 @@ tuple.
 :class:`WeightedGraph` (memoized until the next mutation); its
 :meth:`~repro.graphs.WeightedGraph.content_digest` is the identity used to
 key warm-started re-solves in the service result cache.
+
+:meth:`state_stamp` is the cheap identity a durable stream stamps into
+every write-ahead-log record: a 64-bit multiset hash of the current edge
+codes (a sum mod 2**64 of per-edge hashes, so the base part is computed
+once per compaction and the delta part costs O(delta)) plus a hash of the
+weight vector.  It never materializes the graph.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -50,6 +57,32 @@ __all__ = ["DynamicGraph"]
 #: Vertex ids must fit the ``u`` lane of an edge code with headroom for
 #: the sign bit: ``u << 32`` stays positive for ``u < 2**31``.
 _MAX_N = 1 << 31
+
+_MASK64 = (1 << 64) - 1
+#: splitmix64 finalizer constants.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+
+def _edge_set_hash(codes: np.ndarray) -> int:
+    """Sum mod 2**64 of a splitmix64 finalizer over each edge code.
+
+    A sum is order-free, so the hash of an edge *set* splits over any
+    partition of it: ``hash(current) = hash(base) - hash(deleted) +
+    hash(added)``.  uint64 array arithmetic wraps silently.
+    """
+    if not codes.size:
+        return 0
+    z = codes.astype(np.uint64)
+    z += _GOLDEN
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return int(z.sum(dtype=np.uint64))
 
 
 def _sorted_member(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -140,6 +173,7 @@ class DynamicGraph:
         self._added_adj: Dict[int, Set[int]] = {}
         self._delta_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._materialized: Optional[WeightedGraph] = None
+        self._base_hash: Optional[int] = None  # lazy: plain streams never stamp
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -435,16 +469,45 @@ class DynamicGraph:
             self._materialized = WeightedGraph(self.n, u, v, self._weights.copy())
         return self._materialized
 
+    def edge_codes(self) -> np.ndarray:
+        """Sorted codes of the current edges — the canonical edge order,
+        without building a :class:`WeightedGraph`."""
+        kept = self._base_codes
+        if self._deleted_codes:
+            kept = kept[self._base_keep]
+        added, _ = self._delta_code_arrays()
+        if not added.size:
+            return kept
+        return np.insert(kept, np.searchsorted(kept, added), added)
+
     def content_digest(self) -> str:
-        """Stable digest of the *current* graph (snapshot-independent).
+        """Stable SHA-256 digest of the *current* graph (snapshot-independent).
 
         Two dynamic graphs that reached the same edge set and weights —
         regardless of base snapshot, delta-log shape, or compaction
-        history — share one digest.  This is the identity stamped into
-        checkpoints and write-ahead-log records by
-        :mod:`repro.dynamic.checkpoint`.
+        history — share one digest.  It materializes the graph (O(m log
+        m)); write-ahead-log records stamp the cheaper :meth:`state_stamp`.
         """
         return self.materialize().content_digest()
+
+    def state_stamp(self) -> str:
+        """32-hex identity of the current edge set and weights.
+
+        Like :meth:`content_digest` it depends only on the current graph,
+        never on its history, but it costs O(delta + n) per call: the
+        base edges' hash is memoized until the next compaction, the
+        delta's comes from the cached sorted delta arrays, and the weights
+        are hashed with BLAKE2b.  It is the pre-apply stamp of
+        write-ahead-log records.
+        """
+        if self._base_hash is None:
+            self._base_hash = _edge_set_hash(self._base_codes)
+        added, deleted = self._delta_code_arrays()
+        edges = (
+            self._base_hash - _edge_set_hash(deleted) + _edge_set_hash(added)
+        ) & _MASK64
+        weights = hashlib.blake2b(self._weights, digest_size=8)
+        return f"{edges:016x}{weights.hexdigest()}"
 
     def compact(self) -> WeightedGraph:
         """Fold the delta log into a fresh canonical snapshot and return it."""

@@ -41,6 +41,7 @@ from repro.graphs.updates import (
     EdgeDelete,
     EdgeInsert,
     GraphUpdate,
+    UpdateColumns,
     WeightChange,
     load_update_stream,
 )
@@ -97,7 +98,8 @@ class MemorySource(UpdateSource):
 
 
 class FileSource(UpdateSource):
-    """A JSON-lines update file (gzip-compressed iff the name ends ``.gz``)."""
+    """An update file: JSON lines (gzip-compressed iff the name ends
+    ``.gz``) or the columnar ``.npz`` form."""
 
     def __init__(self, path: PathLike):
         self.path = os.fspath(path)
@@ -183,6 +185,14 @@ def iter_update_batches(
     """Chop a source into lists of at most ``batch_size`` events."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if isinstance(source, UpdateColumns):
+        for start in range(0, len(source), batch_size):
+            yield source[start : start + batch_size].to_updates()
+        return
+    if isinstance(source, (list, tuple)):
+        for start in range(0, len(source), batch_size):
+            yield list(source[start : start + batch_size])
+        return
     batch: List[GraphUpdate] = []
     for upd in open_update_source(source):
         batch.append(upd)

@@ -37,7 +37,7 @@ bit-identical to the monolithic engine's (``--shards 1`` trivially so).
 ``tests/properties/test_property_sharding.py`` enforce this.
 
 Durability mirrors the monolithic path: the same ``config.json`` /
-``graph.npz`` / ``updates.jsonl`` / ``wal.jsonl`` layout, with snapshots
+``graph.npz`` / ``updates.npz`` / ``wal.jsonl`` layout, with snapshots
 written as per-shard generations (:mod:`repro.dynamic.shard_checkpoint`).
 WAL state stamps combine the per-shard edge digests with the
 coordinator's weights digest — computed in parallel, verified the same
@@ -612,6 +612,8 @@ class _ShardedEngine:
         num_updates: int,
         elapsed_s: float,
         resumed_from_batch: Optional[int] = None,
+        recovered_torn_tail: bool = False,
+        snapshot_fallbacks: int = 0,
     ) -> StreamSummary:
         cert = self.certificate()
         return StreamSummary(
@@ -631,6 +633,8 @@ class _ShardedEngine:
             repair_s=self.repair_s,
             resolve_s=self.resolve_s,
             kernel_profile=dict(self.profile_acc) if self.profile_enabled else None,
+            recovered_torn_tail=recovered_torn_tail,
+            snapshot_fallbacks=snapshot_fallbacks,
         )
 
 
@@ -800,7 +804,7 @@ def resume_sharded_stream(
     partition_seed = int(config.get("partition_seed", 0))
     if updates is not None:
         updates = open_update_source(updates).collect()
-    checkpoint, policy, batch_size, updates, wal_records = _resume_setup(
+    checkpoint, policy, batch_size, updates, wal_records, torn = _resume_setup(
         directory, config, updates
     )
 
@@ -811,7 +815,7 @@ def resume_sharded_stream(
     pool = None
     engine_ = None
     try:
-        restored = _restore_latest(checkpoint)
+        restored, fallbacks = _restore_latest(checkpoint)
         initial_graph = None
         if restored is not None:
             n = int(restored.manifest["n"])
@@ -935,6 +939,8 @@ def resume_sharded_stream(
             num_updates=engine_.updates_applied - updates_at_restore,
             elapsed_s=time.perf_counter() - start,
             resumed_from_batch=resumed_from,
+            recovered_torn_tail=torn,
+            snapshot_fallbacks=fallbacks,
         )
     finally:
         if engine_ is not None and engine_.wal is not None:
@@ -946,7 +952,7 @@ def resume_sharded_stream(
 
 
 def _restore_latest(checkpoint: CheckpointConfig):
-    """Newest intact sharded snapshot, with older-generation fallback."""
+    """Newest intact sharded snapshot (or ``None``), and fallbacks taken."""
     return _newest_intact(
         list_sharded_snapshots(checkpoint.directory),
         load_sharded_snapshot,

@@ -22,12 +22,23 @@ crash-recoverable.  The checkpoint directory holds:
 
 * ``config.json`` — the run parameters (batch size, solve params, policy)
   written once up front, so ``resume`` needs no flags re-specified;
-* ``graph.npz`` + ``updates.jsonl`` — the initial graph and the full
-  update stream (the replay sources);
-* ``wal.jsonl`` — the write-ahead log: every batch is committed (fsync'd,
-  checksummed) *before* it is applied (:mod:`repro.dynamic.wal`);
-* ``snapshot.npz`` — the latest maintainer snapshot, rewritten atomically
+* ``graph.npz`` + ``updates.npz`` — the initial graph and the full update
+  stream (the replay sources), the stream as the columnar arrays of
+  :class:`~repro.graphs.updates.UpdateColumns`;
+* ``wal.jsonl`` — the write-ahead log: every batch is validated, then
+  committed (fsync'd, CRC-checked, version-2 columnar records, stamped
+  with the pre-apply :meth:`DynamicGraph.state_stamp`) *before* it is
+  applied (:mod:`repro.dynamic.wal`);
+* ``snapshot.npz`` (or ``snapshot-<batch>.npz`` under ``keep_snapshots >
+  1``) — maintainer snapshots in format version 3, rewritten atomically
   every ``snapshot_every`` batches (:mod:`repro.dynamic.checkpoint`).
+
+Directories written before this layout hold ``updates.jsonl`` instead of
+``updates.npz`` (their ``config.json`` names no ``updates_file``),
+version-1 WAL records stamped with SHA-256 content digests, and
+version-2 snapshots.  They resume exactly: each piece is read in its own
+format, each record's stamp is checked in its own flavor, and the
+continuation appends version-2 records to the same log.
 
 :func:`resume_stream` restores ``last snapshot + WAL tail replay`` and
 continues the run.  Because every component is deterministic — the
@@ -84,7 +95,9 @@ CONFIG_FORMAT_VERSION = 1
 
 _CONFIG_FILE = "config.json"
 _GRAPH_FILE = "graph.npz"
-_UPDATES_FILE = "updates.jsonl"
+_UPDATES_FILE = "updates.npz"
+#: The stream copy of directories whose config names no ``updates_file``.
+_LEGACY_UPDATES_FILE = "updates.jsonl"
 _WAL_FILE = "wal.jsonl"
 _SNAPSHOT_FILE = "snapshot.npz"
 _SNAPSHOT_FILE_GZ = "snapshot.npz.gz"
@@ -111,15 +124,16 @@ class CheckpointConfig:
         gzip-wrap snapshots (``snapshot.npz.gz``).
     snapshot_compression:
         Compression of the NPZ array members inside a snapshot:
-        ``"gzip"`` (deflate via ``np.savez_compressed``, the default) or
-        ``"none"`` (store-only ``np.savez``).  Deflate dominates snapshot
-        wall clock on large graphs; ``"none"`` trades file size for write
-        speed.  Recorded in ``config.json`` so a resumed run keeps the
-        same policy.
+        ``"gzip"`` (deflate at level 1, the default; weights and loads
+        are stored either way) or ``"none"`` (stored).  ``"none"`` trades
+        file size for write speed.  Recorded in ``config.json`` so a
+        resumed run keeps the same policy.
     stamp_digests:
-        Stamp each WAL record with the pre-apply graph content digest so
-        replay verifies, record by record, that it rebuilds the exact
-        state the original run saw.  Costs one O(m) hash per batch.
+        Stamp each WAL record with the pre-apply
+        :meth:`DynamicGraph.state_stamp` so replay verifies, record by
+        record, that it rebuilds the exact state the original run saw.
+        Costs O(delta + n) per batch — the base edges are hashed once
+        per compaction — never an O(m) pass.
     keep_snapshots:
         Retain the last this-many snapshots instead of one.  With ``1``
         (the default) the single ``snapshot.npz`` is overwritten in place,
@@ -274,6 +288,11 @@ class StreamSummary:
     The three do not sum to ``elapsed_s`` — verification, snapshots and
     bookkeeping are outside all three buckets.
 
+    A resumed run also says what recovery had to do:
+    ``recovered_torn_tail`` is True when an uncommitted record cut
+    mid-write was dropped from the WAL, and ``snapshot_fallbacks`` counts
+    the newer snapshots that failed integrity checks and were passed over.
+
     ``kernel_profile`` (``profile=True`` runs only) splits ``repair_s``
     further by kernel: adjacency maintenance, pricing repair, greedy
     prune, and certificate computation, summed over every batch.  In
@@ -302,6 +321,8 @@ class StreamSummary:
     repair_s: float = 0.0
     resolve_s: float = 0.0
     kernel_profile: Optional[dict] = None
+    recovered_torn_tail: bool = False
+    snapshot_fallbacks: int = 0
 
     def summary(self) -> dict:
         """Scalar JSON-friendly summary (the ``repro stream`` footer)."""
@@ -325,6 +346,8 @@ class StreamSummary:
             }
         if self.resumed_from_batch is not None:
             row["resumed_from_batch"] = self.resumed_from_batch
+            row["recovered_torn_tail"] = self.recovered_torn_tail
+            row["snapshot_fallbacks"] = self.snapshot_fallbacks
         return row
 
 
@@ -387,6 +410,9 @@ class _StreamEngine:
         self.ingest_s = 0.0
         self.repair_s = 0.0
         self.resolve_s = 0.0
+        # Numbered snapshots on disk, newest first: listed at the first
+        # rotation, then kept up to date here.
+        self._snapshots: Optional[List[Tuple[int, str]]] = None
 
     # -- state restored from a snapshot's extra counters ---------------- #
     def restore_counters(self, extra: dict) -> None:
@@ -437,13 +463,16 @@ class _StreamEngine:
         )
         retained_floor = next_batch_index
         if checkpoint.keep_snapshots > 1:
-            snapshots = checkpoint.list_snapshots()
-            numbered = [(i, p) for i, p in snapshots if i >= 0]
-            for _, stale in numbered[checkpoint.keep_snapshots :]:
+            if self._snapshots is None:
+                self._snapshots = [
+                    (i, p) for i, p in checkpoint.list_snapshots() if i >= 0
+                ]
+            elif self._snapshots[0][0] != next_batch_index:
+                self._snapshots.insert(0, (next_batch_index, path))
+            for _, stale in self._snapshots[checkpoint.keep_snapshots :]:
                 os.remove(stale)
-            retained = numbered[: checkpoint.keep_snapshots]
-            if retained:
-                retained_floor = min(i for i, _ in retained)
+            del self._snapshots[checkpoint.keep_snapshots :]
+            retained_floor = self._snapshots[-1][0]
         if checkpoint.compact_wal and self.wal is not None:
             self.wal = _compact_wal_in_place(checkpoint, self.wal, retained_floor)
 
@@ -453,10 +482,17 @@ class _StreamEngine:
     ) -> StreamRecord:
         if log_to_wal and self.wal is not None:
             t_wal = time.perf_counter()
-            digest = ""
-            if self.checkpoint is not None and self.checkpoint.stamp_digests:
-                digest = self.maintainer.dyn.content_digest()
-            self.wal.append(index, batch, state_digest=digest)
+            dyn = self.maintainer.dyn
+            stamping = self.checkpoint is not None and self.checkpoint.stamp_digests
+            # Validated against the graph before anything is written; the
+            # stamp is taken only for a batch that passed.
+            self.wal.append(
+                index,
+                batch,
+                state_digest=dyn.state_stamp if stamping else "",
+                num_vertices=dyn.n,
+                position=self.updates_applied,
+            )
             self.ingest_s += time.perf_counter() - t_wal
         t0 = time.perf_counter()
         report = self.maintainer.apply_batch(batch)
@@ -502,6 +538,8 @@ class _StreamEngine:
         num_updates: int,
         elapsed_s: float,
         resumed_from_batch: Optional[int] = None,
+        recovered_torn_tail: bool = False,
+        snapshot_fallbacks: int = 0,
     ) -> StreamSummary:
         cert = self.maintainer.certificate()
         return StreamSummary(
@@ -521,6 +559,8 @@ class _StreamEngine:
             repair_s=self.repair_s,
             resolve_s=self.resolve_s,
             kernel_profile=self.maintainer.kernel_profile,
+            recovered_torn_tail=recovered_torn_tail,
+            snapshot_fallbacks=snapshot_fallbacks,
         )
 
 
@@ -555,6 +595,7 @@ def _write_config(
         "compact_wal": bool(checkpoint.compact_wal),
         "snapshot_compression": str(checkpoint.snapshot_compression),
         "num_updates": len(updates),
+        "updates_file": _UPDATES_FILE,
         "graph_digest": graph.content_digest(),
         "snapshot_file": os.path.basename(checkpoint.snapshot_path),
     }
@@ -711,8 +752,9 @@ def _resume_setup(
     Shared by :func:`resume_stream` and
     :func:`repro.dynamic.sharded.resume_sharded_stream` so a new
     :class:`CheckpointConfig` knob is threaded through exactly once.
-    Returns ``(checkpoint, policy, batch_size, updates, wal_records)``
-    with the WAL's torn tail already repaired.
+    Returns ``(checkpoint, policy, batch_size, updates, wal_records,
+    torn)`` with the WAL's torn tail already repaired (``torn`` says
+    whether there was one).
     """
     checkpoint = CheckpointConfig(
         directory=directory,
@@ -728,12 +770,13 @@ def _resume_setup(
     batch_size = int(config["batch_size"])
 
     if updates is None:
+        name = config.get("updates_file", _LEGACY_UPDATES_FILE)
         try:
-            updates = load_update_stream(checkpoint.updates_path)
+            updates = load_update_stream(os.path.join(os.fspath(directory), name))
         except FileNotFoundError:
             raise CheckpointError(
                 f"checkpoint {os.fspath(directory)} has no stored update "
-                f"stream ({_UPDATES_FILE}); pass the stream explicitly"
+                f"stream ({name}); pass the stream explicitly"
             ) from None
     if len(updates) != int(config["num_updates"]):
         raise CheckpointError(
@@ -741,9 +784,9 @@ def _resume_setup(
             f"checkpointed run's {config['num_updates']}"
         )
 
-    repair_wal(checkpoint.wal_path)
+    torn = repair_wal(checkpoint.wal_path)
     wal_records, _ = read_wal(checkpoint.wal_path)
-    return checkpoint, policy, batch_size, updates, wal_records
+    return checkpoint, policy, batch_size, updates, wal_records, torn
 
 
 def _newest_intact(snapshots, load_fn, directory: PathLike):
@@ -754,15 +797,16 @@ def _newest_intact(snapshots, load_fn, directory: PathLike):
     next older one — that is what retaining history is *for*.  When every
     present snapshot is corrupt the aggregate corruption error is raised
     (a damaged checkpoint must fail loudly, never silently cold-start
-    past it); version errors always raise immediately.  ``None`` when no
-    snapshots exist.
+    past it); version errors always raise immediately.  Returns
+    ``(restored, fallbacks)``: ``restored`` is ``None`` when no snapshots
+    exist, ``fallbacks`` counts the corrupt newer snapshots passed over.
     """
     if not snapshots:
-        return None
+        return None, 0
     last_error: Optional[CheckpointCorruptionError] = None
-    for _, path in snapshots:
+    for fallbacks, (_, path) in enumerate(snapshots):
         try:
-            return load_fn(path)
+            return load_fn(path), fallbacks
         except CheckpointCorruptionError as exc:
             last_error = exc
     raise CheckpointCorruptionError(
@@ -772,7 +816,7 @@ def _newest_intact(snapshots, load_fn, directory: PathLike):
 
 
 def _restore_latest_snapshot(checkpoint: CheckpointConfig):
-    """Newest intact monolithic snapshot, or ``None`` when none exist."""
+    """Newest intact monolithic snapshot (or ``None``), and fallbacks taken."""
     return _newest_intact(
         checkpoint.list_snapshots(), load_snapshot, checkpoint.directory
     )
@@ -832,7 +876,7 @@ def resume_stream(
         The checkpoint directory of the interrupted run.
     updates:
         Override the stored update stream (defaults to the directory's
-        ``updates.jsonl``).
+        ``updates.npz``, or ``updates.jsonl`` in older directories).
     solver:
         Batch service for re-solves; a private in-process solver is
         created (and closed) when omitted.
@@ -852,7 +896,7 @@ def resume_stream(
             f"repro.dynamic.sharded.resume_sharded_stream (the `repro "
             f"resume` CLI dispatches automatically)"
         )
-    checkpoint, policy, batch_size, updates, wal_records = _resume_setup(
+    checkpoint, policy, batch_size, updates, wal_records, torn = _resume_setup(
         directory, config, updates
     )
 
@@ -862,7 +906,7 @@ def resume_stream(
     start = time.perf_counter()
     wal = None
     try:
-        restored = _restore_latest_snapshot(checkpoint)
+        restored, fallbacks = _restore_latest_snapshot(checkpoint)
         if restored is not None:
             maintainer = restored.maintainer
             maintainer.set_profiling(profile)
@@ -926,7 +970,12 @@ def resume_stream(
                     f"{record.batch_index} — the snapshot cannot bridge it"
                 )
             if record.state_digest:
-                current = maintainer.dyn.content_digest()
+                # Each record is checked in the stamp flavor it was written
+                # with: version-1 records carry SHA-256 content digests.
+                dyn = maintainer.dyn
+                current = (
+                    dyn.content_digest() if record.version == 1 else dyn.state_stamp()
+                )
                 if current != record.state_digest:
                     raise CheckpointError(
                         f"WAL batch {record.batch_index} was logged against "
@@ -961,4 +1010,6 @@ def resume_stream(
         num_updates=engine_.updates_applied - updates_at_restore,
         elapsed_s=time.perf_counter() - start,
         resumed_from_batch=resumed_from,
+        recovered_torn_tail=torn,
+        snapshot_fallbacks=fallbacks,
     )

@@ -30,7 +30,25 @@ import numpy as np
 
 from repro.utils.validation import ensure_float_array, ensure_int_array
 
-__all__ = ["WeightedGraph", "canonical_edges"]
+__all__ = ["WeightedGraph", "canonical_edges", "graph_content_digest"]
+
+
+def graph_content_digest(
+    n: int, edges_u: np.ndarray, edges_v: np.ndarray, weights: np.ndarray
+) -> str:
+    """SHA-256 hex digest of a graph given in canonical form.
+
+    The digest :meth:`WeightedGraph.content_digest` returns, for callers
+    that hold canonical arrays but no :class:`WeightedGraph`.
+    """
+    h = hashlib.sha256()
+    h.update(b"repro-graph-v1")
+    h.update(np.int64(n).tobytes())
+    h.update(np.int64(len(edges_u)).tobytes())
+    h.update(np.ascontiguousarray(edges_u, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(edges_v, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(weights, dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 
 def canonical_edges(
@@ -230,14 +248,9 @@ class WeightedGraph:
         Computed lazily and memoized (the graph is immutable).
         """
         if self._digest is None:
-            h = hashlib.sha256()
-            h.update(b"repro-graph-v1")
-            h.update(np.int64(self._n).tobytes())
-            h.update(np.int64(self.m).tobytes())
-            h.update(np.ascontiguousarray(self._edges_u, dtype=np.int64).tobytes())
-            h.update(np.ascontiguousarray(self._edges_v, dtype=np.int64).tobytes())
-            h.update(np.ascontiguousarray(self._weights, dtype=np.float64).tobytes())
-            self._digest = h.hexdigest()
+            self._digest = graph_content_digest(
+                self._n, self._edges_u, self._edges_v, self._weights
+            )
         return self._digest
 
     # ------------------------------------------------------------------ #

@@ -16,6 +16,11 @@ serialized one JSON object per line, and replayed through
 :class:`repro.dynamic.DynamicGraph`.  Blank lines and ``#`` comments are
 skipped on load, mirroring the batch-manifest format.
 
+:class:`UpdateColumns` is the same events as four parallel arrays
+(``op``/``u``/``v``/``w``).  It is the on-disk form of a ``.npz`` stream
+file (a checkpoint's own copy of its stream) and of a write-ahead-log
+record body, and the place a batch is validated before it is logged.
+
 This module lives in the graph substrate layer (events *are* graph
 mutations) and imports nothing from the rest of the package, so both
 :mod:`repro.graphs.streams` and the :mod:`repro.dynamic` subsystem can
@@ -28,14 +33,19 @@ import gzip
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, List, Union
+from typing import IO, Iterable, Iterator, List, Union
+
+import numpy as np
 
 __all__ = [
     "EdgeInsert",
     "EdgeDelete",
     "WeightChange",
     "GraphUpdate",
+    "InvalidUpdateError",
+    "UpdateColumns",
     "update_to_json",
     "update_from_json",
     "save_update_stream",
@@ -71,6 +81,146 @@ class WeightChange:
 
 
 GraphUpdate = Union[EdgeInsert, EdgeDelete, WeightChange]
+
+#: ``UpdateColumns.op`` codes: one ASCII letter per event, so an ``op``
+#: column is also a readable string (``"iidr"``).
+OP_INSERT, OP_DELETE, OP_REWEIGHT = ord("i"), ord("d"), ord("r")
+
+
+class InvalidUpdateError(ValueError):
+    """An update the graph would refuse, caught before it was logged.
+
+    ``batch_index`` and ``position`` (zero-based offset in the whole
+    stream) locate the offending event.
+    """
+
+    def __init__(self, reason: str, *, batch_index: int, position: int):
+        super().__init__(
+            f"invalid update at stream position {position} "
+            f"(batch {batch_index}): {reason}"
+        )
+        self.batch_index = batch_index
+        self.position = position
+
+
+@dataclass(frozen=True, eq=False)
+class UpdateColumns(Sequence):
+    """Update events as four parallel arrays, in stream order.
+
+    ``op`` holds :data:`OP_INSERT`/:data:`OP_DELETE`/:data:`OP_REWEIGHT`
+    per event (``uint8``).  Edge events keep their endpoints in ``u`` and
+    ``v`` as given (``int64``); a reweight keeps its vertex in ``v`` and
+    its weight in ``w`` (``float64``).  Unused slots hold 0.
+
+    It is a read-only sequence of :data:`GraphUpdate` events: a slice is
+    another :class:`UpdateColumns` over views of the same arrays, so a
+    consumer builds event objects only for the events it visits.
+    """
+
+    op: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        lengths = {a.shape[0] for a in (self.op, self.u, self.v, self.w)}
+        if len(lengths) != 1:
+            raise ValueError("update columns have different lengths")
+
+    @classmethod
+    def from_updates(cls, updates: Iterable[GraphUpdate]) -> "UpdateColumns":
+        ops = bytearray()
+        us: List[int] = []
+        vs: List[int] = []
+        ws: List[float] = []
+        for upd in updates:
+            if isinstance(upd, EdgeInsert):
+                ops.append(OP_INSERT)
+                us.append(upd.u)
+                vs.append(upd.v)
+                ws.append(0.0)
+            elif isinstance(upd, EdgeDelete):
+                ops.append(OP_DELETE)
+                us.append(upd.u)
+                vs.append(upd.v)
+                ws.append(0.0)
+            elif isinstance(upd, WeightChange):
+                ops.append(OP_REWEIGHT)
+                us.append(0)
+                vs.append(upd.v)
+                ws.append(upd.weight)
+            else:
+                raise TypeError(f"not a graph update: {type(upd).__name__}")
+        return cls(
+            np.frombuffer(bytes(ops), dtype=np.uint8),
+            np.array(us, dtype=np.int64),
+            np.array(vs, dtype=np.int64),
+            np.array(ws, dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return int(self.op.shape[0])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return UpdateColumns(self.op[key], self.u[key], self.v[key], self.w[key])
+        i = range(len(self))[key]
+        return self[i : i + 1].to_updates()[0]
+
+    def __iter__(self) -> Iterator[GraphUpdate]:
+        return iter(self.to_updates())
+
+    def to_updates(self) -> List[GraphUpdate]:
+        """The events as :data:`GraphUpdate` objects (``ValueError`` on a bad op)."""
+        out: List[GraphUpdate] = []
+        for op, u, v, w in zip(
+            self.op.tolist(), self.u.tolist(), self.v.tolist(), self.w.tolist()
+        ):
+            if op == OP_INSERT:
+                out.append(EdgeInsert(u, v))
+            elif op == OP_DELETE:
+                out.append(EdgeDelete(u, v))
+            elif op == OP_REWEIGHT:
+                out.append(WeightChange(v, w))
+            else:
+                raise ValueError(f"unknown update op code {op!r}")
+        return out
+
+    def validate(self, n: int, *, batch_index: int, start: int) -> None:
+        """Raise :class:`InvalidUpdateError` for the first event a graph on
+        ``n`` vertices would refuse.
+
+        The checks are exactly the ones :meth:`DynamicGraph.apply
+        <repro.dynamic.DynamicGraph.apply>` raises on — vertex range,
+        self-loop inserts, non-finite or non-positive weights — so a batch
+        the graph would apply is never refused (deleting a self-loop is a
+        no-op there, and passes here).  ``start`` is the stream position of
+        the first event, so the error names the offending event's position
+        in the whole stream.
+        """
+        op, u, v, w = self.op, self.u, self.v, self.w
+        insert = op == OP_INSERT
+        edge = insert | (op == OP_DELETE)
+        reweight = op == OP_REWEIGHT
+        bad_u = edge & ((u < 0) | (u >= n))
+        bad_v = (v < 0) | (v >= n)
+        loop = insert & (u == v)
+        # NaN fails both comparisons, inf the second.
+        bad_w = reweight & ~((w > 0) & (w < np.inf))
+        bad = ~(edge | reweight) | bad_u | bad_v | loop | bad_w
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        if not (edge[i] or reweight[i]):
+            reason = f"unknown update op code {int(op[i])}"
+        elif bad_u[i] or bad_v[i]:
+            vertex = int(u[i]) if bad_u[i] else int(v[i])
+            reason = f"vertex {vertex} out of range [0, {n})"
+        elif loop[i]:
+            reason = f"self-loop at vertex {int(u[i])} is not allowed"
+        else:
+            reason = f"vertex weights must be finite and > 0, got {float(w[i])}"
+        raise InvalidUpdateError(reason, batch_index=batch_index, position=start + i)
 
 
 def update_to_json(update: GraphUpdate) -> dict:
@@ -112,8 +262,25 @@ def update_from_json(spec: dict) -> GraphUpdate:
     raise ValueError(f"unknown op {op!r}; expected 'insert', 'delete' or 'reweight'")
 
 
+def _is_npz(path) -> bool:
+    return isinstance(path, (str, os.PathLike)) and os.fspath(path).endswith(".npz")
+
+
 def save_update_stream(updates: Iterable[GraphUpdate], path: PathLike) -> None:
-    """Write a stream as JSON lines (gzip-compressed iff ``path`` ends ``.gz``)."""
+    """Write a stream as JSON lines (gzip-compressed iff ``path`` ends ``.gz``).
+
+    A path ending ``.npz`` gets the columnar form instead: one store-only
+    archive of the :class:`UpdateColumns` arrays, which loads without
+    parsing any text.
+    """
+    if _is_npz(path):
+        cols = (
+            updates
+            if isinstance(updates, UpdateColumns)
+            else UpdateColumns.from_updates(updates)
+        )
+        np.savez(path, op=cols.op, u=cols.u, v=cols.v, w=cols.w)
+        return
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "wt", encoding="utf-8") as fh:
         for upd in updates:
@@ -161,14 +328,29 @@ def save_update_stream_segments(
     return paths
 
 
-def load_update_stream(source: Union[PathLike, IO[str], Iterable[str]]) -> List[GraphUpdate]:
+def load_update_stream(
+    source: Union[PathLike, IO[str], Iterable[str]]
+) -> Union[List[GraphUpdate], UpdateColumns]:
     """Parse a JSON-lines update stream.
 
     ``source`` is a path (``.gz`` transparently decompressed), an open text
     stream, or any iterable of lines.  A malformed line raises
     ``ValueError`` naming its line number — an update stream is input data,
     so it fails loudly up front rather than mid-replay.
+
+    A path ending ``.npz`` is read as the columnar form
+    :func:`save_update_stream` writes and comes back as an
+    :class:`UpdateColumns` sequence, which builds event objects only for
+    the events a consumer visits.
     """
+    if _is_npz(source):
+        with np.load(source, allow_pickle=False) as data:
+            try:
+                return UpdateColumns(data["op"], data["u"], data["v"], data["w"])
+            except KeyError as exc:
+                raise ValueError(
+                    f"{os.fspath(source)}: not an update stream ({exc})"
+                ) from None
     if isinstance(source, (str, bytes, os.PathLike)):
         opener = gzip.open if str(source).endswith(".gz") else open
         with opener(source, "rt", encoding="utf-8") as fh:

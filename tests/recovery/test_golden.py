@@ -5,8 +5,9 @@ The fixtures under ``tests/recovery/data/`` were written by
 formats: they fail if a change to the snapshot or WAL layout slips in
 without a version bump, and they exercise the rejection paths a reader
 must keep forever (future version, digest mismatch) plus the version-1 →
-version-2 migration (v2 stores ``dual_codes``; v1 files with two-column
-``dual_keys`` must keep loading bit-exactly).
+version-3 migration (v3 stores int32 edge row deltas/columns and
+``dual_codes``; v1 files with int64 endpoints and two-column ``dual_keys``
+must keep loading bit-exactly).
 """
 
 import io
@@ -70,8 +71,9 @@ class TestGoldenSnapshot:
         assert again.meta["graph_digest"] == original.meta["graph_digest"]
 
     def test_v1_fixture_migrates_to_current_dual_codes_layout(self, tmp_path):
-        # The golden fixture is format 1 (two-column dual_keys); loading
-        # it and re-saving must produce the current format (flat encoded
+        # The golden fixture is format 1 (int64 endpoints, two-column
+        # dual_keys); loading it and re-saving must produce the current
+        # format 3 (int32 edge row deltas + columns, flat encoded
         # dual_codes) with bit-identical maintainer state.
         original = load_snapshot(GOLDEN_SNAPSHOT)
         assert original.meta["format_version"] == 1
@@ -79,9 +81,13 @@ class TestGoldenSnapshot:
         save_snapshot(path, original.maintainer, extra=original.meta["extra"])
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-            assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION
-            assert "dual_codes" in archive.files
-            assert "dual_keys" not in archive.files
+            assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+            assert {"edge_row_deltas", "edge_cols", "dual_codes"} <= set(
+                archive.files
+            )
+            assert not {"edges_u", "edges_v", "dual_keys"} & set(archive.files)
+            assert archive["edge_row_deltas"].dtype == np.int32
+            assert archive["edge_cols"].dtype == np.int32
             codes = archive["dual_codes"]
         assert [((c >> 32), c & 0xFFFFFFFF) for c in codes.tolist()] == sorted(
             original.maintainer.edge_duals()

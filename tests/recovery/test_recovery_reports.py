@@ -1,0 +1,218 @@
+"""Refused batches, recovery reports, and resuming the old checkpoint layout.
+
+* A batch the graph would refuse is refused *before* its WAL commit, with
+  its batch index and stream position, leaving the run resumable.
+* A resume says what recovery had to do: a dropped torn WAL tail and the
+  corrupt snapshots it fell back past show up in its summary.
+* A checkpoint directory written before WAL format 2 / snapshot format 3
+  (``data/parent_layout``, see ``data/make_parent_layout.py``) resumes to
+  exactly the cover of an uninterrupted run.
+"""
+
+import json
+import os
+import shutil
+
+import numpy as np
+import pytest
+
+from repro.dynamic import (
+    CheckpointConfig,
+    DynamicGraph,
+    EdgeInsert,
+    IncrementalCoverMaintainer,
+    InvalidUpdateError,
+    ResolvePolicy,
+    read_wal,
+    resume_stream,
+    run_stream,
+)
+from repro.graphs.generators import gnp_average_degree
+from repro.graphs.io import load_npz
+from repro.graphs.streams import make_update_stream
+from repro.graphs.updates import load_update_stream
+
+from tests.recovery.harness import CrashAfter, make_batches, make_workload
+
+BATCH_SIZE = 10
+EPS = 0.1
+SEED = 4
+PARENT_LAYOUT = os.path.join(os.path.dirname(__file__), "data", "parent_layout")
+
+
+def _assert_same_result(a, b):
+    assert np.array_equal(a.final_cover, b.final_cover)
+    assert a.final_cover_weight == b.final_cover_weight
+    assert a.final_dual_value == b.final_dual_value
+    assert a.final_certified_ratio == b.final_certified_ratio
+
+
+class TestInvalidBatchIsRefusedBeforeTheWAL:
+    """One ``EdgeInsert(5, 999)`` on n=200, in batch 3 of a durable run."""
+
+    BAD_POSITION = 3 * BATCH_SIZE + 4
+
+    def _stream(self):
+        graph = gnp_average_degree(200, 6.0, seed=31)
+        updates = make_update_stream("uniform", graph, 6 * BATCH_SIZE, seed=32)
+        bad = list(updates)
+        bad[self.BAD_POSITION] = EdgeInsert(5, 999)
+        return graph, updates, bad
+
+    def test_refused_at_batch_3_with_batches_0_to_2_committed(
+        self, tmp_path, monkeypatch
+    ):
+        graph, good, bad = self._stream()
+        seen = []
+        apply_batch = IncrementalCoverMaintainer.apply_batch
+
+        def recording(self, batch):
+            seen.append(self)
+            return apply_batch(self, batch)
+
+        monkeypatch.setattr(IncrementalCoverMaintainer, "apply_batch", recording)
+        checkpoint = CheckpointConfig(tmp_path / "ckpt", snapshot_every=2, fsync=False)
+        with pytest.raises(InvalidUpdateError) as info:
+            run_stream(
+                graph, bad, batch_size=BATCH_SIZE, eps=EPS, seed=SEED,
+                checkpoint=checkpoint,
+            )
+        monkeypatch.undo()
+        assert info.value.batch_index == 3
+        assert info.value.position == self.BAD_POSITION
+        assert "vertex 999 out of range" in str(info.value)
+
+        records, torn = read_wal(checkpoint.wal_path)
+        assert not torn and [r.batch_index for r in records] == [0, 1, 2]
+
+        # The maintainer stopped in its post-batch-2 state: nothing of
+        # batch 3 reached the graph.
+        maintainer = seen[-1]
+        assert maintainer.batches_applied == 3
+        reference = run_stream(
+            graph, good[: 3 * BATCH_SIZE], batch_size=BATCH_SIZE, eps=EPS, seed=SEED
+        )
+        assert np.array_equal(maintainer.cover, reference.final_cover)
+        assert maintainer.dual_value == reference.final_dual_value
+        assert maintainer.dyn.state_stamp() == _stamp_after(graph, good, 3)
+
+    def test_the_refused_run_stays_resumable(self, tmp_path):
+        graph, good, bad = self._stream()
+        checkpoint = CheckpointConfig(tmp_path / "ckpt", snapshot_every=2, fsync=False)
+        with pytest.raises(InvalidUpdateError):
+            run_stream(
+                graph, bad, batch_size=BATCH_SIZE, eps=EPS, seed=SEED,
+                checkpoint=checkpoint,
+            )
+        # The stored stream still holds the bad event: a resume replays
+        # batches 0-2 cleanly and refuses batch 3 again, uncommitted.
+        with pytest.raises(InvalidUpdateError) as info:
+            resume_stream(checkpoint.directory)
+        assert info.value.batch_index == 3
+        assert [r.batch_index for r in read_wal(checkpoint.wal_path)[0]] == [0, 1, 2]
+        # With the corrected stream it finishes exactly like a clean run.
+        resumed = resume_stream(checkpoint.directory, updates=good)
+        reference = run_stream(graph, good, batch_size=BATCH_SIZE, eps=EPS, seed=SEED)
+        _assert_same_result(resumed, reference)
+
+
+def _stamp_after(graph, updates, batches):
+    dyn = DynamicGraph(graph)
+    for event in updates[: batches * BATCH_SIZE]:
+        dyn.apply(event)
+    return dyn.state_stamp()
+
+
+def _crashed_run(tmp_path, monkeypatch, **checkpoint_kwargs):
+    graph = make_workload(n=120, seed=41)
+    updates = [u for b in make_batches(graph, "uniform", 9, 20, seed=43) for u in b]
+    policy = ResolvePolicy(max_drift=0.15)
+    reference = run_stream(
+        graph, updates, batch_size=20, policy=policy, eps=EPS, seed=SEED
+    )
+    checkpoint = CheckpointConfig(
+        tmp_path / "ckpt", snapshot_every=2, fsync=False, **checkpoint_kwargs
+    )
+    with CrashAfter(monkeypatch, 7):
+        with pytest.raises(CrashAfter.Crash):
+            run_stream(
+                graph, updates, batch_size=20, policy=policy, eps=EPS, seed=SEED,
+                checkpoint=checkpoint,
+            )
+    return reference, checkpoint
+
+
+class TestRecoveryIsReported:
+    def test_clean_resume_reports_nothing(self, tmp_path, monkeypatch):
+        reference, checkpoint = _crashed_run(tmp_path, monkeypatch)
+        resumed = resume_stream(checkpoint.directory)
+        _assert_same_result(resumed, reference)
+        row = resumed.summary()
+        assert row["recovered_torn_tail"] is False
+        assert row["snapshot_fallbacks"] == 0
+
+    def test_wal_cut_mid_record_is_reported(self, tmp_path, monkeypatch):
+        reference, checkpoint = _crashed_run(tmp_path, monkeypatch)
+        lines = open(checkpoint.wal_path, "rb").read().splitlines(keepends=True)
+        # Cut the last committed record in half: that batch was never
+        # committed, so the resume re-runs it from the stream.
+        with open(checkpoint.wal_path, "wb") as fh:
+            fh.writelines(lines[:-1])
+            fh.write(lines[-1][: len(lines[-1]) // 2])
+        resumed = resume_stream(checkpoint.directory)
+        _assert_same_result(resumed, reference)
+        assert resumed.recovered_torn_tail is True
+        assert resumed.snapshot_fallbacks == 0
+        row = resumed.summary()
+        assert row["recovered_torn_tail"] is True
+        json.dumps(row)
+
+    def test_corrupt_newest_snapshot_is_reported(self, tmp_path, monkeypatch):
+        reference, checkpoint = _crashed_run(
+            tmp_path, monkeypatch, keep_snapshots=2, compact_wal=True
+        )
+        (newest_index, newest), (older_index, _) = checkpoint.list_snapshots()[:2]
+        data = bytearray(open(newest, "rb").read())
+        mid = len(data) // 2
+        data[mid : mid + 8] = bytes(b ^ 0xFF for b in data[mid : mid + 8])
+        with open(newest, "wb") as fh:
+            fh.write(bytes(data))
+        resumed = resume_stream(checkpoint.directory)
+        _assert_same_result(resumed, reference)
+        assert resumed.resumed_from_batch == older_index < newest_index
+        assert resumed.snapshot_fallbacks == 1
+        assert resumed.recovered_torn_tail is False
+        assert resumed.summary()["snapshot_fallbacks"] == 1
+
+
+class TestParentLayoutResumes:
+    def test_fixture_is_in_the_old_layout(self):
+        names = sorted(os.listdir(PARENT_LAYOUT))
+        assert "updates.jsonl" in names and "updates.npz" not in names
+        records, torn = read_wal(os.path.join(PARENT_LAYOUT, "wal.jsonl"))
+        assert not torn
+        assert [(r.batch_index, r.version) for r in records] == [
+            (2, 1), (3, 1), (4, 1), (5, 1)
+        ]
+        assert all(len(r.state_digest) == 64 for r in records)
+        for name in names:
+            if name.startswith("snapshot-"):
+                with np.load(os.path.join(PARENT_LAYOUT, name)) as archive:
+                    meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
+                assert meta["format_version"] == 2
+
+    def test_resume_matches_an_uninterrupted_run(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        shutil.copytree(PARENT_LAYOUT, directory)
+        resumed = resume_stream(directory)
+        assert resumed.resumed_from_batch == 4
+        reference = run_stream(
+            load_npz(directory / "graph.npz"),
+            load_update_stream(directory / "updates.jsonl"),
+            batch_size=12,
+            eps=0.1,
+            seed=1,
+        )
+        _assert_same_result(resumed, reference)
+        # The continuation appended version-2 records to the old log.
+        assert {r.version for r in read_wal(directory / "wal.jsonl")[0]} == {2}

@@ -324,7 +324,7 @@ class TestSigkill:
         from repro.graphs.updates import load_update_stream
 
         graph = load_npz(directory / "graph.npz")
-        updates = load_update_stream(directory / "updates.jsonl")
+        updates = load_update_stream(directory / "updates.npz")
         reference = run_stream(
             graph,
             updates,

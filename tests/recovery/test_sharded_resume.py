@@ -323,7 +323,7 @@ class TestShardedSigkill:
         from repro.graphs.updates import load_update_stream
 
         graph = load_npz(directory / "graph.npz")
-        updates = load_update_stream(directory / "updates.jsonl")
+        updates = load_update_stream(directory / "updates.npz")
         reference = run_stream(
             graph,
             updates,

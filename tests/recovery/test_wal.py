@@ -102,9 +102,9 @@ class TestCrashInjection:
     def test_checksum_flip_raises(self, wal_path):
         _write(wal_path, BATCH0, BATCH1)
         raw = bytearray(wal_path.read_bytes())
-        # Flip one digit inside the first record's "u": 0 -> 9.
-        pos = raw.index(b'"u":0')
-        raw[pos + 4] = ord("9")
+        # Flip one digit inside the first record's "u" column: 0 -> 9.
+        pos = raw.index(b'"u":[0')
+        raw[pos + 5] = ord("9")
         wal_path.write_bytes(bytes(raw))
         with pytest.raises(WALCorruptionError, match="checksum mismatch"):
             read_wal(wal_path)
