@@ -189,10 +189,6 @@ def iter_update_batches(
         for start in range(0, len(source), batch_size):
             yield source[start : start + batch_size].to_updates()
         return
-    if isinstance(source, (list, tuple)):
-        for start in range(0, len(source), batch_size):
-            yield list(source[start : start + batch_size])
-        return
     batch: List[GraphUpdate] = []
     for upd in open_update_source(source):
         batch.append(upd)

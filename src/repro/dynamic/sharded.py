@@ -428,7 +428,13 @@ class _ShardedEngine:
             )
         if log_to_wal and self.wal is not None:
             t_wal = time.perf_counter()
-            self.wal.append(index, batch, state_digest=digest)
+            self.wal.append(
+                index,
+                batch,
+                num_vertices=self.n,
+                position=self.updates_applied,
+                state_digest=digest,
+            )
             self.ingest_s += time.perf_counter() - t_wal
 
         # ---- replay: reweights + merged edge effects ------------------- #

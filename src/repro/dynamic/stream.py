@@ -410,9 +410,6 @@ class _StreamEngine:
         self.ingest_s = 0.0
         self.repair_s = 0.0
         self.resolve_s = 0.0
-        # Numbered snapshots on disk, newest first: listed at the first
-        # rotation, then kept up to date here.
-        self._snapshots: Optional[List[Tuple[int, str]]] = None
 
     # -- state restored from a snapshot's extra counters ---------------- #
     def restore_counters(self, extra: dict) -> None:
@@ -463,16 +460,13 @@ class _StreamEngine:
         )
         retained_floor = next_batch_index
         if checkpoint.keep_snapshots > 1:
-            if self._snapshots is None:
-                self._snapshots = [
-                    (i, p) for i, p in checkpoint.list_snapshots() if i >= 0
-                ]
-            elif self._snapshots[0][0] != next_batch_index:
-                self._snapshots.insert(0, (next_batch_index, path))
-            for _, stale in self._snapshots[checkpoint.keep_snapshots :]:
+            snapshots = checkpoint.list_snapshots()
+            numbered = [(i, p) for i, p in snapshots if i >= 0]
+            for _, stale in numbered[checkpoint.keep_snapshots :]:
                 os.remove(stale)
-            del self._snapshots[checkpoint.keep_snapshots :]
-            retained_floor = self._snapshots[-1][0]
+            retained = numbered[: checkpoint.keep_snapshots]
+            if retained:
+                retained_floor = min(i for i, _ in retained)
         if checkpoint.compact_wal and self.wal is not None:
             self.wal = _compact_wal_in_place(checkpoint, self.wal, retained_floor)
 

@@ -260,15 +260,15 @@ class WriteAheadLog:
         batch_index: int,
         updates: Sequence[GraphUpdate],
         *,
+        num_vertices: int,
+        position: int,
         state_digest: Union[str, Callable[[], str]] = "",
-        num_vertices: Optional[int] = None,
-        position: int = 0,
     ) -> None:
-        """Commit one batch record, encoded once.
+        """Validate and commit one batch record, encoded once.
 
-        With ``num_vertices`` the encoded columns are first checked against
-        a graph on that many vertices (``position`` is the stream offset of
-        the batch's first event): an event the graph would refuse raises
+        The encoded columns are first checked against a graph on
+        ``num_vertices`` vertices (``position`` is the stream offset of the
+        batch's first event): an event the graph would refuse raises
         :class:`~repro.graphs.updates.InvalidUpdateError` and nothing is
         written — a committed bad record would fail every later replay.
         ``state_digest`` is the record's stamp, or a callable returning it
@@ -277,8 +277,7 @@ class WriteAheadLog:
         if self._fh is None:
             raise WALError("WAL is closed")
         columns = UpdateColumns.from_updates(updates)
-        if num_vertices is not None:
-            columns.validate(num_vertices, batch_index=batch_index, start=position)
+        columns.validate(num_vertices, batch_index=batch_index, start=position)
         if callable(state_digest):
             state_digest = state_digest()
         self._fh.write(_encode(batch_index, columns, state_digest))

@@ -137,6 +137,7 @@ class TestStateStamp:
 
 BATCH0 = [EdgeInsert(0, 1), EdgeDelete(2, 3), WeightChange(4, 2.5)]
 BATCH1 = [EdgeInsert(5, 6), WeightChange(1, 0.1 + 0.2)]
+N = 10  # vertices of the graph the batches apply to
 
 
 def _lines(path):
@@ -147,7 +148,7 @@ class TestWALVersion2:
     def test_crc_is_over_the_raw_body_bytes(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, BATCH0, state_digest="ab" * 16)
+            wal.append(0, BATCH0, num_vertices=N, position=0, state_digest="ab" * 16)
         (line,) = _lines(path)
         record = json.loads(line)
         assert record["v"] == 2
@@ -159,8 +160,8 @@ class TestWALVersion2:
     def test_records_round_trip_exactly(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, BATCH0, state_digest="s0")
-            wal.append(1, BATCH1)
+            wal.append(0, BATCH0, num_vertices=N, position=0, state_digest="s0")
+            wal.append(1, BATCH1, num_vertices=N, position=len(BATCH0))
         records, torn = read_wal(path)
         assert not torn
         assert [list(r.updates) for r in records] == [BATCH0, BATCH1]
@@ -170,8 +171,13 @@ class TestWALVersion2:
     def test_compaction_copies_retained_lines_byte_for_byte(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
+            position = 0
             for i in range(5):
-                wal.append(i, BATCH0 if i % 2 else BATCH1, state_digest=f"s{i}")
+                batch = BATCH0 if i % 2 else BATCH1
+                wal.append(
+                    i, batch, num_vertices=N, position=position, state_digest=f"s{i}"
+                )
+                position += len(batch)
         before = _lines(path)
         assert compact_wal(path, 3, fsync=False) == 3
         assert _lines(path) == before[3:]
@@ -180,7 +186,7 @@ class TestWALVersion2:
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
             for i in range(3):
-                wal.append(i, BATCH0)
+                wal.append(i, BATCH0, num_vertices=N, position=i * len(BATCH0))
         raw = bytearray(path.read_bytes())
         pos = raw.index(b'"v":[1')
         raw[pos + 5] = ord("7")  # inside the first (to-be-dropped) record
@@ -192,7 +198,7 @@ class TestWALVersion2:
     def test_damaged_header_is_corruption(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, BATCH0)
+            wal.append(0, BATCH0, num_vertices=N, position=0)
         raw = path.read_bytes()
         path.write_bytes(raw.replace(b'"crc":"', b'"crc":"zz', 1))
         with pytest.raises(WALCorruptionError):
@@ -211,7 +217,7 @@ class TestWALVersion2:
             (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
         )
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(1, BATCH1, state_digest="s1")
+            wal.append(1, BATCH1, num_vertices=N, position=1, state_digest="s1")
         records, _ = read_wal(path)
         assert [(r.batch_index, r.version) for r in records] == [(0, 1), (1, 2)]
         assert list(records[0].updates) == [EdgeInsert(0, 1)]
@@ -221,12 +227,12 @@ class TestWALVersion2:
     def test_invalid_batch_is_refused_before_anything_is_written(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, BATCH0, num_vertices=10)
+            wal.append(0, BATCH0, num_vertices=N, position=0)
             with pytest.raises(InvalidUpdateError, match="position 12 "):
                 wal.append(
                     1,
                     [EdgeInsert(0, 1), EdgeInsert(3, 10)],
-                    num_vertices=10,
+                    num_vertices=N,
                     position=11,
                     state_digest=lambda: pytest.fail("stamped a refused batch"),
                 )

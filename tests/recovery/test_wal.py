@@ -19,6 +19,7 @@ from repro.dynamic.wal import _canonical, _crc
 
 BATCH0 = [EdgeInsert(0, 1), EdgeDelete(2, 3), WeightChange(4, 2.5)]
 BATCH1 = [EdgeInsert(5, 6)]
+N = 10  # vertices of the graph the batches apply to
 
 
 @pytest.fixture
@@ -27,9 +28,17 @@ def wal_path(tmp_path):
 
 
 def _write(path, *batches, digests=None):
+    position = 0
     with WriteAheadLog(path, fsync=False) as wal:
         for i, batch in enumerate(batches):
-            wal.append(i, batch, state_digest=(digests or {}).get(i, ""))
+            wal.append(
+                i,
+                batch,
+                num_vertices=N,
+                position=position,
+                state_digest=(digests or {}).get(i, ""),
+            )
+            position += len(batch)
 
 
 class TestRoundTrip:
@@ -54,19 +63,19 @@ class TestRoundTrip:
         wal = WriteAheadLog(wal_path, fsync=False)
         wal.close()
         with pytest.raises(WALError, match="closed"):
-            wal.append(0, BATCH0)
+            wal.append(0, BATCH0, num_vertices=N, position=0)
 
     def test_reopen_appends(self, wal_path):
         _write(wal_path, BATCH0)
         with WriteAheadLog(wal_path, fsync=False) as wal:
-            wal.append(1, BATCH1)
+            wal.append(1, BATCH1, num_vertices=N, position=len(BATCH0))
         records, torn = read_wal(wal_path)
         assert not torn and [r.batch_index for r in records] == [0, 1]
 
     def test_fsync_commit_path(self, wal_path):
         # Exercise the fsync branch (the default durability mode).
         with WriteAheadLog(wal_path, fsync=True) as wal:
-            wal.append(0, BATCH0)
+            wal.append(0, BATCH0, num_vertices=N, position=0)
         records, torn = read_wal(wal_path)
         assert not torn and len(records) == 1
 
@@ -125,7 +134,7 @@ class TestCrashInjection:
         assert not torn and len(records) == 1
         # Appending after repair yields a clean two-record log.
         with WriteAheadLog(wal_path, fsync=False) as wal:
-            wal.append(1, BATCH1)
+            wal.append(1, BATCH1, num_vertices=N, position=len(BATCH0))
         records, torn = read_wal(wal_path)
         assert not torn and [r.batch_index for r in records] == [0, 1]
 
