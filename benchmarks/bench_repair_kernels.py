@@ -5,10 +5,11 @@ Not a paper claim — the perf gate of the kernel-vectorization PR
 kernels, plus the CSR-delta adjacency under them, must be measurably
 faster than the original object-at-a-time implementations while staying
 *bit-identical*).  The bench replays one seeded 100k-update uniform-churn
-stream through two :class:`~repro.dynamic.IncrementalCoverMaintainer`
-instances — ``kernels="vectorized"`` (the production hot path) and
-``kernels="reference"`` (the original code, kept as the executable spec)
-— with per-kernel profiling on, and asserts:
+stream through two maintainers — the production
+:class:`~repro.dynamic.IncrementalCoverMaintainer` (vectorized kernels) and
+the ``ReferenceMaintainer`` of ``tests/kernel_oracle.py`` (the original
+code, kept as the executable spec) — with per-kernel profiling on, and
+asserts:
 
 * the final covers, duals, and dual totals agree bit for bit;
 * the vectorized *kernel* time (repair + prune) is at least
@@ -37,6 +38,7 @@ from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.streams import make_update_stream
 from repro.graphs.weights import uniform_weights
+from tests.kernel_oracle import ReferenceMaintainer
 
 N = 10_000
 DEGREE = 10.0
@@ -58,10 +60,17 @@ def _workload():
     return g.with_weights(uniform_weights(g.n, 1.0, 10.0, seed=6))
 
 
+#: The maintainer class behind each side of the comparison.
+MAINTAINERS = {
+    "reference": ReferenceMaintainer,
+    "vectorized": IncrementalCoverMaintainer,
+}
+
+
 def _replay(graph, updates, result, kernels):
     """Adopt ``result`` and replay the full stream; returns measurements."""
     dyn = DynamicGraph(graph)
-    maintainer = IncrementalCoverMaintainer(dyn, kernels=kernels, profile=True)
+    maintainer = MAINTAINERS[kernels](dyn, profile=True)
     maintainer.adopt(result)
     start = time.perf_counter()
     for i in range(0, len(updates), BATCH_SIZE):

@@ -10,7 +10,7 @@ Seven subcommands::
                                 # through the pooled/cached batch service
     python -m repro stream      # maintain a certified cover over a
                                 # JSON-lines update stream (or generated
-                                # churn), optionally sharded (--shards N)
+                                # churn)
     python -m repro resume      # pick up a killed `repro stream
                                 # --checkpoint-dir` run: restore the last
                                 # snapshot, replay the WAL tail, finish
@@ -319,7 +319,6 @@ def _cmd_stream(args) -> int:
         WALError,
         load_update_stream,
         open_update_source,
-        run_sharded_stream,
         run_stream,
     )
     from repro.graphs.streams import make_update_stream
@@ -366,45 +365,25 @@ def _cmd_stream(args) -> int:
                 compact_wal=args.compact_wal,
                 snapshot_compression=args.snapshot_compression,
             )
-        if args.shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {args.shards}")
     except ValueError as exc:
         raise SystemExit(str(exc))
 
     out = _open_stream_out(args)
     with solver:
         try:
-            if args.shards > 1:
-                summary = run_sharded_stream(
-                    graph,
-                    updates,
-                    num_shards=args.shards,
-                    partition=args.partition,
-                    batch_size=args.batch_size,
-                    policy=policy,
-                    solver=solver,
-                    eps=args.eps,
-                    seed=args.seed,
-                    engine=args.engine,
-                    verify_every=args.verify_every,
-                    checkpoint=checkpoint,
-                    use_processes=not args.inline_shards,
-                    profile=args.profile,
-                )
-            else:
-                summary = run_stream(
-                    graph,
-                    updates,
-                    batch_size=args.batch_size,
-                    policy=policy,
-                    solver=solver,
-                    eps=args.eps,
-                    seed=args.seed,
-                    engine=args.engine,
-                    verify_every=args.verify_every,
-                    checkpoint=checkpoint,
-                    profile=args.profile,
-                )
+            summary = run_stream(
+                graph,
+                updates,
+                batch_size=args.batch_size,
+                policy=policy,
+                solver=solver,
+                eps=args.eps,
+                seed=args.seed,
+                engine=args.engine,
+                verify_every=args.verify_every,
+                checkpoint=checkpoint,
+                profile=args.profile,
+            )
         except (ValueError, RuntimeError, CheckpointError, WALError) as exc:
             raise SystemExit(str(exc))
     return _emit_stream_summary(args, summary, out)
@@ -425,7 +404,6 @@ def _cmd_resume(args) -> int:
         CheckpointError,
         WALError,
         open_update_source,
-        resume_sharded_stream,
         resume_stream,
     )
 
@@ -438,12 +416,9 @@ def _cmd_resume(args) -> int:
         except (OSError, ValueError) as exc:
             raise SystemExit(f"bad update stream: {exc}")
 
-    # The checkpoint config knows which engine wrote it; dispatch to the
-    # matching resume so callers never have to re-specify the layout.
-    # (A `shards` key marks the sharded engine even with one shard — its
-    # snapshots and WAL stamps use the sharded formats.)
-    config = _read_stream_config(args.checkpoint_dir)
-    sharded = "shards" in config
+    # Fail on a missing, unsupported or sharded checkpoint before any
+    # solver is started.
+    _read_stream_config(args.checkpoint_dir)
 
     try:
         solver = BatchSolver(
@@ -457,21 +432,12 @@ def _cmd_resume(args) -> int:
     out = _open_stream_out(args)
     with solver:
         try:
-            if sharded:
-                summary = resume_sharded_stream(
-                    args.checkpoint_dir,
-                    updates=updates,
-                    solver=solver,
-                    use_processes=not args.inline_shards,
-                    profile=args.profile,
-                )
-            else:
-                summary = resume_stream(
-                    args.checkpoint_dir,
-                    updates=updates,
-                    solver=solver,
-                    profile=args.profile,
-                )
+            summary = resume_stream(
+                args.checkpoint_dir,
+                updates=updates,
+                solver=solver,
+                profile=args.profile,
+            )
         except (ValueError, RuntimeError, CheckpointError, WALError) as exc:
             raise SystemExit(str(exc))
     print(
@@ -489,7 +455,6 @@ def _cmd_wal_compact(args) -> int:
         compact_wal,
     )
     from repro.dynamic.checkpoint import snapshot_meta
-    from repro.dynamic.shard_checkpoint import list_sharded_snapshots
 
     config = _read_stream_config(args.checkpoint_dir)
     checkpoint = CheckpointConfig(
@@ -499,21 +464,13 @@ def _cmd_wal_compact(args) -> int:
     )
     keep = checkpoint.keep_snapshots
     try:
-        # Same engine marker as _cmd_resume: a `shards` key means the
-        # sharded snapshot format, whatever the shard count.
-        if "shards" in config:
-            generations = list_sharded_snapshots(args.checkpoint_dir)
-            retained = [idx for idx, _ in generations[:keep]]
-        else:
-            retained = []
-            for idx, path in checkpoint.list_snapshots()[:keep]:
-                if idx < 0:  # legacy single snapshot: position is in meta
-                    idx = int(
-                        snapshot_meta(path).get("extra", {}).get(
-                            "next_batch_index", 0
-                        )
-                    )
-                retained.append(idx)
+        retained = []
+        for idx, path in checkpoint.list_snapshots()[:keep]:
+            if idx < 0:  # legacy single snapshot: position is in meta
+                idx = int(
+                    snapshot_meta(path).get("extra", {}).get("next_batch_index", 0)
+                )
+            retained.append(idx)
         if not retained:
             raise SystemExit(
                 f"no snapshot in {args.checkpoint_dir}; the whole WAL is "
@@ -658,24 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-every", type=int, default=0,
         help="exactly re-verify the cover every k batches (0: final only)",
     )
-    from repro.mpc.partition import PARTITION_SCHEMES
-
-    stream.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the vertex space across this many shard workers "
-        "(1: the single-threaded engine; N > 1: the sharded pipeline, "
-        "bit-identical covers)",
-    )
-    stream.add_argument(
-        "--partition", default="hash", choices=list(PARTITION_SCHEMES),
-        help="vertex partition scheme for --shards > 1",
-    )
-    stream.add_argument(
-        "--inline-shards", action="store_true",
-        help="run shard workers in-process instead of one process per "
-        "shard (deterministic either way; inline avoids pool overhead "
-        "on small streams / single-core boxes)",
-    )
     stream.add_argument(
         "--workers", type=int, default=0,
         help="process-pool size for re-solves (0: solve in-process)",
@@ -759,10 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--cover-out", default=None,
         help="write the final cover vertex ids to this file",
-    )
-    resume.add_argument(
-        "--inline-shards", action="store_true",
-        help="for sharded checkpoints: run shard workers in-process",
     )
     resume.add_argument(
         "--profile", action="store_true",

@@ -5,9 +5,6 @@ graphs mutate continuously.  This package maintains a valid, certified
 cover under edge churn and weight changes, re-solving only when the
 certificate drifts past a policy bound:
 
-:mod:`repro.dynamic.updates`
-    :class:`EdgeInsert` / :class:`EdgeDelete` / :class:`WeightChange`
-    events and their JSON-lines wire format.
 :mod:`repro.dynamic.dynamic_graph`
     :class:`DynamicGraph` — delta log over the immutable
     :class:`~repro.graphs.WeightedGraph`, with periodic compaction back to
@@ -27,22 +24,17 @@ certificate drifts past a policy bound:
 :mod:`repro.dynamic.wal`
     Append-only, checksummed write-ahead log of applied update batches.
 :mod:`repro.dynamic.repair`
-    The shared repair/prune/certification kernels both engines run —
-    vectorized array passes plus the ``_reference_*`` executable specs.
+    The vectorized repair/prune/certification kernels the maintainer
+    runs.
 :mod:`repro.dynamic.duals`
     :class:`DualStore` — array-backed per-edge duals keyed by encoded
     ``int64`` edge codes.
 :mod:`repro.dynamic.ingest`
-    Pluggable update sources (file / directory segments / memory) and the
-    partition-aware :class:`~repro.dynamic.ingest.UpdateRouter`.
-:mod:`repro.dynamic.shard_worker`
-    Per-shard worker state + the one-process-per-shard pool plumbing.
-:mod:`repro.dynamic.sharded`
-    :func:`run_sharded_stream` / :func:`resume_sharded_stream` — the
-    partition-parallel pipeline behind ``repro stream --shards N``,
-    bit-identical to the monolithic engine for any shard count.
-:mod:`repro.dynamic.shard_checkpoint`
-    Shard-aware snapshots: per-shard files + a manifest commit point.
+    Pluggable update sources (file / directory segments / memory).
+
+The update events (:class:`EdgeInsert` / :class:`EdgeDelete` /
+:class:`WeightChange`) and their wire formats live in
+:mod:`repro.graphs.updates` and are re-exported here.
 """
 
 from repro.dynamic.checkpoint import (
@@ -65,12 +57,10 @@ from repro.dynamic.ingest import (
     DirectorySource,
     FileSource,
     MemorySource,
-    UpdateRouter,
     UpdateSource,
     iter_update_batches,
     open_update_source,
 )
-from repro.dynamic.sharded import resume_sharded_stream, run_sharded_stream
 from repro.dynamic.stream import (
     CheckpointConfig,
     StreamRecord,
@@ -87,17 +77,18 @@ from repro.dynamic.wal import (
     read_wal,
     repair_wal,
 )
-from repro.dynamic.updates import (
+from repro.graphs.updates import (
     EdgeDelete,
     EdgeInsert,
     GraphUpdate,
+    InvalidUpdateError,
+    UpdateColumns,
     WeightChange,
     load_update_stream,
     save_update_stream,
     update_from_json,
     update_to_json,
 )
-from repro.graphs.updates import InvalidUpdateError, UpdateColumns
 
 __all__ = [
     "BatchReport",
@@ -122,7 +113,6 @@ __all__ = [
     "StreamRecord",
     "StreamSummary",
     "UpdateColumns",
-    "UpdateRouter",
     "UpdateSource",
     "WALCorruptionError",
     "WALError",
@@ -137,9 +127,7 @@ __all__ = [
     "open_update_source",
     "read_wal",
     "repair_wal",
-    "resume_sharded_stream",
     "resume_stream",
-    "run_sharded_stream",
     "run_stream",
     "save_snapshot",
     "save_update_stream",

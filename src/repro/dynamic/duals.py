@@ -1,6 +1,6 @@
 """Array-backed edge duals: the :class:`DualStore`.
 
-The incremental engines carry a sparse fractional matching ``x_e`` over the
+The incremental maintainer carries a sparse fractional matching ``x_e`` over the
 *current* edge set.  The original representation — ``Dict[(u, v), float]``
 keyed by endpoint tuples — pays tuple allocation + tuple hashing on every
 repair/retire, and serializes through a Python sort + per-key list walk.
@@ -13,13 +13,13 @@ code* ``(u << 32) | v`` instead:
   lexicographic key order).
 * **Bulk I/O** is vectorized: :meth:`to_arrays` / :meth:`from_arrays`
   encode/decode whole key columns with two shifts and a mask, so
-  checkpoint snapshots, shard scatter/gather, and the coordinator's
-  replication log move duals as flat arrays, never as pickled tuple
+  checkpoint snapshots move duals as flat arrays, never as pickled tuple
   lists.
 
 The tuple-keyed mapping protocol (``store[(u, v)]``, ``.get``, ``.pop``,
-iteration in insertion order) is kept so the ``_reference_*`` kernels and
-existing tests run unchanged against a store.
+iteration in insertion order) is kept so the reference kernels of
+``tests/kernel_oracle.py`` and existing tests run unchanged against a
+store.
 
 Vertex ids must fit in an unsigned 32-bit lane (``0 <= v < 2**32``); the
 dynamic-graph layer enforces the far stricter practical bound at

@@ -23,10 +23,7 @@ re-solving from scratch.  The invariants after every
    O(batch-neighborhood), not O(n).
 
 The hot path runs the vectorized kernels of :mod:`repro.dynamic.repair`
-over the dynamic graph's CSR-delta arrays; ``kernels="reference"`` swaps
-in the original object-at-a-time ``_reference_*`` implementations — same
-results bit for bit (the contract ``tests/properties/test_property_kernels``
-enforces), used by the differential suites and the kernel microbenchmark.
+over the dynamic graph's CSR-delta arrays.
 
 The certificate degrades (``drift``) as churn accumulates — deletions strand
 cover weight whose paying edges are gone, weight changes bend the dual
@@ -46,14 +43,9 @@ import numpy as np
 from repro.core.certificates import CoverCertificate
 from repro.core.postprocess import prune_redundant_vertices
 from repro.core.result import MWVCResult
-from repro.dynamic.duals import DualStore, decode_edge_codes
+from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.repair import (
-    RESIDUAL_RTOL,
-    PruneView,
-    _reference_greedy_prune_pass,
-    _reference_pricing_repair_pass,
-    adopt_solution,
     certificate_from_state,
     greedy_prune_pass,
     pricing_repair_pass,
@@ -61,10 +53,6 @@ from repro.dynamic.repair import (
 from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
 
 __all__ = ["IncrementalCoverMaintainer", "BatchReport", "KERNEL_PROFILE_KEYS"]
-
-#: Relative tolerance for "residual weight is exhausted" decisions
-#: (the shared constant of :mod:`repro.dynamic.repair`).
-_RESIDUAL_RTOL = RESIDUAL_RTOL
 
 #: Sections of the per-batch kernel timing breakdown (``profile=True``).
 KERNEL_PROFILE_KEYS = ("adjacency_s", "repair_s", "prune_s", "certificate_s")
@@ -179,11 +167,6 @@ class IncrementalCoverMaintainer:
 
     Parameters
     ----------
-    kernels:
-        ``"vectorized"`` (default) runs the array kernels of
-        :mod:`repro.dynamic.repair`; ``"reference"`` runs the original
-        object-at-a-time implementations.  Results are bit-identical —
-        the switch exists for differential tests and benchmarking.
     profile:
         Accumulate a per-batch kernel timing breakdown
         (:data:`KERNEL_PROFILE_KEYS`) in :attr:`kernel_profile` /
@@ -191,19 +174,8 @@ class IncrementalCoverMaintainer:
         timer-free.
     """
 
-    def __init__(
-        self,
-        dyn: DynamicGraph,
-        *,
-        kernels: str = "vectorized",
-        profile: bool = False,
-    ):
-        if kernels not in ("vectorized", "reference"):
-            raise ValueError(
-                f"kernels must be 'vectorized' or 'reference', got {kernels!r}"
-            )
+    def __init__(self, dyn: DynamicGraph, *, profile: bool = False):
         self.dyn = dyn
-        self.kernels = kernels
         n = dyn.n
         self._cover = np.zeros(n, dtype=bool)
         self._x = DualStore()
@@ -302,7 +274,6 @@ class IncrementalCoverMaintainer:
         dyn: DynamicGraph,
         state: dict,
         *,
-        kernels: str = "vectorized",
         profile: bool = False,
     ) -> "IncrementalCoverMaintainer":
         """Reconstruct a maintainer around ``dyn`` from :meth:`export_state`.
@@ -335,7 +306,6 @@ class IncrementalCoverMaintainer:
                 )
         maintainer = cls.__new__(cls)
         maintainer.dyn = dyn
-        maintainer.kernels = kernels
         maintainer._cover = cover.copy()
         maintainer._loads = loads.copy()
         maintainer._x = DualStore.from_arrays(keys, vals)
@@ -428,11 +398,24 @@ class IncrementalCoverMaintainer:
         g = self.dyn.materialize() if graph is None else graph
         if g.n != self.dyn.n:
             raise ValueError(f"result graph has n={g.n}, expected {self.dyn.n}")
-        state = adopt_solution(g, result, weights=self.dyn.weights, prune=prune)
-        self._cover = state.cover
-        self._x = state.duals
-        self._loads = state.loads
-        self._dual_value = state.dual_value
+        cover = np.asarray(result.in_cover, dtype=bool)
+        if cover.shape != (g.n,):
+            raise ValueError(f"cover mask has shape {cover.shape}, expected ({g.n},)")
+        if not g.is_vertex_cover(cover):
+            raise ValueError("adopted result is not a vertex cover of the current graph")
+        x = np.asarray(result.x, dtype=np.float64)
+        if x.shape != (g.m,):
+            raise ValueError(f"duals have shape {x.shape}, expected ({g.m},)")
+        if prune:
+            cover = prune_redundant_vertices(g, cover, weights=self.dyn.weights)
+        # Edge-indexed duals → edge-code-keyed store, one vectorized encode.
+        nz = np.nonzero(x)[0]
+        self._cover = cover.copy()
+        self._x = DualStore.from_codes(
+            encode_edge_codes(g.edges_u[nz], g.edges_v[nz]), x[nz]
+        )
+        self._loads = g.incident_sums(x)
+        self._dual_value = float(x.sum())
         cert = self.certificate()
         self._base_ratio = cert.certified_ratio
         return cert
@@ -542,88 +525,44 @@ class IncrementalCoverMaintainer:
         return pay
 
     def _repair(self, uncovered: Iterable[Tuple[int, int]]) -> Tuple[int, Set[int]]:
-        """Patch uncovered edges via the shared pricing-repair kernel.
+        """Patch uncovered edges via the pricing-repair kernel.
 
         For each still-uncovered edge, raise its dual by the smaller
         endpoint residual ``w − y``; every endpoint whose residual is
         exhausted enters the cover.  An endpoint already fully paid
         (residual ≤ 0, possible after an adopted solve with load factor
         > 1 or a weight decrease) enters for free.  The pass itself is
-        :func:`repro.dynamic.repair.pricing_repair_pass` — the same code
-        the sharded coordinator runs, which is what makes sharded and
-        monolithic streams bit-identical.
+        :func:`repro.dynamic.repair.pricing_repair_pass`.
         """
-        keys = sorted(set(uncovered))
-        if self.kernels == "reference":
-            outcome = _reference_pricing_repair_pass(
-                keys,
-                weights=self.dyn.weights,
-                cover=self._cover,
-                loads=self._loads,
-                duals=self._x,
-                dual_value=self._dual_value,
-                has_edge=self.dyn.has_edge,
-            )
-        else:
-            outcome = pricing_repair_pass(
-                keys,
-                weights=self.dyn.weights,
-                cover=self._cover,
-                loads=self._loads,
-                duals=self._x,
-                dual_value=self._dual_value,
-                has_edges=self.dyn.has_edges,
-            )
+        outcome = pricing_repair_pass(
+            sorted(set(uncovered)),
+            weights=self.dyn.weights,
+            cover=self._cover,
+            loads=self._loads,
+            duals=self._x,
+            dual_value=self._dual_value,
+            has_edges=self.dyn.has_edges,
+        )
         self._dual_value = outcome.dual_value
         return outcome.repaired, outcome.entered
 
     def _prune_touched(self, touched: Set[int]) -> int:
         """Greedy redundancy pruning restricted to the touched vertices.
 
-        The vectorized kernel walks the dynamic CSR directly — O(batch
+        The kernel walks the dynamic CSR directly — O(batch
         neighborhood), *never* materializing the graph: decreasing
         ``w/deg`` order, droppable iff every incident edge's other
         endpoint is covered, and dropping ``v`` locks its neighbors —
-        each now solely covers its edge to ``v``.  The reference path
-        keeps the historical dispatch: large touched sets (a constant
-        fraction of the graph) go to the restricted sweep of
-        :func:`repro.core.postprocess.prune_redundant_vertices` on the
-        materialized graph — the same greedy result (identical order and
-        droppability rule), so the two modes stay bit-identical.
+        each now solely covers its edge to ``v``.
         """
-        w = self.dyn.weights
         candidates = [v for v in touched if self._cover[v]]
         if not candidates:
             return 0
-        if self.kernels == "reference":
-            if len(candidates) * 8 > self.dyn.n:
-                before = int(self._cover.sum())
-                self._cover = prune_redundant_vertices(
-                    self.dyn.materialize(),
-                    self._cover,
-                    weights=w,
-                    candidates=np.asarray(candidates, dtype=np.int64),
-                )
-                return before - int(self._cover.sum())
-            pruned = _reference_greedy_prune_pass(
-                candidates,
-                weights=w,
-                cover=self._cover,
-                view=PruneView(
-                    neighbors=self.dyn.neighbors, degree=self.dyn.degree
-                ),
-            )
-            return len(pruned)
         pruned = greedy_prune_pass(
             candidates,
-            weights=w,
+            weights=self.dyn.weights,
             cover=self._cover,
-            view=PruneView(
-                neighbors=self.dyn.neighbors,
-                degree=self.dyn.degree,
-                neighbors_array=self.dyn.neighbors,
-                degrees_of=self.dyn.degrees_of,
-                gather=self.dyn.prune_gather,
-            ),
+            degrees_of=self.dyn.degrees_of,
+            gather=self.dyn.prune_gather,
         )
         return len(pruned)

@@ -1,45 +1,27 @@
-"""Shared repair kernels: pricing repair, greedy prune, certification.
+"""Repair kernels: pricing repair, greedy prune, certification.
 
-The incremental maintainer (:mod:`repro.dynamic.maintainer`) and the
-sharded stream pipeline (:mod:`repro.dynamic.sharded`) must produce
-*bit-identical* covers for the same update stream — the differential
-equivalence contract ``tests/dynamic/test_sharded.py`` and
-``tests/properties/test_property_sharding.py`` enforce.  The only robust
-way to guarantee that is to run the exact same float operations in the
-exact same order, so the three state transitions that involve floating
-point live here as free functions over plain arrays, and both engines call
-them:
+The three state transitions of :class:`~repro.dynamic.IncrementalCoverMaintainer`
+that involve floating point live here as free functions over plain arrays:
 
 * :func:`pricing_repair_pass` — the local-ratio/pricing repair of
-  uncovered edges, processed in canonical sorted-key order.  Two repairs
-  of one batch interact only through shared endpoints, so any
-  vertex-disjoint split of the key set composes back to the global result;
-  the sharded coordinator exploits this by running the single pass over
-  the merged per-shard frontiers.
+  uncovered edges, processed in canonical sorted-key order;
 * :func:`greedy_prune_pass` — the sequential greedy redundancy prune over
-  a candidate set, parameterized by neighbor access so it runs unchanged
-  on a :class:`~repro.dynamic.DynamicGraph`, a shard's adjacency dict, or
-  the coordinator's shipped neighbor lists.  Prune decisions interact only
-  between *adjacent* candidates (removing ``v`` changes exactly its
-  neighbors' droppability), so candidate components split across shards
-  the same way repairs do.
+  a candidate set, reading neighborhoods through the dynamic graph's
+  batched degree and gather accessors;
 * :func:`certificate_from_state` — the duality certificate from the raw
   ``(weights, cover, loads, dual_value)`` arrays.
 
-Both mutation kernels come in two implementations with one contract:
-
-* the **vectorized** public functions do a masked array *prepass*
-  (presence, covered-endpoint, residual/tolerance precomputation for the
-  repair; effectiveness ordering and bulk droppability for the prune) so
-  the sequential tail loop — whose float-accumulation *order* is the
-  bit-identity contract and therefore cannot be parallelized — only
-  touches surviving items through preextracted Python locals;
-* the ``_reference_*`` functions keep the original object-at-a-time
-  bodies.  They are the executable spec: the Hypothesis suite
-  ``tests/properties/test_property_kernels.py`` and the
-  ``benchmarks/bench_repair_kernels.py`` microbenchmark drive both
-  implementations over identical streams and require bit-for-bit equal
-  covers, duals, and dual totals.
+Both mutation kernels do a masked array *prepass* (presence,
+covered-endpoint, residual/tolerance precomputation for the repair;
+effectiveness ordering and bulk droppability for the prune) so the
+sequential tail loop — whose float-accumulation *order* fixes every
+result bit and therefore cannot be parallelized — only touches surviving
+items through preextracted Python locals.  The original object-at-a-time
+loops are kept in ``tests/kernel_oracle.py`` as the executable spec: the
+Hypothesis suite ``tests/properties/test_property_kernels.py`` and the
+``benchmarks/bench_repair_kernels.py`` microbenchmark drive both over
+identical streams and require bit-for-bit equal covers, duals, and dual
+totals.
 
 Why the prepass is exact, not approximate: the repair loop skips an edge
 iff it is absent or an endpoint is covered *when reached*; an edge absent
@@ -49,15 +31,12 @@ re-reads ``cover`` per candidate, but cover bits only change at *dropped*
 vertices, and dropping ``v`` locks every neighbor of ``v`` — so any
 candidate whose droppability inputs changed mid-pass is locked and skipped
 anyway, making the pass-start droppability mask decision-equivalent.
-
-:class:`DisjointSets` is the union-find used to split repair/prune work
-into independent conflict components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -65,20 +44,13 @@ from repro.core.certificates import CoverCertificate
 from repro.dynamic.duals import DualStore
 
 __all__ = [
-    "AdoptedState",
-    "DisjointSets",
-    "PruneView",
     "RepairOutcome",
-    "adopt_solution",
     "certificate_from_state",
     "greedy_prune_pass",
     "pricing_repair_pass",
-    "_reference_greedy_prune_pass",
-    "_reference_pricing_repair_pass",
 ]
 
 #: Relative tolerance for "residual weight is exhausted" decisions.
-#: (Moved here from :mod:`repro.dynamic.maintainer`, which re-exports it.)
 RESIDUAL_RTOL = 1e-9
 
 EdgeKey = Tuple[int, int]
@@ -94,73 +66,13 @@ class RepairOutcome:
         Number of edges processed (present and uncovered when reached).
     entered:
         Vertices that entered the cover during the pass.
-    events:
-        ``(key, pay)`` per processed edge, in processing order — the
-        replication log the sharded coordinator broadcasts so shard
-        replicas apply the exact same dual additions.
     dual_value:
-        The updated dual total (additions applied in processing order,
-        so the float accumulation matches a monolithic run exactly).
+        The updated dual total (additions applied in processing order).
     """
 
     repaired: int
     entered: Set[int]
-    events: List[Tuple[EdgeKey, float]]
     dual_value: float
-
-
-def _reference_pricing_repair_pass(
-    keys: Iterable[EdgeKey],
-    *,
-    weights: np.ndarray,
-    cover: np.ndarray,
-    loads: np.ndarray,
-    duals,
-    dual_value: float,
-    has_edge: Optional[Callable[[int, int], bool]] = None,
-) -> RepairOutcome:
-    """The original object-at-a-time repair loop (executable spec).
-
-    Semantically identical to :func:`pricing_repair_pass`; kept as the
-    differential-test oracle and the reference side of
-    ``benchmarks/bench_repair_kernels.py``.
-    """
-    repaired = 0
-    entered: Set[int] = set()
-    events: List[Tuple[EdgeKey, float]] = []
-    for key in keys:
-        u, v = key
-        if has_edge is not None and not has_edge(u, v):
-            continue  # inserted then deleted within the same batch
-        if cover[u] or cover[v]:
-            continue  # an earlier repair already covered this edge
-        ru = float(weights[u] - loads[u])
-        rv = float(weights[v] - loads[v])
-        pay = max(0.0, min(ru, rv))
-        if pay > 0.0:
-            duals[key] = duals.get(key, 0.0) + pay
-            loads[u] += pay
-            loads[v] += pay
-            dual_value += pay
-        tol_u = RESIDUAL_RTOL * float(weights[u])
-        tol_v = RESIDUAL_RTOL * float(weights[v])
-        if ru - pay <= tol_u:
-            cover[u] = True
-            entered.add(u)
-        if rv - pay <= tol_v:
-            cover[v] = True
-            entered.add(v)
-        if not (cover[u] or cover[v]):  # pragma: no cover
-            # min(ru, rv) - pay == 0 exactly for at least one endpoint;
-            # defensive fallback for pathological float inputs.
-            cheap = u if weights[u] <= weights[v] else v
-            cover[cheap] = True
-            entered.add(cheap)
-        repaired += 1
-        events.append((key, pay))
-    return RepairOutcome(
-        repaired=repaired, entered=entered, events=events, dual_value=dual_value
-    )
 
 
 def pricing_repair_pass(
@@ -169,10 +81,9 @@ def pricing_repair_pass(
     weights: np.ndarray,
     cover: np.ndarray,
     loads: np.ndarray,
-    duals,
+    duals: DualStore,
     dual_value: float,
-    has_edge: Optional[Callable[[int, int], bool]] = None,
-    has_edges: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    has_edges: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> RepairOutcome:
     """Patch uncovered edges via the local-ratio/pricing rule.
 
@@ -184,44 +95,27 @@ def pricing_repair_pass(
     factor > 1 or a weight decrease) enters for free.  ``cover``,
     ``loads`` and ``duals`` are mutated in place.
 
-    ``duals`` is a :class:`~repro.dynamic.duals.DualStore` (or any
-    tuple-keyed mapping).  Presence filtering takes either the vectorized
-    ``has_edges(u_arr, v_arr) -> bool array`` (preferred) or the scalar
-    ``has_edge`` callable; omit both when the caller pre-filtered the
-    frontier (the sharded coordinator's merged shard reports).
-
-    The vectorized prepass removes edges that are absent or covered at
-    pass start and precomputes per-edge weights/tolerances; the ordered
-    dual-accumulation tail runs over the survivors only (see the module
-    docstring for the exactness argument).
+    ``has_edges(u_arr, v_arr) -> bool array`` answers presence for the
+    whole frontier at once (an edge inserted then deleted within the same
+    batch is skipped).  The vectorized prepass removes edges that are
+    absent or covered at pass start and precomputes per-edge
+    weights/tolerances; the ordered dual-accumulation tail runs over the
+    survivors only (see the module docstring for the exactness argument).
     """
     key_list = keys if isinstance(keys, list) else list(keys)
     if not key_list:
-        return RepairOutcome(
-            repaired=0, entered=set(), events=[], dual_value=dual_value
-        )
+        return RepairOutcome(repaired=0, entered=set(), dual_value=dual_value)
 
     arr = np.asarray(key_list, dtype=np.int64).reshape(len(key_list), 2)
     u_arr, v_arr = arr[:, 0], arr[:, 1]
-    keep = ~(cover[u_arr] | cover[v_arr])
-    if has_edges is not None:
-        keep &= has_edges(u_arr, v_arr)
-    elif has_edge is not None and keep.any():
-        idx = np.nonzero(keep)[0]
-        for i, u, v in zip(
-            idx.tolist(), u_arr[idx].tolist(), v_arr[idx].tolist()
-        ):
-            if not has_edge(u, v):
-                keep[i] = False
+    keep = ~(cover[u_arr] | cover[v_arr]) & has_edges(u_arr, v_arr)
     if not keep.any():
-        return RepairOutcome(
-            repaired=0, entered=set(), events=[], dual_value=dual_value
-        )
+        return RepairOutcome(repaired=0, entered=set(), dual_value=dual_value)
 
     su, sv = u_arr[keep], v_arr[keep]
     w_u = weights[su]
     w_v = weights[sv]
-    # IEEE-identical to the reference's per-edge scalar products.
+    # IEEE-identical to per-edge scalar products.
     tols_u = (RESIDUAL_RTOL * w_u).tolist()
     tols_v = (RESIDUAL_RTOL * w_v).tolist()
     us, vs = su.tolist(), sv.tolist()
@@ -229,8 +123,7 @@ def pricing_repair_pass(
 
     repaired = 0
     entered: Set[int] = set()
-    events: List[Tuple[EdgeKey, float]] = []
-    add_pay = duals.add_pay if isinstance(duals, DualStore) else None
+    add_pay = duals.add_pay
     for i in range(len(us)):
         u = us[i]
         v = vs[i]
@@ -242,11 +135,7 @@ def pricing_repair_pass(
         rv = wv - float(loads[v])
         pay = max(0.0, min(ru, rv))
         if pay > 0.0:
-            if add_pay is not None:
-                add_pay(u, v, pay)
-            else:
-                key = (u, v)
-                duals[key] = duals.get(key, 0.0) + pay
+            add_pay(u, v, pay)
             loads[u] += pay
             loads[v] += pay
             dual_value += pay
@@ -263,65 +152,7 @@ def pricing_repair_pass(
             cover[cheap] = True
             entered.add(cheap)
         repaired += 1
-        events.append(((u, v), pay))
-    return RepairOutcome(
-        repaired=repaired, entered=entered, events=events, dual_value=dual_value
-    )
-
-
-@dataclass(frozen=True)
-class PruneView:
-    """Neighbor access for :func:`greedy_prune_pass`.
-
-    ``neighbors(v)`` must yield the *complete* current neighbor set of
-    ``v`` and ``degree(v)`` its current degree — a candidate is droppable
-    iff every incident edge's other endpoint is covered, so a partial
-    neighborhood would silently break the cover.
-
-    The optional array accessors unlock the fully vectorized kernel:
-    ``degrees_of(ids)`` gathers degrees for a whole id array at once;
-    ``neighbors_array(v)`` returns one neighborhood as a flat ``int64``
-    array (a :class:`~repro.dynamic.DynamicGraph` CSR slice); ``gather``
-    batches the whole candidate set into one concatenated neighbor array
-    (:meth:`~repro.dynamic.DynamicGraph.prune_gather`).  Views without
-    them fall back to wrapping the scalar callables.
-    """
-
-    neighbors: Callable[[int], Iterable[int]]
-    degree: Callable[[int], int]
-    neighbors_array: Optional[Callable[[int], np.ndarray]] = None
-    degrees_of: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    gather: Optional[Callable[[np.ndarray], tuple]] = None
-
-
-def _reference_greedy_prune_pass(
-    candidates: Iterable[int],
-    *,
-    weights: np.ndarray,
-    cover: np.ndarray,
-    view: PruneView,
-) -> List[int]:
-    """The original set-at-a-time prune loop (executable spec)."""
-    cands = [v for v in candidates if cover[v]]
-    if not cands:
-        return []
-
-    def effectiveness(v: int) -> float:
-        d = view.degree(v)
-        return weights[v] / d if d else float("inf")
-
-    cands.sort(key=lambda v: (-effectiveness(v), v))
-    locked: Set[int] = set()
-    pruned: List[int] = []
-    for v in cands:
-        if not cover[v] or v in locked:
-            continue
-        neigh = set(view.neighbors(v))
-        if all(cover[u] for u in neigh):
-            cover[v] = False
-            pruned.append(v)
-            locked |= neigh
-    return pruned
+    return RepairOutcome(repaired=repaired, entered=entered, dual_value=dual_value)
 
 
 def greedy_prune_pass(
@@ -329,7 +160,8 @@ def greedy_prune_pass(
     *,
     weights: np.ndarray,
     cover: np.ndarray,
-    view: PruneView,
+    degrees_of: Callable[[np.ndarray], np.ndarray],
+    gather: Callable[[np.ndarray], tuple],
 ) -> List[int]:
     """Greedy redundancy prune restricted to ``candidates``.
 
@@ -339,13 +171,15 @@ def greedy_prune_pass(
     neighbors — each now solely covers its edge to ``v``.  ``cover`` is
     mutated in place; returns the pruned vertex ids.
 
-    Vectorized: ordering is one ``lexsort``, droppability is one gathered
-    ``cover`` reduction over the concatenated neighbor arrays, and the
-    sequential tail does O(1) work per candidate.  The drop *decisions*
-    equal :func:`_reference_greedy_prune_pass`'s exactly — cover bits only
-    change at dropped vertices, whose neighbors are locked, so the
-    pass-start droppability mask never disagrees with a live re-check for
-    an unlocked candidate.
+    ``degrees_of(ids)`` gathers current degrees and ``gather(ids)``
+    returns every *complete* current neighborhood as ``(concat, starts,
+    ends, extras)`` (:meth:`~repro.dynamic.DynamicGraph.prune_gather`) —
+    a partial neighborhood would silently break the cover.  Ordering is
+    one ``lexsort``, droppability is one gathered ``cover`` reduction over
+    the concatenated neighbor arrays, and the sequential tail does O(1)
+    work per candidate.  The pass-start droppability mask never disagrees
+    with a live re-check for an unlocked candidate (see the module
+    docstring).
     """
     cand = np.fromiter(
         (v for v in candidates if cover[v]), dtype=np.int64
@@ -353,77 +187,41 @@ def greedy_prune_pass(
     if cand.size == 0:
         return []
 
-    if view.degrees_of is not None:
-        degs = view.degrees_of(cand)
-    else:
-        degs = np.fromiter(
-            (view.degree(int(v)) for v in cand), dtype=np.int64, count=cand.size
-        )
+    degs = degrees_of(cand)
     w = np.asarray(weights, dtype=np.float64)[cand]
     with np.errstate(divide="ignore"):
         eff = np.where(degs > 0, w / np.maximum(degs, 1), np.inf)
     ordered = cand[np.lexsort((cand, -eff))]
 
-    locked = np.zeros(cover.shape[0], dtype=bool)
-    pruned: List[int] = []
-    if view.gather is not None:
-        # Batched path: one index build + one fancy gather for the whole
-        # candidate set (overlay-inserted neighbors ride in `extras`).
-        concat, starts, ends, extras = view.gather(ordered)
-        sizes = ends - starts
-        droppable = np.ones(ordered.size, dtype=bool)
-        nonempty = np.nonzero(sizes)[0]
-        if nonempty.size:
-            droppable[nonempty] = np.minimum.reduceat(
-                cover[concat], starts[nonempty]
-            )
-        for i, arr in extras.items():
-            if droppable[i] and not cover[arr].all():
-                droppable[i] = False
-        drop_flags = droppable.tolist()
-        seg_starts = starts.tolist()
-        seg_ends = ends.tolist()
-        for i, v in enumerate(ordered.tolist()):
-            if not drop_flags[i] or not cover[v] or locked[v]:
-                continue
-            cover[v] = False
-            pruned.append(v)
-            seg = concat[seg_starts[i] : seg_ends[i]]
-            if seg.size:
-                locked[seg] = True
-            extra = extras.get(i)
-            if extra is not None:
-                locked[extra] = True
-        return pruned
-
-    neigh_fn = view.neighbors_array
-    if neigh_fn is None:
-        raw = view.neighbors
-
-        def neigh_fn(v: int) -> np.ndarray:
-            return np.fromiter(raw(v), dtype=np.int64)
-
-    neighborhoods = [neigh_fn(int(v)) for v in ordered]
-    sizes = np.fromiter(
-        (a.size for a in neighborhoods), dtype=np.int64, count=len(neighborhoods)
-    )
+    # One index build + one fancy gather for the whole candidate set
+    # (overlay-inserted neighbors ride in `extras`).
+    concat, starts, ends, extras = gather(ordered)
+    sizes = ends - starts
     droppable = np.ones(ordered.size, dtype=bool)
     nonempty = np.nonzero(sizes)[0]
     if nonempty.size:
-        concat = np.concatenate([neighborhoods[i] for i in nonempty.tolist()])
-        starts = np.zeros(nonempty.size, dtype=np.int64)
-        np.cumsum(sizes[nonempty][:-1], out=starts[1:])
-        droppable[nonempty] = np.minimum.reduceat(cover[concat], starts)
-
+        droppable[nonempty] = np.minimum.reduceat(
+            cover[concat], starts[nonempty]
+        )
+    for i, arr in extras.items():
+        if droppable[i] and not cover[arr].all():
+            droppable[i] = False
     drop_flags = droppable.tolist()
+    seg_starts = starts.tolist()
+    seg_ends = ends.tolist()
+    locked = np.zeros(cover.shape[0], dtype=bool)
+    pruned: List[int] = []
     for i, v in enumerate(ordered.tolist()):
         if not drop_flags[i] or not cover[v] or locked[v]:
             continue
         cover[v] = False
         pruned.append(v)
-        neigh = neighborhoods[i]
-        if neigh.size:
-            locked[neigh] = True
+        seg = concat[seg_starts[i] : seg_ends[i]]
+        if seg.size:
+            locked[seg] = True
+        extra = extras.get(i)
+        if extra is not None:
+            locked[extra] = True
     return pruned
 
 
@@ -465,86 +263,3 @@ def certificate_from_state(
         opt_lower_bound=lower,
         certified_ratio=ratio,
     )
-
-
-@dataclass
-class AdoptedState:
-    """A freshly solved solution converted to maintained-state arrays."""
-
-    cover: np.ndarray
-    duals: DualStore
-    loads: np.ndarray
-    dual_value: float
-
-
-def adopt_solution(graph, result, *, weights: np.ndarray, prune: bool = True) -> AdoptedState:
-    """Convert a solver result into maintained state for ``graph``.
-
-    The shared adoption path of
-    :meth:`repro.dynamic.IncrementalCoverMaintainer.adopt` and the sharded
-    coordinator: validates the result against the graph, optionally prunes
-    the cover (:func:`repro.core.postprocess.prune_redundant_vertices` —
-    never heavier, duals untouched), and maps the edge-indexed duals into
-    an edge-code-keyed :class:`~repro.dynamic.duals.DualStore` with one
-    vectorized encode.
-    """
-    from repro.core.postprocess import prune_redundant_vertices
-
-    cover = np.asarray(result.in_cover, dtype=bool)
-    if cover.shape != (graph.n,):
-        raise ValueError(f"cover mask has shape {cover.shape}, expected ({graph.n},)")
-    if not graph.is_vertex_cover(cover):
-        raise ValueError("adopted result is not a vertex cover of the current graph")
-    x = np.asarray(result.x, dtype=np.float64)
-    if x.shape != (graph.m,):
-        raise ValueError(f"duals have shape {x.shape}, expected ({graph.m},)")
-    if prune:
-        cover = prune_redundant_vertices(graph, cover, weights=weights)
-    nz = np.nonzero(x)[0]
-    from repro.dynamic.duals import encode_edge_codes
-
-    duals = DualStore.from_codes(
-        encode_edge_codes(graph.edges_u[nz], graph.edges_v[nz]), x[nz]
-    )
-    return AdoptedState(
-        cover=cover.copy(),
-        duals=duals,
-        loads=graph.incident_sums(x),
-        dual_value=float(x.sum()),
-    )
-
-
-class DisjointSets:
-    """Union-find over arbitrary hashable items (path halving + size)."""
-
-    def __init__(self):
-        self._parent = {}
-        self._size = {}
-
-    def find(self, item):
-        parent = self._parent
-        if item not in parent:
-            parent[item] = item
-            self._size[item] = 1
-            return item
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return ra
-
-    def groups(self):
-        """Every known item grouped under its root."""
-        out = {}
-        for item in self._parent:
-            out.setdefault(self.find(item), []).append(item)
-        return out

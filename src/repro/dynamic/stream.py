@@ -55,7 +55,7 @@ import os
 import re
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from repro.dynamic.checkpoint import (
     save_snapshot,
 )
 from repro.dynamic.dynamic_graph import DynamicGraph
+from repro.dynamic.ingest import iter_update_batches
 from repro.dynamic.maintainer import BatchReport, IncrementalCoverMaintainer
 from repro.dynamic.policy import ResolvePolicy
 from repro.dynamic.wal import WriteAheadLog, compact_wal, read_wal, repair_wal
@@ -281,10 +282,10 @@ class StreamSummary:
     snapshot.  ``final_cover`` is the maintained cover mask itself
     (excluded from ``summary()``; written by ``--cover-out``).
 
-    ``ingest_s``/``repair_s``/``resolve_s`` split the wall clock so shard
-    speedups are attributable: time spent getting updates into the engine
-    (routing, WAL commits, scatter), time spent applying/repairing/pruning
-    (the incremental path), and time spent in triggered full re-solves.
+    ``ingest_s``/``repair_s``/``resolve_s`` split the wall clock: time
+    spent getting updates into the engine (WAL commits), time spent
+    applying/repairing/pruning (the incremental path), and time spent in
+    triggered full re-solves.
     The three do not sum to ``elapsed_s`` — verification, snapshots and
     bookkeeping are outside all three buckets.
 
@@ -295,14 +296,7 @@ class StreamSummary:
 
     ``kernel_profile`` (``profile=True`` runs only) splits ``repair_s``
     further by kernel: adjacency maintenance, pricing repair, greedy
-    prune, and certificate computation, summed over every batch.  In
-    *sharded* runs the buckets follow the two-round protocol: the whole
-    shard apply round (local adjacency updates + uncovered detection)
-    plus the coordinator's effects replay land in ``adjacency_s``,
-    ``repair_s`` is the coordinator's merged pricing pass only, and
-    ``prune_s`` covers round 2 (shard-local interior prunes + the
-    boundary prune) — compare profiles across shard counts with that in
-    mind.
+    prune, and certificate computation, summed over every batch.
     """
 
     num_updates: int
@@ -349,26 +343,6 @@ class StreamSummary:
             row["recovered_torn_tail"] = self.recovered_torn_tail
             row["snapshot_fallbacks"] = self.snapshot_fallbacks
         return row
-
-
-def _compact_wal_in_place(
-    checkpoint: CheckpointConfig, wal: WriteAheadLog, retained_floor: int
-) -> WriteAheadLog:
-    """Compact the live WAL below ``retained_floor``; returns the new handle.
-
-    The engine's append handle points at the pre-rewrite inode, so it is
-    closed around the atomic rewrite and a fresh one opened on the new
-    file.  Shared by the monolithic and sharded engines.
-    """
-    wal.close()
-    compact_wal(checkpoint.wal_path, retained_floor, fsync=checkpoint.fsync)
-    return WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
-
-
-def _batches(updates: Sequence[GraphUpdate], size: int) -> Iterable[List[GraphUpdate]]:
-    from repro.dynamic.ingest import iter_update_batches
-
-    return iter_update_batches(updates, size)
 
 
 class _StreamEngine:
@@ -468,7 +442,11 @@ class _StreamEngine:
             if retained:
                 retained_floor = min(i for i, _ in retained)
         if checkpoint.compact_wal and self.wal is not None:
-            self.wal = _compact_wal_in_place(checkpoint, self.wal, retained_floor)
+            # The append handle points at the pre-rewrite inode: close it
+            # around the atomic rewrite and reopen on the new file.
+            self.wal.close()
+            compact_wal(checkpoint.wal_path, retained_floor, fsync=checkpoint.fsync)
+            self.wal = WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
 
     # -- one batch ------------------------------------------------------- #
     def process_batch(
@@ -570,7 +548,6 @@ def _write_config(
     engine: str,
     verify_every: int,
     compact_fraction: float,
-    extra_config: Optional[dict] = None,
 ) -> None:
     config = {
         "format_version": CONFIG_FORMAT_VERSION,
@@ -593,7 +570,6 @@ def _write_config(
         "graph_digest": graph.content_digest(),
         "snapshot_file": os.path.basename(checkpoint.snapshot_path),
     }
-    config.update(extra_config or {})
     write_bytes_atomic(
         checkpoint.config_path,
         (json.dumps(config, indent=2, sort_keys=True) + "\n").encode("utf-8"),
@@ -642,7 +618,7 @@ def run_stream(
     graph:
         Initial graph; solved once up front to seed the maintainer.
     updates:
-        The update stream (see :mod:`repro.dynamic.updates`).
+        The update stream (see :mod:`repro.graphs.updates`).
     batch_size:
         Updates per repair batch (the granularity of policy evaluation).
     policy:
@@ -722,7 +698,7 @@ def run_stream(
         if graph.m:
             engine_.resolve()
         engine_.write_snapshot(0)
-        for index, batch in enumerate(_batches(updates, batch_size)):
+        for index, batch in enumerate(iter_update_batches(updates, batch_size)):
             engine_.process_batch(index, batch, log_to_wal=True)
         engine_.write_snapshot(len(engine_.records))
     finally:
@@ -736,83 +712,30 @@ def run_stream(
     )
 
 
-def _resume_setup(
-    directory: PathLike,
-    config: dict,
-    updates: Optional[Sequence[GraphUpdate]],
-):
-    """Rebuild the run context every resume path needs from ``config``.
-
-    Shared by :func:`resume_stream` and
-    :func:`repro.dynamic.sharded.resume_sharded_stream` so a new
-    :class:`CheckpointConfig` knob is threaded through exactly once.
-    Returns ``(checkpoint, policy, batch_size, updates, wal_records,
-    torn)`` with the WAL's torn tail already repaired (``torn`` says
-    whether there was one).
-    """
-    checkpoint = CheckpointConfig(
-        directory=directory,
-        snapshot_every=int(config["snapshot_every"]),
-        fsync=bool(config.get("fsync", True)),
-        compress=bool(config.get("compress", False)),
-        stamp_digests=bool(config.get("stamp_digests", True)),
-        keep_snapshots=int(config.get("keep_snapshots", 1)),
-        compact_wal=bool(config.get("compact_wal", False)),
-        snapshot_compression=str(config.get("snapshot_compression", "gzip")),
-    )
-    policy = ResolvePolicy(**config["policy"])
-    batch_size = int(config["batch_size"])
-
-    if updates is None:
-        name = config.get("updates_file", _LEGACY_UPDATES_FILE)
-        try:
-            updates = load_update_stream(os.path.join(os.fspath(directory), name))
-        except FileNotFoundError:
-            raise CheckpointError(
-                f"checkpoint {os.fspath(directory)} has no stored update "
-                f"stream ({name}); pass the stream explicitly"
-            ) from None
-    if len(updates) != int(config["num_updates"]):
-        raise CheckpointError(
-            f"update stream length {len(updates)} does not match the "
-            f"checkpointed run's {config['num_updates']}"
-        )
-
-    torn = repair_wal(checkpoint.wal_path)
-    wal_records, _ = read_wal(checkpoint.wal_path)
-    return checkpoint, policy, batch_size, updates, wal_records, torn
-
-
-def _newest_intact(snapshots, load_fn, directory: PathLike):
+def _newest_intact(checkpoint: CheckpointConfig):
     """Load the newest snapshot that passes integrity checks.
 
-    The shared fallback policy of both snapshot flavors: with
-    ``keep_snapshots > 1`` a corrupt newest snapshot falls back to the
-    next older one — that is what retaining history is *for*.  When every
-    present snapshot is corrupt the aggregate corruption error is raised
-    (a damaged checkpoint must fail loudly, never silently cold-start
-    past it); version errors always raise immediately.  Returns
-    ``(restored, fallbacks)``: ``restored`` is ``None`` when no snapshots
-    exist, ``fallbacks`` counts the corrupt newer snapshots passed over.
+    With ``keep_snapshots > 1`` a corrupt newest snapshot falls back to
+    the next older one — that is what retaining history is *for*.  When
+    every present snapshot is corrupt the aggregate corruption error is
+    raised (a damaged checkpoint must fail loudly, never silently
+    cold-start past it); version errors always raise immediately.
+    Returns ``(restored, fallbacks)``: ``restored`` is ``None`` when no
+    snapshots exist, ``fallbacks`` counts the corrupt newer snapshots
+    passed over.
     """
+    snapshots = checkpoint.list_snapshots()
     if not snapshots:
         return None, 0
     last_error: Optional[CheckpointCorruptionError] = None
     for fallbacks, (_, path) in enumerate(snapshots):
         try:
-            return load_fn(path), fallbacks
+            return load_snapshot(path), fallbacks
         except CheckpointCorruptionError as exc:
             last_error = exc
     raise CheckpointCorruptionError(
-        f"all {len(snapshots)} snapshot(s) in {os.fspath(directory)} "
+        f"all {len(snapshots)} snapshot(s) in {os.fspath(checkpoint.directory)} "
         f"failed integrity checks; newest error: {last_error}"
-    )
-
-
-def _restore_latest_snapshot(checkpoint: CheckpointConfig):
-    """Newest intact monolithic snapshot (or ``None``), and fallbacks taken."""
-    return _newest_intact(
-        checkpoint.list_snapshots(), load_snapshot, checkpoint.directory
     )
 
 
@@ -832,6 +755,12 @@ def _load_config(checkpoint: CheckpointConfig) -> dict:
         raise CheckpointError(
             f"{checkpoint.config_path}: config format version {version!r} is "
             f"not supported (this build reads version {CONFIG_FORMAT_VERSION})"
+        )
+    if "shards" in config:
+        raise CheckpointError(
+            f"directory {os.fspath(checkpoint.directory)} holds a sharded "
+            f"checkpoint ({config['shards']} shard(s)); this build no longer "
+            f"resumes or compacts that format"
         )
     return config
 
@@ -880,19 +809,37 @@ def resume_stream(
     CheckpointError
         Missing/invalid checkpoint pieces (no config, corrupt snapshot or
         WAL, a WAL gap the snapshot cannot bridge, or a stream/WAL state
-        mismatch).
+        mismatch), or a checkpoint written by the removed sharded engine.
     """
     config = _load_config(CheckpointConfig(directory=directory))
-    if "shards" in config:
-        raise CheckpointError(
-            f"checkpoint {os.fspath(directory)} holds a sharded stream "
-            f"({config['shards']} shard(s)); resume it with "
-            f"repro.dynamic.sharded.resume_sharded_stream (the `repro "
-            f"resume` CLI dispatches automatically)"
-        )
-    checkpoint, policy, batch_size, updates, wal_records, torn = _resume_setup(
-        directory, config, updates
+    checkpoint = CheckpointConfig(
+        directory=directory,
+        snapshot_every=int(config["snapshot_every"]),
+        fsync=bool(config.get("fsync", True)),
+        compress=bool(config.get("compress", False)),
+        stamp_digests=bool(config.get("stamp_digests", True)),
+        keep_snapshots=int(config.get("keep_snapshots", 1)),
+        compact_wal=bool(config.get("compact_wal", False)),
+        snapshot_compression=str(config.get("snapshot_compression", "gzip")),
     )
+    policy = ResolvePolicy(**config["policy"])
+    batch_size = int(config["batch_size"])
+    if updates is None:
+        name = config.get("updates_file", _LEGACY_UPDATES_FILE)
+        try:
+            updates = load_update_stream(os.path.join(os.fspath(directory), name))
+        except FileNotFoundError:
+            raise CheckpointError(
+                f"checkpoint {os.fspath(directory)} has no stored update "
+                f"stream ({name}); pass the stream explicitly"
+            ) from None
+    if len(updates) != int(config["num_updates"]):
+        raise CheckpointError(
+            f"update stream length {len(updates)} does not match the "
+            f"checkpointed run's {config['num_updates']}"
+        )
+    torn = repair_wal(checkpoint.wal_path)
+    wal_records, _ = read_wal(checkpoint.wal_path)
 
     own_solver = solver is None
     if own_solver:
@@ -900,7 +847,7 @@ def resume_stream(
     start = time.perf_counter()
     wal = None
     try:
-        restored, fallbacks = _restore_latest_snapshot(checkpoint)
+        restored, fallbacks = _newest_intact(checkpoint)
         if restored is not None:
             maintainer = restored.maintainer
             maintainer.set_profiling(profile)
@@ -990,7 +937,7 @@ def resume_stream(
         engine_.wal = wal
         remainder = updates[engine_.updates_applied :]
         next_index = expected
-        for offset, batch in enumerate(_batches(remainder, batch_size)):
+        for offset, batch in enumerate(iter_update_batches(remainder, batch_size)):
             engine_.process_batch(expected + offset, batch, log_to_wal=True)
             next_index = expected + offset + 1
         engine_.write_snapshot(next_index)

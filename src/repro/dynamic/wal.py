@@ -33,8 +33,7 @@ without decoding it.  The body always starts with ``batch_index``.
 ``state_digest`` optionally stamps :meth:`DynamicGraph.state_stamp
 <repro.dynamic.DynamicGraph.state_stamp>` of the graph the batch applies
 *to* (the pre-apply state), letting replay verify, record by record, that
-it reached the same graph the original run saw.  The sharded engine
-stamps its own combined digest instead.
+it reached the same graph the original run saw.
 
 Version-1 records (one object per event, CRC32 over the canonical
 sorted-keys JSON without the ``crc`` key, SHA-256

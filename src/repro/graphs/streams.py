@@ -15,8 +15,8 @@ sees (``repro stream --churn ...``):
 Every generator keeps a faithful mirror of the evolving edge set, so the
 emitted stream is *coherent*: deletes always name a present edge, inserts
 an absent one, and reweights stay strictly positive.  Streams are ordinary
-lists of :data:`repro.dynamic.updates.GraphUpdate` events — serialize with
-:func:`repro.dynamic.updates.save_update_stream`.
+lists of :data:`repro.graphs.updates.GraphUpdate` events — serialize with
+:func:`repro.graphs.updates.save_update_stream`.
 """
 
 from __future__ import annotations

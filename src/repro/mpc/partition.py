@@ -1,23 +1,10 @@
-"""Vertex partitioning: random (Algorithm 2, Line (2f)) and deterministic.
+"""Random vertex partitioning (Algorithm 2, Line (2f)).
 
 Every phase of the MPC algorithm assigns each simulated vertex to one of
 ``m`` machines independently and uniformly at random.  Both execution
 engines (vectorized and cluster) must consume *identical* assignments for a
 given seed, so the assignment is produced here, once, as a plain array, and
 handed to whichever engine runs the phase.
-
-The sharded stream pipeline (:mod:`repro.dynamic.sharded`) reuses the same
-assignment-array representation but needs *stable* partitions — the owner
-of a vertex must be recomputable from the partition parameters alone, so a
-resumed run re-derives the exact shard layout from its checkpoint config.
-Two deterministic schemes are provided:
-
-* :func:`hash_partition` — a fixed integer mixer (splitmix64) over the
-  vertex id; spreads adjacent ids across shards, insensitive to vertex
-  numbering locality.
-* :func:`range_partition` — contiguous near-equal ranges; keeps id-local
-  neighborhoods together (low cut fraction when the numbering is
-  community-correlated).
 """
 
 from __future__ import annotations
@@ -26,18 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "PARTITION_SCHEMES",
-    "assignment_counts",
-    "cut_edge_fraction",
-    "hash_partition",
-    "local_edge_mask",
-    "make_partition",
-    "random_assignment",
-    "range_partition",
-]
-
-PARTITION_SCHEMES = ("hash", "range")
+__all__ = ["assignment_counts", "local_edge_mask", "random_assignment"]
 
 
 def random_assignment(
@@ -57,70 +33,6 @@ def random_assignment(
 def assignment_counts(assignment: np.ndarray, num_machines: int) -> np.ndarray:
     """Number of items per machine."""
     return np.bincount(assignment, minlength=num_machines).astype(np.int64)
-
-
-def _check_shards(num_items: int, num_shards: int) -> None:
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if num_items < 0:
-        raise ValueError(f"num_items must be >= 0, got {num_items}")
-
-
-def hash_partition(num_items: int, num_shards: int, *, seed: int = 0) -> np.ndarray:
-    """Deterministic hashed assignment of ``num_items`` ids to shards.
-
-    Uses the splitmix64 finalizer over ``id + seed`` — a fixed bijective
-    mixer, so the assignment depends only on ``(num_items, num_shards,
-    seed)`` and is identical across processes and Python versions (unlike
-    the builtin ``hash``, which is salted per interpreter).
-    """
-    _check_shards(num_items, num_shards)
-    z = np.arange(num_items, dtype=np.uint64) + np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z ^= z >> np.uint64(30)
-    z = (z * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z ^= z >> np.uint64(27)
-    z = (z * np.uint64(0x94D049BB133111EB)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z ^= z >> np.uint64(31)
-    return (z % np.uint64(num_shards)).astype(np.int64)
-
-
-def range_partition(num_items: int, num_shards: int) -> np.ndarray:
-    """Contiguous near-equal ranges: shard ``s`` owns one id interval.
-
-    The first ``num_items % num_shards`` shards get one extra id, so shard
-    sizes differ by at most one.
-    """
-    _check_shards(num_items, num_shards)
-    base, extra = divmod(num_items, num_shards)
-    sizes = np.full(num_shards, base, dtype=np.int64)
-    sizes[:extra] += 1
-    return np.repeat(np.arange(num_shards, dtype=np.int64), sizes)
-
-
-def make_partition(
-    scheme: str, num_items: int, num_shards: int, *, seed: int = 0
-) -> np.ndarray:
-    """Dispatch to a deterministic partition scheme by name."""
-    if scheme == "hash":
-        return hash_partition(num_items, num_shards, seed=seed)
-    if scheme == "range":
-        return range_partition(num_items, num_shards)
-    raise ValueError(
-        f"unknown partition scheme {scheme!r}; known: {PARTITION_SCHEMES}"
-    )
-
-
-def cut_edge_fraction(
-    edges_u: np.ndarray, edges_v: np.ndarray, assignment: np.ndarray
-) -> float:
-    """Fraction of edges whose endpoints land on different shards."""
-    u = np.asarray(edges_u, dtype=np.int64)
-    v = np.asarray(edges_v, dtype=np.int64)
-    if u.size == 0:
-        return 0.0
-    a = np.asarray(assignment, dtype=np.int64)
-    return float((a[u] != a[v]).mean())
 
 
 def local_edge_mask(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dynamic.dynamic_graph import DynamicGraph
-from repro.dynamic.updates import EdgeDelete, EdgeInsert, WeightChange
+from repro.graphs.updates import EdgeDelete, EdgeInsert, WeightChange
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights

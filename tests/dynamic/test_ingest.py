@@ -1,9 +1,8 @@
-"""Tests for the ingestion layer: update sources and the partition router."""
+"""Tests for the ingestion layer: update sources and batching."""
 
 import gzip
 import os
 
-import numpy as np
 import pytest
 
 from repro.dynamic.ingest import (
@@ -11,7 +10,6 @@ from repro.dynamic.ingest import (
     FileSource,
     IterableSource,
     MemorySource,
-    UpdateRouter,
     iter_update_batches,
     open_update_source,
 )
@@ -22,7 +20,6 @@ from repro.graphs.updates import (
     save_update_stream,
     save_update_stream_segments,
 )
-from repro.mpc.partition import range_partition
 
 UPDATES = [
     EdgeInsert(0, 1),
@@ -96,51 +93,3 @@ class TestSources:
         assert [u for b in batches for u in b] == UPDATES
         with pytest.raises(ValueError):
             list(iter_update_batches(UPDATES, 0))
-
-
-class TestRouter:
-    def setup_method(self):
-        # 6 vertices, shard 0 owns {0,1,2}, shard 1 owns {3,4,5}.
-        self.router = UpdateRouter(range_partition(6, 2), 2)
-
-    def test_internal_edge_goes_to_one_shard(self):
-        routed = self.router.route([EdgeInsert(0, 2)])
-        assert routed.slices[0] == [(0, "i", 0, 2)]
-        assert routed.slices[1] == []
-
-    def test_cut_edge_goes_to_both_owners(self):
-        routed = self.router.route([EdgeDelete(4, 1)])
-        # endpoints canonicalized to (1, 4)
-        assert routed.slices[0] == [(0, "d", 1, 4)]
-        assert routed.slices[1] == [(0, "d", 1, 4)]
-
-    def test_reweight_broadcast_to_all_shards(self):
-        routed = self.router.route([WeightChange(5, 2.5)])
-        assert routed.slices[0] == [(0, "w", 5, 2.5)]
-        assert routed.slices[1] == [(0, "w", 5, 2.5)]
-
-    def test_slices_preserve_stream_order_with_global_seq(self):
-        routed = self.router.route(
-            [EdgeInsert(0, 1), EdgeInsert(3, 4), EdgeInsert(2, 5)],
-            base_seq=10,
-        )
-        assert routed.slices[0] == [(10, "i", 0, 1), (12, "i", 2, 5)]
-        assert routed.slices[1] == [(11, "i", 3, 4), (12, "i", 2, 5)]
-        assert routed.num_events == 3
-
-    def test_out_of_range_endpoints_raise(self):
-        with pytest.raises(ValueError, match="out of range"):
-            self.router.route([EdgeInsert(0, 6)])
-        with pytest.raises(ValueError, match="out of range"):
-            self.router.route([WeightChange(-1, 1.0)])
-
-    def test_owner_and_home(self):
-        assert self.router.owner(2) == 0
-        assert self.router.owner(3) == 1
-        assert self.router.home(4, 1) == 0  # min endpoint 1 is shard 0's
-
-    def test_bad_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            UpdateRouter(np.array([0, 5]), 2)
-        with pytest.raises(ValueError):
-            UpdateRouter(np.array([0, 1]), 0)

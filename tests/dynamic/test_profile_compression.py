@@ -18,7 +18,6 @@ from repro.dynamic import (
     run_stream,
     save_snapshot,
 )
-from repro.dynamic.sharded import run_sharded_stream
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.streams import make_update_stream
 from repro.graphs.weights import uniform_weights
@@ -65,20 +64,6 @@ class TestKernelProfile:
         assert np.array_equal(plain.final_cover, profiled.final_cover)
         assert plain.final_cover_weight == profiled.final_cover_weight
         assert plain.final_dual_value == profiled.final_dual_value
-
-    def test_sharded_profile_emits_breakdown(self, workload):
-        graph, updates = workload
-        summary = run_sharded_stream(
-            graph,
-            updates,
-            num_shards=2,
-            batch_size=40,
-            use_processes=False,
-            profile=True,
-        )
-        assert summary.kernel_profile is not None
-        assert set(summary.kernel_profile) == set(KERNEL_PROFILE_KEYS)
-        assert all(r.kernel_profile is not None for r in summary.records)
 
 
 class TestSnapshotCompression:

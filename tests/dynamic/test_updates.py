@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.dynamic.updates import (
+from repro.graphs.updates import (
     EdgeDelete,
     EdgeInsert,
     WeightChange,

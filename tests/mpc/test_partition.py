@@ -48,56 +48,3 @@ class TestLocalEdgeMask:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             local_edge_mask(np.zeros(3), np.zeros(4))
-
-
-class TestDeterministicPartitions:
-    def test_hash_partition_deterministic_and_in_range(self):
-        from repro.mpc.partition import hash_partition
-
-        a = hash_partition(5000, 4, seed=7)
-        b = hash_partition(5000, 4, seed=7)
-        assert np.array_equal(a, b)
-        assert a.min() >= 0 and a.max() < 4
-        # a different seed reshuffles
-        c = hash_partition(5000, 4, seed=8)
-        assert not np.array_equal(a, c)
-
-    def test_hash_partition_roughly_balanced(self):
-        from repro.mpc.partition import hash_partition
-
-        a = hash_partition(40000, 5)
-        counts = assignment_counts(a, 5)
-        assert counts.sum() == 40000
-        assert counts.min() > 7000 and counts.max() < 9000
-
-    def test_range_partition_contiguous_and_balanced(self):
-        from repro.mpc.partition import range_partition
-
-        a = range_partition(11, 3)
-        assert a.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2]
-        counts = assignment_counts(a, 3)
-        assert counts.max() - counts.min() <= 1
-
-    def test_single_shard_owns_everything(self):
-        from repro.mpc.partition import hash_partition, range_partition
-
-        assert hash_partition(50, 1).tolist() == [0] * 50
-        assert range_partition(50, 1).tolist() == [0] * 50
-
-    def test_make_partition_dispatch_and_errors(self):
-        from repro.mpc.partition import make_partition
-
-        assert make_partition("range", 6, 2).tolist() == [0, 0, 0, 1, 1, 1]
-        with pytest.raises(ValueError, match="unknown partition scheme"):
-            make_partition("striped", 6, 2)
-        with pytest.raises(ValueError):
-            make_partition("hash", 6, 0)
-
-    def test_cut_edge_fraction(self):
-        from repro.mpc.partition import cut_edge_fraction, range_partition
-
-        assignment = range_partition(4, 2)  # {0,1} vs {2,3}
-        u = np.array([0, 0, 2], dtype=np.int64)
-        v = np.array([1, 2, 3], dtype=np.int64)
-        assert cut_edge_fraction(u, v, assignment) == pytest.approx(1 / 3)
-        assert cut_edge_fraction(np.empty(0), np.empty(0), assignment) == 0.0

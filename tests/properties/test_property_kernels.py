@@ -1,12 +1,14 @@
-"""Property: vectorized repair/prune kernels ≡ the ``_reference_*`` specs.
+"""Property: vectorized repair/prune kernels ≡ the reference oracle.
 
-The PR that vectorized the dynamic hot path (CSR-delta adjacency,
-array-backed duals, batched pricing/prune kernels) promises *bit-identical*
-covers, duals, and certificates.  Hypothesis drives random graphs and
-random churn sequences through two maintainers — one on
-``kernels="vectorized"``, one on ``kernels="reference"`` — and through the
-bare kernel functions on synthetic states; every float in the resulting
-state must match exactly, not approximately.
+The vectorized dynamic hot path (CSR-delta adjacency, array-backed duals,
+batched pricing/prune kernels) promises *bit-identical* covers, duals,
+and certificates to the original object-at-a-time kernels kept in
+``tests/kernel_oracle.py``.  Hypothesis drives random graphs and random
+churn sequences through two maintainers — the production
+:class:`IncrementalCoverMaintainer` and the oracle's
+:class:`ReferenceMaintainer` — and through the bare kernel functions on
+synthetic states; every float in the resulting state must match exactly,
+not approximately.
 """
 
 from __future__ import annotations
@@ -17,15 +19,14 @@ from hypothesis import strategies as st
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.dynamic import DualStore, DynamicGraph, IncrementalCoverMaintainer
-from repro.dynamic.repair import (
-    PruneView,
-    _reference_greedy_prune_pass,
-    _reference_pricing_repair_pass,
-    greedy_prune_pass,
-    pricing_repair_pass,
-)
+from repro.dynamic.repair import greedy_prune_pass, pricing_repair_pass
 from repro.graphs.updates import EdgeDelete, EdgeInsert, WeightChange
 
+from tests.kernel_oracle import (
+    ReferenceMaintainer,
+    reference_greedy_prune_pass,
+    reference_pricing_repair_pass,
+)
 from tests.properties.strategies import weighted_graphs
 
 EPS = 0.1
@@ -67,9 +68,9 @@ class TestMaintainerEquivalence:
         updates = data.draw(update_sequences(graph.n))
         batch = data.draw(st.integers(1, 12))
         maintainers = []
-        for kernels in ("vectorized", "reference"):
+        for maintainer_cls in (IncrementalCoverMaintainer, ReferenceMaintainer):
             dyn = DynamicGraph(graph, min_compact=4, compact_fraction=0.5)
-            m = IncrementalCoverMaintainer(dyn, kernels=kernels)
+            m = maintainer_cls(dyn)
             if graph.m:
                 m.adopt(minimum_weight_vertex_cover(graph, eps=EPS, seed=SEED))
             reports = []
@@ -97,18 +98,28 @@ class TestBareKernels:
                 for u, v in zip(graph.edges_u, graph.edges_v)
             }
         )
+        dyn = DynamicGraph(graph)
         args = dict(weights=np.asarray(graph.weights), dual_value=0.25)
         ref_cover, ref_loads, ref_duals = cover.copy(), loads.copy(), DualStore()
-        ref = _reference_pricing_repair_pass(
-            keys, cover=ref_cover, loads=ref_loads, duals=ref_duals, **args
+        ref = reference_pricing_repair_pass(
+            keys,
+            cover=ref_cover,
+            loads=ref_loads,
+            duals=ref_duals,
+            has_edge=dyn.has_edge,
+            **args,
         )
         vec_cover, vec_loads, vec_duals = cover.copy(), loads.copy(), DualStore()
         vec = pricing_repair_pass(
-            keys, cover=vec_cover, loads=vec_loads, duals=vec_duals, **args
+            keys,
+            cover=vec_cover,
+            loads=vec_loads,
+            duals=vec_duals,
+            has_edges=dyn.has_edges,
+            **args,
         )
         assert vec.repaired == ref.repaired
         assert vec.entered == ref.entered
-        assert vec.events == ref.events
         assert vec.dual_value == ref.dual_value
         assert np.array_equal(vec_cover, ref_cover)
         assert np.array_equal(vec_loads, ref_loads)
@@ -130,47 +141,19 @@ class TestBareKernels:
         candidates = sorted(
             int(v) for v in rng.choice(n, size=rng.integers(0, n + 1), replace=False)
         )
-        view = PruneView(
-            neighbors=graph.neighbors,
-            degree=lambda v: int(graph.degrees[v]),
-            neighbors_array=graph.neighbors,
-            degrees_of=lambda ids: graph.degrees[ids],
-        )
+        dyn = DynamicGraph(graph)
         weights = np.asarray(graph.weights)
         ref_cover = cover.copy()
-        ref = _reference_greedy_prune_pass(
-            candidates, weights=weights, cover=ref_cover, view=view
+        ref = reference_greedy_prune_pass(
+            candidates, weights=weights, cover=ref_cover, graph=dyn
         )
         vec_cover = cover.copy()
         vec = greedy_prune_pass(
-            candidates, weights=weights, cover=vec_cover, view=view
-        )
-        assert vec == ref
-        assert np.array_equal(vec_cover, ref_cover)
-
-    @settings(max_examples=30, deadline=None)
-    @given(graph=weighted_graphs(min_n=1, max_n=16))
-    def test_prune_callable_only_view_falls_back(self, graph):
-        # A view without array accessors (shard adjacency dicts, shipped
-        # neighbor lists) must route through the fromiter fallback and
-        # still match the reference.
-        adj = {v: set() for v in range(graph.n)}
-        for u, v in zip(graph.edges_u.tolist(), graph.edges_v.tolist()):
-            adj[u].add(v)
-            adj[v].add(u)
-        view = PruneView(
-            neighbors=lambda v: adj[v], degree=lambda v: len(adj[v])
-        )
-        weights = np.asarray(graph.weights)
-        cover = np.ones(graph.n, dtype=bool)
-        candidates = list(range(graph.n))
-        ref_cover = cover.copy()
-        ref = _reference_greedy_prune_pass(
-            candidates, weights=weights, cover=ref_cover, view=view
-        )
-        vec_cover = cover.copy()
-        vec = greedy_prune_pass(
-            candidates, weights=weights, cover=vec_cover, view=view
+            candidates,
+            weights=weights,
+            cover=vec_cover,
+            degrees_of=dyn.degrees_of,
+            gather=dyn.prune_gather,
         )
         assert vec == ref
         assert np.array_equal(vec_cover, ref_cover)

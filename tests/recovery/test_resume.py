@@ -247,6 +247,18 @@ class TestResumeCLI:
         with pytest.raises(SystemExit, match="missing config.json"):
             main(["resume", "--checkpoint-dir", str(tmp_path / "nope")])
 
+    def test_sharded_checkpoint_fails_cleanly(self, tmp_path):
+        # The config a `repro stream --shards N` run wrote: this build has
+        # no sharded engine, so every entry point refuses it by name.
+        config = {"format_version": 1, "shards": 4, "partition": "hash"}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        refusal = "holds a sharded checkpoint.*no longer resumes"
+        with pytest.raises(CheckpointError, match=refusal):
+            resume_stream(tmp_path)
+        for command in ("resume", "wal-compact"):
+            with pytest.raises(SystemExit, match=refusal):
+                main([command, "--checkpoint-dir", str(tmp_path)])
+
     def test_resume_cli_wal_corruption_fails_cleanly(self, tmp_path):
         directory = tmp_path / "ckpt"
         assert main(self._stream_args(directory, tmp_path / "c.txt")) == 0
