@@ -318,7 +318,6 @@ def _cmd_stream(args) -> int:
         ResolvePolicy,
         WALError,
         load_update_stream,
-        open_update_source,
         run_stream,
     )
     from repro.graphs.streams import make_update_stream
@@ -326,11 +325,10 @@ def _cmd_stream(args) -> int:
     graph = _load_or_generate(args)
     if args.updates:
         try:
-            if args.updates == "-":
-                updates = load_update_stream(sys.stdin)
-            else:
-                # Accepts a JSON-lines or .npz file, or a directory of segments.
-                updates = open_update_source(args.updates).collect()
+            # A JSON-lines or .npz file, a directory of segments, or stdin.
+            updates = load_update_stream(
+                sys.stdin if args.updates == "-" else args.updates
+            )
         except FileNotFoundError:
             raise SystemExit(f"update stream not found: {args.updates}")
         except (OSError, ValueError) as exc:
@@ -403,14 +401,14 @@ def _cmd_resume(args) -> int:
     from repro.dynamic import (
         CheckpointError,
         WALError,
-        open_update_source,
+        load_update_stream,
         resume_stream,
     )
 
     updates = None
     if args.updates:
         try:
-            updates = open_update_source(args.updates).collect()
+            updates = load_update_stream(args.updates)
         except FileNotFoundError:
             raise SystemExit(f"update stream not found: {args.updates}")
         except (OSError, ValueError) as exc:

@@ -29,12 +29,12 @@ certificate drifts past a policy bound:
 :mod:`repro.dynamic.duals`
     :class:`DualStore` — array-backed per-edge duals keyed by encoded
     ``int64`` edge codes.
-:mod:`repro.dynamic.ingest`
-    Pluggable update sources (file / directory segments / memory).
 
 The update events (:class:`EdgeInsert` / :class:`EdgeDelete` /
 :class:`WeightChange`) and their wire formats live in
 :mod:`repro.graphs.updates` and are re-exported here.
+:func:`load_update_stream` reads a file, a segment directory or stdin
+into :class:`UpdateColumns`, the one batch type from decode to apply.
 """
 
 from repro.dynamic.checkpoint import (
@@ -53,14 +53,6 @@ from repro.dynamic.maintainer import (
     IncrementalCoverMaintainer,
 )
 from repro.dynamic.policy import ResolveDecision, ResolvePolicy
-from repro.dynamic.ingest import (
-    DirectorySource,
-    FileSource,
-    MemorySource,
-    UpdateSource,
-    iter_update_batches,
-    open_update_source,
-)
 from repro.dynamic.stream import (
     CheckpointConfig,
     StreamRecord,
@@ -96,24 +88,20 @@ __all__ = [
     "CheckpointCorruptionError",
     "CheckpointError",
     "CheckpointVersionError",
-    "DirectorySource",
     "DualStore",
     "DynamicGraph",
     "EdgeDelete",
     "EdgeInsert",
-    "FileSource",
     "GraphUpdate",
     "IncrementalCoverMaintainer",
     "InvalidUpdateError",
     "KERNEL_PROFILE_KEYS",
-    "MemorySource",
     "ResolveDecision",
     "ResolvePolicy",
     "RestoredState",
     "StreamRecord",
     "StreamSummary",
     "UpdateColumns",
-    "UpdateSource",
     "WALCorruptionError",
     "WALError",
     "WALRecord",
@@ -121,10 +109,8 @@ __all__ = [
     "compact_wal",
     "decode_edge_codes",
     "encode_edge_codes",
-    "iter_update_batches",
     "load_snapshot",
     "load_update_stream",
-    "open_update_source",
     "read_wal",
     "repair_wal",
     "resume_stream",

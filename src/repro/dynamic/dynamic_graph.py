@@ -222,10 +222,6 @@ class DynamicGraph:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _key(u: int, v: int) -> Tuple[int, int]:
-        return (u, v) if u < v else (v, u)
-
     def _check_vertex(self, v: int) -> int:
         v = int(v)
         if not (0 <= v < self._n):
@@ -365,18 +361,20 @@ class DynamicGraph:
     # updates
     # ------------------------------------------------------------------ #
     def apply(self, update: GraphUpdate) -> bool:
-        """Apply one update; returns True iff it changed the graph.
+        """Apply one update event; returns True iff it changed the graph.
 
+        A thin dispatcher over :meth:`insert_edge`, :meth:`delete_edge`
+        and :meth:`reweight`, the per-kind mutations a batch applies.
         Inserting a present edge, deleting an absent edge, and re-setting a
         weight to its current value are all no-ops returning False — a
         replayed stream is idempotent per event.
         """
         if isinstance(update, EdgeInsert):
-            return self._insert(update.u, update.v)
+            return self.insert_edge(update.u, update.v)
         if isinstance(update, EdgeDelete):
-            return self._delete(update.u, update.v)
+            return self.delete_edge(update.u, update.v)
         if isinstance(update, WeightChange):
-            return self._reweight(update.v, update.weight)
+            return self.reweight(update.v, update.weight)
         raise TypeError(f"not a graph update: {type(update).__name__}")
 
     def _set_alive(self, code: int, alive: bool) -> int:
@@ -386,7 +384,8 @@ class DynamicGraph:
         self._alive[self._slot_vu[e]] = alive
         return e
 
-    def _insert(self, u: int, v: int) -> bool:
+    def insert_edge(self, u: int, v: int) -> bool:
+        """Add edge ``{u, v}``; False (a no-op) if it is already present."""
         u, v = self._check_vertex(u), self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u} is not allowed")
@@ -409,7 +408,8 @@ class DynamicGraph:
         self._touch()
         return True
 
-    def _delete(self, u: int, v: int) -> bool:
+    def delete_edge(self, u: int, v: int) -> bool:
+        """Remove edge ``{u, v}``; False (a no-op) if it is absent."""
         u, v = self._check_vertex(u), self._check_vertex(v)
         if u == v:
             return False
@@ -430,7 +430,8 @@ class DynamicGraph:
         self._touch()
         return True
 
-    def _reweight(self, v: int, weight: float) -> bool:
+    def reweight(self, v: int, weight: float) -> bool:
+        """Set ``w(v) = weight``; False (a no-op) if it already is."""
         v = self._check_vertex(v)
         weight = float(weight)
         if not np.isfinite(weight) or weight <= 0:

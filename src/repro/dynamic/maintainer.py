@@ -50,7 +50,13 @@ from repro.dynamic.repair import (
     greedy_prune_pass,
     pricing_repair_pass,
 )
-from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
+from repro.graphs.updates import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_REWEIGHT,
+    GraphUpdate,
+    UpdateColumns,
+)
 
 __all__ = ["IncrementalCoverMaintainer", "BatchReport", "KERNEL_PROFILE_KEYS"]
 
@@ -426,39 +432,18 @@ class IncrementalCoverMaintainer:
     def apply_batch(self, updates: Sequence[GraphUpdate]) -> BatchReport:
         """Apply a batch of updates and repair the cover locally.
 
-        The repair budget is proportional to the batch's touched
+        ``updates`` is converted to :class:`UpdateColumns` unless it is
+        already.  The repair budget is proportional to the batch's touched
         neighborhood: uncovered inserted edges are patched by the pricing
         rule, then touched vertices are pruned greedily.  The certificate
         in the returned report reflects the post-repair state.
         """
-        updates = list(updates)
-        dyn = self.dyn
+        if not isinstance(updates, UpdateColumns):
+            updates = UpdateColumns.from_updates(updates)
         profiling = self._profile
         t_mark = time.perf_counter() if profiling else 0.0
-        applied = inserts = deletes = reweights = 0
-        retired = 0.0
-        touched: Set[int] = set()
-        uncovered: List[Tuple[int, int]] = []
-
-        for upd in updates:
-            changed = dyn.apply(upd)
-            if not changed:
-                continue
-            applied += 1
-            if isinstance(upd, EdgeInsert):
-                inserts += 1
-                key = dyn._key(int(upd.u), int(upd.v))
-                touched.update(key)
-                if not (self._cover[key[0]] or self._cover[key[1]]):
-                    uncovered.append(key)
-            elif isinstance(upd, EdgeDelete):
-                deletes += 1
-                key = dyn._key(int(upd.u), int(upd.v))
-                touched.update(key)
-                retired += self._retire_dual(key)
-            elif isinstance(upd, WeightChange):
-                reweights += 1
-                touched.add(int(upd.v))
+        events = self._apply_events(updates)
+        inserts, deletes, reweights, retired, touched, uncovered = events
         if profiling:
             now = time.perf_counter()
             adjacency_s, t_mark = now - t_mark, now
@@ -486,7 +471,7 @@ class IncrementalCoverMaintainer:
         cert = self.certificate()
         report = BatchReport(
             num_updates=len(updates),
-            applied=applied,
+            applied=inserts + deletes + reweights,
             inserts=inserts,
             deletes=deletes,
             reweights=reweights,
@@ -510,6 +495,46 @@ class IncrementalCoverMaintainer:
                 acc[key] += value
             self.last_batch_profile = delta
         return report
+
+    def _apply_events(self, cols: UpdateColumns) -> Tuple:
+        """Apply a batch's events to the graph in stream order.
+
+        Returns ``(inserts, deletes, reweights, retired, touched,
+        uncovered)``: effective events by kind, the dual mass retired with
+        deleted edges (one at a time, so ``loads`` is decremented and
+        clamped event by event), the touched vertices, and the inserted
+        edges that arrived uncovered.
+        """
+        cover = self._cover
+        insert_edge, delete_edge = self.dyn.insert_edge, self.dyn.delete_edge
+        reweight = self.dyn.reweight
+        inserts = deletes = reweights = 0
+        retired = 0.0
+        touched: Set[int] = set()
+        uncovered: List[Tuple[int, int]] = []
+        for op, u, v, w in zip(
+            cols.op.tolist(), cols.u.tolist(), cols.v.tolist(), cols.w.tolist()
+        ):
+            if op == OP_INSERT:
+                if insert_edge(u, v):
+                    inserts += 1
+                    key = (u, v) if u < v else (v, u)
+                    touched.update(key)
+                    if not (cover[key[0]] or cover[key[1]]):
+                        uncovered.append(key)
+            elif op == OP_DELETE:
+                if delete_edge(u, v):
+                    deletes += 1
+                    key = (u, v) if u < v else (v, u)
+                    touched.update(key)
+                    retired += self._retire_dual(key)
+            elif op == OP_REWEIGHT:
+                if reweight(v, w):
+                    reweights += 1
+                    touched.add(v)
+            else:
+                raise ValueError(f"unknown update op code {op!r}")
+        return inserts, deletes, reweights, retired, touched, uncovered
 
     def _retire_dual(self, key: Tuple[int, int]) -> float:
         """Drop a deleted edge's dual; returns the retired mass."""

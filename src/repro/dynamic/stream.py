@@ -1,7 +1,9 @@
 """End-to-end stream processing: maintainer + policy + batch service.
 
 :func:`run_stream` is the orchestration layer behind ``repro stream``: it
-chops an update stream into batches, drives
+slices an :class:`~repro.graphs.updates.UpdateColumns` stream into batches
+(views of its arrays), validates each whole batch before any of it is
+logged or applied, drives
 :class:`~repro.dynamic.IncrementalCoverMaintainer` over them, evaluates the
 :class:`~repro.dynamic.ResolvePolicy` after each batch, and executes
 triggered re-solves through a :class:`~repro.service.BatchSolver`.
@@ -66,7 +68,6 @@ from repro.dynamic.checkpoint import (
     save_snapshot,
 )
 from repro.dynamic.dynamic_graph import DynamicGraph
-from repro.dynamic.ingest import iter_update_batches
 from repro.dynamic.maintainer import BatchReport, IncrementalCoverMaintainer
 from repro.dynamic.policy import ResolvePolicy
 from repro.dynamic.wal import WriteAheadLog, compact_wal, read_wal, repair_wal
@@ -74,6 +75,7 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.io import load_npz, save_npz, write_bytes_atomic
 from repro.graphs.updates import (
     GraphUpdate,
+    UpdateColumns,
     load_update_stream,
     save_update_stream,
 )
@@ -108,6 +110,12 @@ _SNAPSHOT_FILE_GZ = "snapshot.npz.gz"
 class CheckpointConfig:
     """Durability policy of a checkpointed :func:`run_stream`.
 
+    Every WAL record is stamped with the pre-apply
+    :meth:`DynamicGraph.state_stamp` so replay verifies, record by record,
+    that it rebuilds the exact state the original run saw.  A stamp costs
+    O(delta + n) per batch — the base edges are hashed once per
+    compaction — never an O(m) pass.
+
     Attributes
     ----------
     directory:
@@ -129,12 +137,6 @@ class CheckpointConfig:
         are stored either way) or ``"none"`` (stored).  ``"none"`` trades
         file size for write speed.  Recorded in ``config.json`` so a
         resumed run keeps the same policy.
-    stamp_digests:
-        Stamp each WAL record with the pre-apply
-        :meth:`DynamicGraph.state_stamp` so replay verifies, record by
-        record, that it rebuilds the exact state the original run saw.
-        Costs O(delta + n) per batch — the base edges are hashed once
-        per compaction — never an O(m) pass.
     keep_snapshots:
         Retain the last this-many snapshots instead of one.  With ``1``
         (the default) the single ``snapshot.npz`` is overwritten in place,
@@ -154,7 +156,6 @@ class CheckpointConfig:
     snapshot_every: int = 8
     fsync: bool = True
     compress: bool = False
-    stamp_digests: bool = True
     keep_snapshots: int = 1
     compact_wal: bool = False
     snapshot_compression: str = "gzip"
@@ -283,9 +284,9 @@ class StreamSummary:
     (excluded from ``summary()``; written by ``--cover-out``).
 
     ``ingest_s``/``repair_s``/``resolve_s`` split the wall clock: time
-    spent getting updates into the engine (WAL commits), time spent
-    applying/repairing/pruning (the incremental path), and time spent in
-    triggered full re-solves.
+    spent getting updates into the engine (validation and WAL commits),
+    time spent applying/repairing/pruning (the incremental path), and time
+    spent in triggered full re-solves.
     The three do not sum to ``elapsed_s`` — verification, snapshots and
     bookkeeping are outside all three buckets.
 
@@ -349,8 +350,8 @@ class _StreamEngine:
     """Shared per-batch machinery of ``run_stream`` and ``resume_stream``.
 
     Owns the mutable counters (stream position, cooldown, re-solve tally)
-    and performs one batch end-to-end: optional WAL commit *before* the
-    state mutation, repair, policy evaluation, triggered re-solve,
+    and performs one batch end-to-end: validation and optional WAL commit
+    *before* the state mutation, repair, policy evaluation, triggered re-solve,
     periodic verification, record keeping, and periodic snapshots.
     """
 
@@ -450,22 +451,21 @@ class _StreamEngine:
 
     # -- one batch ------------------------------------------------------- #
     def process_batch(
-        self, index: int, batch: List[GraphUpdate], *, log_to_wal: bool
+        self, index: int, batch: UpdateColumns, *, log_to_wal: bool
     ) -> StreamRecord:
+        # Validated whole before any of it is logged or applied.
+        t_ingest = time.perf_counter()
+        dyn = self.maintainer.dyn
+        batch.validate(dyn.n, batch_index=index, start=self.updates_applied)
         if log_to_wal and self.wal is not None:
-            t_wal = time.perf_counter()
-            dyn = self.maintainer.dyn
-            stamping = self.checkpoint is not None and self.checkpoint.stamp_digests
-            # Validated against the graph before anything is written; the
-            # stamp is taken only for a batch that passed.
             self.wal.append(
                 index,
                 batch,
-                state_digest=dyn.state_stamp if stamping else "",
+                state_digest=dyn.state_stamp,
                 num_vertices=dyn.n,
                 position=self.updates_applied,
             )
-            self.ingest_s += time.perf_counter() - t_wal
+        self.ingest_s += time.perf_counter() - t_ingest
         t0 = time.perf_counter()
         report = self.maintainer.apply_batch(batch)
         self.repair_s += time.perf_counter() - t0
@@ -539,7 +539,7 @@ class _StreamEngine:
 def _write_config(
     checkpoint: CheckpointConfig,
     graph: WeightedGraph,
-    updates: Sequence[GraphUpdate],
+    updates: UpdateColumns,
     *,
     batch_size: int,
     policy: ResolvePolicy,
@@ -560,7 +560,6 @@ def _write_config(
         "policy": asdict(policy),
         "snapshot_every": int(checkpoint.snapshot_every),
         "fsync": bool(checkpoint.fsync),
-        "stamp_digests": bool(checkpoint.stamp_digests),
         "compress": bool(checkpoint.compress),
         "keep_snapshots": int(checkpoint.keep_snapshots),
         "compact_wal": bool(checkpoint.compact_wal),
@@ -580,7 +579,7 @@ def _write_config(
 def _prepare_checkpoint_dir(
     checkpoint: CheckpointConfig,
     graph: WeightedGraph,
-    updates: Sequence[GraphUpdate],
+    updates: UpdateColumns,
     **config_params,
 ) -> None:
     directory = os.fspath(checkpoint.directory)
@@ -618,7 +617,8 @@ def run_stream(
     graph:
         Initial graph; solved once up front to seed the maintainer.
     updates:
-        The update stream (see :mod:`repro.graphs.updates`).
+        The update stream (see :mod:`repro.graphs.updates`); converted
+        once to :class:`~repro.graphs.updates.UpdateColumns` unless it is.
     batch_size:
         Updates per repair batch (the granularity of policy evaluation).
     policy:
@@ -649,6 +649,9 @@ def run_stream(
 
     Raises
     ------
+    InvalidUpdateError
+        A ``ValueError`` naming the batch and stream position of an event
+        the graph would refuse; no event of that batch is logged or applied.
     RuntimeError
         If a re-solve fails, or a verification pass catches an invalid
         cover (which would be a maintainer bug, not a data error).
@@ -658,6 +661,8 @@ def run_stream(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     policy = policy or ResolvePolicy()
+    if not isinstance(updates, UpdateColumns):
+        updates = UpdateColumns.from_updates(updates)
     if checkpoint is not None:
         _prepare_checkpoint_dir(
             checkpoint,
@@ -698,7 +703,8 @@ def run_stream(
         if graph.m:
             engine_.resolve()
         engine_.write_snapshot(0)
-        for index, batch in enumerate(iter_update_batches(updates, batch_size)):
+        for index, offset in enumerate(range(0, len(updates), batch_size)):
+            batch = updates[offset : offset + batch_size]  # a view, not a copy
             engine_.process_batch(index, batch, log_to_wal=True)
         engine_.write_snapshot(len(engine_.records))
     finally:
@@ -812,12 +818,12 @@ def resume_stream(
         mismatch), or a checkpoint written by the removed sharded engine.
     """
     config = _load_config(CheckpointConfig(directory=directory))
+    # Records are always stamped; an old ``stamp_digests`` key is ignored.
     checkpoint = CheckpointConfig(
         directory=directory,
         snapshot_every=int(config["snapshot_every"]),
         fsync=bool(config.get("fsync", True)),
         compress=bool(config.get("compress", False)),
-        stamp_digests=bool(config.get("stamp_digests", True)),
         keep_snapshots=int(config.get("keep_snapshots", 1)),
         compact_wal=bool(config.get("compact_wal", False)),
         snapshot_compression=str(config.get("snapshot_compression", "gzip")),
@@ -833,6 +839,8 @@ def resume_stream(
                 f"checkpoint {os.fspath(directory)} has no stored update "
                 f"stream ({name}); pass the stream explicitly"
             ) from None
+    elif not isinstance(updates, UpdateColumns):
+        updates = UpdateColumns.from_updates(updates)
     if len(updates) != int(config["num_updates"]):
         raise CheckpointError(
             f"update stream length {len(updates)} does not match the "
@@ -924,7 +932,7 @@ def resume_stream(
                         f"reached {current[:12]}… — snapshot/WAL/stream "
                         f"mismatch"
                     )
-            engine_.process_batch(expected, list(record.updates), log_to_wal=False)
+            engine_.process_batch(expected, record.updates, log_to_wal=False)
             expected += 1
         if engine_.updates_applied > len(updates):
             raise CheckpointError(
@@ -935,12 +943,11 @@ def resume_stream(
         # ---- continue with the uncommitted remainder ------------------ #
         wal = WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
         engine_.wal = wal
-        remainder = updates[engine_.updates_applied :]
-        next_index = expected
-        for offset, batch in enumerate(iter_update_batches(remainder, batch_size)):
-            engine_.process_batch(expected + offset, batch, log_to_wal=True)
-            next_index = expected + offset + 1
-        engine_.write_snapshot(next_index)
+        offsets = range(engine_.updates_applied, len(updates), batch_size)
+        for index, offset in enumerate(offsets, start=expected):
+            batch = updates[offset : offset + batch_size]
+            engine_.process_batch(index, batch, log_to_wal=True)
+        engine_.write_snapshot(expected + len(offsets))
     finally:
         if wal is not None:
             wal.close()

@@ -50,16 +50,11 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.updates import (
-    OP_REWEIGHT,
-    GraphUpdate,
-    UpdateColumns,
-    update_from_json,
-)
+from repro.graphs.updates import OP_REWEIGHT, UpdateColumns, update_from_json
 
 __all__ = [
     "WAL_FORMAT_VERSION",
@@ -100,7 +95,8 @@ class WALRecord:
     batch_index:
         Zero-based position of the batch in the stream.
     updates:
-        The batch's update events, in application order.
+        The batch's events as :class:`~repro.graphs.updates.UpdateColumns`
+        in application order (version-1 records decode into columns too).
     state_digest:
         Stamp of the graph the batch applies *to* (the pre-apply state;
         empty when the writer did not stamp one).  Replay checks it
@@ -114,7 +110,7 @@ class WALRecord:
     """
 
     batch_index: int
-    updates: Tuple[GraphUpdate, ...]
+    updates: UpdateColumns
     state_digest: str = ""
     version: int = WAL_FORMAT_VERSION
 
@@ -204,7 +200,8 @@ def _check_line(name: str, lineno: int, line: bytes) -> Tuple[int, int, object]:
 def _decode(version: int, batch_index: int, body) -> WALRecord:
     """The record of a checksum-verified line (``ValueError`` etc. if malformed)."""
     if version == 1:
-        updates = tuple(update_from_json(u) for u in body["updates"])
+        events = (update_from_json(u) for u in body["updates"])
+        updates = UpdateColumns.from_updates(events)
         return WALRecord(batch_index, updates, str(body.get("state_digest", "")), 1)
     payload = json.loads(body)
     op = np.frombuffer(payload["op"].encode("ascii"), dtype=np.uint8)
@@ -219,9 +216,7 @@ def _decode(version: int, batch_index: int, body) -> WALRecord:
         np.array(payload["v"], dtype=np.int64),
         w,
     )
-    return WALRecord(
-        batch_index, tuple(cols.to_updates()), str(payload.get("state_digest", ""))
-    )
+    return WALRecord(batch_index, cols, str(payload.get("state_digest", "")))
 
 
 class WriteAheadLog:
@@ -257,15 +252,15 @@ class WriteAheadLog:
     def append(
         self,
         batch_index: int,
-        updates: Sequence[GraphUpdate],
+        updates: UpdateColumns,
         *,
         num_vertices: int,
         position: int,
         state_digest: Union[str, Callable[[], str]] = "",
     ) -> None:
-        """Validate and commit one batch record, encoded once.
+        """Validate and commit one batch record.
 
-        The encoded columns are first checked against a graph on
+        The columns are first checked against a graph on
         ``num_vertices`` vertices (``position`` is the stream offset of the
         batch's first event): an event the graph would refuse raises
         :class:`~repro.graphs.updates.InvalidUpdateError` and nothing is
@@ -275,11 +270,10 @@ class WriteAheadLog:
         """
         if self._fh is None:
             raise WALError("WAL is closed")
-        columns = UpdateColumns.from_updates(updates)
-        columns.validate(num_vertices, batch_index=batch_index, start=position)
+        updates.validate(num_vertices, batch_index=batch_index, start=position)
         if callable(state_digest):
             state_digest = state_digest()
-        self._fh.write(_encode(batch_index, columns, state_digest))
+        self._fh.write(_encode(batch_index, updates, state_digest))
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())

@@ -17,9 +17,9 @@ serialized one JSON object per line, and replayed through
 skipped on load, mirroring the batch-manifest format.
 
 :class:`UpdateColumns` is the same events as four parallel arrays
-(``op``/``u``/``v``/``w``).  It is the on-disk form of a ``.npz`` stream
-file (a checkpoint's own copy of its stream) and of a write-ahead-log
-record body, and the place a batch is validated before it is logged.
+(``op``/``u``/``v``/``w``): the one batch type from :func:`load_update_stream`
+to applying a batch, the on-disk form of a ``.npz`` stream file and of a
+write-ahead-log record body, and the place a batch is validated.
 
 This module lives in the graph substrate layer (events *are* graph
 mutations) and imports nothing from the rest of the package, so both
@@ -29,10 +29,12 @@ depend on it without entangling the two packages.
 
 from __future__ import annotations
 
+import glob
 import gzip
 import json
 import math
 import os
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, List, Union
@@ -112,9 +114,10 @@ class UpdateColumns(Sequence):
     ``v`` as given (``int64``); a reweight keeps its vertex in ``v`` and
     its weight in ``w`` (``float64``).  Unused slots hold 0.
 
-    It is a read-only sequence of :data:`GraphUpdate` events: a slice is
-    another :class:`UpdateColumns` over views of the same arrays, so a
-    consumer builds event objects only for the events it visits.
+    The stream engine, the write-ahead log and ``apply_batch`` work on
+    the arrays; a slice is another :class:`UpdateColumns` over views of
+    them.  It is also a read-only sequence of :data:`GraphUpdate` events,
+    built only for the events a caller visits.
     """
 
     op: np.ndarray
@@ -300,7 +303,7 @@ def save_update_stream_segments(
     Segments are named ``part-00000.jsonl`` (``.jsonl.gz`` with
     ``compress``) and hold ``segment_size`` events each; the lexicographic
     filename order is the stream order, which is how
-    :class:`repro.dynamic.ingest.DirectorySource` reads them back.
+    :func:`load_update_stream` reads the directory back.
     Returns the written paths.
     """
     if segment_size < 1:
@@ -328,40 +331,84 @@ def save_update_stream_segments(
     return paths
 
 
-def load_update_stream(
-    source: Union[PathLike, IO[str], Iterable[str]]
-) -> Union[List[GraphUpdate], UpdateColumns]:
-    """Parse a JSON-lines update stream.
-
-    ``source`` is a path (``.gz`` transparently decompressed), an open text
-    stream, or any iterable of lines.  A malformed line raises
-    ``ValueError`` naming its line number — an update stream is input data,
-    so it fails loudly up front rather than mid-replay.
-
-    A path ending ``.npz`` is read as the columnar form
-    :func:`save_update_stream` writes and comes back as an
-    :class:`UpdateColumns` sequence, which builds event objects only for
-    the events a consumer visits.
-    """
-    if _is_npz(source):
-        with np.load(source, allow_pickle=False) as data:
-            try:
-                return UpdateColumns(data["op"], data["u"], data["v"], data["w"])
-            except KeyError as exc:
-                raise ValueError(
-                    f"{os.fspath(source)}: not an update stream ({exc})"
-                ) from None
-    if isinstance(source, (str, bytes, os.PathLike)):
-        opener = gzip.open if str(source).endswith(".gz") else open
-        with opener(source, "rt", encoding="utf-8") as fh:
-            return load_update_stream(list(fh))
-    updates: List[GraphUpdate] = []
-    for lineno, raw in enumerate(source, start=1):
+def _json_lines(lines: Iterable[str]) -> Iterator[GraphUpdate]:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            updates.append(update_from_json(json.loads(line)))
+            yield update_from_json(json.loads(line))
         except ValueError as exc:
             raise ValueError(f"update stream line {lineno}: {exc}") from exc
-    return updates
+
+
+def _json_files(paths: Iterable[str]) -> Iterator[GraphUpdate]:
+    for path in paths:
+        opener = gzip.open if str(path).endswith(".gz") else open
+        with opener(path, "rt", encoding="utf-8") as fh:
+            yield from _json_lines(fh)
+
+
+def _segments(directory: str) -> List[str]:
+    """The ``*.jsonl*`` files of ``directory``, ``part-2`` before ``part-10``."""
+    paths = glob.glob(os.path.join(directory, "*.jsonl*"))
+    if not paths and os.listdir(directory):
+        raise ValueError(
+            f"update directory {directory} has no segments matching '*.jsonl*'"
+        )
+
+    def natural(path: str):
+        pieces = re.split(r"(\d+)", os.path.basename(path))
+        return tuple(int(p) if p.isdigit() else p for p in pieces)
+
+    return sorted(paths, key=natural)
+
+
+#: The dtype each member of a ``.npz`` stream must have.
+_NPZ_DTYPES = {"op": np.uint8, "u": np.integer, "v": np.integer, "w": np.floating}
+
+
+def _load_npz(path: PathLike) -> UpdateColumns:
+    name = os.fspath(path)
+    with np.load(path, allow_pickle=False) as data:
+        try:
+            op, u, v, w = (data[key] for key in _NPZ_DTYPES)
+        except KeyError as exc:
+            raise ValueError(f"{name}: not an update stream ({exc})") from None
+    for key, arr in zip(_NPZ_DTYPES, (op, u, v, w)):
+        if arr.ndim != 1:
+            problem = f"shape {arr.shape}, not 1-D"
+        elif not np.issubdtype(arr.dtype, _NPZ_DTYPES[key]):
+            problem = f"dtype {arr.dtype}, expected {_NPZ_DTYPES[key].__name__}"
+        elif arr.shape[0] != op.shape[0]:
+            problem = f"{arr.shape[0]} entries, 'op' has {op.shape[0]}"
+        else:
+            continue
+        raise ValueError(f"{name}: member {key!r} has {problem}")
+    return UpdateColumns(
+        op, u.astype(np.int64), v.astype(np.int64), w.astype(np.float64)
+    )
+
+
+def load_update_stream(
+    source: Union[PathLike, IO[str], Iterable[str]]
+) -> UpdateColumns:
+    """Load an update stream as :class:`UpdateColumns`.
+
+    ``source`` is a JSON-lines file (``.gz`` transparently decompressed),
+    a columnar ``.npz`` file, a directory of JSON-lines segments (as
+    :func:`save_update_stream_segments` writes them; an empty directory is
+    an empty stream), or an open text stream / iterable of JSON lines
+    (such as stdin).  Bad input fails here, loudly: a malformed line
+    raises ``ValueError`` naming its line number, a malformed ``.npz``
+    member (``op`` must be ``uint8``, ``u``/``v`` integer, ``w``
+    floating, all 1-D of one length) one naming the file and the member.
+    """
+    if _is_npz(source):
+        return _load_npz(source)
+    if isinstance(source, (str, bytes, os.PathLike)):
+        path = os.fspath(source)
+        events = _json_files(_segments(path) if os.path.isdir(path) else [path])
+    else:
+        events = _json_lines(source)
+    return UpdateColumns.from_updates(events)

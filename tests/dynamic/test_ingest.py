@@ -1,25 +1,24 @@
-"""Tests for the ingestion layer: update sources and batching."""
+"""Tests for loading update streams: every source decodes to columns."""
 
-import gzip
+import io
 import os
 
+import numpy as np
 import pytest
 
-from repro.dynamic.ingest import (
-    DirectorySource,
-    FileSource,
-    IterableSource,
-    MemorySource,
-    iter_update_batches,
-    open_update_source,
-)
+from repro.dynamic import run_stream
+from repro.graphs.graph import WeightedGraph
 from repro.graphs.updates import (
     EdgeDelete,
     EdgeInsert,
+    UpdateColumns,
     WeightChange,
+    load_update_stream,
     save_update_stream,
     save_update_stream_segments,
 )
+
+PATH4 = WeightedGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
 
 UPDATES = [
     EdgeInsert(0, 1),
@@ -32,18 +31,18 @@ UPDATES = [
 
 class TestSources:
     def test_memory_source(self):
-        src = MemorySource(UPDATES)
-        assert src.count() == 5
-        assert list(src) == UPDATES
-        assert src.collect() == UPDATES
+        cols = UpdateColumns.from_updates(UPDATES)
+        assert len(cols) == 5
+        assert list(cols) == UPDATES
+        assert cols[1] == WeightChange(2, 5.0)
 
     def test_file_source_plain_and_gz(self, tmp_path):
         plain = tmp_path / "u.jsonl"
         gz = tmp_path / "u.jsonl.gz"
         save_update_stream(UPDATES, plain)
         save_update_stream(UPDATES, gz)
-        assert list(FileSource(plain)) == UPDATES
-        assert list(FileSource(gz)) == UPDATES
+        assert list(load_update_stream(plain)) == UPDATES
+        assert list(load_update_stream(gz)) == UPDATES
 
     def test_directory_source_reads_segments_in_order(self, tmp_path):
         paths = save_update_stream_segments(UPDATES, tmp_path, segment_size=2)
@@ -52,44 +51,72 @@ class TestSources:
             "part-00001.jsonl",
             "part-00002.jsonl",
         ]
-        assert list(DirectorySource(tmp_path)) == UPDATES
+        assert list(load_update_stream(tmp_path)) == UPDATES
 
     def test_directory_source_gz_segments(self, tmp_path):
         save_update_stream_segments(
             UPDATES, tmp_path, segment_size=3, compress=True
         )
-        assert list(DirectorySource(tmp_path)) == UPDATES
+        assert list(load_update_stream(tmp_path)) == UPDATES
 
     def test_directory_source_sorts_segments_numerically(self, tmp_path):
         """Unpadded (or padding-overflowed) segment numbers must replay in
         numeric order, not lexicographic (part-10 after part-2)."""
         save_update_stream(UPDATES[:2], tmp_path / "part-2.jsonl")
         save_update_stream(UPDATES[2:], tmp_path / "part-10.jsonl")
-        assert list(DirectorySource(tmp_path)) == UPDATES
+        assert list(load_update_stream(tmp_path)) == UPDATES
 
     def test_directory_with_no_matching_segments_raises(self, tmp_path):
         (tmp_path / "notes.txt").write_text("hello")
         with pytest.raises(ValueError, match="no segments"):
-            list(DirectorySource(tmp_path))
+            load_update_stream(tmp_path)
 
     def test_empty_directory_is_empty_stream(self, tmp_path):
-        assert list(DirectorySource(tmp_path)) == []
+        cols = load_update_stream(tmp_path)
+        assert isinstance(cols, UpdateColumns)
+        assert list(cols) == []
 
-    def test_open_update_source_coercions(self, tmp_path):
-        path = tmp_path / "u.jsonl"
-        save_update_stream(UPDATES, path)
-        assert isinstance(open_update_source(UPDATES), MemorySource)
-        assert isinstance(open_update_source(str(path)), FileSource)
-        assert isinstance(open_update_source(tmp_path), DirectorySource)
-        assert isinstance(open_update_source(iter(UPDATES)), IterableSource)
-        src = MemorySource(UPDATES)
-        assert open_update_source(src) is src
+    def test_every_source_loads_as_columns(self, tmp_path):
+        save_update_stream(UPDATES, tmp_path / "u.jsonl")
+        save_update_stream(UPDATES, tmp_path / "u.jsonl.gz")
+        save_update_stream(UPDATES, tmp_path / "u.npz")
+        save_update_stream_segments(UPDATES, tmp_path / "segments", segment_size=2)
+        text = (tmp_path / "u.jsonl").read_text()
+        sources = [
+            tmp_path / "u.jsonl",
+            str(tmp_path / "u.jsonl.gz"),
+            tmp_path / "u.npz",
+            tmp_path / "segments",
+            io.StringIO(text),
+            text.splitlines(),
+        ]
+        for source in sources:
+            cols = load_update_stream(source)
+            assert isinstance(cols, UpdateColumns), source
+            assert cols.op.dtype == np.uint8 and cols.u.dtype == np.int64
+            assert cols.v.dtype == np.int64 and cols.w.dtype == np.float64
+            assert list(cols) == UPDATES, source
         with pytest.raises(TypeError):
-            open_update_source(42)
+            load_update_stream(42)
 
-    def test_iter_update_batches(self):
-        batches = list(iter_update_batches(UPDATES, 2))
-        assert [len(b) for b in batches] == [2, 2, 1]
-        assert [u for b in batches for u in b] == UPDATES
+    def test_engine_slices_batches_as_column_views(self, monkeypatch):
+        """The engine hands the maintainer views of the loaded columns,
+        batch_size events at a time, with the tail batch short."""
+        from repro.dynamic.maintainer import IncrementalCoverMaintainer
+
+        cols = UpdateColumns.from_updates(UPDATES)
+        seen = []
+        apply_batch = IncrementalCoverMaintainer.apply_batch
+
+        def spy(self, batch):
+            seen.append(batch)
+            return apply_batch(self, batch)
+
+        monkeypatch.setattr(IncrementalCoverMaintainer, "apply_batch", spy)
+        run_stream(PATH4, cols, batch_size=2)
+        assert [len(b) for b in seen] == [2, 2, 1]
+        assert all(isinstance(b, UpdateColumns) for b in seen)
+        assert all(np.shares_memory(b.u, cols.u) for b in seen)
+        assert [u for b in seen for u in b] == UPDATES
         with pytest.raises(ValueError):
-            list(iter_update_batches(UPDATES, 0))
+            run_stream(PATH4, cols, batch_size=0)

@@ -1,5 +1,7 @@
 """End-to-end stream tests, including the randomized 500-update run."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,13 @@ class TestRunStream:
         json.dumps(summary.summary())
         for record in summary.records:
             json.dumps(record.summary())
+
+    def test_elapsed_s_is_the_run_wall_clock(self):
+        graph = _workload(n=100, seed=13)
+        updates = _mixed_updates(graph.n, 40, seed=13)
+        t0 = time.perf_counter()
+        summary = run_stream(graph, updates, batch_size=10, eps=EPS, seed=6)
+        assert 0.0 < summary.elapsed_s <= time.perf_counter() - t0
 
     def test_edgeless_initial_graph(self):
         from repro.graphs.graph import WeightedGraph

@@ -65,7 +65,7 @@ class TestStreamIO:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "stream.jsonl"
         save_update_stream(SAMPLE, path)
-        assert load_update_stream(path) == SAMPLE
+        assert list(load_update_stream(path)) == SAMPLE
 
     def test_gzip_roundtrip(self, tmp_path):
         path = tmp_path / "stream.jsonl.gz"
@@ -73,7 +73,7 @@ class TestStreamIO:
         # Really compressed, not just renamed.
         with open(path, "rb") as fh:
             assert fh.read(2) == b"\x1f\x8b"
-        assert load_update_stream(path) == SAMPLE
+        assert list(load_update_stream(path)) == SAMPLE
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "stream.jsonl"
@@ -82,11 +82,11 @@ class TestStreamIO:
             + json.dumps({"op": "insert", "u": 1, "v": 2})
             + "\n\n"
         )
-        assert load_update_stream(path) == [EdgeInsert(1, 2)]
+        assert list(load_update_stream(path)) == [EdgeInsert(1, 2)]
 
     def test_iterable_source(self):
         lines = [json.dumps(update_to_json(u)) for u in SAMPLE]
-        assert load_update_stream(lines) == SAMPLE
+        assert list(load_update_stream(lines)) == SAMPLE
 
     def test_bad_line_names_line_number(self, tmp_path):
         path = tmp_path / "stream.jsonl"

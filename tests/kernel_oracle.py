@@ -1,12 +1,15 @@
-"""Reference repair/prune kernels: the executable spec of the hot path.
+"""Reference kernels: the executable spec of the hot path.
 
-:mod:`repro.dynamic.repair` runs vectorized kernels whose results must
-equal these original object-at-a-time loops bit for bit.
-:class:`ReferenceMaintainer` swaps them into an
+:mod:`repro.dynamic.repair` runs vectorized kernels, and
+:meth:`IncrementalCoverMaintainer.apply_batch
+<repro.dynamic.IncrementalCoverMaintainer.apply_batch>` walks a batch's
+columns; their results must equal these original object-at-a-time loops
+bit for bit.  :class:`ReferenceMaintainer` swaps them into an
 :class:`~repro.dynamic.IncrementalCoverMaintainer`, so a differential test
 or a benchmark can replay one stream through both and compare covers,
-duals and dual totals exactly.  ``tests/properties/test_property_kernels.py``
-and ``benchmarks/bench_repair_kernels.py`` drive it.
+duals, dual totals and batch reports exactly.
+``tests/properties/test_property_kernels.py`` and
+``benchmarks/bench_repair_kernels.py`` drive it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from repro.core.postprocess import prune_redundant_vertices
 from repro.dynamic import IncrementalCoverMaintainer
 from repro.dynamic.repair import RESIDUAL_RTOL, RepairOutcome
+from repro.graphs.updates import EdgeDelete, EdgeInsert, WeightChange
 
 EdgeKey = Tuple[int, int]
 
@@ -100,13 +104,41 @@ def reference_greedy_prune_pass(
 
 
 class ReferenceMaintainer(IncrementalCoverMaintainer):
-    """A maintainer running the reference kernels instead of the vectorized ones.
+    """A maintainer running the reference loops instead of the fast paths.
 
+    Events are applied one :data:`~repro.graphs.updates.GraphUpdate`
+    object at a time through :meth:`DynamicGraph.apply
+    <repro.dynamic.DynamicGraph.apply>`, dispatched by ``isinstance``.
     Touched sets above an eighth of the graph are pruned by the restricted
     sweep of :func:`repro.core.postprocess.prune_redundant_vertices` on the
     materialized graph — the same greedy order and droppability rule, so
     the result is unchanged.
     """
+
+    def _apply_events(self, cols) -> Tuple:
+        dyn = self.dyn
+        inserts = deletes = reweights = 0
+        retired = 0.0
+        touched: Set[int] = set()
+        uncovered: List[EdgeKey] = []
+        for upd in cols:
+            if not dyn.apply(upd):
+                continue
+            if isinstance(upd, EdgeInsert):
+                inserts += 1
+                key = (upd.u, upd.v) if upd.u < upd.v else (upd.v, upd.u)
+                touched.update(key)
+                if not (self._cover[key[0]] or self._cover[key[1]]):
+                    uncovered.append(key)
+            elif isinstance(upd, EdgeDelete):
+                deletes += 1
+                key = (upd.u, upd.v) if upd.u < upd.v else (upd.v, upd.u)
+                touched.update(key)
+                retired += self._retire_dual(key)
+            elif isinstance(upd, WeightChange):
+                reweights += 1
+                touched.add(upd.v)
+        return inserts, deletes, reweights, retired, touched, uncovered
 
     def _repair(self, uncovered: Iterable[EdgeKey]) -> Tuple[int, Set[int]]:
         outcome = reference_pricing_repair_pass(

@@ -1,11 +1,11 @@
 """Property: vectorized repair/prune kernels ≡ the reference oracle.
 
 The vectorized dynamic hot path (CSR-delta adjacency, array-backed duals,
-batched pricing/prune kernels) promises *bit-identical* covers, duals,
-and certificates to the original object-at-a-time kernels kept in
-``tests/kernel_oracle.py``.  Hypothesis drives random graphs and random
-churn sequences through two maintainers — the production
-:class:`IncrementalCoverMaintainer` and the oracle's
+batched pricing/prune kernels, the columnar event loop of ``apply_batch``)
+promises *bit-identical* covers, duals, and certificates to the original
+object-at-a-time loops kept in ``tests/kernel_oracle.py``.  Hypothesis
+drives random graphs and random churn sequences through two maintainers
+— the production :class:`IncrementalCoverMaintainer` and the oracle's
 :class:`ReferenceMaintainer` — and through the bare kernel functions on
 synthetic states; every float in the resulting state must match exactly,
 not approximately.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.dynamic import DualStore, DynamicGraph, IncrementalCoverMaintainer
 from repro.dynamic.repair import greedy_prune_pass, pricing_repair_pass
-from repro.graphs.updates import EdgeDelete, EdgeInsert, WeightChange
+from repro.graphs.updates import EdgeDelete, EdgeInsert, UpdateColumns, WeightChange
 
 from tests.kernel_oracle import (
     ReferenceMaintainer,
@@ -54,6 +54,35 @@ def update_sequences(draw, n: int, max_events: int = 50):
     return events
 
 
+@st.composite
+def edge_case_sequences(draw, graph, max_chunks: int = 12):
+    """Random events interleaved with the event runs whose order matters:
+    insert→delete→insert of one edge, duplicate inserts, deletes of absent
+    edges, and reweights to the current value."""
+    n = graph.n
+    weights = np.array(graph.weights, dtype=np.float64)  # mirror of w(v)
+    events = []
+    for _ in range(draw(st.integers(0, max_chunks))):
+        kind = draw(st.integers(0, 4))
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1).filter(lambda x: x != u))
+        if kind == 0:
+            chunk = [EdgeInsert(u, v), EdgeDelete(v, u), EdgeInsert(u, v)]
+        elif kind == 1:
+            chunk = [EdgeInsert(u, v), EdgeInsert(v, u)]
+        elif kind == 2:
+            chunk = [EdgeDelete(u, v), EdgeDelete(u, v)]  # the second is absent
+        elif kind == 3:
+            chunk = [WeightChange(v, float(weights[v]))]  # the current value
+        else:
+            chunk = draw(update_sequences(n, max_events=6))
+        for upd in chunk:
+            if isinstance(upd, WeightChange):
+                weights[upd.v] = upd.weight
+        events += chunk
+    return events
+
+
 def _assert_same_maintainer_state(a: IncrementalCoverMaintainer, b):
     assert np.array_equal(a.cover, b.cover), "cover masks differ"
     assert a.edge_duals() == b.edge_duals(), "duals differ"
@@ -82,6 +111,31 @@ class TestMaintainerEquivalence:
         assert vec.verify() and ref.verify()
         for rv, rr in zip(vec_reports, ref_reports):
             assert rv == rr, "per-batch reports differ"
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), graph=weighted_graphs(min_n=2, max_n=12))
+    def test_columnar_loop_equals_object_loop_on_order_sensitive_runs(
+        self, data, graph
+    ):
+        """``apply_batch`` walks the batch's columns; the oracle applies
+        one event object at a time.  Column batches go to both."""
+        cols = UpdateColumns.from_updates(data.draw(edge_case_sequences(graph)))
+        batch = data.draw(st.sampled_from([1, 3, 7, max(1, len(cols))]))
+        runs = []
+        for maintainer_cls in (IncrementalCoverMaintainer, ReferenceMaintainer):
+            dyn = DynamicGraph(graph, min_compact=4, compact_fraction=0.5)
+            m = maintainer_cls(dyn)
+            if graph.m:
+                m.adopt(minimum_weight_vertex_cover(graph, eps=EPS, seed=SEED))
+            reports = [
+                m.apply_batch(cols[i : i + batch]) for i in range(0, len(cols), batch)
+            ]
+            runs.append((m, reports))
+        (vec, vec_reports), (ref, ref_reports) = runs
+        _assert_same_maintainer_state(vec, ref)
+        assert vec_reports == ref_reports, "per-batch reports differ"
+        assert vec.verify() and ref.verify()
 
 
 class TestBareKernels:

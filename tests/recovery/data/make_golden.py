@@ -15,7 +15,7 @@ import numpy as np
 from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer, WriteAheadLog
 from repro.dynamic.checkpoint import save_snapshot
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.updates import EdgeDelete, EdgeInsert, WeightChange
+from repro.graphs.updates import EdgeDelete, EdgeInsert, UpdateColumns, WeightChange
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -63,7 +63,7 @@ def main():
             pre_digests[i] = m2.dyn.state_stamp()
             wal.append(
                 i,
-                batch,
+                UpdateColumns.from_updates(batch),
                 num_vertices=len(WEIGHTS),
                 position=position,
                 state_digest=pre_digests[i],

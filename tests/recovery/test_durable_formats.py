@@ -137,6 +137,8 @@ class TestStateStamp:
 
 BATCH0 = [EdgeInsert(0, 1), EdgeDelete(2, 3), WeightChange(4, 2.5)]
 BATCH1 = [EdgeInsert(5, 6), WeightChange(1, 0.1 + 0.2)]
+COLS0 = UpdateColumns.from_updates(BATCH0)
+COLS1 = UpdateColumns.from_updates(BATCH1)
 N = 10  # vertices of the graph the batches apply to
 
 
@@ -148,7 +150,7 @@ class TestWALVersion2:
     def test_crc_is_over_the_raw_body_bytes(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, BATCH0, num_vertices=N, position=0, state_digest="ab" * 16)
+            wal.append(0, COLS0, num_vertices=N, position=0, state_digest="ab" * 16)
         (line,) = _lines(path)
         record = json.loads(line)
         assert record["v"] == 2
@@ -160,8 +162,8 @@ class TestWALVersion2:
     def test_records_round_trip_exactly(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, BATCH0, num_vertices=N, position=0, state_digest="s0")
-            wal.append(1, BATCH1, num_vertices=N, position=len(BATCH0))
+            wal.append(0, COLS0, num_vertices=N, position=0, state_digest="s0")
+            wal.append(1, COLS1, num_vertices=N, position=len(BATCH0))
         records, torn = read_wal(path)
         assert not torn
         assert [list(r.updates) for r in records] == [BATCH0, BATCH1]
@@ -173,7 +175,7 @@ class TestWALVersion2:
         with WriteAheadLog(path, fsync=False) as wal:
             position = 0
             for i in range(5):
-                batch = BATCH0 if i % 2 else BATCH1
+                batch = COLS0 if i % 2 else COLS1
                 wal.append(
                     i, batch, num_vertices=N, position=position, state_digest=f"s{i}"
                 )
@@ -186,7 +188,7 @@ class TestWALVersion2:
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
             for i in range(3):
-                wal.append(i, BATCH0, num_vertices=N, position=i * len(BATCH0))
+                wal.append(i, COLS0, num_vertices=N, position=i * len(BATCH0))
         raw = bytearray(path.read_bytes())
         pos = raw.index(b'"v":[1')
         raw[pos + 5] = ord("7")  # inside the first (to-be-dropped) record
@@ -198,7 +200,7 @@ class TestWALVersion2:
     def test_damaged_header_is_corruption(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, BATCH0, num_vertices=N, position=0)
+            wal.append(0, COLS0, num_vertices=N, position=0)
         raw = path.read_bytes()
         path.write_bytes(raw.replace(b'"crc":"', b'"crc":"zz', 1))
         with pytest.raises(WALCorruptionError):
@@ -217,7 +219,7 @@ class TestWALVersion2:
             (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
         )
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(1, BATCH1, num_vertices=N, position=1, state_digest="s1")
+            wal.append(1, COLS1, num_vertices=N, position=1, state_digest="s1")
         records, _ = read_wal(path)
         assert [(r.batch_index, r.version) for r in records] == [(0, 1), (1, 2)]
         assert list(records[0].updates) == [EdgeInsert(0, 1)]
@@ -227,11 +229,11 @@ class TestWALVersion2:
     def test_invalid_batch_is_refused_before_anything_is_written(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, BATCH0, num_vertices=N, position=0)
+            wal.append(0, COLS0, num_vertices=N, position=0)
             with pytest.raises(InvalidUpdateError, match="position 12 "):
                 wal.append(
                     1,
-                    [EdgeInsert(0, 1), EdgeInsert(3, 10)],
+                    UpdateColumns.from_updates([EdgeInsert(0, 1), EdgeInsert(3, 10)]),
                     num_vertices=N,
                     position=11,
                     state_digest=lambda: pytest.fail("stamped a refused batch"),
@@ -272,6 +274,33 @@ class TestUpdateColumns:
         np.savez(path, stuff=np.arange(3))
         with pytest.raises(ValueError, match="not an update stream"):
             load_update_stream(path)
+
+    @pytest.mark.parametrize(
+        "member, value, problem",
+        [
+            ("u", np.array([0.5, 1.0]), "dtype float64, expected integer"),
+            ("v", np.array([3.7, 2.0]), "dtype float64, expected integer"),
+            ("u", np.array([True, False]), "dtype bool, expected integer"),
+            ("op", np.array([105, 105]), "dtype int64, expected uint8"),
+            ("w", np.array([0, 0]), "dtype int64, expected floating"),
+            ("v", np.array([[3], [2]]), "shape (2, 1), not 1-D"),
+            ("w", np.zeros(3), "3 entries, 'op' has 2"),
+        ],
+    )
+    def test_malformed_npz_member_is_refused(self, tmp_path, member, value, problem):
+        members = {
+            "op": np.frombuffer(b"ii", dtype=np.uint8),
+            "u": np.array([0, 1]),
+            "v": np.array([3, 2]),
+            "w": np.zeros(2),
+        }
+        members[member] = value
+        path = tmp_path / "bad.npz"
+        np.savez(path, **members)
+        with pytest.raises(ValueError) as info:
+            load_update_stream(path)
+        assert str(path) in str(info.value)
+        assert f"member {member!r} has {problem}" in str(info.value)
 
     @pytest.mark.parametrize(
         "event, reason",

@@ -1,7 +1,8 @@
 """Refused batches, recovery reports, and resuming the old checkpoint layout.
 
 * A batch the graph would refuse is refused *before* its WAL commit, with
-  its batch index and stream position, leaving the run resumable.
+  its batch index and stream position, leaving the run resumable; a plain
+  run refuses it before any of its events reaches the graph.
 * A resume says what recovery had to do: a dropped torn WAL tail and the
   corrupt snapshots it fell back past show up in its summary.
 * A checkpoint directory written before WAL format 2 / snapshot format 3
@@ -95,6 +96,28 @@ class TestInvalidBatchIsRefusedBeforeTheWAL:
         assert np.array_equal(maintainer.cover, reference.final_cover)
         assert maintainer.dual_value == reference.final_dual_value
         assert maintainer.dyn.state_stamp() == _stamp_after(graph, good, 3)
+
+    def test_plain_run_refuses_batch_3_before_any_of_it_applies(self, monkeypatch):
+        graph, _, bad = self._stream()
+        mutations = []
+        for name in ("insert_edge", "delete_edge", "reweight"):
+            mutate = getattr(DynamicGraph, name)
+
+            def spy(self, *args, _mutate=mutate, _name=name):
+                mutations.append((_name, args))
+                return _mutate(self, *args)
+
+            monkeypatch.setattr(DynamicGraph, name, spy)
+        with pytest.raises(InvalidUpdateError) as info:
+            run_stream(graph, bad, batch_size=BATCH_SIZE, eps=EPS, seed=SEED)
+        assert info.value.batch_index == 3
+        assert info.value.position == self.BAD_POSITION
+        assert "batch 3" in str(info.value)
+        assert f"stream position {self.BAD_POSITION}" in str(info.value)
+        # Exactly the events of batches 0-2 reached the graph, one
+        # mutation each, and none of batch 3.
+        assert len(mutations) == 3 * BATCH_SIZE
+        assert ("insert_edge", (5, 999)) not in mutations
 
     def test_the_refused_run_stays_resumable(self, tmp_path):
         graph, good, bad = self._stream()

@@ -16,6 +16,7 @@ from repro.dynamic import (
     CheckpointCorruptionError,
     CheckpointError,
     ResolvePolicy,
+    read_wal,
     resume_stream,
     run_stream,
 )
@@ -70,6 +71,13 @@ class TestResumeScenarios:
         resumed = resume_stream(directory)
         assert resumed.num_batches == 0 and resumed.num_updates == 0
         assert np.array_equal(resumed.final_cover, done.final_cover)
+
+    def test_resumed_elapsed_s_is_the_resume_wall_clock(self, tmp_path, monkeypatch):
+        _, _, _, checkpoint = _setup(tmp_path, monkeypatch)
+        t0 = time.perf_counter()
+        resumed = resume_stream(checkpoint.directory)
+        assert resumed.num_batches > 1
+        assert 0.0 < resumed.elapsed_s <= time.perf_counter() - t0
 
     def test_deleted_snapshot_recovers_from_wal(self, tmp_path, monkeypatch):
         _, _, reference, checkpoint = _setup(tmp_path, monkeypatch)
@@ -179,6 +187,21 @@ class TestResumeScenarios:
         save_update_stream(other, checkpoint.updates_path)
         resumed = resume_stream(checkpoint.directory)
         assert resumed.final_is_cover
+
+    def test_records_are_always_stamped_and_old_stamp_knob_is_ignored(
+        self, tmp_path, monkeypatch
+    ):
+        _, _, reference, checkpoint = _setup(tmp_path, monkeypatch)
+        config = json.load(open(checkpoint.config_path))
+        assert "stamp_digests" not in config
+        # A config written by an older build may still carry the knob.
+        config["stamp_digests"] = False
+        with open(checkpoint.config_path, "w") as fh:
+            json.dump(config, fh)
+        resumed = resume_stream(checkpoint.directory)
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+        records, _ = read_wal(checkpoint.wal_path)
+        assert len(records) == 8 and all(r.state_digest for r in records)
 
     def test_digest_stamps_catch_foreign_wal(self, tmp_path, monkeypatch):
         # Pair checkpoint A's snapshot with checkpoint B's WAL: the

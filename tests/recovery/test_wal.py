@@ -8,6 +8,7 @@ import pytest
 from repro.dynamic import (
     EdgeDelete,
     EdgeInsert,
+    UpdateColumns,
     WALCorruptionError,
     WALError,
     WeightChange,
@@ -33,7 +34,7 @@ def _write(path, *batches, digests=None):
         for i, batch in enumerate(batches):
             wal.append(
                 i,
-                batch,
+                UpdateColumns.from_updates(batch),
                 num_vertices=N,
                 position=position,
                 state_digest=(digests or {}).get(i, ""),
@@ -63,19 +64,28 @@ class TestRoundTrip:
         wal = WriteAheadLog(wal_path, fsync=False)
         wal.close()
         with pytest.raises(WALError, match="closed"):
-            wal.append(0, BATCH0, num_vertices=N, position=0)
+            wal.append(
+                0, UpdateColumns.from_updates(BATCH0), num_vertices=N, position=0
+            )
 
     def test_reopen_appends(self, wal_path):
         _write(wal_path, BATCH0)
         with WriteAheadLog(wal_path, fsync=False) as wal:
-            wal.append(1, BATCH1, num_vertices=N, position=len(BATCH0))
+            wal.append(
+                1,
+                UpdateColumns.from_updates(BATCH1),
+                num_vertices=N,
+                position=len(BATCH0),
+            )
         records, torn = read_wal(wal_path)
         assert not torn and [r.batch_index for r in records] == [0, 1]
 
     def test_fsync_commit_path(self, wal_path):
         # Exercise the fsync branch (the default durability mode).
         with WriteAheadLog(wal_path, fsync=True) as wal:
-            wal.append(0, BATCH0, num_vertices=N, position=0)
+            wal.append(
+                0, UpdateColumns.from_updates(BATCH0), num_vertices=N, position=0
+            )
         records, torn = read_wal(wal_path)
         assert not torn and len(records) == 1
 
@@ -134,7 +144,12 @@ class TestCrashInjection:
         assert not torn and len(records) == 1
         # Appending after repair yields a clean two-record log.
         with WriteAheadLog(wal_path, fsync=False) as wal:
-            wal.append(1, BATCH1, num_vertices=N, position=len(BATCH0))
+            wal.append(
+                1,
+                UpdateColumns.from_updates(BATCH1),
+                num_vertices=N,
+                position=len(BATCH0),
+            )
         records, torn = read_wal(wal_path)
         assert not torn and [r.batch_index for r in records] == [0, 1]
 
