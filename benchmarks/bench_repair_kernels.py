@@ -2,7 +2,7 @@
 
 Not a paper claim — the perf gate of the kernel-vectorization PR
 (DESIGN: the streaming subsystem's pricing-repair and greedy-prune
-kernels, plus the CSR-delta adjacency under them, must be measurably
+kernels, plus the array-native adjacency under them, must be measurably
 faster than the original object-at-a-time implementations while staying
 *bit-identical*).  The bench replays one seeded 100k-update uniform-churn
 stream through two maintainers — the production
@@ -15,8 +15,9 @@ asserts:
 * the vectorized *kernel* time (repair + prune) is at least
   :data:`MIN_KERNEL_SPEEDUP`× faster than the reference's.
 
-End-to-end throughput (which also contains the sequential event-apply
-loop common to both modes) is reported but not gated.  Results are
+End-to-end throughput (which also contains event application: whole-batch
+array operations in production, the event loop in the reference) is
+reported but not gated.  Results are
 emitted as JSON — written to ``$BENCH_REPAIR_JSON`` when set (the CI
 perf-smoke artifact; the committed ``BENCH_repair.json`` baseline is this
 file's output), or to ``--out`` when run as a script::

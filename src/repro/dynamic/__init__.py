@@ -6,9 +6,9 @@ cover under edge churn and weight changes, re-solving only when the
 certificate drifts past a policy bound:
 
 :mod:`repro.dynamic.dynamic_graph`
-    :class:`DynamicGraph` — delta log over the immutable
-    :class:`~repro.graphs.WeightedGraph`, with periodic compaction back to
-    canonical CSR form.
+    :class:`DynamicGraph` — a sorted-array delta over the immutable
+    :class:`~repro.graphs.WeightedGraph`, applied a batch at a time, with
+    periodic compaction back to canonical CSR form.
 :mod:`repro.dynamic.maintainer`
     :class:`IncrementalCoverMaintainer` — local pricing repair + touched
     pruning + a live duality certificate.

@@ -150,6 +150,13 @@ class DualStore:
         m = self._map
         m[code] = m.get(code, 0.0) + pay
 
+    def pop_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Remove the given edge codes; their values in order (0.0 where absent)."""
+        pop = self._map.pop
+        return np.array(
+            [pop(code, 0.0) for code in codes.tolist()], dtype=np.float64
+        )
+
     # ------------------------------------------------------------------ #
     # vectorized array I/O
     # ------------------------------------------------------------------ #

@@ -1,33 +1,41 @@
-"""Mutable graph view: a canonical snapshot plus a CSR-delta overlay.
+"""Mutable graph view: a canonical snapshot plus a sorted-array delta.
 
 :class:`~repro.graphs.WeightedGraph` is deliberately immutable — every
-algorithm in the package depends on its canonical CSR edge order.  A
-dynamic workload therefore needs a wrapper that absorbs updates cheaply and
-re-canonicalizes only occasionally:
+algorithm in the package depends on its canonical edge order.  A dynamic
+workload therefore needs a wrapper that absorbs updates cheaply and
+re-canonicalizes only occasionally.  Its whole state is flat arrays, so a
+batch of updates is applied with a few array operations
+(:meth:`DynamicGraph.flip_edges`, :meth:`DynamicGraph.set_weights`), never
+a Python loop over events or vertices:
 
 * **Base CSR.**  A frozen :class:`WeightedGraph` snapshot, unpacked into
-  flat row-sorted ``indptr``/``indices`` arrays with an *aliveness* mask
-  per adjacency slot.  Deleting a snapshot edge flips two mask bits (found
-  by binary search in the sorted rows); it never rebuilds anything.
-* **Overlay.**  Edges inserted since the snapshot live in small per-vertex
-  sets plus an edge-code set (O(1) insert *and* delete); a maintained
+  row-sorted ``indptr``/``adj`` arrays with an *aliveness* mask per
+  adjacency slot and a keep mask per base edge.  Deleting snapshot edges
+  clears mask bits, found by one ``searchsorted`` against the sorted base
+  edge codes; it never rebuilds anything.
+* **Delta.**  Edges inserted since the snapshot live in a sorted ``int64``
+  array of edge codes ``(u << 32) | v`` (the code of
+  :mod:`repro.dynamic.duals`), mirrored by a sorted array of *directed*
+  codes ``(head << 32) | tail`` holding both directions of each added
+  edge, so a vertex's overlay neighbors are one contiguous slice.  Deleted
+  snapshot edges are the cleared keep bits plus a count.  A maintained
   degree vector absorbs every structural change, so ``degree(v)`` is one
   array read.
 * **Compaction.**  :meth:`compact` folds the delta into a fresh canonical
-  snapshot (one O(m log m) rebuild); :meth:`maybe_compact` does so only
-  once the structural delta exceeds a configurable fraction of the
-  snapshot, so a stream of k updates costs O(k) amortized plus a rebuild
-  every Θ(m) structural changes.
+  snapshot: the current codes are already sorted, so the snapshot skips
+  canonicalization and the CSR is one stable ``argsort``.
+  :meth:`maybe_compact` does so only once the structural delta exceeds a
+  configurable fraction of the snapshot, so a stream costs O(delta) per
+  batch plus a rebuild every Θ(m) structural changes.
 
-Neighbor queries answer against the *current* graph — base CSR minus
-deletions plus insertions.  :meth:`neighbors` returns a flat ``int64``
-array (a zero-copy CSR slice when the vertex has no pending deletions or
-overlay edges), which is what the vectorized repair/prune kernels in
-:mod:`repro.dynamic.repair` consume directly; :meth:`has_edges` answers
-whole frontier-presence queries with one ``searchsorted`` against the
-sorted base edge codes.  Edge identity uses the ``(u << 32) | v`` code of
-:mod:`repro.dynamic.duals`, so presence checks hash one int, never a
-tuple.
+Queries answer against the *current* graph — base CSR minus deletions
+plus insertions.  :meth:`neighbors` returns a flat ``int64`` array (a
+zero-copy CSR slice when the vertex has no pending deletions or overlay
+edges); :meth:`prune_gather` returns whole neighborhoods of a vertex set
+as segments of one array, which is what the prune kernel of
+:mod:`repro.dynamic.repair` consumes; :meth:`has_edges` answers a whole
+frontier with one ``searchsorted`` against the base codes and one against
+the added codes.
 
 :meth:`materialize` produces the current graph as a canonical
 :class:`WeightedGraph` (memoized until the next mutation); its
@@ -44,11 +52,11 @@ weight vector.  It never materializes the graph.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.dynamic.duals import _SHIFT, decode_edge_codes, encode_edge_codes
+from repro.dynamic.duals import _MASK, _SHIFT, decode_edge_codes, encode_edge_codes
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
 
@@ -96,6 +104,23 @@ def _sorted_member(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return sorted_codes[pos] == codes
 
 
+def _segments(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + sizes[i]``, concatenated."""
+    offsets = np.cumsum(sizes) - sizes
+    return np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(
+        starts - offsets, sizes
+    )
+
+
+def _directed(codes: np.ndarray) -> np.ndarray:
+    """Both directed codes ``(u << 32) | v`` and ``(v << 32) | u`` of each
+    edge code, sorted."""
+    u, v = decode_edge_codes(codes)
+    both = np.concatenate([codes, (v << _SHIFT) | u])
+    both.sort()
+    return both
+
+
 class DynamicGraph:
     """A vertex-weighted graph under edge churn and weight changes.
 
@@ -104,7 +129,7 @@ class DynamicGraph:
     base:
         Initial graph (the vertex set stays fixed at ``base.n``).
     compact_fraction:
-        :meth:`maybe_compact` folds the delta log into a new snapshot once
+        :meth:`maybe_compact` folds the delta into a new snapshot once
         ``delta_size > max(min_compact, compact_fraction * snapshot_m)``.
     min_compact:
         Floor for the compaction trigger (avoids thrashing on tiny graphs).
@@ -137,41 +162,35 @@ class DynamicGraph:
         self._base = base
         n, m = base.n, base.m
         self._n = n
-        # Row-sorted CSR (WeightedGraph's lazy CSR groups by head but is
-        # not sorted within a row; the delta layer wants deterministic,
-        # binary-searchable rows).
-        heads = np.concatenate([base.edges_u, base.edges_v])
-        tails = np.concatenate([base.edges_v, base.edges_u])
-        if m:
-            order = np.lexsort((tails, heads))
-            tails = np.ascontiguousarray(tails[order])
-            # Slot of edge e's two directed entries in the sorted CSR —
-            # one O(1) lookup per delete instead of two row searches.
-            inv = np.empty(2 * m, dtype=np.int64)
-            inv[order] = np.arange(2 * m, dtype=np.int64)
-            self._slot_uv = inv[:m]
-            self._slot_vu = inv[m:]
-        else:
-            self._slot_uv = np.empty(0, np.int64)
-            self._slot_vu = np.empty(0, np.int64)
+        # Row-sorted CSR.  Canonical edges are sorted by (u, v), so in
+        # ``heads = [v..., u...]`` each row's lower neighbours (from the
+        # first half) come in ascending order, then its higher ones (from
+        # the second half): one stable sort by head sorts every row.
+        heads = np.concatenate([base.edges_v, base.edges_u])
+        tails = np.concatenate([base.edges_u, base.edges_v])
+        order = np.argsort(heads, kind="stable")
+        # Slots of edge e's two directed entries in the CSR, so deleting
+        # edges is two fancy-index writes into the aliveness mask.
+        slots = np.empty(2 * m, dtype=np.int64)
+        slots[order] = np.arange(2 * m, dtype=np.int64)
+        self._slot_vu = slots[:m]
+        self._slot_uv = slots[m:]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
         self._indptr = indptr
-        self._adj = tails.astype(np.int64, copy=False)
+        self._adj = tails[order]
         # neighbors() hands out zero-copy slices of this array; freeze it
         # so a caller mutating the result fails loudly instead of
         # corrupting the shared adjacency.
         self._adj.setflags(write=False)
-        self._alive = np.ones(self._adj.shape[0], dtype=bool)
+        self._alive = np.ones(2 * m, dtype=bool)
         # Canonical edges are lex-sorted, so their codes arrive sorted.
         self._base_codes = encode_edge_codes(base.edges_u, base.edges_v)
-        self._base_code_set: Set[int] = set(self._base_codes.tolist())
         self._base_keep = np.ones(m, dtype=bool)
-        self._degrees = base.degrees.astype(np.int64).copy()
-        self._added_codes: Set[int] = set()
-        self._deleted_codes: Set[int] = set()
-        self._added_adj: Dict[int, Set[int]] = {}
-        self._delta_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._num_deleted = 0
+        self._added = np.empty(0, dtype=np.int64)
+        self._added_dir = np.empty(0, dtype=np.int64)
+        self._degrees = base.degrees.astype(np.int64)
         self._materialized: Optional[WeightedGraph] = None
         self._base_hash: Optional[int] = None  # lazy: plain streams never stamp
 
@@ -186,26 +205,28 @@ class DynamicGraph:
     @property
     def m(self) -> int:
         """Current number of edges."""
-        return self._base.m - len(self._deleted_codes) + len(self._added_codes)
+        return self._base.m - self._num_deleted + self._added.size
 
     @property
     def weights(self) -> np.ndarray:
-        """Current vertex weights (live array — mutate via :meth:`apply` only)."""
+        """Current vertex weights (live array — mutate via :meth:`apply` or
+        :meth:`set_weights` only)."""
         return self._weights
 
     @property
     def base(self) -> WeightedGraph:
-        """The canonical snapshot under the delta log."""
+        """The canonical snapshot under the delta."""
         return self._base
 
     @property
     def delta_size(self) -> int:
         """Structural updates (inserts + deletes) pending since the snapshot."""
-        return len(self._added_codes) + len(self._deleted_codes)
+        return self._added.size + self._num_deleted
 
     @property
     def generation(self) -> int:
-        """Monotone counter bumped by every effective update (cache invalidation)."""
+        """Monotone counter bumped by every mutation that changes the graph
+        (cache invalidation)."""
         return self._generation
 
     @property
@@ -228,80 +249,58 @@ class DynamicGraph:
             raise ValueError(f"vertex {v} out of range [0, {self._n})")
         return v
 
+    def _edge_code(self, u: int, v: int) -> int:
+        u, v = self._check_vertex(u), self._check_vertex(v)
+        return (u << _SHIFT) | v if u < v else (v << _SHIFT) | u
+
     def has_edge(self, u: int, v: int) -> bool:
         """True iff edge ``{u, v}`` exists in the current graph."""
-        u, v = self._check_vertex(u), self._check_vertex(v)
-        if u == v:
-            return False
-        code = (u << _SHIFT) | v if u < v else (v << _SHIFT) | u
-        if code in self._added_codes:
-            return True
-        return code in self._base_code_set and code not in self._deleted_codes
+        code = self._edge_code(u, v)
+        return u != v and bool(self.has_codes(np.array([code]))[0])
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vectorized presence of canonical ``(u, v)`` endpoint arrays.
+        """Vectorized presence of canonical ``(u, v)`` endpoint arrays."""
+        return self.has_codes(encode_edge_codes(u, v))
 
-        The whole-frontier form of :meth:`has_edge`.  Small frontiers (the
-        per-batch repair prepass) answer from the O(1) code sets directly;
-        large ones go through one ``searchsorted`` against the sorted base
-        codes plus two delta binary searches.
-        """
-        codes = encode_edge_codes(u, v)
-        if codes.size <= 128:
-            added = self._added_codes
-            deleted = self._deleted_codes
-            base = self._base_code_set
-            return np.fromiter(
-                (
-                    c in added or (c in base and c not in deleted)
-                    for c in codes.tolist()
-                ),
-                dtype=bool,
-                count=codes.size,
-            )
-        present = _sorted_member(self._base_codes, codes)
-        added_arr, deleted_arr = self._delta_code_arrays()
-        if deleted_arr.size:
-            present &= ~_sorted_member(deleted_arr, codes)
-        if added_arr.size:
-            present |= _sorted_member(added_arr, codes)
+    def has_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Presence of each edge code: one binary search against the base
+        codes (then its keep bit), one against the added codes."""
+        base = self._base_codes
+        if base.size:
+            pos = np.minimum(np.searchsorted(base, codes), base.size - 1)
+            present = (base[pos] == codes) & self._base_keep[pos]
+        else:
+            present = np.zeros(codes.shape, dtype=bool)
+        if self._added.size:
+            present |= _sorted_member(self._added, codes)
         return present
 
-    def _delta_code_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted ``(added, deleted)`` code arrays, cached per generation."""
-        if self._delta_arrays is None:
-            added = np.fromiter(
-                self._added_codes, dtype=np.int64, count=len(self._added_codes)
-            )
-            added.sort()
-            deleted = np.fromiter(
-                self._deleted_codes, dtype=np.int64, count=len(self._deleted_codes)
-            )
-            deleted.sort()
-            self._delta_arrays = (added, deleted)
-        return self._delta_arrays
+    def _overlay_bounds(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Start and end of each vertex's slice of the directed added codes."""
+        lo = np.searchsorted(self._added_dir, v << _SHIFT)
+        hi = np.searchsorted(self._added_dir, (v + 1) << _SHIFT)
+        return lo, hi
 
     def neighbors(self, v: int) -> np.ndarray:
         """Current neighbors of ``v`` as a flat ``int64`` array.
 
         A zero-copy *read-only* CSR slice when ``v`` has no pending
         deletions or overlay edges (writing to it raises); otherwise the
-        masked slice concatenated with the overlay set.  Base neighbors
-        come out ascending, overlay insertions follow in no guaranteed
-        order — treat the result as a set and copy before mutating.
+        masked slice concatenated with the overlay slice.  Base and overlay
+        neighbors each come out ascending — treat the result as a set and
+        copy before mutating.
         """
         v = self._check_vertex(v)
         s, e = int(self._indptr[v]), int(self._indptr[v + 1])
         row = self._adj[s:e]
-        if self._deleted_codes:
+        if self._num_deleted:
             mask = self._alive[s:e]
             if not mask.all():
                 row = row[mask]
-        over = self._added_adj.get(v)
-        if over:
-            row = np.concatenate(
-                [row, np.fromiter(over, dtype=np.int64, count=len(over))]
-            )
+        if self._added.size:
+            lo, hi = self._overlay_bounds(np.array([v]))
+            if hi[0] > lo[0]:
+                row = np.concatenate([row, self._added_dir[lo[0] : hi[0]] & _MASK])
         return row
 
     def degree(self, v: int) -> int:
@@ -314,48 +313,43 @@ class DynamicGraph:
 
     def prune_gather(
         self, vertices: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched neighborhood gather for the vectorized prune kernel.
 
-        Returns ``(concat, starts, ends, extras)``: the base-CSR
-        neighborhoods of ``vertices[i]`` live in
-        ``concat[starts[i]:ends[i]]`` (deleted slots already filtered),
-        and ``extras[i]`` holds overlay-inserted neighbors for the few
-        vertices that have any.  One ``arange``/``repeat`` index build +
-        one fancy gather replaces a Python-level :meth:`neighbors` call
-        per vertex — the difference between O(candidates) interpreter
-        round trips and three array ops per batch.
+        Returns ``(concat, starts, ends)``: the complete current
+        neighborhood of ``vertices[i]`` — alive base neighbors, then
+        overlay neighbors — is ``concat[starts[i]:ends[i]]``.  Two segment
+        gathers (base CSR rows, overlay slices) and one aliveness filter
+        replace a Python-level :meth:`neighbors` call per vertex.
         """
         v = np.asarray(vertices, dtype=np.int64)
-        row_starts = self._indptr[v]
-        sizes = self._indptr[v + 1] - row_starts
-        total = int(sizes.sum())
+        base_lo = self._indptr[v]
+        base_n = self._indptr[v + 1] - base_lo
+        over_lo, over_hi = self._overlay_bounds(v)
+        over_n = over_hi - over_lo
+        sizes = base_n + over_n
         ends = np.cumsum(sizes)
         starts = ends - sizes
-        idx = np.arange(total, dtype=np.int64) + np.repeat(
-            row_starts - starts, sizes
-        )
-        concat = self._adj[idx]
-        if self._deleted_codes:
-            alive = self._alive[idx]
+        concat = np.empty(int(ends[-1]) if v.size else 0, dtype=np.int64)
+        base_src = _segments(base_lo, base_n)
+        base_dst = _segments(starts, base_n)
+        concat[base_dst] = self._adj[base_src]
+        if over_n.any():
+            over_src = _segments(over_lo, over_n)
+            concat[_segments(starts + base_n, over_n)] = (
+                self._added_dir[over_src] & _MASK
+            )
+        if self._num_deleted:
+            alive = self._alive[base_src]
             if not alive.all():
-                new_sizes = np.zeros(v.size, dtype=np.int64)
+                keep = np.ones(concat.size, dtype=bool)
+                keep[base_dst] = alive
                 nonempty = np.nonzero(sizes)[0]
-                if nonempty.size:
-                    new_sizes[nonempty] = np.add.reduceat(
-                        alive, starts[nonempty]
-                    )
-                concat = concat[alive]
-                ends = np.cumsum(new_sizes)
-                starts = ends - new_sizes
-        extras: Dict[int, np.ndarray] = {}
-        if self._added_adj:
-            added_adj = self._added_adj
-            for i, vid in enumerate(v.tolist()):
-                over = added_adj.get(vid)
-                if over:
-                    extras[i] = np.fromiter(over, dtype=np.int64, count=len(over))
-        return concat, starts, ends, extras
+                sizes[nonempty] = np.add.reduceat(keep, starts[nonempty])
+                concat = concat[keep]
+                ends = np.cumsum(sizes)
+                starts = ends - sizes
+        return concat, starts, ends
 
     # ------------------------------------------------------------------ #
     # updates
@@ -363,131 +357,127 @@ class DynamicGraph:
     def apply(self, update: GraphUpdate) -> bool:
         """Apply one update event; returns True iff it changed the graph.
 
-        A thin dispatcher over :meth:`insert_edge`, :meth:`delete_edge`
-        and :meth:`reweight`, the per-kind mutations a batch applies.
-        Inserting a present edge, deleting an absent edge, and re-setting a
-        weight to its current value are all no-ops returning False — a
-        replayed stream is idempotent per event.
+        A thin wrapper over :meth:`flip_edges` and :meth:`set_weights`,
+        the bulk mutations a batch applies.  Inserting a present edge,
+        deleting an absent edge, and re-setting a weight to its current
+        value are all no-ops returning False — a replayed stream is
+        idempotent per event.
         """
-        if isinstance(update, EdgeInsert):
-            return self.insert_edge(update.u, update.v)
-        if isinstance(update, EdgeDelete):
-            return self.delete_edge(update.u, update.v)
         if isinstance(update, WeightChange):
-            return self.reweight(update.v, update.weight)
-        raise TypeError(f"not a graph update: {type(update).__name__}")
-
-    def _set_alive(self, code: int, alive: bool) -> int:
-        """Flip both directed CSR slots of a base edge; returns its id."""
-        e = int(np.searchsorted(self._base_codes, code))
-        self._alive[self._slot_uv[e]] = alive
-        self._alive[self._slot_vu[e]] = alive
-        return e
-
-    def insert_edge(self, u: int, v: int) -> bool:
-        """Add edge ``{u, v}``; False (a no-op) if it is already present."""
-        u, v = self._check_vertex(u), self._check_vertex(v)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} is not allowed")
-        if u > v:
-            u, v = v, u
-        code = (u << _SHIFT) | v
-        if code in self._added_codes:
-            return False
-        if code in self._base_code_set:
-            if code not in self._deleted_codes:
+            v = self._check_vertex(update.v)
+            weight = float(update.weight)
+            if not np.isfinite(weight) or weight <= 0:
+                raise ValueError(f"vertex weights must be finite and > 0, got {weight}")
+            if self._weights[v] == weight:
                 return False
-            self._deleted_codes.remove(code)
-            self._base_keep[self._set_alive(code, True)] = True
+            self.set_weights(np.array([v]), np.array([weight]))
+            return True
+        if not isinstance(update, (EdgeInsert, EdgeDelete)):
+            raise TypeError(f"not a graph update: {type(update).__name__}")
+        insert = isinstance(update, EdgeInsert)
+        code = self._edge_code(update.u, update.v)
+        if update.u == update.v:
+            if insert:
+                raise ValueError(f"self-loop at vertex {update.u} is not allowed")
+            return False
+        if self.has_edge(update.u, update.v) == insert:
+            return False
+        codes, none = np.array([code], dtype=np.int64), np.empty(0, dtype=np.int64)
+        if insert:
+            self.flip_edges(codes, none)
         else:
-            self._added_codes.add(code)
-            self._added_adj.setdefault(u, set()).add(v)
-            self._added_adj.setdefault(v, set()).add(u)
-        self._degrees[u] += 1
-        self._degrees[v] += 1
-        self._touch()
+            self.flip_edges(none, codes)
         return True
 
-    def delete_edge(self, u: int, v: int) -> bool:
-        """Remove edge ``{u, v}``; False (a no-op) if it is absent."""
-        u, v = self._check_vertex(u), self._check_vertex(v)
-        if u == v:
-            return False
-        if u > v:
-            u, v = v, u
-        code = (u << _SHIFT) | v
-        if code in self._added_codes:
-            self._added_codes.remove(code)
-            self._added_adj[u].discard(v)
-            self._added_adj[v].discard(u)
-        elif code in self._base_code_set and code not in self._deleted_codes:
-            self._deleted_codes.add(code)
-            self._base_keep[self._set_alive(code, False)] = False
-        else:
-            return False
-        self._degrees[u] -= 1
-        self._degrees[v] -= 1
-        self._touch()
-        return True
+    def flip_edges(self, on_codes: np.ndarray, off_codes: np.ndarray) -> None:
+        """Insert the edges ``on_codes`` and delete the edges ``off_codes``.
 
-    def reweight(self, v: int, weight: float) -> bool:
-        """Set ``w(v) = weight``; False (a no-op) if it already is."""
-        v = self._check_vertex(v)
-        weight = float(weight)
-        if not np.isfinite(weight) or weight <= 0:
-            raise ValueError(f"vertex weights must be finite and > 0, got {weight}")
-        if self._weights[v] == weight:
-            return False
-        self._weights[v] = weight
+        Both are sorted, duplicate-free ``int64`` edge-code arrays;
+        ``on_codes`` must be absent and ``off_codes`` present (this is not
+        checked — :meth:`has_codes` answers it).  Snapshot edges flip
+        their keep and aliveness bits; other edges enter or leave the
+        sorted added arrays by ``np.insert``/``np.delete``; degrees move
+        by ``np.add.at``.
+        """
+        on = np.asarray(on_codes, dtype=np.int64)
+        off = np.asarray(off_codes, dtype=np.int64)
+        if not (on.size or off.size):
+            return
+        base_on, added_on = self._split_base(on)
+        base_off, added_off = self._split_base(off)
+        for pos, alive in ((base_off, False), (base_on, True)):
+            if pos.size:
+                self._base_keep[pos] = alive
+                self._alive[self._slot_uv[pos]] = alive
+                self._alive[self._slot_vu[pos]] = alive
+        self._num_deleted += base_off.size - base_on.size
+        if added_off.size:
+            self._added = np.delete(
+                self._added, np.searchsorted(self._added, added_off)
+            )
+            directed = _directed(added_off)
+            self._added_dir = np.delete(
+                self._added_dir, np.searchsorted(self._added_dir, directed)
+            )
+        if added_on.size:
+            self._added = np.insert(
+                self._added, np.searchsorted(self._added, added_on), added_on
+            )
+            directed = _directed(added_on)
+            self._added_dir = np.insert(
+                self._added_dir, np.searchsorted(self._added_dir, directed), directed
+            )
+        np.add.at(self._degrees, np.concatenate(decode_edge_codes(on)), 1)
+        np.subtract.at(self._degrees, np.concatenate(decode_edge_codes(off)), 1)
         self._touch()
-        return True
+
+    def _split_base(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions in the base of the snapshot codes, the other codes)``."""
+        base = self._base_codes
+        if not (codes.size and base.size):
+            return np.empty(0, dtype=np.int64), codes
+        pos = np.minimum(np.searchsorted(base, codes), base.size - 1)
+        in_base = base[pos] == codes
+        return pos[in_base], codes[~in_base]
+
+    def set_weights(self, vertices: np.ndarray, weights: np.ndarray) -> None:
+        """Set ``w(vertices[i]) = weights[i]`` (distinct vertices, finite
+        positive weights — not checked)."""
+        if len(vertices):
+            self._weights[vertices] = weights
+            self._touch()
 
     def _touch(self) -> None:
         self._generation += 1
         self._materialized = None
-        self._delta_arrays = None
 
     # ------------------------------------------------------------------ #
     # materialization / compaction
     # ------------------------------------------------------------------ #
-    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Current endpoint arrays (not necessarily canonical order)."""
-        bu = np.asarray(self._base.edges_u, dtype=np.int64)
-        bv = np.asarray(self._base.edges_v, dtype=np.int64)
-        if self._deleted_codes:
-            bu, bv = bu[self._base_keep], bv[self._base_keep]
-        if self._added_codes:
-            added, _ = self._delta_code_arrays()
-            au, av = decode_edge_codes(added)
-            bu = np.concatenate([bu, au])
-            bv = np.concatenate([bv, av])
-        return bu, bv
-
-    def materialize(self) -> WeightedGraph:
-        """The current graph as a canonical :class:`WeightedGraph` (memoized)."""
-        if self._materialized is None:
-            u, v = self.edge_arrays()
-            self._materialized = WeightedGraph(self.n, u, v, self._weights.copy())
-        return self._materialized
-
     def edge_codes(self) -> np.ndarray:
         """Sorted codes of the current edges — the canonical edge order,
         without building a :class:`WeightedGraph`."""
         kept = self._base_codes
-        if self._deleted_codes:
+        if self._num_deleted:
             kept = kept[self._base_keep]
-        added, _ = self._delta_code_arrays()
-        if not added.size:
+        if not self._added.size:
             return kept
-        return np.insert(kept, np.searchsorted(kept, added), added)
+        return np.insert(kept, np.searchsorted(kept, self._added), self._added)
+
+    def materialize(self) -> WeightedGraph:
+        """The current graph as a canonical :class:`WeightedGraph` (memoized)."""
+        if self._materialized is None:
+            u, v = decode_edge_codes(self.edge_codes())
+            self._materialized = WeightedGraph(self.n, u, v, self._weights.copy())
+        return self._materialized
 
     def content_digest(self) -> str:
         """Stable SHA-256 digest of the *current* graph (snapshot-independent).
 
         Two dynamic graphs that reached the same edge set and weights —
-        regardless of base snapshot, delta-log shape, or compaction
-        history — share one digest.  It materializes the graph (O(m log
-        m)); write-ahead-log records stamp the cheaper :meth:`state_stamp`.
+        regardless of base snapshot, delta shape, or compaction history —
+        share one digest.  It materializes the graph (O(m));
+        write-ahead-log records stamp the cheaper :meth:`state_stamp`.
         """
         return self.materialize().content_digest()
 
@@ -495,23 +485,22 @@ class DynamicGraph:
         """32-hex identity of the current edge set and weights.
 
         Like :meth:`content_digest` it depends only on the current graph,
-        never on its history, but it costs O(delta + n) per call: the
-        base edges' hash is memoized until the next compaction, the
-        delta's comes from the cached sorted delta arrays, and the weights
-        are hashed with BLAKE2b.  It is the pre-apply stamp of
+        never on its history, but it never builds a graph: the base
+        edges' hash is memoized until the next compaction, the delta's
+        comes from the added codes and the cleared keep bits, and the
+        weights are hashed with BLAKE2b.  It is the pre-apply stamp of
         write-ahead-log records.
         """
         if self._base_hash is None:
             self._base_hash = _edge_set_hash(self._base_codes)
-        added, deleted = self._delta_code_arrays()
-        edges = (
-            self._base_hash - _edge_set_hash(deleted) + _edge_set_hash(added)
-        ) & _MASK64
+        edges = self._base_hash + _edge_set_hash(self._added)
+        if self._num_deleted:
+            edges -= _edge_set_hash(self._base_codes[~self._base_keep])
         weights = hashlib.blake2b(self._weights, digest_size=8)
-        return f"{edges:016x}{weights.hexdigest()}"
+        return f"{edges & _MASK64:016x}{weights.hexdigest()}"
 
     def compact(self) -> WeightedGraph:
-        """Fold the delta log into a fresh canonical snapshot and return it."""
+        """Fold the delta into a fresh canonical snapshot and return it."""
         if self._materialized is not self._base:
             snapshot = self.materialize()
             self._set_base(snapshot)

@@ -22,8 +22,9 @@ re-solving from scratch.  The invariants after every
    are covered; untouched vertices keep their state, so the pass is
    O(batch-neighborhood), not O(n).
 
-The hot path runs the vectorized kernels of :mod:`repro.dynamic.repair`
-over the dynamic graph's CSR-delta arrays.
+The hot path applies each batch with whole-array operations and runs the
+vectorized kernels of :mod:`repro.dynamic.repair` over the dynamic
+graph's arrays.
 
 The certificate degrades (``drift``) as churn accumulates — deletions strand
 cover weight whose paying edges are gone, weight changes bend the dual
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -153,6 +154,16 @@ class BatchReport:
         # `drift` stays the last key, matching the historical row layout.
         row["drift"] = row.pop("drift")
         return row
+
+
+def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the first and of the last element of each run of equal
+    values in a sorted array."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    last = np.ones(keys.size, dtype=bool)
+    last[:-1] = first[1:]
+    return first, last
 
 
 class IncrementalCoverMaintainer:
@@ -433,13 +444,18 @@ class IncrementalCoverMaintainer:
         """Apply a batch of updates and repair the cover locally.
 
         ``updates`` is converted to :class:`UpdateColumns` unless it is
-        already.  The repair budget is proportional to the batch's touched
+        already.  The batch is validated whole first
+        (:meth:`UpdateColumns.validate`, positions counted from the
+        batch's first event), so a batch with a bad event raises
+        :class:`~repro.graphs.updates.InvalidUpdateError` and changes
+        nothing.  The repair budget is proportional to the batch's touched
         neighborhood: uncovered inserted edges are patched by the pricing
         rule, then touched vertices are pruned greedily.  The certificate
         in the returned report reflects the post-repair state.
         """
         if not isinstance(updates, UpdateColumns):
             updates = UpdateColumns.from_updates(updates)
+        updates.validate(self.dyn.n, batch_index=self._batches, start=0)
         profiling = self._profile
         t_mark = time.perf_counter() if profiling else 0.0
         events = self._apply_events(updates)
@@ -449,16 +465,15 @@ class IncrementalCoverMaintainer:
             adjacency_s, t_mark = now - t_mark, now
 
         repaired, entered = self._repair(uncovered)
-        touched |= entered
         if profiling:
             now = time.perf_counter()
             repair_s, t_mark = now - t_mark, now
-        pruned = self._prune_touched(touched)
+        pruned = self._prune_touched(touched, entered)
         if profiling:
             now = time.perf_counter()
             prune_s, t_mark = now - t_mark, now
-        # Amortized: fold the delta log into a fresh snapshot once it
-        # outgrows the base (the maintainer's edge-code-keyed state is
+        # Amortized: fold the delta into a fresh snapshot once it outgrows
+        # the base (the maintainer's edge-code-keyed state is
         # snapshot-independent, so compaction is invisible here).  Booked
         # under adjacency_s — it is CSR maintenance, not prune work.
         self.dyn.maybe_compact()
@@ -497,59 +512,133 @@ class IncrementalCoverMaintainer:
         return report
 
     def _apply_events(self, cols: UpdateColumns) -> Tuple:
-        """Apply a batch's events to the graph in stream order.
+        """Apply a validated batch to the graph with whole-array operations.
 
         Returns ``(inserts, deletes, reweights, retired, touched,
         uncovered)``: effective events by kind, the dual mass retired with
-        deleted edges (one at a time, so ``loads`` is decremented and
-        clamped event by event), the touched vertices, and the inserted
-        edges that arrived uncovered.
+        deleted edges, the touched vertices (an id array), and the
+        inserted edges that arrived uncovered (a sorted ``(k, 2)`` key
+        array).  The result equals applying the events one at a time in
+        stream order:
+
+        * Edge events are stable-sorted by edge code.  The presence before
+          a code's first event is the graph's; before any later one, it is
+          the previous event's target.  An event is *effective* iff its
+          target differs from that presence, and each code whose final
+          target differs from its first presence flips once, in one
+          :meth:`DynamicGraph.flip_edges` call.
+        * Reweights group by vertex the same way: effective iff the weight
+          differs from the one before it; the last one wins.
+        * The cover does not change until repair, so the uncovered edges
+          are the effective inserts with both endpoints uncovered.
+        * Only an edge present at batch start can hold a dual, so each
+          such edge's first effective delete retires it, in stream order
+          (:meth:`_retire_duals`).
         """
-        cover = self._cover
-        insert_edge, delete_edge = self.dyn.insert_edge, self.dyn.delete_edge
-        reweight = self.dyn.reweight
-        inserts = deletes = reweights = 0
-        retired = 0.0
-        touched: Set[int] = set()
-        uncovered: List[Tuple[int, int]] = []
-        for op, u, v, w in zip(
-            cols.op.tolist(), cols.u.tolist(), cols.v.tolist(), cols.w.tolist()
-        ):
-            if op == OP_INSERT:
-                if insert_edge(u, v):
-                    inserts += 1
-                    key = (u, v) if u < v else (v, u)
-                    touched.update(key)
-                    if not (cover[key[0]] or cover[key[1]]):
-                        uncovered.append(key)
-            elif op == OP_DELETE:
-                if delete_edge(u, v):
-                    deletes += 1
-                    key = (u, v) if u < v else (v, u)
-                    touched.update(key)
-                    retired += self._retire_dual(key)
-            elif op == OP_REWEIGHT:
-                if reweight(v, w):
-                    reweights += 1
-                    touched.add(v)
-            else:
-                raise ValueError(f"unknown update op code {op!r}")
+        inserts, deletes, retired, edge_touched, uncovered = self._apply_edge_events(
+            cols
+        )
+        reweights, weight_touched = self._apply_reweights(cols)
+        touched = np.unique(np.concatenate([edge_touched, weight_touched]))
         return inserts, deletes, reweights, retired, touched, uncovered
 
-    def _retire_dual(self, key: Tuple[int, int]) -> float:
-        """Drop a deleted edge's dual; returns the retired mass."""
-        pay = self._x.pop(key, 0.0)
-        if pay:
-            for t in key:
-                self._loads[t] -= pay
-                if self._loads[t] < 0.0:  # accumulated float noise
-                    self._loads[t] = 0.0
-            self._dual_value -= pay
-            if self._dual_value < 0.0:
-                self._dual_value = 0.0
-        return pay
+    def _apply_edge_events(self, cols: UpdateColumns) -> Tuple:
+        """The edge half of :meth:`_apply_events`: ``(inserts, deletes,
+        retired, touched, uncovered)``."""
+        op = cols.op
+        edge_pos = np.flatnonzero((op == OP_INSERT) | (op == OP_DELETE))
+        u, v = cols.u[edge_pos], cols.v[edge_pos]
+        proper = u != v  # a self-loop delete is a no-op (inserts are refused)
+        if not proper.all():
+            edge_pos, u, v = edge_pos[proper], u[proper], v[proper]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        codes = encode_edge_codes(lo, hi)
+        order = np.argsort(codes, kind="stable")
+        codes, lo, hi, edge_pos = codes[order], lo[order], hi[order], edge_pos[order]
+        target = op[edge_pos] == OP_INSERT
+        first, last = _runs(codes)
+        before = np.empty_like(target)
+        before[1:] = target[:-1]
+        start = self.dyn.has_codes(codes[first])
+        before[first] = start
+        effective = target != before
+        eff_insert = effective & target
 
-    def _repair(self, uncovered: Iterable[Tuple[int, int]]) -> Tuple[int, Set[int]]:
+        # A code's first effective event is a delete iff the code was
+        # present at batch start; that delete retires its dual.
+        eff_idx = np.flatnonzero(effective)
+        lead = eff_idx[np.diff(np.cumsum(first)[eff_idx], prepend=0) != 0]
+        retiring = lead[~target[lead]]
+        retiring = retiring[np.argsort(edge_pos[retiring])]
+
+        end = target[last]
+        flip = end != start
+        self.dyn.flip_edges(codes[last][flip & end], codes[last][flip & ~end])
+        retired = self._retire_duals(codes[retiring])
+
+        cover = self._cover
+        uncovered = np.unique(codes[eff_insert & ~(cover[lo] | cover[hi])])
+        return (
+            int(eff_insert.sum()),
+            int(effective.sum()) - int(eff_insert.sum()),
+            retired,
+            np.concatenate([lo[effective], hi[effective]]),
+            np.stack(decode_edge_codes(uncovered), axis=1),
+        )
+
+    def _apply_reweights(self, cols: UpdateColumns) -> Tuple[int, np.ndarray]:
+        """The reweight half of :meth:`_apply_events`: ``(reweights,
+        touched)``."""
+        pos = np.flatnonzero(cols.op == OP_REWEIGHT)
+        v, w = cols.v[pos], cols.w[pos]
+        order = np.argsort(v, kind="stable")
+        v, w = v[order], w[order]
+        first, last = _runs(v)
+        before = np.empty_like(w)
+        before[1:] = w[:-1]
+        before[first] = self.dyn.weights[v[first]]
+        changed = w != before
+        if changed.any():
+            self.dyn.set_weights(v[last], w[last])
+        return int(changed.sum()), v[changed]
+
+    def _retire_duals(self, codes: np.ndarray) -> float:
+        """Drop the duals of deleted edges ``codes`` (in stream order);
+        returns the retired mass.
+
+        The per-edge rule subtracts the dual from both endpoint loads and
+        from the dual total, clamping each at zero (accumulated float
+        noise).  These only decrease, so when none ends below zero no
+        clamp fired on the way, and ``np.subtract.at``/``accumulate`` —
+        which apply their operands strictly in order — equal the
+        edge-at-a-time loop bit for bit.  Otherwise the loop runs.
+        """
+        pays = self._x.pop_codes(codes)
+        paid = np.flatnonzero(pays)
+        if not paid.size:
+            return 0.0
+        pays = pays[paid]
+        u, v = decode_edge_codes(codes[paid])
+        ends = np.stack([u, v], axis=1).ravel()
+        loads = self._loads
+        saved = loads[ends]
+        np.subtract.at(loads, ends, np.repeat(pays, 2))
+        dual = float(np.subtract.accumulate(np.r_[self._dual_value, pays])[-1])
+        if dual < 0.0 or (loads[ends] < 0.0).any():
+            loads[ends] = saved
+            dual = self._dual_value
+            for t, pay in zip(ends.tolist(), np.repeat(pays, 2).tolist()):
+                loads[t] -= pay
+                if loads[t] < 0.0:
+                    loads[t] = 0.0
+            for pay in pays.tolist():
+                dual -= pay
+                if dual < 0.0:
+                    dual = 0.0
+        self._dual_value = dual
+        return float(np.add.accumulate(pays)[-1])
+
+    def _repair(self, uncovered: np.ndarray) -> Tuple[int, Set[int]]:
         """Patch uncovered edges via the pricing-repair kernel.
 
         For each still-uncovered edge, raise its dual by the smaller
@@ -560,7 +649,7 @@ class IncrementalCoverMaintainer:
         :func:`repro.dynamic.repair.pricing_repair_pass`.
         """
         outcome = pricing_repair_pass(
-            sorted(set(uncovered)),
+            uncovered,
             weights=self.dyn.weights,
             cover=self._cover,
             loads=self._loads,
@@ -571,8 +660,9 @@ class IncrementalCoverMaintainer:
         self._dual_value = outcome.dual_value
         return outcome.repaired, outcome.entered
 
-    def _prune_touched(self, touched: Set[int]) -> int:
-        """Greedy redundancy pruning restricted to the touched vertices.
+    def _prune_touched(self, touched: np.ndarray, entered: Set[int]) -> int:
+        """Greedy redundancy pruning restricted to the touched vertices
+        and those the repair put into the cover.
 
         The kernel walks the dynamic CSR directly — O(batch
         neighborhood), *never* materializing the graph: decreasing
@@ -580,8 +670,12 @@ class IncrementalCoverMaintainer:
         endpoint is covered, and dropping ``v`` locks its neighbors —
         each now solely covers its edge to ``v``.
         """
-        candidates = [v for v in touched if self._cover[v]]
-        if not candidates:
+        if entered:
+            touched = np.union1d(
+                touched, np.fromiter(entered, dtype=np.int64, count=len(entered))
+            )
+        candidates = touched[self._cover[touched]]
+        if not candidates.size:
             return 0
         pruned = greedy_prune_pass(
             candidates,

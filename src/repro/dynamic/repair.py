@@ -36,7 +36,7 @@ anyway, making the pass-start droppability mask decision-equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Set, Tuple
+from typing import Callable, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class RepairOutcome:
 
 
 def pricing_repair_pass(
-    keys: Iterable[EdgeKey],
+    keys: Union[np.ndarray, Sequence[EdgeKey]],
     *,
     weights: np.ndarray,
     cover: np.ndarray,
@@ -88,12 +88,13 @@ def pricing_repair_pass(
     """Patch uncovered edges via the local-ratio/pricing rule.
 
     ``keys`` must be canonical ``(u, v)`` pairs with ``u < v`` in sorted
-    order.  For each edge still present and still uncovered, the dual is
-    raised by the smaller endpoint residual ``w − y``; every endpoint
-    whose residual is exhausted enters the cover.  An endpoint already
-    fully paid (residual ≤ 0, possible after an adopted solve with load
-    factor > 1 or a weight decrease) enters for free.  ``cover``,
-    ``loads`` and ``duals`` are mutated in place.
+    order (a ``(k, 2)`` array or a sequence of pairs).  For each edge still
+    present and still uncovered, the dual is raised by the smaller
+    endpoint residual ``w − y``; every endpoint whose residual is
+    exhausted enters the cover.  An endpoint already fully paid
+    (residual ≤ 0, possible after an adopted solve with load factor > 1
+    or a weight decrease) enters for free.  ``cover``, ``loads`` and
+    ``duals`` are mutated in place.
 
     ``has_edges(u_arr, v_arr) -> bool array`` answers presence for the
     whole frontier at once (an edge inserted then deleted within the same
@@ -102,11 +103,10 @@ def pricing_repair_pass(
     weights/tolerances; the ordered dual-accumulation tail runs over the
     survivors only (see the module docstring for the exactness argument).
     """
-    key_list = keys if isinstance(keys, list) else list(keys)
-    if not key_list:
+    arr = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+    if not arr.size:
         return RepairOutcome(repaired=0, entered=set(), dual_value=dual_value)
 
-    arr = np.asarray(key_list, dtype=np.int64).reshape(len(key_list), 2)
     u_arr, v_arr = arr[:, 0], arr[:, 1]
     keep = ~(cover[u_arr] | cover[v_arr]) & has_edges(u_arr, v_arr)
     if not keep.any():
@@ -156,7 +156,7 @@ def pricing_repair_pass(
 
 
 def greedy_prune_pass(
-    candidates: Iterable[int],
+    candidates: Union[np.ndarray, Sequence[int]],
     *,
     weights: np.ndarray,
     cover: np.ndarray,
@@ -173,17 +173,16 @@ def greedy_prune_pass(
 
     ``degrees_of(ids)`` gathers current degrees and ``gather(ids)``
     returns every *complete* current neighborhood as ``(concat, starts,
-    ends, extras)`` (:meth:`~repro.dynamic.DynamicGraph.prune_gather`) —
-    a partial neighborhood would silently break the cover.  Ordering is
+    ends)`` (:meth:`~repro.dynamic.DynamicGraph.prune_gather`) — a
+    partial neighborhood would silently break the cover.  Ordering is
     one ``lexsort``, droppability is one gathered ``cover`` reduction over
     the concatenated neighbor arrays, and the sequential tail does O(1)
     work per candidate.  The pass-start droppability mask never disagrees
     with a live re-check for an unlocked candidate (see the module
     docstring).
     """
-    cand = np.fromiter(
-        (v for v in candidates if cover[v]), dtype=np.int64
-    )
+    cand = np.asarray(candidates, dtype=np.int64).reshape(-1)
+    cand = cand[cover[cand]]
     if cand.size == 0:
         return []
 
@@ -193,9 +192,8 @@ def greedy_prune_pass(
         eff = np.where(degs > 0, w / np.maximum(degs, 1), np.inf)
     ordered = cand[np.lexsort((cand, -eff))]
 
-    # One index build + one fancy gather for the whole candidate set
-    # (overlay-inserted neighbors ride in `extras`).
-    concat, starts, ends, extras = gather(ordered)
+    # One gather for the whole candidate set.
+    concat, starts, ends = gather(ordered)
     sizes = ends - starts
     droppable = np.ones(ordered.size, dtype=bool)
     nonempty = np.nonzero(sizes)[0]
@@ -203,9 +201,6 @@ def greedy_prune_pass(
         droppable[nonempty] = np.minimum.reduceat(
             cover[concat], starts[nonempty]
         )
-    for i, arr in extras.items():
-        if droppable[i] and not cover[arr].all():
-            droppable[i] = False
     drop_flags = droppable.tolist()
     seg_starts = starts.tolist()
     seg_ends = ends.tolist()
@@ -219,9 +214,6 @@ def greedy_prune_pass(
         seg = concat[seg_starts[i] : seg_ends[i]]
         if seg.size:
             locked[seg] = True
-        extra = extras.get(i)
-        if extra is not None:
-            locked[extra] = True
     return pruned
 
 

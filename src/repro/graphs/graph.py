@@ -57,6 +57,9 @@ def canonical_edges(
     """Return edges in canonical form: ``u < v``, lexicographically sorted,
     duplicates merged.
 
+    Input that is already canonical is returned as is (the int64 arrays
+    themselves, when that is what was passed), after an O(m) check.
+
     Self-loops are rejected (a self-loop forces its vertex into every cover
     and is better handled by preprocessing).  Endpoints outside ``[0, n)``
     are rejected.
@@ -83,6 +86,13 @@ def canonical_edges(
     hi_ok = (u < n) & (v < n)
     if not (lo_ok & hi_ok).all():
         raise ValueError(f"edge endpoints must lie in [0, {n})")
+    if (u < v).all():
+        # Already canonical (``u < v``, strictly increasing) — the form every
+        # graph file and every materialized dynamic graph arrives in — costs
+        # one O(m) scan and no sort.
+        du = np.diff(u)
+        if ((du > 0) | ((du == 0) & (np.diff(v) > 0))).all():
+            return u, v
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     # Sort lexicographically by (lo, hi); a single key `lo * n + hi` would
@@ -96,6 +106,19 @@ def canonical_edges(
             raise ValueError("duplicate edges present and allow_duplicates=False")
         lo, hi = lo[keep], hi[keep]
     return lo, hi
+
+
+def _frozen(arr: np.ndarray, source) -> np.ndarray:
+    """``arr`` made read-only, copied first if it shares memory with a
+    caller's ``source`` array that someone could still write through."""
+    if (
+        isinstance(source, np.ndarray)
+        and (source.flags.writeable or source.base is not None)
+        and np.may_share_memory(arr, source)
+    ):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 class WeightedGraph:
@@ -142,11 +165,11 @@ class WeightedGraph:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         self._n = n
-        u, v = canonical_edges(np.asarray(list(edges_u) if not isinstance(edges_u, np.ndarray) else edges_u),
-                               np.asarray(list(edges_v) if not isinstance(edges_v, np.ndarray) else edges_v),
-                               n=n)
-        self._edges_u = u
-        self._edges_v = v
+        if not isinstance(edges_u, np.ndarray):
+            edges_u = np.asarray(list(edges_u))
+        if not isinstance(edges_v, np.ndarray):
+            edges_v = np.asarray(list(edges_v))
+        u, v = canonical_edges(edges_u, edges_v, n=n)
         if weights is None:
             w = np.ones(n, dtype=np.float64)
         else:
@@ -155,10 +178,11 @@ class WeightedGraph:
                 raise ValueError(f"weights has length {w.shape[0]}, expected {n}")
             if n and not (w > 0).all():
                 raise ValueError("vertex weights must be strictly positive")
-        w.setflags(write=False)
-        u.setflags(write=False)
-        v.setflags(write=False)
-        self._weights = w
+        u = _frozen(u, edges_u)
+        v = _frozen(v, edges_v)
+        self._edges_u = u
+        self._edges_v = v
+        self._weights = _frozen(w, weights)
         deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         deg = deg.astype(np.int64)
         deg.setflags(write=False)
@@ -273,24 +297,8 @@ class WeightedGraph:
         }
 
     def __setstate__(self, state):
-        # The payload comes from __getstate__, whose arrays are already
-        # canonical — restore directly rather than paying the O(m log m)
-        # canonicalization in __init__ on every unpickle.
-        n = int(state["n"])
-        u = np.ascontiguousarray(state["edges_u"], dtype=np.int64)
-        v = np.ascontiguousarray(state["edges_v"], dtype=np.int64)
-        w = np.ascontiguousarray(state["weights"], dtype=np.float64)
-        deg = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)).astype(np.int64)
-        for arr in (u, v, w, deg):
-            arr.setflags(write=False)
-        self._n = n
-        self._edges_u = u
-        self._edges_v = v
-        self._weights = w
-        self._degrees = deg
-        self._indptr = None
-        self._adj_vertices = None
-        self._adj_edges = None
+        # The payload's arrays are canonical, so __init__ checks them in O(m).
+        self.__init__(state["n"], state["edges_u"], state["edges_v"], state["weights"])
         self._digest = state.get("digest")
 
     # ------------------------------------------------------------------ #

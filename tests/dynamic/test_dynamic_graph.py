@@ -10,6 +10,10 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
 
 
+def _codes(pairs):
+    return np.array([(u << 32) | v for u, v in pairs], dtype=np.int64)
+
+
 @pytest.fixture
 def dyn_path4():
     """Path 0-1-2-3 wrapped in a DynamicGraph."""
@@ -129,6 +133,54 @@ class TestQueries:
         eu, ev = mat.edges_u, mat.edges_v
         assert dyn.has_edges(eu, ev).all()
         assert dyn.degrees_of(np.arange(60)).tolist() == mat.degrees.tolist()
+
+
+class TestArrayState:
+    """The flat arrays behind the queries."""
+
+    def test_base_csr_rows_ascend_and_slots_point_at_their_edges(self):
+        base = gnp_average_degree(70, 6.0, seed=7)
+        dyn = DynamicGraph(base)
+        indptr, adj = dyn._indptr, dyn._adj
+        for v in range(base.n):
+            row = adj[indptr[v] : indptr[v + 1]]
+            assert (np.diff(row) > 0).all(), f"row {v} is not ascending"
+            assert sorted(row.tolist()) == sorted(base.neighbors(v).tolist())
+        heads = np.repeat(np.arange(base.n), np.diff(indptr))
+        u, v = base.edges_u, base.edges_v
+        assert (heads[dyn._slot_uv] == u).all() and (adj[dyn._slot_uv] == v).all()
+        assert (heads[dyn._slot_vu] == v).all() and (adj[dyn._slot_vu] == u).all()
+        both = np.concatenate([dyn._slot_uv, dyn._slot_vu])
+        assert sorted(both.tolist()) == list(range(2 * base.m))
+
+    def test_flip_edges_inserts_and_deletes_in_bulk(self, dyn_path4):
+        g0 = dyn_path4.generation
+        dyn_path4.flip_edges(_codes([(0, 2), (0, 3)]), _codes([(1, 2)]))
+        assert dyn_path4.generation == g0 + 1
+        assert dyn_path4.edge_codes().tolist() == _codes(
+            [(0, 1), (0, 2), (0, 3), (2, 3)]
+        ).tolist()
+        assert dyn_path4.degrees_of(np.arange(4)).tolist() == [3, 1, 2, 2]
+        assert dyn_path4.m == 4 and dyn_path4.delta_size == 3
+        dyn_path4.flip_edges(_codes([(1, 2)]), _codes([(0, 2), (0, 3)]))
+        assert dyn_path4.delta_size == 0
+        assert dyn_path4.materialize() == dyn_path4.base
+
+    def test_prune_gather_segments_are_whole_neighborhoods(self):
+        base = gnp_average_degree(50, 4.0, seed=8)
+        dyn = DynamicGraph(base)
+        rng = np.random.default_rng(9)
+        for _ in range(150):
+            u, v = (int(x) for x in rng.integers(0, 50, size=2))
+            if u != v:
+                dyn.apply(EdgeInsert(u, v) if rng.random() < 0.5 else EdgeDelete(u, v))
+        vertices = rng.permutation(50)[:30]
+        concat, starts, ends = dyn.prune_gather(vertices)
+        mat = dyn.materialize()
+        for i, v in enumerate(vertices.tolist()):
+            got = concat[starts[i] : ends[i]].tolist()
+            assert sorted(got) == sorted(mat.neighbors(v).tolist())
+            assert sorted(dyn.neighbors(v).tolist()) == sorted(got)
 
 
 class TestMaterializeCompact:

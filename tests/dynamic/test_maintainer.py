@@ -10,6 +10,7 @@ from repro.dynamic import (
     EdgeDelete,
     EdgeInsert,
     IncrementalCoverMaintainer,
+    InvalidUpdateError,
     WeightChange,
 )
 from repro.graphs.generators import gnp_average_degree, star
@@ -143,6 +144,44 @@ class TestRepair:
         )
         assert report.num_updates == 3
         assert report.applied <= 3  # duplicate insert is a no-op
+
+
+class TestAtomicBatch:
+    """A batch with a bad event, however far in, changes nothing."""
+
+    @staticmethod
+    def _state(m):
+        return (
+            m.dyn.state_stamp(),
+            m.dyn.generation,
+            m.cover.tobytes(),
+            m._loads.tobytes(),
+            m.edge_duals(),
+            m.dual_value,
+            m.batches_applied,
+        )
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (EdgeInsert(5, 300), "vertex 300 out of range"),
+            (EdgeDelete(-1, 5), "vertex -1 out of range"),
+            (EdgeInsert(7, 7), "self-loop at vertex 7"),
+            (WeightChange(4, float("nan")), "finite and > 0"),
+        ],
+    )
+    def test_bad_event_mid_batch_leaves_state_unchanged(self, medium, bad, reason):
+        m = _solved_maintainer(medium)
+        m.apply_batch([EdgeInsert(1, 2), EdgeDelete(3, 4)])
+        u, v = int(medium.edges_u[0]), int(medium.edges_v[0])
+        good = [EdgeDelete(u, v), EdgeInsert(10, 11), WeightChange(3, 0.5)]
+        before = self._state(m)
+        with pytest.raises(InvalidUpdateError, match=reason) as info:
+            m.apply_batch(good + [bad] + good)
+        assert info.value.batch_index == 1 and info.value.position == 3
+        assert self._state(m) == before
+        # The batch without its bad event still applies.
+        assert m.apply_batch(good + good).applied > 0
 
 
 class TestSoundness:

@@ -44,7 +44,71 @@ class TestCanonicalEdges:
             canonical_edges(np.array([0, 1]), np.array([1]), n=3)
 
 
+class TestCanonicalFastPath:
+    """Already-canonical input skips the sort; anything else still sorts."""
+
+    U = np.array([0, 0, 1, 2, 2], dtype=np.int64)
+    V = np.array([1, 3, 2, 3, 4], dtype=np.int64)
+
+    def test_canonical_input_comes_back_equal(self):
+        u, v = canonical_edges(self.U, self.V, n=5)
+        assert u.tolist() == self.U.tolist()
+        assert v.tolist() == self.V.tolist()
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ([1, 0, 2, 3, 4], [0, 3, 1, 2, 2]),  # reversed orientation
+            ([2, 0, 1, 0, 2], [4, 1, 2, 3, 3]),  # unsorted
+            ([0, 0, 0, 1, 2, 2], [1, 1, 3, 2, 3, 4]),  # a duplicate
+            ([0, 0, 1, 2, 2, 2], [1, 3, 2, 3, 4, 3]),  # a late duplicate
+        ],
+    )
+    def test_non_canonical_input_is_canonicalized(self, u, v):
+        cu, cv = canonical_edges(np.array(u), np.array(v), n=5)
+        assert cu.tolist() == self.U.tolist()
+        assert cv.tolist() == self.V.tolist()
+
+    def test_self_loop_in_sorted_input_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            canonical_edges(np.array([0, 1, 2]), np.array([1, 1, 3]), n=4)
+
+    @pytest.mark.parametrize("u, v", [([0, 1], [1, 4]), ([-1, 0], [0, 1])])
+    def test_out_of_range_in_sorted_input_rejected(self, u, v):
+        with pytest.raises(ValueError, match="endpoints"):
+            canonical_edges(np.array(u), np.array(v), n=4)
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_callers_arrays_stay_writable_and_unshared(self, canonical):
+        u = np.array([0, 0, 1] if canonical else [1, 0, 2], dtype=np.int64)
+        v = np.array([1, 2, 2] if canonical else [0, 2, 1], dtype=np.int64)
+        w = np.array([1.0, 2.0, 3.0])
+        g = WeightedGraph(3, u, v, w)
+        for arr in (u, v, w):
+            assert arr.flags.writeable
+            for frozen in (g.edges_u, g.edges_v, g.weights):
+                assert not np.shares_memory(arr, frozen)
+        u[0], v[0], w[0] = 2, 2, 9.0  # the caller's writes land in its own arrays
+        assert g.edges_u.tolist() == [0, 0, 1]
+        assert g.edges_v.tolist() == [1, 2, 2]
+        assert g.weights.tolist() == [1.0, 2.0, 3.0]
+        assert not (g.edges_u.flags.writeable or g.weights.flags.writeable)
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        w = np.array([1.0, 2.0])
+        view = w[:]
+        view.setflags(write=False)
+        g = WeightedGraph(2, [0], [1], view)
+        w[0] = 5.0
+        assert g.weights.tolist() == [1.0, 2.0]
+
+    def test_derived_graph_shares_the_frozen_edges(self, triangle):
+        h = triangle.with_weights(np.array([1.0, 2.0, 3.0]))
+        assert h.edges_u is triangle.edges_u
+        assert h.edges_v is triangle.edges_v
+
     def test_basic(self, triangle):
         assert triangle.n == 3
         assert triangle.m == 3

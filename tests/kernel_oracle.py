@@ -2,8 +2,8 @@
 
 :mod:`repro.dynamic.repair` runs vectorized kernels, and
 :meth:`IncrementalCoverMaintainer.apply_batch
-<repro.dynamic.IncrementalCoverMaintainer.apply_batch>` walks a batch's
-columns; their results must equal these original object-at-a-time loops
+<repro.dynamic.IncrementalCoverMaintainer.apply_batch>` applies a whole
+batch with array operations; their results must equal these original object-at-a-time loops
 bit for bit.  :class:`ReferenceMaintainer` swaps them into an
 :class:`~repro.dynamic.IncrementalCoverMaintainer`, so a differential test
 or a benchmark can replay one stream through both and compare covers,
@@ -19,9 +19,9 @@ from typing import Callable, Iterable, List, Set, Tuple
 import numpy as np
 
 from repro.core.postprocess import prune_redundant_vertices
-from repro.dynamic import IncrementalCoverMaintainer
+from repro.dynamic import IncrementalCoverMaintainer, decode_edge_codes
 from repro.dynamic.repair import RESIDUAL_RTOL, RepairOutcome
-from repro.graphs.updates import EdgeDelete, EdgeInsert, WeightChange
+from repro.graphs.updates import EdgeInsert, WeightChange
 
 EdgeKey = Tuple[int, int]
 
@@ -107,38 +107,76 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
     """A maintainer running the reference loops instead of the fast paths.
 
     Events are applied one :data:`~repro.graphs.updates.GraphUpdate`
-    object at a time through :meth:`DynamicGraph.apply
-    <repro.dynamic.DynamicGraph.apply>`, dispatched by ``isinstance``.
-    Touched sets above an eighth of the graph are pruned by the restricted
-    sweep of :func:`repro.core.postprocess.prune_redundant_vertices` on the
+    object at a time, dispatched by ``isinstance``.  Whether an event is
+    effective is decided against :attr:`model_edges`, a plain Python set
+    of the current canonical edges kept here — not by the graph's bulk
+    mutation code, which the production path shares — and each effective
+    event then reaches the graph through :meth:`DynamicGraph.apply
+    <repro.dynamic.DynamicGraph.apply>`, which must agree.  A test can
+    check ``dyn.edge_codes()`` against :meth:`model_codes` after every
+    batch.  Deleted edges' duals retire one at a time, clamping each load
+    and the dual total at zero.  Touched sets above an eighth of the graph
+    are pruned by the restricted sweep of
+    :func:`repro.core.postprocess.prune_redundant_vertices` on the
     materialized graph — the same greedy order and droppability rule, so
     the result is unchanged.
     """
 
+    @property
+    def model_edges(self) -> Set[EdgeKey]:
+        """The oracle's own edge set (seeded from the graph on first use)."""
+        if not hasattr(self, "_model_edges"):
+            u, v = decode_edge_codes(self.dyn.edge_codes())
+            self._model_edges = set(zip(u.tolist(), v.tolist()))
+        return self._model_edges
+
+    def model_codes(self) -> List[int]:
+        """Sorted edge codes of :attr:`model_edges`."""
+        return sorted((u << 32) | v for u, v in self.model_edges)
+
     def _apply_events(self, cols) -> Tuple:
-        dyn = self.dyn
+        dyn, edges = self.dyn, self.model_edges
         inserts = deletes = reweights = 0
         retired = 0.0
         touched: Set[int] = set()
         uncovered: List[EdgeKey] = []
         for upd in cols:
-            if not dyn.apply(upd):
+            if isinstance(upd, WeightChange):
+                effective = float(dyn.weights[upd.v]) != upd.weight
+                assert dyn.apply(upd) == effective
+                if effective:
+                    reweights += 1
+                    touched.add(upd.v)
                 continue
-            if isinstance(upd, EdgeInsert):
+            key = (upd.u, upd.v) if upd.u < upd.v else (upd.v, upd.u)
+            insert = isinstance(upd, EdgeInsert)
+            effective = upd.u != upd.v and (key in edges) != insert
+            assert dyn.apply(upd) == effective, f"graph and model disagree on {upd}"
+            if not effective:
+                continue
+            touched.update(key)
+            if insert:
+                edges.add(key)
                 inserts += 1
-                key = (upd.u, upd.v) if upd.u < upd.v else (upd.v, upd.u)
-                touched.update(key)
                 if not (self._cover[key[0]] or self._cover[key[1]]):
                     uncovered.append(key)
-            elif isinstance(upd, EdgeDelete):
+            else:
+                edges.discard(key)
                 deletes += 1
-                key = (upd.u, upd.v) if upd.u < upd.v else (upd.v, upd.u)
-                touched.update(key)
                 retired += self._retire_dual(key)
-            elif isinstance(upd, WeightChange):
-                reweights += 1
-                touched.add(upd.v)
         return inserts, deletes, reweights, retired, touched, uncovered
+
+    def _retire_dual(self, key: EdgeKey) -> float:
+        pay = self._x.pop(key, 0.0)
+        if pay:
+            for t in key:
+                self._loads[t] -= pay
+                if self._loads[t] < 0.0:  # accumulated float noise
+                    self._loads[t] = 0.0
+            self._dual_value -= pay
+            if self._dual_value < 0.0:
+                self._dual_value = 0.0
+        return pay
 
     def _repair(self, uncovered: Iterable[EdgeKey]) -> Tuple[int, Set[int]]:
         outcome = reference_pricing_repair_pass(
@@ -153,8 +191,8 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
         self._dual_value = outcome.dual_value
         return outcome.repaired, outcome.entered
 
-    def _prune_touched(self, touched: Set[int]) -> int:
-        candidates = [v for v in touched if self._cover[v]]
+    def _prune_touched(self, touched: Set[int], entered: Set[int]) -> int:
+        candidates = [v for v in touched | entered if self._cover[v]]
         if not candidates:
             return 0
         if len(candidates) * 8 > self.dyn.n:

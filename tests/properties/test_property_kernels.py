@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.dynamic import DualStore, DynamicGraph, IncrementalCoverMaintainer
 from repro.dynamic.repair import greedy_prune_pass, pricing_repair_pass
+from repro.graphs.graph import WeightedGraph
 from repro.graphs.updates import EdgeDelete, EdgeInsert, UpdateColumns, WeightChange
 
 from tests.kernel_oracle import (
@@ -83,6 +84,45 @@ def edge_case_sequences(draw, graph, max_chunks: int = 12):
     return events
 
 
+@st.composite
+def bulk_path_sequences(draw, graph, max_chunks: int = 14):
+    """Random events interleaved with every run the whole-batch apply must
+    resolve exactly as the event-at-a-time loop does: insert→delete→insert
+    and delete→insert→delete of one edge, duplicated events, deletes of
+    absent edges and of self-loops, reweights to the current weight, and
+    repeated reweights of one vertex."""
+    n = graph.n
+    weights = np.array(graph.weights, dtype=np.float64)  # mirror of w(v)
+    weight = st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False)
+    events = []
+    for _ in range(draw(st.integers(0, max_chunks))):
+        kind = draw(st.integers(0, 7))
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1).filter(lambda x: x != u))
+        if kind == 0:
+            chunk = [EdgeInsert(u, v), EdgeDelete(v, u), EdgeInsert(u, v)]
+        elif kind == 1:
+            chunk = [EdgeDelete(u, v), EdgeInsert(v, u), EdgeDelete(u, v)]
+        elif kind == 2:
+            event = draw(st.sampled_from([EdgeInsert(u, v), EdgeDelete(v, u)]))
+            chunk = [event] * draw(st.integers(2, 3))
+        elif kind == 3:
+            chunk = [EdgeDelete(u, u)]  # a self-loop delete is a no-op
+        elif kind == 4:
+            chunk = [WeightChange(v, float(weights[v]))]  # the current value
+        elif kind == 5:
+            current = st.just(float(weights[v]))
+            values = draw(st.lists(st.one_of(weight, current), min_size=2, max_size=4))
+            chunk = [WeightChange(v, w) for w in values]
+        else:
+            chunk = draw(update_sequences(n, max_events=6))
+        for upd in chunk:
+            if isinstance(upd, WeightChange):
+                weights[upd.v] = upd.weight
+        events += chunk
+    return events
+
+
 def _assert_same_maintainer_state(a: IncrementalCoverMaintainer, b):
     assert np.array_equal(a.cover, b.cover), "cover masks differ"
     assert a.edge_duals() == b.edge_duals(), "duals differ"
@@ -136,6 +176,89 @@ class TestMaintainerEquivalence:
         _assert_same_maintainer_state(vec, ref)
         assert vec_reports == ref_reports, "per-batch reports differ"
         assert vec.verify() and ref.verify()
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), graph=weighted_graphs(min_n=2, max_n=14))
+    def test_bulk_apply_equals_event_loop_and_edge_set_model(self, data, graph):
+        """Batch by batch, the array-native apply matches the oracle's
+        event loop bit for bit, and both graphs hold exactly the edges of
+        the oracle's own Python edge-set model."""
+        cols = UpdateColumns.from_updates(data.draw(bulk_path_sequences(graph)))
+        batch = data.draw(st.sampled_from([1, 2, 5, 9, max(1, len(cols))]))
+        pair = []
+        for maintainer_cls in (IncrementalCoverMaintainer, ReferenceMaintainer):
+            m = maintainer_cls(DynamicGraph(graph, min_compact=3, compact_fraction=0.3))
+            if graph.m:
+                m.adopt(minimum_weight_vertex_cover(graph, eps=EPS, seed=SEED))
+            pair.append(m)
+        vec, ref = pair
+        for i in range(0, len(cols), batch):
+            vec_report = vec.apply_batch(cols[i : i + batch])
+            ref_report = ref.apply_batch(cols[i : i + batch])
+            assert vec_report.to_dict() == ref_report.to_dict()
+            _assert_same_maintainer_state(vec, ref)
+            assert np.array_equal(vec.dyn.weights, ref.dyn.weights)
+            model = ref.model_codes()
+            assert vec.dyn.edge_codes().tolist() == model
+            assert ref.dyn.edge_codes().tolist() == model
+            assert vec.dyn.m == len(model)
+        assert vec.verify() and ref.verify()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        graph=weighted_graphs(min_n=3, max_n=14),
+        shrink=st.floats(0.0, 1.0),
+    )
+    def test_retiring_duals_below_zero_clamps_like_the_loop(self, data, graph, shrink):
+        """Loads and the dual total shrunk under the duals they carry, so
+        deleting dual-carrying edges drives them below zero and the clamp
+        fires: the bulk retirement still equals the edge-at-a-time loop."""
+        if not graph.m:
+            return
+        solved = IncrementalCoverMaintainer(DynamicGraph(graph))
+        solved.adopt(minimum_weight_vertex_cover(graph, eps=EPS, seed=SEED))
+        state = solved.export_state()
+        state["loads"] = state["loads"] * shrink
+        state["dual_value"] = state["dual_value"] * shrink
+        keys = data.draw(st.permutations(state["dual_keys"].tolist()))
+        deletes = [EdgeDelete(u, v) for u, v in keys[: len(keys) // 2 + 1]]
+        batch = deletes + data.draw(bulk_path_sequences(graph, max_chunks=4))
+        pair = [
+            cls.from_state(DynamicGraph(graph), state)
+            for cls in (IncrementalCoverMaintainer, ReferenceMaintainer)
+        ]
+        reports = [m.apply_batch(batch) for m in pair]
+        assert reports[0].to_dict() == reports[1].to_dict()
+        _assert_same_maintainer_state(*pair)
+
+    def test_clamped_retirement_example(self):
+        """One fixed case where the clamp fires on a load and on the total."""
+        graph = WeightedGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)], [1.0] * 4)
+        state = {
+            "cover": np.array([False, True, True, False]),
+            "loads": np.array([0.25, 0.5, 0.9, 0.75]),
+            "dual_keys": np.array([[0, 1], [1, 2], [2, 3]]),
+            "dual_values": np.array([0.5, 0.25, 0.75]),
+            "dual_value": 1.0,
+            "base_ratio": None,
+            "batches_applied": 0,
+        }
+        batch = [EdgeDelete(0, 1), EdgeDelete(2, 3), EdgeDelete(1, 2)]
+        pair = [
+            cls.from_state(DynamicGraph(graph), state)
+            for cls in (IncrementalCoverMaintainer, ReferenceMaintainer)
+        ]
+        reports = [m.apply_batch(batch) for m in pair]
+        assert reports[0].to_dict() == reports[1].to_dict()
+        _assert_same_maintainer_state(*pair)
+        vec = pair[0]
+        # 0.25 - 0.5 clamps at 0; 0.9 - 0.75 - 0.25 clamps at 0; the total
+        # 1.0 - 0.5 - 0.75 clamps at 0 before the last 0.25 is retired.
+        assert vec._loads.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert vec.dual_value == 0.0
+        assert reports[0].retired_dual == 1.5
 
 
 class TestBareKernels:

@@ -98,26 +98,43 @@ class TestInvalidBatchIsRefusedBeforeTheWAL:
         assert maintainer.dyn.state_stamp() == _stamp_after(graph, good, 3)
 
     def test_plain_run_refuses_batch_3_before_any_of_it_applies(self, monkeypatch):
-        graph, _, bad = self._stream()
+        graph, good, bad = self._stream()
+        expected_stamp = _stamp_after(graph, good, 3)
+        # Every bulk graph mutation, tagged with the batch being applied.
+        applying = []
+        apply_batch = IncrementalCoverMaintainer.apply_batch
+
+        def tagging(self, batch):
+            applying.append(self.batches_applied)
+            return apply_batch(self, batch)
+
+        monkeypatch.setattr(IncrementalCoverMaintainer, "apply_batch", tagging)
         mutations = []
-        for name in ("insert_edge", "delete_edge", "reweight"):
+        for name in ("flip_edges", "set_weights"):
             mutate = getattr(DynamicGraph, name)
 
             def spy(self, *args, _mutate=mutate, _name=name):
-                mutations.append((_name, args))
+                mutations.append((applying[-1], _name, args, self))
                 return _mutate(self, *args)
 
             monkeypatch.setattr(DynamicGraph, name, spy)
         with pytest.raises(InvalidUpdateError) as info:
             run_stream(graph, bad, batch_size=BATCH_SIZE, eps=EPS, seed=SEED)
+        monkeypatch.undo()
         assert info.value.batch_index == 3
         assert info.value.position == self.BAD_POSITION
         assert "batch 3" in str(info.value)
         assert f"stream position {self.BAD_POSITION}" in str(info.value)
-        # Exactly the events of batches 0-2 reached the graph, one
-        # mutation each, and none of batch 3.
-        assert len(mutations) == 3 * BATCH_SIZE
-        assert ("insert_edge", (5, 999)) not in mutations
+        # Batches 0-2 reached the graph through the bulk mutations, and
+        # nothing of batch 3 did: the graph holds exactly their result.
+        assert applying == [0, 1, 2]
+        assert {batch for batch, *_ in mutations} == {0, 1, 2}
+        inserted = np.concatenate(
+            [args[0] for _, name, args, _ in mutations if name == "flip_edges"]
+        )
+        assert (5 << 32) | 999 not in inserted.tolist()
+        dyn = mutations[-1][3]
+        assert dyn.state_stamp() == expected_stamp
 
     def test_the_refused_run_stays_resumable(self, tmp_path):
         graph, good, bad = self._stream()
