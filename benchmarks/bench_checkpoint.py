@@ -97,9 +97,10 @@ def run_bench():
             assert summary.final_is_cover
             covers[mode] = summary.final_cover
             if checkpoint is not None:
-                snapshot_bytes = os.path.getsize(checkpoint.snapshot_path)
+                _, snapshot = checkpoint.list_snapshots()[0]
+                snapshot_bytes = os.path.getsize(snapshot)
                 wal_bytes = os.path.getsize(checkpoint.wal_path)
-                restored = load_snapshot(checkpoint.snapshot_path).maintainer
+                restored = load_snapshot(snapshot).maintainer
                 assert np.array_equal(restored.cover, summary.final_cover), (
                     "final snapshot does not restore the maintained cover"
                 )

@@ -46,7 +46,13 @@ class _Searcher:
     def __init__(self, graph: WeightedGraph, node_limit: int):
         self.n = graph.n
         self.w = graph.weights.astype(np.float64)
-        self.adj: List[np.ndarray] = [graph.neighbors(v).copy() for v in range(self.n)]
+        # Higher neighbours first, then lower: branch costs are float sums
+        # in this order, so keeping it keeps ``opt_weight`` (and the
+        # search's pruning) bit-stable.
+        self.adj: List[np.ndarray] = []
+        for v in range(self.n):
+            row = graph.neighbors(v)
+            self.adj.append(np.concatenate([row[row > v], row[row < v]]))
         self.alive = np.ones(self.n, dtype=bool)
         self.in_cover = np.zeros(self.n, dtype=bool)
         self.live_deg = graph.degrees.astype(np.int64).copy()

@@ -14,8 +14,9 @@ Seven subcommands::
     python -m repro resume      # pick up a killed `repro stream
                                 # --checkpoint-dir` run: restore the last
                                 # snapshot, replay the WAL tail, finish
-    python -m repro wal-compact # drop WAL records already covered by the
-                                # retained snapshots of a checkpoint dir
+    python -m repro wal-compact # prune a checkpoint dir's snapshots to its
+                                # keep_snapshots, drop the WAL records
+                                # the retained ones cover
 
 Examples
 --------
@@ -387,14 +388,16 @@ def _cmd_stream(args) -> int:
     return _emit_stream_summary(args, summary, out)
 
 
-def _read_stream_config(checkpoint_dir) -> dict:
-    from repro.dynamic import CheckpointConfig, CheckpointError
+def _read_stream_config(checkpoint_dir):
+    """The checkpoint's :class:`CheckpointConfig`, or a clean exit."""
+    from repro.dynamic import CheckpointError
     from repro.dynamic.stream import _load_config
 
     try:
-        return _load_config(CheckpointConfig(directory=checkpoint_dir))
+        checkpoint, _, _ = _load_config(checkpoint_dir)
     except CheckpointError as exc:
         raise SystemExit(str(exc))
+    return checkpoint
 
 
 def _cmd_resume(args) -> int:
@@ -446,41 +449,22 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_wal_compact(args) -> int:
-    from repro.dynamic import (
-        CheckpointConfig,
-        CheckpointError,
-        WALError,
-        compact_wal,
-    )
-    from repro.dynamic.checkpoint import snapshot_meta
+    from repro.dynamic import CheckpointError, WALError, compact_wal
 
-    config = _read_stream_config(args.checkpoint_dir)
-    checkpoint = CheckpointConfig(
-        directory=args.checkpoint_dir,
-        keep_snapshots=int(config.get("keep_snapshots", 1)),
-        compress=bool(config.get("compress", False)),
-    )
-    keep = checkpoint.keep_snapshots
+    checkpoint = _read_stream_config(args.checkpoint_dir)
     try:
-        retained = []
-        for idx, path in checkpoint.list_snapshots()[:keep]:
-            if idx < 0:  # legacy single snapshot: position is in meta
-                idx = int(
-                    snapshot_meta(path).get("extra", {}).get("next_batch_index", 0)
-                )
-            retained.append(idx)
-        if not retained:
+        floor = checkpoint.prune_snapshots()
+        if floor is None:
             raise SystemExit(
                 f"no snapshot in {args.checkpoint_dir}; the whole WAL is "
                 f"still needed for recovery — nothing to compact"
             )
-        floor = min(retained)
-        removed = compact_wal(checkpoint.wal_path, floor)
+        removed = compact_wal(checkpoint.wal_path, floor, fsync=checkpoint.fsync)
     except (CheckpointError, WALError) as exc:
         raise SystemExit(str(exc))
     print(
         f"wal-compact: dropped {removed} record(s) below batch {floor} "
-        f"({len(retained)} snapshot(s) retained)"
+        f"({len(checkpoint.list_snapshots())} snapshot(s) retained)"
     )
     return 0
 
@@ -706,9 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     wal_compact = sub.add_parser(
         "wal-compact",
-        help="truncate WAL records already covered by the retained "
-        "snapshots of a checkpoint directory (offline maintenance; "
-        "`repro stream --compact-wal` does this automatically)",
+        help="prune a checkpoint directory's snapshots to its "
+        "--keep-snapshots and truncate the WAL records the retained ones "
+        "cover (offline maintenance; `repro stream --compact-wal` does "
+        "this automatically)",
     )
     wal_compact.add_argument(
         "--checkpoint-dir", required=True,

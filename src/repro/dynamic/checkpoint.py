@@ -9,7 +9,7 @@ mid-stream:
   which the maintainer's pair-keyed state is explicitly independent of);
 * the **maintainer state** exported bit-exactly by
   :meth:`~repro.dynamic.IncrementalCoverMaintainer.export_state` (cover
-  mask, loads, pair-keyed duals, dual total, drift baseline, batch count);
+  mask, loads, edge-coded duals, dual total, drift baseline, batch count);
 * a **metadata header** (JSON): format version, the graph's content
   digest, scalar state, and caller counters (stream position, policy
   cooldown, re-solve tally).
@@ -56,7 +56,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.dynamic.duals import decode_edge_codes
+from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.maintainer import IncrementalCoverMaintainer
 from repro.graphs.graph import WeightedGraph, graph_content_digest
@@ -242,8 +242,7 @@ def save_snapshot(
         "weights": weights,
         "cover": state["cover"],
         "loads": state["loads"],
-        # export_state emits the store's codes directly — no re-encode.
-        "dual_codes": np.asarray(state["dual_codes"], dtype=np.int64),
+        "dual_codes": state["dual_codes"],
         "dual_values": state["dual_values"],
     }
     meta = {
@@ -375,16 +374,16 @@ def load_snapshot(path: PathLike) -> RestoredState:
         )
     dyn = DynamicGraph(graph)
     if "dual_codes" in arrays:
-        du, dv = decode_edge_codes(arrays["dual_codes"])
-        dual_keys = np.stack([du, dv], axis=1) if du.size else du.reshape(0, 2)
+        dual_codes = arrays["dual_codes"]
     else:
-        # Version-1 migration: two-column keys load as-is and the next
-        # save_snapshot rewrites the file in the current format.
-        dual_keys = np.asarray(arrays["dual_keys"], dtype=np.int64).reshape(-1, 2)
+        # Version-1 migration: two-column keys are encoded once, and the
+        # next save_snapshot rewrites the file in the current format.
+        keys = np.asarray(arrays["dual_keys"], dtype=np.int64).reshape(-1, 2)
+        dual_codes = encode_edge_codes(keys[:, 0], keys[:, 1])
     state = {
         "cover": arrays["cover"],
         "loads": arrays["loads"],
-        "dual_keys": dual_keys,
+        "dual_codes": dual_codes,
         "dual_values": arrays["dual_values"],
         "dual_value": meta["dual_value"],
         "base_ratio": meta["base_ratio"],

@@ -11,10 +11,11 @@ code* ``(u << 32) | v`` instead:
   int — measurably cheaper than a tuple, and the code doubles as the
   canonical sort key (for ``u < v < 2**32`` the code order *is* the
   lexicographic key order).
-* **Bulk I/O** is vectorized: :meth:`to_arrays` / :meth:`from_arrays`
-  encode/decode whole key columns with two shifts and a mask, so
-  checkpoint snapshots move duals as flat arrays, never as pickled tuple
-  lists.
+* **Bulk I/O** is vectorized: :meth:`sorted_codes` / :meth:`from_codes`
+  move the duals as a flat code array plus values, which is what
+  checkpoint snapshots store (:func:`encode_edge_codes` /
+  :func:`decode_edge_codes` convert whole key columns with two shifts and
+  a mask), never as pickled tuple lists.
 
 The tuple-keyed mapping protocol (``store[(u, v)]``, ``.get``, ``.pop``,
 iteration in insertion order) is kept so the reference kernels of
@@ -172,15 +173,9 @@ class DualStore:
         )[order]
         return codes, values
 
-    def to_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(keys, values)`` with keys an ``(k, 2)`` int64 array in
-        canonical sorted order — the legacy wire/export layout."""
-        codes, values = self.sorted_codes()
-        u, v = decode_edge_codes(codes)
-        return np.stack([u, v], axis=1) if codes.size else codes.reshape(0, 2), values
-
     @classmethod
     def from_codes(cls, codes: np.ndarray, values: np.ndarray) -> "DualStore":
+        """Build from an edge-code array + value array (any order)."""
         store = cls()
         store._map = dict(
             zip(
@@ -189,12 +184,6 @@ class DualStore:
             )
         )
         return store
-
-    @classmethod
-    def from_arrays(cls, keys: np.ndarray, values: np.ndarray) -> "DualStore":
-        """Build from a ``(k, 2)`` key array + value array (any order)."""
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-        return cls.from_codes(encode_edge_codes(keys[:, 0], keys[:, 1]), values)
 
     def as_dict(self) -> Dict[EdgeKey, float]:
         """A plain tuple-keyed dict copy (the legacy public form)."""

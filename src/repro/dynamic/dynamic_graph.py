@@ -8,11 +8,11 @@ batch of updates is applied with a few array operations
 (:meth:`DynamicGraph.flip_edges`, :meth:`DynamicGraph.set_weights`), never
 a Python loop over events or vertices:
 
-* **Base CSR.**  A frozen :class:`WeightedGraph` snapshot, unpacked into
-  row-sorted ``indptr``/``adj`` arrays with an *aliveness* mask per
-  adjacency slot and a keep mask per base edge.  Deleting snapshot edges
-  clears mask bits, found by one ``searchsorted`` against the sorted base
-  edge codes; it never rebuilds anything.
+* **Base CSR.**  A frozen :class:`WeightedGraph` snapshot, whose own
+  row-sorted ``indptr``/``adj_vertices`` arrays are shared read-only, with
+  an *aliveness* mask per adjacency slot and a keep mask per base edge.
+  Deleting snapshot edges clears mask bits, found by one ``searchsorted``
+  against the sorted base edge codes; it never rebuilds anything.
 * **Delta.**  Edges inserted since the snapshot live in a sorted ``int64``
   array of edge codes ``(u << 32) | v`` (the code of
   :mod:`repro.dynamic.duals`), mirrored by a sorted array of *directed*
@@ -23,7 +23,8 @@ a Python loop over events or vertices:
   array read.
 * **Compaction.**  :meth:`compact` folds the delta into a fresh canonical
   snapshot: the current codes are already sorted, so the snapshot skips
-  canonicalization and the CSR is one stable ``argsort``.
+  canonicalization and its CSR is one stable ``argsort``, which a
+  re-solve's prune then reuses.
   :meth:`maybe_compact` does so only once the structural delta exceeds a
   configurable fraction of the snapshot, so a stream costs O(delta) per
   batch plus a rebuild every Θ(m) structural changes.
@@ -162,27 +163,19 @@ class DynamicGraph:
         self._base = base
         n, m = base.n, base.m
         self._n = n
-        # Row-sorted CSR.  Canonical edges are sorted by (u, v), so in
-        # ``heads = [v..., u...]`` each row's lower neighbours (from the
-        # first half) come in ascending order, then its higher ones (from
-        # the second half): one stable sort by head sorts every row.
-        heads = np.concatenate([base.edges_v, base.edges_u])
-        tails = np.concatenate([base.edges_u, base.edges_v])
-        order = np.argsort(heads, kind="stable")
+        # The snapshot's own CSR, shared read-only: its rows are ascending,
+        # and neighbors() hands out zero-copy slices of it.
+        self._indptr = base.indptr
+        self._adj = base.adj_vertices
         # Slots of edge e's two directed entries in the CSR, so deleting
-        # edges is two fancy-index writes into the aliveness mask.
+        # edges is two fancy-index writes into the aliveness mask: the
+        # entry whose tail is e's upper endpoint is its (u -> v) slot.
+        eids = base.adj_edges
+        upper = self._adj == base.edges_v[eids]
         slots = np.empty(2 * m, dtype=np.int64)
-        slots[order] = np.arange(2 * m, dtype=np.int64)
+        slots[eids + m * upper] = np.arange(2 * m, dtype=np.int64)
         self._slot_vu = slots[:m]
         self._slot_uv = slots[m:]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
-        self._indptr = indptr
-        self._adj = tails[order]
-        # neighbors() hands out zero-copy slices of this array; freeze it
-        # so a caller mutating the result fails loudly instead of
-        # corrupting the shared adjacency.
-        self._adj.setflags(write=False)
         self._alive = np.ones(2 * m, dtype=bool)
         # Canonical edges are lex-sorted, so their codes arrive sorted.
         self._base_codes = encode_edge_codes(base.edges_u, base.edges_v)

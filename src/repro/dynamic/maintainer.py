@@ -264,20 +264,15 @@ class IncrementalCoverMaintainer:
         *not* recomputed — so a maintainer restored via :meth:`from_state`
         is bit-identical and every subsequent :meth:`apply_batch` evolves
         it exactly as the original (the property
-        ``tests/recovery/test_equivalence.py`` checks).  Dual keys are
-        emitted in sorted order (one vectorized code sort), making the
-        export deterministic for a given state (content digests of two
-        exports of one state match).
+        ``tests/recovery/test_equivalence.py`` checks).  The duals are the
+        edge codes of :mod:`repro.dynamic.duals` in sorted order (one
+        vectorized sort), making the export deterministic for a given
+        state (content digests of two exports of one state match).
         """
         dual_codes, dual_values = self._x.sorted_codes()
-        du, dv = decode_edge_codes(dual_codes)
-        dual_keys = (
-            np.stack([du, dv], axis=1) if dual_codes.size else dual_codes.reshape(0, 2)
-        )
         return {
             "cover": self._cover.copy(),
             "loads": self._loads.copy(),
-            "dual_keys": dual_keys,
             "dual_codes": dual_codes,
             "dual_values": dual_values,
             "dual_value": float(self._dual_value),
@@ -296,9 +291,9 @@ class IncrementalCoverMaintainer:
         """Reconstruct a maintainer around ``dyn`` from :meth:`export_state`.
 
         ``dyn`` must already hold the graph the state was exported against;
-        the state is validated structurally (shapes, dual keys are current
-        edges) so a mismatched graph/state pair fails loudly instead of
-        silently corrupting the certificate.
+        the state is validated structurally (shapes, dual codes are current
+        edges, in any order) so a mismatched graph/state pair fails loudly
+        instead of silently corrupting the certificate.
         """
         n = dyn.n
         cover = np.asarray(state["cover"], dtype=bool)
@@ -307,25 +302,24 @@ class IncrementalCoverMaintainer:
             raise ValueError(f"cover mask has shape {cover.shape}, expected ({n},)")
         if loads.shape != (n,):
             raise ValueError(f"loads have shape {loads.shape}, expected ({n},)")
-        keys = np.asarray(state["dual_keys"], dtype=np.int64)
+        codes = np.asarray(state["dual_codes"], dtype=np.int64)
         vals = np.asarray(state["dual_values"], dtype=np.float64)
-        if keys.ndim != 2 or keys.shape[1] != 2 or keys.shape[0] != vals.shape[0]:
+        if codes.ndim != 1 or codes.shape != vals.shape:
             raise ValueError(
-                f"dual arrays disagree: keys {keys.shape}, values {vals.shape}"
+                f"dual arrays disagree: codes {codes.shape}, values {vals.shape}"
             )
-        if keys.shape[0]:
-            present = dyn.has_edges(keys[:, 0], keys[:, 1])
-            if not present.all():
-                u, v = keys[np.nonzero(~present)[0][0]]
-                raise ValueError(
-                    f"dual on ({int(u)}, {int(v)}) which is not an edge of "
-                    f"the restored graph"
-                )
+        missing = np.nonzero(~dyn.has_codes(codes))[0]
+        if missing.size:
+            u, v = decode_edge_codes(codes[missing[:1]])
+            raise ValueError(
+                f"dual on ({int(u[0])}, {int(v[0])}) which is not an edge of "
+                f"the restored graph"
+            )
         maintainer = cls.__new__(cls)
         maintainer.dyn = dyn
         maintainer._cover = cover.copy()
         maintainer._loads = loads.copy()
-        maintainer._x = DualStore.from_arrays(keys, vals)
+        maintainer._x = DualStore.from_codes(codes, vals)
         maintainer._dual_value = float(state["dual_value"])
         base = state["base_ratio"]
         maintainer._base_ratio = None if base is None else float(base)

@@ -31,15 +31,18 @@ crash-recoverable.  The checkpoint directory holds:
   committed (fsync'd, CRC-checked, version-2 columnar records, stamped
   with the pre-apply :meth:`DynamicGraph.state_stamp`) *before* it is
   applied (:mod:`repro.dynamic.wal`);
-* ``snapshot.npz`` (or ``snapshot-<batch>.npz`` under ``keep_snapshots >
-  1``) — maintainer snapshots in format version 3, rewritten atomically
-  every ``snapshot_every`` batches (:mod:`repro.dynamic.checkpoint`).
+* ``snapshot-<batch>.npz`` — maintainer snapshots in format version 3,
+  written atomically every ``snapshot_every`` batches and named by the
+  stream position they hold; the newest ``keep_snapshots`` survive
+  (:mod:`repro.dynamic.checkpoint`).
 
 Directories written before this layout hold ``updates.jsonl`` instead of
 ``updates.npz`` (their ``config.json`` names no ``updates_file``),
-version-1 WAL records stamped with SHA-256 content digests, and
-version-2 snapshots.  They resume exactly: each piece is read in its own
-format, each record's stamp is checked in its own flavor, and the
+version-1 WAL records stamped with SHA-256 content digests, version-2
+snapshots, and often a single ``snapshot.npz`` (or ``snapshot.npz.gz``)
+in place of numbered ones.  They resume exactly: each
+piece is read in its own format, each record's stamp is checked in its
+own flavor, the single snapshot counts as the oldest one, and the
 continuation appends version-2 records to the same log.
 
 :func:`resume_stream` restores ``last snapshot + WAL tail replay`` and
@@ -66,6 +69,7 @@ from repro.dynamic.checkpoint import (
     CheckpointError,
     load_snapshot,
     save_snapshot,
+    snapshot_meta,
 )
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.maintainer import BatchReport, IncrementalCoverMaintainer
@@ -102,8 +106,8 @@ _UPDATES_FILE = "updates.npz"
 #: The stream copy of directories whose config names no ``updates_file``.
 _LEGACY_UPDATES_FILE = "updates.jsonl"
 _WAL_FILE = "wal.jsonl"
-_SNAPSHOT_FILE = "snapshot.npz"
-_SNAPSHOT_FILE_GZ = "snapshot.npz.gz"
+#: The single snapshot of directories written before numbered snapshots.
+_LEGACY_SNAPSHOT_FILES = ("snapshot.npz", "snapshot.npz.gz")
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,6 @@ class CheckpointConfig:
         Flush WAL records and snapshots to disk at commit time.  Keep on
         for crash-consistency against power loss; turning it off still
         survives process kills (buffers are flushed per batch).
-    compress:
-        gzip-wrap snapshots (``snapshot.npz.gz``).
     snapshot_compression:
         Compression of the NPZ array members inside a snapshot:
         ``"gzip"`` (deflate at level 1, the default; weights and loads
@@ -138,13 +140,12 @@ class CheckpointConfig:
         file size for write speed.  Recorded in ``config.json`` so a
         resumed run keeps the same policy.
     keep_snapshots:
-        Retain the last this-many snapshots instead of one.  With ``1``
-        (the default) the single ``snapshot.npz`` is overwritten in place,
-        exactly the pre-rotation behavior.  With ``k > 1`` snapshots are
-        written as ``snapshot-<batch>.npz`` and older files beyond ``k``
-        are pruned after each commit; :func:`resume_stream` restores the
-        newest snapshot that passes integrity checks, falling back to an
-        older one when the newest is corrupt.
+        Every snapshot is written as ``snapshot-<batch>.npz``
+        (:meth:`snapshot_path`); after each one, the newest this-many
+        survive and the rest are deleted (:meth:`prune_snapshots`).
+        :func:`resume_stream`
+        restores the newest snapshot that passes integrity checks, falling
+        back to an older one when the newest is corrupt.
     compact_wal:
         After each committed snapshot, drop WAL records older than the
         *oldest retained* snapshot (they can never be replayed again), so
@@ -155,7 +156,6 @@ class CheckpointConfig:
     directory: PathLike
     snapshot_every: int = 8
     fsync: bool = True
-    compress: bool = False
     keep_snapshots: int = 1
     compact_wal: bool = False
     snapshot_compression: str = "gzip"
@@ -196,26 +196,19 @@ class CheckpointConfig:
     def wal_path(self) -> str:
         return os.path.join(os.fspath(self.directory), _WAL_FILE)
 
-    @property
-    def snapshot_path(self) -> str:
-        name = _SNAPSHOT_FILE_GZ if self.compress else _SNAPSHOT_FILE
-        return os.path.join(os.fspath(self.directory), name)
-
-    def numbered_snapshot_path(self, next_batch_index: int) -> str:
-        """Rotated snapshot filename for ``keep_snapshots > 1`` runs."""
-        suffix = ".npz.gz" if self.compress else ".npz"
+    def snapshot_path(self, next_batch_index: int) -> str:
+        """The snapshot holding the state after ``next_batch_index`` batches."""
         return os.path.join(
-            os.fspath(self.directory),
-            f"snapshot-{int(next_batch_index):08d}{suffix}",
+            os.fspath(self.directory), f"snapshot-{int(next_batch_index):08d}.npz"
         )
 
     def list_snapshots(self) -> List[Tuple[int, str]]:
         """Available snapshots, newest first: ``(next_batch_index, path)``.
 
-        Numbered (rotated) snapshots sort by their batch position; the
-        legacy single ``snapshot.npz`` sorts last (position ``-1``) so a
-        run upgraded from ``keep_snapshots=1`` still prefers its newer
-        rotated files.
+        Numbered snapshots (gzip-wrapped ``.npz.gz`` ones of older
+        directories too) sort by their batch position; an older
+        directory's single ``snapshot.npz`` or ``snapshot.npz.gz`` sorts
+        last, at position ``-1`` — its real position is in its header.
         """
         directory = os.fspath(self.directory)
         out: List[Tuple[int, str]] = []
@@ -229,10 +222,25 @@ class CheckpointConfig:
             if match:
                 out.append((int(match.group(1)), os.path.join(directory, name)))
         out.sort(reverse=True)
-        for legacy in (_SNAPSHOT_FILE, _SNAPSHOT_FILE_GZ):
+        for legacy in _LEGACY_SNAPSHOT_FILES:
             if legacy in names:
                 out.append((-1, os.path.join(directory, legacy)))
         return out
+
+    def prune_snapshots(self) -> Optional[int]:
+        """Delete all but the newest ``keep_snapshots`` snapshots; return
+        the oldest retained one's batch position (read from the header of
+        a single-file snapshot), or ``None`` when there is no snapshot."""
+        snapshots = self.list_snapshots()
+        for _, stale in snapshots[self.keep_snapshots :]:
+            os.remove(stale)
+        if not snapshots:
+            return None
+        position, path = snapshots[: self.keep_snapshots][-1]
+        if position < 0:
+            extra = snapshot_meta(path).get("extra", {})
+            position = int(extra.get("next_batch_index", 0))
+        return position
 
 
 @dataclass(frozen=True)
@@ -350,34 +358,37 @@ class _StreamEngine:
     """Shared per-batch machinery of ``run_stream`` and ``resume_stream``.
 
     Owns the mutable counters (stream position, cooldown, re-solve tally)
-    and performs one batch end-to-end: validation and optional WAL commit
-    *before* the state mutation, repair, policy evaluation, triggered re-solve,
-    periodic verification, record keeping, and periodic snapshots.
+    and performs one batch end-to-end: validation and WAL commit (while
+    the log is open) *before* the state mutation, repair, policy
+    evaluation, triggered re-solve, periodic verification, record keeping,
+    and periodic snapshots.  As a context manager it closes the WAL and a
+    solver it created.
     """
 
     def __init__(
         self,
         maintainer: IncrementalCoverMaintainer,
         policy: ResolvePolicy,
-        solver: BatchSolver,
+        solver: Optional[BatchSolver],
         *,
         eps: float,
         seed: int,
         engine: str,
         verify_every: int,
         checkpoint: Optional[CheckpointConfig] = None,
-        wal: Optional[WriteAheadLog] = None,
     ):
         self.maintainer = maintainer
         self.policy = policy
-        self.solver = solver
+        self.own_solver = solver is None
+        self.solver = BatchSolver(use_processes=False) if solver is None else solver
         self.eps = eps
         self.seed = seed
         self.engine = engine
         self.verify_every = verify_every
         self.checkpoint = checkpoint
-        self.wal = wal
+        self.wal: Optional[WriteAheadLog] = None
         self.records: List[StreamRecord] = []
+        self.next_index = 0
         self.num_resolves = 0
         self.cache_hits = 0
         self.batches_since = 0
@@ -386,14 +397,25 @@ class _StreamEngine:
         self.repair_s = 0.0
         self.resolve_s = 0.0
 
+    def __enter__(self) -> "_StreamEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.wal is not None:
+            self.wal.close()
+            self.wal = None
+        if self.own_solver:
+            self.solver.close()
+
     # -- state restored from a snapshot's extra counters ---------------- #
     def restore_counters(self, extra: dict) -> None:
+        self.next_index = int(extra.get("next_batch_index", 0))
         self.batches_since = int(extra.get("batches_since_resolve", 0))
         self.updates_applied = int(extra.get("updates_applied", 0))
 
-    def counters(self, next_batch_index: int) -> dict:
+    def counters(self) -> dict:
         return {
-            "next_batch_index": int(next_batch_index),
+            "next_batch_index": int(self.next_index),
             "updates_applied": int(self.updates_applied),
             "batches_since_resolve": int(self.batches_since),
             "num_resolves": int(self.num_resolves),
@@ -418,30 +440,18 @@ class _StreamEngine:
         return result.cache_hit
 
     # -- durability ------------------------------------------------------ #
-    def write_snapshot(self, next_batch_index: int) -> None:
+    def write_snapshot(self) -> None:
         if self.checkpoint is None:
             return
         checkpoint = self.checkpoint
-        if checkpoint.keep_snapshots == 1:
-            path = checkpoint.snapshot_path
-        else:
-            path = checkpoint.numbered_snapshot_path(next_batch_index)
         save_snapshot(
-            path,
+            checkpoint.snapshot_path(self.next_index),
             self.maintainer,
-            extra=self.counters(next_batch_index),
+            extra=self.counters(),
             fsync=checkpoint.fsync,
             compress_arrays=checkpoint.compress_arrays,
         )
-        retained_floor = next_batch_index
-        if checkpoint.keep_snapshots > 1:
-            snapshots = checkpoint.list_snapshots()
-            numbered = [(i, p) for i, p in snapshots if i >= 0]
-            for _, stale in numbered[checkpoint.keep_snapshots :]:
-                os.remove(stale)
-            retained = numbered[: checkpoint.keep_snapshots]
-            if retained:
-                retained_floor = min(i for i, _ in retained)
+        retained_floor = checkpoint.prune_snapshots()
         if checkpoint.compact_wal and self.wal is not None:
             # The append handle points at the pre-rewrite inode: close it
             # around the atomic rewrite and reopen on the new file.
@@ -450,14 +460,15 @@ class _StreamEngine:
             self.wal = WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
 
     # -- one batch ------------------------------------------------------- #
-    def process_batch(
-        self, index: int, batch: UpdateColumns, *, log_to_wal: bool
-    ) -> StreamRecord:
+    def process_batch(self, batch: UpdateColumns) -> StreamRecord:
+        """Apply ``batch`` as batch :attr:`next_index`, logging it first
+        while the WAL is open (a replay runs with it closed)."""
+        index = self.next_index
         # Validated whole before any of it is logged or applied.
         t_ingest = time.perf_counter()
         dyn = self.maintainer.dyn
         batch.validate(dyn.n, batch_index=index, start=self.updates_applied)
-        if log_to_wal and self.wal is not None:
+        if self.wal is not None:
             self.wal.append(
                 index,
                 batch,
@@ -496,12 +507,24 @@ class _StreamEngine:
             kernel_profile=self.maintainer.last_batch_profile,
         )
         self.records.append(record)
+        self.next_index = index + 1
         if (
             self.checkpoint is not None
-            and (index + 1) % self.checkpoint.snapshot_every == 0
+            and self.next_index % self.checkpoint.snapshot_every == 0
         ):
-            self.write_snapshot(index + 1)
+            self.write_snapshot()
         return record
+
+    def finish(self, updates: UpdateColumns, batch_size: int) -> None:
+        """Open the WAL, log and process ``updates`` from the engine's
+        position onward, and write the final snapshot."""
+        if self.checkpoint is not None:
+            self.wal = WriteAheadLog(
+                self.checkpoint.wal_path, fsync=self.checkpoint.fsync
+            )
+        for offset in range(self.updates_applied, len(updates), batch_size):
+            self.process_batch(updates[offset : offset + batch_size])  # a view
+        self.write_snapshot()
 
     # -- the summary ----------------------------------------------------- #
     def summarize(
@@ -536,7 +559,7 @@ class _StreamEngine:
         )
 
 
-def _write_config(
+def _prepare_checkpoint_dir(
     checkpoint: CheckpointConfig,
     graph: WeightedGraph,
     updates: UpdateColumns,
@@ -549,6 +572,17 @@ def _write_config(
     verify_every: int,
     compact_fraction: float,
 ) -> None:
+    """Store the graph, the stream and ``config.json`` in a fresh directory."""
+    directory = os.fspath(checkpoint.directory)
+    os.makedirs(directory, exist_ok=True)
+    if os.path.exists(checkpoint.config_path):
+        raise CheckpointError(
+            f"checkpoint directory {directory} already holds a stream "
+            f"(found {_CONFIG_FILE}); resume it with `repro resume` or "
+            f"point --checkpoint-dir at a fresh directory"
+        )
+    save_npz(graph, checkpoint.graph_path)
+    save_update_stream(updates, checkpoint.updates_path)
     config = {
         "format_version": CONFIG_FORMAT_VERSION,
         "batch_size": int(batch_size),
@@ -560,39 +594,18 @@ def _write_config(
         "policy": asdict(policy),
         "snapshot_every": int(checkpoint.snapshot_every),
         "fsync": bool(checkpoint.fsync),
-        "compress": bool(checkpoint.compress),
         "keep_snapshots": int(checkpoint.keep_snapshots),
         "compact_wal": bool(checkpoint.compact_wal),
         "snapshot_compression": str(checkpoint.snapshot_compression),
         "num_updates": len(updates),
         "updates_file": _UPDATES_FILE,
         "graph_digest": graph.content_digest(),
-        "snapshot_file": os.path.basename(checkpoint.snapshot_path),
     }
     write_bytes_atomic(
         checkpoint.config_path,
         (json.dumps(config, indent=2, sort_keys=True) + "\n").encode("utf-8"),
         fsync=checkpoint.fsync,
     )
-
-
-def _prepare_checkpoint_dir(
-    checkpoint: CheckpointConfig,
-    graph: WeightedGraph,
-    updates: UpdateColumns,
-    **config_params,
-) -> None:
-    directory = os.fspath(checkpoint.directory)
-    os.makedirs(directory, exist_ok=True)
-    if os.path.exists(checkpoint.config_path):
-        raise CheckpointError(
-            f"checkpoint directory {directory} already holds a stream "
-            f"(found {_CONFIG_FILE}); resume it with `repro resume` or "
-            f"point --checkpoint-dir at a fresh directory"
-        )
-    save_npz(graph, checkpoint.graph_path)
-    save_update_stream(updates, checkpoint.updates_path)
-    _write_config(checkpoint, graph, updates, **config_params)
 
 
 def run_stream(
@@ -676,19 +689,10 @@ def run_stream(
             verify_every=verify_every,
             compact_fraction=compact_fraction,
         )
-    own_solver = solver is None
-    if own_solver:
-        solver = BatchSolver(use_processes=False)
-
     start = time.perf_counter()
     dyn = DynamicGraph(graph, compact_fraction=compact_fraction)
     maintainer = IncrementalCoverMaintainer(dyn, profile=profile)
-    wal = (
-        WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
-        if checkpoint is not None
-        else None
-    )
-    engine_ = _StreamEngine(
+    with _StreamEngine(
         maintainer,
         policy,
         solver,
@@ -697,21 +701,11 @@ def run_stream(
         engine=engine,
         verify_every=verify_every,
         checkpoint=checkpoint,
-        wal=wal,
-    )
-    try:
+    ) as engine_:
         if graph.m:
             engine_.resolve()
-        engine_.write_snapshot(0)
-        for index, offset in enumerate(range(0, len(updates), batch_size)):
-            batch = updates[offset : offset + batch_size]  # a view, not a copy
-            engine_.process_batch(index, batch, log_to_wal=True)
-        engine_.write_snapshot(len(engine_.records))
-    finally:
-        if wal is not None:
-            wal.close()
-        if own_solver:
-            solver.close()
+        engine_.write_snapshot()
+        engine_.finish(updates, batch_size)
 
     return engine_.summarize(
         num_updates=len(updates), elapsed_s=time.perf_counter() - start
@@ -745,30 +739,88 @@ def _newest_intact(checkpoint: CheckpointConfig):
     )
 
 
-def _load_config(checkpoint: CheckpointConfig) -> dict:
+#: Every ``config.json`` key :func:`resume_stream` reads: its JSON type,
+#: and the value older builds that did not write it implied (``None``:
+#: required).
+_NUMBER = (int, float)
+_CONFIG_KEYS = {
+    "batch_size": (int, None),
+    "compact_fraction": (_NUMBER, None),
+    "compact_wal": (bool, False),
+    "engine": (str, None),
+    "eps": (_NUMBER, None),
+    "fsync": (bool, True),
+    "keep_snapshots": (int, 1),
+    "num_updates": (int, None),
+    "policy": (dict, None),
+    "seed": (int, None),
+    "snapshot_compression": (str, "gzip"),
+    "snapshot_every": (int, None),
+    "updates_file": (str, _LEGACY_UPDATES_FILE),
+    "verify_every": (int, None),
+}
+
+
+def _load_config(directory: PathLike) -> Tuple[CheckpointConfig, ResolvePolicy, dict]:
+    """Read and check a checkpoint directory's ``config.json``.
+
+    Returns its :class:`CheckpointConfig`, the run's :class:`ResolvePolicy`
+    and the config with defaults filled in; keys this build no longer
+    reads are ignored.  Any damage raises :class:`CheckpointError` naming
+    the file (and the key).
+    """
+    path = os.path.join(os.fspath(directory), _CONFIG_FILE)
     try:
-        with open(checkpoint.config_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except FileNotFoundError:
         raise CheckpointError(
-            f"no stream checkpoint in {os.fspath(checkpoint.directory)} "
+            f"no stream checkpoint in {os.fspath(directory)} "
             f"(missing {_CONFIG_FILE})"
         ) from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read {checkpoint.config_path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CheckpointError(
+            f"{path}: expected a JSON object, found {type(config).__name__}"
+        )
     version = config.get("format_version")
     if version != CONFIG_FORMAT_VERSION:
         raise CheckpointError(
-            f"{checkpoint.config_path}: config format version {version!r} is "
+            f"{path}: config format version {version!r} is "
             f"not supported (this build reads version {CONFIG_FORMAT_VERSION})"
         )
     if "shards" in config:
         raise CheckpointError(
-            f"directory {os.fspath(checkpoint.directory)} holds a sharded "
+            f"directory {os.fspath(directory)} holds a sharded "
             f"checkpoint ({config['shards']} shard(s)); this build no longer "
             f"resumes or compacts that format"
         )
-    return config
+    for key, (kind, default) in _CONFIG_KEYS.items():
+        value = config.setdefault(key, default)
+        if value is None:
+            raise CheckpointError(f"{path}: missing key {key!r}")
+        # bool is an int subclass; only the bool keys may hold one.
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            raise CheckpointError(f"{path}: key {key!r} has a bad value {value!r}")
+    try:
+        checkpoint = CheckpointConfig(
+            directory=directory,
+            snapshot_every=config["snapshot_every"],
+            fsync=config["fsync"],
+            keep_snapshots=config["keep_snapshots"],
+            compact_wal=config["compact_wal"],
+            snapshot_compression=config["snapshot_compression"],
+        )
+        if config["batch_size"] < 1:
+            raise ValueError(f"batch_size must be >= 1, got {config['batch_size']}")
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    try:
+        policy = ResolvePolicy(**config["policy"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: key 'policy' is invalid ({exc})") from exc
+    return checkpoint, policy, config
 
 
 def resume_stream(
@@ -786,10 +838,10 @@ def resume_stream(
        no flags to re-specify);
     2. repair a torn WAL tail (a record cut mid-write was never
        committed), then read the committed records;
-    3. restore the latest snapshot — or, when the snapshot file is
-       *missing*, cold-start from ``graph.npz`` and replay the WAL from
-       batch 0 (a corrupt snapshot raises instead: a damaged checkpoint
-       must never silently restore);
+    3. restore the latest snapshot — or, when no snapshot file is left,
+       cold-start from ``graph.npz`` and replay the WAL from batch 0 (a
+       corrupt snapshot raises instead: a damaged checkpoint must never
+       silently restore);
     4. replay the WAL records past the snapshot through the exact
        per-batch machinery of :func:`run_stream` (each record's pre-apply
        digest is verified when stamped);
@@ -813,25 +865,14 @@ def resume_stream(
     Raises
     ------
     CheckpointError
-        Missing/invalid checkpoint pieces (no config, corrupt snapshot or
-        WAL, a WAL gap the snapshot cannot bridge, or a stream/WAL state
-        mismatch), or a checkpoint written by the removed sharded engine.
+        Missing/invalid checkpoint pieces (no or a damaged config, corrupt
+        snapshot or WAL, a WAL gap the snapshot cannot bridge, or a
+        stream/WAL state mismatch), or a checkpoint written by the removed
+        sharded engine.
     """
-    config = _load_config(CheckpointConfig(directory=directory))
-    # Records are always stamped; an old ``stamp_digests`` key is ignored.
-    checkpoint = CheckpointConfig(
-        directory=directory,
-        snapshot_every=int(config["snapshot_every"]),
-        fsync=bool(config.get("fsync", True)),
-        compress=bool(config.get("compress", False)),
-        keep_snapshots=int(config.get("keep_snapshots", 1)),
-        compact_wal=bool(config.get("compact_wal", False)),
-        snapshot_compression=str(config.get("snapshot_compression", "gzip")),
-    )
-    policy = ResolvePolicy(**config["policy"])
-    batch_size = int(config["batch_size"])
+    checkpoint, policy, config = _load_config(directory)
     if updates is None:
-        name = config.get("updates_file", _LEGACY_UPDATES_FILE)
+        name = config["updates_file"]
         try:
             updates = load_update_stream(os.path.join(os.fspath(directory), name))
         except FileNotFoundError:
@@ -841,7 +882,7 @@ def resume_stream(
             ) from None
     elif not isinstance(updates, UpdateColumns):
         updates = UpdateColumns.from_updates(updates)
-    if len(updates) != int(config["num_updates"]):
+    if len(updates) != config["num_updates"]:
         raise CheckpointError(
             f"update stream length {len(updates)} does not match the "
             f"checkpointed run's {config['num_updates']}"
@@ -849,73 +890,61 @@ def resume_stream(
     torn = repair_wal(checkpoint.wal_path)
     wal_records, _ = read_wal(checkpoint.wal_path)
 
-    own_solver = solver is None
-    if own_solver:
-        solver = BatchSolver(use_processes=False)
     start = time.perf_counter()
-    wal = None
-    try:
-        restored, fallbacks = _newest_intact(checkpoint)
-        if restored is not None:
-            maintainer = restored.maintainer
-            maintainer.set_profiling(profile)
-            restored.dyn.compact_fraction = float(config["compact_fraction"])
-            extra = restored.meta.get("extra", {})
-            next_index = int(extra.get("next_batch_index", 0))
-            cold_start = False
-        else:
-            # No snapshot survived — rebuild from the initial graph and
-            # replay the WAL from the beginning.
-            try:
-                graph = load_npz(checkpoint.graph_path)
-            except FileNotFoundError:
-                raise CheckpointError(
-                    f"checkpoint {os.fspath(directory)} has neither a "
-                    f"snapshot nor the initial graph ({_GRAPH_FILE}); "
-                    f"nothing to restore"
-                ) from None
-            except Exception as exc:  # a damaged npz surfaces many shapes
-                raise CheckpointError(
-                    f"{checkpoint.graph_path} is unreadable ({exc}); the "
-                    f"checkpoint cannot cold-start without it"
-                ) from exc
-            if graph.content_digest() != config.get("graph_digest"):
-                raise CheckpointError(
-                    f"{checkpoint.graph_path} does not match the "
-                    f"checkpointed run's graph digest"
-                )
-            dyn = DynamicGraph(
-                graph, compact_fraction=float(config["compact_fraction"])
+    restored, fallbacks = _newest_intact(checkpoint)
+    if restored is not None:
+        maintainer = restored.maintainer
+        maintainer.set_profiling(profile)
+        restored.dyn.compact_fraction = float(config["compact_fraction"])
+        extra = restored.meta.get("extra", {})
+    else:
+        # No snapshot survived — rebuild from the initial graph and
+        # replay the WAL from the beginning.
+        try:
+            graph = load_npz(checkpoint.graph_path)
+        except FileNotFoundError:
+            raise CheckpointError(
+                f"checkpoint {os.fspath(directory)} has neither a "
+                f"snapshot nor the initial graph ({_GRAPH_FILE}); "
+                f"nothing to restore"
+            ) from None
+        except Exception as exc:  # a damaged npz surfaces many shapes
+            raise CheckpointError(
+                f"{checkpoint.graph_path} is unreadable ({exc}); the "
+                f"checkpoint cannot cold-start without it"
+            ) from exc
+        if graph.content_digest() != config.get("graph_digest"):
+            raise CheckpointError(
+                f"{checkpoint.graph_path} does not match the "
+                f"checkpointed run's graph digest"
             )
-            maintainer = IncrementalCoverMaintainer(dyn, profile=profile)
-            extra = {}
-            next_index = 0
-            cold_start = True
+        dyn = DynamicGraph(graph, compact_fraction=float(config["compact_fraction"]))
+        maintainer = IncrementalCoverMaintainer(dyn, profile=profile)
+        extra = {}
 
-        engine_ = _StreamEngine(
-            maintainer,
-            policy,
-            solver,
-            eps=float(config["eps"]),
-            seed=int(config["seed"]),
-            engine=str(config["engine"]),
-            verify_every=int(config["verify_every"]),
-            checkpoint=checkpoint,
-            wal=None,  # replay first; the WAL reopens for the continuation
-        )
+    with _StreamEngine(
+        maintainer,
+        policy,
+        solver,
+        eps=float(config["eps"]),
+        seed=config["seed"],
+        engine=config["engine"],
+        verify_every=config["verify_every"],
+        checkpoint=checkpoint,
+    ) as engine_:
         engine_.restore_counters(extra)
-        resumed_from = next_index
+        resumed_from = engine_.next_index
         updates_at_restore = engine_.updates_applied
-        if cold_start and maintainer.dyn.m:
+        if restored is None and maintainer.dyn.m:
             engine_.resolve()
 
-        # ---- replay the committed WAL tail ---------------------------- #
-        tail = [r for r in wal_records if r.batch_index >= next_index]
-        expected = next_index
-        for record in tail:
-            if record.batch_index != expected:
+        # ---- replay the committed WAL tail (the log stays closed) ------ #
+        for record in wal_records:
+            if record.batch_index < resumed_from:
+                continue
+            if record.batch_index != engine_.next_index:
                 raise CheckpointError(
-                    f"WAL gap: expected batch {expected}, found "
+                    f"WAL gap: expected batch {engine_.next_index}, found "
                     f"{record.batch_index} — the snapshot cannot bridge it"
                 )
             if record.state_digest:
@@ -932,8 +961,7 @@ def resume_stream(
                         f"reached {current[:12]}… — snapshot/WAL/stream "
                         f"mismatch"
                     )
-            engine_.process_batch(expected, record.updates, log_to_wal=False)
-            expected += 1
+            engine_.process_batch(record.updates)
         if engine_.updates_applied > len(updates):
             raise CheckpointError(
                 f"WAL replay consumed {engine_.updates_applied} updates but "
@@ -941,18 +969,7 @@ def resume_stream(
             )
 
         # ---- continue with the uncommitted remainder ------------------ #
-        wal = WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
-        engine_.wal = wal
-        offsets = range(engine_.updates_applied, len(updates), batch_size)
-        for index, offset in enumerate(offsets, start=expected):
-            batch = updates[offset : offset + batch_size]
-            engine_.process_batch(index, batch, log_to_wal=True)
-        engine_.write_snapshot(expected + len(offsets))
-    finally:
-        if wal is not None:
-            wal.close()
-        if own_solver:
-            solver.close()
+        engine_.finish(updates, config["batch_size"])
 
     return engine_.summarize(
         num_updates=engine_.updates_applied - updates_at_restore,

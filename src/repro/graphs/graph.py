@@ -380,9 +380,13 @@ class WeightedGraph:
         if self._indptr is not None:
             return
         n, m = self._n, self.m
-        # Each edge contributes two adjacency slots: (u -> v) and (v -> u).
-        heads = np.concatenate([self._edges_u, self._edges_v])
-        tails = np.concatenate([self._edges_v, self._edges_u])
+        # Each edge contributes two adjacency slots: (v -> u) and (u -> v).
+        # Canonical edges are sorted by (u, v), so in ``heads = [v..., u...]``
+        # each row's lower neighbours (from the first half) come in
+        # ascending order, then its higher ones (from the second half): one
+        # stable sort by head leaves every row ascending.
+        heads = np.concatenate([self._edges_v, self._edges_u])
+        tails = np.concatenate([self._edges_u, self._edges_v])
         eids = np.concatenate([np.arange(m, dtype=np.int64)] * 2) if m else np.empty(0, np.int64)
         order = np.argsort(heads, kind="stable")
         heads, tails, eids = heads[order], tails[order], eids[order]
@@ -413,7 +417,7 @@ class WeightedGraph:
         return self._adj_edges
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Neighbor vertex ids of ``v`` (read-only view)."""
+        """Neighbor vertex ids of ``v``, ascending (read-only view)."""
         self._build_csr()
         if not (0 <= v < self._n):
             raise IndexError(f"vertex {v} out of range [0, {self._n})")

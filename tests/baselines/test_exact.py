@@ -44,6 +44,16 @@ class TestKnownOptima:
     def test_empty(self):
         assert exact_mwvc(WeightedGraph.empty(5)).opt_weight == 0.0
 
+    def test_branch_cost_sums_higher_neighbours_first(self):
+        # Leaves 0, 2, 3 around a heavy hub 1: the optimum is the leaves,
+        # summed in the hub's neighbour order 2, 3, then 0.  Float sums
+        # depend on that order; keeping it keeps opt_weight bit-stable.
+        g = WeightedGraph.from_edge_list(
+            4, [(0, 1), (1, 2), (1, 3)], [0.1, 10.0, 0.2, 0.3]
+        )
+        assert (0.2 + 0.3) + 0.1 != (0.1 + 0.2) + 0.3
+        assert exact_mwvc(g).opt_weight == (0.2 + 0.3) + 0.1
+
     def test_result_is_cover(self, small_random):
         res = exact_mwvc(small_random)
         assert small_random.is_vertex_cover(res.in_cover)

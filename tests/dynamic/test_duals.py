@@ -52,21 +52,21 @@ class TestMappingProtocol:
 
 
 class TestArrayIO:
-    def test_to_arrays_sorted_canonical(self):
+    def test_sorted_codes_canonical(self):
         store = DualStore({(5, 9): 3.0, (0, 1): 1.0, (0, 7): 2.0})
-        keys, vals = store.to_arrays()
-        assert [tuple(k) for k in keys.tolist()] == [(0, 1), (0, 7), (5, 9)]
+        codes, vals = store.sorted_codes()
+        u, v = decode_edge_codes(codes)
+        assert list(zip(u.tolist(), v.tolist())) == [(0, 1), (0, 7), (5, 9)]
         assert vals.tolist() == [1.0, 2.0, 3.0]
 
     def test_empty_store_arrays(self):
-        keys, vals = DualStore().to_arrays()
-        assert keys.shape == (0, 2) and vals.shape == (0,)
         codes, cvals = DualStore().sorted_codes()
-        assert codes.size == 0 and cvals.size == 0
+        assert codes.shape == (0,) and cvals.shape == (0,)
+        assert codes.dtype == np.int64 and cvals.dtype == np.float64
 
-    def test_round_trip_from_arrays(self):
+    def test_round_trip_from_codes(self):
         store = DualStore({(3, 11): 0.5, (2, 4): 1.5})
-        again = DualStore.from_arrays(*store.to_arrays())
+        again = DualStore.from_codes(*store.sorted_codes())
         assert again == store
 
     def test_encode_decode_inverse(self):

@@ -20,6 +20,34 @@ def dyn_path4():
     return DynamicGraph(WeightedGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)]))
 
 
+class TestBaseCSR:
+    def test_shares_the_snapshot_csr(self, small_random):
+        dyn = DynamicGraph(small_random)
+        assert dyn._adj is small_random.adj_vertices
+        assert dyn._indptr is small_random.indptr
+        assert not dyn._adj.flags.writeable
+
+    def test_slot_maps_point_at_each_edges_directed_entries(self, small_random):
+        g = small_random
+        dyn = DynamicGraph(g)
+        heads = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        # Slot of (v -> u) and of (u -> v) for every canonical edge (u, v).
+        assert np.array_equal(heads[dyn._slot_vu], g.edges_v)
+        assert np.array_equal(dyn._adj[dyn._slot_vu], g.edges_u)
+        assert np.array_equal(heads[dyn._slot_uv], g.edges_u)
+        assert np.array_equal(dyn._adj[dyn._slot_uv], g.edges_v)
+        slots = np.concatenate([dyn._slot_vu, dyn._slot_uv])
+        assert np.array_equal(np.sort(slots), np.arange(2 * g.m))
+
+    def test_compaction_shares_the_new_snapshots_csr(self, small_random):
+        dyn = DynamicGraph(small_random)
+        v = next(x for x in range(1, small_random.n) if not dyn.has_edge(0, x))
+        dyn.apply(EdgeInsert(0, v))
+        base = dyn.compact()
+        assert base is not small_random
+        assert dyn._adj is base.adj_vertices
+
+
 class TestApply:
     def test_insert_new_edge(self, dyn_path4):
         assert dyn_path4.apply(EdgeInsert(0, 3))

@@ -279,6 +279,12 @@ class TestCSR:
                 a, b = g.edges_u[e], g.edges_v[e]
                 assert {a, b} == {v, w}
 
+    def test_rows_are_ascending(self, small_random):
+        g = small_random
+        for v in range(g.n):
+            row = g.neighbors(v)
+            assert np.all(np.diff(row) > 0), f"row {v} is not ascending: {row}"
+
 
 class TestInducedSubgraph:
     def test_by_mask(self, path4):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.dynamic import DualStore, DynamicGraph, IncrementalCoverMaintainer
+from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
 from repro.dynamic.repair import greedy_prune_pass, pricing_repair_pass
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.updates import EdgeDelete, EdgeInsert, UpdateColumns, WeightChange
@@ -222,8 +223,9 @@ class TestMaintainerEquivalence:
         state = solved.export_state()
         state["loads"] = state["loads"] * shrink
         state["dual_value"] = state["dual_value"] * shrink
-        keys = data.draw(st.permutations(state["dual_keys"].tolist()))
-        deletes = [EdgeDelete(u, v) for u, v in keys[: len(keys) // 2 + 1]]
+        codes = data.draw(st.permutations(state["dual_codes"].tolist()))
+        du, dv = decode_edge_codes(codes[: len(codes) // 2 + 1])
+        deletes = [EdgeDelete(u, v) for u, v in zip(du.tolist(), dv.tolist())]
         batch = deletes + data.draw(bulk_path_sequences(graph, max_chunks=4))
         pair = [
             cls.from_state(DynamicGraph(graph), state)
@@ -239,7 +241,7 @@ class TestMaintainerEquivalence:
         state = {
             "cover": np.array([False, True, True, False]),
             "loads": np.array([0.25, 0.5, 0.9, 0.75]),
-            "dual_keys": np.array([[0, 1], [1, 2], [2, 3]]),
+            "dual_codes": encode_edge_codes([0, 1, 2], [1, 2, 3]),
             "dual_values": np.array([0.5, 0.25, 0.75]),
             "dual_value": 1.0,
             "base_ratio": None,
@@ -352,10 +354,9 @@ class TestDualStore:
             for _ in pairs
         ]
         store = DualStore(dict(zip(pairs, values)))
-        keys, vals = store.to_arrays()
-        assert [tuple(k) for k in keys.tolist()] == sorted(pairs)
-        again = DualStore.from_arrays(keys, vals)
+        codes, vals = store.sorted_codes()
+        u, v = decode_edge_codes(codes)
+        assert list(zip(u.tolist(), v.tolist())) == sorted(pairs)
+        again = DualStore.from_codes(codes, vals)
         assert again == store
         assert again.as_dict() == dict(zip(pairs, values))
-        codes, code_vals = store.sorted_codes()
-        assert DualStore.from_codes(codes, code_vals) == store

@@ -205,8 +205,33 @@ class TestStateExport:
     def test_export_is_deterministic(self, streamed_maintainer):
         a = streamed_maintainer.export_state()
         b = streamed_maintainer.export_state()
-        assert np.array_equal(a["dual_keys"], b["dual_keys"])
+        assert "dual_keys" not in a
+        assert np.array_equal(a["dual_codes"], b["dual_codes"])
         assert np.array_equal(a["dual_values"], b["dual_values"])
+
+    def test_from_state_is_order_free(self, streamed_maintainer):
+        state = streamed_maintainer.export_state()
+        order = np.random.default_rng(0).permutation(state["dual_codes"].size)
+        shuffled = dict(
+            state,
+            dual_codes=state["dual_codes"][order],
+            dual_values=state["dual_values"][order],
+        )
+        restored = IncrementalCoverMaintainer.from_state(
+            streamed_maintainer.dyn, shuffled
+        )
+        again = restored.export_state()
+        assert np.array_equal(again["dual_codes"], state["dual_codes"])
+        assert np.array_equal(again["dual_values"], state["dual_values"])
+
+    def test_from_state_refuses_a_dual_on_a_non_edge(self, streamed_maintainer):
+        state = streamed_maintainer.export_state()
+        dyn = streamed_maintainer.dyn
+        v = next(x for x in range(1, dyn.n) if not dyn.has_edge(0, x))
+        bad = dict(state, dual_codes=state["dual_codes"].copy())
+        bad["dual_codes"][0] = v  # the code of edge (0, v)
+        with pytest.raises(ValueError, match=rf"dual on \(0, {v}\)"):
+            IncrementalCoverMaintainer.from_state(dyn, bad)
 
     def test_from_state_validates_shapes(self, streamed_maintainer):
         state = streamed_maintainer.export_state()

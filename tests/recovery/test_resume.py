@@ -55,6 +55,12 @@ def _setup(tmp_path, monkeypatch, *, crash_after=3, batches=8, churn="uniform"):
     return graph, updates, reference, checkpoint
 
 
+def _snapshot(checkpoint):
+    """Path of the checkpoint's one snapshot (``keep_snapshots=1``)."""
+    ((_, path),) = checkpoint.list_snapshots()
+    return path
+
+
 class TestResumeScenarios:
     def test_resume_of_completed_run_is_a_noop(self, tmp_path):
         graph = make_workload(n=80, seed=91)
@@ -81,7 +87,7 @@ class TestResumeScenarios:
 
     def test_deleted_snapshot_recovers_from_wal(self, tmp_path, monkeypatch):
         _, _, reference, checkpoint = _setup(tmp_path, monkeypatch)
-        os.unlink(checkpoint.snapshot_path)
+        os.unlink(_snapshot(checkpoint))
         resumed = resume_stream(checkpoint.directory)
         assert np.array_equal(resumed.final_cover, reference.final_cover)
         # The cold start replays from batch 0.
@@ -89,11 +95,12 @@ class TestResumeScenarios:
 
     def test_corrupt_snapshot_fails_cleanly(self, tmp_path, monkeypatch):
         _, _, _, checkpoint = _setup(tmp_path, monkeypatch)
-        data = bytearray(open(checkpoint.snapshot_path, "rb").read())
+        snapshot = _snapshot(checkpoint)
+        data = bytearray(open(snapshot, "rb").read())
         mid = len(data) // 2
         for i in range(mid, mid + 8):
             data[i] ^= 0xFF
-        with open(checkpoint.snapshot_path, "wb") as fh:
+        with open(snapshot, "wb") as fh:
             fh.write(bytes(data))
         with pytest.raises(CheckpointCorruptionError):
             resume_stream(checkpoint.directory)
@@ -109,7 +116,7 @@ class TestResumeScenarios:
 
     def test_wal_gap_fails_cleanly(self, tmp_path, monkeypatch):
         _, _, _, checkpoint = _setup(tmp_path, monkeypatch, crash_after=5)
-        os.unlink(checkpoint.snapshot_path)  # force replay from batch 0
+        os.unlink(_snapshot(checkpoint))  # force replay from batch 0
         lines = open(checkpoint.wal_path, "rb").read().splitlines(keepends=True)
         with open(checkpoint.wal_path, "wb") as fh:
             fh.writelines(lines[:2] + lines[3:])  # drop a middle record
@@ -156,7 +163,7 @@ class TestResumeScenarios:
 
     def test_mismatched_graph_file_fails_cleanly(self, tmp_path, monkeypatch):
         _, _, _, checkpoint = _setup(tmp_path, monkeypatch)
-        os.unlink(checkpoint.snapshot_path)
+        os.unlink(_snapshot(checkpoint))
         save_npz(make_workload(n=120, seed=999), checkpoint.graph_path)
         with pytest.raises(CheckpointError, match="graph digest"):
             resume_stream(checkpoint.directory)
@@ -165,7 +172,7 @@ class TestResumeScenarios:
         # Snapshot gone AND graph.npz damaged: the cold start must raise
         # a CheckpointError, not leak a zipfile traceback.
         _, _, _, checkpoint = _setup(tmp_path, monkeypatch)
-        os.unlink(checkpoint.snapshot_path)
+        os.unlink(_snapshot(checkpoint))
         data = open(checkpoint.graph_path, "rb").read()
         with open(checkpoint.graph_path, "wb") as fh:
             fh.write(data[: len(data) // 2])
@@ -233,6 +240,43 @@ class TestResumeScenarios:
             resume_stream(ckpt_a.directory)
 
 
+#: Damages to ``config.json``: the rewrite, and the error that names it.
+CONFIG_DAMAGES = {
+    "missing-key": (
+        lambda c: {k: v for k, v in c.items() if k != "batch_size"},
+        "config.json: missing key 'batch_size'",
+    ),
+    "mistyped-key": (
+        lambda c: {**c, "batch_size": "20"},
+        "config.json: key 'batch_size' has a bad value '20'",
+    ),
+    "unknown-policy-field": (
+        lambda c: {**c, "policy": {**c["policy"], "bogus": 1}},
+        "config.json: key 'policy' is invalid .*bogus",
+    ),
+    "not-an-object": (
+        lambda c: [1, 2],
+        "config.json: expected a JSON object, found list",
+    ),
+}
+
+
+class TestDamagedConfig:
+    @pytest.mark.parametrize("damage", sorted(CONFIG_DAMAGES))
+    def test_damaged_config_fails_cleanly(self, tmp_path, monkeypatch, damage):
+        _, _, _, checkpoint = _setup(tmp_path, monkeypatch)
+        rewrite, message = CONFIG_DAMAGES[damage]
+        config = json.load(open(checkpoint.config_path))
+        with open(checkpoint.config_path, "w") as fh:
+            json.dump(rewrite(config), fh)
+        with pytest.raises(CheckpointError, match=message):
+            resume_stream(checkpoint.directory)
+        directory = os.fspath(checkpoint.directory)
+        for command in ("resume", "wal-compact"):
+            with pytest.raises(SystemExit, match=message):
+                main([command, "--checkpoint-dir", directory])
+
+
 class TestResumeCLI:
     def _stream_args(self, directory, cover_out):
         return [
@@ -285,7 +329,8 @@ class TestResumeCLI:
     def test_resume_cli_wal_corruption_fails_cleanly(self, tmp_path):
         directory = tmp_path / "ckpt"
         assert main(self._stream_args(directory, tmp_path / "c.txt")) == 0
-        os.unlink(directory / "snapshot.npz")  # force a WAL read on resume
+        checkpoint = CheckpointConfig(directory=directory)
+        os.unlink(_snapshot(checkpoint))  # force a WAL read on resume
         raw = bytearray((directory / "wal.jsonl").read_bytes())
         pos = raw.index(b'"op":"')
         raw[pos + 6] = ord("X")

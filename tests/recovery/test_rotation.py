@@ -1,5 +1,7 @@
 """Snapshot rotation (``keep_snapshots``) and WAL compaction."""
 
+import gzip
+import json
 import os
 
 import numpy as np
@@ -16,11 +18,23 @@ from repro.dynamic import (
 )
 from repro.dynamic.checkpoint import snapshot_meta
 
-from tests.recovery.harness import make_batches, make_workload
+from tests.recovery.harness import CrashAfter, make_batches, make_workload
 
 BATCH_SIZE = 20
 EPS = 0.1
 SEED = 4
+
+
+def _stream(graph, updates, checkpoint=None):
+    return run_stream(
+        graph,
+        updates,
+        batch_size=BATCH_SIZE,
+        policy=ResolvePolicy(max_drift=0.2),
+        eps=EPS,
+        seed=SEED,
+        checkpoint=checkpoint,
+    )
 
 
 def _run(tmp_path, **checkpoint_kwargs):
@@ -30,15 +44,7 @@ def _run(tmp_path, **checkpoint_kwargs):
     checkpoint = CheckpointConfig(
         directory=tmp_path / "ckpt", snapshot_every=2, **checkpoint_kwargs
     )
-    summary = run_stream(
-        graph,
-        updates,
-        batch_size=BATCH_SIZE,
-        policy=ResolvePolicy(max_drift=0.2),
-        eps=EPS,
-        seed=SEED,
-        checkpoint=checkpoint,
-    )
+    summary = _stream(graph, updates, checkpoint)
     return graph, updates, summary, checkpoint
 
 
@@ -51,9 +57,11 @@ def _snapshot_files(checkpoint):
 
 
 class TestRotation:
-    def test_keep_one_is_the_legacy_single_file(self, tmp_path):
+    def test_keep_one_leaves_one_numbered_snapshot(self, tmp_path):
         _, _, _, checkpoint = _run(tmp_path)  # default keep_snapshots=1
-        assert _snapshot_files(checkpoint) == ["snapshot.npz"]
+        assert _snapshot_files(checkpoint) == ["snapshot-00000010.npz"]
+        config = json.load(open(checkpoint.config_path))
+        assert not {"compress", "snapshot_file"} & set(config)
 
     def test_keep_k_retains_last_k_numbered(self, tmp_path):
         _, _, _, checkpoint = _run(tmp_path, keep_snapshots=3)
@@ -120,9 +128,8 @@ class TestWalCompaction:
         _, _, reference, checkpoint = _run(tmp_path)
         # The single snapshot sits at batch 10 (stream end); everything
         # below it is dead weight.
-        floor = int(
-            snapshot_meta(checkpoint.snapshot_path)["extra"]["next_batch_index"]
-        )
+        ((_, snapshot),) = checkpoint.list_snapshots()
+        floor = int(snapshot_meta(snapshot)["extra"]["next_batch_index"])
         compact_wal(checkpoint.wal_path, floor)
         resumed = resume_stream(checkpoint.directory)
         assert np.array_equal(resumed.final_cover, reference.final_cover)
@@ -162,11 +169,30 @@ class TestWalCompactCLI:
         remaining, _ = read_wal(checkpoint.wal_path)
         assert [r.batch_index for r in remaining] == [8, 9]
 
+    def test_cli_verb_prunes_to_keep_snapshots(self, tmp_path):
+        from repro.cli import main
+
+        _, _, reference, checkpoint = _run(tmp_path, keep_snapshots=3)
+        config = json.load(open(checkpoint.config_path))
+        config["keep_snapshots"] = 1
+        with open(checkpoint.config_path, "w") as fh:
+            json.dump(config, fh)
+        rc = main(
+            ["wal-compact", "--checkpoint-dir", os.fspath(checkpoint.directory)]
+        )
+        assert rc == 0
+        assert _snapshot_files(checkpoint) == ["snapshot-00000010.npz"]
+        remaining, _ = read_wal(checkpoint.wal_path)
+        assert remaining == []
+        resumed = resume_stream(checkpoint.directory)
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+
     def test_cli_verb_without_snapshot_refuses(self, tmp_path):
         from repro.cli import main
 
         _, _, _, checkpoint = _run(tmp_path)
-        os.remove(checkpoint.snapshot_path)
+        ((_, snapshot),) = checkpoint.list_snapshots()
+        os.remove(snapshot)
         with pytest.raises(SystemExit, match="no snapshot"):
             main(
                 [
@@ -175,3 +201,60 @@ class TestWalCompactCLI:
                     os.fspath(checkpoint.directory),
                 ]
             )
+
+
+@pytest.mark.parametrize("name", ["snapshot.npz", "snapshot.npz.gz"])
+class TestSingleFileLayout:
+    """Directories of builds that kept one ``snapshot.npz`` (gzip-wrapped
+    as ``snapshot.npz.gz`` under their ``compress`` knob)."""
+
+    def _crashed_single_file_run(self, tmp_path, monkeypatch, name):
+        graph = make_workload(n=100, seed=17)
+        batches = make_batches(graph, "uniform", 10, BATCH_SIZE, seed=19)
+        updates = [u for b in batches for u in b]
+        reference = _stream(graph, updates)
+        checkpoint = CheckpointConfig(directory=tmp_path / "ckpt", snapshot_every=2)
+        with CrashAfter(monkeypatch, 5):
+            with pytest.raises(CrashAfter.Crash):
+                _stream(graph, updates, checkpoint)
+        # Batches 0-5 are logged; the one snapshot holds batches 0-3.
+        ((position, numbered),) = checkpoint.list_snapshots()
+        assert position == 4
+        data = open(numbered, "rb").read()
+        with open(os.path.join(checkpoint.directory, name), "wb") as fh:
+            fh.write(gzip.compress(data) if name.endswith(".gz") else data)
+        os.remove(numbered)
+        config = json.load(open(checkpoint.config_path))
+        config.update(compress=name.endswith(".gz"), snapshot_file=name)
+        with open(checkpoint.config_path, "w") as fh:
+            json.dump(config, fh)
+        return reference, checkpoint
+
+    def _assert_resumes_exactly(self, checkpoint, reference):
+        resumed = resume_stream(checkpoint.directory)
+        assert resumed.resumed_from_batch == 4
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+        assert resumed.final_dual_value == reference.final_dual_value
+        assert resumed.final_certified_ratio == reference.final_certified_ratio
+        assert _snapshot_files(checkpoint) == ["snapshot-00000010.npz"]
+
+    def test_resumes_exactly_into_numbered_snapshots(
+        self, tmp_path, monkeypatch, name
+    ):
+        reference, checkpoint = self._crashed_single_file_run(
+            tmp_path, monkeypatch, name
+        )
+        self._assert_resumes_exactly(checkpoint, reference)
+
+    def test_wal_compact_uses_the_stored_position(self, tmp_path, monkeypatch, name):
+        from repro.cli import main
+
+        reference, checkpoint = self._crashed_single_file_run(
+            tmp_path, monkeypatch, name
+        )
+        rc = main(["wal-compact", "--checkpoint-dir", os.fspath(checkpoint.directory)])
+        assert rc == 0
+        remaining, _ = read_wal(checkpoint.wal_path)
+        assert [r.batch_index for r in remaining] == [4, 5]
+        assert _snapshot_files(checkpoint) == [name]
+        self._assert_resumes_exactly(checkpoint, reference)
