@@ -8,8 +8,8 @@ faster than the original object-at-a-time implementations while staying
 stream through two maintainers — the production
 :class:`~repro.dynamic.IncrementalCoverMaintainer` (vectorized kernels) and
 the ``ReferenceMaintainer`` of ``tests/kernel_oracle.py`` (the original
-code, kept as the executable spec) — with per-kernel profiling on, and
-asserts:
+code, kept as the executable spec) — summing each batch's kernel
+sections (``last_batch_profile``), and asserts:
 
 * the final covers, duals, and dual totals agree bit for bit;
 * the vectorized *kernel* time (repair + prune) is at least
@@ -35,7 +35,7 @@ if __package__ in (None, ""):  # `python benchmarks/bench_repair_kernels.py`
 
 from benchmarks.conftest import register_table
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
-from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer
+from repro.dynamic import KERNEL_PROFILE_KEYS, DynamicGraph, IncrementalCoverMaintainer
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.streams import make_update_stream
 from repro.graphs.weights import uniform_weights
@@ -71,13 +71,15 @@ MAINTAINERS = {
 def _replay(graph, updates, result, kernels):
     """Adopt ``result`` and replay the full stream; returns measurements."""
     dyn = DynamicGraph(graph)
-    maintainer = MAINTAINERS[kernels](dyn, profile=True)
+    maintainer = MAINTAINERS[kernels](dyn)
     maintainer.adopt(result)
+    profile = dict.fromkeys(KERNEL_PROFILE_KEYS, 0.0)
     start = time.perf_counter()
     for i in range(0, len(updates), BATCH_SIZE):
         maintainer.apply_batch(updates[i : i + BATCH_SIZE])
+        for key, seconds in maintainer.last_batch_profile.items():
+            profile[key] += seconds
     elapsed = time.perf_counter() - start
-    profile = maintainer.kernel_profile
     return {
         "elapsed_s": elapsed,
         "updates_per_s": len(updates) / elapsed,

@@ -61,11 +61,7 @@ class CoverCertificate:
     certified_ratio: float
 
     def to_dict(self) -> dict:
-        """Exact JSON-friendly form; inverse of :meth:`from_dict`.
-
-        This is the wire format shared by ``repro stream`` records and the
-        write-ahead log — one schema, so the two cannot drift.
-        """
+        """Exact JSON-friendly form (nested in ``repro stream`` records)."""
         return {
             "is_cover": bool(self.is_cover),
             "cover_weight": float(self.cover_weight),
@@ -74,25 +70,6 @@ class CoverCertificate:
             "opt_lower_bound": float(self.opt_lower_bound),
             "certified_ratio": float(self.certified_ratio),
         }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "CoverCertificate":
-        """Rebuild a certificate from its :meth:`to_dict` form."""
-        if not isinstance(spec, dict):
-            raise ValueError(
-                f"certificate record must be a dict, got {type(spec).__name__}"
-            )
-        missing = {f for f in cls.__dataclass_fields__} - set(spec)
-        if missing:
-            raise ValueError(f"certificate record missing keys {sorted(missing)}")
-        return cls(
-            is_cover=bool(spec["is_cover"]),
-            cover_weight=float(spec["cover_weight"]),
-            dual_value=float(spec["dual_value"]),
-            load_factor=float(spec["load_factor"]),
-            opt_lower_bound=float(spec["opt_lower_bound"]),
-            certified_ratio=float(spec["certified_ratio"]),
-        )
 
     def summary(self) -> dict:
         return self.to_dict()

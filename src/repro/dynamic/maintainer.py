@@ -35,22 +35,17 @@ it through the batch service is :func:`repro.dynamic.stream.run_stream`'s.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.certificates import CoverCertificate
-from repro.core.postprocess import prune_redundant_vertices
+from repro.core.postprocess import greedy_prune_pass, prune_redundant_vertices
 from repro.core.result import MWVCResult
 from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
-from repro.dynamic.repair import (
-    certificate_from_state,
-    greedy_prune_pass,
-    pricing_repair_pass,
-)
+from repro.dynamic.repair import certificate_from_state, pricing_repair_pass
 from repro.graphs.updates import (
     OP_DELETE,
     OP_INSERT,
@@ -58,10 +53,11 @@ from repro.graphs.updates import (
     GraphUpdate,
     UpdateColumns,
 )
+from repro.utils.timing import Stopwatch
 
 __all__ = ["IncrementalCoverMaintainer", "BatchReport", "KERNEL_PROFILE_KEYS"]
 
-#: Sections of the per-batch kernel timing breakdown (``profile=True``).
+#: Sections of :attr:`IncrementalCoverMaintainer.last_batch_profile`.
 KERNEL_PROFILE_KEYS = ("adjacency_s", "repair_s", "prune_s", "certificate_s")
 
 
@@ -103,11 +99,8 @@ class BatchReport:
     drift: float
 
     def to_dict(self) -> dict:
-        """Exact JSON-friendly form; inverse of :meth:`from_dict`.
-
-        The certificate is nested in full (its own ``to_dict``), so this is
-        the one schema shared by stream records and the write-ahead log.
-        """
+        """Exact JSON-friendly form, the certificate nested in full (its own
+        ``to_dict``)."""
         return {
             "num_updates": int(self.num_updates),
             "applied": int(self.applied),
@@ -121,28 +114,6 @@ class BatchReport:
             "certificate": self.certificate.to_dict(),
             "drift": float(self.drift),
         }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "BatchReport":
-        """Rebuild a report from its :meth:`to_dict` form."""
-        if not isinstance(spec, dict):
-            raise ValueError(f"batch report must be a dict, got {type(spec).__name__}")
-        missing = {f for f in cls.__dataclass_fields__} - set(spec)
-        if missing:
-            raise ValueError(f"batch report missing keys {sorted(missing)}")
-        return cls(
-            num_updates=int(spec["num_updates"]),
-            applied=int(spec["applied"]),
-            inserts=int(spec["inserts"]),
-            deletes=int(spec["deletes"]),
-            reweights=int(spec["reweights"]),
-            repaired_edges=int(spec["repaired_edges"]),
-            added_to_cover=int(spec["added_to_cover"]),
-            pruned_from_cover=int(spec["pruned_from_cover"]),
-            retired_dual=float(spec["retired_dual"]),
-            certificate=CoverCertificate.from_dict(spec["certificate"]),
-            drift=float(spec["drift"]),
-        )
 
     def summary(self) -> dict:
         """Flat JSON-friendly dict (one row of ``repro stream`` output)."""
@@ -182,16 +153,12 @@ class IncrementalCoverMaintainer:
     On an edgeless initial graph :meth:`adopt` is optional — the empty
     cover is trivially valid and repairs bootstrap the duals from zero.
 
-    Parameters
-    ----------
-    profile:
-        Accumulate a per-batch kernel timing breakdown
-        (:data:`KERNEL_PROFILE_KEYS`) in :attr:`kernel_profile` /
-        :attr:`last_batch_profile`.  Off by default: the hot path stays
-        timer-free.
+    Every :meth:`apply_batch` times its kernel sections
+    (:data:`KERNEL_PROFILE_KEYS`, seconds) into a fresh
+    :attr:`last_batch_profile`; it is ``None`` before the first batch.
     """
 
-    def __init__(self, dyn: DynamicGraph, *, profile: bool = False):
+    def __init__(self, dyn: DynamicGraph):
         self.dyn = dyn
         n = dyn.n
         self._cover = np.zeros(n, dtype=bool)
@@ -200,22 +167,13 @@ class IncrementalCoverMaintainer:
         self._dual_value = 0.0
         self._base_ratio: Optional[float] = None
         self._batches = 0
-        self._init_profile(profile)
+        self.last_batch_profile: Optional[Dict[str, float]] = None
         if dyn.m:
             # A nonempty graph has no valid empty cover; start from the
             # trivial all-vertices cover (duals empty → ratio inf) so the
             # validity invariant holds from the first moment.  Callers are
             # expected to adopt() a real solution before streaming.
             self._cover[:] = True
-
-    def _init_profile(self, profile: bool) -> None:
-        self._profile = bool(profile)
-        self._profile_acc: Dict[str, float] = {k: 0.0 for k in KERNEL_PROFILE_KEYS}
-        self.last_batch_profile: Optional[Dict[str, float]] = None
-
-    def set_profiling(self, enabled: bool) -> None:
-        """Switch kernel profiling on/off (resets the accumulated split)."""
-        self._init_profile(enabled)
 
     # ------------------------------------------------------------------ #
     # state accessors
@@ -244,11 +202,6 @@ class IncrementalCoverMaintainer:
     def batches_applied(self) -> int:
         """Number of :meth:`apply_batch` calls so far."""
         return self._batches
-
-    @property
-    def kernel_profile(self) -> Optional[Dict[str, float]]:
-        """Cumulative kernel timing breakdown (``None`` unless profiling)."""
-        return dict(self._profile_acc) if self._profile else None
 
     def edge_duals(self) -> Dict[Tuple[int, int], float]:
         """Nonzero per-edge duals keyed by canonical endpoint pair (copy)."""
@@ -281,13 +234,7 @@ class IncrementalCoverMaintainer:
         }
 
     @classmethod
-    def from_state(
-        cls,
-        dyn: DynamicGraph,
-        state: dict,
-        *,
-        profile: bool = False,
-    ) -> "IncrementalCoverMaintainer":
+    def from_state(cls, dyn: DynamicGraph, state: dict) -> "IncrementalCoverMaintainer":
         """Reconstruct a maintainer around ``dyn`` from :meth:`export_state`.
 
         ``dyn`` must already hold the graph the state was exported against;
@@ -324,40 +271,19 @@ class IncrementalCoverMaintainer:
         base = state["base_ratio"]
         maintainer._base_ratio = None if base is None else float(base)
         maintainer._batches = int(state["batches_applied"])
-        maintainer._init_profile(profile)
+        maintainer.last_batch_profile = None
         return maintainer
 
     # ------------------------------------------------------------------ #
     # certification
     # ------------------------------------------------------------------ #
-    def load_factor(self) -> float:
-        """``max(1, max_v y_v / w(v))`` against the *current* weights."""
-        if self.dyn.n == 0:
-            return 1.0
-        return max(1.0, float((self._loads / self.dyn.weights).max()))
-
-    def dual_excess(self) -> float:
-        """Total dual overload ``Σ_v max(0, y_v − w(v))``.
-
-        For any cover ``C``, ``Σ_e x_e ≤ Σ_{v∈C} y_v ≤ w(C) + Σ_v (y_v −
-        w_v)_+`` (every edge has an endpoint in ``C``), so ``Σ_e x_e −
-        dual_excess ≤ OPT`` — a per-vertex-tight companion to the global
-        ``load_factor`` scaling.
-        """
-        if self.dyn.n == 0:
-            return 0.0
-        return float(np.maximum(self._loads - self.dyn.weights, 0.0).sum())
-
     def certificate(self) -> CoverCertificate:
         """The duality certificate of the maintained state.
 
         ``is_cover`` here asserts the maintainer's invariant (it is
         recomputed exactly by :meth:`verify`, which materializes the
-        graph).  The OPT lower bound is the better of the two sound
-        repairs of a violated dual: global scaling ``Σx / load_factor``
-        (as in :func:`repro.core.certificates.certify_cover`) and excess
-        subtraction ``Σx − dual_excess`` — the latter is far tighter when
-        a few reweighted vertices carry all the violation.
+        graph).  The OPT lower bound is
+        :func:`~repro.dynamic.repair.certificate_from_state`'s.
         """
         return certificate_from_state(
             weights=self.dyn.weights,
@@ -445,36 +371,26 @@ class IncrementalCoverMaintainer:
         nothing.  The repair budget is proportional to the batch's touched
         neighborhood: uncovered inserted edges are patched by the pricing
         rule, then touched vertices are pruned greedily.  The certificate
-        in the returned report reflects the post-repair state.
+        in the returned report reflects the post-repair state.  The
+        sections after validation are timed into :attr:`last_batch_profile`.
         """
         if not isinstance(updates, UpdateColumns):
             updates = UpdateColumns.from_updates(updates)
         updates.validate(self.dyn.n, batch_index=self._batches, start=0)
-        profiling = self._profile
-        t_mark = time.perf_counter() if profiling else 0.0
+        watch = Stopwatch()
         events = self._apply_events(updates)
         inserts, deletes, reweights, retired, touched, uncovered = events
-        if profiling:
-            now = time.perf_counter()
-            adjacency_s, t_mark = now - t_mark, now
-
+        watch.lap("adjacency_s")
         repaired, entered = self._repair(uncovered)
-        if profiling:
-            now = time.perf_counter()
-            repair_s, t_mark = now - t_mark, now
+        watch.lap("repair_s")
         pruned = self._prune_touched(touched, entered)
-        if profiling:
-            now = time.perf_counter()
-            prune_s, t_mark = now - t_mark, now
+        watch.lap("prune_s")
         # Amortized: fold the delta into a fresh snapshot once it outgrows
         # the base (the maintainer's edge-code-keyed state is
         # snapshot-independent, so compaction is invisible here).  Booked
         # under adjacency_s — it is CSR maintenance, not prune work.
         self.dyn.maybe_compact()
-        if profiling:
-            now = time.perf_counter()
-            adjacency_s += now - t_mark
-            t_mark = now
+        watch.lap("adjacency_s")
 
         self._batches += 1
         cert = self.certificate()
@@ -491,18 +407,8 @@ class IncrementalCoverMaintainer:
             certificate=cert,
             drift=self.drift(),
         )
-        if profiling:
-            certificate_s = time.perf_counter() - t_mark
-            delta = {
-                "adjacency_s": adjacency_s,
-                "repair_s": repair_s,
-                "prune_s": prune_s,
-                "certificate_s": certificate_s,
-            }
-            acc = self._profile_acc
-            for key, value in delta.items():
-                acc[key] += value
-            self.last_batch_profile = delta
+        watch.lap("certificate_s")
+        self.last_batch_profile = watch.seconds
         return report
 
     def _apply_events(self, cols: UpdateColumns) -> Tuple:

@@ -1,13 +1,16 @@
 """Repair kernels: pricing repair, greedy prune, certification.
 
 The three state transitions of :class:`~repro.dynamic.IncrementalCoverMaintainer`
-that involve floating point live here as free functions over plain arrays:
+that involve floating point or cover membership are free functions over
+plain arrays:
 
 * :func:`pricing_repair_pass` — the local-ratio/pricing repair of
   uncovered edges, processed in canonical sorted-key order;
-* :func:`greedy_prune_pass` — the sequential greedy redundancy prune over
-  a candidate set, reading neighborhoods through the dynamic graph's
-  batched degree and gather accessors;
+* :func:`~repro.core.postprocess.greedy_prune_pass` — the sequential
+  greedy redundancy prune over a candidate set, reading neighborhoods
+  through the dynamic graph's batched degree and gather accessors (it
+  lives in :mod:`repro.core.postprocess`, which also runs it over a static
+  graph's CSR, and is re-exported here);
 * :func:`certificate_from_state` — the duality certificate from the raw
   ``(weights, cover, loads, dual_value)`` arrays.
 
@@ -23,24 +26,22 @@ Hypothesis suite ``tests/properties/test_property_kernels.py`` and the
 identical streams and require bit-for-bit equal covers, duals, and dual
 totals.
 
-Why the prepass is exact, not approximate: the repair loop skips an edge
+Why the repair prepass is exact, not approximate: the loop skips an edge
 iff it is absent or an endpoint is covered *when reached*; an edge absent
 or covered before the pass starts is skipped with no side effects, so
-filtering those up front removes only no-op iterations.  The prune loop
-re-reads ``cover`` per candidate, but cover bits only change at *dropped*
-vertices, and dropping ``v`` locks every neighbor of ``v`` — so any
-candidate whose droppability inputs changed mid-pass is locked and skipped
-anyway, making the pass-start droppability mask decision-equivalent.
+filtering those up front removes only no-op iterations.  The prune's
+argument is in :mod:`repro.core.postprocess`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Set, Tuple, Union
+from typing import Callable, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.certificates import CoverCertificate
+from repro.core.postprocess import greedy_prune_pass
 from repro.dynamic.duals import DualStore
 
 __all__ = [
@@ -155,68 +156,6 @@ def pricing_repair_pass(
     return RepairOutcome(repaired=repaired, entered=entered, dual_value=dual_value)
 
 
-def greedy_prune_pass(
-    candidates: Union[np.ndarray, Sequence[int]],
-    *,
-    weights: np.ndarray,
-    cover: np.ndarray,
-    degrees_of: Callable[[np.ndarray], np.ndarray],
-    gather: Callable[[np.ndarray], tuple],
-) -> List[int]:
-    """Greedy redundancy prune restricted to ``candidates``.
-
-    Decreasing ``w/deg`` order (most expensive per covered edge first;
-    isolated vertices lead; ties by id for determinism), droppable iff
-    every current neighbor is covered, and dropping ``v`` locks its
-    neighbors — each now solely covers its edge to ``v``.  ``cover`` is
-    mutated in place; returns the pruned vertex ids.
-
-    ``degrees_of(ids)`` gathers current degrees and ``gather(ids)``
-    returns every *complete* current neighborhood as ``(concat, starts,
-    ends)`` (:meth:`~repro.dynamic.DynamicGraph.prune_gather`) — a
-    partial neighborhood would silently break the cover.  Ordering is
-    one ``lexsort``, droppability is one gathered ``cover`` reduction over
-    the concatenated neighbor arrays, and the sequential tail does O(1)
-    work per candidate.  The pass-start droppability mask never disagrees
-    with a live re-check for an unlocked candidate (see the module
-    docstring).
-    """
-    cand = np.asarray(candidates, dtype=np.int64).reshape(-1)
-    cand = cand[cover[cand]]
-    if cand.size == 0:
-        return []
-
-    degs = degrees_of(cand)
-    w = np.asarray(weights, dtype=np.float64)[cand]
-    with np.errstate(divide="ignore"):
-        eff = np.where(degs > 0, w / np.maximum(degs, 1), np.inf)
-    ordered = cand[np.lexsort((cand, -eff))]
-
-    # One gather for the whole candidate set.
-    concat, starts, ends = gather(ordered)
-    sizes = ends - starts
-    droppable = np.ones(ordered.size, dtype=bool)
-    nonempty = np.nonzero(sizes)[0]
-    if nonempty.size:
-        droppable[nonempty] = np.minimum.reduceat(
-            cover[concat], starts[nonempty]
-        )
-    drop_flags = droppable.tolist()
-    seg_starts = starts.tolist()
-    seg_ends = ends.tolist()
-    locked = np.zeros(cover.shape[0], dtype=bool)
-    pruned: List[int] = []
-    for i, v in enumerate(ordered.tolist()):
-        if not drop_flags[i] or not cover[v] or locked[v]:
-            continue
-        cover[v] = False
-        pruned.append(v)
-        seg = concat[seg_starts[i] : seg_ends[i]]
-        if seg.size:
-            locked[seg] = True
-    return pruned
-
-
 def certificate_from_state(
     *,
     weights: np.ndarray,
@@ -227,9 +166,18 @@ def certificate_from_state(
     """The duality certificate of a maintained ``(cover, duals)`` state.
 
     The OPT lower bound is the better of the two sound repairs of a
-    violated dual: global scaling ``Σx / load_factor`` and excess
-    subtraction ``Σx − Σ_v (y_v − w_v)_+`` (see
-    :meth:`repro.dynamic.IncrementalCoverMaintainer.certificate`).
+    violated dual (loads ``y_v`` may exceed ``w_v`` after an adopted
+    solve with load factor > 1 or a weight decrease):
+
+    * global scaling ``Σx / load_factor`` with ``load_factor = max(1,
+      max_v y_v / w_v)``, as in
+      :func:`repro.core.certificates.certify_cover`;
+    * excess subtraction ``Σx − excess`` with ``excess = Σ_v (y_v −
+      w_v)_+``.  For any cover ``C``, ``Σ_e x_e ≤ Σ_{v∈C} y_v ≤ w(C) +
+      excess`` (every edge has an endpoint in ``C``), so ``Σx − excess ≤
+      OPT``.  It is far tighter than scaling when a few reweighted
+      vertices carry all the violation.
+
     ``is_cover`` asserts the caller's validity invariant — it is not
     recomputed here.
     """

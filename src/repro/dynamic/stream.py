@@ -58,7 +58,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import time
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -72,7 +71,11 @@ from repro.dynamic.checkpoint import (
     snapshot_meta,
 )
 from repro.dynamic.dynamic_graph import DynamicGraph
-from repro.dynamic.maintainer import BatchReport, IncrementalCoverMaintainer
+from repro.dynamic.maintainer import (
+    KERNEL_PROFILE_KEYS,
+    BatchReport,
+    IncrementalCoverMaintainer,
+)
 from repro.dynamic.policy import ResolvePolicy
 from repro.dynamic.wal import WriteAheadLog, compact_wal, read_wal, repair_wal
 from repro.graphs.graph import WeightedGraph
@@ -85,6 +88,7 @@ from repro.graphs.updates import (
 )
 from repro.service.batch import BatchSolver
 from repro.service.schema import SolveRequest
+from repro.utils.timing import Stopwatch
 
 __all__ = [
     "CONFIG_FORMAT_VERSION",
@@ -247,9 +251,12 @@ class CheckpointConfig:
 class StreamRecord:
     """One processed batch: maintainer report + policy outcome + timing.
 
-    ``kernel_profile`` (``--profile`` runs only) is this batch's kernel
-    timing breakdown — repair / prune / adjacency / certificate seconds —
-    so per-batch regressions are attributable, not just wall clock.
+    ``elapsed_s`` is the batch's wall clock from validation through the
+    WAL commit, apply, policy, a triggered re-solve and verification, up
+    to the record itself.  ``kernel_profile`` (``--profile`` runs only) is
+    this batch's kernel timing breakdown — repair / prune / adjacency /
+    certificate seconds, within ``elapsed_s`` — so per-batch regressions
+    are attributable, not just wall clock.
     """
 
     batch_index: int
@@ -294,9 +301,10 @@ class StreamSummary:
     ``ingest_s``/``repair_s``/``resolve_s`` split the wall clock: time
     spent getting updates into the engine (validation and WAL commits),
     time spent applying/repairing/pruning (the incremental path), and time
-    spent in triggered full re-solves.
-    The three do not sum to ``elapsed_s`` — verification, snapshots and
-    bookkeeping are outside all three buckets.
+    spent in full solves (the initial solve, a cold-start resume's solve
+    and every triggered re-solve).  All three are laps of the one
+    stopwatch whose total is ``elapsed_s``, so they never exceed it; the
+    remainder is verification, snapshots, policy and bookkeeping.
 
     A resumed run also says what recovery had to do:
     ``recovered_torn_tail`` is True when an uncommitted record cut
@@ -305,7 +313,7 @@ class StreamSummary:
 
     ``kernel_profile`` (``profile=True`` runs only) splits ``repair_s``
     further by kernel: adjacency maintenance, pricing repair, greedy
-    prune, and certificate computation, summed over every batch.
+    prune, and certificate computation, summed over the records.
     """
 
     num_updates: int
@@ -363,6 +371,11 @@ class _StreamEngine:
     evaluation, triggered re-solve, periodic verification, record keeping,
     and periodic snapshots.  As a context manager it closes the WAL and a
     solver it created.
+
+    ``watch`` is the run's one clock: it laps ``ingest_s``, ``repair_s``
+    and ``resolve_s``, and ``other_s`` for everything between them.
+    ``profile`` only decides whether records and the summary carry the
+    maintainer's kernel sections.
     """
 
     def __init__(
@@ -375,6 +388,8 @@ class _StreamEngine:
         seed: int,
         engine: str,
         verify_every: int,
+        watch: Stopwatch,
+        profile: bool = False,
         checkpoint: Optional[CheckpointConfig] = None,
     ):
         self.maintainer = maintainer
@@ -393,9 +408,8 @@ class _StreamEngine:
         self.cache_hits = 0
         self.batches_since = 0
         self.updates_applied = 0
-        self.ingest_s = 0.0
-        self.repair_s = 0.0
-        self.resolve_s = 0.0
+        self.watch = watch
+        self.profile = profile
 
     def __enter__(self) -> "_StreamEngine":
         return self
@@ -425,7 +439,7 @@ class _StreamEngine:
     # -- the solve path -------------------------------------------------- #
     def resolve(self) -> bool:
         """Full re-solve through the service; returns cache-hit flag."""
-        t0 = time.perf_counter()
+        self.watch.lap("other_s")
         graph = self.maintainer.dyn.compact()
         request = SolveRequest(
             graph=graph, eps=self.eps, seed=self.seed, engine=self.engine
@@ -436,7 +450,7 @@ class _StreamEngine:
         self.maintainer.adopt(result.result, graph=graph)
         self.num_resolves += 1
         self.cache_hits += int(result.cache_hit)
-        self.resolve_s += time.perf_counter() - t0
+        self.watch.lap("resolve_s")
         return result.cache_hit
 
     # -- durability ------------------------------------------------------ #
@@ -464,8 +478,10 @@ class _StreamEngine:
         """Apply ``batch`` as batch :attr:`next_index`, logging it first
         while the WAL is open (a replay runs with it closed)."""
         index = self.next_index
+        watch = self.watch
+        watch.lap("other_s")
+        started = watch.total
         # Validated whole before any of it is logged or applied.
-        t_ingest = time.perf_counter()
         dyn = self.maintainer.dyn
         batch.validate(dyn.n, batch_index=index, start=self.updates_applied)
         if self.wal is not None:
@@ -476,10 +492,9 @@ class _StreamEngine:
                 num_vertices=dyn.n,
                 position=self.updates_applied,
             )
-        self.ingest_s += time.perf_counter() - t_ingest
-        t0 = time.perf_counter()
+        watch.lap("ingest_s")
         report = self.maintainer.apply_batch(batch)
-        self.repair_s += time.perf_counter() - t0
+        watch.lap("repair_s")
         self.updates_applied += len(batch)
         self.batches_since += 1
         decision = self.policy.should_resolve(
@@ -496,15 +511,17 @@ class _StreamEngine:
                 raise RuntimeError(
                     f"invalid cover after batch {index} — maintainer bug"
                 )
+        ratio_after = self.maintainer.certified_ratio()
+        watch.lap("other_s")
         record = StreamRecord(
             batch_index=index,
             report=report,
             resolved=bool(decision),
             resolve_reason=decision.reason,
             resolve_cache_hit=hit,
-            certified_ratio_after=self.maintainer.certified_ratio(),
-            elapsed_s=time.perf_counter() - t0,
-            kernel_profile=self.maintainer.last_batch_profile,
+            certified_ratio_after=ratio_after,
+            elapsed_s=watch.total - started,
+            kernel_profile=self.maintainer.last_batch_profile if self.profile else None,
         )
         self.records.append(record)
         self.next_index = index + 1
@@ -531,11 +548,18 @@ class _StreamEngine:
         self,
         *,
         num_updates: int,
-        elapsed_s: float,
         resumed_from_batch: Optional[int] = None,
         recovered_torn_tail: bool = False,
         snapshot_fallbacks: int = 0,
     ) -> StreamSummary:
+        self.watch.lap("other_s")
+        seconds = self.watch.seconds
+        kernel_profile = None
+        if self.profile:
+            kernel_profile = {
+                key: sum(r.kernel_profile[key] for r in self.records)
+                for key in KERNEL_PROFILE_KEYS
+            }
         cert = self.maintainer.certificate()
         return StreamSummary(
             num_updates=num_updates,
@@ -546,14 +570,14 @@ class _StreamEngine:
             final_dual_value=cert.dual_value,
             final_certified_ratio=cert.certified_ratio,
             final_is_cover=self.maintainer.verify(),
-            elapsed_s=elapsed_s,
+            elapsed_s=self.watch.total,
             records=self.records,
             final_cover=self.maintainer.cover,
             resumed_from_batch=resumed_from_batch,
-            ingest_s=self.ingest_s,
-            repair_s=self.repair_s,
-            resolve_s=self.resolve_s,
-            kernel_profile=self.maintainer.kernel_profile,
+            ingest_s=seconds.get("ingest_s", 0.0),
+            repair_s=seconds.get("repair_s", 0.0),
+            resolve_s=seconds.get("resolve_s", 0.0),
+            kernel_profile=kernel_profile,
             recovered_torn_tail=recovered_torn_tail,
             snapshot_fallbacks=snapshot_fallbacks,
         )
@@ -656,9 +680,10 @@ def run_stream(
         process can be picked up by :func:`resume_stream` at the exact
         state it died in.
     profile:
-        Collect the per-batch kernel timing breakdown (repair / prune /
-        adjacency / certificate) into every record and the summary's
-        ``kernel_profile`` (``repro stream --profile``).
+        Report the per-batch kernel timing breakdown (repair / prune /
+        adjacency / certificate), which the maintainer always measures, in
+        every record and the summary's ``kernel_profile``
+        (``repro stream --profile``).
 
     Raises
     ------
@@ -689,9 +714,9 @@ def run_stream(
             verify_every=verify_every,
             compact_fraction=compact_fraction,
         )
-    start = time.perf_counter()
+    watch = Stopwatch()
     dyn = DynamicGraph(graph, compact_fraction=compact_fraction)
-    maintainer = IncrementalCoverMaintainer(dyn, profile=profile)
+    maintainer = IncrementalCoverMaintainer(dyn)
     with _StreamEngine(
         maintainer,
         policy,
@@ -700,6 +725,8 @@ def run_stream(
         seed=seed,
         engine=engine,
         verify_every=verify_every,
+        watch=watch,
+        profile=profile,
         checkpoint=checkpoint,
     ) as engine_:
         if graph.m:
@@ -707,9 +734,7 @@ def run_stream(
         engine_.write_snapshot()
         engine_.finish(updates, batch_size)
 
-    return engine_.summarize(
-        num_updates=len(updates), elapsed_s=time.perf_counter() - start
-    )
+    return engine_.summarize(num_updates=len(updates))
 
 
 def _newest_intact(checkpoint: CheckpointConfig):
@@ -861,6 +886,9 @@ def resume_stream(
     solver:
         Batch service for re-solves; a private in-process solver is
         created (and closed) when omitted.
+    profile:
+        As in :func:`run_stream`: report the kernel timing breakdown of
+        this invocation's batches (``repro resume --profile``).
 
     Raises
     ------
@@ -890,11 +918,10 @@ def resume_stream(
     torn = repair_wal(checkpoint.wal_path)
     wal_records, _ = read_wal(checkpoint.wal_path)
 
-    start = time.perf_counter()
+    watch = Stopwatch()
     restored, fallbacks = _newest_intact(checkpoint)
     if restored is not None:
         maintainer = restored.maintainer
-        maintainer.set_profiling(profile)
         restored.dyn.compact_fraction = float(config["compact_fraction"])
         extra = restored.meta.get("extra", {})
     else:
@@ -919,7 +946,7 @@ def resume_stream(
                 f"checkpointed run's graph digest"
             )
         dyn = DynamicGraph(graph, compact_fraction=float(config["compact_fraction"]))
-        maintainer = IncrementalCoverMaintainer(dyn, profile=profile)
+        maintainer = IncrementalCoverMaintainer(dyn)
         extra = {}
 
     with _StreamEngine(
@@ -930,6 +957,8 @@ def resume_stream(
         seed=config["seed"],
         engine=config["engine"],
         verify_every=config["verify_every"],
+        watch=watch,
+        profile=profile,
         checkpoint=checkpoint,
     ) as engine_:
         engine_.restore_counters(extra)
@@ -973,7 +1002,6 @@ def resume_stream(
 
     return engine_.summarize(
         num_updates=engine_.updates_applied - updates_at_restore,
-        elapsed_s=time.perf_counter() - start,
         resumed_from_batch=resumed_from,
         recovered_torn_tail=torn,
         snapshot_fallbacks=fallbacks,

@@ -1,11 +1,13 @@
-"""Shared utilities: seeded RNG streams, validation helpers, timers.
+"""Shared utilities: seeded RNG streams, validation helpers, a lap timer.
 
 The algorithms in :mod:`repro` are randomized; reproducibility is achieved by
 deriving every random draw from a :class:`numpy.random.SeedSequence` spawned
 along a documented path (run -> phase -> purpose).  See :mod:`repro.utils.rng`.
+:class:`~repro.utils.timing.Stopwatch` is the stream path's one timer.
 """
 
 from repro.utils.rng import RngFactory, as_seed_sequence, spawn_rng
+from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_fraction,
     check_positive,
@@ -18,6 +20,7 @@ __all__ = [
     "RngFactory",
     "as_seed_sequence",
     "spawn_rng",
+    "Stopwatch",
     "check_fraction",
     "check_positive",
     "check_probability",

@@ -18,7 +18,6 @@ from typing import Callable, Iterable, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.postprocess import prune_redundant_vertices
 from repro.dynamic import IncrementalCoverMaintainer, decode_edge_codes
 from repro.dynamic.repair import RESIDUAL_RTOL, RepairOutcome
 from repro.graphs.updates import EdgeInsert, WeightChange
@@ -115,11 +114,9 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
     <repro.dynamic.DynamicGraph.apply>`, which must agree.  A test can
     check ``dyn.edge_codes()`` against :meth:`model_codes` after every
     batch.  Deleted edges' duals retire one at a time, clamping each load
-    and the dual total at zero.  Touched sets above an eighth of the graph
-    are pruned by the restricted sweep of
-    :func:`repro.core.postprocess.prune_redundant_vertices` on the
-    materialized graph — the same greedy order and droppability rule, so
-    the result is unchanged.
+    and the dual total at zero.  Every prune is
+    :func:`reference_greedy_prune_pass`, so the oracle never runs the
+    production prune kernel it checks.
     """
 
     @property
@@ -195,15 +192,6 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
         candidates = [v for v in touched | entered if self._cover[v]]
         if not candidates:
             return 0
-        if len(candidates) * 8 > self.dyn.n:
-            before = int(self._cover.sum())
-            self._cover = prune_redundant_vertices(
-                self.dyn.materialize(),
-                self._cover,
-                weights=self.dyn.weights,
-                candidates=np.asarray(candidates, dtype=np.int64),
-            )
-            return before - int(self._cover.sum())
         pruned = reference_greedy_prune_pass(
             candidates, weights=self.dyn.weights, cover=self._cover, graph=self.dyn
         )

@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
+from repro.core.postprocess import greedy_prune_pass, prune_redundant_vertices
 from repro.dynamic import DualStore, DynamicGraph, IncrementalCoverMaintainer
 from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
-from repro.dynamic.repair import greedy_prune_pass, pricing_repair_pass
+from repro.dynamic.repair import pricing_repair_pass
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.updates import EdgeDelete, EdgeInsert, UpdateColumns, WeightChange
 
@@ -336,6 +337,54 @@ class TestBareKernels:
         )
         assert vec == ref
         assert np.array_equal(vec_cover, ref_cover)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        graph=weighted_graphs(min_n=1, max_n=20),
+        isolated=st.integers(0, 3),
+        candidate_form=st.sampled_from(["all", "mask", "ids"]),
+        tied=st.booleans(),
+        override=st.booleans(),
+    )
+    def test_prune_redundant_vertices_matches_reference(
+        self, data, graph, isolated, candidate_form, tied, override
+    ):
+        n = graph.n + isolated
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        weights = np.concatenate([graph.weights, rng.uniform(0.1, 100.0, isolated)])
+        if tied:
+            weights = rng.integers(1, 4, n).astype(np.float64)
+        g = WeightedGraph(n, graph.edges_u, graph.edges_v, weights)
+        # A valid cover that keeps every isolated vertex, with random drops.
+        cover = np.ones(n, dtype=bool)
+        for v in np.nonzero(rng.random(graph.n) < 0.3)[0]:
+            if cover[g.neighbors(int(v))].all():
+                cover[v] = False
+        effective = rng.uniform(0.1, 100.0, n) if override else g.weights
+        if tied and override:
+            effective = rng.integers(1, 4, n).astype(np.float64)
+        sweep = rng.random(n) < rng.random()
+        candidates = {
+            "all": None,
+            "mask": sweep,
+            "ids": rng.permutation(np.repeat(np.nonzero(sweep)[0], 2)),
+        }[candidate_form]
+
+        pruned = prune_redundant_vertices(
+            g,
+            cover,
+            weights=effective if override else None,
+            candidates=candidates,
+        )
+        ref_cover = cover.copy()
+        reference_greedy_prune_pass(
+            range(n) if candidates is None else np.nonzero(sweep)[0].tolist(),
+            weights=effective,
+            cover=ref_cover,
+            graph=DynamicGraph(g),
+        )
+        assert np.array_equal(pruned, ref_cover)
 
 
 class TestDualStore:

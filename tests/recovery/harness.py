@@ -51,7 +51,9 @@ def assert_same_state(a: IncrementalCoverMaintainer, b: IncrementalCoverMaintain
     assert a.cover_weight == b.cover_weight, "cover weights differ"
     assert a.edge_duals() == b.edge_duals(), "pair-keyed duals differ"
     assert a.dual_value == b.dual_value, "dual totals differ"
-    assert a.load_factor() == b.load_factor(), "load factors differ"
+    assert (
+        a.certificate().load_factor == b.certificate().load_factor
+    ), "load factors differ"
     assert a.base_ratio == b.base_ratio, "drift baselines differ"
     assert a.batches_applied == b.batches_applied, "batch counters differ"
     assert a.dyn.content_digest() == b.dyn.content_digest(), "graphs differ"
