@@ -6,7 +6,8 @@ process pool should scale near-linearly with cores, and a warm cache should
 make repeated traffic nearly free).  On a 32-instance manifest the bench
 reports:
 
-* ``sequential`` — the plain one-at-a-time loop (the pre-service baseline);
+* ``sequential`` — an in-process, uncached solver that solves the
+  requests one by one (the pre-service baseline);
 * ``pooled``     — :class:`~repro.service.batch.BatchSolver` across a warm
   process pool (pool start-up excluded: a service keeps its pool alive,
   so steady-state throughput is the number that matters);
@@ -26,7 +27,7 @@ import time
 from benchmarks.conftest import register_table
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.weights import uniform_weights
-from repro.service.batch import BatchSolver, solve_sequential
+from repro.service.batch import BatchSolver
 from repro.service.schema import SolveRequest
 
 NUM_INSTANCES = 32
@@ -48,7 +49,8 @@ def test_service_throughput(benchmark):
     solver = BatchSolver(cache=NUM_INSTANCES + 8)
 
     t0 = time.perf_counter()
-    seq = solve_sequential(requests)
+    with BatchSolver(use_processes=False, cache=None) as sequential:
+        seq = sequential.solve_batch(requests)
     t_seq = time.perf_counter() - t0
 
     # Warm instances, distinct from the manifest, to spin the pool up

@@ -224,7 +224,6 @@ def _cmd_batch(args) -> int:
         solver = BatchSolver(
             max_workers=args.workers,
             cache=args.cache_size,
-            chunk_size=args.chunk_size,
             timeout=args.timeout,
             use_processes=not args.no_pool,
         )
@@ -362,7 +361,6 @@ def _cmd_stream(args) -> int:
                 fsync=not args.no_fsync,
                 keep_snapshots=args.keep_snapshots,
                 compact_wal=args.compact_wal,
-                snapshot_compression=args.snapshot_compression,
             )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -532,10 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU result-cache capacity; 0 disables caching",
     )
     batch.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="requests per pool task (default: auto, ~4 chunks per worker)",
-    )
-    batch.add_argument(
         "--timeout", type=float, default=None,
         help="per-request wall-clock budget in seconds",
     )
@@ -637,12 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact-wal", action="store_true",
         help="after each snapshot, drop WAL records older than the oldest "
         "retained snapshot so unbounded streams keep a bounded log",
-    )
-    stream.add_argument(
-        "--snapshot-compression", default="gzip", choices=["gzip", "none"],
-        help="compression of snapshot NPZ members (with --checkpoint-dir): "
-        "'gzip' (smaller files) or 'none' (faster writes — deflate "
-        "dominates snapshot cost on large graphs)",
     )
     stream.add_argument(
         "--profile", action="store_true",

@@ -21,8 +21,8 @@ the header is one JSON string member), gzip-wrapped when the path ends in
 lower endpoint from the previous edge, mostly 0) and ``edge_cols`` (the
 upper endpoint) — taken straight from the graph's sorted edge codes, so a
 save never materializes a :class:`~repro.graphs.WeightedGraph`.  Members
-are deflated at level 1 (``compress_arrays=True``; weights and loads,
-which barely deflate, are stored either way) or stored.  The duals
+are deflated at level 1, except weights and loads, which barely deflate
+and are stored.  The duals
 are the flat ``dual_codes`` array (the ``(u << 32) | v`` encoding of
 :mod:`repro.dynamic.duals`) plus values, as the
 :class:`~repro.dynamic.duals.DualStore` exports them.  Versions 1 (int64
@@ -192,24 +192,25 @@ def snapshot_meta(path: PathLike) -> dict:
     return _read(path).meta
 
 
-#: Members written stored even when the rest are deflated: float64 vertex
+#: Members written stored while the rest are deflated: float64 vertex
 #: weights and loads deflate to ~95% at level 1, for ~5 ms a save at
 #: n = 10k.
 _STORED_MEMBERS = ("weights", "loads")
 
 
-def _npz_bytes(members: dict, compress: bool) -> bytes:
-    """An NPZ archive of ``members``, deflated at level 1 or stored."""
+def _npz_bytes(members: dict) -> bytes:
+    """An NPZ archive of ``members``, deflated at level 1 but for
+    :data:`_STORED_MEMBERS`."""
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
         for name, arr in members.items():
             npy = io.BytesIO()
             np.lib.format.write_array(npy, np.asarray(arr), allow_pickle=False)
-            deflate = compress and name not in _STORED_MEMBERS
+            stored = name in _STORED_MEMBERS
             zf.writestr(
                 name + ".npy",
                 npy.getvalue(),
-                compress_type=zipfile.ZIP_DEFLATED if deflate else zipfile.ZIP_STORED,
+                compress_type=zipfile.ZIP_STORED if stored else zipfile.ZIP_DEFLATED,
                 compresslevel=1,
             )
     return buf.getvalue()
@@ -221,16 +222,13 @@ def save_snapshot(
     *,
     extra: Optional[dict] = None,
     fsync: bool = True,
-    compress_arrays: bool = True,
 ) -> str:
     """Serialize ``maintainer`` (and its current graph) to ``path``.
 
     ``extra`` is an arbitrary JSON-friendly dict stored verbatim in the
     header — the stream layer records its position and counters there.
     The file appears atomically; with ``fsync`` it also survives power
-    loss.  ``compress_arrays=False`` stores the members instead of
-    deflating them (``--snapshot-compression none``).  Returns the
-    snapshot's content digest.
+    loss.  Returns the snapshot's content digest.
     """
     dyn = maintainer.dyn
     edges_u, edges_v = decode_edge_codes(dyn.edge_codes())
@@ -261,7 +259,7 @@ def save_snapshot(
 
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
     members = {"meta_json": np.frombuffer(header, dtype=np.uint8), **arrays}
-    data = _npz_bytes(members, compress_arrays)
+    data = _npz_bytes(members)
     if str(path).endswith(".gz"):
         data = gzip.compress(data)
     try:

@@ -43,7 +43,11 @@ snapshots, and often a single ``snapshot.npz`` (or ``snapshot.npz.gz``)
 in place of numbered ones.  They resume exactly: each
 piece is read in its own format, each record's stamp is checked in its
 own flavor, the single snapshot counts as the oldest one, and the
-continuation appends version-2 records to the same log.
+continuation appends version-2 records to the same log.  Keys their
+``config.json`` holds that this build no longer reads (``compress``,
+``snapshot_file``, ``snapshot_compression``, ``compact_fraction``) are
+ignored: snapshots always deflate, and compaction timing never changes a
+result.
 
 :func:`resume_stream` restores ``last snapshot + WAL tail replay`` and
 continues the run.  Because every component is deterministic — the
@@ -137,12 +141,6 @@ class CheckpointConfig:
         Flush WAL records and snapshots to disk at commit time.  Keep on
         for crash-consistency against power loss; turning it off still
         survives process kills (buffers are flushed per batch).
-    snapshot_compression:
-        Compression of the NPZ array members inside a snapshot:
-        ``"gzip"`` (deflate at level 1, the default; weights and loads
-        are stored either way) or ``"none"`` (stored).  ``"none"`` trades
-        file size for write speed.  Recorded in ``config.json`` so a
-        resumed run keeps the same policy.
     keep_snapshots:
         Every snapshot is written as ``snapshot-<batch>.npz``
         (:meth:`snapshot_path`); after each one, the newest this-many
@@ -162,7 +160,6 @@ class CheckpointConfig:
     fsync: bool = True
     keep_snapshots: int = 1
     compact_wal: bool = False
-    snapshot_compression: str = "gzip"
 
     def __post_init__(self):
         if self.snapshot_every < 1:
@@ -173,16 +170,6 @@ class CheckpointConfig:
             raise ValueError(
                 f"keep_snapshots must be >= 1, got {self.keep_snapshots}"
             )
-        if self.snapshot_compression not in ("gzip", "none"):
-            raise ValueError(
-                f"snapshot_compression must be 'gzip' or 'none', got "
-                f"{self.snapshot_compression!r}"
-            )
-
-    @property
-    def compress_arrays(self) -> bool:
-        """True iff snapshot NPZ members are deflate-compressed."""
-        return self.snapshot_compression != "none"
 
     @property
     def config_path(self) -> str:
@@ -463,7 +450,6 @@ class _StreamEngine:
             self.maintainer,
             extra=self.counters(),
             fsync=checkpoint.fsync,
-            compress_arrays=checkpoint.compress_arrays,
         )
         retained_floor = checkpoint.prune_snapshots()
         if checkpoint.compact_wal and self.wal is not None:
@@ -485,13 +471,7 @@ class _StreamEngine:
         dyn = self.maintainer.dyn
         batch.validate(dyn.n, batch_index=index, start=self.updates_applied)
         if self.wal is not None:
-            self.wal.append(
-                index,
-                batch,
-                state_digest=dyn.state_stamp,
-                num_vertices=dyn.n,
-                position=self.updates_applied,
-            )
+            self.wal.append(index, batch, state_digest=dyn.state_stamp())
         watch.lap("ingest_s")
         report = self.maintainer.apply_batch(batch)
         watch.lap("repair_s")
@@ -594,7 +574,6 @@ def _prepare_checkpoint_dir(
     seed: int,
     engine: str,
     verify_every: int,
-    compact_fraction: float,
 ) -> None:
     """Store the graph, the stream and ``config.json`` in a fresh directory."""
     directory = os.fspath(checkpoint.directory)
@@ -614,13 +593,11 @@ def _prepare_checkpoint_dir(
         "seed": int(seed),
         "engine": str(engine),
         "verify_every": int(verify_every),
-        "compact_fraction": float(compact_fraction),
         "policy": asdict(policy),
         "snapshot_every": int(checkpoint.snapshot_every),
         "fsync": bool(checkpoint.fsync),
         "keep_snapshots": int(checkpoint.keep_snapshots),
         "compact_wal": bool(checkpoint.compact_wal),
-        "snapshot_compression": str(checkpoint.snapshot_compression),
         "num_updates": len(updates),
         "updates_file": _UPDATES_FILE,
         "graph_digest": graph.content_digest(),
@@ -643,7 +620,6 @@ def run_stream(
     seed: int = 0,
     engine: str = "vectorized",
     verify_every: int = 0,
-    compact_fraction: float = 0.25,
     checkpoint: Optional[CheckpointConfig] = None,
     profile: bool = False,
 ) -> StreamSummary:
@@ -671,9 +647,6 @@ def run_stream(
         When > 0, exactly re-verify the cover against the materialized
         graph every k batches (defense in depth; the final state is always
         verified).
-    compact_fraction:
-        Delta-log compaction threshold of the underlying
-        :class:`DynamicGraph`.
     checkpoint:
         When given, make the run durable: write-ahead-log every batch and
         snapshot periodically into ``checkpoint.directory`` so a killed
@@ -712,11 +685,9 @@ def run_stream(
             seed=seed,
             engine=engine,
             verify_every=verify_every,
-            compact_fraction=compact_fraction,
         )
     watch = Stopwatch()
-    dyn = DynamicGraph(graph, compact_fraction=compact_fraction)
-    maintainer = IncrementalCoverMaintainer(dyn)
+    maintainer = IncrementalCoverMaintainer(DynamicGraph(graph))
     with _StreamEngine(
         maintainer,
         policy,
@@ -770,7 +741,6 @@ def _newest_intact(checkpoint: CheckpointConfig):
 _NUMBER = (int, float)
 _CONFIG_KEYS = {
     "batch_size": (int, None),
-    "compact_fraction": (_NUMBER, None),
     "compact_wal": (bool, False),
     "engine": (str, None),
     "eps": (_NUMBER, None),
@@ -779,7 +749,6 @@ _CONFIG_KEYS = {
     "num_updates": (int, None),
     "policy": (dict, None),
     "seed": (int, None),
-    "snapshot_compression": (str, "gzip"),
     "snapshot_every": (int, None),
     "updates_file": (str, _LEGACY_UPDATES_FILE),
     "verify_every": (int, None),
@@ -835,7 +804,6 @@ def _load_config(directory: PathLike) -> Tuple[CheckpointConfig, ResolvePolicy, 
             fsync=config["fsync"],
             keep_snapshots=config["keep_snapshots"],
             compact_wal=config["compact_wal"],
-            snapshot_compression=config["snapshot_compression"],
         )
         if config["batch_size"] < 1:
             raise ValueError(f"batch_size must be >= 1, got {config['batch_size']}")
@@ -922,7 +890,6 @@ def resume_stream(
     restored, fallbacks = _newest_intact(checkpoint)
     if restored is not None:
         maintainer = restored.maintainer
-        restored.dyn.compact_fraction = float(config["compact_fraction"])
         extra = restored.meta.get("extra", {})
     else:
         # No snapshot survived — rebuild from the initial graph and
@@ -945,8 +912,7 @@ def resume_stream(
                 f"{checkpoint.graph_path} does not match the "
                 f"checkpointed run's graph digest"
             )
-        dyn = DynamicGraph(graph, compact_fraction=float(config["compact_fraction"]))
-        maintainer = IncrementalCoverMaintainer(dyn)
+        maintainer = IncrementalCoverMaintainer(DynamicGraph(graph))
         extra = {}
 
     with _StreamEngine(

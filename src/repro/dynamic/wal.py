@@ -50,7 +50,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -250,29 +250,16 @@ class WriteAheadLog:
             fsync_directory(os.path.dirname(self.path) or ".")
 
     def append(
-        self,
-        batch_index: int,
-        updates: UpdateColumns,
-        *,
-        num_vertices: int,
-        position: int,
-        state_digest: Union[str, Callable[[], str]] = "",
+        self, batch_index: int, updates: UpdateColumns, *, state_digest: str = ""
     ) -> None:
-        """Validate and commit one batch record.
+        """Commit one batch record stamped with ``state_digest``.
 
-        The columns are first checked against a graph on
-        ``num_vertices`` vertices (``position`` is the stream offset of the
-        batch's first event): an event the graph would refuse raises
-        :class:`~repro.graphs.updates.InvalidUpdateError` and nothing is
-        written — a committed bad record would fail every later replay.
-        ``state_digest`` is the record's stamp, or a callable returning it
-        that runs only once the batch has passed that check.
+        The caller validates the batch first, as the stream engine does
+        before it stamps and logs one: a committed bad record would fail
+        every later replay.
         """
         if self._fh is None:
             raise WALError("WAL is closed")
-        updates.validate(num_vertices, batch_index=batch_index, start=position)
-        if callable(state_digest):
-            state_digest = state_digest()
         self._fh.write(_encode(batch_index, updates, state_digest))
         self._fh.flush()
         if self.fsync:

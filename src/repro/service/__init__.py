@@ -19,7 +19,7 @@ package is that layer:
     JSON-lines manifest parsing for the ``repro batch`` CLI.
 """
 
-from repro.service.batch import BatchSolver, solve_sequential
+from repro.service.batch import BatchSolver
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.manifest import graph_from_spec, load_manifest, request_from_spec
 from repro.service.schema import SolveRequest, SolveResult, request_digest
@@ -34,5 +34,4 @@ __all__ = [
     "load_manifest",
     "request_from_spec",
     "request_digest",
-    "solve_sequential",
 ]

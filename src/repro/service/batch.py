@@ -30,7 +30,7 @@ from repro.service.cache import ResultCache
 from repro.service.schema import SolveRequest, SolveResult
 from repro.service.worker import solve_chunk, solve_one
 
-__all__ = ["BatchSolver", "solve_sequential"]
+__all__ = ["BatchSolver"]
 
 
 class BatchSolver:
@@ -44,15 +44,16 @@ class BatchSolver:
     cache:
         A :class:`ResultCache`, an integer capacity, or ``None`` to disable
         caching entirely.
-    chunk_size:
-        Requests per pool task.  Default: pending requests split into
-        roughly ``4 × max_workers`` chunks (min 1 request per chunk).
     timeout:
         Per-request wall-clock budget in seconds, enforced inside the
         worker via ``SIGALRM`` (unenforced on platforms without it).
     use_processes:
-        ``False`` solves in the calling process (no pool) — the sequential
-        reference mode, also handy under debuggers and on 1-core boxes.
+        ``False`` solves in the calling process (no pool), one distinct
+        request at a time — the sequential reference mode (with
+        ``cache=None``), also handy under debuggers and on 1-core boxes.
+
+    Pooled batches go out in chunks of pending requests, about four
+    chunks per worker (at least one request per chunk).
     """
 
     def __init__(
@@ -60,14 +61,11 @@ class BatchSolver:
         *,
         max_workers: Optional[int] = None,
         cache: Union[ResultCache, int, None] = 256,
-        chunk_size: Optional[int] = None,
         timeout: Optional[float] = None,
         use_processes: bool = True,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.max_workers = max_workers
@@ -77,7 +75,6 @@ class BatchSolver:
             self.cache = None
         else:
             self.cache = ResultCache(int(cache))
-        self.chunk_size = chunk_size
         self.timeout = timeout
         self.use_processes = use_processes
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -197,12 +194,8 @@ class BatchSolver:
             results[i] = self._record(requests, keys, wire)
 
     def _chunks(self, pending: List[int]) -> List[List[int]]:
-        if self.chunk_size is not None:
-            size = self.chunk_size
-        else:
-            workers = self.max_workers or os.cpu_count() or 1
-            target = max(1, 4 * workers)
-            size = max(1, -(-len(pending) // target))
+        workers = self.max_workers or os.cpu_count() or 1
+        size = max(1, -(-len(pending) // (4 * workers)))
         return [pending[i : i + size] for i in range(0, len(pending), size)]
 
     def _solve_pooled(self, requests, keys, pending, results) -> None:
@@ -261,28 +254,3 @@ class BatchSolver:
                     cache_key=keys[i],
                     error=f"{type(exc).__name__}: {exc}",
                 )
-
-
-def solve_sequential(
-    requests: Sequence[SolveRequest], *, timeout: Optional[float] = None
-) -> List[SolveResult]:
-    """Reference loop: solve requests one by one, no pool, no cache.
-
-    The baseline that :mod:`benchmarks.bench_service_throughput` compares
-    the pooled path against.
-    """
-    out = []
-    start_keys = [r.cache_key() for r in requests]
-    for i, req in enumerate(requests):
-        wire = solve_one(req, index=i, timeout=timeout)
-        out.append(
-            SolveResult(
-                request_id=req.label(),
-                ok=wire.error is None,
-                elapsed=wire.elapsed,
-                cache_key=start_keys[i],
-                result=wire.result,
-                error=wire.error,
-            )
-        )
-    return out

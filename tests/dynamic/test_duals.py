@@ -1,59 +1,38 @@
 """Unit tests for the array-backed :class:`DualStore`."""
 
 import numpy as np
-import pytest
 
 from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
 
 
-class TestMappingProtocol:
-    def test_tuple_keyed_get_set_pop(self):
-        store = DualStore()
-        store[(1, 5)] = 0.5
-        assert (1, 5) in store
-        assert store[(1, 5)] == 0.5
-        assert store.get((1, 5)) == 0.5
-        assert store.get((0, 2)) == 0.0
-        assert store.pop((1, 5)) == 0.5
-        assert (1, 5) not in store
-        assert store.pop((1, 5), 0.0) == 0.0
+def _store(pairs):
+    """A store holding ``{(u, v): x}``, built through the array path."""
+    u, v = zip(*pairs) if pairs else ((), ())
+    return DualStore.from_codes(
+        encode_edge_codes(np.array(u), np.array(v)), np.array(list(pairs.values()))
+    )
 
-    def test_missing_key_raises_with_tuple(self):
-        store = DualStore()
-        with pytest.raises(KeyError):
-            store[(3, 4)]
-        with pytest.raises(KeyError):
-            del store[(3, 4)]
 
-    def test_iteration_yields_tuples(self):
-        pairs = {(0, 1): 1.0, (2, 7): 0.25}
-        store = DualStore(pairs)
-        assert dict(store.items()) == pairs
-        assert set(store) == set(pairs)
-        assert len(store) == 2
-
+class TestKernelPaths:
     def test_add_pay_accumulates(self):
         store = DualStore()
         store.add_pay(2, 9, 0.5)
         store.add_pay(2, 9, 0.25)
-        assert store[(2, 9)] == 0.75
+        store.add_pay(0, 1, 1.0)
+        assert store.as_dict() == {(2, 9): 0.75, (0, 1): 1.0}
+        assert len(store) == 2
 
-    def test_equality_with_dict_and_store(self):
-        pairs = {(0, 3): 2.0}
-        assert DualStore(pairs) == pairs
-        assert DualStore(pairs) == DualStore(pairs)
-        assert DualStore(pairs) != {(0, 3): 2.5}
-
-    def test_copy_is_independent(self):
-        store = DualStore({(1, 2): 1.0})
-        clone = store.copy()
-        clone[(1, 2)] = 9.0
-        assert store[(1, 2)] == 1.0
+    def test_pop_codes_returns_values_in_order(self):
+        store = _store({(1, 5): 0.5, (0, 2): 2.0})
+        codes = encode_edge_codes(np.array([0, 3, 1]), np.array([2, 4, 5]))
+        assert store.pop_codes(codes).tolist() == [2.0, 0.0, 0.5]
+        assert store.as_dict() == {}
+        assert store.pop_codes(codes[:1]).tolist() == [0.0]
 
 
 class TestArrayIO:
     def test_sorted_codes_canonical(self):
-        store = DualStore({(5, 9): 3.0, (0, 1): 1.0, (0, 7): 2.0})
+        store = _store({(5, 9): 3.0, (0, 1): 1.0, (0, 7): 2.0})
         codes, vals = store.sorted_codes()
         u, v = decode_edge_codes(codes)
         assert list(zip(u.tolist(), v.tolist())) == [(0, 1), (0, 7), (5, 9)]
@@ -65,9 +44,9 @@ class TestArrayIO:
         assert codes.dtype == np.int64 and cvals.dtype == np.float64
 
     def test_round_trip_from_codes(self):
-        store = DualStore({(3, 11): 0.5, (2, 4): 1.5})
-        again = DualStore.from_codes(*store.sorted_codes())
-        assert again == store
+        pairs = {(3, 11): 0.5, (2, 4): 1.5}
+        again = DualStore.from_codes(*_store(pairs).sorted_codes())
+        assert again.as_dict() == pairs
 
     def test_encode_decode_inverse(self):
         u = np.array([0, 17, 2**31 - 2], dtype=np.int64)
@@ -83,6 +62,3 @@ class TestArrayIO:
         )
         by_code = [pairs[i] for i in np.argsort(codes)]
         assert by_code == sorted(pairs)
-
-    def test_total(self):
-        assert DualStore({(0, 1): 1.5, (2, 3): 0.5}).total() == 2.0

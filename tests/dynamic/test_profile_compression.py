@@ -1,22 +1,19 @@
 """Stream-level tests for the stopwatch timings, the ``--profile``
-breakdown and the ``--snapshot-compression`` knob."""
+breakdown and snapshot member compression."""
 
 import json
-import os
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.dynamic import (
     KERNEL_PROFILE_KEYS,
     CheckpointConfig,
     DynamicGraph,
     IncrementalCoverMaintainer,
-    load_snapshot,
     resume_stream,
     run_stream,
-    save_snapshot,
 )
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.streams import make_update_stream
@@ -105,47 +102,36 @@ class TestKernelProfile:
 
 
 class TestSnapshotCompression:
-    def _maintainer(self, workload):
-        graph, updates = workload
-        dyn = DynamicGraph(graph)
-        m = IncrementalCoverMaintainer(dyn)
-        m.adopt(minimum_weight_vertex_cover(graph, eps=0.1, seed=2))
-        m.apply_batch(updates[:60])
-        return m
-
-    def test_uncompressed_snapshot_round_trips(self, workload, tmp_path):
-        m = self._maintainer(workload)
-        plain = tmp_path / "plain.npz"
-        packed = tmp_path / "packed.npz"
-        save_snapshot(plain, m, compress_arrays=False)
-        save_snapshot(packed, m, compress_arrays=True)
-        assert os.path.getsize(plain) >= os.path.getsize(packed)
-        a = load_snapshot(plain)
-        b = load_snapshot(packed)
-        assert np.array_equal(a.maintainer.cover, b.maintainer.cover)
-        assert a.maintainer.edge_duals() == b.maintainer.edge_duals()
-        # Integrity digests cover the array payloads in both modes.
-        assert a.meta["content_digest"] == b.meta["content_digest"]
-
-    def test_config_rejects_unknown_compression(self, tmp_path):
-        with pytest.raises(ValueError, match="snapshot_compression"):
-            CheckpointConfig(directory=tmp_path, snapshot_compression="lz4")
-
-    def test_compression_choice_survives_resume(self, workload, tmp_path):
+    def test_config_with_dropped_knobs_resumes(self, workload, tmp_path, monkeypatch):
+        """A ``config.json`` from a build that still wrote
+        ``snapshot_compression``/``compact_fraction`` resumes to the
+        uninterrupted run, and its new snapshots deflate as always."""
         graph, updates = workload
         checkpoint = CheckpointConfig(
-            directory=tmp_path / "ckpt",
-            snapshot_every=2,
-            fsync=False,
-            snapshot_compression="none",
+            directory=tmp_path / "ckpt", snapshot_every=2, fsync=False
         )
         reference = run_stream(graph, updates, batch_size=40)
-        durable = run_stream(
-            graph, updates, batch_size=40, checkpoint=checkpoint
-        )
-        config = json.load(open(checkpoint.config_path))
-        assert config["snapshot_compression"] == "none"
+        with CrashAfter(monkeypatch, 3):
+            with pytest.raises(CrashAfter.Crash):
+                run_stream(graph, updates, batch_size=40, checkpoint=checkpoint)
+        with open(checkpoint.config_path) as fh:
+            config = json.load(fh)
+        config.update(snapshot_compression="none", compact_fraction=0.5)
+        with open(checkpoint.config_path, "w") as fh:
+            json.dump(config, fh)
+
         resumed = resume_stream(checkpoint.directory)
-        assert np.array_equal(durable.final_cover, reference.final_cover)
+        assert resumed.resumed_from_batch == 2
         assert np.array_equal(resumed.final_cover, reference.final_cover)
         assert resumed.final_cover_weight == reference.final_cover_weight
+        assert resumed.final_dual_value == reference.final_dual_value
+        assert resumed.final_certified_ratio == reference.final_certified_ratio
+
+        (_, newest), *_ = checkpoint.list_snapshots()
+        with zipfile.ZipFile(newest) as zf:
+            methods = {i.filename: i.compress_type for i in zf.infolist()}
+        stored = {"weights.npy", "loads.npy"}
+        assert methods == {
+            name: zipfile.ZIP_STORED if name in stored else zipfile.ZIP_DEFLATED
+            for name in methods
+        }

@@ -38,7 +38,7 @@ def reference_pricing_repair_pass(
     """The original edge-at-a-time pricing repair loop.
 
     Same contract as :func:`repro.dynamic.repair.pricing_repair_pass`,
-    with a scalar presence test and tuple-keyed dual updates.
+    with a scalar presence test and one dual update per edge.
     """
     repaired = 0
     entered: Set[int] = set()
@@ -52,7 +52,7 @@ def reference_pricing_repair_pass(
         rv = float(weights[v] - loads[v])
         pay = max(0.0, min(ru, rv))
         if pay > 0.0:
-            duals[key] = duals.get(key, 0.0) + pay
+            duals.add_pay(u, v, pay)
             loads[u] += pay
             loads[v] += pay
             dual_value += pay
@@ -164,7 +164,8 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
         return inserts, deletes, reweights, retired, touched, uncovered
 
     def _retire_dual(self, key: EdgeKey) -> float:
-        pay = self._x.pop(key, 0.0)
+        u, v = key
+        pay = float(self._x.pop_codes(np.array([(u << 32) | v]))[0])
         if pay:
             for t in key:
                 self._loads[t] -= pay

@@ -303,7 +303,7 @@ class TestBareKernels:
         assert vec.dual_value == ref.dual_value
         assert np.array_equal(vec_cover, ref_cover)
         assert np.array_equal(vec_loads, ref_loads)
-        assert vec_duals == ref_duals
+        assert vec_duals.as_dict() == ref_duals.as_dict()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), graph=weighted_graphs(min_n=1, max_n=20))
@@ -402,10 +402,11 @@ class TestDualStore:
             data.draw(st.floats(0.001, 100.0, allow_nan=False))
             for _ in pairs
         ]
-        store = DualStore(dict(zip(pairs, values)))
+        store = DualStore()
+        for (a, b), x in zip(pairs, values):
+            store.add_pay(a, b, x)
         codes, vals = store.sorted_codes()
         u, v = decode_edge_codes(codes)
         assert list(zip(u.tolist(), v.tolist())) == sorted(pairs)
         again = DualStore.from_codes(codes, vals)
-        assert again == store
-        assert again.as_dict() == dict(zip(pairs, values))
+        assert again.as_dict() == store.as_dict() == dict(zip(pairs, values))

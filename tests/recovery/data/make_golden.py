@@ -57,18 +57,12 @@ def main():
     wal_path = os.path.join(HERE, "golden_wal.jsonl")
     if os.path.exists(wal_path):
         os.unlink(wal_path)
-    position = 0
     with WriteAheadLog(wal_path, fsync=False) as wal:
         for i, batch in enumerate(BATCHES):
             pre_digests[i] = m2.dyn.state_stamp()
             wal.append(
-                i,
-                UpdateColumns.from_updates(batch),
-                num_vertices=len(WEIGHTS),
-                position=position,
-                state_digest=pre_digests[i],
+                i, UpdateColumns.from_updates(batch), state_digest=pre_digests[i]
             )
-            position += len(batch)
             m2.apply_batch(batch)
     print("snapshot digest:", digest)
     print("cover:", np.nonzero(maintainer.cover)[0].tolist())

@@ -139,7 +139,6 @@ BATCH0 = [EdgeInsert(0, 1), EdgeDelete(2, 3), WeightChange(4, 2.5)]
 BATCH1 = [EdgeInsert(5, 6), WeightChange(1, 0.1 + 0.2)]
 COLS0 = UpdateColumns.from_updates(BATCH0)
 COLS1 = UpdateColumns.from_updates(BATCH1)
-N = 10  # vertices of the graph the batches apply to
 
 
 def _lines(path):
@@ -150,7 +149,7 @@ class TestWALVersion2:
     def test_crc_is_over_the_raw_body_bytes(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, COLS0, num_vertices=N, position=0, state_digest="ab" * 16)
+            wal.append(0, COLS0, state_digest="ab" * 16)
         (line,) = _lines(path)
         record = json.loads(line)
         assert record["v"] == 2
@@ -162,8 +161,8 @@ class TestWALVersion2:
     def test_records_round_trip_exactly(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, COLS0, num_vertices=N, position=0, state_digest="s0")
-            wal.append(1, COLS1, num_vertices=N, position=len(BATCH0))
+            wal.append(0, COLS0, state_digest="s0")
+            wal.append(1, COLS1)
         records, torn = read_wal(path)
         assert not torn
         assert [list(r.updates) for r in records] == [BATCH0, BATCH1]
@@ -173,13 +172,8 @@ class TestWALVersion2:
     def test_compaction_copies_retained_lines_byte_for_byte(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            position = 0
             for i in range(5):
-                batch = COLS0 if i % 2 else COLS1
-                wal.append(
-                    i, batch, num_vertices=N, position=position, state_digest=f"s{i}"
-                )
-                position += len(batch)
+                wal.append(i, COLS0 if i % 2 else COLS1, state_digest=f"s{i}")
         before = _lines(path)
         assert compact_wal(path, 3, fsync=False) == 3
         assert _lines(path) == before[3:]
@@ -188,7 +182,7 @@ class TestWALVersion2:
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
             for i in range(3):
-                wal.append(i, COLS0, num_vertices=N, position=i * len(BATCH0))
+                wal.append(i, COLS0)
         raw = bytearray(path.read_bytes())
         pos = raw.index(b'"v":[1')
         raw[pos + 5] = ord("7")  # inside the first (to-be-dropped) record
@@ -200,7 +194,7 @@ class TestWALVersion2:
     def test_damaged_header_is_corruption(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, COLS0, num_vertices=N, position=0)
+            wal.append(0, COLS0)
         raw = path.read_bytes()
         path.write_bytes(raw.replace(b'"crc":"', b'"crc":"zz', 1))
         with pytest.raises(WALCorruptionError):
@@ -219,26 +213,12 @@ class TestWALVersion2:
             (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
         )
         with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(1, COLS1, num_vertices=N, position=1, state_digest="s1")
+            wal.append(1, COLS1, state_digest="s1")
         records, _ = read_wal(path)
         assert [(r.batch_index, r.version) for r in records] == [(0, 1), (1, 2)]
         assert list(records[0].updates) == [EdgeInsert(0, 1)]
         assert compact_wal(path, 1, fsync=False) == 1
         assert [r.version for r in read_wal(path)[0]] == [2]
-
-    def test_invalid_batch_is_refused_before_anything_is_written(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, COLS0, num_vertices=N, position=0)
-            with pytest.raises(InvalidUpdateError, match="position 12 "):
-                wal.append(
-                    1,
-                    UpdateColumns.from_updates([EdgeInsert(0, 1), EdgeInsert(3, 10)]),
-                    num_vertices=N,
-                    position=11,
-                    state_digest=lambda: pytest.fail("stamped a refused batch"),
-                )
-        assert [r.batch_index for r in read_wal(path)[0]] == [0]
 
 
 class TestUpdateColumns:
@@ -352,18 +332,17 @@ class TestSnapshotVersion3:
         assert np.array_equal(graph.edges_v, expected.edges_v)
         assert restored.meta["graph_digest"] == graph.content_digest()
 
-    @pytest.mark.parametrize("compress", [True, False])
-    def test_member_compression_follows_the_knob(self, tmp_path, compress):
+    def test_members_deflate_except_weights_and_loads(self, tmp_path):
         maintainer = self._maintainer()
         path = tmp_path / "snap.npz"
-        save_snapshot(path, maintainer, compress_arrays=compress)
+        save_snapshot(path, maintainer)
         with zipfile.ZipFile(path) as zf:
             methods = {i.filename: i.compress_type for i in zf.infolist()}
-        # Weights and loads barely deflate, so they are stored either way.
+        # Weights and loads barely deflate, so they are stored.
         stored = {"weights.npy", "loads.npy"}
-        deflated = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
         assert methods == {
-            name: zipfile.ZIP_STORED if name in stored else deflated for name in methods
+            name: zipfile.ZIP_STORED if name in stored else zipfile.ZIP_DEFLATED
+            for name in methods
         }
         assert stored < set(methods)
         assert load_snapshot(path).maintainer.dual_value == maintainer.dual_value

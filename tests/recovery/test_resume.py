@@ -65,18 +65,24 @@ class TestResumeScenarios:
     def test_resume_of_completed_run_is_a_noop(self, tmp_path):
         graph = make_workload(n=80, seed=91)
         updates = [u for b in make_batches(graph, "uniform", 4, 20, seed=93) for u in b]
-        directory = tmp_path / "ckpt"
-        done = run_stream(
-            graph,
-            updates,
-            batch_size=20,
-            eps=EPS,
-            seed=SEED,
-            checkpoint=CheckpointConfig(directory=directory, fsync=False),
-        )
-        resumed = resume_stream(directory)
-        assert resumed.num_batches == 0 and resumed.num_updates == 0
-        assert np.array_equal(resumed.final_cover, done.final_cover)
+        kwargs = dict(batch_size=20, eps=EPS, seed=SEED)
+        plain = run_stream(graph, updates, **kwargs)
+        for fsync in (True, False):
+            directory = tmp_path / f"ckpt-fsync-{fsync}"
+            done = run_stream(
+                graph,
+                updates,
+                checkpoint=CheckpointConfig(directory=directory, fsync=fsync),
+                **kwargs,
+            )
+            # Durability never changes the result ...
+            assert np.array_equal(done.final_cover, plain.final_cover)
+            assert done.final_certified_ratio == plain.final_certified_ratio
+            # ... and the final snapshot restores the final state.
+            resumed = resume_stream(directory)
+            assert resumed.num_batches == 0 and resumed.num_updates == 0
+            assert np.array_equal(resumed.final_cover, done.final_cover)
+            assert resumed.final_certified_ratio == done.final_certified_ratio
 
     def test_resumed_elapsed_s_is_the_resume_wall_clock(self, tmp_path, monkeypatch):
         _, _, _, checkpoint = _setup(tmp_path, monkeypatch)

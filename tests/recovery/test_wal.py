@@ -20,7 +20,6 @@ from repro.dynamic.wal import _canonical, _crc
 
 BATCH0 = [EdgeInsert(0, 1), EdgeDelete(2, 3), WeightChange(4, 2.5)]
 BATCH1 = [EdgeInsert(5, 6)]
-N = 10  # vertices of the graph the batches apply to
 
 
 @pytest.fixture
@@ -29,17 +28,13 @@ def wal_path(tmp_path):
 
 
 def _write(path, *batches, digests=None):
-    position = 0
     with WriteAheadLog(path, fsync=False) as wal:
         for i, batch in enumerate(batches):
             wal.append(
                 i,
                 UpdateColumns.from_updates(batch),
-                num_vertices=N,
-                position=position,
                 state_digest=(digests or {}).get(i, ""),
             )
-            position += len(batch)
 
 
 class TestRoundTrip:
@@ -64,28 +59,19 @@ class TestRoundTrip:
         wal = WriteAheadLog(wal_path, fsync=False)
         wal.close()
         with pytest.raises(WALError, match="closed"):
-            wal.append(
-                0, UpdateColumns.from_updates(BATCH0), num_vertices=N, position=0
-            )
+            wal.append(0, UpdateColumns.from_updates(BATCH0))
 
     def test_reopen_appends(self, wal_path):
         _write(wal_path, BATCH0)
         with WriteAheadLog(wal_path, fsync=False) as wal:
-            wal.append(
-                1,
-                UpdateColumns.from_updates(BATCH1),
-                num_vertices=N,
-                position=len(BATCH0),
-            )
+            wal.append(1, UpdateColumns.from_updates(BATCH1))
         records, torn = read_wal(wal_path)
         assert not torn and [r.batch_index for r in records] == [0, 1]
 
     def test_fsync_commit_path(self, wal_path):
         # Exercise the fsync branch (the default durability mode).
         with WriteAheadLog(wal_path, fsync=True) as wal:
-            wal.append(
-                0, UpdateColumns.from_updates(BATCH0), num_vertices=N, position=0
-            )
+            wal.append(0, UpdateColumns.from_updates(BATCH0))
         records, torn = read_wal(wal_path)
         assert not torn and len(records) == 1
 
@@ -144,12 +130,7 @@ class TestCrashInjection:
         assert not torn and len(records) == 1
         # Appending after repair yields a clean two-record log.
         with WriteAheadLog(wal_path, fsync=False) as wal:
-            wal.append(
-                1,
-                UpdateColumns.from_updates(BATCH1),
-                num_vertices=N,
-                position=len(BATCH0),
-            )
+            wal.append(1, UpdateColumns.from_updates(BATCH1))
         records, torn = read_wal(wal_path)
         assert not torn and [r.batch_index for r in records] == [0, 1]
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.weights import uniform_weights
-from repro.service.batch import BatchSolver, solve_sequential
+from repro.service.batch import BatchSolver
 from repro.service.schema import SolveRequest
 
 
@@ -20,7 +20,8 @@ def _requests(k=4):
 
 def test_pooled_matches_sequential():
     reqs = _requests(4)
-    seq = solve_sequential(reqs)
+    with BatchSolver(use_processes=False, cache=None) as solver:
+        seq = solver.solve_batch(reqs)
     with BatchSolver(max_workers=2, cache=None) as solver:
         pooled = solver.solve_batch(reqs)
     assert [r.request_id for r in pooled] == [f"r{i}" for i in range(4)]
@@ -31,17 +32,20 @@ def test_pooled_matches_sequential():
 
 
 def test_error_isolation_one_bad_request():
-    reqs = _requests(3)
+    reqs = _requests(7)
     # eps = 0.4 is outside the solver's (0, 1/4) domain: the worker must
     # report it as a per-request failure, not kill the batch.
     reqs.insert(1, SolveRequest(_graph(9), eps=0.4, request_id="bad"))
-    with BatchSolver(max_workers=2, cache=None, chunk_size=2) as solver:
+    with BatchSolver(max_workers=1, cache=None) as solver:
+        # One worker, 8 requests: the auto rule packs 2 per chunk, so the
+        # bad request shares its chunk with r0.
+        assert solver._chunks(list(range(8)))[0] == [0, 1]
         out = solver.solve_batch(reqs)
     by_id = {r.request_id: r for r in out}
     assert not by_id["bad"].ok
     assert "eps" in by_id["bad"].error
     assert by_id["bad"].result is None
-    for rid in ("r0", "r1", "r2"):
+    for rid in (f"r{i}" for i in range(7)):
         assert by_id[rid].ok, by_id[rid].error
         assert by_id[rid].result is not None
 
@@ -105,13 +109,12 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         BatchSolver(max_workers=0)
     with pytest.raises(ValueError):
-        BatchSolver(chunk_size=0)
-    with pytest.raises(ValueError):
         BatchSolver(timeout=0.0)
 
 
 def test_results_keep_request_order_with_chunks():
     reqs = _requests(5)
-    with BatchSolver(max_workers=2, chunk_size=2, cache=None) as solver:
+    # One worker, 5 requests: the auto rule makes chunks of 2, 2 and 1.
+    with BatchSolver(max_workers=1, cache=None) as solver:
         out = solver.solve_batch(reqs)
     assert [r.request_id for r in out] == [f"r{i}" for i in range(5)]
