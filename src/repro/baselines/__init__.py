@@ -1,29 +1,24 @@
-"""Comparators: sequential 2-approximations, LP, exact search, and the
-pre-paper O(log n)-round MPC baseline."""
+"""Comparators: sequential 2-approximations, the LP bound, exact search,
+and the pre-paper O(log n)-round MPC baseline."""
 
-from repro.baselines.exact import ExactResult, exact_mwvc, exact_mwvc_bruteforce
+from repro.baselines.exact import ExactResult, exact_mwvc
 from repro.baselines.ggk_unweighted import (
     UnweightedBaselineResult,
     unweighted_mpc_vertex_cover,
 )
 from repro.baselines.greedy import GreedyResult, greedy_vertex_cover
 from repro.baselines.local_baseline import LocalBaselineResult, local_round_by_round
-from repro.baselines.local_ratio import LocalRatioResult, local_ratio_vertex_cover
-from repro.baselines.lp import LPResult, lp_relaxation, lp_rounded_cover
+from repro.baselines.lp import LPResult, lp_relaxation
 from repro.baselines.pricing import PricingResult, pricing_vertex_cover
 
 __all__ = [
     "pricing_vertex_cover",
     "PricingResult",
-    "local_ratio_vertex_cover",
-    "LocalRatioResult",
     "greedy_vertex_cover",
     "GreedyResult",
     "lp_relaxation",
-    "lp_rounded_cover",
     "LPResult",
     "exact_mwvc",
-    "exact_mwvc_bruteforce",
     "ExactResult",
     "local_round_by_round",
     "LocalBaselineResult",

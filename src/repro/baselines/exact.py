@@ -1,16 +1,13 @@
 """Exact minimum weight vertex cover for small instances.
 
-Two independent solvers (the tests cross-check them against each other and
-against the LP lower bound):
-
-* :func:`exact_mwvc` — branch and bound.  Branches on the vertex with the
-  largest live degree: either it joins the cover, or it stays out and *all*
-  its live neighbors join (the standard VC dichotomy, valid for arbitrary
-  weights).  Pruning uses the Bar-Yehuda–Even dual of the live subgraph as
-  an admissible lower bound.  Practical to ~60 vertices at benchmark
-  densities — comfortably covering the "exact OPT" column of experiment E2.
-* :func:`exact_mwvc_bruteforce` — enumerates all ``2^n`` subsets (n ≤ 22
-  enforced); exists purely to validate the branch-and-bound solver.
+:func:`exact_mwvc` is a branch and bound.  It branches on the vertex with
+the largest live degree: either it joins the cover, or it stays out and
+*all* its live neighbors join (the standard VC dichotomy, valid for
+arbitrary weights).  Pruning uses the Bar-Yehuda–Even dual of the live
+subgraph as an admissible lower bound.  Practical to ~60 vertices at
+benchmark densities — comfortably covering the "exact OPT" column of
+experiment E2.  The tests cross-check it against a subset-enumeration
+oracle (``tests/oracles.py``) and the LP lower bound.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 
-__all__ = ["ExactResult", "exact_mwvc", "exact_mwvc_bruteforce"]
+__all__ = ["ExactResult", "exact_mwvc"]
 
 
 @dataclass(frozen=True)
@@ -169,27 +166,3 @@ def exact_mwvc(graph: WeightedGraph, *, node_limit: int = 5_000_000) -> ExactRes
         opt_weight=searcher.best_weight,
         nodes_explored=searcher.nodes,
     )
-
-
-def exact_mwvc_bruteforce(graph: WeightedGraph) -> ExactResult:
-    """Enumerate all subsets (n ≤ 22) — validation oracle for the B&B."""
-    n = graph.n
-    if n > 22:
-        raise ValueError(f"brute force limited to n <= 22, got {n}")
-    w = graph.weights
-    eu, ev = graph.edges_u, graph.edges_v
-    best_weight = float(w.sum())
-    best_mask = (1 << n) - 1
-    idx = np.arange(n)
-    for mask in range(1 << n):
-        if graph.m:
-            sel_u = (mask >> eu) & 1
-            sel_v = (mask >> ev) & 1
-            if not ((sel_u | sel_v) == 1).all():
-                continue
-        weight = float(w[(mask >> idx) & 1 == 1].sum())
-        if weight < best_weight:
-            best_weight = weight
-            best_mask = mask
-    in_cover = ((best_mask >> idx) & 1).astype(bool)
-    return ExactResult(in_cover=in_cover, opt_weight=best_weight, nodes_explored=1 << n)

@@ -1,4 +1,4 @@
-"""LP relaxation of MWVC: exact fractional optimum + half-integral rounding.
+"""LP relaxation of MWVC: the exact fractional optimum.
 
 The LP relaxation (Figure 1 of the paper)::
 
@@ -6,12 +6,7 @@ The LP relaxation (Figure 1 of the paper)::
     s.t. z_u + z_v ≥ 1   for every edge (u, v)
          z_v ≥ 0
 
-has two classical properties this module exploits:
-
-* its optimum lower-bounds OPT, and by Nemhauser–Trotter it is
-  *half-integral* (an optimal solution exists with ``z_v ∈ {0, ½, 1}``);
-* rounding ``z_v ≥ ½`` up yields a vertex cover of weight at most
-  ``2 · LP ≤ 2 · OPT``.
+has an optimum that lower-bounds OPT.
 
 The LP value is the tightest tractable lower bound for medium instances in
 experiment E2 (exact search handles the small ones, the algorithm's own dual
@@ -31,7 +26,7 @@ from scipy.optimize import linprog
 
 from repro.graphs.graph import WeightedGraph
 
-__all__ = ["LPResult", "lp_relaxation", "lp_rounded_cover"]
+__all__ = ["LPResult", "lp_relaxation"]
 
 
 @dataclass(frozen=True)
@@ -73,21 +68,3 @@ def lp_relaxation(graph: WeightedGraph) -> LPResult:
     if res.status != 0:
         return LPResult(z=np.zeros(n), lp_value=float("nan"), status=int(res.status))
     return LPResult(z=np.asarray(res.x), lp_value=float(res.fun), status=0)
-
-
-def lp_rounded_cover(graph: WeightedGraph) -> tuple[np.ndarray, float, float]:
-    """Half-integral rounding: ``z_v ≥ ½ - tol`` enters the cover.
-
-    Returns ``(in_cover, cover_weight, lp_value)``; the cover weight is at
-    most ``2 · lp_value``.
-
-    Raises
-    ------
-    RuntimeError
-        If the LP solver fails (never observed with HiGHS on these LPs).
-    """
-    res = lp_relaxation(graph)
-    if not res.ok:
-        raise RuntimeError(f"LP solver failed with status {res.status}")
-    in_cover = res.z >= 0.5 - 1e-9
-    return in_cover, float(graph.weights[in_cover].sum()), res.lp_value

@@ -1,4 +1,4 @@
-"""Congested-clique model, primitives, and the BDH18 MWVC adapter."""
+"""Congested-clique model and the BDH18 MWVC adapter (experiment E10)."""
 
 from repro.congested.clique import CliqueMessage, CongestedClique, LinkCapacityExceeded
 from repro.congested.mwvc import (
@@ -6,25 +6,12 @@ from repro.congested.mwvc import (
     CongestedCliqueMWVCResult,
     congested_clique_mwvc,
 )
-from repro.congested.local_vc import CliqueVertexCoverResult, congested_clique_local_vc
-from repro.congested.primitives import (
-    aggregate_sum,
-    allreduce_sum,
-    broadcast_value,
-    compute_degree_sum,
-)
 
 __all__ = [
     "CongestedClique",
     "CliqueMessage",
     "LinkCapacityExceeded",
-    "broadcast_value",
-    "aggregate_sum",
-    "allreduce_sum",
-    "compute_degree_sum",
     "congested_clique_mwvc",
     "CongestedCliqueMWVCResult",
     "LENZEN_ROUNDS",
-    "congested_clique_local_vc",
-    "CliqueVertexCoverResult",
 ]

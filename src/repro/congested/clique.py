@@ -6,9 +6,9 @@ message — one machine word in this package's accounting.  Local memory and
 computation are unbounded (the model's stated assumption).
 
 The simulator enforces the per-link word limit and counts rounds; it is the
-substrate for the BDH18 equivalence adapter in :mod:`repro.congested.mwvc`,
-and for the directly-executed primitives in
-:mod:`repro.congested.primitives`.
+substrate for the BDH18 equivalence adapter in :mod:`repro.congested.mwvc`.
+The tests also run Algorithm 1 natively on it, message by message
+(``tests/clique_oracle.py``).
 """
 
 from __future__ import annotations

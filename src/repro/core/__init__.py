@@ -26,7 +26,6 @@ from repro.core.certificates import (
 from repro.core.initialization import (
     INIT_SCHEMES,
     degree_scaled_init,
-    make_init,
     max_degree_scaled_init,
     uniform_init,
 )
@@ -41,20 +40,7 @@ from repro.core.phase_kernel import (
     plan_phase,
     simulate_phase_vectorized,
 )
-from repro.core.matching import (
-    combined_lower_bound,
-    extract_matching,
-    greedy_maximal_matching,
-    is_matching,
-    matching_lower_bound,
-)
-from repro.core.postprocess import is_minimal_cover, prune_redundant_vertices
-from repro.core.preprocess import (
-    ReductionResult,
-    leaf_reduction,
-    nemhauser_trotter_reduction,
-    solve_with_preprocessing,
-)
+from repro.core.postprocess import prune_redundant_vertices
 from repro.core.result import MWVCResult, PhaseRecord
 from repro.core.thresholds import ThresholdSampler
 
@@ -68,7 +54,6 @@ __all__ = [
     "termination_bound",
     "ThresholdSampler",
     "INIT_SCHEMES",
-    "make_init",
     "degree_scaled_init",
     "uniform_init",
     "max_degree_scaled_init",
@@ -92,17 +77,7 @@ __all__ = [
     "fanout_for",
     "broadcast_round_count",
     "fanin_round_count",
-    "extract_matching",
-    "greedy_maximal_matching",
-    "matching_lower_bound",
-    "is_matching",
-    "combined_lower_bound",
-    "leaf_reduction",
-    "nemhauser_trotter_reduction",
-    "solve_with_preprocessing",
-    "ReductionResult",
     "prune_redundant_vertices",
-    "is_minimal_cover",
     "predict",
     "AsymptoticPrediction",
     "paper_gamma",

@@ -33,7 +33,6 @@ __all__ = [
     "uniform_init",
     "max_degree_scaled_init",
     "INIT_SCHEMES",
-    "make_init",
 ]
 
 
@@ -117,14 +116,3 @@ INIT_SCHEMES = {
     "uniform": uniform_init,
     "max_degree_scaled": max_degree_scaled_init,
 }
-
-
-def make_init(scheme: str, graph: WeightedGraph, **kwargs) -> np.ndarray:
-    """Look up an initialization scheme by name and apply it."""
-    try:
-        fn = INIT_SCHEMES[scheme]
-    except KeyError:
-        raise ValueError(
-            f"unknown init scheme {scheme!r}; known: {sorted(INIT_SCHEMES)}"
-        ) from None
-    return fn(graph, **kwargs)

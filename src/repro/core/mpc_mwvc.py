@@ -143,7 +143,6 @@ def minimum_weight_vertex_cover(
     seed: SeedLike = None,
     engine: str = "vectorized",
     collect_trace: bool = False,
-    validate: bool = True,
     kill_schedule=None,
 ) -> MWVCResult:
     """Compute a (2+O(ε))-approximate minimum weight vertex cover in MPC.
@@ -166,8 +165,6 @@ def minimum_weight_vertex_cover(
     collect_trace:
         Attach per-phase ``(plan, outcome)`` pairs, including per-iteration
         estimator traces, to the result (experiments E4/E6).
-    validate:
-        Run internal invariant checks after every phase.
     kill_schedule:
         Cluster engine only: ``{round_index: [machine_ids]}`` failure
         injection.
@@ -222,7 +219,7 @@ def minimum_weight_vertex_cover(
         rounds_before = eng.rounds
         eng.sync_state(state.wprime, state.resid_degree, state.frozen)
         outcome = eng.run_phase(plan, trace=collect_trace)
-        newly = apply_outcome(graph, weights, state, plan, outcome, validate=validate)
+        newly = apply_outcome(graph, weights, state, plan, outcome)
         edges_after = state.nonfrozen_edge_count(graph)
         phases.append(
             PhaseRecord(
@@ -277,7 +274,7 @@ def minimum_weight_vertex_cover(
     in_cover = state.frozen.copy()
     x = state.x_final.copy()
     cert = certify_cover(graph, in_cover, x, weights=weights)
-    if validate and not cert.is_cover:
+    if not cert.is_cover:
         uncovered = graph.uncovered_edges(in_cover)
         raise AssertionError(
             f"algorithm returned a non-cover ({uncovered.size} uncovered edges) — internal bug"

@@ -50,7 +50,7 @@ _DEPLETED_RTOL = 1e-12
 class GlobalState:
     """Mutable cross-phase state of Algorithm 2.
 
-    Invariants (checked by :func:`apply_outcome` when ``validate=True``):
+    Invariants (checked by :func:`apply_outcome` after every phase):
 
     * ``x_final[e] == 0`` for every nonfrozen edge — so residual weights are
       simply ``w - incident_sums(x_final)``;
@@ -299,8 +299,6 @@ def apply_outcome(
     state: GlobalState,
     plan: PhasePlan,
     outcome: PhaseOutcome,
-    *,
-    validate: bool = True,
 ) -> int:
     """Fold a phase outcome into the global state (Lines 2h-finalize .. 2k).
 
@@ -342,18 +340,17 @@ def apply_outcome(
     state.resid_degree = graph.incident_counts(edge_nonfrozen)
     state.wprime = np.maximum(wprime, 0.0)
 
-    if validate:
-        nz = state.x_final[edge_nonfrozen]
-        if nz.size and float(np.abs(nz).max()) != 0.0:
-            raise AssertionError("invariant violated: nonfrozen edge has nonzero final dual")
-        # Frozen vertices may legitimately carry loads up to (1+6ε)·w
-        # (Theorem 4.7); only *nonfrozen* vertices must keep w' >= 0.
-        bad = (~state.frozen) & (wprime < -1e-9 * np.maximum(weights, 1.0))
-        if bool(bad.any()):
-            worst = float(wprime[~state.frozen].min())
-            raise AssertionError(
-                f"invariant violated: residual weight went negative ({worst:.3e}); "
-                "the Line (2i) safety freeze should prevent this"
-            )
+    nz = state.x_final[edge_nonfrozen]
+    if nz.size and float(np.abs(nz).max()) != 0.0:
+        raise AssertionError("invariant violated: nonfrozen edge has nonzero final dual")
+    # Frozen vertices may legitimately carry loads up to (1+6ε)·w
+    # (Theorem 4.7); only *nonfrozen* vertices must keep w' >= 0.
+    bad = (~state.frozen) & (wprime < -1e-9 * np.maximum(weights, 1.0))
+    if bool(bad.any()):
+        worst = float(wprime[~state.frozen].min())
+        raise AssertionError(
+            f"invariant violated: residual weight went negative ({worst:.3e}); "
+            "the Line (2i) safety freeze should prevent this"
+        )
 
     return int(frozen_local.sum()) + int(depleted.sum())

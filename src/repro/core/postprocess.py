@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 
-__all__ = ["greedy_prune_pass", "prune_redundant_vertices", "is_minimal_cover"]
+__all__ = ["greedy_prune_pass", "prune_redundant_vertices"]
 
 
 def greedy_prune_pass(
@@ -179,20 +179,3 @@ def prune_redundant_vertices(
         gather=_csr_gather(graph),
     )
     return cover
-
-
-def is_minimal_cover(graph: WeightedGraph, in_cover: np.ndarray) -> bool:
-    """True iff ``in_cover`` is a vertex cover with no removable vertex."""
-    cover = np.asarray(in_cover, dtype=bool)
-    if not graph.is_vertex_cover(cover):
-        return False
-    eu, ev = graph.edges_u, graph.edges_v
-    only_u = cover[eu] & ~cover[ev]
-    only_v = cover[ev] & ~cover[eu]
-    needed = np.bincount(eu[only_u], minlength=graph.n) + np.bincount(
-        ev[only_v], minlength=graph.n
-    )
-    # A cover vertex with needed == 0 could be dropped.  Isolated cover
-    # vertices (degree 0) are trivially droppable too.
-    droppable = cover & (needed == 0)
-    return not bool(droppable.any())

@@ -311,10 +311,13 @@ class IncrementalCoverMaintainer:
     # ------------------------------------------------------------------ #
     # adopting a full solution
     # ------------------------------------------------------------------ #
-    def adopt(
-        self, result: MWVCResult, *, graph=None, prune: bool = True
-    ) -> CoverCertificate:
+    def adopt(self, result: MWVCResult, *, graph=None) -> CoverCertificate:
         """Replace the maintained state with a freshly solved one.
+
+        The adopted cover is pruned with
+        :func:`~repro.core.postprocess.prune_redundant_vertices` (never
+        heavier, usually lighter; the duals — and thus the lower bound —
+        are unaffected).
 
         Parameters
         ----------
@@ -325,10 +328,6 @@ class IncrementalCoverMaintainer:
             The graph the result was computed on; defaults to
             ``dyn.materialize()``.  Its canonical edge order maps
             ``result.x`` into the maintainer's edge-code-keyed duals.
-        prune:
-            Run :func:`~repro.core.postprocess.prune_redundant_vertices`
-            on the adopted cover (never heavier, usually lighter; the
-            duals — and thus the lower bound — are unaffected).
 
         Returns the post-adoption certificate (the new drift baseline).
         """
@@ -343,8 +342,7 @@ class IncrementalCoverMaintainer:
         x = np.asarray(result.x, dtype=np.float64)
         if x.shape != (g.m,):
             raise ValueError(f"duals have shape {x.shape}, expected ({g.m},)")
-        if prune:
-            cover = prune_redundant_vertices(g, cover, weights=self.dyn.weights)
+        cover = prune_redundant_vertices(g, cover, weights=self.dyn.weights)
         # Edge-indexed duals → edge-code-keyed store, one vectorized encode.
         nz = np.nonzero(x)[0]
         self._cover = cover.copy()

@@ -1,4 +1,4 @@
-"""Graph substrate: weighted graphs, generators, weight models, IO, checks."""
+"""Graph substrate: weighted graphs, generators, weight models, IO, update streams."""
 
 from repro.graphs.graph import WeightedGraph, canonical_edges
 from repro.graphs.generators import (
@@ -32,9 +32,7 @@ from repro.graphs.generators_extra import (
     random_geometric,
     stochastic_block_model,
 )
-from repro.graphs.components import component_labels, largest_component, split_components
 from repro.graphs.io import load_edgelist, load_npz, save_edgelist, save_npz
-from repro.graphs.checks import GraphInvariantError, validate_graph
 from repro.graphs.streams import (
     CHURN_MODELS,
     hub_churn_stream,
@@ -84,10 +82,6 @@ __all__ = [
     "uniform_churn_stream",
     "hub_churn_stream",
     "sliding_window_stream",
-    # components
-    "component_labels",
-    "split_components",
-    "largest_component",
     # weights
     "WEIGHT_MODELS",
     "make_weights",
@@ -102,7 +96,4 @@ __all__ = [
     "load_npz",
     "save_edgelist",
     "load_edgelist",
-    # checks
-    "validate_graph",
-    "GraphInvariantError",
 ]

@@ -11,8 +11,8 @@ from repro.mpc.exceptions import (
 from repro.mpc.machine import Machine
 from repro.mpc.message import Message, payload_words
 from repro.mpc.metrics import ClusterMetrics, RoundRecord
-from repro.mpc.partition import assignment_counts, local_edge_mask, random_assignment
-from repro.mpc.primitives import aggregate_sum, broadcast, gather_concat, route, tree_fanout
+from repro.mpc.partition import random_assignment
+from repro.mpc.primitives import aggregate_sum, broadcast, gather_concat, tree_fanout
 
 __all__ = [
     "Cluster",
@@ -27,11 +27,8 @@ __all__ = [
     "DeadMachineError",
     "ProtocolError",
     "random_assignment",
-    "assignment_counts",
-    "local_edge_mask",
     "broadcast",
     "aggregate_sum",
     "gather_concat",
-    "route",
     "tree_fanout",
 ]

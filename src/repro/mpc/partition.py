@@ -9,11 +9,9 @@ handed to whichever engine runs the phase.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["assignment_counts", "local_edge_mask", "random_assignment"]
+__all__ = ["random_assignment"]
 
 
 def random_assignment(
@@ -28,35 +26,3 @@ def random_assignment(
     if num_items < 0:
         raise ValueError(f"num_items must be >= 0, got {num_items}")
     return rng.integers(0, num_machines, size=num_items, dtype=np.int64)
-
-
-def assignment_counts(assignment: np.ndarray, num_machines: int) -> np.ndarray:
-    """Number of items per machine."""
-    return np.bincount(assignment, minlength=num_machines).astype(np.int64)
-
-
-def local_edge_mask(
-    assignment_u: np.ndarray, assignment_v: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Identify machine-local edges under a vertex assignment.
-
-    Parameters
-    ----------
-    assignment_u, assignment_v:
-        Machine ids of the two endpoints of every edge (``-1`` for endpoints
-        that are not being simulated this phase).
-
-    Returns
-    -------
-    (is_local, owner):
-        ``is_local[e]`` is True when both endpoints are simulated and landed
-        on the same machine; ``owner[e]`` is that machine id for local edges
-        and ``-1`` otherwise.
-    """
-    a = np.asarray(assignment_u)
-    b = np.asarray(assignment_v)
-    if a.shape != b.shape:
-        raise ValueError("assignment arrays must have equal shape")
-    is_local = (a == b) & (a >= 0)
-    owner = np.where(is_local, a, -1)
-    return is_local, owner

@@ -19,7 +19,7 @@ import numpy as np
 from repro.mpc.cluster import Cluster
 from repro.mpc.message import Message, payload_words
 
-__all__ = ["broadcast", "aggregate_sum", "route", "gather_concat", "tree_fanout"]
+__all__ = ["broadcast", "aggregate_sum", "gather_concat", "tree_fanout"]
 
 
 def tree_fanout(cluster: Cluster, item_words: int) -> int:
@@ -136,15 +136,6 @@ def aggregate_sum(
             leaders[leader] = acc
         current = leaders
     return current[root]
-
-
-def route(cluster: Cluster, tag: str, messages: Sequence[Message]) -> Dict[int, List[Message]]:
-    """One round of arbitrary point-to-point routing (thin exchange wrapper).
-
-    Provided for symmetry with the collectives; capacity enforcement and
-    accounting are inherited from :meth:`Cluster.exchange`.
-    """
-    return cluster.exchange(list(messages))
 
 
 def gather_concat(

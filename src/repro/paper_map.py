@@ -153,10 +153,6 @@ PAPER_MAP: Dict[str, List[str]] = {
     ],
     "BYE81 / Hoc82 sequential primal-dual": [
         "repro.baselines.pricing.pricing_vertex_cover",
-        "repro.baselines.local_ratio.local_ratio_vertex_cover",
-    ],
-    "II86 maximal matching": [
-        "repro.core.matching.greedy_maximal_matching",
     ],
 }
 

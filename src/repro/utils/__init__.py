@@ -11,7 +11,6 @@ from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_fraction,
     check_positive,
-    check_probability,
     ensure_int_array,
     ensure_float_array,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "Stopwatch",
     "check_fraction",
     "check_positive",
-    "check_probability",
     "ensure_int_array",
     "ensure_float_array",
 ]

@@ -22,14 +22,6 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     return v
 
 
-def check_probability(name: str, value: float) -> float:
-    """Validate that ``value`` lies in the closed interval [0, 1]."""
-    v = float(value)
-    if not (0.0 <= v <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return v
-
-
 def check_fraction(name: str, value: float, *, low: float = 0.0, high: float = 0.5) -> float:
     """Validate an accuracy parameter ``value`` in the open interval
     ``(low, high)``; the paper assumes ``0 < eps < 1/2``."""

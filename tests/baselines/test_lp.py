@@ -1,10 +1,10 @@
-"""Tests for the LP relaxation and rounding."""
+"""Tests for the LP relaxation."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.exact import exact_mwvc
-from repro.baselines.lp import lp_relaxation, lp_rounded_cover
+from repro.baselines.lp import lp_relaxation
 from repro.graphs.generators import complete_bipartite, cycle, gnp_average_degree, star
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
@@ -38,18 +38,3 @@ class TestLPRelaxation:
     def test_empty(self):
         lp = lp_relaxation(WeightedGraph.empty(4))
         assert lp.lp_value == 0.0
-
-
-class TestRounding:
-    def test_rounded_is_cover_within_2lp(self):
-        for seed in range(3):
-            g = gnp_average_degree(80, 8.0, seed=seed)
-            g = g.with_weights(uniform_weights(g.n, 1.0, 9.0, seed=seed + 5))
-            in_cover, weight, lp_value = lp_rounded_cover(g)
-            assert g.is_vertex_cover(in_cover)
-            assert weight <= 2.0 * lp_value + 1e-6
-
-    def test_weighted_star_rounding(self, cheap_hub_star):
-        in_cover, weight, lp_value = lp_rounded_cover(cheap_hub_star)
-        assert cheap_hub_star.is_vertex_cover(in_cover)
-        assert weight <= 2.0 * lp_value + 1e-6

@@ -1,4 +1,5 @@
-"""Algorithm 1 executed natively on the congested clique.
+"""Algorithm 1 executed natively on the congested clique: the test oracle
+for :func:`repro.core.centralized.run_centralized`.
 
 Unlike the BDH18 adapter (:mod:`repro.congested.mwvc`), which *translates*
 round counts, this module actually runs the primal–dual algorithm as a
@@ -15,21 +16,34 @@ message-passing protocol with one vertex per clique node:
 * a convergence check (does any active edge remain?) costs one
   aggregate-to-root and one broadcast round per iteration.
 
-Total: **3 congested-clique rounds per LOCAL iteration** — the Θ(log Δ)
-pre-compression cost, executed for real.  The protocol is deterministic
-given the threshold seed, and the tests verify its output equals
-:func:`repro.core.centralized.run_centralized` bit-for-bit — a distributed
+Total: **3 congested-clique rounds per LOCAL iteration**.  The protocol is
+deterministic given the threshold seed, and
+``tests/congested/test_local_vc.py`` checks its output equals
+:func:`~repro.core.centralized.run_centralized` bit for bit — a distributed
 execution certifying the centralized implementation (and vice versa).
+
+The collectives it runs on are the standard O(1)-round primitives of the
+model, implemented with real
+:class:`~repro.congested.clique.CongestedClique` messages so
+``tests/congested/test_primitives.py`` can pin their round counts and link
+loads:
+
+* :func:`broadcast_value` — 1 round (source sends one word on each link);
+* :func:`aggregate_sum` — 1 round (every node sends its value to the root;
+  the root receives ``n-1`` words, but on *distinct* links — legal);
+* :func:`allreduce_sum` — 2 rounds (aggregate, then broadcast);
+* :func:`compute_degree_sum` — 1 aggregate round gives node 0 the degree
+  *sum* of a vertex-per-node distributed graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
 from repro.congested.clique import CliqueMessage, CongestedClique
-from repro.congested.primitives import aggregate_sum, broadcast_value
 from repro.core.centralized import termination_bound
 from repro.core.initialization import degree_scaled_init
 from repro.core.thresholds import ThresholdSampler
@@ -37,7 +51,47 @@ from repro.graphs.graph import WeightedGraph
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_fraction
 
-__all__ = ["CliqueVertexCoverResult", "congested_clique_local_vc"]
+
+def broadcast_value(cc: CongestedClique, src: int, value: float) -> Dict[int, float]:
+    """Source sends one word to every other node; 1 round."""
+    msgs = [
+        CliqueMessage(src, dst, float(value)) for dst in range(cc.num_nodes) if dst != src
+    ]
+    inboxes = cc.exchange(msgs)
+    out = {src: float(value)}
+    for dst, box in inboxes.items():
+        out[dst] = float(box[0].payload)
+    return out
+
+
+def aggregate_sum(cc: CongestedClique, values: Dict[int, float], *, root: int = 0) -> float:
+    """Every node ships its value to ``root``; root returns the total; 1 round."""
+    msgs = [
+        CliqueMessage(node, root, float(v)) for node, v in sorted(values.items()) if node != root
+    ]
+    inboxes = cc.exchange(msgs)
+    total = float(values.get(root, 0.0))
+    for msg in inboxes.get(root, []):
+        total += float(msg.payload)
+    return total
+
+
+def allreduce_sum(cc: CongestedClique, values: Dict[int, float], *, root: int = 0) -> Dict[int, float]:
+    """Aggregate to ``root`` then broadcast; 2 rounds; all nodes learn the sum."""
+    total = aggregate_sum(cc, values, root=root)
+    return broadcast_value(cc, root, total)
+
+
+def compute_degree_sum(cc: CongestedClique, degrees: np.ndarray, *, root: int = 0) -> float:
+    """Node ``v`` holds ``degrees[v]``; root learns ``Σ_v d(v)``; 1 round.
+
+    This is the congested-clique realization of evaluating the Line 2
+    condition ``d̄ > threshold`` when the graph is distributed one vertex
+    per node.
+    """
+    if degrees.shape != (cc.num_nodes,):
+        raise ValueError(f"degrees must have shape ({cc.num_nodes},)")
+    return aggregate_sum(cc, {v: float(degrees[v]) for v in range(cc.num_nodes)}, root=root)
 
 
 @dataclass(frozen=True)

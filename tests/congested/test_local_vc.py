@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.congested.local_vc import congested_clique_local_vc
 from repro.core.centralized import run_centralized
 from repro.graphs.generators import gnp_average_degree, star
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
+
+from tests.clique_oracle import congested_clique_local_vc
 
 
 class TestLocalCliqueVC:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.congested.clique import CongestedClique
-from repro.congested.primitives import (
+
+from tests.clique_oracle import (
     aggregate_sum,
     allreduce_sum,
     broadcast_value,

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.centralized import run_centralized
 from repro.core.initialization import (
     INIT_SCHEMES,
     degree_scaled_init,
-    make_init,
     max_degree_scaled_init,
     uniform_init,
 )
@@ -25,18 +25,18 @@ class TestValidity:
 
     @pytest.mark.parametrize("scheme", sorted(INIT_SCHEMES))
     def test_valid_fractional_matching(self, wg, scheme):
-        x0 = make_init(scheme, wg)
+        x0 = INIT_SCHEMES[scheme](wg)
         loads = wg.incident_sums(x0)
         assert (loads <= wg.weights * (1 + 1e-12)).all()
 
     @pytest.mark.parametrize("scheme", sorted(INIT_SCHEMES))
     def test_strictly_positive(self, wg, scheme):
-        x0 = make_init(scheme, wg)
+        x0 = INIT_SCHEMES[scheme](wg)
         assert (x0 > 0).all()
 
     @pytest.mark.parametrize("scheme", sorted(INIT_SCHEMES))
     def test_structured_graphs(self, named_graph, scheme):
-        x0 = make_init(scheme, named_graph)
+        x0 = INIT_SCHEMES[scheme](named_graph)
         loads = named_graph.incident_sums(x0)
         assert (loads <= named_graph.weights * (1 + 1e-12)).all()
 
@@ -82,11 +82,11 @@ class TestFormulas:
 
         g = WeightedGraph.empty(3)
         for scheme in INIT_SCHEMES:
-            assert make_init(scheme, g).size == 0
+            assert INIT_SCHEMES[scheme](g).size == 0
 
     def test_unknown_scheme(self, wg):
         with pytest.raises(ValueError, match="unknown init scheme"):
-            make_init("nope", wg)
+            run_centralized(wg, init="nope")
 
     def test_shape_validation(self, wg):
         with pytest.raises(ValueError):

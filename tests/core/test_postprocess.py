@@ -5,10 +5,12 @@ import pytest
 
 from repro.baselines.exact import exact_mwvc
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
-from repro.core.postprocess import is_minimal_cover, prune_redundant_vertices
+from repro.core.postprocess import prune_redundant_vertices
 from repro.graphs.generators import complete_graph, gnp_average_degree, star
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
+
+from tests.oracles import is_minimal_cover
 
 
 class TestPruneRedundant:

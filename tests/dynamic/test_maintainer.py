@@ -45,13 +45,6 @@ class TestAdopt:
         m.adopt(res)
         assert m.cover_weight <= res.cover_weight + 1e-9
 
-    def test_adopt_without_prune_keeps_cover(self, medium):
-        res = minimum_weight_vertex_cover(medium, eps=0.1, seed=3)
-        dyn = DynamicGraph(medium)
-        m = IncrementalCoverMaintainer(dyn)
-        m.adopt(res, prune=False)
-        assert (m.cover == res.in_cover).all()
-
     def test_adopt_rejects_non_cover(self, medium):
         res = minimum_weight_vertex_cover(medium, eps=0.1, seed=3)
         dyn = DynamicGraph(medium)
@@ -69,9 +62,9 @@ class TestAdopt:
         res = minimum_weight_vertex_cover(medium, eps=0.1, seed=3)
         dyn = DynamicGraph(medium)
         m = IncrementalCoverMaintainer(dyn)
-        cert = m.adopt(res, prune=False)
+        cert = m.adopt(res)
         assert cert.dual_value == pytest.approx(res.dual_value)
-        assert cert.cover_weight == pytest.approx(res.cover_weight)
+        assert cert.cover_weight <= res.cover_weight + 1e-9
         # The maintainer's lower bound is at least as tight as the solver's.
         assert cert.opt_lower_bound >= res.certificate.opt_lower_bound - 1e-9
         assert cert.certified_ratio <= res.certificate.certified_ratio + 1e-9

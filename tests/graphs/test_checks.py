@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.graphs.checks import GraphInvariantError, validate_graph
 from repro.graphs.generators import gnp_average_degree, power_law
 from repro.graphs.graph import WeightedGraph
+
+from tests.oracles import GraphInvariantError, validate_graph
 
 
 class TestValidateGraph:

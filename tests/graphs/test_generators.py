@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.graphs.checks import validate_graph
 from repro.graphs.generators import (
     complete_bipartite,
     complete_graph,
@@ -19,6 +18,8 @@ from repro.graphs.generators import (
     random_tree,
     star,
 )
+
+from tests.oracles import validate_graph
 
 
 class TestGnm:

@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 from repro.baselines.greedy import greedy_vertex_cover
-from repro.baselines.local_ratio import local_ratio_vertex_cover
-from repro.baselines.lp import lp_rounded_cover
 from repro.baselines.pricing import pricing_vertex_cover
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.core.postprocess import prune_redundant_vertices
-from repro.core.preprocess import solve_with_preprocessing
 from repro.graphs.generators import gnp_average_degree, power_law, random_tree
 from repro.graphs.generators_extra import preferential_attachment, random_geometric
 from repro.graphs.weights import make_weights
+
+from tests.oracles import local_ratio_vertex_cover
 
 FAMILIES = {
     "gnp": lambda seed: gnp_average_degree(250, 10.0, seed=seed),
@@ -36,10 +35,6 @@ SOLVERS = {
     "pricing": lambda g: pricing_vertex_cover(g).in_cover,
     "local_ratio": lambda g: local_ratio_vertex_cover(g).in_cover,
     "greedy": lambda g: greedy_vertex_cover(g).in_cover,
-    "lp_rounded": lambda g: lp_rounded_cover(g)[0],
-    "pipeline": lambda g: solve_with_preprocessing(
-        g, lambda s: minimum_weight_vertex_cover(s, eps=0.1, seed=5).in_cover
-    ),
 }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpc.partition import assignment_counts, local_edge_mask, random_assignment
+from repro.mpc.partition import random_assignment
 
 
 class TestRandomAssignment:
@@ -20,14 +20,14 @@ class TestRandomAssignment:
 
     def test_roughly_balanced(self):
         a = random_assignment(np.random.default_rng(1), 70000, 7)
-        counts = assignment_counts(a, 7)
+        counts = np.bincount(a, minlength=7)
         assert counts.sum() == 70000
         assert counts.min() > 9000 and counts.max() < 11000
 
     def test_zero_items(self):
         a = random_assignment(np.random.default_rng(0), 0, 3)
         assert a.size == 0
-        assert assignment_counts(a, 3).tolist() == [0, 0, 0]
+        assert np.bincount(a, minlength=3).tolist() == [0, 0, 0]
 
     def test_invalid_args(self):
         rng = np.random.default_rng(0)
@@ -35,16 +35,3 @@ class TestRandomAssignment:
             random_assignment(rng, 5, 0)
         with pytest.raises(ValueError):
             random_assignment(rng, -1, 2)
-
-
-class TestLocalEdgeMask:
-    def test_local_detection(self):
-        au = np.array([0, 1, 2, -1])
-        av = np.array([0, 2, 2, -1])
-        is_local, owner = local_edge_mask(au, av)
-        assert is_local.tolist() == [True, False, True, False]
-        assert owner.tolist() == [0, -1, 2, -1]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            local_edge_mask(np.zeros(3), np.zeros(4))

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.greedy import greedy_vertex_cover
-from repro.baselines.local_ratio import local_ratio_vertex_cover
 from repro.baselines.pricing import pricing_vertex_cover
 from repro.core.centralized import run_centralized
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 
+from tests.oracles import local_ratio_vertex_cover
 from tests.properties.strategies import seeds, weighted_graphs
 
 

@@ -1,88 +1,12 @@
-"""Property-based tests for the extension modules: preprocessing, matching,
-pruning, components."""
+"""Property-based tests for redundancy pruning."""
 
-import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines.pricing import pricing_vertex_cover
-from repro.core.matching import (
-    extract_matching,
-    greedy_maximal_matching,
-    is_matching,
-    matching_lower_bound,
-)
-from repro.core.postprocess import is_minimal_cover, prune_redundant_vertices
-from repro.core.preprocess import leaf_reduction, solve_with_preprocessing
-from repro.graphs.components import component_labels, split_components
+from repro.core.postprocess import prune_redundant_vertices
 
+from tests.oracles import is_minimal_cover
 from tests.properties.strategies import seeds, weighted_graphs
-
-
-class TestComponentProperties:
-    @given(weighted_graphs())
-    @settings(max_examples=40)
-    def test_labels_partition_vertices(self, g):
-        count, labels = component_labels(g)
-        if g.n:
-            assert labels.min() >= 0 and labels.max() < count
-        # endpoints of every edge share a label
-        lu, lv = g.endpoint_values(labels) if g.m else (np.empty(0), np.empty(0))
-        assert (lu == lv).all()
-
-    @given(weighted_graphs())
-    @settings(max_examples=40)
-    def test_split_preserves_edges_and_weights(self, g):
-        parts = split_components(g, skip_isolated=False)
-        assert sum(s.m for s, _, _ in parts) == g.m
-        assert sum(s.n for s, _, _ in parts) == g.n
-        total_weight = sum(float(s.weights.sum()) for s, _, _ in parts)
-        assert np.isclose(total_weight, g.total_weight)
-
-
-class TestLeafReductionProperties:
-    @given(weighted_graphs())
-    @settings(max_examples=40)
-    def test_kernel_and_forced_disjoint(self, g):
-        red = leaf_reduction(g)
-        assert not (red.forced_in & red.kernel_mask).any()
-        assert not (red.forced_in & red.removed).any()
-
-    @given(weighted_graphs())
-    @settings(max_examples=40)
-    def test_forced_plus_kernel_covers(self, g):
-        """Edges not inside the kernel must be covered by forced vertices."""
-        red = leaf_reduction(g)
-        ku, kv = g.endpoint_values(red.kernel_mask)
-        fu, fv = g.endpoint_values(red.forced_in)
-        outside_kernel = ~(ku & kv)
-        assert ((fu | fv) | ~outside_kernel).all()
-
-
-class TestPipelineProperties:
-    @given(weighted_graphs(), seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_pipeline_always_covers(self, g, seed):
-        cover = solve_with_preprocessing(
-            g, lambda s: pricing_vertex_cover(s).in_cover
-        )
-        assert g.is_vertex_cover(cover)
-
-
-class TestMatchingProperties:
-    @given(weighted_graphs(), seeds)
-    @settings(max_examples=40)
-    def test_extracted_is_matching(self, g, seed):
-        x = np.random.default_rng(seed).random(g.m)
-        assert is_matching(g, extract_matching(g, x))
-
-    @given(weighted_graphs(), seeds)
-    @settings(max_examples=40)
-    def test_matching_bound_below_any_cover(self, g, seed):
-        mask = greedy_maximal_matching(g, seed=seed)
-        lb = matching_lower_bound(g, mask)
-        cover = pricing_vertex_cover(g)
-        assert lb <= cover.cover_weight + 1e-9
 
 
 class TestPruningProperties:

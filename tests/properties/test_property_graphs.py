@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.checks import validate_graph
 from repro.graphs.graph import WeightedGraph
 
+from tests.oracles import validate_graph
 from tests.properties.strategies import weighted_graphs
 
 

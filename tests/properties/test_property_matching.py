@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.baselines.pricing import pricing_vertex_cover
 from repro.core.centralized import run_centralized
 from repro.core.certificates import fractional_matching_violation
-from repro.core.initialization import INIT_SCHEMES, make_init
+from repro.core.initialization import INIT_SCHEMES
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 
 from tests.properties.strategies import seeds, weighted_graphs
@@ -17,7 +17,7 @@ class TestObservation31:
     @given(weighted_graphs(), st.sampled_from(sorted(INIT_SCHEMES)))
     @settings(max_examples=60, deadline=None)
     def test_initializations_feasible(self, g, scheme):
-        x0 = make_init(scheme, g)
+        x0 = INIT_SCHEMES[scheme](g)
         assert fractional_matching_violation(g, x0) <= 1.0 + 1e-9
 
     @given(weighted_graphs(), seeds)

@@ -13,7 +13,6 @@ from repro.utils.rng import (
 from repro.utils.validation import (
     check_fraction,
     check_positive,
-    check_probability,
     ensure_float_array,
     ensure_int_array,
 )
@@ -96,12 +95,6 @@ class TestValidation:
             check_positive("x", -1.0, strict=False)
         with pytest.raises(ValueError):
             check_positive("x", float("inf"))
-
-    def test_check_probability(self):
-        assert check_probability("p", 0.0) == 0.0
-        assert check_probability("p", 1.0) == 1.0
-        with pytest.raises(ValueError):
-            check_probability("p", 1.1)
 
     def test_check_fraction(self):
         assert check_fraction("eps", 0.1) == 0.1
