@@ -15,23 +15,21 @@ so on.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.analysis.stats import geometric_mean, summarize
 from repro.baselines.exact import exact_mwvc
 from repro.baselines.ggk_unweighted import unweighted_mpc_vertex_cover
-from repro.baselines.greedy import greedy_vertex_cover
 from repro.baselines.local_baseline import local_round_by_round
 from repro.baselines.lp import lp_relaxation
-from repro.baselines.pricing import pricing_vertex_cover
 from repro.congested.mwvc import congested_clique_mwvc
 from repro.core.centralized import run_centralized
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.core.orientation import orientation_report
 from repro.core.params import MPCParameters
-from repro.core.phase_kernel import GlobalState, plan_phase
+from repro.core.phase_kernel import GlobalState
 from repro.core.thresholds import ThresholdSampler
 from repro.graphs.generators import gnp_average_degree, power_law
 from repro.graphs.graph import WeightedGraph

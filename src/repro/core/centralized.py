@@ -35,7 +35,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.core.initialization import INIT_SCHEMES, degree_scaled_init
+from repro.core.initialization import INIT_SCHEMES
 from repro.core.thresholds import ThresholdSampler
 from repro.graphs.graph import WeightedGraph
 from repro.utils.rng import SeedLike

@@ -30,11 +30,12 @@ certificate drifts past a policy bound:
     :class:`DualStore` — array-backed per-edge duals keyed by encoded
     ``int64`` edge codes.
 
-The update events (:class:`EdgeInsert` / :class:`EdgeDelete` /
-:class:`WeightChange`) and their wire formats live in
+The update events and their wire formats live in
 :mod:`repro.graphs.updates` and are re-exported here.
 :func:`load_update_stream` reads a file, a segment directory or stdin
-into :class:`UpdateColumns`, the one batch type from decode to apply.
+into :class:`UpdateColumns`, the one form an event takes from decode to
+apply; the event objects (:class:`EdgeInsert` / :class:`EdgeDelete` /
+:class:`WeightChange`) are for building a stream by hand.
 """
 
 from repro.dynamic.checkpoint import (
@@ -78,8 +79,6 @@ from repro.graphs.updates import (
     WeightChange,
     load_update_stream,
     save_update_stream,
-    update_from_json,
-    update_to_json,
 )
 
 __all__ = [
@@ -117,6 +116,4 @@ __all__ = [
     "run_stream",
     "save_snapshot",
     "save_update_stream",
-    "update_from_json",
-    "update_to_json",
 ]

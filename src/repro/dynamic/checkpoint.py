@@ -70,7 +70,6 @@ __all__ = [
     "RestoredState",
     "save_snapshot",
     "load_snapshot",
-    "snapshot_digest",
     "snapshot_meta",
 ]
 
@@ -174,11 +173,6 @@ def _digest(meta_sans_digest: dict, arrays: dict, fields=None) -> str:
         h.update(str(arr.dtype).encode("ascii"))
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
-
-
-def snapshot_digest(path: PathLike) -> str:
-    """The stored content digest of a snapshot file (no verification)."""
-    return _read(path).meta["content_digest"]
 
 
 def snapshot_meta(path: PathLike) -> dict:

@@ -59,7 +59,6 @@ import numpy as np
 
 from repro.dynamic.duals import _MASK, _SHIFT, decode_edge_codes, encode_edge_codes
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
 
 __all__ = ["DynamicGraph"]
 
@@ -202,7 +201,7 @@ class DynamicGraph:
 
     @property
     def weights(self) -> np.ndarray:
-        """Current vertex weights (live array — mutate via :meth:`apply` or
+        """Current vertex weights (live array — mutate via
         :meth:`set_weights` only)."""
         return self._weights
 
@@ -241,15 +240,6 @@ class DynamicGraph:
         if not (0 <= v < self._n):
             raise ValueError(f"vertex {v} out of range [0, {self._n})")
         return v
-
-    def _edge_code(self, u: int, v: int) -> int:
-        u, v = self._check_vertex(u), self._check_vertex(v)
-        return (u << _SHIFT) | v if u < v else (v << _SHIFT) | u
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True iff edge ``{u, v}`` exists in the current graph."""
-        code = self._edge_code(u, v)
-        return u != v and bool(self.has_codes(np.array([code]))[0])
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized presence of canonical ``(u, v)`` endpoint arrays."""
@@ -347,41 +337,6 @@ class DynamicGraph:
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
-    def apply(self, update: GraphUpdate) -> bool:
-        """Apply one update event; returns True iff it changed the graph.
-
-        A thin wrapper over :meth:`flip_edges` and :meth:`set_weights`,
-        the bulk mutations a batch applies.  Inserting a present edge,
-        deleting an absent edge, and re-setting a weight to its current
-        value are all no-ops returning False — a replayed stream is
-        idempotent per event.
-        """
-        if isinstance(update, WeightChange):
-            v = self._check_vertex(update.v)
-            weight = float(update.weight)
-            if not np.isfinite(weight) or weight <= 0:
-                raise ValueError(f"vertex weights must be finite and > 0, got {weight}")
-            if self._weights[v] == weight:
-                return False
-            self.set_weights(np.array([v]), np.array([weight]))
-            return True
-        if not isinstance(update, (EdgeInsert, EdgeDelete)):
-            raise TypeError(f"not a graph update: {type(update).__name__}")
-        insert = isinstance(update, EdgeInsert)
-        code = self._edge_code(update.u, update.v)
-        if update.u == update.v:
-            if insert:
-                raise ValueError(f"self-loop at vertex {update.u} is not allowed")
-            return False
-        if self.has_edge(update.u, update.v) == insert:
-            return False
-        codes, none = np.array([code], dtype=np.int64), np.empty(0, dtype=np.int64)
-        if insert:
-            self.flip_edges(codes, none)
-        else:
-            self.flip_edges(none, codes)
-        return True
-
     def flip_edges(self, on_codes: np.ndarray, off_codes: np.ndarray) -> None:
         """Insert the edges ``on_codes`` and delete the edges ``off_codes``.
 

@@ -372,8 +372,7 @@ class IncrementalCoverMaintainer:
         in the returned report reflects the post-repair state.  The
         sections after validation are timed into :attr:`last_batch_profile`.
         """
-        if not isinstance(updates, UpdateColumns):
-            updates = UpdateColumns.from_updates(updates)
+        updates = UpdateColumns.from_updates(updates)
         updates.validate(self.dyn.n, batch_index=self._batches, start=0)
         watch = Stopwatch()
         events = self._apply_events(updates)

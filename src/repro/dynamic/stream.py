@@ -672,8 +672,7 @@ def run_stream(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     policy = policy or ResolvePolicy()
-    if not isinstance(updates, UpdateColumns):
-        updates = UpdateColumns.from_updates(updates)
+    updates = UpdateColumns.from_updates(updates)
     if checkpoint is not None:
         _prepare_checkpoint_dir(
             checkpoint,
@@ -876,8 +875,7 @@ def resume_stream(
                 f"checkpoint {os.fspath(directory)} has no stored update "
                 f"stream ({name}); pass the stream explicitly"
             ) from None
-    elif not isinstance(updates, UpdateColumns):
-        updates = UpdateColumns.from_updates(updates)
+    updates = UpdateColumns.from_updates(updates)
     if len(updates) != config["num_updates"]:
         raise CheckpointError(
             f"update stream length {len(updates)} does not match the "

@@ -54,7 +54,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.updates import OP_REWEIGHT, UpdateColumns, update_from_json
+from repro.graphs.updates import OP_REWEIGHT, UpdateColumns, decode_update
 
 __all__ = [
     "WAL_FORMAT_VERSION",
@@ -200,8 +200,7 @@ def _check_line(name: str, lineno: int, line: bytes) -> Tuple[int, int, object]:
 def _decode(version: int, batch_index: int, body) -> WALRecord:
     """The record of a checksum-verified line (``ValueError`` etc. if malformed)."""
     if version == 1:
-        events = (update_from_json(u) for u in body["updates"])
-        updates = UpdateColumns.from_updates(events)
+        updates = UpdateColumns.from_rows(decode_update(u) for u in body["updates"])
         return WALRecord(batch_index, updates, str(body.get("state_digest", "")), 1)
     payload = json.loads(body)
     op = np.frombuffer(payload["op"].encode("ascii"), dtype=np.uint8)

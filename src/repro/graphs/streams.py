@@ -14,20 +14,26 @@ sees (``repro stream --churn ...``):
 
 Every generator keeps a faithful mirror of the evolving edge set, so the
 emitted stream is *coherent*: deletes always name a present edge, inserts
-an absent one, and reweights stay strictly positive.  Streams are ordinary
-lists of :data:`repro.graphs.updates.GraphUpdate` events — serialize with
+an absent one, and reweights stay strictly positive.  Streams come back as
+:class:`repro.graphs.updates.UpdateColumns` — serialize with
 :func:`repro.graphs.updates.save_update_stream`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
+from repro.graphs.updates import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_REWEIGHT,
+    Row,
+    UpdateColumns,
+)
 
 __all__ = [
     "CHURN_MODELS",
@@ -103,13 +109,13 @@ def _sample_absent_pair(
 
 def _reweight_event(
     rng: np.random.Generator, weights: np.ndarray, *, scale: float
-) -> WeightChange:
+) -> Row:
     """Multiplicative jitter of a random vertex weight (mirror updated)."""
     v = int(rng.integers(weights.size))
     factor = float(scale ** rng.uniform(-1.0, 1.0))
     new_w = max(float(weights[v]) * factor, 1e-12)
     weights[v] = new_w
-    return WeightChange(v, new_w)
+    return OP_REWEIGHT, 0, v, new_w
 
 
 def uniform_churn_stream(
@@ -121,7 +127,7 @@ def uniform_churn_stream(
     p_delete: float = 0.4,
     p_reweight: float = 0.2,
     weight_scale: float = 2.0,
-) -> List[GraphUpdate]:
+) -> UpdateColumns:
     """Memoryless churn: each event is an insert / delete / reweight draw.
 
     ``p_insert + p_delete + p_reweight`` must sum to 1.  A delete drawn on
@@ -150,7 +156,7 @@ def hub_churn_stream(
     p_delete: float = 0.4,
     p_reweight: float = 0.2,
     weight_scale: float = 2.0,
-) -> List[GraphUpdate]:
+) -> UpdateColumns:
     """Churn biased toward high-degree vertices of the *initial* graph.
 
     Inserted edges pick one endpoint with probability proportional to
@@ -183,7 +189,7 @@ def _churn(
     p_reweight: float,
     weight_scale: float,
     endpoint_p: Optional[np.ndarray],
-) -> List[GraphUpdate]:
+) -> UpdateColumns:
     if num_updates < 0:
         raise ValueError(f"num_updates must be >= 0, got {num_updates}")
     total = p_insert + p_delete + p_reweight
@@ -194,7 +200,7 @@ def _churn(
     rng = np.random.default_rng(seed)
     mirror = _EdgeMirror(graph)
     weights = np.array(graph.weights, dtype=np.float64)
-    out: List[GraphUpdate] = []
+    out: List[Row] = []
     for _ in range(num_updates):
         r = float(rng.random())
         if r < p_reweight and graph.n:
@@ -204,12 +210,12 @@ def _churn(
         if delete:
             pair = mirror.sample(rng)
             mirror.remove(pair)
-            out.append(EdgeDelete(*pair))
+            out.append((OP_DELETE, *pair, 0.0))
         else:
             pair = _sample_absent_pair(rng, graph.n, mirror, endpoint_p=endpoint_p)
             mirror.add(pair)
-            out.append(EdgeInsert(*pair))
-    return out
+            out.append((OP_INSERT, *pair, 0.0))
+    return UpdateColumns.from_rows(out)
 
 
 def sliding_window_stream(
@@ -220,7 +226,7 @@ def sliding_window_stream(
     window: Optional[int] = None,
     p_reweight: float = 0.0,
     weight_scale: float = 2.0,
-) -> List[GraphUpdate]:
+) -> UpdateColumns:
     """FIFO edge arrivals with expiry: the retention-log churn model.
 
     Fresh random edges arrive one per event; once more than ``window`` of
@@ -243,7 +249,7 @@ def sliding_window_stream(
     mirror = _EdgeMirror(graph)
     weights = np.array(graph.weights, dtype=np.float64)
     live: deque = deque()
-    out: List[GraphUpdate] = []
+    out: List[Row] = []
     while len(out) < num_updates:
         if p_reweight and float(rng.random()) < p_reweight and graph.n:
             out.append(_reweight_event(rng, weights, scale=weight_scale))
@@ -251,14 +257,14 @@ def sliding_window_stream(
         if len(live) >= window:
             pair = live.popleft()
             mirror.remove(pair)
-            out.append(EdgeDelete(*pair))
+            out.append((OP_DELETE, *pair, 0.0))
             if len(out) >= num_updates:
                 break
         pair = _sample_absent_pair(rng, graph.n, mirror)
         mirror.add(pair)
         live.append(pair)
-        out.append(EdgeInsert(*pair))
-    return out
+        out.append((OP_INSERT, *pair, 0.0))
+    return UpdateColumns.from_rows(out)
 
 
 def make_update_stream(
@@ -268,7 +274,7 @@ def make_update_stream(
     *,
     seed: int = 0,
     **kwargs,
-) -> List[GraphUpdate]:
+) -> UpdateColumns:
     """Dispatch to a churn model by name (the CLI's ``--churn`` hook)."""
     if model == "uniform":
         return uniform_churn_stream(graph, num_updates, seed=seed, **kwargs)

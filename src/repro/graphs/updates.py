@@ -10,16 +10,21 @@ The vertex set is fixed for the lifetime of a stream (vertex churn is
 modeled as weight changes plus edge churn around the vertex); endpoints are
 unordered, so ``insert 3 7`` and ``insert 7 3`` denote the same event.
 
-Events are plain frozen dataclasses — :data:`GraphUpdate` is their union —
-so streams can be built programmatically (see :mod:`repro.graphs.streams`),
-serialized one JSON object per line, and replayed through
-:class:`repro.dynamic.DynamicGraph`.  Blank lines and ``#`` comments are
-skipped on load, mirroring the batch-manifest format.
+On the wire each event is one JSON object per line: vertex ids are JSON
+integers within ``int64`` and a weight is a finite JSON number > 0;
+:func:`decode_update` refuses anything else.  Blank lines and ``#``
+comments are skipped on load, mirroring the batch-manifest format.
 
-:class:`UpdateColumns` is the same events as four parallel arrays
-(``op``/``u``/``v``/``w``): the one batch type from :func:`load_update_stream`
-to applying a batch, the on-disk form of a ``.npz`` stream file and of a
-write-ahead-log record body, and the place a batch is validated.
+:class:`UpdateColumns` holds events as four parallel arrays
+(``op``/``u``/``v``/``w``).  It is the one form an event takes from a
+source to the kernel: :func:`load_update_stream` decodes into it, the
+generators of :mod:`repro.graphs.streams` return it, :func:`save_update_stream`
+writes from it, and it is the on-disk form of a ``.npz`` stream file and
+of a write-ahead-log record body, and the place a batch is validated.
+The frozen dataclasses :class:`EdgeInsert`, :class:`EdgeDelete` and
+:class:`WeightChange` (:data:`GraphUpdate` is their union) are the
+object form for building a stream by hand;
+:meth:`UpdateColumns.from_updates` turns a sequence of them into columns.
 
 This module lives in the graph substrate layer (events *are* graph
 mutations) and imports nothing from the rest of the package, so both
@@ -37,7 +42,7 @@ import os
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Union
+from typing import IO, Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -48,8 +53,7 @@ __all__ = [
     "GraphUpdate",
     "InvalidUpdateError",
     "UpdateColumns",
-    "update_to_json",
-    "update_from_json",
+    "decode_update",
     "save_update_stream",
     "save_update_stream_segments",
     "load_update_stream",
@@ -87,6 +91,10 @@ GraphUpdate = Union[EdgeInsert, EdgeDelete, WeightChange]
 #: ``UpdateColumns.op`` codes: one ASCII letter per event, so an ``op``
 #: column is also a readable string (``"iidr"``).
 OP_INSERT, OP_DELETE, OP_REWEIGHT = ord("i"), ord("d"), ord("r")
+
+#: One event as a column row: ``(op, u, v, w)``.
+Row = Tuple[int, int, int, float]
+_ROW = np.dtype([("op", np.uint8), ("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 class InvalidUpdateError(ValueError):
@@ -131,35 +139,17 @@ class UpdateColumns(Sequence):
             raise ValueError("update columns have different lengths")
 
     @classmethod
+    def from_rows(cls, rows: Iterable[Row]) -> "UpdateColumns":
+        """Columns of ``(op, u, v, w)`` rows, one per event."""
+        table = np.fromiter(rows, dtype=_ROW)
+        return cls(*(np.ascontiguousarray(table[name]) for name in _ROW.names))
+
+    @classmethod
     def from_updates(cls, updates: Iterable[GraphUpdate]) -> "UpdateColumns":
-        ops = bytearray()
-        us: List[int] = []
-        vs: List[int] = []
-        ws: List[float] = []
-        for upd in updates:
-            if isinstance(upd, EdgeInsert):
-                ops.append(OP_INSERT)
-                us.append(upd.u)
-                vs.append(upd.v)
-                ws.append(0.0)
-            elif isinstance(upd, EdgeDelete):
-                ops.append(OP_DELETE)
-                us.append(upd.u)
-                vs.append(upd.v)
-                ws.append(0.0)
-            elif isinstance(upd, WeightChange):
-                ops.append(OP_REWEIGHT)
-                us.append(0)
-                vs.append(upd.v)
-                ws.append(upd.weight)
-            else:
-                raise TypeError(f"not a graph update: {type(upd).__name__}")
-        return cls(
-            np.frombuffer(bytes(ops), dtype=np.uint8),
-            np.array(us, dtype=np.int64),
-            np.array(vs, dtype=np.int64),
-            np.array(ws, dtype=np.float64),
-        )
+        """Columns of a sequence of event objects; columns pass unchanged."""
+        if isinstance(updates, UpdateColumns):
+            return updates
+        return cls.from_rows(_row(upd) for upd in updates)
 
     def __len__(self) -> int:
         return int(self.op.shape[0])
@@ -193,11 +183,9 @@ class UpdateColumns(Sequence):
         """Raise :class:`InvalidUpdateError` for the first event a graph on
         ``n`` vertices would refuse.
 
-        The checks are exactly the ones :meth:`DynamicGraph.apply
-        <repro.dynamic.DynamicGraph.apply>` raises on — vertex range,
-        self-loop inserts, non-finite or non-positive weights — so a batch
-        the graph would apply is never refused (deleting a self-loop is a
-        no-op there, and passes here).  ``start`` is the stream position of
+        The checks are the graph's invariants — vertex range, no
+        self-loop inserts, finite positive weights; deleting a self-loop
+        is a no-op and passes.  ``start`` is the stream position of
         the first event, so the error names the offending event's position
         in the whole stream.
         """
@@ -226,43 +214,81 @@ class UpdateColumns(Sequence):
         raise InvalidUpdateError(reason, batch_index=batch_index, position=start + i)
 
 
-def update_to_json(update: GraphUpdate) -> dict:
-    """One update as its wire-format JSON object."""
-    if isinstance(update, EdgeInsert):
-        return {"op": "insert", "u": int(update.u), "v": int(update.v)}
-    if isinstance(update, EdgeDelete):
-        return {"op": "delete", "u": int(update.u), "v": int(update.v)}
-    if isinstance(update, WeightChange):
-        return {"op": "reweight", "v": int(update.v), "weight": float(update.weight)}
-    raise TypeError(f"not a graph update: {type(update).__name__}")
+#: Wire-format op name of each edge event's ``UpdateColumns.op`` code.
+_EDGE_OPS = {OP_INSERT: "insert", OP_DELETE: "delete"}
+#: The exact key set of each op's wire-format object.
+_KEYS = {
+    "insert": frozenset(("op", "u", "v")),
+    "delete": frozenset(("op", "u", "v")),
+    "reweight": frozenset(("op", "v", "weight")),
+}
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def update_from_json(spec: dict) -> GraphUpdate:
-    """Parse one wire-format JSON object into an update event."""
+def _vertex(x) -> int:
+    # ``type`` rather than ``isinstance``: JSON's ``true`` is a bool, and
+    # bool is an int subclass.
+    if type(x) is not int or not _INT64_MIN <= x <= _INT64_MAX:
+        raise ValueError(f"vertex ids must be JSON integers within int64, got {x!r}")
+    return x
+
+
+def _weight(x) -> float:
+    if type(x) is float or type(x) is int:
+        try:
+            w = float(x)
+        except OverflowError:  # an integer beyond float range
+            w = math.inf
+        if 0.0 < w < math.inf:
+            return w
+    raise ValueError(f"reweight weight must be a finite JSON number > 0, got {x!r}")
+
+
+def decode_update(spec) -> Row:
+    """One wire-format JSON object as an ``(op, u, v, w)`` column row.
+
+    The one check every JSON decode runs: ``op`` names a known event, the
+    keys are exactly that event's, vertex ids are JSON integers within
+    ``int64`` (not bools, floats or strings) and a weight is a finite JSON
+    number > 0.  Anything else raises ``ValueError``.
+    """
     if not isinstance(spec, dict):
         raise ValueError(f"update record must be a JSON object, got {type(spec).__name__}")
     op = spec.get("op")
-    if op in ("insert", "delete"):
-        extra = set(spec) - {"op", "u", "v"}
+    keys = _KEYS.get(op) if type(op) is str else None
+    if keys is None:
+        raise ValueError(f"unknown op {op!r}; expected 'insert', 'delete' or 'reweight'")
+    if spec.keys() != keys:
+        extra = spec.keys() - keys
         if extra:
             raise ValueError(f"unknown keys {sorted(extra)} for op {op!r}")
-        try:
-            u, v = int(spec["u"]), int(spec["v"])
-        except KeyError as exc:
-            raise ValueError(f"op {op!r} needs keys 'u' and 'v'") from exc
-        return EdgeInsert(u, v) if op == "insert" else EdgeDelete(u, v)
+        need = " and ".join(repr(k) for k in sorted(keys - {"op"}))
+        raise ValueError(f"op {op!r} needs keys {need}")
     if op == "reweight":
-        extra = set(spec) - {"op", "v", "weight"}
-        if extra:
-            raise ValueError(f"unknown keys {sorted(extra)} for op 'reweight'")
-        try:
-            v, w = int(spec["v"]), float(spec["weight"])
-        except KeyError as exc:
-            raise ValueError("op 'reweight' needs keys 'v' and 'weight'") from exc
-        if not math.isfinite(w) or w <= 0:
-            raise ValueError(f"reweight weight must be finite and > 0, got {w}")
-        return WeightChange(v, w)
-    raise ValueError(f"unknown op {op!r}; expected 'insert', 'delete' or 'reweight'")
+        return OP_REWEIGHT, 0, _vertex(spec["v"]), _weight(spec["weight"])
+    code = OP_INSERT if op == "insert" else OP_DELETE
+    return code, _vertex(spec["u"]), _vertex(spec["v"]), 0.0
+
+
+def _row(upd: GraphUpdate) -> Row:
+    if isinstance(upd, EdgeInsert):
+        return OP_INSERT, upd.u, upd.v, 0.0
+    if isinstance(upd, EdgeDelete):
+        return OP_DELETE, upd.u, upd.v, 0.0
+    if isinstance(upd, WeightChange):
+        return OP_REWEIGHT, 0, upd.v, upd.weight
+    raise TypeError(f"not a graph update: {type(upd).__name__}")
+
+
+def _encode_row(op: int, u: int, v: int, w: float) -> str:
+    """One event as its wire-format JSON line (newline included)."""
+    if op == OP_REWEIGHT:
+        spec = {"op": "reweight", "v": v, "weight": w}
+    elif op in _EDGE_OPS:
+        spec = {"op": _EDGE_OPS[op], "u": u, "v": v}
+    else:
+        raise ValueError(f"unknown update op code {op!r}")
+    return json.dumps(spec) + "\n"
 
 
 def _is_npz(path) -> bool:
@@ -272,23 +298,19 @@ def _is_npz(path) -> bool:
 def save_update_stream(updates: Iterable[GraphUpdate], path: PathLike) -> None:
     """Write a stream as JSON lines (gzip-compressed iff ``path`` ends ``.gz``).
 
+    ``updates`` is :class:`UpdateColumns` or a sequence of event objects.
     A path ending ``.npz`` gets the columnar form instead: one store-only
     archive of the :class:`UpdateColumns` arrays, which loads without
     parsing any text.
     """
+    cols = UpdateColumns.from_updates(updates)
     if _is_npz(path):
-        cols = (
-            updates
-            if isinstance(updates, UpdateColumns)
-            else UpdateColumns.from_updates(updates)
-        )
         np.savez(path, op=cols.op, u=cols.u, v=cols.v, w=cols.w)
         return
     opener = gzip.open if str(path).endswith(".gz") else open
+    rows = zip(cols.op.tolist(), cols.u.tolist(), cols.v.tolist(), cols.w.tolist())
     with opener(path, "wt", encoding="utf-8") as fh:
-        for upd in updates:
-            fh.write(json.dumps(update_to_json(upd)))
-            fh.write("\n")
+        fh.writelines(_encode_row(*row) for row in rows)
 
 
 def save_update_stream_segments(
@@ -308,45 +330,33 @@ def save_update_stream_segments(
     """
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
+    cols = UpdateColumns.from_updates(updates)
     os.makedirs(os.fspath(directory), exist_ok=True)
     suffix = ".jsonl.gz" if compress else ".jsonl"
     paths: List[str] = []
-    chunk: List[GraphUpdate] = []
-
-    def flush():
-        if not chunk:
-            return
-        path = os.path.join(
-            os.fspath(directory), f"part-{len(paths):05d}{suffix}"
-        )
-        save_update_stream(chunk, path)
+    for start in range(0, len(cols), segment_size):
+        path = os.path.join(os.fspath(directory), f"part-{len(paths):05d}{suffix}")
+        save_update_stream(cols[start : start + segment_size], path)
         paths.append(path)
-        chunk.clear()
-
-    for upd in updates:
-        chunk.append(upd)
-        if len(chunk) >= segment_size:
-            flush()
-    flush()
     return paths
 
 
-def _json_lines(lines: Iterable[str]) -> Iterator[GraphUpdate]:
+def _json_lines(lines: Iterable[str], where: str = "") -> Iterator[Row]:
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            yield update_from_json(json.loads(line))
+            yield decode_update(json.loads(line))
         except ValueError as exc:
-            raise ValueError(f"update stream line {lineno}: {exc}") from exc
+            raise ValueError(f"{where}update stream line {lineno}: {exc}") from exc
 
 
-def _json_files(paths: Iterable[str]) -> Iterator[GraphUpdate]:
+def _json_files(paths: Iterable[str]) -> Iterator[Row]:
     for path in paths:
         opener = gzip.open if str(path).endswith(".gz") else open
         with opener(path, "rt", encoding="utf-8") as fh:
-            yield from _json_lines(fh)
+            yield from _json_lines(fh, f"{path}: ")
 
 
 def _segments(directory: str) -> List[str]:
@@ -399,8 +409,9 @@ def load_update_stream(
     a columnar ``.npz`` file, a directory of JSON-lines segments (as
     :func:`save_update_stream_segments` writes them; an empty directory is
     an empty stream), or an open text stream / iterable of JSON lines
-    (such as stdin).  Bad input fails here, loudly: a malformed line
-    raises ``ValueError`` naming its line number, a malformed ``.npz``
+    (such as stdin).  Bad input fails here, loudly: a line that
+    :func:`decode_update` refuses raises ``ValueError`` naming its line
+    number (and its file, for a file or segment), a malformed ``.npz``
     member (``op`` must be ``uint8``, ``u``/``v`` integer, ``w``
     floating, all 1-D of one length) one naming the file and the member.
     """
@@ -411,4 +422,4 @@ def load_update_stream(
         events = _json_files(_segments(path) if os.path.isdir(path) else [path])
     else:
         events = _json_lines(source)
-    return UpdateColumns.from_updates(events)
+    return UpdateColumns.from_rows(events)

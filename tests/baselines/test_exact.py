@@ -1,6 +1,5 @@
 """Tests for the exact solvers (cross-validated against each other)."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.exact import exact_mwvc

@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.baselines.local_baseline import local_round_by_round
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.graphs.generators import gnp_average_degree

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.accounting import (
-    PhaseCost,
     broadcast_round_count,
     cluster_width,
     fanin_round_count,

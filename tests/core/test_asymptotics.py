@@ -5,9 +5,7 @@ import math
 import pytest
 
 from repro.core.asymptotics import (
-    centralized_iteration_bound,
     paper_gamma,
-    paper_phase_count_bound,
     paper_phase_recursion,
     predict,
 )

@@ -8,9 +8,9 @@ import pytest
 from repro.core.centralized import run_centralized, termination_bound
 from repro.core.certificates import fractional_matching_violation
 from repro.core.thresholds import ThresholdSampler
-from repro.graphs.generators import gnp_average_degree, star
+from repro.graphs.generators import gnp_average_degree
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.weights import adversarial_spread_weights, uniform_weights
+from repro.graphs.weights import adversarial_spread_weights
 
 
 class TestBasicBehaviour:

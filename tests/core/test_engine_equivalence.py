@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
-from repro.core.params import MPCParameters
 from repro.graphs.generators import gnp_average_degree, power_law
 from repro.graphs.weights import adversarial_spread_weights, uniform_weights
 

@@ -1,7 +1,5 @@
 """Tests for MPCParameters: validation, presets, derived formulas."""
 
-import math
-
 import pytest
 
 from repro.core.params import MPCParameters

@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.graphs.generators import gnp_average_degree
-from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
 
 

@@ -17,6 +17,8 @@ from repro.graphs.generators import gnp_average_degree, star
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
 
+from tests.kernel_oracle import apply_event
+
 
 def _solved_maintainer(graph, *, eps=0.1, seed=3):
     dyn = DynamicGraph(graph)
@@ -48,7 +50,7 @@ class TestAdopt:
     def test_adopt_rejects_non_cover(self, medium):
         res = minimum_weight_vertex_cover(medium, eps=0.1, seed=3)
         dyn = DynamicGraph(medium)
-        dyn.apply(EdgeDelete(int(medium.edges_u[0]), int(medium.edges_v[0])))
+        apply_event(dyn, EdgeDelete(int(medium.edges_u[0]), int(medium.edges_v[0])))
         m = IncrementalCoverMaintainer(dyn)
         import dataclasses
 

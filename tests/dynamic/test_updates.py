@@ -11,8 +11,6 @@ from repro.graphs.updates import (
     WeightChange,
     load_update_stream,
     save_update_stream,
-    update_from_json,
-    update_to_json,
 )
 
 SAMPLE = [
@@ -23,42 +21,102 @@ SAMPLE = [
 ]
 
 
+def _decode(spec):
+    """Load a one-line stream holding ``spec``."""
+    return load_update_stream([json.dumps(spec)])
+
+
+def _wire(updates, tmp_path):
+    """The JSON objects ``save_update_stream`` writes for ``updates``."""
+    path = tmp_path / "wire.jsonl"
+    save_update_stream(updates, path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestJsonRoundtrip:
     @pytest.mark.parametrize("upd", SAMPLE)
-    def test_roundtrip(self, upd):
-        assert update_from_json(update_to_json(upd)) == upd
+    def test_roundtrip(self, upd, tmp_path):
+        path = tmp_path / "one.jsonl"
+        save_update_stream([upd], path)
+        assert list(load_update_stream(path)) == [upd]
 
-    def test_insert_wire_shape(self):
-        assert update_to_json(EdgeInsert(3, 7)) == {"op": "insert", "u": 3, "v": 7}
+    def test_insert_wire_shape(self, tmp_path):
+        assert _wire([EdgeInsert(3, 7)], tmp_path) == [{"op": "insert", "u": 3, "v": 7}]
 
-    def test_reweight_wire_shape(self):
-        assert update_to_json(WeightChange(3, 2.5)) == {
-            "op": "reweight", "v": 3, "weight": 2.5,
-        }
+    def test_reweight_wire_shape(self, tmp_path):
+        assert _wire([WeightChange(3, 2.5)], tmp_path) == [
+            {"op": "reweight", "v": 3, "weight": 2.5},
+        ]
 
     def test_unknown_op(self):
         with pytest.raises(ValueError, match="unknown op"):
-            update_from_json({"op": "explode", "u": 0, "v": 1})
+            _decode({"op": "explode", "u": 0, "v": 1})
 
     def test_missing_endpoint(self):
         with pytest.raises(ValueError, match="needs keys"):
-            update_from_json({"op": "insert", "u": 0})
+            _decode({"op": "insert", "u": 0})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown keys"):
-            update_from_json({"op": "delete", "u": 0, "v": 1, "w": 2})
+            _decode({"op": "delete", "u": 0, "v": 1, "w": 2})
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="> 0"):
-            update_from_json({"op": "reweight", "v": 0, "weight": 0.0})
+            _decode({"op": "reweight", "v": 0, "weight": 0.0})
 
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
-            update_from_json([1, 2, 3])
+            _decode([1, 2, 3])
 
-    def test_not_an_update(self):
+    def test_not_an_update(self, tmp_path):
         with pytest.raises(TypeError, match="not a graph update"):
-            update_to_json(("insert", 0, 1))
+            save_update_stream([("insert", 0, 1)], tmp_path / "x.jsonl")
+
+
+class TestBoundaryStrictness:
+    """Every value the wire format does not allow fails at decode, with a
+    ``ValueError`` naming its line — never a ``TypeError``, an
+    ``OverflowError`` or a silent coercion."""
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            ({"op": "insert", "u": None, "v": 1}, "JSON integers"),
+            ({"op": "insert", "u": [0], "v": 1}, "JSON integers"),
+            ({"op": "insert", "u": 2.9, "v": 1}, "JSON integers"),
+            ({"op": "insert", "u": 2.0, "v": 1}, "JSON integers"),
+            ({"op": "delete", "u": 0, "v": "7"}, "JSON integers"),
+            ({"op": "insert", "u": True, "v": 1}, "JSON integers"),
+            ({"op": "reweight", "v": False, "weight": 1.0}, "JSON integers"),
+            ({"op": "insert", "u": 1e20, "v": 1}, "JSON integers"),
+            ({"op": "insert", "u": 2**63, "v": 1}, "within int64"),
+            ({"op": "reweight", "v": 0, "weight": True}, "> 0"),
+            ({"op": "reweight", "v": 0, "weight": "2.5"}, "> 0"),
+            ({"op": "reweight", "v": 0, "weight": None}, "> 0"),
+            ({"op": "reweight", "v": 0, "weight": -1}, "> 0"),
+            ({"op": "reweight", "v": 0, "weight": 10**400}, "> 0"),
+            ({"op": "reweight", "v": 0, "weight": float("inf")}, "> 0"),
+            ({"op": "reweight", "v": 0, "weight": float("nan")}, "> 0"),
+            ({"op": "reweight", "u": 0, "v": 0, "weight": 1.0}, "unknown keys"),
+            ({"op": "reweight", "weight": 1.0}, "needs keys"),
+            ({"u": 0, "v": 1}, "unknown op"),
+            ({"op": ["insert"], "u": 0, "v": 1}, "unknown op"),
+        ],
+    )
+    def test_rejected_with_its_line(self, spec, match):
+        lines = [json.dumps({"op": "insert", "u": 0, "v": 1}), json.dumps(spec)]
+        with pytest.raises(ValueError, match=match) as info:
+            load_update_stream(lines)
+        assert "update stream line 2: " in str(info.value)
+
+    def test_integral_weight_is_a_number(self):
+        assert list(_decode({"op": "reweight", "v": 3, "weight": 2})) == [
+            WeightChange(3, 2.0)
+        ]
+
+    def test_int64_bounds_are_accepted(self):
+        cols = _decode({"op": "delete", "u": -(2**63), "v": 2**63 - 1})
+        assert cols.u.tolist() == [-(2**63)] and cols.v.tolist() == [2**63 - 1]
 
 
 class TestStreamIO:
@@ -84,8 +142,8 @@ class TestStreamIO:
         )
         assert list(load_update_stream(path)) == [EdgeInsert(1, 2)]
 
-    def test_iterable_source(self):
-        lines = [json.dumps(update_to_json(u)) for u in SAMPLE]
+    def test_iterable_source(self, tmp_path):
+        lines = [json.dumps(spec) for spec in _wire(SAMPLE, tmp_path)]
         assert list(load_update_stream(lines)) == SAMPLE
 
     def test_bad_line_names_line_number(self, tmp_path):
@@ -96,7 +154,7 @@ class TestStreamIO:
             + json.dumps({"op": "nope"})
             + "\n"
         )
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match="stream.jsonl: update stream line 2"):
             load_update_stream(path)
 
     def test_gzip_content_loadable_by_stdlib(self, tmp_path):

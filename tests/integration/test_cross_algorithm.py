@@ -6,7 +6,6 @@ web must hold: every dual-producing algorithm's (discounted) dual value
 lower-bounds every algorithm's cover weight.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines.greedy import greedy_vertex_cover

@@ -1,6 +1,5 @@
 """Failure injection: model violations must surface, never corrupt results."""
 
-import numpy as np
 import pytest
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover

@@ -7,7 +7,9 @@ batch with array operations; their results must equal these original object-at-a
 bit for bit.  :class:`ReferenceMaintainer` swaps them into an
 :class:`~repro.dynamic.IncrementalCoverMaintainer`, so a differential test
 or a benchmark can replay one stream through both and compare covers,
-duals, dual totals and batch reports exactly.
+duals, dual totals and batch reports exactly.  :func:`apply_event` and
+:func:`has_edge` are the per-event path over a
+:class:`~repro.dynamic.DynamicGraph`, built on its bulk mutations.
 ``tests/properties/test_property_kernels.py`` and
 ``benchmarks/bench_repair_kernels.py`` drive it.
 """
@@ -18,11 +20,64 @@ from typing import Callable, Iterable, List, Set, Tuple
 
 import numpy as np
 
-from repro.dynamic import IncrementalCoverMaintainer, decode_edge_codes
+from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer, decode_edge_codes
 from repro.dynamic.repair import RESIDUAL_RTOL, RepairOutcome
-from repro.graphs.updates import EdgeInsert, WeightChange
+from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
 
 EdgeKey = Tuple[int, int]
+
+
+def _edge_code(dyn: DynamicGraph, u: int, v: int) -> int:
+    u, v = int(u), int(v)
+    for x in (u, v):
+        if not 0 <= x < dyn.n:
+            raise ValueError(f"vertex {x} out of range [0, {dyn.n})")
+    return (u << 32) | v if u < v else (v << 32) | u
+
+
+def has_edge(dyn: DynamicGraph, u: int, v: int) -> bool:
+    """True iff edge ``{u, v}`` exists in ``dyn``'s current graph."""
+    code = _edge_code(dyn, u, v)
+    return u != v and bool(dyn.has_codes(np.array([code]))[0])
+
+
+def apply_event(dyn: DynamicGraph, update: GraphUpdate) -> bool:
+    """Apply one event object to ``dyn``; True iff it changed the graph.
+
+    Inserting a present edge, deleting an absent edge, re-setting a weight
+    to its current value and deleting a self-loop are no-ops returning
+    False.  An out-of-range vertex, a self-loop insert or a weight that is
+    not finite and > 0 raises ``ValueError``, as
+    :meth:`UpdateColumns.validate <repro.graphs.updates.UpdateColumns.validate>`
+    does for a batch.
+    """
+    if isinstance(update, WeightChange):
+        v = int(update.v)
+        if not 0 <= v < dyn.n:
+            raise ValueError(f"vertex {v} out of range [0, {dyn.n})")
+        weight = float(update.weight)
+        if not np.isfinite(weight) or weight <= 0:
+            raise ValueError(f"vertex weights must be finite and > 0, got {weight}")
+        if dyn.weights[v] == weight:
+            return False
+        dyn.set_weights(np.array([v]), np.array([weight]))
+        return True
+    if not isinstance(update, (EdgeInsert, EdgeDelete)):
+        raise TypeError(f"not a graph update: {type(update).__name__}")
+    insert = isinstance(update, EdgeInsert)
+    code = _edge_code(dyn, update.u, update.v)
+    if update.u == update.v:
+        if insert:
+            raise ValueError(f"self-loop at vertex {update.u} is not allowed")
+        return False
+    if has_edge(dyn, update.u, update.v) == insert:
+        return False
+    codes, none = np.array([code], dtype=np.int64), np.empty(0, dtype=np.int64)
+    if insert:
+        dyn.flip_edges(codes, none)
+    else:
+        dyn.flip_edges(none, codes)
+    return True
 
 
 def reference_pricing_repair_pass(
@@ -109,11 +164,10 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
     object at a time, dispatched by ``isinstance``.  Whether an event is
     effective is decided against :attr:`model_edges`, a plain Python set
     of the current canonical edges kept here — not by the graph's bulk
-    mutation code, which the production path shares — and each effective
-    event then reaches the graph through :meth:`DynamicGraph.apply
-    <repro.dynamic.DynamicGraph.apply>`, which must agree.  A test can
-    check ``dyn.edge_codes()`` against :meth:`model_codes` after every
-    batch.  Deleted edges' duals retire one at a time, clamping each load
+    mutation code, which the production path shares — and each event
+    then reaches the graph through :func:`apply_event`, which must agree.
+    A test can check ``dyn.edge_codes()`` against :meth:`model_codes`
+    after every batch.  Deleted edges' duals retire one at a time, clamping each load
     and the dual total at zero.  Every prune is
     :func:`reference_greedy_prune_pass`, so the oracle never runs the
     production prune kernel it checks.
@@ -140,7 +194,7 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
         for upd in cols:
             if isinstance(upd, WeightChange):
                 effective = float(dyn.weights[upd.v]) != upd.weight
-                assert dyn.apply(upd) == effective
+                assert apply_event(dyn, upd) == effective
                 if effective:
                     reweights += 1
                     touched.add(upd.v)
@@ -148,7 +202,7 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
             key = (upd.u, upd.v) if upd.u < upd.v else (upd.v, upd.u)
             insert = isinstance(upd, EdgeInsert)
             effective = upd.u != upd.v and (key in edges) != insert
-            assert dyn.apply(upd) == effective, f"graph and model disagree on {upd}"
+            assert apply_event(dyn, upd) == effective, f"graph and model disagree on {upd}"
             if not effective:
                 continue
             touched.update(key)
@@ -184,7 +238,7 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
             loads=self._loads,
             duals=self._x,
             dual_value=self._dual_value,
-            has_edge=self.dyn.has_edge,
+            has_edge=lambda u, v: has_edge(self.dyn, u, v),
         )
         self._dual_value = outcome.dual_value
         return outcome.repaired, outcome.entered

@@ -27,6 +27,7 @@ from repro.graphs.updates import EdgeDelete, EdgeInsert, UpdateColumns, WeightCh
 
 from tests.kernel_oracle import (
     ReferenceMaintainer,
+    has_edge,
     reference_greedy_prune_pass,
     reference_pricing_repair_pass,
 )
@@ -286,7 +287,7 @@ class TestBareKernels:
             cover=ref_cover,
             loads=ref_loads,
             duals=ref_duals,
-            has_edge=dyn.has_edge,
+            has_edge=lambda u, v: has_edge(dyn, u, v),
             **args,
         )
         vec_cover, vec_loads, vec_duals = cover.copy(), loads.copy(), DualStore()

@@ -1,6 +1,5 @@
 """Property-based tests of fractional-matching feasibility (Observation 3.1)."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -39,6 +39,7 @@ from repro.dynamic.wal import _crc
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.updates import load_update_stream, save_update_stream
 
+from tests.kernel_oracle import apply_event, has_edge
 from tests.properties.strategies import weighted_graphs
 from tests.recovery.harness import make_batches, make_workload, seeded_maintainer
 
@@ -67,7 +68,7 @@ def _replay(graph, events, compact_at=(), compact_fraction=0.25):
     for i, event in enumerate(events):
         if i in compact_at:
             dyn.compact()
-        dyn.apply(event)
+        apply_event(dyn, event)
         dyn.maybe_compact()
     return dyn
 
@@ -89,11 +90,11 @@ class TestStateStamp:
         order = data.draw(st.permutations(range(final.m)))
         for k, e in enumerate(order):
             u, v = int(final.edges_u[e]), int(final.edges_v[e])
-            c.apply(EdgeInsert(v, u))
+            apply_event(c, EdgeInsert(v, u))
             if k % 3 == 0:
                 c.compact()
         for v in range(graph.n):
-            c.apply(WeightChange(v, float(final.weights[v])))
+            apply_event(c, WeightChange(v, float(final.weights[v])))
         assert a.state_stamp() == b.state_stamp() == c.state_stamp()
         assert a.state_stamp() == DynamicGraph(final).state_stamp()
 
@@ -108,10 +109,10 @@ class TestStateStamp:
         v = data.draw(st.integers(0, n - 1).filter(lambda x: x != u))
         kind = data.draw(st.sampled_from(["edge", "reweight"]))
         if kind == "edge":
-            event = EdgeDelete(u, v) if dyn.has_edge(u, v) else EdgeInsert(u, v)
+            event = EdgeDelete(u, v) if has_edge(dyn, u, v) else EdgeInsert(u, v)
         else:
             event = WeightChange(v, float(dyn.weights[v]) + 1.0)
-        assert dyn.apply(event)
+        assert apply_event(dyn, event)
         assert dyn.state_stamp() != before
 
     def test_no_op_events_keep_the_stamp(self):
@@ -119,8 +120,8 @@ class TestStateStamp:
         dyn = DynamicGraph(graph)
         before = dyn.state_stamp()
         u, v = int(graph.edges_u[0]), int(graph.edges_v[0])
-        assert not dyn.apply(EdgeInsert(u, v))
-        assert not dyn.apply(WeightChange(0, float(graph.weights[0])))
+        assert not apply_event(dyn, EdgeInsert(u, v))
+        assert not apply_event(dyn, WeightChange(0, float(graph.weights[0])))
         assert dyn.state_stamp() == before
 
     def test_restored_snapshot_has_the_original_stamp(self, tmp_path):
@@ -317,7 +318,7 @@ class TestSnapshotVersion3:
     def test_save_never_materializes_the_graph(self, tmp_path, monkeypatch):
         maintainer = self._maintainer()
         expected = maintainer.dyn.materialize()
-        maintainer.dyn.apply(WeightChange(0, 4.25))  # drop the memoized graph
+        apply_event(maintainer.dyn, WeightChange(0, 4.25))  # drop the memoized graph
 
         def refuse(self):
             raise AssertionError("save_snapshot materialized the graph")

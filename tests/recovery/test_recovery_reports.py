@@ -33,6 +33,7 @@ from repro.graphs.io import load_npz
 from repro.graphs.streams import make_update_stream
 from repro.graphs.updates import load_update_stream
 
+from tests.kernel_oracle import apply_event
 from tests.recovery.harness import CrashAfter, make_batches, make_workload
 
 BATCH_SIZE = 10
@@ -159,7 +160,7 @@ class TestInvalidBatchIsRefusedBeforeTheWAL:
 def _stamp_after(graph, updates, batches):
     dyn = DynamicGraph(graph)
     for event in updates[: batches * BATCH_SIZE]:
-        dyn.apply(event)
+        apply_event(dyn, event)
     return dyn.state_stamp()
 
 

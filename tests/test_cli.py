@@ -199,6 +199,16 @@ class TestMissingInput:
             main(["stream", "--family", "gnp", "--n", "60", "--degree", "4",
                   "--seed", "1", "--updates", str(missing)])
 
+    @pytest.mark.parametrize("bad", ['"u": null', '"u": 2.9', '"u": true'])
+    def test_stream_malformed_updates_is_clean_error(self, tmp_path, bad):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"op": "insert", "u": 0, "v": 1}\n'
+                        '{"op": "insert", %s, "v": 1}\n' % bad)
+        with pytest.raises(SystemExit, match=r"bad update stream: .*bad\.jsonl: "
+                           r"update stream line 2: vertex ids must be JSON integers"):
+            main(["stream", "--family", "gnp", "--n", "60", "--degree", "4",
+                  "--seed", "1", "--updates", str(path)])
+
 
 class TestStream:
     def test_generated_churn_stream(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Every third-party module ``src/`` imports at module level is a declared
-runtime dependency, so a clean ``pip install`` can ``import repro``."""
+runtime dependency, so a clean ``pip install`` can ``import repro``; and
+no module in ``src/`` or ``tests/`` keeps an import it does not use."""
 
 import ast
 import pathlib
@@ -7,8 +8,6 @@ import re
 import sys
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -36,6 +35,7 @@ def _third_party_imports():
 
 
 def _declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((_REPO_ROOT / "pyproject.toml").read_text())["project"]
     names = (re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in project["dependencies"])
     return {name.lower().replace("-", "_") for name in names}
@@ -47,3 +47,45 @@ def test_third_party_imports_are_declared():
     declared = _declared_dependencies()
     missing = {name: path for name, path in imports.items() if name.lower() not in declared}
     assert not missing, f"imported by src/ but not in [project].dependencies: {missing}"
+
+
+def _names_used(tree: ast.Module):
+    """Every name the module reads, including those inside string
+    annotations such as ``"os.PathLike[str]"``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
+
+
+def _unused_imports(path: pathlib.Path):
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = _names_used(tree)
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+
+
+def test_no_unused_module_level_imports():
+    """``__init__.py`` files are skipped: their imports are re-exports."""
+    found = {}
+    for top in ("src", "tests"):
+        for path in sorted((_REPO_ROOT / top).rglob("*.py")):
+            if path.name != "__init__.py":
+                unused = _unused_imports(path)
+                if unused:
+                    found[path.relative_to(_REPO_ROOT).as_posix()] = unused
+    assert not found, f"unused module-level imports: {found}"
