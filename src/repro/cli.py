@@ -327,7 +327,7 @@ def _cmd_stream(args) -> int:
         try:
             # A JSON-lines or .npz file, a directory of segments, or stdin.
             updates = load_update_stream(
-                sys.stdin if args.updates == "-" else args.updates
+                sys.stdin.buffer if args.updates == "-" else args.updates
             )
         except FileNotFoundError:
             raise SystemExit(f"update stream not found: {args.updates}")

@@ -450,6 +450,3 @@ class ClusterEngine:
                 f"{gathered.size // 3} != expected {remaining_edges}"
             )
         self.cluster.local_round()
-
-    def collect(self, state) -> None:  # pragma: no cover - interface symmetry
-        """Results live in the orchestrator's state; nothing to collect."""

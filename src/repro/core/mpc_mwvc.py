@@ -109,9 +109,6 @@ class VectorizedEngine:
             capacity=self.capacity,
         )
 
-    def collect(self, state: GlobalState) -> None:  # pragma: no cover - interface symmetry
-        """No distributed state to collect in the vectorized engine."""
-
 
 def _make_engine(
     engine: str,

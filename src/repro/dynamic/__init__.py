@@ -32,10 +32,11 @@ certificate drifts past a policy bound:
 
 The update events and their wire formats live in
 :mod:`repro.graphs.updates` and are re-exported here.
+:class:`UpdateColumns` is the one event type, from decode to apply:
 :func:`load_update_stream` reads a file, a segment directory or stdin
-into :class:`UpdateColumns`, the one form an event takes from decode to
-apply; the event objects (:class:`EdgeInsert` / :class:`EdgeDelete` /
-:class:`WeightChange`) are for building a stream by hand.
+into it, and a stream built by hand is
+``UpdateColumns.from_rows([(OP_INSERT, u, v, 0.0), ...])`` with the op
+codes of :mod:`repro.graphs.updates`.
 """
 
 from repro.dynamic.checkpoint import (
@@ -71,12 +72,8 @@ from repro.dynamic.wal import (
     repair_wal,
 )
 from repro.graphs.updates import (
-    EdgeDelete,
-    EdgeInsert,
-    GraphUpdate,
     InvalidUpdateError,
     UpdateColumns,
-    WeightChange,
     load_update_stream,
     save_update_stream,
 )
@@ -89,9 +86,6 @@ __all__ = [
     "CheckpointVersionError",
     "DualStore",
     "DynamicGraph",
-    "EdgeDelete",
-    "EdgeInsert",
-    "GraphUpdate",
     "IncrementalCoverMaintainer",
     "InvalidUpdateError",
     "KERNEL_PROFILE_KEYS",

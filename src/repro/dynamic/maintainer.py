@@ -36,7 +36,7 @@ it through the batch service is :func:`repro.dynamic.stream.run_stream`'s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,13 +46,7 @@ from repro.core.result import MWVCResult
 from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.repair import certificate_from_state, pricing_repair_pass
-from repro.graphs.updates import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_REWEIGHT,
-    GraphUpdate,
-    UpdateColumns,
-)
+from repro.graphs.updates import OP_DELETE, OP_INSERT, OP_REWEIGHT, UpdateColumns
 from repro.utils.timing import Stopwatch
 
 __all__ = ["IncrementalCoverMaintainer", "BatchReport", "KERNEL_PROFILE_KEYS"]
@@ -358,21 +352,20 @@ class IncrementalCoverMaintainer:
     # ------------------------------------------------------------------ #
     # the incremental path
     # ------------------------------------------------------------------ #
-    def apply_batch(self, updates: Sequence[GraphUpdate]) -> BatchReport:
+    def apply_batch(self, updates: UpdateColumns) -> BatchReport:
         """Apply a batch of updates and repair the cover locally.
 
-        ``updates`` is converted to :class:`UpdateColumns` unless it is
-        already.  The batch is validated whole first
-        (:meth:`UpdateColumns.validate`, positions counted from the
-        batch's first event), so a batch with a bad event raises
-        :class:`~repro.graphs.updates.InvalidUpdateError` and changes
-        nothing.  The repair budget is proportional to the batch's touched
+        ``updates`` is one batch as :class:`UpdateColumns` (a slice of a
+        stream, or ``UpdateColumns.from_rows`` rows).  The batch is
+        validated whole first (:meth:`UpdateColumns.validate`, positions
+        counted from the batch's first event), so a batch with a bad
+        event raises :class:`~repro.graphs.updates.InvalidUpdateError`
+        and changes nothing.  The repair budget is proportional to the batch's touched
         neighborhood: uncovered inserted edges are patched by the pricing
         rule, then touched vertices are pruned greedily.  The certificate
         in the returned report reflects the post-repair state.  The
         sections after validation are timed into :attr:`last_batch_profile`.
         """
-        updates = UpdateColumns.from_updates(updates)
         updates.validate(self.dyn.n, batch_index=self._batches, start=0)
         watch = Stopwatch()
         events = self._apply_events(updates)

@@ -39,6 +39,10 @@ class ResolveDecision:
 class ResolvePolicy:
     """Decides after each batch whether to trigger a full re-solve.
 
+    An unbounded certificate (``ratio = inf``, i.e. positive cover weight
+    with zero dual mass) always triggers a re-solve, regardless of the
+    cooldown.
+
     Attributes
     ----------
     max_drift:
@@ -50,7 +54,7 @@ class ResolvePolicy:
     min_batches_between:
         Cooldown: at least this many batches between consecutive re-solves
         (the drift rule is suppressed during the cooldown; an unbounded
-        certificate still fires if ``resolve_unbounded``).
+        certificate still fires).
     max_batches_between:
         Forced refresh: re-solve after this many batches even if the
         certificate looks healthy.  Low-dual-churn streams (e.g. a
@@ -58,12 +62,9 @@ class ResolvePolicy:
         quality faster than the certificate degrades; a periodic refresh
         bounds that gap.  ``None`` disables the rule.
     every_batch:
-        Degenerate policy that re-solves after every batch — the baseline
-        mode of ``benchmarks/bench_dynamic_stream.py``.
-    resolve_unbounded:
-        Re-solve whenever the certificate is unbounded (``ratio = inf``,
-        i.e. positive cover weight with zero dual mass), regardless of
-        cooldown.
+        Degenerate policy that re-solves after every batch — the
+        no-maintenance baseline the drift policy is tested against
+        (``tests/dynamic/test_stream.py::TestDriftPolicySavesResolves``).
     """
 
     max_drift: float = 0.25
@@ -71,7 +72,6 @@ class ResolvePolicy:
     min_batches_between: int = 1
     max_batches_between: Optional[int] = None
     every_batch: bool = False
-    resolve_unbounded: bool = True
 
     def __post_init__(self):
         if self.max_drift < 0:
@@ -114,8 +114,7 @@ class ResolvePolicy:
             return ResolveDecision(True, "no adopted solution yet")
         if self.every_batch:
             return ResolveDecision(True, "every-batch policy")
-        unbounded = math.isinf(certified_ratio)
-        if unbounded and self.resolve_unbounded:
+        if math.isinf(certified_ratio):
             return ResolveDecision(True, "certificate unbounded (zero dual mass)")
         if batches_since_resolve < self.min_batches_between:
             return ResolveDecision(

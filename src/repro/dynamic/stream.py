@@ -47,7 +47,8 @@ continuation appends version-2 records to the same log.  Keys their
 ``config.json`` holds that this build no longer reads (``compress``,
 ``snapshot_file``, ``snapshot_compression``, ``compact_fraction``) are
 ignored: snapshots always deflate, and compaction timing never changes a
-result.
+result.  Their policy's ``resolve_unbounded`` key resumes when it is
+``true``, the rule this build always applies; ``false`` is refused.
 
 :func:`resume_stream` restores ``last snapshot + WAL tail replay`` and
 continues the run.  Because every component is deterministic — the
@@ -63,7 +64,7 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -84,12 +85,7 @@ from repro.dynamic.policy import ResolvePolicy
 from repro.dynamic.wal import WriteAheadLog, compact_wal, read_wal, repair_wal
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.io import load_npz, save_npz, write_bytes_atomic
-from repro.graphs.updates import (
-    GraphUpdate,
-    UpdateColumns,
-    load_update_stream,
-    save_update_stream,
-)
+from repro.graphs.updates import UpdateColumns, load_update_stream, save_update_stream
 from repro.service.batch import BatchSolver
 from repro.service.schema import SolveRequest
 from repro.utils.timing import Stopwatch
@@ -611,7 +607,7 @@ def _prepare_checkpoint_dir(
 
 def run_stream(
     graph: WeightedGraph,
-    updates: Sequence[GraphUpdate],
+    updates: UpdateColumns,
     *,
     batch_size: int = 64,
     policy: Optional[ResolvePolicy] = None,
@@ -630,8 +626,10 @@ def run_stream(
     graph:
         Initial graph; solved once up front to seed the maintainer.
     updates:
-        The update stream (see :mod:`repro.graphs.updates`); converted
-        once to :class:`~repro.graphs.updates.UpdateColumns` unless it is.
+        The update stream as :class:`~repro.graphs.updates.UpdateColumns`
+        (from :func:`~repro.graphs.updates.load_update_stream`, a
+        generator of :mod:`repro.graphs.streams`, or
+        :meth:`~repro.graphs.updates.UpdateColumns.from_rows`).
     batch_size:
         Updates per repair batch (the granularity of policy evaluation).
     policy:
@@ -672,7 +670,6 @@ def run_stream(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     policy = policy or ResolvePolicy()
-    updates = UpdateColumns.from_updates(updates)
     if checkpoint is not None:
         _prepare_checkpoint_dir(
             checkpoint,
@@ -808,8 +805,18 @@ def _load_config(directory: PathLike) -> Tuple[CheckpointConfig, ResolvePolicy, 
             raise ValueError(f"batch_size must be >= 1, got {config['batch_size']}")
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
+    # Older configs store the unbounded-certificate rule, now always on,
+    # as a key; only its one remaining value can be replayed.
+    rules = dict(config["policy"])
+    unbounded = rules.pop("resolve_unbounded", True)
+    if unbounded is not True:
+        raise CheckpointError(
+            f"{path}: key 'policy.resolve_unbounded' is {json.dumps(unbounded)}; "
+            f"this build always re-solves an unbounded certificate and cannot "
+            f"replay that policy"
+        )
     try:
-        policy = ResolvePolicy(**config["policy"])
+        policy = ResolvePolicy(**rules)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: key 'policy' is invalid ({exc})") from exc
     return checkpoint, policy, config
@@ -818,7 +825,7 @@ def _load_config(directory: PathLike) -> Tuple[CheckpointConfig, ResolvePolicy, 
 def resume_stream(
     directory: PathLike,
     *,
-    updates: Optional[Sequence[GraphUpdate]] = None,
+    updates: Optional[UpdateColumns] = None,
     solver: Optional[BatchSolver] = None,
     profile: bool = False,
 ) -> StreamSummary:
@@ -875,7 +882,6 @@ def resume_stream(
                 f"checkpoint {os.fspath(directory)} has no stored update "
                 f"stream ({name}); pass the stream explicitly"
             ) from None
-    updates = UpdateColumns.from_updates(updates)
     if len(updates) != config["num_updates"]:
         raise CheckpointError(
             f"update stream length {len(updates)} does not match the "

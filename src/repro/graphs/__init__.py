@@ -40,14 +40,7 @@ from repro.graphs.streams import (
     sliding_window_stream,
     uniform_churn_stream,
 )
-from repro.graphs.updates import (
-    EdgeDelete,
-    EdgeInsert,
-    GraphUpdate,
-    WeightChange,
-    load_update_stream,
-    save_update_stream,
-)
+from repro.graphs.updates import load_update_stream, save_update_stream
 
 __all__ = [
     "WeightedGraph",
@@ -70,11 +63,7 @@ __all__ = [
     "random_geometric",
     "hypercube",
     "preferential_attachment",
-    # update events + streams
-    "EdgeInsert",
-    "EdgeDelete",
-    "WeightChange",
-    "GraphUpdate",
+    # update streams
     "load_update_stream",
     "save_update_stream",
     "CHURN_MODELS",

@@ -21,10 +21,9 @@ source to the kernel: :func:`load_update_stream` decodes into it, the
 generators of :mod:`repro.graphs.streams` return it, :func:`save_update_stream`
 writes from it, and it is the on-disk form of a ``.npz`` stream file and
 of a write-ahead-log record body, and the place a batch is validated.
-The frozen dataclasses :class:`EdgeInsert`, :class:`EdgeDelete` and
-:class:`WeightChange` (:data:`GraphUpdate` is their union) are the
-object form for building a stream by hand;
-:meth:`UpdateColumns.from_updates` turns a sequence of them into columns.
+A stream built by hand is a list of ``(op, u, v, w)`` rows::
+
+    UpdateColumns.from_rows([(OP_INSERT, 3, 7, 0.0), (OP_REWEIGHT, 0, 3, 2.5)])
 
 This module lives in the graph substrate layer (events *are* graph
 mutations) and imports nothing from the rest of the package, so both
@@ -40,17 +39,12 @@ import json
 import math
 import os
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
 __all__ = [
-    "EdgeInsert",
-    "EdgeDelete",
-    "WeightChange",
-    "GraphUpdate",
     "InvalidUpdateError",
     "UpdateColumns",
     "decode_update",
@@ -60,33 +54,6 @@ __all__ = [
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
-
-
-@dataclass(frozen=True)
-class EdgeInsert:
-    """Add the undirected edge ``{u, v}`` (no-op if already present)."""
-
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class EdgeDelete:
-    """Remove the undirected edge ``{u, v}`` (no-op if absent)."""
-
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class WeightChange:
-    """Set vertex ``v``'s weight to ``weight`` (must stay positive)."""
-
-    v: int
-    weight: float
-
-
-GraphUpdate = Union[EdgeInsert, EdgeDelete, WeightChange]
 
 #: ``UpdateColumns.op`` codes: one ASCII letter per event, so an ``op``
 #: column is also a readable string (``"iidr"``).
@@ -114,7 +81,7 @@ class InvalidUpdateError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class UpdateColumns(Sequence):
+class UpdateColumns:
     """Update events as four parallel arrays, in stream order.
 
     ``op`` holds :data:`OP_INSERT`/:data:`OP_DELETE`/:data:`OP_REWEIGHT`
@@ -123,9 +90,9 @@ class UpdateColumns(Sequence):
     its weight in ``w`` (``float64``).  Unused slots hold 0.
 
     The stream engine, the write-ahead log and ``apply_batch`` work on
-    the arrays; a slice is another :class:`UpdateColumns` over views of
-    them.  It is also a read-only sequence of :data:`GraphUpdate` events,
-    built only for the events a caller visits.
+    the arrays.  ``len()`` counts the events and a slice is another
+    :class:`UpdateColumns` over views of them; there is no per-event
+    view, so indexing by an integer and iterating raise ``TypeError``.
     """
 
     op: np.ndarray
@@ -144,40 +111,19 @@ class UpdateColumns(Sequence):
         table = np.fromiter(rows, dtype=_ROW)
         return cls(*(np.ascontiguousarray(table[name]) for name in _ROW.names))
 
-    @classmethod
-    def from_updates(cls, updates: Iterable[GraphUpdate]) -> "UpdateColumns":
-        """Columns of a sequence of event objects; columns pass unchanged."""
-        if isinstance(updates, UpdateColumns):
-            return updates
-        return cls.from_rows(_row(upd) for upd in updates)
-
     def __len__(self) -> int:
         return int(self.op.shape[0])
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return UpdateColumns(self.op[key], self.u[key], self.v[key], self.w[key])
-        i = range(len(self))[key]
-        return self[i : i + 1].to_updates()[0]
+    #: Not iterable: ``iter()`` and ``in`` raise ``TypeError`` rather
+    #: than fall back to integer indexing.
+    __iter__ = None
 
-    def __iter__(self) -> Iterator[GraphUpdate]:
-        return iter(self.to_updates())
-
-    def to_updates(self) -> List[GraphUpdate]:
-        """The events as :data:`GraphUpdate` objects (``ValueError`` on a bad op)."""
-        out: List[GraphUpdate] = []
-        for op, u, v, w in zip(
-            self.op.tolist(), self.u.tolist(), self.v.tolist(), self.w.tolist()
-        ):
-            if op == OP_INSERT:
-                out.append(EdgeInsert(u, v))
-            elif op == OP_DELETE:
-                out.append(EdgeDelete(u, v))
-            elif op == OP_REWEIGHT:
-                out.append(WeightChange(v, w))
-            else:
-                raise ValueError(f"unknown update op code {op!r}")
-        return out
+    def __getitem__(self, key: slice) -> "UpdateColumns":
+        if not isinstance(key, slice):
+            raise TypeError(
+                f"UpdateColumns takes only slices, not {type(key).__name__}"
+            )
+        return UpdateColumns(self.op[key], self.u[key], self.v[key], self.w[key])
 
     def validate(self, n: int, *, batch_index: int, start: int) -> None:
         """Raise :class:`InvalidUpdateError` for the first event a graph on
@@ -270,16 +216,6 @@ def decode_update(spec) -> Row:
     return code, _vertex(spec["u"]), _vertex(spec["v"]), 0.0
 
 
-def _row(upd: GraphUpdate) -> Row:
-    if isinstance(upd, EdgeInsert):
-        return OP_INSERT, upd.u, upd.v, 0.0
-    if isinstance(upd, EdgeDelete):
-        return OP_DELETE, upd.u, upd.v, 0.0
-    if isinstance(upd, WeightChange):
-        return OP_REWEIGHT, 0, upd.v, upd.weight
-    raise TypeError(f"not a graph update: {type(upd).__name__}")
-
-
 def _encode_row(op: int, u: int, v: int, w: float) -> str:
     """One event as its wire-format JSON line (newline included)."""
     if op == OP_REWEIGHT:
@@ -295,26 +231,26 @@ def _is_npz(path) -> bool:
     return isinstance(path, (str, os.PathLike)) and os.fspath(path).endswith(".npz")
 
 
-def save_update_stream(updates: Iterable[GraphUpdate], path: PathLike) -> None:
+def save_update_stream(updates: UpdateColumns, path: PathLike) -> None:
     """Write a stream as JSON lines (gzip-compressed iff ``path`` ends ``.gz``).
 
-    ``updates`` is :class:`UpdateColumns` or a sequence of event objects.
     A path ending ``.npz`` gets the columnar form instead: one store-only
     archive of the :class:`UpdateColumns` arrays, which loads without
     parsing any text.
     """
-    cols = UpdateColumns.from_updates(updates)
     if _is_npz(path):
-        np.savez(path, op=cols.op, u=cols.u, v=cols.v, w=cols.w)
+        np.savez(path, op=updates.op, u=updates.u, v=updates.v, w=updates.w)
         return
     opener = gzip.open if str(path).endswith(".gz") else open
-    rows = zip(cols.op.tolist(), cols.u.tolist(), cols.v.tolist(), cols.w.tolist())
+    rows = zip(
+        updates.op.tolist(), updates.u.tolist(), updates.v.tolist(), updates.w.tolist()
+    )
     with opener(path, "wt", encoding="utf-8") as fh:
         fh.writelines(_encode_row(*row) for row in rows)
 
 
 def save_update_stream_segments(
-    updates: Iterable[GraphUpdate],
+    updates: UpdateColumns,
     directory: PathLike,
     *,
     segment_size: int = 10_000,
@@ -330,23 +266,28 @@ def save_update_stream_segments(
     """
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-    cols = UpdateColumns.from_updates(updates)
     os.makedirs(os.fspath(directory), exist_ok=True)
     suffix = ".jsonl.gz" if compress else ".jsonl"
     paths: List[str] = []
-    for start in range(0, len(cols), segment_size):
+    for start in range(0, len(updates), segment_size):
         path = os.path.join(os.fspath(directory), f"part-{len(paths):05d}{suffix}")
-        save_update_stream(cols[start : start + segment_size], path)
+        save_update_stream(updates[start : start + segment_size], path)
         paths.append(path)
     return paths
 
 
-def _json_lines(lines: Iterable[str], where: str = "") -> Iterator[Row]:
+def _json_lines(lines: Iterable[Union[str, bytes]], where: str = "") -> Iterator[Row]:
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         try:
+            # Bytes are decoded here, line by line, as strict UTF-8 (the
+            # default), so a line that is not UTF-8 is named like any other
+            # bad line; ``json.loads`` gets text only (given bytes it would
+            # also accept UTF-16/32).
+            if isinstance(raw, bytes):
+                raw = raw.decode()
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
             yield decode_update(json.loads(line))
         except ValueError as exc:
             raise ValueError(f"{where}update stream line {lineno}: {exc}") from exc
@@ -355,7 +296,7 @@ def _json_lines(lines: Iterable[str], where: str = "") -> Iterator[Row]:
 def _json_files(paths: Iterable[str]) -> Iterator[Row]:
     for path in paths:
         opener = gzip.open if str(path).endswith(".gz") else open
-        with opener(path, "rt", encoding="utf-8") as fh:
+        with opener(path, "rb") as fh:
             yield from _json_lines(fh, f"{path}: ")
 
 
@@ -401,18 +342,18 @@ def _load_npz(path: PathLike) -> UpdateColumns:
 
 
 def load_update_stream(
-    source: Union[PathLike, IO[str], Iterable[str]]
+    source: Union[PathLike, IO, Iterable[Union[str, bytes]]]
 ) -> UpdateColumns:
     """Load an update stream as :class:`UpdateColumns`.
 
     ``source`` is a JSON-lines file (``.gz`` transparently decompressed),
     a columnar ``.npz`` file, a directory of JSON-lines segments (as
     :func:`save_update_stream_segments` writes them; an empty directory is
-    an empty stream), or an open text stream / iterable of JSON lines
-    (such as stdin).  Bad input fails here, loudly: a line that
-    :func:`decode_update` refuses raises ``ValueError`` naming its line
-    number (and its file, for a file or segment), a malformed ``.npz``
-    member (``op`` must be ``uint8``, ``u``/``v`` integer, ``w``
+    an empty stream), or an open stream / iterable of JSON lines as text
+    or UTF-8 bytes (such as stdin).  Bad input fails here, loudly: a line
+    that is not UTF-8 or that :func:`decode_update` refuses raises
+    ``ValueError`` naming its line number (and its file, for a file or
+    segment), a malformed ``.npz`` member (``op`` must be ``uint8``, ``u``/``v`` integer, ``w``
     floating, all 1-D of one length) one naming the file and the member.
     """
     if _is_npz(source):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.dynamic.dynamic_graph import DynamicGraph
-from repro.graphs.updates import EdgeDelete, EdgeInsert, WeightChange
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
 
+from tests.events import EdgeDelete, EdgeInsert, WeightChange
 from tests.kernel_oracle import apply_event, has_edge
 
 

@@ -5,18 +5,12 @@ import pytest
 
 from repro.baselines.exact import exact_mwvc
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
-from repro.dynamic import (
-    DynamicGraph,
-    EdgeDelete,
-    EdgeInsert,
-    IncrementalCoverMaintainer,
-    InvalidUpdateError,
-    WeightChange,
-)
+from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer, InvalidUpdateError
 from repro.graphs.generators import gnp_average_degree, star
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
 
+from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns
 from tests.kernel_oracle import apply_event
 
 
@@ -76,7 +70,7 @@ class TestRepair:
     def test_insert_between_uncovered_repairs(self):
         g = WeightedGraph.from_edge_list(4, [(0, 1)], np.array([1.0, 5.0, 2.0, 3.0]))
         m = _solved_maintainer(g)
-        report = m.apply_batch([EdgeInsert(2, 3)])
+        report = m.apply_batch(columns([EdgeInsert(2, 3)]))
         assert report.repaired_edges == 1
         assert m.verify()
         # The pricing rule takes the smaller-residual endpoint (vertex 2).
@@ -88,7 +82,7 @@ class TestRepair:
         ids = np.nonzero(m.cover)[0]
         # An edge touching a covered vertex is already covered.
         other = 0 if not m.cover[0] else int(np.nonzero(~m.cover)[0][0])
-        report = m.apply_batch([EdgeInsert(int(ids[0]), other)])
+        report = m.apply_batch(columns([EdgeInsert(int(ids[0]), other)]))
         assert report.repaired_edges == 0
         assert m.verify()
 
@@ -97,7 +91,7 @@ class TestRepair:
         duals = m.edge_duals()
         key = max(duals, key=duals.get)
         before = m.dual_value
-        report = m.apply_batch([EdgeDelete(*key)])
+        report = m.apply_batch(columns([EdgeDelete(*key)]))
         assert report.retired_dual == pytest.approx(duals[key])
         assert m.dual_value == pytest.approx(before - duals[key])
         assert m.verify()
@@ -106,7 +100,7 @@ class TestRepair:
         g = star(5)  # hub 0, leaves 1..4; cover = {0}
         m = _solved_maintainer(g)
         assert m.cover[0]
-        reports = [m.apply_batch([EdgeDelete(0, leaf)]) for leaf in (1, 2, 3, 4)]
+        reports = [m.apply_batch(columns([EdgeDelete(0, leaf)])) for leaf in (1, 2, 3, 4)]
         # Once the last incident edge is gone the hub is redundant.
         assert not m.cover.any()
         assert sum(r.pruned_from_cover for r in reports) >= 1
@@ -116,7 +110,7 @@ class TestRepair:
         m = _solved_maintainer(medium)
         covered = int(np.nonzero(m.cover)[0][0])
         heavy = float(m.dyn.weights[covered] * 100.0)
-        report = m.apply_batch([WeightChange(covered, heavy)])
+        report = m.apply_batch(columns([WeightChange(covered, heavy)]))
         assert report.certificate.cover_weight == pytest.approx(m.cover_weight)
         assert report.drift > 0  # heavier cover, same duals
 
@@ -127,7 +121,7 @@ class TestRepair:
         )
         m = _solved_maintainer(g)
         loaded = int(np.argmax(m._loads))
-        m.apply_batch([WeightChange(loaded, 0.05)])
+        m.apply_batch(columns([WeightChange(loaded, 0.05)]))
         cert = m.certificate()
         opt = exact_mwvc(m.dyn.materialize())
         assert cert.opt_lower_bound <= opt.opt_weight + 1e-9
@@ -135,7 +129,7 @@ class TestRepair:
     def test_batch_is_atomic_for_stats(self, medium):
         m = _solved_maintainer(medium)
         report = m.apply_batch(
-            [EdgeInsert(0, 1), EdgeInsert(0, 1), WeightChange(2, 99.0)]
+            columns([EdgeInsert(0, 1), EdgeInsert(0, 1), WeightChange(2, 99.0)])
         )
         assert report.num_updates == 3
         assert report.applied <= 3  # duplicate insert is a no-op
@@ -167,16 +161,16 @@ class TestAtomicBatch:
     )
     def test_bad_event_mid_batch_leaves_state_unchanged(self, medium, bad, reason):
         m = _solved_maintainer(medium)
-        m.apply_batch([EdgeInsert(1, 2), EdgeDelete(3, 4)])
+        m.apply_batch(columns([EdgeInsert(1, 2), EdgeDelete(3, 4)]))
         u, v = int(medium.edges_u[0]), int(medium.edges_v[0])
         good = [EdgeDelete(u, v), EdgeInsert(10, 11), WeightChange(3, 0.5)]
         before = self._state(m)
         with pytest.raises(InvalidUpdateError, match=reason) as info:
-            m.apply_batch(good + [bad] + good)
+            m.apply_batch(columns(good + [bad] + good))
         assert info.value.batch_index == 1 and info.value.position == 3
         assert self._state(m) == before
         # The batch without its bad event still applies.
-        assert m.apply_batch(good + good).applied > 0
+        assert m.apply_batch(columns(good + good)).applied > 0
 
 
 class TestSoundness:
@@ -193,11 +187,11 @@ class TestSoundness:
             r = rng.random()
             u, v = (int(x) for x in rng.integers(0, 28, size=2))
             if r < 0.4 and u != v:
-                m.apply_batch([EdgeInsert(u, v)])
+                m.apply_batch(columns([EdgeInsert(u, v)]))
             elif r < 0.8 and u != v:
-                m.apply_batch([EdgeDelete(u, v)])
+                m.apply_batch(columns([EdgeDelete(u, v)]))
             else:
-                m.apply_batch([WeightChange(u, float(rng.uniform(0.5, 6.0)))])
+                m.apply_batch(columns([WeightChange(u, float(rng.uniform(0.5, 6.0)))]))
             assert m.verify()
             cert = m.certificate()
             opt = exact_mwvc(m.dyn.materialize())
@@ -210,7 +204,7 @@ class TestBootstrap:
         dyn = DynamicGraph(WeightedGraph.empty(6))
         m = IncrementalCoverMaintainer(dyn)
         assert m.verify()
-        report = m.apply_batch([EdgeInsert(0, 1), EdgeInsert(2, 3)])
+        report = m.apply_batch(columns([EdgeInsert(0, 1), EdgeInsert(2, 3)]))
         assert report.repaired_edges == 2
         assert m.verify()
         assert m.dual_value > 0
@@ -228,7 +222,7 @@ class TestReviewRegressions:
         g = WeightedGraph.from_edge_list(4, [(0, 1)])
         m = _solved_maintainer(g)
         before = m.dual_value
-        report = m.apply_batch([EdgeInsert(2, 3), EdgeDelete(2, 3)])
+        report = m.apply_batch(columns([EdgeInsert(2, 3), EdgeDelete(2, 3)]))
         assert report.repaired_edges == 0
         assert m.dual_value == pytest.approx(before)
         assert (2, 3) not in m.edge_duals()
@@ -239,7 +233,7 @@ class TestReviewRegressions:
     def test_delete_then_reinsert_same_batch_repairs(self):
         g = WeightedGraph.from_edge_list(4, [(0, 1)])
         m = _solved_maintainer(g)
-        m.apply_batch([EdgeInsert(2, 3), EdgeDelete(2, 3), EdgeInsert(2, 3)])
+        m.apply_batch(columns([EdgeInsert(2, 3), EdgeDelete(2, 3), EdgeInsert(2, 3)]))
         assert m.verify()
         assert m.cover[2] or m.cover[3]
 
@@ -255,7 +249,7 @@ class TestReviewRegressions:
             u, v = (int(x) for x in rng.integers(0, 64, size=2))
             if u != v:
                 batch.append(EdgeInsert(u, v) if rng.random() < 0.5 else EdgeDelete(u, v))
-        m.apply_batch(batch)
+        m.apply_batch(columns(batch))
         assert m.verify()
         # No touched cover vertex is still redundant after the sweep.
         for v in range(64):
@@ -278,7 +272,7 @@ class TestReviewRegressions:
                 u, v = (int(x) for x in rng.integers(0, 100, size=2))
                 if u != v:
                     batch.append(EdgeInsert(u, v))
-            m.apply_batch(batch)
+            m.apply_batch(columns(batch))
         # apply_batch itself keeps the delta bounded — no caller needed.
         assert dyn.compactions >= 1
         assert dyn.delta_size <= 17
@@ -293,7 +287,7 @@ class TestBatchReportWireFormat:
         g = g.with_weights(uniform_weights(60, 1.0, 10.0, seed=52))
         m = _solved_maintainer(g)
         return m.apply_batch(
-            [EdgeInsert(0, 1), EdgeDelete(1, 2), WeightChange(3, 2.0)]
+            columns([EdgeInsert(0, 1), EdgeDelete(1, 2), WeightChange(3, 2.0)])
         )
 
     @staticmethod

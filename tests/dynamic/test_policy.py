@@ -60,12 +60,6 @@ class TestDecisions:
         )
         assert d and "unbounded" in d.reason
 
-    def test_unbounded_can_be_disabled(self):
-        d = ResolvePolicy(min_batches_between=100, resolve_unbounded=False).should_resolve(
-            certified_ratio=float("inf"), base_ratio=2.0, batches_since_resolve=1
-        )
-        assert not d
-
     def test_periodic_refresh(self):
         policy = ResolvePolicy(max_drift=100.0, max_batches_between=4)
         assert not policy.should_resolve(

@@ -8,16 +8,16 @@ import pytest
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.dynamic import (
     DynamicGraph,
-    EdgeDelete,
-    EdgeInsert,
     IncrementalCoverMaintainer,
     ResolvePolicy,
-    WeightChange,
     run_stream,
 )
 from repro.graphs.generators import gnp_average_degree
+from repro.graphs.streams import CHURN_MODELS, make_update_stream
 from repro.graphs.weights import uniform_weights
 from repro.service.batch import BatchSolver
+
+from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns, events
 
 EPS = 0.1
 
@@ -39,7 +39,7 @@ def _mixed_updates(n, count, seed):
             out.append(EdgeDelete(u, v))
         elif r >= 0.7:
             out.append(WeightChange(u, float(rng.uniform(0.5, 15.0))))
-    return out
+    return columns(out)
 
 
 class TestRandomizedStream:
@@ -49,7 +49,7 @@ class TestRandomizedStream:
         graph = _workload()
         updates = _mixed_updates(graph.n, 500, seed=5)
         assert len(updates) >= 500
-        kinds = {type(u) for u in updates}
+        kinds = {type(u) for u in events(updates)}
         assert kinds == {EdgeInsert, EdgeDelete, WeightChange}
 
         dyn = DynamicGraph(graph)
@@ -57,8 +57,8 @@ class TestRandomizedStream:
         maintainer.adopt(minimum_weight_vertex_cover(graph, eps=EPS, seed=2))
         policy = ResolvePolicy(max_drift=0.15)
         resolves = 0
-        for step, upd in enumerate(updates):
-            report = maintainer.apply_batch([upd])
+        for step in range(len(updates)):
+            report = maintainer.apply_batch(updates[step : step + 1])
             # Validity after *every* update, checked exactly against the
             # materialized graph.
             assert maintainer.verify(), f"invalid cover after update {step}"
@@ -162,7 +162,7 @@ class TestRunStream:
         from repro.graphs.graph import WeightedGraph
 
         graph = WeightedGraph.empty(10)
-        updates = [EdgeInsert(0, 1), EdgeInsert(2, 3), EdgeDelete(0, 1)]
+        updates = columns([EdgeInsert(0, 1), EdgeInsert(2, 3), EdgeDelete(0, 1)])
         summary = run_stream(graph, updates, batch_size=2, eps=EPS, seed=7)
         assert summary.final_is_cover
         # No initial solve on an edgeless graph; repairs bootstrap covers.
@@ -171,4 +171,41 @@ class TestRunStream:
     def test_bad_batch_size(self):
         graph = _workload(n=50, seed=15)
         with pytest.raises(ValueError, match="batch_size"):
-            run_stream(graph, [], batch_size=0)
+            run_stream(graph, columns([]), batch_size=0)
+
+
+class TestDriftPolicySavesResolves:
+    """Incremental repair makes full re-solves rare without giving up
+    final quality: for each churn model, a tight drift policy with a
+    periodic refresh uses fewer re-solves than re-solving after every
+    batch, and the final covers weigh the same within 1%."""
+
+    N, DEGREE, NUM_UPDATES, BATCH_SIZE, SEED = 2000, 12.0, 1500, 50, 9
+    DRIFT = ResolvePolicy(max_drift=0.02, max_batches_between=8)
+    EVERY_BATCH = ResolvePolicy(every_batch=True)
+    QUALITY_TOLERANCE = 0.01
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        g = gnp_average_degree(self.N, self.DEGREE, seed=5)
+        return g.with_weights(uniform_weights(g.n, 1.0, 10.0, seed=6))
+
+    @pytest.mark.parametrize("model", CHURN_MODELS)
+    def test_fewer_resolves_at_equal_quality(self, graph, model):
+        updates = make_update_stream(model, graph, self.NUM_UPDATES, seed=7)
+        drift, every = (
+            run_stream(
+                graph, updates, batch_size=self.BATCH_SIZE, policy=policy,
+                eps=EPS, seed=self.SEED,
+            )
+            for policy in (self.DRIFT, self.EVERY_BATCH)
+        )
+        assert drift.final_is_cover and every.final_is_cover
+        assert drift.num_resolves < every.num_resolves, (
+            f"{model}: drift policy used {drift.num_resolves} re-solves, "
+            f"every-batch {every.num_resolves}"
+        )
+        delta = drift.final_cover_weight / every.final_cover_weight - 1.0
+        assert abs(delta) <= self.QUALITY_TOLERANCE, (
+            f"{model}: final cover weight differs by {delta:+.3%}"
+        )

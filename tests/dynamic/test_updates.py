@@ -5,13 +5,8 @@ import json
 
 import pytest
 
-from repro.graphs.updates import (
-    EdgeDelete,
-    EdgeInsert,
-    WeightChange,
-    load_update_stream,
-    save_update_stream,
-)
+from repro.graphs.updates import UpdateColumns, load_update_stream, save_update_stream
+from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns, events
 
 SAMPLE = [
     EdgeInsert(0, 5),
@@ -29,7 +24,7 @@ def _decode(spec):
 def _wire(updates, tmp_path):
     """The JSON objects ``save_update_stream`` writes for ``updates``."""
     path = tmp_path / "wire.jsonl"
-    save_update_stream(updates, path)
+    save_update_stream(columns(updates), path)
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
@@ -37,8 +32,8 @@ class TestJsonRoundtrip:
     @pytest.mark.parametrize("upd", SAMPLE)
     def test_roundtrip(self, upd, tmp_path):
         path = tmp_path / "one.jsonl"
-        save_update_stream([upd], path)
-        assert list(load_update_stream(path)) == [upd]
+        save_update_stream(columns([upd]), path)
+        assert events(load_update_stream(path)) == [upd]
 
     def test_insert_wire_shape(self, tmp_path):
         assert _wire([EdgeInsert(3, 7)], tmp_path) == [{"op": "insert", "u": 3, "v": 7}]
@@ -69,8 +64,9 @@ class TestJsonRoundtrip:
             _decode([1, 2, 3])
 
     def test_not_an_update(self, tmp_path):
-        with pytest.raises(TypeError, match="not a graph update"):
-            save_update_stream([("insert", 0, 1)], tmp_path / "x.jsonl")
+        cols = UpdateColumns.from_rows([(ord("x"), 0, 1, 0.0)])
+        with pytest.raises(ValueError, match="unknown update op code 120"):
+            save_update_stream(cols, tmp_path / "x.jsonl")
 
 
 class TestBoundaryStrictness:
@@ -110,7 +106,7 @@ class TestBoundaryStrictness:
         assert "update stream line 2: " in str(info.value)
 
     def test_integral_weight_is_a_number(self):
-        assert list(_decode({"op": "reweight", "v": 3, "weight": 2})) == [
+        assert events(_decode({"op": "reweight", "v": 3, "weight": 2})) == [
             WeightChange(3, 2.0)
         ]
 
@@ -122,16 +118,16 @@ class TestBoundaryStrictness:
 class TestStreamIO:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "stream.jsonl"
-        save_update_stream(SAMPLE, path)
-        assert list(load_update_stream(path)) == SAMPLE
+        save_update_stream(columns(SAMPLE), path)
+        assert events(load_update_stream(path)) == SAMPLE
 
     def test_gzip_roundtrip(self, tmp_path):
         path = tmp_path / "stream.jsonl.gz"
-        save_update_stream(SAMPLE, path)
+        save_update_stream(columns(SAMPLE), path)
         # Really compressed, not just renamed.
         with open(path, "rb") as fh:
             assert fh.read(2) == b"\x1f\x8b"
-        assert list(load_update_stream(path)) == SAMPLE
+        assert events(load_update_stream(path)) == SAMPLE
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "stream.jsonl"
@@ -140,11 +136,11 @@ class TestStreamIO:
             + json.dumps({"op": "insert", "u": 1, "v": 2})
             + "\n\n"
         )
-        assert list(load_update_stream(path)) == [EdgeInsert(1, 2)]
+        assert events(load_update_stream(path)) == [EdgeInsert(1, 2)]
 
     def test_iterable_source(self, tmp_path):
         lines = [json.dumps(spec) for spec in _wire(SAMPLE, tmp_path)]
-        assert list(load_update_stream(lines)) == SAMPLE
+        assert events(load_update_stream(lines)) == SAMPLE
 
     def test_bad_line_names_line_number(self, tmp_path):
         path = tmp_path / "stream.jsonl"
@@ -159,7 +155,7 @@ class TestStreamIO:
 
     def test_gzip_content_loadable_by_stdlib(self, tmp_path):
         path = tmp_path / "stream.jsonl.gz"
-        save_update_stream(SAMPLE, path)
+        save_update_stream(columns(SAMPLE), path)
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh]
         assert rows[0] == {"op": "insert", "u": 0, "v": 5}

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer, decode_edge_codes
 from repro.dynamic.repair import RESIDUAL_RTOL, RepairOutcome
-from repro.graphs.updates import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange
+from tests.events import EdgeDelete, EdgeInsert, GraphUpdate, WeightChange, events
 
 EdgeKey = Tuple[int, int]
 
@@ -160,8 +160,8 @@ def reference_greedy_prune_pass(
 class ReferenceMaintainer(IncrementalCoverMaintainer):
     """A maintainer running the reference loops instead of the fast paths.
 
-    Events are applied one :data:`~repro.graphs.updates.GraphUpdate`
-    object at a time, dispatched by ``isinstance``.  Whether an event is
+    Events are applied one :data:`tests.events.GraphUpdate` object at a
+    time, dispatched by ``isinstance``.  Whether an event is
     effective is decided against :attr:`model_edges`, a plain Python set
     of the current canonical edges kept here — not by the graph's bulk
     mutation code, which the production path shares — and each event
@@ -191,7 +191,7 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
         retired = 0.0
         touched: Set[int] = set()
         uncovered: List[EdgeKey] = []
-        for upd in cols:
+        for upd in events(cols):
             if isinstance(upd, WeightChange):
                 effective = float(dyn.weights[upd.v]) != upd.weight
                 assert apply_event(dyn, upd) == effective

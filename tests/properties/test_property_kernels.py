@@ -23,8 +23,8 @@ from repro.dynamic import DualStore, DynamicGraph, IncrementalCoverMaintainer
 from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
 from repro.dynamic.repair import pricing_repair_pass
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.updates import EdgeDelete, EdgeInsert, UpdateColumns, WeightChange
 
+from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns
 from tests.kernel_oracle import (
     ReferenceMaintainer,
     has_edge,
@@ -137,7 +137,7 @@ class TestMaintainerEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), graph=weighted_graphs(min_n=2, max_n=16))
     def test_vectorized_stream_equals_reference_stream(self, data, graph):
-        updates = data.draw(update_sequences(graph.n))
+        updates = columns(data.draw(update_sequences(graph.n)))
         batch = data.draw(st.integers(1, 12))
         maintainers = []
         for maintainer_cls in (IncrementalCoverMaintainer, ReferenceMaintainer):
@@ -163,7 +163,7 @@ class TestMaintainerEquivalence:
     ):
         """``apply_batch`` walks the batch's columns; the oracle applies
         one event object at a time.  Column batches go to both."""
-        cols = UpdateColumns.from_updates(data.draw(edge_case_sequences(graph)))
+        cols = columns(data.draw(edge_case_sequences(graph)))
         batch = data.draw(st.sampled_from([1, 3, 7, max(1, len(cols))]))
         runs = []
         for maintainer_cls in (IncrementalCoverMaintainer, ReferenceMaintainer):
@@ -187,7 +187,7 @@ class TestMaintainerEquivalence:
         """Batch by batch, the array-native apply matches the oracle's
         event loop bit for bit, and both graphs hold exactly the edges of
         the oracle's own Python edge-set model."""
-        cols = UpdateColumns.from_updates(data.draw(bulk_path_sequences(graph)))
+        cols = columns(data.draw(bulk_path_sequences(graph)))
         batch = data.draw(st.sampled_from([1, 2, 5, 9, max(1, len(cols))]))
         pair = []
         for maintainer_cls in (IncrementalCoverMaintainer, ReferenceMaintainer):
@@ -233,7 +233,7 @@ class TestMaintainerEquivalence:
             cls.from_state(DynamicGraph(graph), state)
             for cls in (IncrementalCoverMaintainer, ReferenceMaintainer)
         ]
-        reports = [m.apply_batch(batch) for m in pair]
+        reports = [m.apply_batch(columns(batch)) for m in pair]
         assert reports[0].to_dict() == reports[1].to_dict()
         _assert_same_maintainer_state(*pair)
 
@@ -254,7 +254,7 @@ class TestMaintainerEquivalence:
             cls.from_state(DynamicGraph(graph), state)
             for cls in (IncrementalCoverMaintainer, ReferenceMaintainer)
         ]
-        reports = [m.apply_batch(batch) for m in pair]
+        reports = [m.apply_batch(columns(batch)) for m in pair]
         assert reports[0].to_dict() == reports[1].to_dict()
         _assert_same_maintainer_state(*pair)
         vec = pair[0]

@@ -5,7 +5,7 @@ loads to different state, a format change slipped in without a version
 bump.  Regenerate *only* alongside an intentional, versioned format
 change::
 
-    PYTHONPATH=src python tests/recovery/data/make_golden.py
+    PYTHONPATH=src:. python tests/recovery/data/make_golden.py
 """
 
 import os
@@ -15,7 +15,7 @@ import numpy as np
 from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer, WriteAheadLog
 from repro.dynamic.checkpoint import save_snapshot
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.updates import EdgeDelete, EdgeInsert, UpdateColumns, WeightChange
+from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -37,7 +37,7 @@ def build_maintainer():
     graph = WeightedGraph.empty(5, weights=WEIGHTS)
     maintainer = IncrementalCoverMaintainer(DynamicGraph(graph))
     for batch in BATCHES:
-        maintainer.apply_batch(batch)
+        maintainer.apply_batch(columns(batch))
     return maintainer
 
 
@@ -60,10 +60,8 @@ def main():
     with WriteAheadLog(wal_path, fsync=False) as wal:
         for i, batch in enumerate(BATCHES):
             pre_digests[i] = m2.dyn.state_stamp()
-            wal.append(
-                i, UpdateColumns.from_updates(batch), state_digest=pre_digests[i]
-            )
-            m2.apply_batch(batch)
+            wal.append(i, columns(batch), state_digest=pre_digests[i])
+            m2.apply_batch(columns(batch))
     print("snapshot digest:", digest)
     print("cover:", np.nonzero(maintainer.cover)[0].tolist())
     print("dual_value:", maintainer.dual_value)

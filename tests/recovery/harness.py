@@ -14,6 +14,7 @@ from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.streams import make_update_stream
+from repro.graphs.updates import UpdateColumns
 from repro.graphs.weights import uniform_weights
 
 EPS = 0.1
@@ -32,6 +33,12 @@ def make_batches(graph, churn, num_batches, batch_size, seed=3):
     return [
         stream[i * batch_size : (i + 1) * batch_size] for i in range(num_batches)
     ]
+
+
+def concat(batches):
+    """One :class:`UpdateColumns` stream of ``batches`` in order."""
+    keys = ("op", "u", "v", "w")
+    return UpdateColumns(*(np.concatenate([getattr(b, k) for b in batches]) for k in keys))
 
 
 def seeded_maintainer(graph):

@@ -24,12 +24,9 @@ from hypothesis import strategies as st
 
 from repro.dynamic import (
     DynamicGraph,
-    EdgeDelete,
-    EdgeInsert,
     InvalidUpdateError,
     UpdateColumns,
     WALCorruptionError,
-    WeightChange,
     WriteAheadLog,
     compact_wal,
     read_wal,
@@ -39,6 +36,7 @@ from repro.dynamic.wal import _crc
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.updates import load_update_stream, save_update_stream
 
+from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns, events
 from tests.kernel_oracle import apply_event, has_edge
 from tests.properties.strategies import weighted_graphs
 from tests.recovery.harness import make_batches, make_workload, seeded_maintainer
@@ -138,8 +136,8 @@ class TestStateStamp:
 
 BATCH0 = [EdgeInsert(0, 1), EdgeDelete(2, 3), WeightChange(4, 2.5)]
 BATCH1 = [EdgeInsert(5, 6), WeightChange(1, 0.1 + 0.2)]
-COLS0 = UpdateColumns.from_updates(BATCH0)
-COLS1 = UpdateColumns.from_updates(BATCH1)
+COLS0 = columns(BATCH0)
+COLS1 = columns(BATCH1)
 
 
 def _lines(path):
@@ -166,7 +164,7 @@ class TestWALVersion2:
             wal.append(1, COLS1)
         records, torn = read_wal(path)
         assert not torn
-        assert [list(r.updates) for r in records] == [BATCH0, BATCH1]
+        assert [events(r.updates) for r in records] == [BATCH0, BATCH1]
         assert [r.state_digest for r in records] == ["s0", ""]
         assert [r.version for r in records] == [2, 2]
 
@@ -217,7 +215,7 @@ class TestWALVersion2:
             wal.append(1, COLS1, state_digest="s1")
         records, _ = read_wal(path)
         assert [(r.batch_index, r.version) for r in records] == [(0, 1), (1, 2)]
-        assert list(records[0].updates) == [EdgeInsert(0, 1)]
+        assert events(records[0].updates) == [EdgeInsert(0, 1)]
         assert compact_wal(path, 1, fsync=False) == 1
         assert [r.version for r in read_wal(path)[0]] == [2]
 
@@ -231,24 +229,25 @@ class TestUpdateColumns:
     ]
 
     def test_columns_round_trip_and_slice_lazily(self):
-        cols = UpdateColumns.from_updates(self.EVENTS)
+        cols = columns(self.EVENTS)
         assert len(cols) == 4
-        assert cols.to_updates() == self.EVENTS
-        assert list(cols) == self.EVENTS
-        assert cols[2] == self.EVENTS[2] and cols[-1] == self.EVENTS[-1]
+        assert events(cols) == self.EVENTS
+        assert events(cols[2:3]) == self.EVENTS[2:3]
+        assert events(cols[-1:]) == self.EVENTS[-1:]
         tail = cols[1:3]
         assert isinstance(tail, UpdateColumns)
         assert np.shares_memory(tail.u, cols.u)
-        assert list(tail) == self.EVENTS[1:3]
+        assert events(tail) == self.EVENTS[1:3]
 
     def test_npz_stream_round_trips_exactly(self, tmp_path):
         graph = make_workload(n=50, seed=2)
-        events = [u for b in make_batches(graph, "uniform", 3, 30, seed=4) for u in b]
+        batches = make_batches(graph, "uniform", 3, 30, seed=4)
+        expected = [e for b in batches for e in events(b)]
         path = tmp_path / "updates.npz"
-        save_update_stream(events, path)
+        save_update_stream(columns(expected), path)
         loaded = load_update_stream(path)
         assert isinstance(loaded, UpdateColumns)
-        assert list(loaded) == events
+        assert events(loaded) == expected
 
     def test_npz_without_update_columns_is_refused(self, tmp_path):
         path = tmp_path / "other.npz"
@@ -296,7 +295,7 @@ class TestUpdateColumns:
         ],
     )
     def test_validation_names_the_first_refused_event(self, event, reason):
-        cols = UpdateColumns.from_updates(self.EVENTS + [event, EdgeInsert(9, 999)])
+        cols = columns(self.EVENTS + [event, EdgeInsert(9, 999)])
         with pytest.raises(InvalidUpdateError, match=reason) as info:
             cols.validate(200, batch_index=6, start=100)
         assert info.value.batch_index == 6
@@ -304,7 +303,7 @@ class TestUpdateColumns:
         assert isinstance(info.value, ValueError)
 
     def test_validation_accepts_what_the_graph_applies(self):
-        UpdateColumns.from_updates(self.EVENTS).validate(8, batch_index=0, start=0)
+        columns(self.EVENTS).validate(8, batch_index=0, start=0)
 
 
 class TestSnapshotVersion3:

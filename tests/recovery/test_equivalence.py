@@ -27,6 +27,7 @@ from repro.graphs.streams import CHURN_MODELS
 from tests.recovery.harness import (
     CrashAfter,
     assert_same_state,
+    concat,
     make_batches,
     make_workload,
     seeded_maintainer,
@@ -115,7 +116,7 @@ class TestCrashResumeEquivalence:
     def test_randomized_crash_points(self, churn, tmp_path, monkeypatch):
         graph = make_workload(n=150, seed=47)
         batches = make_batches(graph, churn, BATCHES, BATCH_SIZE, seed=53)
-        updates = [u for batch in batches for u in batch]
+        updates = concat(batches)
         policy = ResolvePolicy(max_drift=0.15)
         reference = self._reference(graph, updates, policy)
         assert reference.final_is_cover
@@ -156,7 +157,7 @@ class TestCrashResumeEquivalence:
     def test_crash_before_first_batch(self, tmp_path, monkeypatch):
         graph = make_workload(n=100, seed=61)
         batches = make_batches(graph, "uniform", 6, BATCH_SIZE, seed=67)
-        updates = [u for batch in batches for u in batch]
+        updates = concat(batches)
         policy = ResolvePolicy(max_drift=0.15)
         reference = self._reference(graph, updates, policy)
         directory = tmp_path / "ckpt"
@@ -180,7 +181,7 @@ class TestCrashResumeEquivalence:
         # resume must still land on the uninterrupted result.
         graph = make_workload(n=120, seed=71)
         batches = make_batches(graph, "hub", 10, BATCH_SIZE, seed=73)
-        updates = [u for batch in batches for u in batch]
+        updates = concat(batches)
         policy = ResolvePolicy(max_drift=0.15)
         reference = self._reference(graph, updates, policy)
         directory = tmp_path / "ckpt"

@@ -18,12 +18,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.dynamic import (
-    EdgeDelete,
-    EdgeInsert,
-    WeightChange,
-    read_wal,
-)
+from repro.dynamic import read_wal
 from repro.dynamic.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointCorruptionError,
@@ -34,6 +29,7 @@ from repro.dynamic.checkpoint import (
     save_snapshot,
 )
 
+from tests.events import EdgeDelete, EdgeInsert, WeightChange, events
 from tests.recovery.harness import assert_same_state
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -144,13 +140,13 @@ class TestGoldenWAL:
         records, torn = read_wal(GOLDEN_WAL)
         assert not torn
         assert [r.batch_index for r in records] == [0, 1]
-        assert list(records[0].updates) == [
+        assert events(records[0].updates) == [
             EdgeInsert(0, 1),
             EdgeInsert(1, 2),
             EdgeInsert(2, 3),
             EdgeInsert(0, 4),
         ]
-        assert list(records[1].updates) == [
+        assert events(records[1].updates) == [
             EdgeInsert(2, 4),
             EdgeDelete(1, 2),
             WeightChange(3, 2.5),
@@ -171,7 +167,7 @@ class TestGoldenWAL:
         )
         for record in records:
             assert maintainer.dyn.content_digest() == record.state_digest
-            maintainer.apply_batch(list(record.updates))
+            maintainer.apply_batch(record.updates)
         golden = load_snapshot(GOLDEN_SNAPSHOT)
         assert maintainer.dyn.content_digest() == golden.meta["graph_digest"]
         assert_same_state(maintainer, golden.maintainer)

@@ -20,7 +20,6 @@ import pytest
 from repro.dynamic import (
     CheckpointConfig,
     DynamicGraph,
-    EdgeInsert,
     IncrementalCoverMaintainer,
     InvalidUpdateError,
     ResolvePolicy,
@@ -33,8 +32,9 @@ from repro.graphs.io import load_npz
 from repro.graphs.streams import make_update_stream
 from repro.graphs.updates import load_update_stream
 
+from tests.events import EdgeInsert, columns, events
 from tests.kernel_oracle import apply_event
-from tests.recovery.harness import CrashAfter, make_batches, make_workload
+from tests.recovery.harness import CrashAfter, concat, make_batches, make_workload
 
 BATCH_SIZE = 10
 EPS = 0.1
@@ -57,9 +57,9 @@ class TestInvalidBatchIsRefusedBeforeTheWAL:
     def _stream(self):
         graph = gnp_average_degree(200, 6.0, seed=31)
         updates = make_update_stream("uniform", graph, 6 * BATCH_SIZE, seed=32)
-        bad = list(updates)
+        bad = events(updates)
         bad[self.BAD_POSITION] = EdgeInsert(5, 999)
-        return graph, updates, bad
+        return graph, updates, columns(bad)
 
     def test_refused_at_batch_3_with_batches_0_to_2_committed(
         self, tmp_path, monkeypatch
@@ -159,14 +159,14 @@ class TestInvalidBatchIsRefusedBeforeTheWAL:
 
 def _stamp_after(graph, updates, batches):
     dyn = DynamicGraph(graph)
-    for event in updates[: batches * BATCH_SIZE]:
+    for event in events(updates[: batches * BATCH_SIZE]):
         apply_event(dyn, event)
     return dyn.state_stamp()
 
 
 def _crashed_run(tmp_path, monkeypatch, **checkpoint_kwargs):
     graph = make_workload(n=120, seed=41)
-    updates = [u for b in make_batches(graph, "uniform", 9, 20, seed=43) for u in b]
+    updates = concat(make_batches(graph, "uniform", 9, 20, seed=43))
     policy = ResolvePolicy(max_drift=0.15)
     reference = run_stream(
         graph, updates, batch_size=20, policy=policy, eps=EPS, seed=SEED

@@ -23,7 +23,7 @@ from repro.dynamic import (
 from repro.graphs.io import save_npz
 from repro.graphs.updates import save_update_stream
 
-from tests.recovery.harness import CrashAfter, make_batches, make_workload
+from tests.recovery.harness import CrashAfter, concat, make_batches, make_workload
 
 BATCH_SIZE = 20
 EPS = 0.1
@@ -34,7 +34,7 @@ def _setup(tmp_path, monkeypatch, *, crash_after=3, batches=8, churn="uniform"):
     """A reference run + a crashed checkpointed run over the same stream."""
     graph = make_workload(n=120, seed=81)
     all_batches = make_batches(graph, churn, batches, BATCH_SIZE, seed=83)
-    updates = [u for batch in all_batches for u in batch]
+    updates = concat(all_batches)
     policy = ResolvePolicy(max_drift=0.15)
     reference = run_stream(
         graph, updates, batch_size=BATCH_SIZE, policy=policy, eps=EPS, seed=SEED
@@ -64,7 +64,7 @@ def _snapshot(checkpoint):
 class TestResumeScenarios:
     def test_resume_of_completed_run_is_a_noop(self, tmp_path):
         graph = make_workload(n=80, seed=91)
-        updates = [u for b in make_batches(graph, "uniform", 4, 20, seed=93) for u in b]
+        updates = concat(make_batches(graph, "uniform", 4, 20, seed=93))
         kwargs = dict(batch_size=20, eps=EPS, seed=SEED)
         plain = run_stream(graph, updates, **kwargs)
         for fsync in (True, False):
@@ -192,11 +192,7 @@ class TestResumeScenarios:
         # final cover may differ from the reference; the guarantee under
         # operator error is *safety*: no crash, never an invalid cover.
         graph, updates, _, checkpoint = _setup(tmp_path, monkeypatch)
-        other = [
-            u
-            for b in make_batches(graph, "uniform", 8, BATCH_SIZE, seed=4242)
-            for u in b
-        ]
+        other = concat(make_batches(graph, "uniform", 8, BATCH_SIZE, seed=4242))
         save_update_stream(other, checkpoint.updates_path)
         resumed = resume_stream(checkpoint.directory)
         assert resumed.final_is_cover
@@ -216,16 +212,28 @@ class TestResumeScenarios:
         records, _ = read_wal(checkpoint.wal_path)
         assert len(records) == 8 and all(r.state_digest for r in records)
 
+    def test_old_config_holding_resolve_unbounded_true_resumes_exactly(
+        self, tmp_path, monkeypatch
+    ):
+        _, _, reference, checkpoint = _setup(tmp_path, monkeypatch)
+        config = json.load(open(checkpoint.config_path))
+        assert "resolve_unbounded" not in config["policy"]
+        # Older builds stored the rule, now always on, in the policy.
+        config["policy"]["resolve_unbounded"] = True
+        with open(checkpoint.config_path, "w") as fh:
+            json.dump(config, fh)
+        resumed = resume_stream(checkpoint.directory)
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+        assert resumed.final_dual_value == reference.final_dual_value
+        assert resumed.final_certified_ratio == reference.final_certified_ratio
+
     def test_digest_stamps_catch_foreign_wal(self, tmp_path, monkeypatch):
         # Pair checkpoint A's snapshot with checkpoint B's WAL: the
         # stamped pre-apply digests must expose the mismatch instead of
         # replaying a foreign history into A's state.
         _, _, _, ckpt_a = _setup(tmp_path, monkeypatch, crash_after=5)
         graph_b = make_workload(n=120, seed=4000)
-        updates_b = [
-            u for b in make_batches(graph_b, "uniform", 8, BATCH_SIZE, seed=4001)
-            for u in b
-        ]
+        updates_b = concat(make_batches(graph_b, "uniform", 8, BATCH_SIZE, seed=4001))
         dir_b = tmp_path / "ckpt-b"
         with CrashAfter(monkeypatch, 5):
             with pytest.raises(CrashAfter.Crash):
@@ -263,6 +271,11 @@ CONFIG_DAMAGES = {
     "not-an-object": (
         lambda c: [1, 2],
         "config.json: expected a JSON object, found list",
+    ),
+    # Older builds stored the unbounded-certificate rule in the policy.
+    "resolve-unbounded-false": (
+        lambda c: {**c, "policy": {**c["policy"], "resolve_unbounded": False}},
+        "config.json: key 'policy.resolve_unbounded' is false",
     ),
 }
 

@@ -18,7 +18,7 @@ from repro.dynamic import (
 )
 from repro.dynamic.checkpoint import snapshot_meta
 
-from tests.recovery.harness import CrashAfter, make_batches, make_workload
+from tests.recovery.harness import CrashAfter, concat, make_batches, make_workload
 
 BATCH_SIZE = 20
 EPS = 0.1
@@ -40,7 +40,7 @@ def _stream(graph, updates, checkpoint=None):
 def _run(tmp_path, **checkpoint_kwargs):
     graph = make_workload(n=100, seed=17)
     batches = make_batches(graph, "uniform", 10, BATCH_SIZE, seed=19)
-    updates = [u for b in batches for u in b]
+    updates = concat(batches)
     checkpoint = CheckpointConfig(
         directory=tmp_path / "ckpt", snapshot_every=2, **checkpoint_kwargs
     )
@@ -211,7 +211,7 @@ class TestSingleFileLayout:
     def _crashed_single_file_run(self, tmp_path, monkeypatch, name):
         graph = make_workload(n=100, seed=17)
         batches = make_batches(graph, "uniform", 10, BATCH_SIZE, seed=19)
-        updates = [u for b in batches for u in b]
+        updates = concat(batches)
         reference = _stream(graph, updates)
         checkpoint = CheckpointConfig(directory=tmp_path / "ckpt", snapshot_every=2)
         with CrashAfter(monkeypatch, 5):

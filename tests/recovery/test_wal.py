@@ -6,17 +6,15 @@ import zlib
 import pytest
 
 from repro.dynamic import (
-    EdgeDelete,
-    EdgeInsert,
-    UpdateColumns,
     WALCorruptionError,
     WALError,
-    WeightChange,
     WriteAheadLog,
     read_wal,
     repair_wal,
 )
 from repro.dynamic.wal import _canonical, _crc
+
+from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns, events
 
 BATCH0 = [EdgeInsert(0, 1), EdgeDelete(2, 3), WeightChange(4, 2.5)]
 BATCH1 = [EdgeInsert(5, 6)]
@@ -32,7 +30,7 @@ def _write(path, *batches, digests=None):
         for i, batch in enumerate(batches):
             wal.append(
                 i,
-                UpdateColumns.from_updates(batch),
+                columns(batch),
                 state_digest=(digests or {}).get(i, ""),
             )
 
@@ -43,8 +41,8 @@ class TestRoundTrip:
         records, torn = read_wal(wal_path)
         assert not torn
         assert [r.batch_index for r in records] == [0, 1]
-        assert list(records[0].updates) == BATCH0
-        assert list(records[1].updates) == BATCH1
+        assert events(records[0].updates) == BATCH0
+        assert events(records[1].updates) == BATCH1
 
     def test_state_digest_round_trips(self, wal_path):
         _write(wal_path, BATCH0, digests={0: "feedface"})
@@ -59,19 +57,19 @@ class TestRoundTrip:
         wal = WriteAheadLog(wal_path, fsync=False)
         wal.close()
         with pytest.raises(WALError, match="closed"):
-            wal.append(0, UpdateColumns.from_updates(BATCH0))
+            wal.append(0, columns(BATCH0))
 
     def test_reopen_appends(self, wal_path):
         _write(wal_path, BATCH0)
         with WriteAheadLog(wal_path, fsync=False) as wal:
-            wal.append(1, UpdateColumns.from_updates(BATCH1))
+            wal.append(1, columns(BATCH1))
         records, torn = read_wal(wal_path)
         assert not torn and [r.batch_index for r in records] == [0, 1]
 
     def test_fsync_commit_path(self, wal_path):
         # Exercise the fsync branch (the default durability mode).
         with WriteAheadLog(wal_path, fsync=True) as wal:
-            wal.append(0, UpdateColumns.from_updates(BATCH0))
+            wal.append(0, columns(BATCH0))
         records, torn = read_wal(wal_path)
         assert not torn and len(records) == 1
 
@@ -86,7 +84,7 @@ class TestCrashInjection:
         records, torn = read_wal(wal_path)
         assert torn
         assert [r.batch_index for r in records] == [0]
-        assert list(records[0].updates) == BATCH0
+        assert events(records[0].updates) == BATCH0
 
     def test_partial_json_tail_is_torn(self, wal_path):
         _write(wal_path, BATCH0)
@@ -130,7 +128,7 @@ class TestCrashInjection:
         assert not torn and len(records) == 1
         # Appending after repair yields a clean two-record log.
         with WriteAheadLog(wal_path, fsync=False) as wal:
-            wal.append(1, UpdateColumns.from_updates(BATCH1))
+            wal.append(1, columns(BATCH1))
         records, torn = read_wal(wal_path)
         assert not torn and [r.batch_index for r in records] == [0, 1]
 

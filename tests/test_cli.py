@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +210,26 @@ class TestMissingInput:
                            r"update stream line 2: vertex ids must be JSON integers"):
             main(["stream", "--family", "gnp", "--n", "60", "--degree", "4",
                   "--seed", "1", "--updates", str(path)])
+
+    @pytest.mark.parametrize("source", ["latin.jsonl", "-"])
+    def test_stream_non_utf8_updates_names_file_and_line(
+        self, tmp_path, monkeypatch, source
+    ):
+        raw = b'{"op": "insert", "u": 0, "v": 1}\n\xff\xfe\n'
+        if source == "-":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+            where = ""
+        else:
+            path = tmp_path / source
+            path.write_bytes(raw)
+            source, where = str(path), f"{path}: "
+        with pytest.raises(SystemExit) as info:
+            main(["stream", "--family", "gnp", "--n", "60", "--degree", "4",
+                  "--seed", "1", "--updates", source])
+        assert str(info.value).startswith(
+            f"bad update stream: {where}update stream line 2: "
+            "'utf-8' codec can't decode byte 0xff"
+        )
 
 
 class TestStream:
