@@ -14,6 +14,10 @@ On the wire each event is one JSON object per line: vertex ids are JSON
 integers within ``int64`` and a weight is a finite JSON number > 0;
 :func:`decode_update` refuses anything else.  Blank lines and ``#``
 comments are skipped on load, mirroring the batch-manifest format.
+A load parses a chunk of some 32 KiB of lines with one ``json.loads`` and
+checks the records as arrays; a chunk that fails any check is decoded
+again line by line, so strictness is that of :func:`decode_update` and its
+errors still name their line.
 
 :class:`UpdateColumns` holds events as four parallel arrays
 (``op``/``u``/``v``/``w``).  It is the one form an event takes from a
@@ -40,7 +44,9 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Tuple, Union
+from itertools import islice, repeat
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -216,6 +222,43 @@ def decode_update(spec) -> Row:
     return code, _vertex(spec["u"]), _vertex(spec["v"]), 0.0
 
 
+_OP_CODES = {"insert": OP_INSERT, "delete": OP_DELETE, "reweight": OP_REWEIGHT}
+
+
+def _records_columns(records) -> Optional[UpdateColumns]:
+    """The columns of a list of parsed wire-format records, from array
+    passes; ``None`` unless :func:`decode_update` accepts every record, in
+    which case they equal the columns of its rows."""
+    if type(records) is not list or not {dict}.issuperset(map(type, records)):
+        return None
+    n = len(records)
+    # TypeError: an unknown op; KeyError: no "v"; OverflowError: out of range.
+    try:
+        ops = map(dict.get, records, repeat("op"))
+        op = np.fromiter(map(_OP_CODES.get, ops), np.uint8, n)
+        v = list(map(itemgetter("v"), records))
+        u = list(map(dict.get, records, repeat("u"), repeat(0)))
+        w = list(map(dict.get, records, repeat("weight"), repeat(0.0)))
+        # Three keys each, "u" exactly on the edge events: an edge holds
+        # op/u/v, a reweight op/v and one more, which a weight > 0 shows
+        # is "weight".  ``type`` sets, as in ``_vertex``/``_weight``: no bools.
+        has_u = np.fromiter(map(dict.__contains__, records, repeat("u")), bool, n)
+        if (
+            set(map(len, records)) - {3}
+            or not np.array_equal(has_u, op != OP_REWEIGHT)
+            or not {int}.issuperset(map(type, u + v))
+            or not {int, float}.issuperset(map(type, w))
+        ):
+            return None
+        cols = UpdateColumns(
+            op, np.array(u, np.int64), np.array(v, np.int64), np.array(w, np.float64)
+        )
+    except (TypeError, KeyError, OverflowError):
+        return None
+    ok = (cols.w > 0) & (cols.w < np.inf)  # edges carry 0.0
+    return cols if np.array_equal(ok, cols.op == OP_REWEIGHT) else None
+
+
 def _encode_row(op: int, u: int, v: int, w: float) -> str:
     """One event as its wire-format JSON line (newline included)."""
     if op == OP_REWEIGHT:
@@ -276,8 +319,10 @@ def save_update_stream_segments(
     return paths
 
 
-def _json_lines(lines: Iterable[Union[str, bytes]], where: str = "") -> Iterator[Row]:
-    for lineno, raw in enumerate(lines, start=1):
+def _json_lines(
+    lines: Iterable[Union[str, bytes]], where: str = "", start: int = 1
+) -> Iterator[Row]:
+    for lineno, raw in enumerate(lines, start=start):
         try:
             # Bytes are decoded here, line by line, as strict UTF-8 (the
             # default), so a line that is not UTF-8 is named like any other
@@ -293,11 +338,59 @@ def _json_lines(lines: Iterable[Union[str, bytes]], where: str = "") -> Iterator
             raise ValueError(f"{where}update stream line {lineno}: {exc}") from exc
 
 
-def _json_files(paths: Iterable[str]) -> Iterator[Row]:
+#: Bytes of JSON lines parsed by one ``json.loads``: whole-file parsing
+#: would hold every line's objects at once.
+_CHUNK = 1 << 15
+
+
+def _line_chunks(source) -> Iterator[list]:
+    """``source``'s lines in lists of about ``_CHUNK`` bytes (of
+    ``_CHUNK // 64`` lines if it is not a file object)."""
+    if hasattr(source, "readlines"):
+        return iter(lambda: source.readlines(_CHUNK), [])
+    lines = iter(source)
+    return iter(lambda: list(islice(lines, _CHUNK // 64)), [])
+
+
+def _chunk_columns(chunk: list) -> Optional[UpdateColumns]:
+    """One chunk's columns from a single ``json.loads``, or ``None`` unless
+    they are what :func:`_json_lines` gives for its lines."""
+    try:
+        lines = [x.decode() if isinstance(x, bytes) else x for x in chunk]
+        lines = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+        # Each line becomes its own array.  With no bracket inside any
+        # line, k arrays holding one value each parse only from k lines
+        # that each hold exactly that value: no string or duplicate key
+        # can reach across a separator.
+        text = "\n".join(lines)
+        if "[" in text or "]" in text:
+            return None
+        wrapped = json.loads("[[" + "],[".join(lines) + "]]")
+    except (ValueError, TypeError, RecursionError):
+        return None
+    if len(wrapped) != len(lines) or set(map(len, wrapped)) != {1}:
+        return None
+    return _records_columns(list(map(itemgetter(0), wrapped)))
+
+
+def _json_chunks(chunks: Iterable[list], where: str = "") -> Iterator[UpdateColumns]:
+    """Columns chunk by chunk; a chunk the bulk path refuses is decoded
+    again line by line, so its error names the line and comes from
+    :func:`decode_update`."""
+    start = 1
+    for chunk in chunks:
+        cols = _chunk_columns(chunk)
+        if cols is None:
+            cols = UpdateColumns.from_rows(_json_lines(chunk, where, start))
+        yield cols
+        start += len(chunk)
+
+
+def _json_files(paths: Iterable[str]) -> Iterator[UpdateColumns]:
     for path in paths:
         opener = gzip.open if str(path).endswith(".gz") else open
         with opener(path, "rb") as fh:
-            yield from _json_lines(fh, f"{path}: ")
+            yield from _json_chunks(_line_chunks(fh), f"{path}: ")
 
 
 def _segments(directory: str) -> List[str]:
@@ -355,12 +448,20 @@ def load_update_stream(
     ``ValueError`` naming its line number (and its file, for a file or
     segment), a malformed ``.npz`` member (``op`` must be ``uint8``, ``u``/``v`` integer, ``w``
     floating, all 1-D of one length) one naming the file and the member.
+
+    JSON lines are decoded a chunk of lines at a time, with one
+    ``json.loads`` per chunk; the result and the strictness are the
+    per-line decode's, because a chunk that fails any check is decoded
+    again line by line and the error comes from :func:`decode_update`.
     """
     if _is_npz(source):
         return _load_npz(source)
     if isinstance(source, (str, bytes, os.PathLike)):
         path = os.fspath(source)
-        events = _json_files(_segments(path) if os.path.isdir(path) else [path])
+        parts = _json_files(_segments(path) if os.path.isdir(path) else [path])
     else:
-        events = _json_lines(source)
-    return UpdateColumns.from_rows(events)
+        parts = _json_chunks(_line_chunks(source))
+    parts = [UpdateColumns.from_rows(()), *parts]
+    return UpdateColumns(
+        *(np.concatenate([getattr(p, name) for p in parts]) for name in _ROW.names)
+    )

@@ -4,7 +4,10 @@ import collections.abc
 import gzip
 import inspect
 import io
+import json
 import os
+import tracemalloc
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ import pytest
 import repro.dynamic
 import repro.graphs.updates
 from repro.dynamic import run_stream
+from repro.graphs.generators import gnp_average_degree
 from repro.graphs.graph import WeightedGraph
+from repro.graphs.streams import make_update_stream
 from repro.graphs.updates import (
     OP_INSERT,
     UpdateColumns,
@@ -21,6 +26,7 @@ from repro.graphs.updates import (
     save_update_stream_segments,
 )
 from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns, events
+from tests.recovery.harness import concat
 
 PATH4 = WeightedGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -158,6 +164,105 @@ class TestSources:
         assert [e for b in seen for e in events(b)] == UPDATES
         with pytest.raises(ValueError):
             run_stream(PATH4, cols, batch_size=0)
+
+
+#: A stream several chunks long: line 5001 lies well past the first chunk.
+LONG = make_update_stream("uniform", gnp_average_degree(500, 8.0, seed=1), 6000, seed=2)
+
+
+def _long_source(tmp_path, form: str, bad: Optional[bytes] = None):
+    """``LONG`` as ``form``, with line 5001 replaced by ``bad`` if given,
+    and the prefix an error in it must carry."""
+    save_update_stream(LONG, tmp_path / "long.jsonl")
+    lines = (tmp_path / "long.jsonl").read_bytes().split(b"\n")
+    assert sum(map(len, lines[:5000])) > 6 * repro.graphs.updates._CHUNK
+    if bad is not None:
+        lines[5000] = bad
+    raw = b"\n".join(lines)
+    if form == "byte-stream":  # such as stdin's buffer
+        return io.BytesIO(raw), ""
+    if form == "segments":
+        (tmp_path / "segments").mkdir()
+        save_update_stream(LONG[:100], tmp_path / "segments" / "part-00000.jsonl")
+        bad_path = tmp_path / "segments" / "part-00001.jsonl"
+        bad_path.write_bytes(raw)
+        return tmp_path / "segments", f"{bad_path}: "
+    path = tmp_path / ("bad.jsonl.gz" if form == "gz" else "bad.jsonl")
+    path.write_bytes(gzip.compress(raw) if form == "gz" else raw)
+    return path, f"{path}: "
+
+
+def _assert_same_columns(got: UpdateColumns, want: UpdateColumns) -> None:
+    for name in ("op", "u", "v", "w"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestChunkBoundaries:
+    """Errors past the first chunk name their absolute line and file, in
+    the words of the per-line decode."""
+
+    FORMS = ["plain", "gz", "segments", "byte-stream"]
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (b'{"op": "insert", "u": null, "v": 2}',
+             "vertex ids must be JSON integers within int64, got None"),
+            (b"\xff\xfe",
+             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (json.dumps({"op": "insert", "u": 2**63, "v": 1}).encode(),
+             f"vertex ids must be JSON integers within int64, got {2**63}"),
+            (json.dumps({"op": "reweight", "v": 0, "weight": float("nan")}).encode(),
+             "reweight weight must be a finite JSON number > 0, got nan"),
+            (b'{"op": "insert", "u": 1, "v": "', "Unterminated string starting at"),
+        ],
+        ids=["null-id", "non-utf8", "beyond-int64", "nan-weight", "string-splice"],
+    )
+    def test_bad_line_past_first_chunk(self, tmp_path, form, bad, message):
+        source, where = _long_source(tmp_path, form, bad)
+        with pytest.raises(ValueError) as info:
+            load_update_stream(source)
+        text = str(info.value)
+        assert text.startswith(f"{where}update stream line 5001: "), text
+        assert message in text
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_valid_stream_never_falls_back(self, tmp_path, form, monkeypatch):
+        """Saved streams decode by the bulk path alone: the per-line
+        decode is never entered."""
+        source, _ = _long_source(tmp_path, form)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a valid chunk fell back to the per-line decode")
+
+        monkeypatch.setattr(repro.graphs.updates, "_json_lines", refuse)
+        cols = load_update_stream(source)
+        want = concat([LONG[:100], LONG]) if form == "segments" else LONG
+        _assert_same_columns(cols, want)
+
+    def test_peak_memory_stays_near_the_per_line_decode(self, tmp_path):
+        """Chunks bound what one parse holds: decoding a 55k-update stream
+        peaks at most 2 MiB above the per-line decode (2.7 against 2.6 MiB
+        when measured; a whole-file parse peaks at ~35 MiB)."""
+        graph = gnp_average_degree(2000, 8.0, seed=1)
+        path = tmp_path / "big.jsonl"
+        save_update_stream(make_update_stream("uniform", graph, 55_000, seed=1), path)
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def per_line():
+            with open(path, "rb") as fh:
+                return UpdateColumns.from_rows(repro.graphs.updates._json_lines(fh))
+
+        assert peak(lambda: load_update_stream(path)) <= peak(per_line) + (2 << 20)
 
 
 def test_no_event_class_in_the_library():

@@ -1,11 +1,20 @@
 """Tests for update events and the JSON-lines stream format."""
 
 import gzip
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.graphs.updates import UpdateColumns, load_update_stream, save_update_stream
+import repro.graphs.updates as updates_module
+from repro.graphs.updates import (
+    UpdateColumns,
+    decode_update,
+    load_update_stream,
+    save_update_stream,
+)
 from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns, events
 
 SAMPLE = [
@@ -159,3 +168,217 @@ class TestStreamIO:
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh]
         assert rows[0] == {"op": "insert", "u": 0, "v": 5}
+
+
+# --- The chunked decode against the per-line decode --------------------------
+
+
+def _utf8(line: bytes) -> bool:
+    try:
+        line.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _parses(line: bytes) -> bool:
+    return _utf8(line) and _is_json(line.decode())
+
+
+def _is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+_VALID = st.one_of(
+    st.fixed_dictionaries(
+        {"op": st.sampled_from(["insert", "delete"]), "u": st.integers(-9, 99),
+         "v": st.integers(-(2**63), 2**63 - 1)}
+    ),
+    st.fixed_dictionaries(
+        {"op": st.just("reweight"), "v": st.integers(0, 99),
+         "weight": st.one_of(
+             st.floats(min_value=1e-300, max_value=1e300), st.integers(1, 10**30)
+         )}
+    ),
+)
+
+#: Lines the per-line decode refuses or treats specially, several of which
+#: a naive bulk parse would get wrong.
+_MUTATIONS = [
+    # A string swallowing the separator plus a repeated key, then two
+    # objects on one line: joined by commas these parse as three records.
+    [b'{"op":"insert","u":1,"v":"', b'", "v": 2}',
+     b'{"op":"insert","u":3,"v":4}, {"op":"delete","u":3,"v":4}'],
+    [b'{"op":"insert","u":1,"v":"', b'", "v": 2}'],
+    [b'{"op":"insert","u":3,"v":4} {"op":"delete","u":3,"v":4}'],
+    # Brackets inside a line, with a separator swallowed further on.
+    [b'{"op":"insert","u":1,"v":2}],[{"op":"insert","u":3,"v":4}',
+     b'{"op":"delete","u":5,"v":"', b'", "v": 6}'],
+    [b'[{"op":"insert","u":3,"v":4}]'],
+    [b'{"op":"insert","u":[3],"v":4}'],
+    [b'{"op":"insert","u":3,"v":4,"note":"]"}'],
+    [b'# a [bracketed] comment'],
+    [b'{"op":"reweight","v":1,"weight":NaN}'],
+    [b'{"op":"reweight","v":1,"weight":Infinity}'],
+    [b'{"op":"reweight","v":1,"weight":-Infinity}'],
+    [b'{"op":"reweight","v":1,"weight":1e400}'],
+    [b'{"op":"reweight","v":1,"weight":' + str(10**400).encode() + b"}"],
+    [b'{"op":"reweight","v":1,"weight":0}'],
+    [b'{"op":"reweight","v":1,"weight":true}'],
+    [b'{"op":"reweight","v":1,"size":2.0}'],
+    [b'{"op":"reweight","v":1,"weight":2.0,"u":0}'],
+    [b'{"op":"reweight","v":1}'],
+    [b'{"op":"insert","u":%d,"v":4}' % 2**63],
+    [b'{"op":"insert","u":%d,"v":4}' % (-(2**63) - 1)],
+    [b'{"op":"insert","u":true,"v":4}'],
+    [b'{"op":"delete","u":1.0,"v":4}'],
+    [b'{"op":"insert","u":1,"weight":4}'],
+    [b'{"op":"insert","v":4,"x":1}'],
+    [b'{"op":"reweight","u":0,"v":1}'],
+    [b'{"op":"insert","u":1,"v":4,"v":5}'],
+    [b'{"op":"insert","v":1,"u":4}'],
+    [b'{"op":"Insert","u":1,"v":4}'],
+    [b'{"u":1,"v":4}'],
+    [b'{"op":null,"u":1,"v":4}'],
+    [b'{"op":{},"u":1,"v":4}'],
+    [b'7'],
+    [b'"insert"'],
+    [b'{"op":"insert","u":1,"v":4}\r'],
+    [b'{"op":"insert",\r"u":1,"v":4}'],
+    # Line breaks to ``str.splitlines`` but not to the per-line decode.
+    *(
+        [b'{"op":"insert","u":1,"v":2}' + sep.encode() + b'{"op":"insert","u":3,"v":4}']
+        for sep in ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+    ),
+    [b'\xef\xbb\xbf{"op":"insert","u":1,"v":4}'],
+    ['{"op":"insert", "u":1,"v":4}'.encode()],
+    [' {"op":"insert","u":1,"v":4}\x85'.encode()],
+    [b'\x0b{"op":"insert","u":1,"v":4}\x0c'],
+    [b'{"op":"insert",\x0b"u":1,"v":4}'],
+    ['{"op":"insert",\u2028"u":1,"v":4}'.encode()],
+    [b'\xff\xfe'],
+    [b"# a comment"],
+    [b"   #"],
+    [b""],
+    [b" \t "],
+]
+
+#: The mutations that parse, as records.
+_RECORDS = [
+    json.loads(group[0]) for group in _MUTATIONS if len(group) == 1 and _parses(group[0])
+]
+
+_VALID_LINES = st.lists(
+    st.one_of(
+        _VALID.map(json.dumps),
+        _VALID.map(lambda spec: json.dumps(spec, separators=(",", ":"))),
+    ).map(str.encode),
+    max_size=40,
+)
+
+
+@st.composite
+def _streams(draw):
+    """Valid lines with up to two mutation groups spliced in."""
+    lines = draw(_VALID_LINES)
+    for group in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2)):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = group
+    return lines
+
+
+_STREAMS = _streams()
+
+
+def _per_line(data: bytes, where: str = "") -> UpdateColumns:
+    """The reference: ``decode_update`` on each line, errors named by line."""
+    rows = []
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode().strip()
+            if line and not line.startswith("#"):
+                rows.append(decode_update(json.loads(line)))
+        except ValueError as exc:
+            raise ValueError(f"{where}update stream line {lineno}: {exc}") from exc
+    return UpdateColumns.from_rows(rows)
+
+
+def _arrays(cols: UpdateColumns):
+    return [(a.dtype.str, a.tobytes()) for a in (cols.op, cols.u, cols.v, cols.w)]
+
+
+def _outcome(load, *args):
+    """``load(*args)``'s columns, or the text of its ``ValueError``."""
+    try:
+        return _arrays(load(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestChunkedDecodeMatchesPerLine:
+    """Whatever the input, the chunked loader gives the per-line decode's
+    columns (dtype and values) or raises its ``ValueError`` text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=_STREAMS,
+        newline=st.sampled_from([b"\n", b"\r\n"]),
+        trailing=st.booleans(),
+        chunk=st.sampled_from([1, 16, 64, 1 << 15]),
+    )
+    def test_byte_sources(self, tmp_path_factory, lines, newline, trailing, chunk):
+        data = newline.join(lines) + (newline if trailing else b"")
+        plain = tmp_path_factory.getbasetemp() / "chunked.jsonl"
+        gz = tmp_path_factory.getbasetemp() / "chunked.jsonl.gz"
+        plain.write_bytes(data)
+        gz.write_bytes(gzip.compress(data))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(updates_module, "_CHUNK", chunk)
+            for source, where in [
+                (io.BytesIO(data), ""), (plain, f"{plain}: "), (gz, f"{gz}: ")
+            ]:
+                expected = _outcome(_per_line, data, where)
+                assert _outcome(load_update_stream, source) == expected
+
+    @pytest.mark.parametrize("group", _MUTATIONS)
+    def test_each_mutation_among_valid_lines(self, group):
+        valid = [b'{"op": "insert", "u": %d, "v": %d}' % (i, i + 1) for i in range(4)]
+        data = b"\n".join(valid[:2] + group + valid[2:])
+        assert _outcome(load_update_stream, io.BytesIO(data)) == _outcome(_per_line, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=_STREAMS, chunk=st.sampled_from([64, 1 << 15]))
+    def test_line_iterables(self, lines, chunk):
+        assume(all(map(_utf8, lines)))
+        text = [line.decode() for line in lines]
+        expected = _outcome(_per_line, b"\n".join(lines))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(updates_module, "_CHUNK", chunk)
+            assert _outcome(load_update_stream, text) == expected
+            assert _outcome(load_update_stream, io.StringIO("\n".join(text))) == expected
+
+    def test_a_given_line_is_one_line(self):
+        """An iterable's lines keep their own boundaries: one holding a
+        newline is still one line, as the per-line decode reads it."""
+        two = '{"op":"insert","u":1,"v":2}\n{"op":"insert","u":3,"v":4}'
+        with pytest.raises(ValueError, match="^update stream line 1: Extra data"):
+            load_update_stream([two])
+        spread = '{"op": "insert",\n "u": 1, "v": 2}'
+        assert load_update_stream([spread]).u.tolist() == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs=st.lists(st.one_of(_VALID, st.sampled_from(_RECORDS)), max_size=30))
+    def test_record_lists(self, specs):
+        """The bulk record decode that version-1 WAL records share gives
+        exactly ``decode_update``'s rows, and ``None`` where it refuses one."""
+        try:
+            expected = _arrays(UpdateColumns.from_rows(map(decode_update, specs)))
+        except ValueError:
+            expected = None
+        got = updates_module._records_columns(specs)
+        assert (got if got is None else _arrays(got)) == expected
+

@@ -1,14 +1,20 @@
-"""Regenerate the golden checkpoint fixtures (run from the repo root).
+"""Write the golden checkpoint fixture's state in today's formats.
 
-The fixtures pin the on-disk formats: if either file stops loading, or
-loads to different state, a format change slipped in without a version
-bump.  Regenerate *only* alongside an intentional, versioned format
-change::
+``golden_snapshot.npz`` and ``golden_wal.jsonl`` beside this script are
+frozen version-1 fixtures (snapshot ``dual_keys``, one JSON object per
+update in the WAL): ``test_golden.py`` pins them as an older build wrote
+them, to test the migration every later reader must keep.  No current build can regenerate them, so this script never writes
+here; it writes the same fixture state, in the current snapshot and WAL
+formats, to the directory named on its command line (run from the repo
+root)::
 
-    PYTHONPATH=src:. python tests/recovery/data/make_golden.py
+    PYTHONPATH=src:. python tests/recovery/data/make_golden.py OUT_DIR
+
+A later format version can start its own pinned fixtures from that output.
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -17,7 +23,7 @@ from repro.dynamic.checkpoint import save_snapshot
 from repro.graphs.graph import WeightedGraph
 from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns
 
-HERE = os.path.dirname(os.path.abspath(__file__))
+HERE = os.path.dirname(os.path.realpath(__file__))
 
 #: The fixture's weights and updates, batch by batch (also in the WAL).
 WEIGHTS = [4.0, 1.0, 3.0, 1.0, 2.0]
@@ -41,10 +47,17 @@ def build_maintainer():
     return maintainer
 
 
-def main():
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        sys.exit("usage: make_golden.py OUT_DIR")
+    out = os.path.realpath(args[0])
+    if out == HERE:
+        sys.exit(f"refusing to write into {HERE}: its fixtures are frozen version 1")
+    os.makedirs(out, exist_ok=True)
     maintainer = build_maintainer()
     digest = save_snapshot(
-        os.path.join(HERE, "golden_snapshot.npz"),
+        os.path.join(out, "golden_snapshot.npz"),
         maintainer,
         extra={"next_batch_index": 2, "updates_applied": 7},
         fsync=False,
@@ -54,7 +67,7 @@ def main():
     m2 = IncrementalCoverMaintainer(
         DynamicGraph(WeightedGraph.empty(5, weights=WEIGHTS))
     )
-    wal_path = os.path.join(HERE, "golden_wal.jsonl")
+    wal_path = os.path.join(out, "golden_wal.jsonl")
     if os.path.exists(wal_path):
         os.unlink(wal_path)
     with WriteAheadLog(wal_path, fsync=False) as wal:

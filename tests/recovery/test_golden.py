@@ -13,6 +13,7 @@ must keep loading bit-exactly).
 import io
 import json
 import os
+import runpy
 import shutil
 
 import numpy as np
@@ -182,3 +183,30 @@ class TestGoldenWAL:
         path.write_bytes(bytes(raw))
         with pytest.raises(WALCorruptionError, match="checksum mismatch"):
             read_wal(path)
+
+
+class TestMakeGolden:
+    """``make_golden.py`` writes today's formats, so it must never touch
+    the frozen version-1 pins; what it writes elsewhere holds their state."""
+
+    @staticmethod
+    def _main():
+        return runpy.run_path(os.path.join(DATA, "make_golden.py"))["main"]
+
+    def test_refuses_the_fixture_directory(self, capsys):
+        before = {p: open(p, "rb").read() for p in (GOLDEN_SNAPSHOT, GOLDEN_WAL)}
+        for out in (DATA, os.path.join(DATA, "..", "data")):
+            with pytest.raises(SystemExit, match="refusing"):
+                self._main()([out])
+        with pytest.raises(SystemExit, match="usage"):
+            self._main()([])
+        assert before == {p: open(p, "rb").read() for p in before}
+
+    def test_writes_the_pinned_state_in_current_formats(self, tmp_path, capsys):
+        self._main()([str(tmp_path)])
+        fresh = load_snapshot(tmp_path / "golden_snapshot.npz")
+        assert fresh.meta["format_version"] == CHECKPOINT_FORMAT_VERSION
+        assert_same_state(fresh.maintainer, load_snapshot(GOLDEN_SNAPSHOT).maintainer)
+        (fresh_records, _), (pinned, _) = read_wal(tmp_path / "golden_wal.jsonl"), read_wal(GOLDEN_WAL)
+        assert [events(r.updates) for r in fresh_records] == [events(r.updates) for r in pinned]
+        assert [r.batch_index for r in fresh_records] == [r.batch_index for r in pinned]
