@@ -54,12 +54,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.updates import (
-    OP_REWEIGHT,
-    UpdateColumns,
-    _records_columns,
-    decode_update,
-)
+from repro.graphs.updates import OP_REWEIGHT, UpdateColumns, decode_update
 
 __all__ = [
     "WAL_FORMAT_VERSION",
@@ -205,9 +200,7 @@ def _check_line(name: str, lineno: int, line: bytes) -> Tuple[int, int, object]:
 def _decode(version: int, batch_index: int, body) -> WALRecord:
     """The record of a checksum-verified line (``ValueError`` etc. if malformed)."""
     if version == 1:
-        updates = _records_columns(body["updates"])
-        if updates is None:
-            updates = UpdateColumns.from_rows(map(decode_update, body["updates"]))
+        updates = UpdateColumns.from_rows(decode_update(u) for u in body["updates"])
         return WALRecord(batch_index, updates, str(body.get("state_digest", "")), 1)
     payload = json.loads(body)
     op = np.frombuffer(payload["op"].encode("ascii"), dtype=np.uint8)

@@ -14,10 +14,10 @@ On the wire each event is one JSON object per line: vertex ids are JSON
 integers within ``int64`` and a weight is a finite JSON number > 0;
 :func:`decode_update` refuses anything else.  Blank lines and ``#``
 comments are skipped on load, mirroring the batch-manifest format.
-A load parses a chunk of some 32 KiB of lines with one ``json.loads`` and
-checks the records as arrays; a chunk that fails any check is decoded
-again line by line, so strictness is that of :func:`decode_update` and its
-errors still name their line.
+A load parses 1024 lines at a time with one ``json.loads`` and checks
+the records as arrays; a chunk that fails any check is decoded again line
+by line, so strictness is that of :func:`decode_update` and its errors
+still name their line.
 
 :class:`UpdateColumns` holds events as four parallel arrays
 (``op``/``u``/``v``/``w``).  It is the one form an event takes from a
@@ -229,7 +229,7 @@ def _records_columns(records) -> Optional[UpdateColumns]:
     """The columns of a list of parsed wire-format records, from array
     passes; ``None`` unless :func:`decode_update` accepts every record, in
     which case they equal the columns of its rows."""
-    if type(records) is not list or not {dict}.issuperset(map(type, records)):
+    if not {dict}.issuperset(map(type, records)):
         return None
     n = len(records)
     # TypeError: an unknown op; KeyError: no "v"; OverflowError: out of range.
@@ -338,18 +338,9 @@ def _json_lines(
             raise ValueError(f"{where}update stream line {lineno}: {exc}") from exc
 
 
-#: Bytes of JSON lines parsed by one ``json.loads``: whole-file parsing
-#: would hold every line's objects at once.
-_CHUNK = 1 << 15
-
-
-def _line_chunks(source) -> Iterator[list]:
-    """``source``'s lines in lists of about ``_CHUNK`` bytes (of
-    ``_CHUNK // 64`` lines if it is not a file object)."""
-    if hasattr(source, "readlines"):
-        return iter(lambda: source.readlines(_CHUNK), [])
-    lines = iter(source)
-    return iter(lambda: list(islice(lines, _CHUNK // 64)), [])
+#: Lines parsed by one ``json.loads`` (some 40 KiB of wire records):
+#: whole-file parsing would hold every line's objects at once.
+_CHUNK_LINES = 1 << 10
 
 
 def _chunk_columns(chunk: list) -> Optional[UpdateColumns]:
@@ -373,12 +364,15 @@ def _chunk_columns(chunk: list) -> Optional[UpdateColumns]:
     return _records_columns(list(map(itemgetter(0), wrapped)))
 
 
-def _json_chunks(chunks: Iterable[list], where: str = "") -> Iterator[UpdateColumns]:
-    """Columns chunk by chunk; a chunk the bulk path refuses is decoded
-    again line by line, so its error names the line and comes from
-    :func:`decode_update`."""
+def _json_chunks(
+    lines: Iterable[Union[str, bytes]], where: str = ""
+) -> Iterator[UpdateColumns]:
+    """Columns ``_CHUNK_LINES`` lines at a time; a chunk the bulk path
+    refuses is decoded again line by line, so its error names the line and
+    comes from :func:`decode_update`."""
+    lines = iter(lines)
     start = 1
-    for chunk in chunks:
+    for chunk in iter(lambda: list(islice(lines, _CHUNK_LINES)), []):
         cols = _chunk_columns(chunk)
         if cols is None:
             cols = UpdateColumns.from_rows(_json_lines(chunk, where, start))
@@ -390,7 +384,7 @@ def _json_files(paths: Iterable[str]) -> Iterator[UpdateColumns]:
     for path in paths:
         opener = gzip.open if str(path).endswith(".gz") else open
         with opener(path, "rb") as fh:
-            yield from _json_chunks(_line_chunks(fh), f"{path}: ")
+            yield from _json_chunks(fh, f"{path}: ")
 
 
 def _segments(directory: str) -> List[str]:
@@ -460,7 +454,7 @@ def load_update_stream(
         path = os.fspath(source)
         parts = _json_files(_segments(path) if os.path.isdir(path) else [path])
     else:
-        parts = _json_chunks(_line_chunks(source))
+        parts = _json_chunks(source)
     parts = [UpdateColumns.from_rows(()), *parts]
     return UpdateColumns(
         *(np.concatenate([getattr(p, name) for p in parts]) for name in _ROW.names)

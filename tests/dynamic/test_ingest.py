@@ -166,16 +166,19 @@ class TestSources:
             run_stream(PATH4, cols, batch_size=0)
 
 
-#: A stream several chunks long: line 5001 lies well past the first chunk.
-LONG = make_update_stream("uniform", gnp_average_degree(500, 8.0, seed=1), 6000, seed=2)
+@pytest.fixture(scope="module")
+def long_stream() -> UpdateColumns:
+    """A stream several chunks long: line 5001 lies well past the first chunk."""
+    graph = gnp_average_degree(500, 8.0, seed=1)
+    return make_update_stream("uniform", graph, 6000, seed=2)
 
 
-def _long_source(tmp_path, form: str, bad: Optional[bytes] = None):
-    """``LONG`` as ``form``, with line 5001 replaced by ``bad`` if given,
+def _long_source(tmp_path, long: UpdateColumns, form: str, bad: Optional[bytes] = None):
+    """``long`` as ``form``, with line 5001 replaced by ``bad`` if given,
     and the prefix an error in it must carry."""
-    save_update_stream(LONG, tmp_path / "long.jsonl")
+    save_update_stream(long, tmp_path / "long.jsonl")
     lines = (tmp_path / "long.jsonl").read_bytes().split(b"\n")
-    assert sum(map(len, lines[:5000])) > 6 * repro.graphs.updates._CHUNK
+    assert 5000 > 4 * repro.graphs.updates._CHUNK_LINES
     if bad is not None:
         lines[5000] = bad
     raw = b"\n".join(lines)
@@ -183,7 +186,7 @@ def _long_source(tmp_path, form: str, bad: Optional[bytes] = None):
         return io.BytesIO(raw), ""
     if form == "segments":
         (tmp_path / "segments").mkdir()
-        save_update_stream(LONG[:100], tmp_path / "segments" / "part-00000.jsonl")
+        save_update_stream(long[:100], tmp_path / "segments" / "part-00000.jsonl")
         bad_path = tmp_path / "segments" / "part-00001.jsonl"
         bad_path.write_bytes(raw)
         return tmp_path / "segments", f"{bad_path}: "
@@ -220,8 +223,8 @@ class TestChunkBoundaries:
         ],
         ids=["null-id", "non-utf8", "beyond-int64", "nan-weight", "string-splice"],
     )
-    def test_bad_line_past_first_chunk(self, tmp_path, form, bad, message):
-        source, where = _long_source(tmp_path, form, bad)
+    def test_bad_line_past_first_chunk(self, tmp_path, long_stream, form, bad, message):
+        source, where = _long_source(tmp_path, long_stream, form, bad)
         with pytest.raises(ValueError) as info:
             load_update_stream(source)
         text = str(info.value)
@@ -229,17 +232,19 @@ class TestChunkBoundaries:
         assert message in text
 
     @pytest.mark.parametrize("form", FORMS)
-    def test_valid_stream_never_falls_back(self, tmp_path, form, monkeypatch):
+    def test_valid_stream_never_falls_back(self, tmp_path, long_stream, form, monkeypatch):
         """Saved streams decode by the bulk path alone: the per-line
         decode is never entered."""
-        source, _ = _long_source(tmp_path, form)
+        source, _ = _long_source(tmp_path, long_stream, form)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a valid chunk fell back to the per-line decode")
 
         monkeypatch.setattr(repro.graphs.updates, "_json_lines", refuse)
         cols = load_update_stream(source)
-        want = concat([LONG[:100], LONG]) if form == "segments" else LONG
+        want = long_stream
+        if form == "segments":
+            want = concat([long_stream[:100], long_stream])
         _assert_same_columns(cols, want)
 
     def test_peak_memory_stays_near_the_per_line_decode(self, tmp_path):
