@@ -168,7 +168,7 @@ def _cmd_solve(args) -> int:
         print(render_table(rows, title=f"{args.algorithm} on {graph}"))
     if args.cover_out:
         np.savetxt(args.cover_out, np.nonzero(cover)[0], fmt="%d")
-        print(f"cover vertex ids written to {args.cover_out}")
+        print(f"cover vertex ids written to {args.cover_out}", file=sys.stderr)
     return 0
 
 

@@ -8,6 +8,13 @@ run *is* a certificate that the algorithm respects the MPC model's memory
 and communication limits (Lemma 4.1 becomes an enforced runtime invariant,
 not just a measured statistic).
 
+The per-phase arithmetic is :mod:`repro.core.phase_kernel`'s
+(:func:`~repro.core.phase_kernel.split_high`,
+:func:`~repro.core.phase_kernel.high_edges`,
+:func:`~repro.core.phase_kernel.local_iterations`,
+:func:`~repro.core.phase_kernel.final_duals`); this module supplies only
+the data each machine holds and the messages between machines.
+
 Protocol per phase (steps match :mod:`repro.core.accounting`):
 
 A. coordinator broadcasts the phase state: residual weights, residual
@@ -16,20 +23,26 @@ A. coordinator broadcasts the phase state: residual weights, residual
    random partition, the thresholds, and initial duals from this state —
    exactly the paper's observation that shared randomness need not be
    communicated (footnote to Line 2d).
-B. each worker routes each home edge of ``E[V^high]`` whose endpoints share
-   a simulation machine to that machine (1 round).  The simulation machines
-   store their induced subgraphs — if Lemma 4.1 failed, this store would
-   raise :class:`~repro.mpc.exceptions.MemoryLimitExceeded`.
+B. each worker selects its home ``E[V^high]`` edges once and routes those
+   whose endpoints share a simulation machine to that machine (1 round).
+   The simulation machines store their induced subgraphs — if Lemma 4.1
+   failed, this store would raise
+   :class:`~repro.mpc.exceptions.MemoryLimitExceeded`.
 C. simulation machines run the local iterations (compute-only) and their
    per-vertex freeze iterations are gathered to the coordinator (tree).
 D. coordinator broadcasts the combined freeze iterations (tree).
-E. workers finalize Line (2h) duals for home ``E[V^high]`` edges and
+E. workers finalize Line (2h) duals on their step-B selection and
    aggregate the dual loads ``y^MPC`` to the coordinator (tree).
 F. coordinator applies the Line (2i) safety freeze and broadcasts the
    updated frozen mask (tree).
-G. workers store finalized duals for newly frozen home edges, then
-   aggregate the stacked [frozen dual sums; nonfrozen degree counts]
-   (``2n`` words, tree); the coordinator rebuilds the residual state.
+G. workers store finalized duals for the newly frozen edges of their
+   step-B selection, then aggregate the stacked [frozen dual sums;
+   nonfrozen degree counts] (``2n`` words, tree); the coordinator rebuilds
+   the residual state.
+
+Steps B, E and G share one selection per worker, kept on the Python side
+like the step-A derivation (it is recomputable from home storage and the
+broadcast state, so it is not charged as machine memory).
 
 Floating-point discipline: every per-vertex dual reduction on a machine
 runs over that machine's edges in ascending global edge id, which is the
@@ -37,7 +50,7 @@ same per-vertex accumulation order the vectorized engine uses — so the two
 engines' freezing decisions coincide bit-for-bit (checked by the
 engine-equivalence tests).  The only tree-order float sums are the
 ``y^MPC`` aggregates, which feed a single ``≥ w'`` comparison; the audit
-checks in this module verify agreement against the directly assembled
+checks in this module verify agreement against the directly computed
 values.
 """
 
@@ -49,14 +62,26 @@ import numpy as np
 
 from repro.core import accounting
 from repro.core.params import MPCParameters
-from repro.core.phase_kernel import PhaseOutcome, PhasePlan
+from repro.core.phase_kernel import (
+    PhaseOutcome,
+    PhasePlan,
+    endpoint_sums,
+    final_duals,
+    high_edges,
+    local_iterations,
+    split_high,
+)
 from repro.core.thresholds import ThresholdSampler
 from repro.graphs.graph import WeightedGraph
 from repro.mpc.cluster import Cluster
 from repro.mpc.message import Message
+from repro.mpc.partition import random_assignment
 from repro.mpc.primitives import aggregate_sum, broadcast, gather_concat
 
 __all__ = ["ClusterEngine"]
+
+#: Fields of a simulation machine's received subgraph (step B messages).
+_SUBGRAPH_FIELDS = (("eids", np.int64), ("pu", np.int64), ("pv", np.int64), ("x0", np.float64))
 
 
 class ClusterEngine:
@@ -94,9 +119,8 @@ class ClusterEngine:
         """Round-robin the input edges to worker home storage (uncharged:
         MPC inputs arrive already distributed)."""
         m = self.graph.m
-        eids = np.arange(m, dtype=np.int64)
         for w in range(1, self.num_workers + 1):
-            mine = eids[eids % self.num_workers == (w - 1)]
+            mine = np.arange(w - 1, m, self.num_workers, dtype=np.int64)
             machine = self.cluster.machine(w)
             machine.store("home_eids", mine)
             machine.store("home_u", self.graph.edges_u[mine])
@@ -139,25 +163,19 @@ class ClusterEngine:
         derived: Dict[int, dict] = {}
         for w in worker_ids:
             st = received[w]
-            is_high = st["nonfrozen"].astype(bool) & (st["resid_degree"] >= st["cutoff"])
-            high_ids = np.nonzero(is_high)[0].astype(np.int64)
-            pos = np.full(n, -1, dtype=np.int64)
-            pos[high_ids] = np.arange(high_ids.size, dtype=np.int64)
-            assignment = np.random.default_rng(st["partition_seed"]).integers(
-                0, st["num_machines"], size=high_ids.size, dtype=np.int64
+            is_high, high_ids, pos, ratio = split_high(
+                st["nonfrozen"].astype(bool), st["resid_degree"], st["wprime"], st["cutoff"]
             )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(
-                    st["resid_degree"] > 0,
-                    st["wprime"] / np.maximum(st["resid_degree"], 1),
-                    np.inf,
-                )
             derived[w] = {
                 "is_high": is_high,
                 "pos": pos,
-                "assignment": assignment,
+                "assignment": random_assignment(
+                    np.random.default_rng(st["partition_seed"]),
+                    high_ids.size,
+                    st["num_machines"],
+                ),
                 "ratio": ratio,
-                "wprime": st["wprime"],
+                "wprime_high": st["wprime"][high_ids],
                 "high_ids": high_ids,
             }
         # Audit: worker derivation must equal the orchestrator's plan.
@@ -168,43 +186,33 @@ class ClusterEngine:
             raise AssertionError("cluster engine: derived partition disagrees with plan")
 
         # -------------------------------------------------------------- #
-        # Step B: route local E[V^high] edges to simulation machines.
+        # Step B: each worker selects its home E[V^high] edges once (steps
+        # E and G reuse the selection) and routes the local ones to their
+        # simulation machines.
         # -------------------------------------------------------------- #
+        selection: Dict[int, dict] = {}
         out: List[Message] = []
         for w in worker_ids:
             machine = self.cluster.machine(w)
-            hu_g = machine.load("home_u")
-            hv_g = machine.load("home_v")
-            eids = machine.load("home_eids")
             dv = derived[w]
-            both_high = dv["is_high"][hu_g] & dv["is_high"][hv_g]
-            pu = dv["pos"][hu_g[both_high]]
-            pv = dv["pos"][hv_g[both_high]]
-            e_sel = eids[both_high]
+            hu_g, hv_g = machine.load("home_u"), machine.load("home_v")
+            sel, pu, pv, x0 = high_edges(hu_g, hv_g, dv["is_high"], dv["pos"], dv["ratio"])
+            selection[w] = {"sel": sel, "pu": pu, "pv": pv, "x0": x0}
+            e_sel = machine.load("home_eids")[sel]
             owner_u = dv["assignment"][pu]
-            owner_v = dv["assignment"][pv]
-            local = owner_u == owner_v
-            x0_sel = np.minimum(dv["ratio"][hu_g[both_high]], dv["ratio"][hv_g[both_high]])
+            local = owner_u == dv["assignment"][pv]
             for s in np.unique(owner_u[local]):
-                sel = local & (owner_u == s)
-                out.append(
-                    Message(
-                        w,
-                        1 + int(s),
-                        "subgraph",
-                        {
-                            "eids": e_sel[sel],
-                            "pu": pu[sel],
-                            "pv": pv[sel],
-                            "x0": x0_sel[sel],
-                        },
-                    )
-                )
+                mask = local & (owner_u == s)
+                payload = {"eids": e_sel[mask], "pu": pu[mask], "pv": pv[mask], "x0": x0[mask]}
+                out.append(Message(w, 1 + int(s), "subgraph", payload))
         inboxes = self.cluster.exchange(out)
 
         # -------------------------------------------------------------- #
         # Local simulation on each simulation machine (compute only).
+        # Threshold columns depend only on (seed, t): one sampler stands
+        # for every machine's regeneration from the shared seed.
         # -------------------------------------------------------------- #
+        sampler = ThresholdSampler(plan.threshold_seed, n_high, self.params.eps)
         freeze_parts: Dict[int, np.ndarray] = {}
         machine_edge_counts = np.zeros(m_sim, dtype=np.int64)
         trace_rows_y: List[np.ndarray] = [np.zeros(n_high) for _ in range(I)] if trace else []
@@ -214,43 +222,25 @@ class ClusterEngine:
         for s in range(m_sim):
             cluster_id = 1 + s
             msgs = inboxes.get(cluster_id, [])
-            if msgs:
-                eids = np.concatenate([mm.payload["eids"] for mm in msgs])
-                pu = np.concatenate([mm.payload["pu"] for mm in msgs])
-                pv = np.concatenate([mm.payload["pv"] for mm in msgs])
-                x0 = np.concatenate([mm.payload["x0"] for mm in msgs])
-                order = np.argsort(eids, kind="stable")
-                eids, pu, pv, x0 = eids[order], pu[order], pv[order], x0[order]
-            else:
-                eids = np.empty(0, np.int64)
-                pu = pv = np.empty(0, np.int64)
-                x0 = np.empty(0, np.float64)
+            sub = {
+                key: np.concatenate([mm.payload[key] for mm in msgs] + [np.empty(0, dtype)])
+                for key, dtype in _SUBGRAPH_FIELDS
+            }
+            order = np.argsort(sub["eids"], kind="stable")
+            sub = {key: col[order] for key, col in sub.items()}
             machine = self.cluster.machine(cluster_id)
-            machine.store("sim_subgraph", {"eids": eids, "pu": pu, "pv": pv, "x0": x0})
-            machine_edge_counts[s] = eids.size
+            machine.store("sim_subgraph", sub)
+            machine_edge_counts[s] = order.size
 
             dv = derived[cluster_id]
             mine = dv["assignment"] == s
-            wprime_high = dv["wprime"][dv["high_ids"]]
-            sampler = ThresholdSampler(plan.threshold_seed, n_high, self.params.eps)
-            x_loc = x0.copy()
-            active = mine.copy()
-            freeze_iter_mine = np.full(n_high, I, dtype=np.int64)
-            for t in range(I):
-                sums = np.bincount(pu, weights=x_loc, minlength=n_high) + np.bincount(
-                    pv, weights=x_loc, minlength=n_high
-                )
-                ytilde = self.params.bias(t, m_sim) * wprime_high + m_sim * sums
-                if trace:
-                    trace_rows_y[t][mine] = ytilde[mine]
-                    trace_rows_a[t][mine] = active[mine]
-                thresholds = sampler.column(t)
-                newly = active & (ytilde >= thresholds * wprime_high)
-                freeze_iter_mine[newly] = t
-                active &= ~newly
-                active_e = active[pu] & active[pv]
-                x_loc[active_e] *= growth
-            my_pos = np.nonzero(mine)[0].astype(np.int64)
+            freeze_iter_mine, rows_y, rows_a = local_iterations(
+                sub["pu"], sub["pv"], sub["x0"], mine, dv["wprime_high"], sampler,
+                self.params, m_sim, I, trace=trace,
+            )
+            for full, part in zip(trace_rows_y + trace_rows_a, rows_y + rows_a):
+                full[mine] = part[mine]
+            my_pos = np.flatnonzero(mine)
             pairs = np.empty(2 * my_pos.size, dtype=np.int64)
             pairs[0::2] = my_pos
             pairs[1::2] = freeze_iter_mine[my_pos]
@@ -280,55 +270,33 @@ class ClusterEngine:
         )
 
         # -------------------------------------------------------------- #
-        # Step E: workers finalize Line (2h) duals; aggregate dual loads.
+        # Step E: workers finalize Line (2h) duals on their step-B
+        # selection; aggregate dual loads.
         # -------------------------------------------------------------- #
-        x_high_full = np.zeros(plan.num_edges_high, dtype=np.float64)
         load_partials: Dict[int, np.ndarray] = {}
-        worker_ehigh: Dict[int, dict] = {}
         for w in worker_ids:
-            machine = self.cluster.machine(w)
-            hu_g = machine.load("home_u")
-            hv_g = machine.load("home_v")
-            eids = machine.load("home_eids")
-            dv = derived[w]
-            fz = freeze_down[w]
-            both_high = dv["is_high"][hu_g] & dv["is_high"][hv_g]
-            pu = dv["pos"][hu_g[both_high]]
-            pv = dv["pos"][hv_g[both_high]]
-            e_sel = eids[both_high]
-            x0_sel = np.minimum(dv["ratio"][hu_g[both_high]], dv["ratio"][hv_g[both_high]])
-            order = np.argsort(e_sel, kind="stable")
-            pu, pv, e_sel, x0_sel = pu[order], pv[order], e_sel[order], x0_sel[order]
-            tprime = np.minimum(fz[pu], fz[pv]) if e_sel.size else np.empty(0, np.int64)
-            x_high = x0_sel * growth ** tprime.astype(np.float64)
-            load = np.bincount(pu, weights=x_high, minlength=n_high) + np.bincount(
-                pv, weights=x_high, minlength=n_high
-            )
-            load_partials[w] = load
-            worker_ehigh[w] = {"eids": e_sel, "pu": pu, "pv": pv, "x_high": x_high}
-            # Out-of-band assembly of the global x_high (observational; the
-            # in-model data stays distributed on the workers).
-            if e_sel.size:
-                positions = np.searchsorted(plan.edges_high, e_sel)
-                x_high_full[positions] = x_high
+            sw = selection[w]
+            pu, pv = sw["pu"], sw["pv"]
+            x_high = final_duals(sw["x0"], freeze_down[w], pu, pv, growth)
+            sw["x_high"] = x_high
+            load_partials[w] = endpoint_sums(pu, pv, x_high, n_high)
         y_mpc = aggregate_sum(
             self.cluster, "loads", load_partials, root=0, fanout=fanouts["loads"]
         )
 
-        # Audit: tree-summed loads must agree with a direct summation.
-        direct = np.bincount(plan.hu, weights=x_high_full, minlength=n_high) + np.bincount(
-            plan.hv, weights=x_high_full, minlength=n_high
-        )
+        # The global x_high, for the outcome (observational; the in-model
+        # data stays distributed on the workers).  Audit: the tree-summed
+        # worker loads must agree with a direct summation of it.
+        x_high_full = final_duals(plan.x0, freeze_iter, plan.hu, plan.hv, growth)
+        direct = endpoint_sums(plan.hu, plan.hv, x_high_full, n_high)
         if not np.allclose(y_mpc, direct, rtol=1e-9, atol=1e-12):
             raise AssertionError("cluster engine: aggregated dual loads diverged from direct sums")
 
         # -------------------------------------------------------------- #
         # Step F: coordinator safety freeze; broadcast updated frozen mask.
         # -------------------------------------------------------------- #
-        coord_state = self.cluster.machine(0).load("phase_state")
         wprime_high = coord_state["wprime"][plan.high_ids]
-        active_after = freeze_iter == I
-        safety_frozen = active_after & (y_mpc >= wprime_high)
+        safety_frozen = (freeze_iter == I) & (y_mpc >= wprime_high)
         frozen_local = (freeze_iter < I) | safety_frozen
         frozen_mask_next = ~coord_state["nonfrozen"].astype(bool)
         frozen_mask_next[plan.high_ids[frozen_local]] = True
@@ -342,33 +310,27 @@ class ClusterEngine:
         )
 
         # -------------------------------------------------------------- #
-        # Step G: workers store finalized duals; aggregate state updates.
+        # Step G: workers store finalized duals for the newly frozen edges
+        # of their step-B selection; aggregate state updates.
         # -------------------------------------------------------------- #
         update_partials: Dict[int, np.ndarray] = {}
         for w in worker_ids:
             machine = self.cluster.machine(w)
             hu_g = machine.load("home_u")
             hv_g = machine.load("home_v")
-            eids = machine.load("home_eids")
             home_x = machine.load("home_x")
             fz_mask = mask_down[w].astype(bool)
-            we = worker_ehigh[w]
-            if we["eids"].size:
-                e_frozen = fz_mask[hu_g] | fz_mask[hv_g]
-                local_idx = np.searchsorted(eids, we["eids"])
-                now_frozen = e_frozen[local_idx] & (home_x[local_idx] == 0.0)
-                sel = local_idx[now_frozen]
-                home_x[sel] = we["x_high"][now_frozen]
-                machine.store("home_x", home_x)
             edge_frozen = fz_mask[hu_g] | fz_mask[hv_g]
+            sw = selection[w]
+            sel = sw["sel"]
+            if sel.size:
+                now_frozen = edge_frozen[sel] & (home_x[sel] == 0.0)
+                home_x[sel[now_frozen]] = sw["x_high"][now_frozen]
+                machine.store("home_x", home_x)
             stacked = np.zeros(2 * n, dtype=np.float64)
-            stacked[:n] = np.bincount(
-                hu_g, weights=home_x * edge_frozen, minlength=n
-            ) + np.bincount(hv_g, weights=home_x * edge_frozen, minlength=n)
+            stacked[:n] = endpoint_sums(hu_g, hv_g, home_x * edge_frozen, n)
             live = ~edge_frozen
-            stacked[n:] = np.bincount(hu_g[live], minlength=n) + np.bincount(
-                hv_g[live], minlength=n
-            )
+            stacked[n:] = endpoint_sums(hu_g[live], hv_g[live], None, n)
             update_partials[w] = stacked
         updates = aggregate_sum(
             self.cluster, "updates", update_partials, root=0, fanout=fanouts["updates"]

@@ -199,10 +199,6 @@ class MPCParameters:
             * float(num_machines) ** self.bias_machine_exponent
         )
 
-    def threshold_interval(self) -> tuple[float, float]:
-        """Support of the random thresholds: ``[1-4ε, 1-2ε]``."""
-        return (1.0 - 4.0 * self.eps, 1.0 - 2.0 * self.eps)
-
     def growth_factor(self) -> float:
         """Per-iteration dual growth ``1/(1-ε)``."""
         return 1.0 / (1.0 - self.eps)

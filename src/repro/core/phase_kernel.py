@@ -1,21 +1,24 @@
 """One compressed phase of Algorithm 2: planning, simulation, state update.
 
 The orchestrator (:mod:`repro.core.mpc_mwvc`) runs Algorithm 2 as a loop of
-phases.  Each phase is split into three stages so that the two execution
-engines can share everything except the communication layer:
+phases.  Each phase is split into three stages, and this module is the only
+home of their arithmetic; the two execution engines differ only in how the
+data reaches it:
 
 1. :func:`plan_phase` — the coordinator-side computation of Lines (2a)–(2f):
    average degree, the ``V^high`` / ``V^inactive`` split, residual weights,
    initial duals, machine count, iteration count, and the random partition.
-   Pure function of the global state and two integer seeds; both engines
-   call it identically.
-2. ``simulate`` — Lines (2g)–(2i): the per-machine local simulation plus the
-   edge-weight finalization and safety freeze.  The vectorized form lives
-   here (:func:`simulate_phase_vectorized`); the message-passing form lives
-   in :mod:`repro.core.engine_cluster`.  Both must produce bit-identical
-   :class:`PhaseOutcome` for the same :class:`PhasePlan` (this holds because
-   every floating-point reduction is per-vertex over that vertex's local
-   edges in global-edge-id order in both engines).
+   Pure function of the global state and two integer seeds.  The per-vertex
+   and per-edge parts (:func:`split_high`, :func:`high_edges`) are the ones
+   the cluster engine's workers re-derive from the broadcast state.
+2. ``simulate`` — Lines (2g)–(2i).  One loop, :func:`local_iterations`,
+   runs the local iterations: :func:`simulate_phase_vectorized` calls it
+   once over all local edges, and each simulation machine of
+   :mod:`repro.core.engine_cluster` calls it on the edges it received.
+   :func:`final_duals` is the Line (2h) finalization for both.  Both
+   engines produce bit-identical :class:`PhaseOutcome` for the same
+   :class:`PhasePlan` (every floating-point reduction is per-vertex over
+   that vertex's local edges in global-edge-id order in both).
 3. :func:`apply_outcome` — Lines (2h aftermath)–(2k): fold the outcome into
    the global state (frozen flags, finalized duals, residual degrees and
    weights).
@@ -31,7 +34,7 @@ same computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +43,11 @@ from repro.core.thresholds import ThresholdSampler
 from repro.graphs.graph import WeightedGraph
 from repro.mpc.partition import random_assignment
 
-__all__ = ["PhasePlan", "PhaseOutcome", "GlobalState", "plan_phase", "simulate_phase_vectorized", "apply_outcome"]
+__all__ = [
+    "PhasePlan", "PhaseOutcome", "GlobalState", "plan_phase", "simulate_phase_vectorized",
+    "apply_outcome", "split_high", "high_edges", "local_iterations", "final_duals",
+    "endpoint_sums",
+]
 
 #: Relative tolerance below which a residual weight counts as depleted.
 _DEPLETED_RTOL = 1e-12
@@ -154,6 +161,100 @@ class PhaseOutcome:
         return (self.freeze_iter < iterations) | self.safety_frozen
 
 
+def endpoint_sums(
+    pu: np.ndarray, pv: np.ndarray, x: Optional[np.ndarray], size: int
+) -> np.ndarray:
+    """Per-vertex sums of the edge values ``x`` (edge counts if ``None``)
+    over the edges ``(pu, pv)`` — a vertex's edges in their array order."""
+    return np.bincount(pu, weights=x, minlength=size) + np.bincount(
+        pv, weights=x, minlength=size
+    )
+
+
+def split_high(
+    nonfrozen: np.ndarray, resid_degree: np.ndarray, wprime: np.ndarray, cutoff: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lines (2a)–(2c) per vertex: ``(is_high, high_ids, pos, ratio)``.
+
+    ``pos`` maps a vertex to its index in the ascending ``high_ids``
+    (``-1`` outside ``V^high``); ``ratio`` is ``w'(v)/d(v)`` (``inf`` at
+    degree 0), whose smaller endpoint value is an edge's initial dual.
+    """
+    is_high = nonfrozen & (resid_degree >= cutoff)
+    high_ids = np.flatnonzero(is_high)
+    pos = np.full(is_high.size, -1, dtype=np.int64)
+    pos[high_ids] = np.arange(high_ids.size, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(resid_degree > 0, wprime / np.maximum(resid_degree, 1), np.inf)
+    return is_high, high_ids, pos, ratio
+
+
+def high_edges(
+    eu: np.ndarray, ev: np.ndarray, is_high: np.ndarray, pos: np.ndarray, ratio: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Line (2c) per edge: the ascending indices ``sel`` of the edges
+    ``(eu, ev)`` inside ``V^high``, their endpoints' ``V^high`` positions
+    ``pu``/``pv`` and initial duals ``x0``.  ``x0`` uses *residual* degrees
+    (Remark 4.2 — ``d(v)`` counts nonfrozen neighbors, not neighbors inside
+    ``V^high``)."""
+    sel = np.flatnonzero(is_high[eu] & is_high[ev])
+    su, sv = eu[sel], ev[sel]
+    return sel, pos[su], pos[sv], np.minimum(ratio[su], ratio[sv])
+
+
+def local_iterations(
+    lu: np.ndarray,
+    lv: np.ndarray,
+    x: np.ndarray,
+    active: np.ndarray,
+    wprime_high: np.ndarray,
+    sampler: ThresholdSampler,
+    params: MPCParameters,
+    num_machines: int,
+    iterations: int,
+    *,
+    trace: bool,
+) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
+    """Line (2g) over the local edges ``(lu, lv)`` with initial duals ``x``.
+
+    At iteration ``t`` the estimator uses the *current* duals of **all**
+    local edges (frozen edges contribute their frozen value), the
+    ``active`` vertices freeze against threshold column ``t``, then the
+    still-active edges grow by ``1/(1-ε)``.  The inputs are not modified.
+
+    Returns ``(freeze_iter, trace_ytilde, trace_active)``: each vertex's
+    freeze iteration (``iterations`` if it never froze) and, when tracing,
+    each iteration's estimates and active mask.
+    """
+    growth = params.growth_factor()
+    x = x.copy()
+    active = active.copy()
+    n_high = active.size
+    freeze_iter = np.full(n_high, iterations, dtype=np.int64)
+    trace_ytilde: List[np.ndarray] = []
+    trace_active: List[np.ndarray] = []
+    for t in range(iterations):
+        sums = endpoint_sums(lu, lv, x, n_high)
+        ytilde = params.bias(t, num_machines) * wprime_high + num_machines * sums
+        if trace:
+            trace_ytilde.append(ytilde)
+            trace_active.append(active.copy())
+        newly = active & (ytilde >= sampler.column(t) * wprime_high)
+        freeze_iter[newly] = t
+        active &= ~newly
+        x[active[lu] & active[lv]] *= growth
+    return freeze_iter, trace_ytilde, trace_active
+
+
+def final_duals(
+    x0: np.ndarray, freeze_iter: np.ndarray, pu: np.ndarray, pv: np.ndarray, growth: float
+) -> np.ndarray:
+    """Line (2h): ``x0 / (1-ε)^{t'}`` with ``t' = min(freeze_iter[u],
+    freeze_iter[v])`` for the ``E[V^high]`` edges ``(pu, pv)``."""
+    tprime = np.minimum(freeze_iter[pu], freeze_iter[pv])
+    return x0 * growth ** tprime.astype(np.float64)
+
+
 def plan_phase(
     graph: WeightedGraph,
     state: GlobalState,
@@ -168,12 +269,12 @@ def plan_phase(
 
     Deterministic given the two integer seeds; identical in both engines.
     """
-    n = graph.n
     avg_degree = state.average_residual_degree(graph)
     cutoff = params.high_degree_cutoff(avg_degree)
     nonfrozen = ~state.frozen
-    is_high = nonfrozen & (state.resid_degree >= cutoff)
-    high_ids = np.nonzero(is_high)[0].astype(np.int64)
+    is_high, high_ids, pos, ratio = split_high(
+        nonfrozen, state.resid_degree, state.wprime, cutoff
+    )
     num_inactive = int(nonfrozen.sum()) - int(high_ids.size)
 
     m_machines = params.num_machines(avg_degree)
@@ -184,27 +285,11 @@ def plan_phase(
     assignment = random_assignment(
         np.random.default_rng(partition_seed), high_ids.size, m_machines
     )
-
-    # Line (2c): initial duals on E[V^high] from residual weights and
-    # *residual* degrees (Remark 4.2 — d(v) counts nonfrozen neighbors, not
-    # neighbors inside V^high).
-    eu, ev = graph.edges_u, graph.edges_v
-    ehigh_mask = is_high[eu] & is_high[ev]
-    edges_high = np.nonzero(ehigh_mask)[0].astype(np.int64)
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[high_ids] = np.arange(high_ids.size, dtype=np.int64)
-    hu = pos[eu[edges_high]]
-    hv = pos[ev[edges_high]]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            state.resid_degree > 0, state.wprime / np.maximum(state.resid_degree, 1), np.inf
-        )
-    x0 = np.minimum(ratio[eu[edges_high]], ratio[ev[edges_high]])
+    edges_high, hu, hv, x0 = high_edges(graph.edges_u, graph.edges_v, is_high, pos, ratio)
 
     return PhasePlan(
         phase_index=phase_index,
-        n=n,
+        n=graph.n,
         avg_degree=avg_degree,
         cutoff=cutoff,
         high_ids=high_ids,
@@ -214,7 +299,7 @@ def plan_phase(
         partition_seed=int(partition_seed),
         threshold_seed=int(threshold_seed),
         assignment=assignment,
-        wprime_high=state.wprime[high_ids].copy(),
+        wprime_high=state.wprime[high_ids],
         edges_high=edges_high,
         hu=hu,
         hv=hv,
@@ -225,62 +310,34 @@ def plan_phase(
 def simulate_phase_vectorized(
     plan: PhasePlan, params: MPCParameters, *, trace: bool = False
 ) -> PhaseOutcome:
-    """Lines (2g)–(2i), all machines at once (see module docstring).
-
-    The per-iteration loop matches Algorithm 2 Line (2g) exactly:
-    at iteration ``t`` the estimator uses the *current* duals
-    ``x^MPC_{e,t}`` of **all** local edges (frozen edges contribute their
-    frozen value), freezing happens against threshold column ``t``, then
-    still-active local edges grow by ``1/(1-ε)``.
-    """
+    """Lines (2g)–(2i), all machines at once (see module docstring): one
+    :func:`local_iterations` over every local edge with every ``V^high``
+    vertex active."""
     n_high = plan.num_high
     I = plan.iterations
-    m = plan.num_machines
-    growth = params.growth_factor()
+    au = plan.assignment[plan.hu]
+    is_local = au == plan.assignment[plan.hv]
+    machine_edge_counts = np.bincount(au[is_local], minlength=plan.num_machines)
 
-    au = plan.assignment[plan.hu] if plan.num_edges_high else np.empty(0, np.int64)
-    av = plan.assignment[plan.hv] if plan.num_edges_high else np.empty(0, np.int64)
-    is_local = au == av
-    lu = plan.hu[is_local]
-    lv = plan.hv[is_local]
-    x_loc = plan.x0[is_local].copy()
-    owner = au[is_local]
-    machine_edge_counts = np.bincount(owner, minlength=m).astype(np.int64)
-
-    sampler = ThresholdSampler(plan.threshold_seed, n_high, params.eps)
-    freeze_iter = np.full(n_high, I, dtype=np.int64)
-    active_v = np.ones(n_high, dtype=bool)
-    outcome_trace_y: List[np.ndarray] = []
-    outcome_trace_active: List[np.ndarray] = []
-
-    for t in range(I):
-        sums = np.bincount(lu, weights=x_loc, minlength=n_high) + np.bincount(
-            lv, weights=x_loc, minlength=n_high
-        )
-        ytilde = params.bias(t, m) * plan.wprime_high + m * sums
-        if trace:
-            outcome_trace_y.append(ytilde)
-            outcome_trace_active.append(active_v.copy())
-        thresholds = sampler.column(t)
-        newly = active_v & (ytilde >= thresholds * plan.wprime_high)
-        freeze_iter[newly] = t
-        active_v &= ~newly
-        active_e = active_v[lu] & active_v[lv]
-        x_loc[active_e] *= growth
+    freeze_iter, trace_ytilde, trace_active = local_iterations(
+        plan.hu[is_local],
+        plan.hv[is_local],
+        plan.x0[is_local],
+        np.ones(n_high, dtype=bool),
+        plan.wprime_high,
+        ThresholdSampler(plan.threshold_seed, n_high, params.eps),
+        params,
+        plan.num_machines,
+        I,
+        trace=trace,
+    )
 
     # Line (2h): finalize duals for every E[V^high] edge, local or cross.
-    tprime = (
-        np.minimum(freeze_iter[plan.hu], freeze_iter[plan.hv])
-        if plan.num_edges_high
-        else np.empty(0, np.int64)
-    )
-    x_high = plan.x0 * growth ** tprime.astype(np.float64)
+    x_high = final_duals(plan.x0, freeze_iter, plan.hu, plan.hv, params.growth_factor())
 
     # Line (2i): safety freeze against the true (non-sampled) dual load.
-    y_mpc = np.bincount(plan.hu, weights=x_high, minlength=n_high) + np.bincount(
-        plan.hv, weights=x_high, minlength=n_high
-    )
-    safety_frozen = active_v & (y_mpc >= plan.wprime_high)
+    y_mpc = endpoint_sums(plan.hu, plan.hv, x_high, n_high)
+    safety_frozen = (freeze_iter == I) & (y_mpc >= plan.wprime_high)
 
     return PhaseOutcome(
         freeze_iter=freeze_iter,
@@ -288,8 +345,8 @@ def simulate_phase_vectorized(
         y_mpc=y_mpc,
         safety_frozen=safety_frozen,
         machine_edge_counts=machine_edge_counts,
-        trace_ytilde=outcome_trace_y,
-        trace_active=outcome_trace_active,
+        trace_ytilde=trace_ytilde,
+        trace_active=trace_active,
     )
 
 

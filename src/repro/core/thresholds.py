@@ -8,11 +8,12 @@ threshold happens to land inside the (small) error window, which occurs with
 probability ``error / (2ε·w'(v))`` (Lemma 4.8).
 
 :class:`ThresholdSampler` materializes columns lazily and deterministically:
-``column(t)`` depends only on ``(seed, t)``, so the centralized run, the
-vectorized engine, and the cluster engine — and machines *within* the cluster
-engine, which regenerate thresholds from the shared seed instead of shipping
-them (the paper notes thresholds need not be stored) — all see identical
-draws.
+``column(t)`` depends only on ``(seed, t)``, so the centralized run and both
+MPC engines see identical draws.  In the model, every simulation machine
+regenerates the thresholds from the shared seed instead of receiving them
+(the paper notes thresholds need not be stored); since a column depends on
+nothing else, one sampler per phase stands for every machine's
+regeneration.
 """
 
 from __future__ import annotations
@@ -63,37 +64,3 @@ class ThresholdSampler:
             col.setflags(write=False)
             self._cache[t] = col
         return self._cache[t]
-
-    def matrix(self, num_iterations: int) -> np.ndarray:
-        """Dense ``(num_vertices, num_iterations)`` threshold matrix."""
-        if num_iterations < 0:
-            raise ValueError("num_iterations must be >= 0")
-        if self.num_vertices == 0 or num_iterations == 0:
-            return np.empty((self.num_vertices, num_iterations))
-        return np.stack([self.column(t) for t in range(num_iterations)], axis=1)
-
-    def restricted(self, vertex_ids: np.ndarray) -> "_RestrictedSampler":
-        """A view of this sampler limited to ``vertex_ids`` (used by cluster
-        machines, which each simulate a subset of the vertices but must see
-        the globally consistent draws)."""
-        return _RestrictedSampler(self, np.asarray(vertex_ids, dtype=np.int64))
-
-
-class _RestrictedSampler:
-    """Row-restricted view over a :class:`ThresholdSampler`."""
-
-    def __init__(self, base: ThresholdSampler, vertex_ids: np.ndarray):
-        if vertex_ids.size and (
-            vertex_ids.min() < 0 or vertex_ids.max() >= base.num_vertices
-        ):
-            raise ValueError("vertex ids out of range for threshold sampler")
-        self._base = base
-        self._ids = vertex_ids
-        self.eps = base.eps
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self._ids.size)
-
-    def column(self, t: int) -> np.ndarray:
-        return self._base.column(t)[self._ids]

@@ -292,7 +292,10 @@ class IncrementalCoverMaintainer:
 
     def drift(self) -> float:
         """Relative certificate degradation since the last :meth:`adopt`."""
-        ratio = self.certified_ratio()
+        return self._drift(self.certified_ratio())
+
+    def _drift(self, ratio: float) -> float:
+        """:meth:`drift` of a certified ratio of the current state."""
         base = self._base_ratio
         if base is None or not np.isfinite(base) or base <= 0:
             return 0.0 if np.isfinite(ratio) else float("inf")
@@ -395,7 +398,7 @@ class IncrementalCoverMaintainer:
             pruned_from_cover=pruned,
             retired_dual=retired,
             certificate=cert,
-            drift=self.drift(),
+            drift=self._drift(cert.certified_ratio),
         )
         watch.lap("certificate_s")
         self.last_batch_profile = watch.seconds

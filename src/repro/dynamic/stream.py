@@ -68,6 +68,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.certificates import CoverCertificate
 from repro.dynamic.checkpoint import (
     CheckpointCorruptionError,
     CheckpointError,
@@ -420,8 +421,9 @@ class _StreamEngine:
         }
 
     # -- the solve path -------------------------------------------------- #
-    def resolve(self) -> bool:
-        """Full re-solve through the service; returns cache-hit flag."""
+    def resolve(self) -> Tuple[bool, CoverCertificate]:
+        """Full re-solve through the service; returns the cache-hit flag
+        and the adopted state's certificate."""
         self.watch.lap("other_s")
         graph = self.maintainer.dyn.compact()
         request = SolveRequest(
@@ -430,11 +432,11 @@ class _StreamEngine:
         result = self.solver.solve(request)
         if not result.ok or result.result is None:
             raise RuntimeError(f"re-solve failed: {result.error}")
-        self.maintainer.adopt(result.result, graph=graph)
+        cert = self.maintainer.adopt(result.result, graph=graph)
         self.num_resolves += 1
         self.cache_hits += int(result.cache_hit)
         self.watch.lap("resolve_s")
-        return result.cache_hit
+        return result.cache_hit, cert
 
     # -- durability ------------------------------------------------------ #
     def write_snapshot(self) -> None:
@@ -479,15 +481,15 @@ class _StreamEngine:
             batches_since_resolve=self.batches_since,
         )
         hit = False
+        cert = report.certificate
         if decision:
-            hit = self.resolve()
+            hit, cert = self.resolve()
             self.batches_since = 0
         if self.verify_every and (index + 1) % self.verify_every == 0:
             if not self.maintainer.verify():  # pragma: no cover - invariant guard
                 raise RuntimeError(
                     f"invalid cover after batch {index} — maintainer bug"
                 )
-        ratio_after = self.maintainer.certified_ratio()
         watch.lap("other_s")
         record = StreamRecord(
             batch_index=index,
@@ -495,7 +497,7 @@ class _StreamEngine:
             resolved=bool(decision),
             resolve_reason=decision.reason,
             resolve_cache_hit=hit,
-            certified_ratio_after=ratio_after,
+            certified_ratio_after=cert.certified_ratio,
             elapsed_s=watch.total - started,
             kernel_profile=self.maintainer.last_batch_profile if self.profile else None,
         )

@@ -76,7 +76,7 @@ PAPER_MAP: Dict[str, List[str]] = {
         "repro.core.orientation.orientation_report",
     ],
     "V^high / V^inactive split": [
-        "repro.core.phase_kernel.plan_phase",
+        "repro.core.phase_kernel.split_high",
     ],
     "one-sided bias estimator": [
         "repro.core.params.MPCParameters.bias",
@@ -86,13 +86,13 @@ PAPER_MAP: Dict[str, List[str]] = {
         "repro.core.mpc_mwvc.minimum_weight_vertex_cover",
     ],
     "Algorithm 2 Line (2a) (high/inactive split)": [
-        "repro.core.phase_kernel.plan_phase",
+        "repro.core.phase_kernel.split_high",
     ],
     "Algorithm 2 Line (2b) (residual weights)": [
         "repro.core.phase_kernel.GlobalState",
     ],
     "Algorithm 2 Line (2c) (initial duals on E[V^high])": [
-        "repro.core.phase_kernel.plan_phase",
+        "repro.core.phase_kernel.high_edges",
     ],
     "Algorithm 2 Line (2e) (m = √d̄, iterations I)": [
         "repro.core.params.MPCParameters.num_machines",
@@ -102,11 +102,12 @@ PAPER_MAP: Dict[str, List[str]] = {
         "repro.mpc.partition.random_assignment",
     ],
     "Algorithm 2 Line (2g) (local simulation)": [
+        "repro.core.phase_kernel.local_iterations",
         "repro.core.phase_kernel.simulate_phase_vectorized",
         "repro.core.engine_cluster.ClusterEngine.run_phase",
     ],
     "Algorithm 2 Line (2h) (dual finalization x0/(1-ε)^t')": [
-        "repro.core.phase_kernel.simulate_phase_vectorized",
+        "repro.core.phase_kernel.final_duals",
     ],
     "Algorithm 2 Line (2i) (safety freeze y ≥ w')": [
         "repro.core.phase_kernel.simulate_phase_vectorized",
@@ -121,7 +122,7 @@ PAPER_MAP: Dict[str, List[str]] = {
         "repro.core.mpc_mwvc.minimum_weight_vertex_cover",
     ],
     "Remark 4.2 (residual degrees, not V^high degrees)": [
-        "repro.core.phase_kernel.plan_phase",
+        "repro.core.phase_kernel.high_edges",
     ],
     # ----- Section 4: analysis → experiments --------------------------------
     "Theorem 1.1 / Theorem 4.5 (O(log log d̄) rounds)": [

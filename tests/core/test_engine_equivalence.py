@@ -23,7 +23,7 @@ class TestEngineEquivalence:
         g = g.with_weights(uniform_weights(g.n, seed=seed + 100))
         rv, rc = _pair(g, seed=seed, eps=0.1)
         assert np.array_equal(rv.in_cover, rc.in_cover)
-        assert np.allclose(rv.x, rc.x, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(rv.x, rc.x)
 
     def test_identical_on_power_law(self):
         g = power_law(400, seed=5)
@@ -60,6 +60,19 @@ class TestEngineEquivalence:
         rc = minimum_weight_vertex_cover(g, seed=13, engine="cluster")
         assert rc.verify(g)
 
+    def test_protocol_traffic_pinned(self):
+        """The cluster protocol's rounds and traffic on one fixed graph:
+        a refactor of the engine must leave its messages unchanged."""
+        g = gnp_average_degree(400, 30.0, seed=13)
+        rc = minimum_weight_vertex_cover(g, seed=13, engine="cluster")
+        assert rc.mpc_rounds == 24
+        metrics = rc.cluster_metrics
+        assert metrics["total_messages"] == 345
+        assert metrics["total_words"] == 107696
+        assert metrics["max_sent_words"] == 6400
+        assert metrics["max_received_words"] == 5600
+        assert metrics["memory_high_water"] == 2404
+
     def test_trace_equivalence(self):
         g = gnp_average_degree(300, 24.0, seed=14)
         rv = minimum_weight_vertex_cover(
@@ -71,7 +84,10 @@ class TestEngineEquivalence:
         assert len(rv.traces) == len(rc.traces)
         for (pv, ov), (pc, oc) in zip(rv.traces, rc.traces):
             assert np.array_equal(ov.freeze_iter, oc.freeze_iter)
-            assert np.allclose(ov.x_high, oc.x_high, rtol=1e-12)
+            assert np.array_equal(ov.x_high, oc.x_high)
             assert np.array_equal(ov.safety_frozen, oc.safety_frozen)
+            assert len(ov.trace_ytilde) == len(oc.trace_ytilde)
             for tv, tc in zip(ov.trace_ytilde, oc.trace_ytilde):
-                assert np.allclose(tv, tc, rtol=1e-12)
+                assert np.array_equal(tv, tc)
+            for av, ac in zip(ov.trace_active, oc.trace_active):
+                assert np.array_equal(av, ac)

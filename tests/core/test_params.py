@@ -99,11 +99,6 @@ class TestDerived:
         p = MPCParameters(bias_coeff=0.0)
         assert p.bias(3, 10) == 0.0
 
-    def test_threshold_interval(self):
-        lo, hi = MPCParameters(eps=0.1).threshold_interval()
-        assert lo == pytest.approx(0.6)
-        assert hi == pytest.approx(0.8)
-
     def test_growth_factor(self):
         assert MPCParameters(eps=0.2).growth_factor() == pytest.approx(1.25)
 

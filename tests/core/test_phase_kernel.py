@@ -7,9 +7,11 @@ from repro.core.params import MPCParameters
 from repro.core.phase_kernel import (
     GlobalState,
     apply_outcome,
+    local_iterations,
     plan_phase,
     simulate_phase_vectorized,
 )
+from repro.core.thresholds import ThresholdSampler
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.weights import uniform_weights
 
@@ -160,6 +162,37 @@ class TestSimulate:
         b = simulate_phase_vectorized(plan, params)
         assert np.array_equal(a.freeze_iter, b.freeze_iter)
         assert np.array_equal(a.x_high, b.x_high)
+
+
+class TestLocalIterations:
+    def test_machines_one_at_a_time_equal_all_at_once(self, setup):
+        """The union over machines is disjoint: each machine's run on its
+        own local edges and vertices reproduces the all-machine run."""
+        _, params, _, plan = setup
+        owner = plan.assignment[plan.hu]
+        local = owner == plan.assignment[plan.hv]
+        sampler = ThresholdSampler(plan.threshold_seed, plan.num_high, params.eps)
+        args = (sampler, params, plan.num_machines, plan.iterations)
+        x0 = plan.x0[local]
+        every = np.ones(plan.num_high, dtype=bool)
+        whole, ys, actives = local_iterations(
+            plan.hu[local], plan.hv[local], x0, every, plan.wprime_high, *args, trace=True
+        )
+        assert plan.iterations > 1 and (whole < plan.iterations).any()
+        for s in range(plan.num_machines):
+            mine = plan.assignment == s
+            on_s = owner[local] == s
+            part, ys_s, actives_s = local_iterations(
+                plan.hu[local][on_s], plan.hv[local][on_s], x0[on_s], mine,
+                plan.wprime_high, *args, trace=True,
+            )
+            assert np.array_equal(part[mine], whole[mine])
+            assert (part[~mine] == plan.iterations).all()
+            for y, y_s, a, a_s in zip(ys, ys_s, actives, actives_s):
+                assert np.array_equal(y_s[mine], y[mine])
+                assert np.array_equal(a_s, a & mine)
+        # The inputs are not modified.
+        assert np.array_equal(x0, plan.x0[local]) and every.all()
 
 
 class TestApplyOutcome:

@@ -33,16 +33,6 @@ class TestThresholdSampler:
         with pytest.raises(ValueError):
             s.column(0)[0] = 0.5
 
-    def test_matrix(self):
-        s = ThresholdSampler(1, 10, eps=0.1)
-        mat = s.matrix(4)
-        assert mat.shape == (10, 4)
-        assert np.array_equal(mat[:, 2], s.column(2))
-
-    def test_matrix_empty(self):
-        assert ThresholdSampler(1, 0, eps=0.1).matrix(3).shape == (0, 3)
-        assert ThresholdSampler(1, 5, eps=0.1).matrix(0).shape == (5, 0)
-
     def test_negative_iteration_rejected(self):
         with pytest.raises(ValueError):
             ThresholdSampler(1, 10, eps=0.1).column(-1)
@@ -50,14 +40,3 @@ class TestThresholdSampler:
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
             ThresholdSampler(1, 10, eps=0.6)
-
-    def test_restricted_view(self):
-        s = ThresholdSampler(3, 20, eps=0.1)
-        r = s.restricted(np.array([4, 7, 19]))
-        assert r.num_vertices == 3
-        assert np.array_equal(r.column(1), s.column(1)[[4, 7, 19]])
-
-    def test_restricted_out_of_range(self):
-        s = ThresholdSampler(3, 20, eps=0.1)
-        with pytest.raises(ValueError):
-            s.restricted(np.array([25]))

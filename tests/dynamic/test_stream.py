@@ -141,6 +141,35 @@ class TestRunStream:
         assert second.num_resolve_cache_hits == second.num_resolves
         assert second.final_cover_weight == pytest.approx(first.final_cover_weight)
 
+    def test_one_certificate_per_maintained_state(self, monkeypatch):
+        """One certificate per batch, one per adoption and one for the
+        summary: a batch's report serves its drift, the policy and
+        ``certified_ratio_after``, and a re-solve's adoption replaces it."""
+        import repro.dynamic.maintainer as maintainer_mod
+
+        calls = []
+        certificate_from_state = maintainer_mod.certificate_from_state
+
+        def counting(**kwargs):
+            calls.append(1)
+            return certificate_from_state(**kwargs)
+
+        monkeypatch.setattr(maintainer_mod, "certificate_from_state", counting)
+        graph = _workload(n=120, seed=9)
+        updates = _mixed_updates(graph.n, 100, seed=11)
+        summary = run_stream(
+            graph, updates, batch_size=10, policy=ResolvePolicy(max_drift=0.05),
+            eps=EPS, seed=5, verify_every=1,
+        )
+        resolved = [r.resolved for r in summary.records]
+        assert summary.num_batches == 10 and any(resolved) and not all(resolved)
+        # num_resolves counts the initial solve's adoption too.
+        assert len(calls) == summary.num_batches + summary.num_resolves + 1
+        for record in summary.records:
+            if not record.resolved:
+                assert record.certified_ratio_after == record.report.certificate.certified_ratio
+        assert summary.records[-1].certified_ratio_after == summary.final_certified_ratio
+
     def test_record_summaries_are_json_friendly(self):
         import json
 

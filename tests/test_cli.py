@@ -56,6 +56,16 @@ class TestSolve:
         ids = np.loadtxt(out, dtype=np.int64)
         assert ids.size > 0
 
+    def test_cover_out_keeps_json_stdout(self, tmp_path, capsys):
+        out = tmp_path / "cover.txt"
+        rc = main(["solve", "--family", "gnp", "--n", "100", "--degree", "6",
+                   "--seed", "6", "--json", "--cover-out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert data["cover_size"] == np.loadtxt(out, dtype=np.int64).size
+        assert str(out) in captured.err
+
     def test_cluster_engine(self, capsys):
         rc = main(["solve", "--family", "gnp", "--n", "120", "--degree", "8",
                    "--seed", "7", "--engine", "cluster", "--json"])
