@@ -7,9 +7,11 @@ from repro.core.params import MPCParameters
 from repro.core.phase_kernel import (
     GlobalState,
     apply_outcome,
+    final_duals,
     local_iterations,
     plan_phase,
     simulate_phase_vectorized,
+    split_high,
 )
 from repro.core.thresholds import ThresholdSampler
 from repro.graphs.generators import gnp_average_degree
@@ -162,6 +164,34 @@ class TestSimulate:
         b = simulate_phase_vectorized(plan, params)
         assert np.array_equal(a.freeze_iter, b.freeze_iter)
         assert np.array_equal(a.x_high, b.x_high)
+
+
+class TestSplitHigh:
+    def test_frozen_and_low_vertices_excluded(self):
+        """Lines (2a)–(2b): V^high is the nonfrozen vertices at or above the
+        cutoff; ``pos`` indexes the ascending ids, ``-1`` elsewhere."""
+        nonfrozen = np.array([True, False, True, True, True])
+        resid = np.array([5, 9, 0, 2, 3])
+        wprime = np.array([10.0, 4.0, 3.0, 8.0, 6.0])
+        is_high, high_ids, pos, ratio = split_high(nonfrozen, resid, wprime, 3.0)
+        assert np.array_equal(is_high, [True, False, False, False, True])
+        assert np.array_equal(high_ids, [0, 4])
+        assert np.array_equal(pos, [0, -1, -1, -1, 1])
+        assert np.array_equal(ratio, [2.0, 4.0 / 9.0, np.inf, 4.0, 2.0])
+
+
+class TestFinalDuals:
+    def test_growth_by_earlier_endpoint_freeze(self):
+        """Line (2h): an edge grows until its first endpoint freezes; an
+        edge whose endpoints never froze grows every iteration."""
+        growth = 1 / (1 - 0.1)
+        freeze_iter = np.array([0, 2, 5, 5])  # 5 == iterations: never froze
+        pu = np.array([0, 1, 2, 1])
+        pv = np.array([1, 2, 3, 3])
+        x0 = np.array([1.0, 2.0, 0.5, 4.0])
+        x = final_duals(x0, freeze_iter, pu, pv, growth)
+        assert np.array_equal(x, x0 * growth ** np.array([0.0, 2.0, 5.0, 2.0]))
+        assert x[0] == x0[0]
 
 
 class TestLocalIterations:
