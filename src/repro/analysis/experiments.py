@@ -31,9 +31,10 @@ from repro.core.orientation import orientation_report
 from repro.core.params import MPCParameters
 from repro.core.phase_kernel import GlobalState
 from repro.core.thresholds import ThresholdSampler
-from repro.graphs.generators import gnp_average_degree, power_law
+from repro.graphs.generators import gnp_average_degree
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import make_weights
+from repro.service.manifest import generate_graph
 
 __all__ = [
     "make_workload",
@@ -54,13 +55,12 @@ __all__ = [
 def make_workload(
     family: str, n: int, avg_degree: float, weight_model: str, seed: int
 ) -> WeightedGraph:
-    """Standard experiment workload: topology family × weight model."""
-    if family == "gnp":
-        g = gnp_average_degree(n, avg_degree, seed=seed)
-    elif family == "power_law":
-        g = power_law(n, exponent=2.5, min_degree=max(1, int(avg_degree / 4)), seed=seed)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    """Standard experiment workload: topology family × weight model.
+
+    The topology comes from :func:`repro.service.manifest.generate_graph`,
+    the one family-to-graph mapping ``repro solve`` and manifests use too.
+    """
+    g = generate_graph(family, n=n, degree=avg_degree, seed=seed)
     return g.with_weights(make_weights(weight_model, g, seed=seed + 1))
 
 

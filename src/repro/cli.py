@@ -415,8 +415,8 @@ def _cmd_resume(args) -> int:
         except (OSError, ValueError) as exc:
             raise SystemExit(f"bad update stream: {exc}")
 
-    # Fail on a missing, unsupported or sharded checkpoint before any
-    # solver is started.
+    # Fail on a missing or unsupported checkpoint before any solver is
+    # started.
     _read_stream_config(args.checkpoint_dir)
 
     try:
@@ -651,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--updates", default=None,
         help="override the stored update stream (default: the checkpoint's "
-        "updates.npz, or updates.jsonl in older checkpoints)",
+        "updates.npz)",
     )
     resume.add_argument(
         "--workers", type=int, default=0,

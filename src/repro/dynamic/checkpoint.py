@@ -15,26 +15,25 @@ mid-stream:
   cooldown, re-solve tally).
 
 The container is an NPZ archive (arrays stay binary, ``np.load`` reads it;
-the header is one JSON string member), gzip-wrapped when the path ends in
-``.gz``.  Format version 3, which this build writes, stores the edges as two
-``int32`` arrays in canonical order — ``edge_row_deltas`` (the step of the
-lower endpoint from the previous edge, mostly 0) and ``edge_cols`` (the
-upper endpoint) — taken straight from the graph's sorted edge codes, so a
-save never materializes a :class:`~repro.graphs.WeightedGraph`.  Members
-are deflated at level 1, except weights and loads, which barely deflate
-and are stored.  The duals
+the header is one JSON string member).  Format version 3, the only one
+this build writes or reads, stores the edges as two ``int32`` arrays in
+canonical order — ``edge_row_deltas`` (the step of the lower endpoint from
+the previous edge, mostly 0) and ``edge_cols`` (the upper endpoint) — taken
+straight from the graph's sorted edge codes, so a save never materializes
+a :class:`~repro.graphs.WeightedGraph`.  Members are deflated at level 1,
+except weights and loads, which barely deflate and are stored.  The duals
 are the flat ``dual_codes`` array (the ``(u << 32) | v`` encoding of
 :mod:`repro.dynamic.duals`) plus values, as the
-:class:`~repro.dynamic.duals.DualStore` exports them.  Versions 1 (int64
-``edges_u``/``edges_v``, two-column ``dual_keys``) and 2 (int64 edges,
-``dual_codes``) keep loading through :func:`load_snapshot`.
+:class:`~repro.dynamic.duals.DualStore` exports them.
 Two integrity layers make restores trustworthy:
 
 1. a **content digest** over the header + every array, recomputed on load
    (bit rot, torn copies, and hand-edits raise
    :class:`CheckpointCorruptionError` instead of restoring a wrong cover);
-2. a **format version** gate — a snapshot from a future format fails with
-   :class:`CheckpointVersionError` naming both versions.
+2. a **format version** gate — a snapshot of any other format (an older
+   build's version 1 or 2, or a future one) fails with
+   :class:`CheckpointVersionError` naming its version; finish such a
+   stream with the build that wrote it.
 
 Writes are atomic (temp file + rename, fsync'd), so a crash mid-snapshot
 leaves the previous snapshot intact; see
@@ -44,19 +43,17 @@ leaves the previous snapshot intact; see
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import io
 import json
 import os
 import zipfile
-import zlib
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
+from repro.dynamic.duals import decode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.maintainer import IncrementalCoverMaintainer
 from repro.graphs.graph import WeightedGraph, graph_content_digest
@@ -70,7 +67,6 @@ __all__ = [
     "RestoredState",
     "save_snapshot",
     "load_snapshot",
-    "snapshot_meta",
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -79,29 +75,8 @@ CHECKPOINT_FORMAT_VERSION = 3
 
 _MAGIC = "repro-dynamic-snapshot"
 
-#: Array members of the archive by format version, in digest order.
-#: Version 2 replaced the two-column ``dual_keys`` with the flat encoded
-#: ``dual_codes`` (see :mod:`repro.dynamic.duals`); version 3 replaced the
-#: int64 endpoint arrays with int32 row deltas and columns.
-_ARRAY_FIELDS_V1 = (
-    "edges_u",
-    "edges_v",
-    "weights",
-    "cover",
-    "loads",
-    "dual_keys",
-    "dual_values",
-)
-_ARRAY_FIELDS_V2 = (
-    "edges_u",
-    "edges_v",
-    "weights",
-    "cover",
-    "loads",
-    "dual_codes",
-    "dual_values",
-)
-_ARRAY_FIELDS_V3 = (
+#: Array members of the archive, in digest order.
+_ARRAY_FIELDS = (
     "edge_row_deltas",
     "edge_cols",
     "weights",
@@ -110,11 +85,6 @@ _ARRAY_FIELDS_V3 = (
     "dual_codes",
     "dual_values",
 )
-_ARRAY_FIELDS_BY_VERSION = {
-    1: _ARRAY_FIELDS_V1,
-    2: _ARRAY_FIELDS_V2,
-    3: _ARRAY_FIELDS_V3,
-}
 
 
 class CheckpointError(Exception):
@@ -150,16 +120,8 @@ class RestoredState:
     meta: dict
 
 
-def _digest(meta_sans_digest: dict, arrays: dict, fields=None) -> str:
-    """SHA-256 over the canonical header and every array's raw bytes.
-
-    ``fields`` defaults to the array list of the header's format version,
-    so version-1 files verify against the exact byte stream they were
-    stamped with.
-    """
-    if fields is None:
-        version = meta_sans_digest.get("format_version", CHECKPOINT_FORMAT_VERSION)
-        fields = _ARRAY_FIELDS_BY_VERSION.get(version, _ARRAY_FIELDS_V3)
+def _digest(meta_sans_digest: dict, arrays: dict) -> str:
+    """SHA-256 over the canonical header and every array's raw bytes."""
     h = hashlib.sha256()
     h.update(_MAGIC.encode("ascii"))
     h.update(
@@ -167,23 +129,12 @@ def _digest(meta_sans_digest: dict, arrays: dict, fields=None) -> str:
             "utf-8"
         )
     )
-    for name in fields:
+    for name in _ARRAY_FIELDS:
         arr = arrays[name]
         h.update(name.encode("ascii"))
         h.update(str(arr.dtype).encode("ascii"))
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
-
-
-def snapshot_meta(path: PathLike) -> dict:
-    """A snapshot's verified metadata header (no object reconstruction).
-
-    Cheap relative to :func:`load_snapshot` — integrity is checked but no
-    graph or maintainer is rebuilt.  Used by maintenance commands
-    (``repro wal-compact``) that only need the stream position stored in
-    ``meta["extra"]``.
-    """
-    return _read(path).meta
 
 
 #: Members written stored while the rest are deflated: float64 vertex
@@ -248,14 +199,12 @@ def save_snapshot(
         "batches_applied": state["batches_applied"],
         "extra": dict(extra or {}),
     }
-    digest = _digest(meta, arrays, _ARRAY_FIELDS_V3)
+    digest = _digest(meta, arrays)
     meta["content_digest"] = digest
 
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
     members = {"meta_json": np.frombuffer(header, dtype=np.uint8), **arrays}
     data = _npz_bytes(members)
-    if str(path).endswith(".gz"):
-        data = gzip.compress(data)
     try:
         write_bytes_atomic(path, data, fsync=fsync)
     except OSError as exc:
@@ -263,13 +212,7 @@ def save_snapshot(
     return digest
 
 
-@dataclass(frozen=True)
-class _RawSnapshot:
-    meta: dict
-    arrays: dict
-
-
-def _read(path: PathLike) -> _RawSnapshot:
+def _read(path: PathLike) -> Tuple[dict, dict]:
     """Read + integrity-check a snapshot file; no object reconstruction."""
     name = os.fspath(path)
     try:
@@ -279,13 +222,6 @@ def _read(path: PathLike) -> _RawSnapshot:
         raise CheckpointError(f"snapshot file not found: {name}") from None
     except OSError as exc:
         raise CheckpointError(f"cannot read snapshot {name}: {exc}") from exc
-    if str(path).endswith(".gz"):
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise CheckpointCorruptionError(
-                f"snapshot {name}: gzip layer is damaged ({exc})"
-            ) from exc
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as archive:
             if "meta_json" not in archive:
@@ -298,20 +234,19 @@ def _read(path: PathLike) -> _RawSnapshot:
                     f"snapshot {name}: not a {_MAGIC} file"
                 )
             version = meta.get("format_version")
-            fields = _ARRAY_FIELDS_BY_VERSION.get(version)
-            if fields is None:
+            if version != CHECKPOINT_FORMAT_VERSION:
                 raise CheckpointVersionError(
                     f"snapshot {name}: format version {version!r} is not "
-                    f"supported (this build reads versions "
-                    f"{sorted(_ARRAY_FIELDS_BY_VERSION)}); re-create the "
-                    f"checkpoint with a matching build"
+                    f"supported (this build reads version "
+                    f"{CHECKPOINT_FORMAT_VERSION} only); finish the stream "
+                    f"with the build that wrote it"
                 )
-            missing = [f for f in fields if f not in archive]
+            missing = [f for f in _ARRAY_FIELDS if f not in archive]
             if missing:
                 raise CheckpointCorruptionError(
                     f"snapshot {name}: missing array members {missing}"
                 )
-            arrays = {f: archive[f] for f in fields}
+            arrays = {f: archive[f] for f in _ARRAY_FIELDS}
     except CheckpointError:
         raise
     except Exception as exc:  # zipfile/zlib/json damage comes in many shapes
@@ -322,14 +257,14 @@ def _read(path: PathLike) -> _RawSnapshot:
     stored = meta.get("content_digest")
     check = dict(meta)
     check.pop("content_digest", None)
-    computed = _digest(check, arrays, fields)
+    computed = _digest(check, arrays)
     if stored != computed:
         raise CheckpointCorruptionError(
             f"snapshot {name}: content digest mismatch (stored "
             f"{str(stored)[:12]}…, computed {computed[:12]}…) — the file is "
             f"corrupt; restore from an older snapshot or replay the full WAL"
         )
-    return _RawSnapshot(meta=meta, arrays=arrays)
+    return meta, arrays
 
 
 def load_snapshot(path: PathLike) -> RestoredState:
@@ -345,13 +280,9 @@ def load_snapshot(path: PathLike) -> RestoredState:
     CheckpointVersionError
         A format version this build cannot read.
     """
-    raw = _read(path)
-    meta, arrays = raw.meta, raw.arrays
-    if "edge_cols" in arrays:
-        edges_u = np.cumsum(arrays["edge_row_deltas"], dtype=np.int64)
-        edges_v = arrays["edge_cols"].astype(np.int64)
-    else:
-        edges_u, edges_v = arrays["edges_u"], arrays["edges_v"]
+    meta, arrays = _read(path)
+    edges_u = np.cumsum(arrays["edge_row_deltas"], dtype=np.int64)
+    edges_v = arrays["edge_cols"].astype(np.int64)
     try:
         graph = WeightedGraph(int(meta["n"]), edges_u, edges_v, arrays["weights"])
     except (KeyError, ValueError) as exc:
@@ -365,17 +296,10 @@ def load_snapshot(path: PathLike) -> RestoredState:
             f"{str(meta.get('graph_digest'))[:12]}…"
         )
     dyn = DynamicGraph(graph)
-    if "dual_codes" in arrays:
-        dual_codes = arrays["dual_codes"]
-    else:
-        # Version-1 migration: two-column keys are encoded once, and the
-        # next save_snapshot rewrites the file in the current format.
-        keys = np.asarray(arrays["dual_keys"], dtype=np.int64).reshape(-1, 2)
-        dual_codes = encode_edge_codes(keys[:, 0], keys[:, 1])
     state = {
         "cover": arrays["cover"],
         "loads": arrays["loads"],
-        "dual_codes": dual_codes,
+        "dual_codes": arrays["dual_codes"],
         "dual_values": arrays["dual_values"],
         "dual_value": meta["dual_value"],
         "base_ratio": meta["base_ratio"],

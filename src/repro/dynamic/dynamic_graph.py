@@ -426,6 +426,8 @@ class DynamicGraph:
         regardless of base snapshot, delta shape, or compaction history —
         share one digest.  It materializes the graph (O(m));
         write-ahead-log records stamp the cheaper :meth:`state_stamp`.
+        No stream path calls it any more; it stays while
+        ``perfbench/tracing.py`` wraps it by name.
         """
         return self.materialize().content_digest()
 

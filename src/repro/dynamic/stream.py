@@ -36,19 +36,16 @@ crash-recoverable.  The checkpoint directory holds:
   stream position they hold; the newest ``keep_snapshots`` survive
   (:mod:`repro.dynamic.checkpoint`).
 
-Directories written before this layout hold ``updates.jsonl`` instead of
-``updates.npz`` (their ``config.json`` names no ``updates_file``),
-version-1 WAL records stamped with SHA-256 content digests, version-2
-snapshots, and often a single ``snapshot.npz`` (or ``snapshot.npz.gz``)
-in place of numbered ones.  They resume exactly: each
-piece is read in its own format, each record's stamp is checked in its
-own flavor, the single snapshot counts as the oldest one, and the
-continuation appends version-2 records to the same log.  Keys their
-``config.json`` holds that this build no longer reads (``compress``,
-``snapshot_file``, ``snapshot_compression``, ``compact_fraction``) are
-ignored: snapshots always deflate, and compaction timing never changes a
-result.  Their policy's ``resolve_unbounded`` key resumes when it is
-``true``, the rule this build always applies; ``false`` is refused.
+:func:`resume_stream` reads exactly what :func:`run_stream` writes: a
+``config.json`` holding every key it writes and no other, version-2 WAL
+records and numbered version-3 snapshots.  A directory in an older
+build's layout (an ``updates.jsonl`` stream copy, version-1 WAL records,
+version-1/2 snapshots, a single ``snapshot.npz(.gz)``) fails with a
+specific error: its ``config.json`` with a :class:`CheckpointError`
+naming the unknown or missing key, a version-1 WAL line with a
+:class:`~repro.dynamic.wal.WALCorruptionError` naming the line, an older
+snapshot with a :class:`~repro.dynamic.checkpoint.CheckpointVersionError`
+naming its version.  Finish such a stream with the build that wrote it.
 
 :func:`resume_stream` restores ``last snapshot + WAL tail replay`` and
 continues the run.  Because every component is deterministic — the
@@ -74,7 +71,6 @@ from repro.dynamic.checkpoint import (
     CheckpointError,
     load_snapshot,
     save_snapshot,
-    snapshot_meta,
 )
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.maintainer import (
@@ -108,11 +104,7 @@ CONFIG_FORMAT_VERSION = 1
 _CONFIG_FILE = "config.json"
 _GRAPH_FILE = "graph.npz"
 _UPDATES_FILE = "updates.npz"
-#: The stream copy of directories whose config names no ``updates_file``.
-_LEGACY_UPDATES_FILE = "updates.jsonl"
 _WAL_FILE = "wal.jsonl"
-#: The single snapshot of directories written before numbered snapshots.
-_LEGACY_SNAPSHOT_FILES = ("snapshot.npz", "snapshot.npz.gz")
 
 
 @dataclass(frozen=True)
@@ -191,44 +183,31 @@ class CheckpointConfig:
         )
 
     def list_snapshots(self) -> List[Tuple[int, str]]:
-        """Available snapshots, newest first: ``(next_batch_index, path)``.
-
-        Numbered snapshots (gzip-wrapped ``.npz.gz`` ones of older
-        directories too) sort by their batch position; an older
-        directory's single ``snapshot.npz`` or ``snapshot.npz.gz`` sorts
-        last, at position ``-1`` — its real position is in its header.
-        """
+        """Available snapshots, newest first: ``(next_batch_index, path)``."""
         directory = os.fspath(self.directory)
         out: List[Tuple[int, str]] = []
         try:
             names = os.listdir(directory)
         except FileNotFoundError:
             return []
-        pattern = re.compile(r"^snapshot-(\d{8,})\.npz(?:\.gz)?$")
+        pattern = re.compile(r"^snapshot-(\d{8,})\.npz$")
         for name in names:
             match = pattern.match(name)
             if match:
                 out.append((int(match.group(1)), os.path.join(directory, name)))
         out.sort(reverse=True)
-        for legacy in _LEGACY_SNAPSHOT_FILES:
-            if legacy in names:
-                out.append((-1, os.path.join(directory, legacy)))
         return out
 
     def prune_snapshots(self) -> Optional[int]:
         """Delete all but the newest ``keep_snapshots`` snapshots; return
-        the oldest retained one's batch position (read from the header of
-        a single-file snapshot), or ``None`` when there is no snapshot."""
+        the oldest retained one's batch position, or ``None`` when there is
+        no snapshot."""
         snapshots = self.list_snapshots()
         for _, stale in snapshots[self.keep_snapshots :]:
             os.remove(stale)
         if not snapshots:
             return None
-        position, path = snapshots[: self.keep_snapshots][-1]
-        if position < 0:
-            extra = snapshot_meta(path).get("extra", {})
-            position = int(extra.get("next_batch_index", 0))
-        return position
+        return snapshots[: self.keep_snapshots][-1][0]
 
 
 @dataclass(frozen=True)
@@ -733,23 +712,22 @@ def _newest_intact(checkpoint: CheckpointConfig):
     )
 
 
-#: Every ``config.json`` key :func:`resume_stream` reads: its JSON type,
-#: and the value older builds that did not write it implied (``None``:
-#: required).
-_NUMBER = (int, float)
+#: Every ``config.json`` key :func:`_prepare_checkpoint_dir` writes but
+#: ``format_version``, with its JSON type; all are required.
 _CONFIG_KEYS = {
-    "batch_size": (int, None),
-    "compact_wal": (bool, False),
-    "engine": (str, None),
-    "eps": (_NUMBER, None),
-    "fsync": (bool, True),
-    "keep_snapshots": (int, 1),
-    "num_updates": (int, None),
-    "policy": (dict, None),
-    "seed": (int, None),
-    "snapshot_every": (int, None),
-    "updates_file": (str, _LEGACY_UPDATES_FILE),
-    "verify_every": (int, None),
+    "batch_size": int,
+    "compact_wal": bool,
+    "engine": str,
+    "eps": (int, float),
+    "fsync": bool,
+    "graph_digest": str,
+    "keep_snapshots": int,
+    "num_updates": int,
+    "policy": dict,
+    "seed": int,
+    "snapshot_every": int,
+    "updates_file": str,
+    "verify_every": int,
 }
 
 
@@ -757,9 +735,8 @@ def _load_config(directory: PathLike) -> Tuple[CheckpointConfig, ResolvePolicy, 
     """Read and check a checkpoint directory's ``config.json``.
 
     Returns its :class:`CheckpointConfig`, the run's :class:`ResolvePolicy`
-    and the config with defaults filled in; keys this build no longer
-    reads are ignored.  Any damage raises :class:`CheckpointError` naming
-    the file (and the key).
+    and the config.  Any damage — a missing, mistyped or unknown key —
+    raises :class:`CheckpointError` naming the file and the key.
     """
     path = os.path.join(os.fspath(directory), _CONFIG_FILE)
     try:
@@ -782,16 +759,16 @@ def _load_config(directory: PathLike) -> Tuple[CheckpointConfig, ResolvePolicy, 
             f"{path}: config format version {version!r} is "
             f"not supported (this build reads version {CONFIG_FORMAT_VERSION})"
         )
-    if "shards" in config:
+    unknown = sorted(set(config) - set(_CONFIG_KEYS) - {"format_version"})
+    if unknown:
         raise CheckpointError(
-            f"directory {os.fspath(directory)} holds a sharded "
-            f"checkpoint ({config['shards']} shard(s)); this build no longer "
-            f"resumes or compacts that format"
+            f"{path}: unknown keys {unknown}; this build does not write "
+            f"them, so finish the stream with the build that wrote it"
         )
-    for key, (kind, default) in _CONFIG_KEYS.items():
-        value = config.setdefault(key, default)
-        if value is None:
+    for key, kind in _CONFIG_KEYS.items():
+        if key not in config:
             raise CheckpointError(f"{path}: missing key {key!r}")
+        value = config[key]
         # bool is an int subclass; only the bool keys may hold one.
         if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
             raise CheckpointError(f"{path}: key {key!r} has a bad value {value!r}")
@@ -807,18 +784,8 @@ def _load_config(directory: PathLike) -> Tuple[CheckpointConfig, ResolvePolicy, 
             raise ValueError(f"batch_size must be >= 1, got {config['batch_size']}")
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    # Older configs store the unbounded-certificate rule, now always on,
-    # as a key; only its one remaining value can be replayed.
-    rules = dict(config["policy"])
-    unbounded = rules.pop("resolve_unbounded", True)
-    if unbounded is not True:
-        raise CheckpointError(
-            f"{path}: key 'policy.resolve_unbounded' is {json.dumps(unbounded)}; "
-            f"this build always re-solves an unbounded certificate and cannot "
-            f"replay that policy"
-        )
     try:
-        policy = ResolvePolicy(**rules)
+        policy = ResolvePolicy(**config["policy"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: key 'policy' is invalid ({exc})") from exc
     return checkpoint, policy, config
@@ -858,7 +825,7 @@ def resume_stream(
         The checkpoint directory of the interrupted run.
     updates:
         Override the stored update stream (defaults to the directory's
-        ``updates.npz``, or ``updates.jsonl`` in older directories).
+        ``updates.npz``).
     solver:
         Batch service for re-solves; a private in-process solver is
         created (and closed) when omitted.
@@ -871,8 +838,8 @@ def resume_stream(
     CheckpointError
         Missing/invalid checkpoint pieces (no or a damaged config, corrupt
         snapshot or WAL, a WAL gap the snapshot cannot bridge, or a
-        stream/WAL state mismatch), or a checkpoint written by the removed
-        sharded engine.
+        stream/WAL state mismatch), or pieces in a format this build does
+        not write (an unknown config key, an older snapshot version).
     """
     checkpoint, policy, config = _load_config(directory)
     if updates is None:
@@ -913,7 +880,7 @@ def resume_stream(
                 f"{checkpoint.graph_path} is unreadable ({exc}); the "
                 f"checkpoint cannot cold-start without it"
             ) from exc
-        if graph.content_digest() != config.get("graph_digest"):
+        if graph.content_digest() != config["graph_digest"]:
             raise CheckpointError(
                 f"{checkpoint.graph_path} does not match the "
                 f"checkpointed run's graph digest"
@@ -949,12 +916,7 @@ def resume_stream(
                     f"{record.batch_index} — the snapshot cannot bridge it"
                 )
             if record.state_digest:
-                # Each record is checked in the stamp flavor it was written
-                # with: version-1 records carry SHA-256 content digests.
-                dyn = maintainer.dyn
-                current = (
-                    dyn.content_digest() if record.version == 1 else dyn.state_stamp()
-                )
+                current = maintainer.dyn.state_stamp()
                 if current != record.state_digest:
                     raise CheckpointError(
                         f"WAL batch {record.batch_index} was logged against "

@@ -16,7 +16,8 @@ The durability contract of a dynamic stream (see
   committed — the batch it describes produced no durable state — so
   :func:`read_wal` drops it and reports the truncation instead of failing.
 
-Record wire format, version 2 (one per line)::
+Record wire format, version 2, the only one this build writes or reads
+(one record per line)::
 
     {"v":2,"crc":"1a2b3c4d","body":{"batch_index":3,"op":"iidr",
      "u":[0,5,2,0],"v":[1,9,3,4],"w":[2.5],"state_digest":"..."}}
@@ -35,13 +36,9 @@ without decoding it.  The body always starts with ``batch_index``.
 *to* (the pre-apply state), letting replay verify, record by record, that
 it reached the same graph the original run saw.
 
-Version-1 records (one object per event, CRC32 over the canonical
-sorted-keys JSON without the ``crc`` key, SHA-256
-:meth:`~repro.dynamic.DynamicGraph.content_digest` stamps) keep reading,
-so a log may mix both versions::
-
-    {"batch_index":3,"crc":123456789,"state_digest":"...",
-     "updates":[{"op":"insert","u":0,"v":1}, ...],"v":1}
+A committed line in any other shape — an older build's version-1 record
+(one JSON object per event) included — is :class:`WALCorruptionError`
+naming its line; finish such a stream with the build that wrote it.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.updates import OP_REWEIGHT, UpdateColumns, decode_update
+from repro.graphs.updates import OP_REWEIGHT, UpdateColumns
 
 __all__ = [
     "WAL_FORMAT_VERSION",
@@ -71,10 +68,10 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 WAL_FORMAT_VERSION = 2
 
-#: Fixed-width head of a version-2 line: ``{"v":2,"crc":"<8 hex>","body":``.
-_V2_HEAD = b'{"v":2,"crc":"'
-_V2_BODY = b'","body":'
-_V2_BODY_START = len(_V2_HEAD) + 8 + len(_V2_BODY)
+#: Fixed-width head of a line: ``{"v":2,"crc":"<8 hex>","body":``.
+_HEAD = b'{"v":2,"crc":"'
+_BODY = b'","body":'
+_BODY_START = len(_HEAD) + 8 + len(_BODY)
 _BATCH_KEY = b'{"batch_index":'
 
 
@@ -96,36 +93,22 @@ class WALRecord:
         Zero-based position of the batch in the stream.
     updates:
         The batch's events as :class:`~repro.graphs.updates.UpdateColumns`
-        in application order (version-1 records decode into columns too).
+        in application order.
     state_digest:
         Stamp of the graph the batch applies *to* (the pre-apply state;
         empty when the writer did not stamp one).  Replay checks it
         before applying the record, so a WAL paired with the wrong
         snapshot or stream fails loudly instead of rebuilding a wrong
         cover.
-    version:
-        The record's wire-format version, which also names the stamp
-        flavor: version 1 stamps are SHA-256 content digests, version 2
-        stamps are state stamps.
     """
 
     batch_index: int
     updates: UpdateColumns
     state_digest: str = ""
-    version: int = WAL_FORMAT_VERSION
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _crc(payload: dict) -> int:
-    """Version-1 checksum: CRC32 of the canonical JSON payload."""
-    return zlib.crc32(_canonical(payload).encode("utf-8"))
 
 
 def _encode(batch_index: int, cols: UpdateColumns, state_digest: str) -> bytes:
-    """One version-2 line, newline included."""
+    """One record line, newline included."""
     body = {
         "batch_index": int(batch_index),
         "op": cols.op.tobytes().decode("ascii"),
@@ -136,72 +119,41 @@ def _encode(batch_index: int, cols: UpdateColumns, state_digest: str) -> bytes:
     if state_digest:
         body["state_digest"] = state_digest
     raw = json.dumps(body, separators=(",", ":")).encode("utf-8")
-    return b"%s%08x%s%s}\n" % (_V2_HEAD, zlib.crc32(raw), _V2_BODY, raw)
+    return b"%s%08x%s%s}\n" % (_HEAD, zlib.crc32(raw), _BODY, raw)
 
 
-def _check_line(name: str, lineno: int, line: bytes) -> Tuple[int, int, object]:
-    """Checksum-verify one committed line; ``(version, batch_index, body)``.
-
-    ``body`` is the raw body bytes of a version-2 line and the decoded
-    payload of a version-1 line.
-    """
+def _check_line(name: str, lineno: int, line: bytes) -> Tuple[int, bytes]:
+    """Checksum-verify one committed line; ``(batch_index, raw body)``."""
     where = f"WAL {name} line {lineno}"
-    if line.startswith(_V2_HEAD):
-        crc_hex = line[len(_V2_HEAD) : len(_V2_HEAD) + 8]
-        body = line[_V2_BODY_START:-1]
-        if line[len(_V2_HEAD) + 8 : _V2_BODY_START] != _V2_BODY or not all(
-            c in b"0123456789abcdef" for c in crc_hex
-        ):
-            raise WALCorruptionError(f"{where}: unparseable record header")
-        crc = int(crc_hex, 16)
-        computed = zlib.crc32(body)
-        if not line.endswith(b"}") or computed != crc:
-            raise WALCorruptionError(
-                f"{where}: checksum mismatch (stored {crc}, computed "
-                f"{computed}) — the log is damaged"
-            )
-        try:
-            if not body.startswith(_BATCH_KEY):
-                raise ValueError("body does not start with batch_index")
-            end = body.index(b",", len(_BATCH_KEY))
-            batch_index = int(body[len(_BATCH_KEY) : end])
-        except ValueError as exc:
-            raise WALCorruptionError(
-                f"{where}: malformed WAL record body: {exc}"
-            ) from None
-        return 2, batch_index, body
-    try:
-        payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    crc_hex = line[len(_HEAD) : len(_HEAD) + 8]
+    if (
+        not line.startswith(_HEAD)
+        or line[len(_HEAD) + 8 : _BODY_START] != _BODY
+        or not all(c in b"0123456789abcdef" for c in crc_hex)
+    ):
         raise WALCorruptionError(
-            f"{where}: unparseable committed record ({exc})"
-        ) from exc
-    if not isinstance(payload, dict) or "crc" not in payload:
-        raise WALCorruptionError(f"{where}: record has no checksum")
-    crc = payload.pop("crc")
-    if _crc(payload) != crc:
+            f"{where}: unparseable record header (this build reads WAL "
+            f"format version {WAL_FORMAT_VERSION} only)"
+        )
+    crc = int(crc_hex, 16)
+    body = line[_BODY_START:-1]
+    computed = zlib.crc32(body)
+    if not line.endswith(b"}") or computed != crc:
         raise WALCorruptionError(
             f"{where}: checksum mismatch (stored {crc}, computed "
-            f"{_crc(payload)}) — the log is damaged"
-        )
-    version = payload.get("v")
-    if version != 1:
-        raise WALCorruptionError(
-            f"{where}: unsupported WAL record version {version!r} (this "
-            f"build reads versions 1 and {WAL_FORMAT_VERSION})"
+            f"{computed}) — the log is damaged"
         )
     try:
-        batch_index = int(payload["batch_index"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WALCorruptionError(f"{where}: malformed WAL record body: {exc}") from exc
-    return 1, batch_index, payload
+        if not body.startswith(_BATCH_KEY):
+            raise ValueError("body does not start with batch_index")
+        end = body.index(b",", len(_BATCH_KEY))
+        return int(body[len(_BATCH_KEY) : end]), body
+    except ValueError as exc:
+        raise WALCorruptionError(f"{where}: malformed WAL record body: {exc}") from None
 
 
-def _decode(version: int, batch_index: int, body) -> WALRecord:
+def _decode(batch_index: int, body: bytes) -> WALRecord:
     """The record of a checksum-verified line (``ValueError`` etc. if malformed)."""
-    if version == 1:
-        updates = UpdateColumns.from_rows(decode_update(u) for u in body["updates"])
-        return WALRecord(batch_index, updates, str(body.get("state_digest", "")), 1)
     payload = json.loads(body)
     op = np.frombuffer(payload["op"].encode("ascii"), dtype=np.uint8)
     reweight = op == OP_REWEIGHT
@@ -317,9 +269,9 @@ def read_wal(path: PathLike) -> Tuple[List[WALRecord], bool]:
     records: List[WALRecord] = []
     last: Optional[int] = None
     for lineno, line in enumerate(lines, start=1):
-        version, index, body = _check_line(name, lineno, line)
+        index, body = _check_line(name, lineno, line)
         try:
-            record = _decode(version, index, body)
+            record = _decode(index, body)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise WALCorruptionError(
                 f"WAL {name} line {lineno}: malformed WAL record body: {exc}"
@@ -358,7 +310,7 @@ def compact_wal(path: PathLike, min_batch_index: int, *, fsync: bool = True) -> 
     keep: List[bytes] = []
     last: Optional[int] = None
     for lineno, line in enumerate(lines, start=1):
-        _, index, _ = _check_line(name, lineno, line)
+        index, _ = _check_line(name, lineno, line)
         _check_order(name, lineno, index, last)
         last = index
         if index >= int(min_batch_index):

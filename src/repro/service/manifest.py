@@ -54,7 +54,9 @@ def generate_graph(
     if family == "gnp":
         return _gen.gnp_average_degree(n, degree, seed=seed)
     if family == "power_law":
-        return _gen.power_law(n, seed=seed)
+        return _gen.power_law(
+            n, exponent=2.5, min_degree=max(1, int(degree / 4)), seed=seed
+        )
     if family == "grid":
         side = int(math.isqrt(n))
         return _gen.grid_2d(side, side)

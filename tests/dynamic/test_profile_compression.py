@@ -1,7 +1,6 @@
 """Stream-level tests for the stopwatch timings, the ``--profile``
 breakdown and snapshot member compression."""
 
-import json
 import zipfile
 
 import numpy as np
@@ -102,10 +101,11 @@ class TestKernelProfile:
 
 
 class TestSnapshotCompression:
-    def test_config_with_dropped_knobs_resumes(self, workload, tmp_path, monkeypatch):
-        """A ``config.json`` from a build that still wrote
-        ``snapshot_compression``/``compact_fraction`` resumes to the
-        uninterrupted run, and its new snapshots deflate as always."""
+    def test_resumed_run_snapshots_deflate_as_always(
+        self, workload, tmp_path, monkeypatch
+    ):
+        """A crashed run resumes to the uninterrupted run, and the snapshots
+        the resume writes deflate all members but weights and loads."""
         graph, updates = workload
         checkpoint = CheckpointConfig(
             directory=tmp_path / "ckpt", snapshot_every=2, fsync=False
@@ -114,11 +114,6 @@ class TestSnapshotCompression:
         with CrashAfter(monkeypatch, 3):
             with pytest.raises(CrashAfter.Crash):
                 run_stream(graph, updates, batch_size=40, checkpoint=checkpoint)
-        with open(checkpoint.config_path) as fh:
-            config = json.load(fh)
-        config.update(snapshot_compression="none", compact_fraction=0.5)
-        with open(checkpoint.config_path, "w") as fh:
-            json.dump(config, fh)
 
         resumed = resume_stream(checkpoint.directory)
         assert resumed.resumed_from_batch == 2

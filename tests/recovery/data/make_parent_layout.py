@@ -1,10 +1,16 @@
 """Regenerate ``parent_layout/``: a crashed checkpoint in the old layout.
 
 The directory pins what a checkpoint written before WAL format 2 and
-snapshot format 3 looks like — ``updates.jsonl``, version-1 WAL records
-stamped with SHA-256 content digests, version-2 snapshots — so a later
-build is tested on resuming it exactly.  It must be written by that older
-build (git e1da437), never by the current one::
+snapshot format 3 looks like — ``updates.jsonl``, a ``config.json`` with
+keys this build does not write (``compress``, ``snapshot_file``,
+``snapshot_compression``, ``compact_fraction``, ``stamp_digests``),
+version-1 WAL records stamped with SHA-256 content digests, version-2
+snapshots.  This build reads none of it: ``test_recovery_reports.py``
+checks that resuming the directory fails with an error naming
+``config.json`` and an unknown key and leaves it byte-identical, that its
+first WAL line is corruption at line 1, and that its snapshots are a
+version error naming version 2.  It must be written by that older build
+(git e1da437), never by the current one::
 
     git archive e1da437 | tar -x -C /tmp/old
     PYTHONPATH=/tmp/old/src python tests/recovery/data/make_parent_layout.py

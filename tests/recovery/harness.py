@@ -63,7 +63,9 @@ def assert_same_state(a: IncrementalCoverMaintainer, b: IncrementalCoverMaintain
     ), "load factors differ"
     assert a.base_ratio == b.base_ratio, "drift baselines differ"
     assert a.batches_applied == b.batches_applied, "batch counters differ"
-    assert a.dyn.content_digest() == b.dyn.content_digest(), "graphs differ"
+    assert (
+        a.dyn.materialize().content_digest() == b.dyn.materialize().content_digest()
+    ), "graphs differ"
 
 
 class CrashAfter:

@@ -7,8 +7,7 @@ the update stream.  These tests pin what each of them must guarantee:
 * the stamp depends on the current edges and weights only, and any single
   effective change moves it;
 * a version-2 WAL record is checksummed over its raw body bytes, so
-  compaction can verify it and copy it byte for byte, and version-1
-  records keep reading next to it;
+  compaction can verify it and copy it byte for byte;
 * a version-3 snapshot is written without materializing the graph;
 * ``updates.npz`` round-trips a stream exactly and decodes lazily.
 """
@@ -32,7 +31,6 @@ from repro.dynamic import (
     read_wal,
 )
 from repro.dynamic.checkpoint import load_snapshot, save_snapshot
-from repro.dynamic.wal import _crc
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.updates import load_update_stream, save_update_stream
 
@@ -166,7 +164,6 @@ class TestWALVersion2:
         assert not torn
         assert [events(r.updates) for r in records] == [BATCH0, BATCH1]
         assert [r.state_digest for r in records] == ["s0", ""]
-        assert [r.version for r in records] == [2, 2]
 
     def test_compaction_copies_retained_lines_byte_for_byte(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -198,26 +195,6 @@ class TestWALVersion2:
         path.write_bytes(raw.replace(b'"crc":"', b'"crc":"zz', 1))
         with pytest.raises(WALCorruptionError):
             read_wal(path)
-
-    def test_version1_and_version2_records_share_a_log(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        payload = {
-            "v": 1,
-            "batch_index": 0,
-            "updates": [{"op": "insert", "u": 0, "v": 1}],
-            "state_digest": "f" * 64,
-        }
-        payload["crc"] = _crc(payload)
-        path.write_bytes(
-            (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
-        )
-        with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(1, COLS1, state_digest="s1")
-        records, _ = read_wal(path)
-        assert [(r.batch_index, r.version) for r in records] == [(0, 1), (1, 2)]
-        assert events(records[0].updates) == [EdgeInsert(0, 1)]
-        assert compact_wal(path, 1, fsync=False) == 1
-        assert [r.version for r in read_wal(path)[0]] == [2]
 
 
 class TestUpdateColumns:

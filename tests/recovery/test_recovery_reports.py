@@ -6,10 +6,12 @@
 * A resume says what recovery had to do: a dropped torn WAL tail and the
   corrupt snapshots it fell back past show up in its summary.
 * A checkpoint directory written before WAL format 2 / snapshot format 3
-  (``data/parent_layout``, see ``data/make_parent_layout.py``) resumes to
-  exactly the cover of an uninterrupted run.
+  (``data/parent_layout``, see ``data/make_parent_layout.py``) is refused
+  with an error that names the piece this build does not read, and is
+  left byte-identical.
 """
 
+import filecmp
 import json
 import os
 import shutil
@@ -17,20 +19,24 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.dynamic import (
     CheckpointConfig,
+    CheckpointError,
+    CheckpointVersionError,
     DynamicGraph,
     IncrementalCoverMaintainer,
     InvalidUpdateError,
     ResolvePolicy,
+    WALCorruptionError,
+    compact_wal,
     read_wal,
     resume_stream,
     run_stream,
 )
+from repro.dynamic.checkpoint import load_snapshot
 from repro.graphs.generators import gnp_average_degree
-from repro.graphs.io import load_npz
 from repro.graphs.streams import make_update_stream
-from repro.graphs.updates import load_update_stream
 
 from tests.events import EdgeInsert, columns, events
 from tests.kernel_oracle import apply_event
@@ -226,34 +232,39 @@ class TestRecoveryIsReported:
         assert resumed.summary()["snapshot_fallbacks"] == 1
 
 
-class TestParentLayoutResumes:
-    def test_fixture_is_in_the_old_layout(self):
-        names = sorted(os.listdir(PARENT_LAYOUT))
-        assert "updates.jsonl" in names and "updates.npz" not in names
-        records, torn = read_wal(os.path.join(PARENT_LAYOUT, "wal.jsonl"))
-        assert not torn
-        assert [(r.batch_index, r.version) for r in records] == [
-            (2, 1), (3, 1), (4, 1), (5, 1)
-        ]
-        assert all(len(r.state_digest) == 64 for r in records)
-        for name in names:
-            if name.startswith("snapshot-"):
-                with np.load(os.path.join(PARENT_LAYOUT, name)) as archive:
-                    meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-                assert meta["format_version"] == 2
+class TestParentLayoutIsRefused:
+    """Each piece of the old layout fails with its own specific error."""
 
-    def test_resume_matches_an_uninterrupted_run(self, tmp_path):
+    def test_resume_names_config_json_and_leaves_the_copy_untouched(self, tmp_path):
         directory = tmp_path / "ckpt"
         shutil.copytree(PARENT_LAYOUT, directory)
-        resumed = resume_stream(directory)
-        assert resumed.resumed_from_batch == 4
-        reference = run_stream(
-            load_npz(directory / "graph.npz"),
-            load_update_stream(directory / "updates.jsonl"),
-            batch_size=12,
-            eps=0.1,
-            seed=1,
+        refusal = r"config.json: unknown keys \[.*'snapshot_compression'"
+        with pytest.raises(CheckpointError, match=refusal):
+            resume_stream(directory)
+        with pytest.raises(SystemExit, match=refusal):
+            main(["resume", "--checkpoint-dir", str(directory)])
+        compare = filecmp.dircmp(PARENT_LAYOUT, directory)
+        assert compare.left_only == compare.right_only == []
+        _, mismatch, errors = filecmp.cmpfiles(
+            PARENT_LAYOUT, directory, compare.common_files, shallow=False
         )
-        _assert_same_result(resumed, reference)
-        # The continuation appended version-2 records to the old log.
-        assert {r.version for r in read_wal(directory / "wal.jsonl")[0]} == {2}
+        assert mismatch == errors == []
+
+    def test_version1_wal_record_is_corruption_at_line_1(self, tmp_path):
+        with open(os.path.join(PARENT_LAYOUT, "wal.jsonl"), "rb") as fh:
+            first = fh.readline()
+        path = tmp_path / "wal.jsonl"
+        path.write_bytes(first)
+        with pytest.raises(WALCorruptionError, match="line 1: unparseable"):
+            read_wal(path)
+        with pytest.raises(WALCorruptionError, match="line 1: unparseable"):
+            compact_wal(path, 3, fsync=False)
+        assert path.read_bytes() == first
+
+    def test_version2_snapshot_is_a_version_error(self):
+        path = os.path.join(PARENT_LAYOUT, "snapshot-00000004.npz")
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
+        assert meta["format_version"] == 2
+        with pytest.raises(CheckpointVersionError, match="format version 2 "):
+            load_snapshot(path)

@@ -186,7 +186,7 @@ class TestResumeScenarios:
             resume_stream(checkpoint.directory)
 
     def test_swapped_stream_still_yields_valid_cover(self, tmp_path, monkeypatch):
-        # Rewrite updates.jsonl with a different (same-length) stream.
+        # Rewrite updates.npz with a different (same-length) stream.
         # WAL replay is unaffected — records are self-contained — and the
         # continuation silently follows the swapped remainder, so the
         # final cover may differ from the reference; the guarantee under
@@ -197,35 +197,13 @@ class TestResumeScenarios:
         resumed = resume_stream(checkpoint.directory)
         assert resumed.final_is_cover
 
-    def test_records_are_always_stamped_and_old_stamp_knob_is_ignored(
-        self, tmp_path, monkeypatch
-    ):
+    def test_records_are_always_stamped(self, tmp_path, monkeypatch):
         _, _, reference, checkpoint = _setup(tmp_path, monkeypatch)
-        config = json.load(open(checkpoint.config_path))
-        assert "stamp_digests" not in config
-        # A config written by an older build may still carry the knob.
-        config["stamp_digests"] = False
-        with open(checkpoint.config_path, "w") as fh:
-            json.dump(config, fh)
+        assert "stamp_digests" not in json.load(open(checkpoint.config_path))
         resumed = resume_stream(checkpoint.directory)
         assert np.array_equal(resumed.final_cover, reference.final_cover)
         records, _ = read_wal(checkpoint.wal_path)
         assert len(records) == 8 and all(r.state_digest for r in records)
-
-    def test_old_config_holding_resolve_unbounded_true_resumes_exactly(
-        self, tmp_path, monkeypatch
-    ):
-        _, _, reference, checkpoint = _setup(tmp_path, monkeypatch)
-        config = json.load(open(checkpoint.config_path))
-        assert "resolve_unbounded" not in config["policy"]
-        # Older builds stored the rule, now always on, in the policy.
-        config["policy"]["resolve_unbounded"] = True
-        with open(checkpoint.config_path, "w") as fh:
-            json.dump(config, fh)
-        resumed = resume_stream(checkpoint.directory)
-        assert np.array_equal(resumed.final_cover, reference.final_cover)
-        assert resumed.final_dual_value == reference.final_dual_value
-        assert resumed.final_certified_ratio == reference.final_certified_ratio
 
     def test_digest_stamps_catch_foreign_wal(self, tmp_path, monkeypatch):
         # Pair checkpoint A's snapshot with checkpoint B's WAL: the
@@ -272,10 +250,10 @@ CONFIG_DAMAGES = {
         lambda c: [1, 2],
         "config.json: expected a JSON object, found list",
     ),
-    # Older builds stored the unbounded-certificate rule in the policy.
-    "resolve-unbounded-false": (
-        lambda c: {**c, "policy": {**c["policy"], "resolve_unbounded": False}},
-        "config.json: key 'policy.resolve_unbounded' is false",
+    # A knob an older build wrote; this build writes no such key.
+    "unknown-key": (
+        lambda c: {**c, "stamp_digests": False},
+        r"config.json: unknown keys \['stamp_digests'\]",
     ),
 }
 
@@ -334,11 +312,11 @@ class TestResumeCLI:
             main(["resume", "--checkpoint-dir", str(tmp_path / "nope")])
 
     def test_sharded_checkpoint_fails_cleanly(self, tmp_path):
-        # The config a `repro stream --shards N` run wrote: this build has
-        # no sharded engine, so every entry point refuses it by name.
+        # The config a `repro stream --shards N` run wrote: this build
+        # writes neither key, so every entry point refuses them by name.
         config = {"format_version": 1, "shards": 4, "partition": "hash"}
         (tmp_path / "config.json").write_text(json.dumps(config))
-        refusal = "holds a sharded checkpoint.*no longer resumes"
+        refusal = r"config.json: unknown keys \['partition', 'shards'\]"
         with pytest.raises(CheckpointError, match=refusal):
             resume_stream(tmp_path)
         for command in ("resume", "wal-compact"):

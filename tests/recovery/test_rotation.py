@@ -1,6 +1,5 @@
 """Snapshot rotation (``keep_snapshots``) and WAL compaction."""
 
-import gzip
 import json
 import os
 
@@ -10,13 +9,14 @@ import pytest
 from repro.dynamic import (
     CheckpointConfig,
     CheckpointCorruptionError,
+    CheckpointError,
     ResolvePolicy,
     compact_wal,
     read_wal,
     resume_stream,
     run_stream,
 )
-from repro.dynamic.checkpoint import snapshot_meta
+from repro.dynamic.checkpoint import load_snapshot
 
 from tests.recovery.harness import CrashAfter, concat, make_batches, make_workload
 
@@ -129,7 +129,7 @@ class TestWalCompaction:
         # The single snapshot sits at batch 10 (stream end); everything
         # below it is dead weight.
         ((_, snapshot),) = checkpoint.list_snapshots()
-        floor = int(snapshot_meta(snapshot)["extra"]["next_batch_index"])
+        floor = int(load_snapshot(snapshot).meta["extra"]["next_batch_index"])
         compact_wal(checkpoint.wal_path, floor)
         resumed = resume_stream(checkpoint.directory)
         assert np.array_equal(resumed.final_cover, reference.final_cover)
@@ -206,55 +206,38 @@ class TestWalCompactCLI:
 @pytest.mark.parametrize("name", ["snapshot.npz", "snapshot.npz.gz"])
 class TestSingleFileLayout:
     """Directories of builds that kept one ``snapshot.npz`` (gzip-wrapped
-    as ``snapshot.npz.gz`` under their ``compress`` knob)."""
+    as ``snapshot.npz.gz`` under their ``compress`` knob): this build
+    writes neither the file nor its config keys, so it refuses them."""
 
-    def _crashed_single_file_run(self, tmp_path, monkeypatch, name):
+    def test_is_refused_and_left_untouched(self, tmp_path, monkeypatch, name):
+        from repro.cli import main
+
         graph = make_workload(n=100, seed=17)
-        batches = make_batches(graph, "uniform", 10, BATCH_SIZE, seed=19)
-        updates = concat(batches)
-        reference = _stream(graph, updates)
+        updates = concat(make_batches(graph, "uniform", 10, BATCH_SIZE, seed=19))
         checkpoint = CheckpointConfig(directory=tmp_path / "ckpt", snapshot_every=2)
         with CrashAfter(monkeypatch, 5):
             with pytest.raises(CrashAfter.Crash):
                 _stream(graph, updates, checkpoint)
-        # Batches 0-5 are logged; the one snapshot holds batches 0-3.
-        ((position, numbered),) = checkpoint.list_snapshots()
-        assert position == 4
-        data = open(numbered, "rb").read()
-        with open(os.path.join(checkpoint.directory, name), "wb") as fh:
-            fh.write(gzip.compress(data) if name.endswith(".gz") else data)
-        os.remove(numbered)
+        ((_, numbered),) = checkpoint.list_snapshots()
+        os.rename(numbered, os.path.join(checkpoint.directory, name))
         config = json.load(open(checkpoint.config_path))
         config.update(compress=name.endswith(".gz"), snapshot_file=name)
         with open(checkpoint.config_path, "w") as fh:
             json.dump(config, fh)
-        return reference, checkpoint
+        assert checkpoint.list_snapshots() == []
+        before = _tree(checkpoint.directory)
+        refusal = r"config.json: unknown keys \['compress', 'snapshot_file'\]"
+        with pytest.raises(CheckpointError, match=refusal):
+            resume_stream(checkpoint.directory)
+        for command in ("resume", "wal-compact"):
+            with pytest.raises(SystemExit, match=refusal):
+                main([command, "--checkpoint-dir", os.fspath(checkpoint.directory)])
+        assert _tree(checkpoint.directory) == before
 
-    def _assert_resumes_exactly(self, checkpoint, reference):
-        resumed = resume_stream(checkpoint.directory)
-        assert resumed.resumed_from_batch == 4
-        assert np.array_equal(resumed.final_cover, reference.final_cover)
-        assert resumed.final_dual_value == reference.final_dual_value
-        assert resumed.final_certified_ratio == reference.final_certified_ratio
-        assert _snapshot_files(checkpoint) == ["snapshot-00000010.npz"]
 
-    def test_resumes_exactly_into_numbered_snapshots(
-        self, tmp_path, monkeypatch, name
-    ):
-        reference, checkpoint = self._crashed_single_file_run(
-            tmp_path, monkeypatch, name
-        )
-        self._assert_resumes_exactly(checkpoint, reference)
-
-    def test_wal_compact_uses_the_stored_position(self, tmp_path, monkeypatch, name):
-        from repro.cli import main
-
-        reference, checkpoint = self._crashed_single_file_run(
-            tmp_path, monkeypatch, name
-        )
-        rc = main(["wal-compact", "--checkpoint-dir", os.fspath(checkpoint.directory)])
-        assert rc == 0
-        remaining, _ = read_wal(checkpoint.wal_path)
-        assert [r.batch_index for r in remaining] == [4, 5]
-        assert _snapshot_files(checkpoint) == [name]
-        self._assert_resumes_exactly(checkpoint, reference)
+def _tree(directory):
+    """Every file of ``directory`` by name, with its bytes."""
+    return {
+        name: open(os.path.join(directory, name), "rb").read()
+        for name in sorted(os.listdir(directory))
+    }

@@ -1,6 +1,5 @@
 """Write-ahead log: round-trips, crash injection, corruption gates."""
 
-import json
 import zlib
 
 import pytest
@@ -12,7 +11,6 @@ from repro.dynamic import (
     read_wal,
     repair_wal,
 )
-from repro.dynamic.wal import _canonical, _crc
 
 from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns, events
 
@@ -146,47 +144,35 @@ class TestCrashInjection:
         assert read_wal(wal_path) == ([], False)
 
 
-def _forge_line(payload: dict) -> bytes:
-    payload = dict(payload)
-    payload["crc"] = _crc(payload)
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+def _forge_line(body: bytes, version: int = 2) -> bytes:
+    """A committed line around ``body`` with a correct CRC32."""
+    return b'{"v":%d,"crc":"%08x","body":%s}\n' % (version, zlib.crc32(body), body)
 
 
 class TestFormatGates:
     def test_missing_checksum_field_raises(self, wal_path):
-        line = json.dumps({"v": 1, "batch_index": 0, "updates": []}) + "\n"
-        wal_path.write_bytes(line.encode())
-        with pytest.raises(WALCorruptionError, match="no checksum"):
+        line = b'{"v":2,"body":{"batch_index":0,"op":"","u":[],"v":[],"w":[]}}\n'
+        wal_path.write_bytes(line)
+        with pytest.raises(WALCorruptionError, match="line 1: unparseable record header"):
             read_wal(wal_path)
 
     def test_future_record_version_rejected(self, wal_path):
         wal_path.write_bytes(
-            _forge_line({"v": 99, "batch_index": 0, "updates": []})
+            _forge_line(b'{"batch_index":0,"op":"","u":[],"v":[],"w":[]}', 99)
         )
-        with pytest.raises(WALCorruptionError, match="version 99"):
+        with pytest.raises(WALCorruptionError, match="reads WAL format version 2 only"):
             read_wal(wal_path)
 
     def test_malformed_update_body_rejected(self, wal_path):
         wal_path.write_bytes(
-            _forge_line(
-                {"v": 1, "batch_index": 0, "updates": [{"op": "explode"}]}
-            )
+            _forge_line(b'{"batch_index":0,"op":"r","u":[0],"v":[1],"w":[]}')
         )
         with pytest.raises(WALCorruptionError, match="malformed"):
             read_wal(wal_path)
 
     def test_non_increasing_indices_rejected(self, wal_path):
-        data = _forge_line(
-            {"v": 1, "batch_index": 1, "updates": []}
-        ) + _forge_line({"v": 1, "batch_index": 1, "updates": []})
-        wal_path.write_bytes(data)
+        with WriteAheadLog(wal_path, fsync=False) as wal:
+            wal.append(1, columns(BATCH0))
+            wal.append(1, columns(BATCH1))
         with pytest.raises(WALCorruptionError, match="does not increase"):
             read_wal(wal_path)
-
-    def test_crc_is_over_canonical_json(self):
-        # Key order must not matter: the checksum is computed over the
-        # sorted-keys serialization on both sides.
-        a = {"v": 1, "batch_index": 3, "updates": []}
-        b = {"updates": [], "batch_index": 3, "v": 1}
-        assert _canonical(a) == _canonical(b)
-        assert zlib.crc32(_canonical(a).encode()) == _crc(b)

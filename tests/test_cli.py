@@ -101,6 +101,17 @@ class TestGenerate:
         assert rc == 0
         assert path.read_text().startswith("# mwvc-edgelist v1")
 
+    def test_power_law_follows_degree(self, tmp_path, capsys):
+        avg = {}
+        for degree in ("4", "32"):
+            path = tmp_path / f"pl{degree}.npz"
+            rc = main(["generate", "--family", "power_law", "--n", "2000",
+                       "--degree", degree, "--seed", "3", "--out", str(path)])
+            assert rc == 0
+            g = load_npz(path)
+            avg[degree] = 2 * g.m / g.n
+        assert avg["32"] > avg["4"]
+
 
 class TestExperiment:
     def test_unknown_id(self):
