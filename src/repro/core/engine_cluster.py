@@ -12,7 +12,8 @@ The per-phase arithmetic is :mod:`repro.core.phase_kernel`'s
 (:func:`~repro.core.phase_kernel.split_high`,
 :func:`~repro.core.phase_kernel.high_edges`,
 :func:`~repro.core.phase_kernel.local_iterations`,
-:func:`~repro.core.phase_kernel.final_duals`); this module supplies only
+:func:`~repro.core.phase_kernel.final_duals`,
+:func:`~repro.core.phase_kernel.safety_check`); this module supplies only
 the data each machine holds and the messages between machines.
 
 Protocol per phase (steps match :mod:`repro.core.accounting`):
@@ -49,9 +50,11 @@ runs over that machine's edges in ascending global edge id, which is the
 same per-vertex accumulation order the vectorized engine uses — so the two
 engines' freezing decisions coincide bit-for-bit (checked by the
 engine-equivalence tests).  The only tree-order float sums are the
-``y^MPC`` aggregates, which feed a single ``≥ w'`` comparison; the audit
-checks in this module verify agreement against the directly computed
-values.
+``y^MPC`` aggregates.  Their order can move a load that ties ``w'`` across
+the Line (2i) ``≥ w'`` comparison, so the coordinator makes that
+comparison on the kernel's edge-id-order sums
+(:func:`~repro.core.phase_kernel.safety_check`) and audits the
+aggregates against them.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from repro.core.phase_kernel import (
     final_duals,
     high_edges,
     local_iterations,
+    safety_check,
     split_high,
 )
 from repro.core.thresholds import ThresholdSampler
@@ -284,19 +288,17 @@ class ClusterEngine:
             self.cluster, "loads", load_partials, root=0, fanout=fanouts["loads"]
         )
 
-        # The global x_high, for the outcome (observational; the in-model
-        # data stays distributed on the workers).  Audit: the tree-summed
-        # worker loads must agree with a direct summation of it.
-        x_high_full = final_duals(plan.x0, freeze_iter, plan.hu, plan.hv, growth)
-        direct = endpoint_sums(plan.hu, plan.hv, x_high_full, n_high)
-        if not np.allclose(y_mpc, direct, rtol=1e-9, atol=1e-12):
-            raise AssertionError("cluster engine: aggregated dual loads diverged from direct sums")
-
         # -------------------------------------------------------------- #
         # Step F: coordinator safety freeze; broadcast updated frozen mask.
+        # The tree-summed loads differ from the kernel's edge-id-order sums
+        # only in rounding (audited below); the comparison uses the latter,
+        # read like the outcome's global x_high from the plan, so a load
+        # that ties w' up to rounding is decided as the vectorized engine
+        # decides it.  The messages and charges are the aggregate's.
         # -------------------------------------------------------------- #
-        wprime_high = coord_state["wprime"][plan.high_ids]
-        safety_frozen = (freeze_iter == I) & (y_mpc >= wprime_high)
+        x_high_full, y_direct, safety_frozen = safety_check(plan, freeze_iter, growth)
+        if not np.allclose(y_mpc, y_direct, rtol=1e-9, atol=1e-12):
+            raise AssertionError("cluster engine: aggregated dual loads diverged from direct sums")
         frozen_local = (freeze_iter < I) | safety_frozen
         frozen_mask_next = ~coord_state["nonfrozen"].astype(bool)
         frozen_mask_next[plan.high_ids[frozen_local]] = True
@@ -350,7 +352,7 @@ class ClusterEngine:
         return PhaseOutcome(
             freeze_iter=freeze_iter,
             x_high=x_high_full,
-            y_mpc=y_mpc,
+            y_mpc=y_direct,
             safety_frozen=safety_frozen,
             machine_edge_counts=machine_edge_counts,
             trace_ytilde=trace_rows_y,

@@ -15,10 +15,11 @@ data reaches it:
    runs the local iterations: :func:`simulate_phase_vectorized` calls it
    once over all local edges, and each simulation machine of
    :mod:`repro.core.engine_cluster` calls it on the edges it received.
-   :func:`final_duals` is the Line (2h) finalization for both.  Both
-   engines produce bit-identical :class:`PhaseOutcome` for the same
+   :func:`final_duals` is the Line (2h) finalization and
+   :func:`safety_check` the Line (2i) decision for both.  Both engines
+   produce bit-identical :class:`PhaseOutcome` for the same
    :class:`PhasePlan` (every floating-point reduction is per-vertex over
-   that vertex's local edges in global-edge-id order in both).
+   that vertex's edges in global-edge-id order in both).
 3. :func:`apply_outcome` — Lines (2h aftermath)–(2k): fold the outcome into
    the global state (frozen flags, finalized duals, residual degrees and
    weights).
@@ -46,7 +47,7 @@ from repro.mpc.partition import random_assignment
 __all__ = [
     "PhasePlan", "PhaseOutcome", "GlobalState", "plan_phase", "simulate_phase_vectorized",
     "apply_outcome", "split_high", "high_edges", "local_iterations", "final_duals",
-    "endpoint_sums",
+    "safety_check", "endpoint_sums",
 ]
 
 #: Relative tolerance below which a residual weight counts as depleted.
@@ -255,6 +256,25 @@ def final_duals(
     return x0 * growth ** tprime.astype(np.float64)
 
 
+def safety_check(
+    plan: PhasePlan, freeze_iter: np.ndarray, growth: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lines (2h)–(2i) from the combined freeze iterations:
+    ``(x_high, y_mpc, safety_frozen)``.
+
+    ``x_high`` is :func:`final_duals` on every ``E[V^high]`` edge, local or
+    cross; ``y_mpc`` is each high vertex's dual load summed over its edges
+    in edge-id order; ``safety_frozen`` marks the vertices that survived
+    the simulation with ``y_mpc >= w'``.  Both engines decide Line (2i)
+    here, so a load that ties its weight up to rounding (unit weights make
+    such ties common) freezes in both engines or in neither.
+    """
+    x_high = final_duals(plan.x0, freeze_iter, plan.hu, plan.hv, growth)
+    y_mpc = endpoint_sums(plan.hu, plan.hv, x_high, plan.num_high)
+    safety_frozen = (freeze_iter == plan.iterations) & (y_mpc >= plan.wprime_high)
+    return x_high, y_mpc, safety_frozen
+
+
 def plan_phase(
     graph: WeightedGraph,
     state: GlobalState,
@@ -332,12 +352,9 @@ def simulate_phase_vectorized(
         trace=trace,
     )
 
-    # Line (2h): finalize duals for every E[V^high] edge, local or cross.
-    x_high = final_duals(plan.x0, freeze_iter, plan.hu, plan.hv, params.growth_factor())
-
-    # Line (2i): safety freeze against the true (non-sampled) dual load.
-    y_mpc = endpoint_sums(plan.hu, plan.hv, x_high, n_high)
-    safety_frozen = (freeze_iter == I) & (y_mpc >= plan.wprime_high)
+    # Lines (2h)–(2i): final duals, then the safety freeze against the
+    # true (non-sampled) dual load.
+    x_high, y_mpc, safety_frozen = safety_check(plan, freeze_iter, params.growth_factor())
 
     return PhaseOutcome(
         freeze_iter=freeze_iter,

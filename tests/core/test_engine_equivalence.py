@@ -37,6 +37,20 @@ class TestEngineEquivalence:
         rv, rc = _pair(g, seed=10, eps=0.1)
         assert np.array_equal(rv.in_cover, rc.in_cover)
 
+    def test_identical_when_a_load_ties_its_weight(self):
+        """Unit weights make a surviving vertex's Line (2i) load equal its
+        weight up to rounding; the tree-summed loads of the cluster engine
+        must not move it across the comparison."""
+        g = gnp_average_degree(20, 4.0, seed=1)
+        rv, rc = _pair(g, seed=2, eps=0.1, collect_trace=True)
+        ((plan, outcome),) = rv.traces
+        survived = outcome.freeze_iter == plan.iterations
+        gap = np.abs(outcome.y_mpc - plan.wprime_high)[survived]
+        assert gap.min() <= 1e-12
+        assert np.array_equal(rv.in_cover, rc.in_cover)
+        assert np.array_equal(rv.x, rc.x)
+        assert rv.mpc_rounds == rc.mpc_rounds
+
     def test_round_prediction_matches_measurement(self):
         for seed in (3, 4):
             g = gnp_average_degree(300, 24.0, seed=seed)

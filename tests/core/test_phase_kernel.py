@@ -1,5 +1,7 @@
 """Tests for the phase kernel: planning, simulation, state folding."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from repro.core.phase_kernel import (
     final_duals,
     local_iterations,
     plan_phase,
+    safety_check,
     simulate_phase_vectorized,
     split_high,
 )
 from repro.core.thresholds import ThresholdSampler
 from repro.graphs.generators import gnp_average_degree
+from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
 
 
@@ -192,6 +196,35 @@ class TestFinalDuals:
         x = final_duals(x0, freeze_iter, pu, pv, growth)
         assert np.array_equal(x, x0 * growth ** np.array([0.0, 2.0, 5.0, 2.0]))
         assert x[0] == x0[0]
+
+
+class TestSafetyCheck:
+    def test_is_what_simulate_reports(self, setup):
+        _, params, _, plan = setup
+        out = simulate_phase_vectorized(plan, params)
+        x_high, y_mpc, safety = safety_check(plan, out.freeze_iter, params.growth_factor())
+        assert np.array_equal(x_high, out.x_high)
+        assert np.array_equal(y_mpc, out.y_mpc)
+        assert np.array_equal(safety, out.safety_frozen)
+
+    def test_tie_is_decided_on_the_edge_order_sum(self):
+        """Line (2i) on K_11 with unit weights: vertex 0 alone survives and
+        its ten edges keep x0 = 0.1.  Their sum in edge order rounds to just
+        below 1 (the correctly rounded sum is 1), so it is not frozen."""
+        k = 11
+        u, v = np.triu_indices(k, 1)
+        g = WeightedGraph(k, u, v)
+        params = MPCParameters(eps=0.1)
+        plan = plan_phase(
+            g, GlobalState.initial(g, g.weights), params,
+            phase_index=0, partition_seed=1, threshold_seed=2,
+        )
+        assert plan.num_high == k and np.all(plan.x0 == 0.1)
+        freeze_iter = np.zeros(k, dtype=np.int64)
+        freeze_iter[0] = plan.iterations
+        _, y_mpc, safety = safety_check(plan, freeze_iter, params.growth_factor())
+        assert y_mpc[0] == sum([0.1] * 10) < 1.0 == math.fsum([0.1] * 10)
+        assert not safety.any()
 
 
 class TestLocalIterations:

@@ -1,5 +1,6 @@
 """Snapshot format: round-trips, integrity gates, atomicity."""
 
+import gzip
 import io
 import json
 
@@ -106,6 +107,15 @@ class TestIntegrityGates:
         for i in range(mid, mid + 8):
             data[i] ^= 0xFF
         path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorruptionError):
+            load_snapshot(path)
+
+    def test_gzip_container_is_refused(self, streamed_maintainer, tmp_path):
+        """A gzip-wrapped snapshot is not a format this build reads: it
+        fails as a damaged archive, not as a partial restore."""
+        path = tmp_path / "snap.npz.gz"
+        save_snapshot(tmp_path / "snap.npz", streamed_maintainer)
+        path.write_bytes(gzip.compress((tmp_path / "snap.npz").read_bytes()))
         with pytest.raises(CheckpointCorruptionError):
             load_snapshot(path)
 

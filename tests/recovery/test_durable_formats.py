@@ -29,6 +29,7 @@ from repro.dynamic import (
     WriteAheadLog,
     compact_wal,
     read_wal,
+    repair_wal,
 )
 from repro.dynamic.checkpoint import load_snapshot, save_snapshot
 from repro.graphs.graph import WeightedGraph
@@ -195,6 +196,25 @@ class TestWALVersion2:
         path.write_bytes(raw.replace(b'"crc":"', b'"crc":"zz', 1))
         with pytest.raises(WALCorruptionError):
             read_wal(path)
+
+    def test_version1_record_after_version2_records_is_refused(self, tmp_path):
+        """A committed version-1 line is corruption wherever it sits: it is
+        named by its line number, never dropped as a torn tail, and no
+        reader rewrites the log around it."""
+        path = tmp_path / "wal.jsonl"
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append(0, COLS0)
+            wal.append(1, COLS1)
+        v1 = {"v": 1, "batch_index": 2, "updates": [{"op": "insert", "u": 0, "v": 1}]}
+        v1["crc"] = zlib.crc32(json.dumps(v1, sort_keys=True, separators=(",", ":")).encode())
+        with open(path, "ab") as fh:
+            fh.write((json.dumps(v1, sort_keys=True, separators=(",", ":")) + "\n").encode())
+        before = path.read_bytes()
+        for read in (read_wal, lambda p: compact_wal(p, 1, fsync=False)):
+            with pytest.raises(WALCorruptionError, match="line 3: .*version 2 only"):
+                read(path)
+        assert not repair_wal(path)
+        assert path.read_bytes() == before
 
 
 class TestUpdateColumns:
