@@ -19,9 +19,8 @@ priority order to stay symmetric.  The implementation here is the
 sequential greedy (the strongest variant) since it is evaluated for
 solution quality, not round complexity.
 
-One kernel, :func:`greedy_prune_pass`, runs every prune: the full or
-restricted sweep of :func:`prune_redundant_vertices` over a graph's CSR,
-and the incremental maintainer's prune over the dynamic graph's touched
+One kernel, :func:`greedy_prune_pass`, runs every prune: the full sweep of
+:func:`prune_redundant_vertices` over a graph's CSR, and the incremental maintainer's prune over the dynamic graph's touched
 neighborhood.  Its pass-start droppability mask is exact, not
 approximate: the loop re-reads ``cover`` per candidate, but cover bits
 only change at *dropped* vertices, and dropping ``v`` locks every
@@ -123,7 +122,6 @@ def prune_redundant_vertices(
     in_cover: np.ndarray,
     *,
     weights: Optional[np.ndarray] = None,
-    candidates: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Greedily drop cover vertices whose removal keeps the cover valid.
 
@@ -134,17 +132,9 @@ def prune_redundant_vertices(
     (current) cover.  The sweep is :func:`greedy_prune_pass` over the
     graph's CSR.
 
-    Returns a new boolean mask; the input is not modified.
-
-    Parameters
-    ----------
-    candidates:
-        Optional restriction of the sweep: a boolean mask of shape
-        ``(n,)`` or an array of vertex ids.  Only candidate vertices are
-        considered for removal (non-candidates keep their state), making
-        the pass O(candidate neighborhood) — the hot-path mode of
-        incremental repair, where only the vertices touched by an update
-        batch can have become redundant.  ``None`` sweeps every vertex.
+    Returns a new boolean mask; the input is not modified.  (The
+    maintainer's restricted sweep over a batch's touched vertices runs
+    :func:`greedy_prune_pass` directly.)
 
     Raises
     ------
@@ -157,22 +147,8 @@ def prune_redundant_vertices(
     if not graph.is_vertex_cover(cover):
         raise ValueError("in_cover is not a vertex cover; nothing to prune")
     w = graph.weights if weights is None else np.asarray(weights, dtype=np.float64)
-
-    if candidates is None:
-        sweep = np.arange(graph.n, dtype=np.int64)
-    else:
-        cand = np.asarray(candidates)
-        if cand.dtype == bool:
-            if cand.shape != (graph.n,):
-                raise ValueError(f"candidates mask must have shape ({graph.n},)")
-            sweep = np.nonzero(cand)[0].astype(np.int64)
-        else:
-            sweep = np.unique(cand.astype(np.int64)) if cand.size else np.empty(0, np.int64)
-            if sweep.size and (sweep[0] < 0 or sweep[-1] >= graph.n):
-                raise ValueError(f"candidate ids must lie in [0, {graph.n})")
-
     greedy_prune_pass(
-        sweep,
+        np.arange(graph.n, dtype=np.int64),
         weights=w,
         cover=cover,
         degrees_of=lambda ids: graph.degrees[ids],

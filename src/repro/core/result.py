@@ -95,10 +95,6 @@ class MWVCResult:
     traces: Optional[List[Tuple[PhasePlan, PhaseOutcome]]] = None
     cluster_metrics: Optional[dict] = None
 
-    def cover_ids(self) -> np.ndarray:
-        """Vertex ids in the cover."""
-        return np.nonzero(self.in_cover)[0]
-
     def cover_size(self) -> int:
         """Number of vertices in the cover."""
         return int(self.in_cover.sum())

@@ -11,7 +11,8 @@ certificate drifts past a policy bound:
     periodic compaction back to canonical CSR form.
 :mod:`repro.dynamic.maintainer`
     :class:`IncrementalCoverMaintainer` — local pricing repair + touched
-    pruning + a live duality certificate.
+    pruning + a live duality certificate; its per-edge duals are a sorted
+    edge-code array plus a value array, the form snapshots store.
 :mod:`repro.dynamic.policy`
     :class:`ResolvePolicy` — drift-bounded re-solve trigger.
 :mod:`repro.dynamic.stream`
@@ -27,8 +28,7 @@ certificate drifts past a policy bound:
     The vectorized repair/prune/certification kernels the maintainer
     runs.
 :mod:`repro.dynamic.duals`
-    :class:`DualStore` — array-backed per-edge duals keyed by encoded
-    ``int64`` edge codes.
+    The ``int64`` edge code ``(u << 32) | v`` that keys per-edge state.
 
 The update events and their wire formats live in
 :mod:`repro.graphs.updates` and are re-exported here.
@@ -47,7 +47,7 @@ from repro.dynamic.checkpoint import (
     load_snapshot,
     save_snapshot,
 )
-from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
+from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.maintainer import (
     KERNEL_PROFILE_KEYS,
@@ -84,7 +84,6 @@ __all__ = [
     "CheckpointCorruptionError",
     "CheckpointError",
     "CheckpointVersionError",
-    "DualStore",
     "DynamicGraph",
     "IncrementalCoverMaintainer",
     "InvalidUpdateError",

@@ -6,7 +6,7 @@ mid-stream:
 
 * the **current graph** (canonical endpoint arrays + live weights — the
   delta log is folded away; restore starts from a fresh base snapshot,
-  which the maintainer's pair-keyed state is explicitly independent of);
+  which the maintainer's edge-code-keyed state is explicitly independent of);
 * the **maintainer state** exported bit-exactly by
   :meth:`~repro.dynamic.IncrementalCoverMaintainer.export_state` (cover
   mask, loads, edge-coded duals, dual total, drift baseline, batch count);
@@ -22,9 +22,9 @@ the previous edge, mostly 0) and ``edge_cols`` (the upper endpoint) — taken
 straight from the graph's sorted edge codes, so a save never materializes
 a :class:`~repro.graphs.WeightedGraph`.  Members are deflated at level 1,
 except weights and loads, which barely deflate and are stored.  The duals
-are the flat ``dual_codes`` array (the ``(u << 32) | v`` encoding of
-:mod:`repro.dynamic.duals`) plus values, as the
-:class:`~repro.dynamic.duals.DualStore` exports them.
+are the maintainer's own arrays: ascending ``dual_codes`` (the
+``(u << 32) | v`` encoding of :mod:`repro.dynamic.duals`) and
+``dual_values``, stored as held, with no conversion either way.
 Two integrity layers make restores trustworthy:
 
 1. a **content digest** over the header + every array, recomputed on load

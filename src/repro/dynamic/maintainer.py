@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.certificates import CoverCertificate
 from repro.core.postprocess import greedy_prune_pass, prune_redundant_vertices
 from repro.core.result import MWVCResult
-from repro.dynamic.duals import DualStore, decode_edge_codes, encode_edge_codes
+from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.repair import certificate_from_state, pricing_repair_pass
 from repro.graphs.updates import OP_DELETE, OP_INSERT, OP_REWEIGHT, UpdateColumns
@@ -156,7 +156,8 @@ class IncrementalCoverMaintainer:
         self.dyn = dyn
         n = dyn.n
         self._cover = np.zeros(n, dtype=bool)
-        self._x = DualStore()
+        self._dual_codes = np.empty(0, dtype=np.int64)
+        self._dual_values = np.empty(0, dtype=np.float64)
         self._loads = np.zeros(n, dtype=np.float64)
         self._dual_value = 0.0
         self._base_ratio: Optional[float] = None
@@ -199,7 +200,8 @@ class IncrementalCoverMaintainer:
 
     def edge_duals(self) -> Dict[Tuple[int, int], float]:
         """Nonzero per-edge duals keyed by canonical endpoint pair (copy)."""
-        return self._x.as_dict()
+        u, v = decode_edge_codes(self._dual_codes)
+        return dict(zip(zip(u.tolist(), v.tolist()), self._dual_values.tolist()))
 
     # ------------------------------------------------------------------ #
     # snapshot/restore support
@@ -211,17 +213,16 @@ class IncrementalCoverMaintainer:
         *not* recomputed — so a maintainer restored via :meth:`from_state`
         is bit-identical and every subsequent :meth:`apply_batch` evolves
         it exactly as the original (the property
-        ``tests/recovery/test_equivalence.py`` checks).  The duals are the
-        edge codes of :mod:`repro.dynamic.duals` in sorted order (one
-        vectorized sort), making the export deterministic for a given
-        state (content digests of two exports of one state match).
+        ``tests/recovery/test_equivalence.py`` checks).  The duals are
+        exported as held: ascending edge codes of :mod:`repro.dynamic.duals`
+        and their values, so the export is deterministic for a given state
+        (content digests of two exports of one state match).
         """
-        dual_codes, dual_values = self._x.sorted_codes()
         return {
             "cover": self._cover.copy(),
             "loads": self._loads.copy(),
-            "dual_codes": dual_codes,
-            "dual_values": dual_values,
+            "dual_codes": self._dual_codes.copy(),
+            "dual_values": self._dual_values.copy(),
             "dual_value": float(self._dual_value),
             "base_ratio": self._base_ratio,
             "batches_applied": int(self._batches),
@@ -232,9 +233,9 @@ class IncrementalCoverMaintainer:
         """Reconstruct a maintainer around ``dyn`` from :meth:`export_state`.
 
         ``dyn`` must already hold the graph the state was exported against;
-        the state is validated structurally (shapes, dual codes are current
-        edges, in any order) so a mismatched graph/state pair fails loudly
-        instead of silently corrupting the certificate.
+        the state is validated structurally (shapes, dual codes are
+        distinct current edges, in any order) so a mismatched graph/state
+        pair fails loudly instead of silently corrupting the certificate.
         """
         n = dyn.n
         cover = np.asarray(state["cover"], dtype=bool)
@@ -249,18 +250,25 @@ class IncrementalCoverMaintainer:
             raise ValueError(
                 f"dual arrays disagree: codes {codes.shape}, values {vals.shape}"
             )
-        missing = np.nonzero(~dyn.has_codes(codes))[0]
+        order = np.argsort(codes, kind="stable")
+        codes, vals = codes[order], vals[order]
+        missing = np.flatnonzero(~dyn.has_codes(codes))
         if missing.size:
             u, v = decode_edge_codes(codes[missing[:1]])
             raise ValueError(
                 f"dual on ({int(u[0])}, {int(v[0])}) which is not an edge of "
                 f"the restored graph"
             )
+        repeated = np.flatnonzero(codes[1:] == codes[:-1])
+        if repeated.size:
+            u, v = decode_edge_codes(codes[repeated[:1]])
+            raise ValueError(f"repeated dual on ({int(u[0])}, {int(v[0])})")
         maintainer = cls.__new__(cls)
         maintainer.dyn = dyn
         maintainer._cover = cover.copy()
         maintainer._loads = loads.copy()
-        maintainer._x = DualStore.from_codes(codes, vals)
+        maintainer._dual_codes = codes
+        maintainer._dual_values = vals
         maintainer._dual_value = float(state["dual_value"])
         base = state["base_ratio"]
         maintainer._base_ratio = None if base is None else float(base)
@@ -323,8 +331,9 @@ class IncrementalCoverMaintainer:
             (typically via ``solver.solve(SolveRequest(dyn.compact(), ...))``).
         graph:
             The graph the result was computed on; defaults to
-            ``dyn.materialize()``.  Its canonical edge order maps
-            ``result.x`` into the maintainer's edge-code-keyed duals.
+            ``dyn.materialize()``.  Its edges are canonical (lex-sorted),
+            so the codes of the edges with ``result.x > 0`` are already
+            the ascending dual codes the maintainer holds.
 
         Returns the post-adoption certificate (the new drift baseline).
         """
@@ -340,12 +349,10 @@ class IncrementalCoverMaintainer:
         if x.shape != (g.m,):
             raise ValueError(f"duals have shape {x.shape}, expected ({g.m},)")
         cover = prune_redundant_vertices(g, cover, weights=self.dyn.weights)
-        # Edge-indexed duals → edge-code-keyed store, one vectorized encode.
-        nz = np.nonzero(x)[0]
+        nz = np.flatnonzero(x)
         self._cover = cover.copy()
-        self._x = DualStore.from_codes(
-            encode_edge_codes(g.edges_u[nz], g.edges_v[nz]), x[nz]
-        )
+        self._dual_codes = encode_edge_codes(g.edges_u[nz], g.edges_v[nz])
+        self._dual_values = x[nz]
         self._loads = g.incident_sums(x)
         self._dual_value = float(x.sum())
         cert = self.certificate()
@@ -506,7 +513,14 @@ class IncrementalCoverMaintainer:
         which apply their operands strictly in order — equal the
         edge-at-a-time loop bit for bit.  Otherwise the loop runs.
         """
-        pays = self._x.pop_codes(codes)
+        held_codes = self._dual_codes
+        if not (codes.size and held_codes.size):
+            return 0.0
+        at = np.minimum(np.searchsorted(held_codes, codes), held_codes.size - 1)
+        held = held_codes[at] == codes
+        pays = np.where(held, self._dual_values[at], 0.0)
+        self._dual_codes = np.delete(held_codes, at[held])
+        self._dual_values = np.delete(self._dual_values, at[held])
         paid = np.flatnonzero(pays)
         if not paid.size:
             return 0.0
@@ -540,17 +554,25 @@ class IncrementalCoverMaintainer:
         (residual ≤ 0, possible after an adopted solve with load factor
         > 1 or a weight decrease) enters for free.  The pass itself is
         :func:`repro.dynamic.repair.pricing_repair_pass`.
+
+        Its new duals are merged with one ``np.insert``.  No paid code
+        already holds a dual: duals are held only on present edges, and a
+        paid edge was inserted in this batch, so it was absent at batch
+        start or deleted earlier in the batch, which retired its dual.
         """
         outcome = pricing_repair_pass(
             uncovered,
             weights=self.dyn.weights,
             cover=self._cover,
             loads=self._loads,
-            duals=self._x,
             dual_value=self._dual_value,
             has_edges=self.dyn.has_edges,
         )
         self._dual_value = outcome.dual_value
+        if outcome.paid_codes.size:
+            at = np.searchsorted(self._dual_codes, outcome.paid_codes)
+            self._dual_codes = np.insert(self._dual_codes, at, outcome.paid_codes)
+            self._dual_values = np.insert(self._dual_values, at, outcome.pays)
         return outcome.repaired, outcome.entered
 
     def _prune_touched(self, touched: np.ndarray, entered: Set[int]) -> int:

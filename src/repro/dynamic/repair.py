@@ -35,14 +35,14 @@ argument is in :mod:`repro.core.postprocess`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.certificates import CoverCertificate
 from repro.core.postprocess import greedy_prune_pass
-from repro.dynamic.duals import DualStore
+from repro.dynamic.duals import encode_edge_codes
 
 __all__ = [
     "RepairOutcome",
@@ -69,11 +69,16 @@ class RepairOutcome:
         Vertices that entered the cover during the pass.
     dual_value:
         The updated dual total (additions applied in processing order).
+    paid_codes, pays:
+        The edge codes whose dual the pass raised, ascending, and the
+        amount each was raised by.
     """
 
     repaired: int
     entered: Set[int]
     dual_value: float
+    paid_codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    pays: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
 
 
 def pricing_repair_pass(
@@ -82,7 +87,6 @@ def pricing_repair_pass(
     weights: np.ndarray,
     cover: np.ndarray,
     loads: np.ndarray,
-    duals: DualStore,
     dual_value: float,
     has_edges: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> RepairOutcome:
@@ -94,8 +98,9 @@ def pricing_repair_pass(
     endpoint residual ``w − y``; every endpoint whose residual is
     exhausted enters the cover.  An endpoint already fully paid
     (residual ≤ 0, possible after an adopted solve with load factor > 1
-    or a weight decrease) enters for free.  ``cover``, ``loads`` and
-    ``duals`` are mutated in place.
+    or a weight decrease) enters for free.  ``cover`` and ``loads`` are
+    mutated in place; the new duals are returned as
+    :attr:`RepairOutcome.paid_codes` and :attr:`RepairOutcome.pays`.
 
     ``has_edges(u_arr, v_arr) -> bool array`` answers presence for the
     whole frontier at once (an edge inserted then deleted within the same
@@ -124,7 +129,8 @@ def pricing_repair_pass(
 
     repaired = 0
     entered: Set[int] = set()
-    add_pay = duals.add_pay
+    paid: List[int] = []
+    pays: List[float] = []
     for i in range(len(us)):
         u = us[i]
         v = vs[i]
@@ -136,7 +142,8 @@ def pricing_repair_pass(
         rv = wv - float(loads[v])
         pay = max(0.0, min(ru, rv))
         if pay > 0.0:
-            add_pay(u, v, pay)
+            paid.append(i)
+            pays.append(pay)
             loads[u] += pay
             loads[v] += pay
             dual_value += pay
@@ -153,7 +160,13 @@ def pricing_repair_pass(
             cover[cheap] = True
             entered.add(cheap)
         repaired += 1
-    return RepairOutcome(repaired=repaired, entered=entered, dual_value=dual_value)
+    return RepairOutcome(
+        repaired=repaired,
+        entered=entered,
+        dual_value=dual_value,
+        paid_codes=encode_edge_codes(su[paid], sv[paid]),
+        pays=np.array(pays, dtype=np.float64),
+    )
 
 
 def certificate_from_state(

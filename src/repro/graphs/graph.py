@@ -238,11 +238,6 @@ class WeightedGraph:
         """
         return 2.0 * self.m / self._n if self._n else 0.0
 
-    @property
-    def total_weight(self) -> float:
-        """Sum of all vertex weights."""
-        return float(self._weights.sum())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WeightedGraph(n={self._n}, m={self.m}, avg_deg={self.average_degree:.2f})"
 
@@ -423,13 +418,6 @@ class WeightedGraph:
             raise IndexError(f"vertex {v} out of range [0, {self._n})")
         return self._adj_vertices[self._indptr[v] : self._indptr[v + 1]]
 
-    def incident_edge_ids(self, v: int) -> np.ndarray:
-        """Edge ids incident to ``v`` (read-only view)."""
-        self._build_csr()
-        if not (0 <= v < self._n):
-            raise IndexError(f"vertex {v} out of range [0, {self._n})")
-        return self._adj_edges[self._indptr[v] : self._indptr[v + 1]]
-
     # ------------------------------------------------------------------ #
     # derived graphs
     # ------------------------------------------------------------------ #
@@ -479,13 +467,6 @@ class WeightedGraph:
         )
         return sub, ids, edge_ids
 
-    def edge_subgraph(self, edge_mask: np.ndarray) -> "WeightedGraph":
-        """Same vertex set, edges restricted to ``edge_mask`` (no relabel)."""
-        mask = np.asarray(edge_mask, dtype=bool)
-        if mask.shape != (self.m,):
-            raise ValueError(f"edge_mask must have shape ({self.m},)")
-        return WeightedGraph(self._n, self._edges_u[mask], self._edges_v[mask], self._weights)
-
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
@@ -506,7 +487,3 @@ class WeightedGraph:
     def empty(cls, n: int, weights=None) -> "WeightedGraph":
         """Edgeless graph on ``n`` vertices."""
         return cls(n, np.empty(0, np.int64), np.empty(0, np.int64), weights)
-
-    def edge_list(self) -> np.ndarray:
-        """All edges as an ``(m, 2)`` array (canonical order)."""
-        return np.stack([self._edges_u, self._edges_v], axis=1)

@@ -137,52 +137,3 @@ class TestIsolatedVertices:
         mask = np.array([True, True, False])
         pruned = prune_redundant_vertices(g, mask)
         assert not pruned[2]
-
-
-class TestCandidates:
-    """The restricted sweep of the incremental hot path."""
-
-    def test_non_candidates_keep_state(self):
-        g = complete_graph(3)
-        pruned = prune_redundant_vertices(
-            g, np.ones(3, dtype=bool), candidates=np.array([2])
-        )
-        # Only vertex 2 may be dropped; 0 and 1 stay even though a full
-        # sweep would drop one of them too.
-        assert pruned.tolist() == [True, True, False]
-
-    def test_full_candidates_match_unrestricted(self):
-        g = gnp_average_degree(200, 8.0, seed=6)
-        g = g.with_weights(uniform_weights(g.n, seed=7))
-        res = minimum_weight_vertex_cover(g, eps=0.1, seed=8)
-        full = prune_redundant_vertices(g, res.in_cover)
-        restricted = prune_redundant_vertices(
-            g, res.in_cover, candidates=np.ones(g.n, dtype=bool)
-        )
-        assert (full == restricted).all()
-
-    def test_empty_candidates_is_identity(self, triangle):
-        mask = np.ones(3, dtype=bool)
-        pruned = prune_redundant_vertices(
-            triangle, mask, candidates=np.empty(0, dtype=np.int64)
-        )
-        assert (pruned == mask).all()
-
-    def test_boolean_mask_candidates(self):
-        g = star(6)
-        cand = np.zeros(6, dtype=bool)
-        cand[3] = True
-        pruned = prune_redundant_vertices(g, np.ones(6, dtype=bool), candidates=cand)
-        assert pruned.tolist() == [True, True, True, False, True, True]
-
-    def test_bad_candidate_ids(self, triangle):
-        with pytest.raises(ValueError, match="candidate ids"):
-            prune_redundant_vertices(
-                triangle, np.ones(3, dtype=bool), candidates=np.array([7])
-            )
-
-    def test_bad_candidate_mask_shape(self, triangle):
-        with pytest.raises(ValueError, match="candidates mask"):
-            prune_redundant_vertices(
-                triangle, np.ones(3, dtype=bool), candidates=np.ones(5, dtype=bool)
-            )

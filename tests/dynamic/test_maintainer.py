@@ -5,13 +5,18 @@ import pytest
 
 from repro.baselines.exact import exact_mwvc
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
-from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer, InvalidUpdateError
+from repro.dynamic import (
+    DynamicGraph,
+    IncrementalCoverMaintainer,
+    InvalidUpdateError,
+    encode_edge_codes,
+)
 from repro.graphs.generators import gnp_average_degree, star
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
 
 from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns
-from tests.kernel_oracle import apply_event
+from tests.kernel_oracle import ReferenceMaintainer, apply_event
 
 
 def _solved_maintainer(graph, *, eps=0.1, seed=3):
@@ -133,6 +138,73 @@ class TestRepair:
         )
         assert report.num_updates == 3
         assert report.applied <= 3  # duplicate insert is a no-op
+
+
+def _held(m):
+    """The maintainer's dual arrays, as exported."""
+    state = m.export_state()
+    return state["dual_codes"], state["dual_values"]
+
+
+class TestDualArrays:
+    """The duals are one sorted code array plus a value array, from
+    adopt through every batch to the export."""
+
+    def test_adopt_holds_the_positive_duals_in_edge_order(self, medium):
+        res = minimum_weight_vertex_cover(medium, eps=0.1, seed=3)
+        m = IncrementalCoverMaintainer(DynamicGraph(medium))
+        m.adopt(res)
+        codes, values = _held(m)
+        nz = np.flatnonzero(res.x)
+        assert np.array_equal(
+            codes, encode_edge_codes(medium.edges_u[nz], medium.edges_v[nz])
+        )
+        assert np.array_equal(values, res.x[nz])
+        assert (np.diff(codes) > 0).all()
+
+    def test_export_is_a_copy(self, medium):
+        m = _solved_maintainer(medium)
+        codes, values = _held(m)
+        codes[:] = 0
+        values[:] = -1.0
+        again_codes, again_values = _held(m)
+        assert (np.diff(again_codes) > 0).all() and (again_values > 0).all()
+
+    @pytest.mark.parametrize(
+        "order",
+        [(0, 1, 2), (2, 0, 1), (0, 2, 1)],
+        ids=["del-ins-new", "new-del-ins", "del-new-ins"],
+    )
+    def test_merged_duals_equal_the_per_edge_reference(self, order):
+        """One batch retires a dual (delete, then re-insert of its edge)
+        and pays a new one between two uncovered vertices; the new code
+        lands between held ones.  The one-``np.insert`` merge equals the
+        oracle's per-edge edits exactly, in any event order."""
+        # Path 0-1-2 and edge 3-4 on unit weights, cover {1, 4}; vertices
+        # 2 and 5 are uncovered and not adjacent.
+        g = WeightedGraph.from_edge_list(6, [(0, 1), (1, 2), (3, 4)], np.ones(6))
+        state = {
+            "cover": np.array([False, True, False, False, True, False]),
+            "loads": np.array([0.5, 0.75, 0.25, 0.5, 0.5, 0.0]),
+            "dual_codes": encode_edge_codes([0, 1, 3], [1, 2, 4]),
+            "dual_values": np.array([0.5, 0.25, 0.5]),
+            "dual_value": 1.25,
+            "base_ratio": None,
+            "batches_applied": 0,
+        }
+        events = [EdgeDelete(0, 1), EdgeInsert(1, 0), EdgeInsert(5, 2)]
+        batch = columns([events[i] for i in order])
+        vec, ref = (
+            cls.from_state(DynamicGraph(g), state)
+            for cls in (IncrementalCoverMaintainer, ReferenceMaintainer)
+        )
+        assert vec.apply_batch(batch) == ref.apply_batch(batch)
+        assert vec.edge_duals() == ref.edge_duals()
+        assert vec.edge_duals() == {(1, 2): 0.25, (2, 5): 0.75, (3, 4): 0.5}
+        codes, _ = _held(vec)
+        assert codes.tolist() == encode_edge_codes([1, 2, 3], [2, 5, 4]).tolist()
+        assert vec.dual_value == ref.dual_value == 1.5
+        assert vec.verify()
 
 
 class TestAtomicBatch:

@@ -160,9 +160,6 @@ class TestConstruction:
         different = WeightedGraph.from_edge_list(3, [(0, 1), (1, 2)])
         assert triangle != different
 
-    def test_total_weight(self, weighted_star):
-        assert weighted_star.total_weight == pytest.approx(15.0)
-
 
 class TestDegrees:
     def test_star_degrees(self):
@@ -263,19 +260,17 @@ class TestCSR:
         assert sorted(triangle.neighbors(0).tolist()) == [1, 2]
         assert sorted(triangle.neighbors(1).tolist()) == [0, 2]
 
-    def test_incident_edge_ids(self, path4):
-        assert sorted(path4.incident_edge_ids(1).tolist()) == [0, 1]
-
     def test_out_of_range(self, triangle):
         with pytest.raises(IndexError):
             triangle.neighbors(10)
         with pytest.raises(IndexError):
-            triangle.incident_edge_ids(-1)
+            triangle.neighbors(-1)
 
     def test_adjacency_consistency(self, small_random):
         g = small_random
         for v in range(g.n):
-            for w, e in zip(g.neighbors(v), g.incident_edge_ids(v)):
+            slots = slice(g.indptr[v], g.indptr[v + 1])
+            for w, e in zip(g.neighbors(v), g.adj_edges[slots]):
                 a, b = g.edges_u[e], g.edges_v[e]
                 assert {a, b} == {v, w}
 
@@ -326,23 +321,8 @@ class TestInducedSubgraph:
         assert sub == small_random
 
 
-class TestEdgeSubgraph:
-    def test_mask_keeps_vertices(self, path4):
-        sub = path4.edge_subgraph(np.array([True, False, True]))
-        assert sub.n == 4 and sub.m == 2
-
-    def test_shape_checked(self, path4):
-        with pytest.raises(ValueError, match="shape"):
-            path4.edge_subgraph(np.ones(5, dtype=bool))
-
-
 class TestWithWeights:
     def test_replaces_weights_only(self, triangle):
         g2 = triangle.with_weights(np.array([5.0, 6.0, 7.0]))
         assert g2.weights.tolist() == [5.0, 6.0, 7.0]
         assert np.array_equal(g2.edges_u, triangle.edges_u)
-
-    def test_edge_list_roundtrip(self, small_random):
-        el = small_random.edge_list()
-        g2 = WeightedGraph(small_random.n, el[:, 0], el[:, 1], small_random.weights)
-        assert g2 == small_random

@@ -16,7 +16,7 @@ duals, dual totals and batch reports exactly.  :func:`apply_event` and
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -86,14 +86,15 @@ def reference_pricing_repair_pass(
     weights: np.ndarray,
     cover: np.ndarray,
     loads: np.ndarray,
-    duals,
+    duals: Dict[int, float],
     dual_value: float,
     has_edge: Callable[[int, int], bool],
 ) -> RepairOutcome:
     """The original edge-at-a-time pricing repair loop.
 
     Same contract as :func:`repro.dynamic.repair.pricing_repair_pass`,
-    with a scalar presence test and one dual update per edge.
+    with a scalar presence test, but each pay is added into ``duals``
+    (edge code → value) as it happens, instead of being returned.
     """
     repaired = 0
     entered: Set[int] = set()
@@ -107,7 +108,8 @@ def reference_pricing_repair_pass(
         rv = float(weights[v] - loads[v])
         pay = max(0.0, min(ru, rv))
         if pay > 0.0:
-            duals.add_pay(u, v, pay)
+            code = (u << 32) | v
+            duals[code] = duals.get(code, 0.0) + pay
             loads[u] += pay
             loads[v] += pay
             dual_value += pay
@@ -168,7 +170,9 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
     then reaches the graph through :func:`apply_event`, which must agree.
     A test can check ``dyn.edge_codes()`` against :meth:`model_codes`
     after every batch.  Deleted edges' duals retire one at a time, clamping each load
-    and the dual total at zero.  Every prune is
+    and the dual total at zero, and each pay lands as its own
+    single-element edit of the dual arrays (added to a dual the edge
+    already holds, if any), never through the production merge.  Every prune is
     :func:`reference_greedy_prune_pass`, so the oracle never runs the
     production prune kernel it checks.
     """
@@ -217,9 +221,29 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
                 retired += self._retire_dual(key)
         return inserts, deletes, reweights, retired, touched, uncovered
 
+    def _dual_slot(self, code: int) -> Tuple[int, bool]:
+        """Position of ``code`` in the sorted dual codes, and whether it
+        holds a dual."""
+        i = int(np.searchsorted(self._dual_codes, code))
+        return i, i < self._dual_codes.size and int(self._dual_codes[i]) == code
+
+    def _add_dual(self, code: int, pay: float) -> None:
+        i, held = self._dual_slot(code)
+        if held:
+            self._dual_values = self._dual_values.copy()
+            self._dual_values[i] += pay
+        else:
+            self._dual_codes = np.insert(self._dual_codes, i, code)
+            self._dual_values = np.insert(self._dual_values, i, pay)
+
     def _retire_dual(self, key: EdgeKey) -> float:
         u, v = key
-        pay = float(self._x.pop_codes(np.array([(u << 32) | v]))[0])
+        i, held = self._dual_slot((u << 32) | v)
+        pay = 0.0
+        if held:
+            pay = float(self._dual_values[i])
+            self._dual_codes = np.delete(self._dual_codes, i)
+            self._dual_values = np.delete(self._dual_values, i)
         if pay:
             for t in key:
                 self._loads[t] -= pay
@@ -231,15 +255,18 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
         return pay
 
     def _repair(self, uncovered: Iterable[EdgeKey]) -> Tuple[int, Set[int]]:
+        paid: Dict[int, float] = {}
         outcome = reference_pricing_repair_pass(
             sorted(set(uncovered)),
             weights=self.dyn.weights,
             cover=self._cover,
             loads=self._loads,
-            duals=self._x,
+            duals=paid,
             dual_value=self._dual_value,
             has_edge=lambda u, v: has_edge(self.dyn, u, v),
         )
+        for code, pay in paid.items():
+            self._add_dual(code, pay)
         self._dual_value = outcome.dual_value
         return outcome.repaired, outcome.entered
 

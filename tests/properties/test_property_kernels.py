@@ -1,6 +1,6 @@
 """Property: vectorized repair/prune kernels ≡ the reference oracle.
 
-The vectorized dynamic hot path (CSR-delta adjacency, array-backed duals,
+The vectorized dynamic hot path (CSR-delta adjacency, sorted dual arrays,
 batched pricing/prune kernels, the columnar event loop of ``apply_batch``)
 promises *bit-identical* covers, duals, and certificates to the original
 object-at-a-time loops kept in ``tests/kernel_oracle.py``.  Hypothesis
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.core.postprocess import greedy_prune_pass, prune_redundant_vertices
-from repro.dynamic import DualStore, DynamicGraph, IncrementalCoverMaintainer
+from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer
 from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
 from repro.dynamic.repair import pricing_repair_pass
 from repro.graphs.graph import WeightedGraph
@@ -129,6 +129,9 @@ def bulk_path_sequences(draw, graph, max_chunks: int = 14):
 def _assert_same_maintainer_state(a: IncrementalCoverMaintainer, b):
     assert np.array_equal(a.cover, b.cover), "cover masks differ"
     assert a.edge_duals() == b.edge_duals(), "duals differ"
+    sa, sb = a.export_state(), b.export_state()
+    assert np.array_equal(sa["dual_codes"], sb["dual_codes"]), "dual order differs"
+    assert np.array_equal(sa["dual_values"], sb["dual_values"])
     assert a.dual_value == b.dual_value, "dual totals differ"
     assert np.array_equal(a._loads, b._loads), "loads differ"
 
@@ -209,6 +212,25 @@ class TestMaintainerEquivalence:
         assert vec.verify() and ref.verify()
 
     @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), graph=weighted_graphs(min_n=2, max_n=14))
+    def test_held_duals_stay_sorted_positive_and_on_current_edges(self, data, graph):
+        """After every batch the dual codes are strictly ascending (so the
+        per-batch merge never repeats a code), every value is positive, and
+        every code is an edge of the current graph."""
+        cols = columns(data.draw(bulk_path_sequences(graph)))
+        batch = data.draw(st.sampled_from([1, 4, max(1, len(cols))]))
+        m = IncrementalCoverMaintainer(DynamicGraph(graph, min_compact=3))
+        if graph.m:
+            m.adopt(minimum_weight_vertex_cover(graph, eps=EPS, seed=SEED))
+        for i in range(0, len(cols), batch):
+            m.apply_batch(cols[i : i + batch])
+            state = m.export_state()
+            codes, values = state["dual_codes"], state["dual_values"]
+            assert (np.diff(codes) > 0).all()
+            assert (values > 0).all()
+            assert m.dyn.has_codes(codes).all()
+
+    @settings(max_examples=40, deadline=None)
     @given(
         data=st.data(),
         graph=weighted_graphs(min_n=3, max_n=14),
@@ -281,7 +303,7 @@ class TestBareKernels:
         )
         dyn = DynamicGraph(graph)
         args = dict(weights=np.asarray(graph.weights), dual_value=0.25)
-        ref_cover, ref_loads, ref_duals = cover.copy(), loads.copy(), DualStore()
+        ref_cover, ref_loads, ref_duals = cover.copy(), loads.copy(), {}
         ref = reference_pricing_repair_pass(
             keys,
             cover=ref_cover,
@@ -290,12 +312,11 @@ class TestBareKernels:
             has_edge=lambda u, v: has_edge(dyn, u, v),
             **args,
         )
-        vec_cover, vec_loads, vec_duals = cover.copy(), loads.copy(), DualStore()
+        vec_cover, vec_loads = cover.copy(), loads.copy()
         vec = pricing_repair_pass(
             keys,
             cover=vec_cover,
             loads=vec_loads,
-            duals=vec_duals,
             has_edges=dyn.has_edges,
             **args,
         )
@@ -304,7 +325,10 @@ class TestBareKernels:
         assert vec.dual_value == ref.dual_value
         assert np.array_equal(vec_cover, ref_cover)
         assert np.array_equal(vec_loads, ref_loads)
-        assert vec_duals.as_dict() == ref_duals.as_dict()
+        assert (np.diff(vec.paid_codes) > 0).all(), "paid codes not ascending"
+        # The total grew by the pays in processing order.
+        assert np.add.accumulate(np.r_[0.25, vec.pays])[-1] == vec.dual_value
+        assert dict(zip(vec.paid_codes.tolist(), vec.pays.tolist())) == ref_duals
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), graph=weighted_graphs(min_n=1, max_n=20))
@@ -344,12 +368,11 @@ class TestBareKernels:
         data=st.data(),
         graph=weighted_graphs(min_n=1, max_n=20),
         isolated=st.integers(0, 3),
-        candidate_form=st.sampled_from(["all", "mask", "ids"]),
         tied=st.booleans(),
         override=st.booleans(),
     )
     def test_prune_redundant_vertices_matches_reference(
-        self, data, graph, isolated, candidate_form, tied, override
+        self, data, graph, isolated, tied, override
     ):
         n = graph.n + isolated
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
@@ -365,49 +388,15 @@ class TestBareKernels:
         effective = rng.uniform(0.1, 100.0, n) if override else g.weights
         if tied and override:
             effective = rng.integers(1, 4, n).astype(np.float64)
-        sweep = rng.random(n) < rng.random()
-        candidates = {
-            "all": None,
-            "mask": sweep,
-            "ids": rng.permutation(np.repeat(np.nonzero(sweep)[0], 2)),
-        }[candidate_form]
 
         pruned = prune_redundant_vertices(
-            g,
-            cover,
-            weights=effective if override else None,
-            candidates=candidates,
+            g, cover, weights=effective if override else None
         )
         ref_cover = cover.copy()
         reference_greedy_prune_pass(
-            range(n) if candidates is None else np.nonzero(sweep)[0].tolist(),
+            range(n),
             weights=effective,
             cover=ref_cover,
             graph=DynamicGraph(g),
         )
         assert np.array_equal(pruned, ref_cover)
-
-
-class TestDualStore:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        pairs=st.lists(
-            st.tuples(st.integers(0, 500), st.integers(501, 1000)),
-            unique=True,
-            max_size=40,
-        ),
-        data=st.data(),
-    )
-    def test_round_trip_and_order(self, pairs, data):
-        values = [
-            data.draw(st.floats(0.001, 100.0, allow_nan=False))
-            for _ in pairs
-        ]
-        store = DualStore()
-        for (a, b), x in zip(pairs, values):
-            store.add_pay(a, b, x)
-        codes, vals = store.sorted_codes()
-        u, v = decode_edge_codes(codes)
-        assert list(zip(u.tolist(), v.tolist())) == sorted(pairs)
-        again = DualStore.from_codes(codes, vals)
-        assert again.as_dict() == store.as_dict() == dict(zip(pairs, values))

@@ -37,6 +37,27 @@ def streamed_maintainer():
     return maintainer
 
 
+def _save_with_dual_codes(path, maintainer, edit):
+    """Save ``maintainer`` to ``path``, replace its dual codes by
+    ``edit(codes)`` and re-stamp the content digest, so only the restore's
+    own state checks can refuse the file."""
+    save_snapshot(path, maintainer)
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    assert members["dual_codes"].size > 1, "fixture must carry duals"
+    members["dual_codes"] = edit(members["dual_codes"].copy())
+    meta = json.loads(bytes(members["meta_json"]).decode("utf-8"))
+    meta.pop("content_digest")
+    arrays = {k: v for k, v in members.items() if k != "meta_json"}
+    meta["content_digest"] = _digest(meta, arrays)
+    members["meta_json"] = np.frombuffer(
+        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+    )
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **members)
+    path.write_bytes(buf.getvalue())
+
+
 class TestRoundTrip:
     def test_restore_is_bit_exact(self, streamed_maintainer, tmp_path):
         path = tmp_path / "snap.npz"
@@ -165,27 +186,15 @@ class TestIntegrityGates:
         # A dual on a non-edge means snapshot and graph disagree; the
         # restore must refuse rather than fabricate a certificate.
         path = tmp_path / "snap.npz"
-        save_snapshot(path, streamed_maintainer)
-        with np.load(path, allow_pickle=False) as archive:
-            members = {name: archive[name] for name in archive.files}
-        codes = members["dual_codes"].copy()
-        assert codes.size, "fixture must carry duals"
         dyn = streamed_maintainer.dyn
         # Find a non-edge pair to point the first dual at.
-        u = 0
-        v = next(x for x in range(1, dyn.n) if not has_edge(dyn, u, x))
-        codes[0] = (u << 32) | v
-        members["dual_codes"] = codes
-        meta = json.loads(bytes(members["meta_json"]).decode("utf-8"))
-        meta.pop("content_digest")
-        arrays = {k: v for k, v in members.items() if k != "meta_json"}
-        meta["content_digest"] = _digest(meta, arrays)
-        members["meta_json"] = np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        )
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **members)
-        path.write_bytes(buf.getvalue())
+        v = next(x for x in range(1, dyn.n) if not has_edge(dyn, 0, x))
+
+        def point_first_at_non_edge(codes):
+            codes[0] = v  # the code of edge (0, v)
+            return codes
+
+        _save_with_dual_codes(path, streamed_maintainer, point_first_at_non_edge)
         with pytest.raises(CheckpointCorruptionError, match="not an edge"):
             load_snapshot(path)
 
@@ -212,6 +221,30 @@ class TestStateExport:
         again = restored.export_state()
         assert np.array_equal(again["dual_codes"], state["dual_codes"])
         assert np.array_equal(again["dual_values"], state["dual_values"])
+
+    def test_from_state_refuses_a_repeated_dual_code(self, streamed_maintainer):
+        # Two values for one edge have no meaning; the restore must
+        # refuse rather than pick one.
+        state = streamed_maintainer.export_state()
+        codes = state["dual_codes"].copy()
+        codes[1] = codes[0]
+        bad = dict(state, dual_codes=codes[::-1])
+        u, v = int(codes[0]) >> 32, int(codes[0]) & 0xFFFFFFFF
+        with pytest.raises(ValueError, match=rf"repeated dual on \({u}, {v}\)"):
+            IncrementalCoverMaintainer.from_state(streamed_maintainer.dyn, bad)
+
+    def test_repeated_dual_code_in_a_snapshot_is_corruption(
+        self, streamed_maintainer, tmp_path
+    ):
+        path = tmp_path / "snap.npz"
+
+        def repeat_first(codes):
+            codes[1] = codes[0]
+            return codes
+
+        _save_with_dual_codes(path, streamed_maintainer, repeat_first)
+        with pytest.raises(CheckpointCorruptionError, match="repeated dual"):
+            load_snapshot(path)
 
     def test_from_state_refuses_a_dual_on_a_non_edge(self, streamed_maintainer):
         state = streamed_maintainer.export_state()
