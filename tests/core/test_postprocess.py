@@ -5,7 +5,11 @@ import pytest
 
 from repro.baselines.exact import exact_mwvc
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
-from repro.core.postprocess import prune_redundant_vertices
+from repro.core.postprocess import (
+    _csr_gather,
+    greedy_prune_pass,
+    prune_redundant_vertices,
+)
 from repro.graphs.generators import complete_graph, gnp_average_degree, star
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
@@ -137,3 +141,57 @@ class TestIsolatedVertices:
         mask = np.array([True, True, False])
         pruned = prune_redundant_vertices(g, mask)
         assert not pruned[2]
+
+
+def _restricted_sweep(graph, cover, candidates):
+    """:func:`greedy_prune_pass` over ``graph``'s CSR, as the
+    maintainer's restricted sweep runs it over a batch's touched set."""
+    return greedy_prune_pass(
+        np.asarray(candidates, dtype=np.int64),
+        weights=graph.weights,
+        cover=cover,
+        degrees_of=lambda ids: graph.degrees[ids],
+        gather=_csr_gather(graph),
+    )
+
+
+class TestGreedyPrunePass:
+    """The restricted sweep of the incremental hot path."""
+
+    def test_non_candidates_keep_state(self):
+        g = complete_graph(3)
+        cover = np.ones(3, dtype=bool)
+        # Only vertex 2 may be dropped; 0 and 1 stay even though a full
+        # sweep would drop one of them too.
+        assert _restricted_sweep(g, cover, [2]) == [2]
+        assert cover.tolist() == [True, True, False]
+
+    def test_full_candidates_match_unrestricted(self):
+        g = gnp_average_degree(200, 8.0, seed=6)
+        g = g.with_weights(uniform_weights(g.n, seed=7))
+        res = minimum_weight_vertex_cover(g, eps=0.1, seed=8)
+        full = prune_redundant_vertices(g, res.in_cover)
+        cover = res.in_cover.copy()
+        pruned = _restricted_sweep(g, cover, np.arange(g.n))
+        assert (cover == full).all()
+        assert sorted(pruned) == np.flatnonzero(res.in_cover & ~full).tolist()
+
+    def test_empty_candidates_is_identity(self, triangle):
+        cover = np.ones(3, dtype=bool)
+        assert _restricted_sweep(triangle, cover, []) == []
+        assert cover.all()
+
+    def test_uncovered_candidates_are_skipped(self):
+        g = star(6)
+        cover = np.array([True, False, False, True, False, False])
+        # Vertex 1 is outside the cover; leaf 3 is redundant beside the hub.
+        assert _restricted_sweep(g, cover, [1, 3]) == [3]
+        assert cover.tolist() == [True, False, False, False, False, False]
+
+    def test_a_drop_locks_its_neighbors(self):
+        g = star(6)
+        cover = np.ones(6, dtype=bool)
+        # Leaves (w/deg = 1) go before the hub (1/5); dropping leaf 1
+        # locks the hub, which now alone covers edge (0, 1).
+        assert _restricted_sweep(g, cover, np.arange(6)) == [1, 2, 3, 4, 5]
+        assert g.is_vertex_cover(cover) and cover.tolist() == [True] + [False] * 5

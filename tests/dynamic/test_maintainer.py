@@ -9,6 +9,7 @@ from repro.dynamic import (
     DynamicGraph,
     IncrementalCoverMaintainer,
     InvalidUpdateError,
+    decode_edge_codes,
     encode_edge_codes,
 )
 from repro.graphs.generators import gnp_average_degree, star
@@ -169,6 +170,38 @@ class TestDualArrays:
         values[:] = -1.0
         again_codes, again_values = _held(m)
         assert (np.diff(again_codes) > 0).all() and (again_values > 0).all()
+
+    def test_fresh_maintainer_holds_empty_typed_arrays(self):
+        m = IncrementalCoverMaintainer(DynamicGraph(WeightedGraph.empty(4)))
+        codes, values = _held(m)
+        assert codes.shape == (0,) and values.shape == (0,)
+        assert codes.dtype == np.int64 and values.dtype == np.float64
+
+    def test_deleting_an_edge_without_a_dual_leaves_the_arrays(self, medium):
+        m = _solved_maintainer(medium)
+        codes, values = _held(m)
+        all_codes = encode_edge_codes(medium.edges_u, medium.edges_v)
+        free = int(np.flatnonzero(~np.isin(all_codes, codes))[0])
+        report = m.apply_batch(
+            columns([EdgeDelete(int(medium.edges_u[free]), int(medium.edges_v[free]))])
+        )
+        assert report.retired_dual == 0.0
+        again_codes, again_values = _held(m)
+        assert np.array_equal(again_codes, codes)
+        assert np.array_equal(again_values, values)
+
+    def test_delete_drops_exactly_its_code(self, medium):
+        m = _solved_maintainer(medium)
+        codes, values = _held(m)
+        gone = [3, codes.size // 2]
+        u, v = decode_edge_codes(codes[gone])
+        report = m.apply_batch(
+            columns([EdgeDelete(int(a), int(b)) for a, b in zip(u[::-1], v[::-1])])
+        )
+        assert report.retired_dual == values[gone[1]] + values[gone[0]]
+        again_codes, again_values = _held(m)
+        assert np.array_equal(again_codes, np.delete(codes, gone))
+        assert np.array_equal(again_values, np.delete(values, gone))
 
     @pytest.mark.parametrize(
         "order",

@@ -260,6 +260,10 @@ class TestCSR:
         assert sorted(triangle.neighbors(0).tolist()) == [1, 2]
         assert sorted(triangle.neighbors(1).tolist()) == [0, 2]
 
+    def test_adj_edges_list_incident_edges(self, path4):
+        slots = slice(path4.indptr[1], path4.indptr[2])
+        assert sorted(path4.adj_edges[slots].tolist()) == [0, 1]
+
     def test_out_of_range(self, triangle):
         with pytest.raises(IndexError):
             triangle.neighbors(10)
