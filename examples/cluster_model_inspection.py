@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Inspecting the MPC model: capacities, communication, and failure modes.
+"""Inspecting the MPC model: capacities, communication, and violations.
 
 The cluster engine is a real message-passing protocol running on the
 :mod:`repro.mpc` simulator; this example pries the lid off:
@@ -8,10 +8,7 @@ The cluster engine is a real message-passing protocol running on the
    (words moved, per-round maxima, memory high-water vs the S limit);
 2. shows a *model violation*: squeezing machine memory below what Lemma 4.1
    needs makes the run fail loudly (capacity enforcement, not silent
-   corruption);
-3. shows failure injection: killing a worker mid-protocol surfaces
-   ``DeadMachineError`` (the algorithm, like the paper's, assumes reliable
-   machines — the simulator makes that assumption checkable).
+   corruption).
 
 Run:  python examples/cluster_model_inspection.py
 """
@@ -19,7 +16,7 @@ Run:  python examples/cluster_model_inspection.py
 from repro import MPCParameters, minimum_weight_vertex_cover
 from repro.analysis import render_table
 from repro.graphs import gnp_average_degree, uniform_weights
-from repro.mpc import DeadMachineError, MPCError
+from repro.mpc import MPCError
 
 
 def main() -> None:
@@ -51,15 +48,7 @@ def main() -> None:
     try:
         minimum_weight_vertex_cover(graph, params=tiny, seed=43, engine="cluster")
     except MPCError as exc:
-        print(f"capacity squeeze -> {type(exc).__name__}: {exc}\n")
-
-    # --- 3. failure injection: machine death surfaces -------------------
-    try:
-        minimum_weight_vertex_cover(
-            graph, params=params, seed=44, engine="cluster", kill_schedule={3: [1]}
-        )
-    except DeadMachineError as exc:
-        print(f"killed worker 1 before round 3 -> {type(exc).__name__}: {exc}")
+        print(f"capacity squeeze -> {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

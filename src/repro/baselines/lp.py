@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from repro.graphs.graph import WeightedGraph
 
@@ -48,6 +46,9 @@ def lp_relaxation(graph: WeightedGraph) -> LPResult:
     Returns the optimal fractional solution and its value (a lower bound on
     the weight of every vertex cover).  Edgeless graphs yield ``z = 0``.
     """
+    import scipy.sparse as sp  # SciPy loads only when an LP is solved
+    from scipy.optimize import linprog
+
     n, m = graph.n, graph.m
     if m == 0:
         return LPResult(z=np.zeros(n), lp_value=0.0, status=0)

@@ -101,10 +101,6 @@ class CongestedClique:
             self.max_node_outflow = max(self.max_node_outflow, max(outflow))
         return inboxes
 
-    def idle_round(self) -> None:
-        """A round with local computation only."""
-        self.exchange([])
-
     def summary(self) -> dict:
         return {
             "rounds": self.rounds,

@@ -19,9 +19,8 @@ This module realizes the MPC→CC direction as an *accounted adapter*:
   (and the returned cover) are identical to the MPC run — only the round
   accounting is translated.
 
-The adapter charges real rounds on a :class:`CongestedClique` instance so
-that the per-link budget bookkeeping stays live, and returns both the MPC
-and CC round counts for experiment E10.
+The adapter simulates no clique rounds: it returns the MPC round count and
+its translation, the product above, for experiment E10.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from math import ceil
 
 import numpy as np
 
-from repro.congested.clique import CongestedClique
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.core.params import MPCParameters
 from repro.core.result import MWVCResult
@@ -85,13 +83,9 @@ def congested_clique_mwvc(
     )
     capacity = params.machine_capacity_words(graph.n)
     per_round = LENZEN_ROUNDS * max(1, ceil(capacity / max(1, graph.n)))
-    cc = CongestedClique(graph.n)
-    cc_rounds = per_round * res.mpc_rounds
-    for _ in range(cc_rounds):
-        cc.idle_round()
     return CongestedCliqueMWVCResult(
         mpc_result=res,
-        cc_rounds=cc.rounds,
+        cc_rounds=per_round * res.mpc_rounds,
         cc_rounds_per_mpc_round=per_round,
         num_nodes=graph.n,
     )

@@ -37,7 +37,7 @@ round; *fan-in* (aggregate / gather) shrinks the participant count by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict
 
 __all__ = [
@@ -72,9 +72,11 @@ HOME_WORDS_PER_EDGE = 4
 def fanout_for(capacity_words: int | None, item_words: int) -> int:
     """Tree fan-out for items of ``item_words`` under capacity ``S``.
 
-    Mirrors :func:`repro.mpc.primitives.tree_fanout`, minus the cluster
-    handle: ``max(2, S // item)`` (unbounded capacity => fan out to 1024,
-    an arbitrary 'everything in one round' stand-in that both engines share).
+    The one fan-out rule: the cluster engine passes it to every collective
+    of :mod:`repro.mpc.primitives`, and the round counts below assume it.
+    ``max(2, S // item)`` keeps one tree level within ``S`` words sent and
+    received (unbounded capacity => fan out to 1024, an arbitrary
+    'everything in one round' stand-in that both engines share).
     """
     if capacity_words is None:
         return 1024
@@ -125,30 +127,10 @@ class PhaseCost:
 
     @property
     def total(self) -> int:
-        return (
-            self.broadcast_state
-            + self.route_edges
-            + self.gather_freeze
-            + self.broadcast_freeze
-            + self.aggregate_loads
-            + self.broadcast_frozen_mask
-            + self.aggregate_state_updates
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "broadcast_state": self.broadcast_state,
-            "route_edges": self.route_edges,
-            "gather_freeze": self.gather_freeze,
-            "broadcast_freeze": self.broadcast_freeze,
-            "aggregate_loads": self.aggregate_loads,
-            "broadcast_frozen_mask": self.broadcast_frozen_mask,
-            "aggregate_state_updates": self.aggregate_state_updates,
-            "total": self.total,
-        }
+        return sum(astuple(self))
 
 
-def phase_fanouts(n: int, n_high: int, num_sim_machines: int, capacity: int | None) -> Dict[str, int]:
+def phase_fanouts(n: int, n_high: int, capacity: int | None) -> Dict[str, int]:
     """Prescribed fan-outs for each tree step of a phase."""
     return {
         "state": fanout_for(capacity, STATE_WORDS_PER_VERTEX * n + SCALAR_STATE_WORDS),
@@ -179,7 +161,7 @@ def phase_cost(
     capacity:
         Per-machine capacity ``S`` in words.
     """
-    f = phase_fanouts(n, n_high, num_sim_machines, capacity)
+    f = phase_fanouts(n, n_high, capacity)
     return PhaseCost(
         broadcast_state=broadcast_round_count(num_workers, f["state"]),
         route_edges=1,

@@ -100,15 +100,13 @@ class ClusterEngine:
         params: MPCParameters,
         num_workers: int,
         capacity: int | None,
-        *,
-        kill_schedule=None,
     ):
         self.graph = graph
         self.weights = weights
         self.params = params
         self.num_workers = int(num_workers)
         self.capacity = capacity
-        self.cluster = Cluster(self.num_workers + 1, capacity, kill_schedule=kill_schedule)
+        self.cluster = Cluster(self.num_workers + 1, capacity)
         self._distribute_edges()
         # Coordinator persistently holds the O(n) vertex state.
         coord = self.cluster.machine(0)
@@ -138,7 +136,7 @@ class ClusterEngine:
         I = plan.iterations
         m_sim = plan.num_machines
         growth = self.params.growth_factor()
-        fanouts = accounting.phase_fanouts(n, n_high, m_sim, self.capacity)
+        fanouts = accounting.phase_fanouts(n, n_high, self.capacity)
         worker_ids = list(range(1, self.num_workers + 1))
 
         # -------------------------------------------------------------- #

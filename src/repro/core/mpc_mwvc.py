@@ -82,22 +82,19 @@ class VectorizedEngine:
         self.num_workers = int(num_workers)
         self.capacity = capacity
         self.rounds = 0
-        self.phase_cost_breakdown: List[dict] = []
 
     def sync_state(self, wprime, resid_degree, frozen) -> None:
         """No distributed state to mirror in the vectorized engine."""
 
     def run_phase(self, plan: PhasePlan, *, trace: bool = False) -> PhaseOutcome:
         outcome = simulate_phase_vectorized(plan, self.params, trace=trace)
-        cost = accounting.phase_cost(
+        self.rounds += accounting.phase_cost(
             n=self.graph.n,
             n_high=plan.num_high,
             num_workers=self.num_workers,
             num_sim_machines=plan.num_machines,
             capacity=self.capacity,
-        )
-        self.rounds += cost.total
-        self.phase_cost_breakdown.append(cost.as_dict())
+        ).total
         return outcome
 
     def finalize(self, remaining_edges: int, frozen_mask: np.ndarray) -> None:
@@ -117,18 +114,13 @@ def _make_engine(
     params: MPCParameters,
     num_workers: int,
     capacity: int | None,
-    kill_schedule,
 ):
     if engine == "vectorized":
-        if kill_schedule:
-            raise ValueError("kill_schedule requires engine='cluster'")
         return VectorizedEngine(graph, weights, params, num_workers, capacity)
     if engine == "cluster":
         from repro.core.engine_cluster import ClusterEngine
 
-        return ClusterEngine(
-            graph, weights, params, num_workers, capacity, kill_schedule=kill_schedule
-        )
+        return ClusterEngine(graph, weights, params, num_workers, capacity)
     raise ValueError(f"unknown engine {engine!r}; expected 'vectorized' or 'cluster'")
 
 
@@ -140,7 +132,6 @@ def minimum_weight_vertex_cover(
     seed: SeedLike = None,
     engine: str = "vectorized",
     collect_trace: bool = False,
-    kill_schedule=None,
 ) -> MWVCResult:
     """Compute a (2+O(ε))-approximate minimum weight vertex cover in MPC.
 
@@ -162,9 +153,6 @@ def minimum_weight_vertex_cover(
     collect_trace:
         Attach per-phase ``(plan, outcome)`` pairs, including per-iteration
         estimator traces, to the result (experiments E4/E6).
-    kill_schedule:
-        Cluster engine only: ``{round_index: [machine_ids]}`` failure
-        injection.
 
     Returns
     -------
@@ -183,7 +171,7 @@ def minimum_weight_vertex_cover(
     num_workers = accounting.cluster_width(
         n=n, m_edges=graph.m, initial_machines=initial_machines, capacity=capacity
     )
-    eng = _make_engine(engine, graph, weights, params, num_workers, capacity, kill_schedule)
+    eng = _make_engine(engine, graph, weights, params, num_workers, capacity)
 
     phases: List[PhaseRecord] = []
     traces: List[Tuple[PhasePlan, PhaseOutcome]] = []

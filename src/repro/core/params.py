@@ -9,15 +9,14 @@ the phase loop would never run), ``I < 1`` (so no iterations would be
 simulated), and the bias exceeds the freezing threshold (so every vertex
 would freeze at t = 0).
 
-:class:`MPCParameters` therefore exposes each constant as a parameter with
-two presets:
+:class:`MPCParameters` therefore exposes each constant as a parameter:
 
+* the defaults keep the paper's *structure* with constants usable at
+  experimental scale, chosen to preserve the paper's own targets (see
+  DESIGN.md §4): per-phase degree decay ``(1-ε)^I = d^{-1/20}``, stop when
+  the remaining edges fit in a single machine's ``Θ(n)`` memory;
 * :meth:`MPCParameters.paper` — the verbatim formulas (kept so unit tests can
-  pin them, and so the degeneracy itself is documented by executable code);
-* :meth:`MPCParameters.practical` — identical *structure* with constants
-  usable at experimental scale, chosen to preserve the paper's own targets
-  (see DESIGN.md §4): per-phase degree decay ``(1-ε)^I = d^{-1/20}``, stop
-  when the remaining edges fit in a single machine's ``Θ(n)`` memory.
+  pin them, and so the degeneracy itself is documented by executable code).
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ class MPCParameters:
         interval both require ε < 1/4, so that is enforced here.)
     high_degree_exponent:
         The ``V^high`` cutoff is ``d̄ ^ high_degree_exponent`` (paper: 0.95).
-    machine_rule:
-        ``"sqrt_degree"`` — ``m = max(min_machines, ⌈√d̄⌉)`` (paper: ``√d̄``).
     min_machines:
-        Lower bound on the number of machines per phase (practical floor so
-        that sampling actually happens; the paper's regime has ``m`` huge).
+        Lower bound on the number of machines per phase, which is
+        ``m = max(min_machines, ⌈√d̄⌉)`` (paper: ``√d̄``; the floor makes
+        sampling actually happen, where the paper's regime has ``m`` huge).
     iteration_rule:
         ``"paper"``: ``I = ⌊log m / (10·log 15)⌋`` (degenerates to 0 at
         laptop scale); ``"practical"``: ``I = max(1, ⌈log d̄ /
@@ -83,7 +81,6 @@ class MPCParameters:
 
     eps: float = 0.1
     high_degree_exponent: float = 0.95
-    machine_rule: str = "sqrt_degree"
     min_machines: int = 2
     iteration_rule: str = "practical"
     iterations_override: int | None = None
@@ -99,8 +96,6 @@ class MPCParameters:
         check_fraction("eps", self.eps, low=0.0, high=0.25)
         check_fraction("high_degree_exponent", self.high_degree_exponent, low=0.0, high=1.0)
         check_positive("memory_factor", self.memory_factor)
-        if self.machine_rule != "sqrt_degree":
-            raise ValueError(f"unknown machine_rule {self.machine_rule!r}")
         if self.iteration_rule not in ("paper", "practical"):
             raise ValueError(f"unknown iteration_rule {self.iteration_rule!r}")
         if self.stop_rule not in ("paper", "practical"):
@@ -133,11 +128,6 @@ class MPCParameters:
             bias_machine_exponent=-0.2,
             min_machines=1,
         )
-
-    @classmethod
-    def practical(cls, eps: float = 0.1, **overrides) -> "MPCParameters":
-        """Laptop-scale preset preserving the paper's structural targets."""
-        return cls(eps=eps, **overrides)
 
     def with_(self, **overrides) -> "MPCParameters":
         """Copy with selected fields replaced."""

@@ -81,7 +81,7 @@ from repro.dynamic.maintainer import (
 from repro.dynamic.policy import ResolvePolicy
 from repro.dynamic.wal import WriteAheadLog, compact_wal, read_wal, repair_wal
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.io import load_npz, save_npz, write_bytes_atomic
+from repro.graphs.io import fsync_directory, load_npz, save_npz, write_bytes_atomic
 from repro.graphs.updates import UpdateColumns, load_update_stream, save_update_stream
 from repro.service.batch import BatchSolver
 from repro.service.schema import SolveRequest
@@ -127,7 +127,8 @@ class CheckpointConfig:
         shorten recovery replay; larger values cost less I/O.  A snapshot
         is always written right after the initial solve and at stream end.
     fsync:
-        Flush WAL records and snapshots to disk at commit time.  Keep on
+        Flush WAL records and snapshots to disk at commit time, and the
+        stored graph and stream before ``config.json`` names them.  Keep on
         for crash-consistency against power loss; turning it off still
         survives process kills (buffers are flushed per batch).
     keep_snapshots:
@@ -552,7 +553,12 @@ def _prepare_checkpoint_dir(
     engine: str,
     verify_every: int,
 ) -> None:
-    """Store the graph, the stream and ``config.json`` in a fresh directory."""
+    """Store the graph, the stream and ``config.json`` in a fresh directory.
+
+    With ``checkpoint.fsync`` the graph, the stream and their directory
+    entries reach disk before ``config.json`` is written, so a committed
+    config never names stream bytes that a power loss took.
+    """
     directory = os.fspath(checkpoint.directory)
     os.makedirs(directory, exist_ok=True)
     if os.path.exists(checkpoint.config_path):
@@ -563,6 +569,14 @@ def _prepare_checkpoint_dir(
         )
     save_npz(graph, checkpoint.graph_path)
     save_update_stream(updates, checkpoint.updates_path)
+    if checkpoint.fsync:
+        for path in (checkpoint.graph_path, checkpoint.updates_path):
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        fsync_directory(directory)
     config = {
         "format_version": CONFIG_FORMAT_VERSION,
         "batch_size": int(batch_size),
@@ -836,10 +850,11 @@ def resume_stream(
     Raises
     ------
     CheckpointError
-        Missing/invalid checkpoint pieces (no or a damaged config, corrupt
-        snapshot or WAL, a WAL gap the snapshot cannot bridge, or a
-        stream/WAL state mismatch), or pieces in a format this build does
-        not write (an unknown config key, an older snapshot version).
+        Missing/invalid checkpoint pieces (no or a damaged config, an
+        unreadable stored stream, corrupt snapshot or WAL, a WAL gap the
+        snapshot cannot bridge, or a stream/WAL state mismatch), or pieces
+        in a format this build does not write (an unknown config key, an
+        older snapshot version).
     """
     checkpoint, policy, config = _load_config(directory)
     if updates is None:
@@ -850,6 +865,11 @@ def resume_stream(
             raise CheckpointError(
                 f"checkpoint {os.fspath(directory)} has no stored update "
                 f"stream ({name}); pass the stream explicitly"
+            ) from None
+        except ValueError as exc:
+            raise CheckpointError(
+                f"checkpoint {os.fspath(directory)}: the stored update stream "
+                f"({name}) is unreadable: {exc}"
             ) from None
     if len(updates) != config["num_updates"]:
         raise CheckpointError(

@@ -16,7 +16,6 @@ MPC systems papers:
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.graphs.graph import WeightedGraph
 from repro.utils.rng import SeedLike, spawn_rng, PURPOSE_TOPOLOGY
@@ -94,6 +93,8 @@ def random_geometric(n: int, radius: float, *, seed: SeedLike = None) -> Weighte
         return WeightedGraph.empty(0)
     rng = spawn_rng(seed, PURPOSE_TOPOLOGY)
     points = rng.random((n, 2))
+    from scipy.spatial import cKDTree  # SciPy loads only for this family
+
     tree = cKDTree(points)
     pairs = tree.query_pairs(r=float(radius), output_type="ndarray")
     if pairs.size == 0:

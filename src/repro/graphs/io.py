@@ -18,7 +18,9 @@ import gzip
 import io
 import os
 import tempfile
-from typing import IO, Union
+import zipfile
+import zlib
+from typing import IO, Dict, Iterable, Union
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from repro.graphs.graph import WeightedGraph
 __all__ = [
     "save_npz",
     "load_npz",
+    "read_npz",
     "save_edgelist",
     "load_edgelist",
     "fsync_directory",
@@ -117,13 +120,42 @@ def save_npz(graph: WeightedGraph, path: PathLike) -> None:
     write_bytes_atomic(path, buf.getvalue(), fsync=False)
 
 
+def read_npz(path: PathLike, keys: Iterable[str], *, what: str) -> Dict[str, np.ndarray]:
+    """The members ``keys`` of the ``.npz`` archive at ``path``.
+
+    A missing file raises ``FileNotFoundError``.  Any other file that does
+    not give every member (empty, truncated, corrupt, not an archive, or
+    lacking a member) raises ``ValueError`` naming the file; one lacking a
+    member is reported as "not ``what``".
+    """
+    name = os.fspath(path)
+    try:
+        with zipfile.ZipFile(path) as archive:
+            return {
+                key: np.lib.format.read_array(archive.open(f"{key}.npy"), allow_pickle=False)
+                for key in keys
+            }
+    except FileNotFoundError:
+        raise
+    except KeyError as exc:
+        raise ValueError(f"{name}: not {what} ({exc.args[0]})") from None
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"{name}: not a readable .npz archive ({exc})") from None
+
+
 def load_npz(path: PathLike) -> WeightedGraph:
-    """Read a graph previously written by :func:`save_npz`."""
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported graph file version {version}")
-        return WeightedGraph(int(data["n"]), data["edges_u"], data["edges_v"], data["weights"])
+    """Read a graph previously written by :func:`save_npz`.
+
+    An unreadable file raises ``ValueError`` naming it (see
+    :func:`read_npz`).
+    """
+    data = read_npz(
+        path, ("version", "n", "edges_u", "edges_v", "weights"), what="a graph file"
+    )
+    version = int(data["version"])
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"{os.fspath(path)}: unsupported graph file version {version}")
+    return WeightedGraph(int(data["n"]), data["edges_u"], data["edges_v"], data["weights"])
 
 
 def save_edgelist(graph: WeightedGraph, path: PathLike) -> None:

@@ -30,9 +30,10 @@ A stream built by hand is a list of ``(op, u, v, w)`` rows::
     UpdateColumns.from_rows([(OP_INSERT, 3, 7, 0.0), (OP_REWEIGHT, 0, 3, 2.5)])
 
 This module lives in the graph substrate layer (events *are* graph
-mutations) and imports nothing from the rest of the package, so both
-:mod:`repro.graphs.streams` and the :mod:`repro.dynamic` subsystem can
-depend on it without entangling the two packages.
+mutations) and imports from the rest of the package only
+:func:`repro.graphs.io.read_npz`, so both :mod:`repro.graphs.streams` and
+the :mod:`repro.dynamic` subsystem can depend on it without entangling the
+two packages.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from operator import itemgetter
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
+
+from repro.graphs.io import read_npz
 
 __all__ = [
     "InvalidUpdateError",
@@ -408,11 +411,7 @@ _NPZ_DTYPES = {"op": np.uint8, "u": np.integer, "v": np.integer, "w": np.floatin
 
 def _load_npz(path: PathLike) -> UpdateColumns:
     name = os.fspath(path)
-    with np.load(path, allow_pickle=False) as data:
-        try:
-            op, u, v, w = (data[key] for key in _NPZ_DTYPES)
-        except KeyError as exc:
-            raise ValueError(f"{name}: not an update stream ({exc})") from None
+    op, u, v, w = read_npz(path, _NPZ_DTYPES, what="an update stream").values()
     for key, arr in zip(_NPZ_DTYPES, (op, u, v, w)):
         if arr.ndim != 1:
             problem = f"shape {arr.shape}, not 1-D"
@@ -441,7 +440,9 @@ def load_update_stream(
     that is not UTF-8 or that :func:`decode_update` refuses raises
     ``ValueError`` naming its line number (and its file, for a file or
     segment), a malformed ``.npz`` member (``op`` must be ``uint8``, ``u``/``v`` integer, ``w``
-    floating, all 1-D of one length) one naming the file and the member.
+    floating, all 1-D of one length) one naming the file and the member,
+    and an unreadable ``.npz`` archive (empty, truncated, corrupt) one
+    naming the file.
 
     JSON lines are decoded a chunk of lines at a time, with one
     ``json.loads`` per chunk; the result and the strictness are the

@@ -1,34 +1,23 @@
 """Synchronous-round MPC cluster simulator.
 
-The simulator realizes the model of Section 1.1 of the paper: ``M`` machines
-with ``S`` words of local memory each; computation proceeds in synchronous
-rounds; in each round every machine performs local computation and then sends
-messages, subject to the constraint that no machine sends or receives more
-than ``S`` words per round.  Violations raise (see
+The simulator realizes the model of Section 1.1 of the paper: ``M`` reliable
+machines with ``S`` words of local memory each; computation proceeds in
+synchronous rounds; in each round every machine performs local computation
+and then sends messages, subject to the constraint that no machine sends or
+receives more than ``S`` words per round.  Violations raise (see
 :mod:`repro.mpc.exceptions`) — a run that completes is, by construction, a
-valid MPC execution, and its :class:`~repro.mpc.metrics.ClusterMetrics` are
-the model costs reported in the benchmarks.
-
-Failure injection: machines can be scheduled to die before a given round
-(``kill_schedule``).  Dead machines emit nothing; addressing a dead machine
-raises :class:`~repro.mpc.exceptions.DeadMachineError`.  The MWVC algorithms
-do not implement fault tolerance (neither does the paper); the tests use
-failure injection to verify that violations *surface* rather than corrupt
-results silently.
+valid MPC execution, and its :class:`~repro.mpc.metrics.ClusterMetrics`
+(rounds, words, memory) are the model costs reported in the benchmarks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-from repro.mpc.exceptions import (
-    CommunicationLimitExceeded,
-    DeadMachineError,
-    ProtocolError,
-)
+from repro.mpc.exceptions import CommunicationLimitExceeded, ProtocolError
 from repro.mpc.machine import Machine
 from repro.mpc.message import Message
-from repro.mpc.metrics import ClusterMetrics, RoundRecord
+from repro.mpc.metrics import ClusterMetrics
 
 __all__ = ["Cluster"]
 
@@ -43,64 +32,39 @@ class Cluster:
     capacity_words:
         Per-machine memory and per-round communication bound ``S`` in words;
         ``None`` disables enforcement.
-    kill_schedule:
-        Optional mapping ``round_index -> iterable of machine ids`` that die
-        *before* that round executes.
     """
 
-    def __init__(
-        self,
-        num_machines: int,
-        capacity_words: int | None,
-        *,
-        kill_schedule: Optional[Dict[int, Iterable[int]]] = None,
-    ):
+    def __init__(self, num_machines: int, capacity_words: int | None):
         if num_machines < 1:
             raise ValueError(f"num_machines must be >= 1, got {num_machines}")
         self.num_machines = int(num_machines)
         self.capacity_words = None if capacity_words is None else int(capacity_words)
         self.machines = [Machine(i, self.capacity_words) for i in range(self.num_machines)]
         self.metrics = ClusterMetrics()
-        self._kill_schedule = {
-            int(r): frozenset(int(i) for i in ids) for r, ids in (kill_schedule or {}).items()
-        }
-        self._round_index = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def round_index(self) -> int:
-        """Index of the next round to execute (0-based)."""
-        return self._round_index
-
     def machine(self, machine_id: int) -> Machine:
         """Machine by id, with bounds checking."""
         if not (0 <= machine_id < self.num_machines):
             raise ProtocolError(f"machine id {machine_id} out of range [0, {self.num_machines})")
         return self.machines[machine_id]
 
-    def alive_ids(self) -> List[int]:
-        """Ids of machines still alive."""
-        return [m.machine_id for m in self.machines if m.alive]
-
     # ------------------------------------------------------------------ #
     def exchange(self, outgoing: Iterable[Message]) -> Dict[int, List[Message]]:
         """Execute one communication round.
 
         Takes all messages produced by the machines' local computation this
-        round, enforces the model constraints, advances the round counter,
-        and returns the inboxes (``dst -> [messages]``, in deterministic
+        round, enforces the model constraints, counts the round, and
+        returns the inboxes (``dst -> [messages]``, in deterministic
         ``(src, dst)`` order) for the next round's local computation.
 
         Raises
         ------
         CommunicationLimitExceeded
             If a machine's total sent or received words exceed ``S``.
-        DeadMachineError
-            If a message's source or destination machine is dead.
         ProtocolError
             On out-of-range machine ids.
         """
-        self._apply_kills()
         msgs = sorted(outgoing, key=lambda mm: (mm.src, mm.dst, mm.tag))
         sent = [0] * self.num_machines
         received = [0] * self.num_machines
@@ -110,10 +74,6 @@ class Cluster:
                 raise ProtocolError(f"message source {msg.src} out of range")
             if not (0 <= msg.dst < self.num_machines):
                 raise ProtocolError(f"message destination {msg.dst} out of range")
-            if not self.machines[msg.src].alive:
-                raise DeadMachineError(msg.src, self._round_index)
-            if not self.machines[msg.dst].alive:
-                raise DeadMachineError(msg.dst, self._round_index)
             sent[msg.src] += msg.words
             received[msg.dst] += msg.words
             inboxes.setdefault(msg.dst, []).append(msg)
@@ -125,15 +85,12 @@ class Cluster:
                     raise CommunicationLimitExceeded(
                         mid, "received", received[mid], self.capacity_words
                     )
-        rec = RoundRecord(
-            round_index=self._round_index,
+        self.metrics.record_round(
             messages=len(msgs),
             total_words=sum(m.words for m in msgs),
-            max_sent_words=max(sent) if sent else 0,
-            max_received_words=max(received) if received else 0,
+            max_sent_words=max(sent),
+            max_received_words=max(received),
         )
-        self.metrics.record_round(rec)
-        self._round_index += 1
         for machine in self.machines:
             self.metrics.observe_memory(machine.high_water)
         return inboxes
@@ -146,22 +103,6 @@ class Cluster:
         """
         self.exchange([])
 
-    def _apply_kills(self) -> None:
-        doomed = self._kill_schedule.get(self._round_index, frozenset())
-        for mid in doomed:
-            if 0 <= mid < self.num_machines:
-                machine = self.machines[mid]
-                machine.alive = False
-                machine.clear()
-
-    # ------------------------------------------------------------------ #
-    def memory_high_water(self) -> int:
-        """Maximum storage any machine has held, in words."""
-        return max((m.high_water for m in self.machines), default=0)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cap = "∞" if self.capacity_words is None else str(self.capacity_words)
-        return (
-            f"Cluster(M={self.num_machines}, S={cap}, rounds={self.metrics.rounds}, "
-            f"alive={len(self.alive_ids())})"
-        )
+        return f"Cluster(M={self.num_machines}, S={cap}, rounds={self.metrics.rounds})"

@@ -13,7 +13,6 @@ __all__ = [
     "MPCError",
     "MemoryLimitExceeded",
     "CommunicationLimitExceeded",
-    "DeadMachineError",
     "ProtocolError",
 ]
 
@@ -49,15 +48,6 @@ class CommunicationLimitExceeded(MPCError):
             f"machine {machine_id} {direction} {words} words in one round, "
             f"capacity {capacity}"
         )
-
-
-class DeadMachineError(MPCError):
-    """A message was addressed to (or expected from) a failed machine."""
-
-    def __init__(self, machine_id: int, round_index: int):
-        self.machine_id = machine_id
-        self.round_index = round_index
-        super().__init__(f"machine {machine_id} is dead (failed before round {round_index})")
 
 
 class ProtocolError(MPCError):

@@ -28,7 +28,7 @@ class Machine:
         unit tests of other components, never by model-faithful runs).
     """
 
-    __slots__ = ("machine_id", "capacity_words", "_store", "_sizes", "used_words", "high_water", "alive")
+    __slots__ = ("machine_id", "capacity_words", "_store", "_sizes", "used_words", "high_water")
 
     def __init__(self, machine_id: int, capacity_words: int | None):
         self.machine_id = int(machine_id)
@@ -37,7 +37,6 @@ class Machine:
         self._sizes: Dict[str, int] = {}
         self.used_words = 0
         self.high_water = 0
-        self.alive = True
 
     # ------------------------------------------------------------------ #
     def store(self, key: str, value: Any) -> None:
@@ -67,23 +66,9 @@ class Machine:
             self.used_words -= self._sizes.pop(key)
             del self._store[key]
 
-    def has(self, key: str) -> bool:
-        """Whether ``key`` is present."""
-        return key in self._store
-
-    def keys(self):
-        """Stored keys (view)."""
-        return self._store.keys()
-
-    def clear(self) -> None:
-        """Drop all stored data (capacity and high-water are kept)."""
-        self._store.clear()
-        self._sizes.clear()
-        self.used_words = 0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cap = "∞" if self.capacity_words is None else str(self.capacity_words)
         return (
             f"Machine(id={self.machine_id}, used={self.used_words}/{cap}, "
-            f"high_water={self.high_water}, alive={self.alive})"
+            f"high_water={self.high_water})"
         )

@@ -11,21 +11,9 @@ The MPC cost model cares about three quantities, all captured here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
-__all__ = ["RoundRecord", "ClusterMetrics"]
-
-
-@dataclass
-class RoundRecord:
-    """Communication totals for one synchronous round."""
-
-    round_index: int
-    messages: int = 0
-    total_words: int = 0
-    max_sent_words: int = 0
-    max_received_words: int = 0
+__all__ = ["ClusterMetrics"]
 
 
 @dataclass
@@ -38,16 +26,16 @@ class ClusterMetrics:
     max_sent_words: int = 0
     max_received_words: int = 0
     memory_high_water: int = 0
-    per_round: List[RoundRecord] = field(default_factory=list)
 
-    def record_round(self, rec: RoundRecord) -> None:
-        """Fold one round's record into the aggregates."""
+    def record_round(
+        self, *, messages: int, total_words: int, max_sent_words: int, max_received_words: int
+    ) -> None:
+        """Fold one round's communication totals into the aggregates."""
         self.rounds += 1
-        self.total_messages += rec.messages
-        self.total_words += rec.total_words
-        self.max_sent_words = max(self.max_sent_words, rec.max_sent_words)
-        self.max_received_words = max(self.max_received_words, rec.max_received_words)
-        self.per_round.append(rec)
+        self.total_messages += messages
+        self.total_words += total_words
+        self.max_sent_words = max(self.max_sent_words, max_sent_words)
+        self.max_received_words = max(self.max_received_words, max_received_words)
 
     def observe_memory(self, high_water: int) -> None:
         """Update the cluster-wide memory high-water mark."""

@@ -7,6 +7,12 @@ whose fan-out is chosen so every transfer respects the per-round ``S``-word
 limit.  This module implements exactly those trees, so that every collective
 costs its true round count and the cluster's metrics remain model-accurate.
 
+Every collective takes its ``fanout`` from the caller: the one rule is
+:func:`repro.core.accounting.fanout_for`, which the analytic round counts
+of :mod:`repro.core.accounting` use too.  The cluster still checks every
+hop against ``S``, so a fan-out too wide for the payload raises rather
+than under-counts.
+
 All primitives are deterministic: message order is fixed by machine id.
 """
 
@@ -17,23 +23,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.mpc.cluster import Cluster
-from repro.mpc.message import Message, payload_words
+from repro.mpc.message import Message
 
-__all__ = ["broadcast", "aggregate_sum", "gather_concat", "tree_fanout"]
-
-
-def tree_fanout(cluster: Cluster, item_words: int) -> int:
-    """Largest per-level fan-out that keeps one level within capacity.
-
-    A node transferring ``f`` copies (broadcast) or receiving ``f`` partials
-    (aggregation) of an ``item_words``-sized object moves ``f * item_words``
-    words; the fan-out is capped so this stays within ``S``.
-    """
-    if cluster.capacity_words is None:
-        return max(2, cluster.num_machines)
-    if item_words <= 0:
-        return max(2, cluster.num_machines)
-    return max(2, cluster.capacity_words // max(1, item_words))
+__all__ = ["broadcast", "aggregate_sum", "gather_concat"]
 
 
 def broadcast(
@@ -42,24 +34,18 @@ def broadcast(
     tag: str,
     payload,
     *,
+    fanout: int,
     dst_ids: Optional[Sequence[int]] = None,
-    fanout: Optional[int] = None,
 ) -> Dict[int, object]:
     """Broadcast ``payload`` from machine ``src`` to ``dst_ids`` (default all).
 
     Uses a fan-out tree: in each round, every machine already holding the
     payload forwards it to up to ``fanout`` machines that do not.  Returns
     ``{machine_id: payload}`` for all destinations (including ``src`` if it
-    is a destination).  Round cost: ``ceil(log_fanout(len(dst_ids)))``.
-
-    ``fanout`` may be prescribed by the caller (the MWVC cluster engine does
-    this so its round counts match the analytic accounting); by default it is
-    derived from the payload size and capacity.
+    is a destination).  Round cost:
+    :func:`~repro.core.accounting.broadcast_round_count`.
     """
     targets = list(range(cluster.num_machines)) if dst_ids is None else sorted(set(dst_ids))
-    words = payload_words(payload)
-    if fanout is None:
-        fanout = tree_fanout(cluster, words)
     holders = [src]
     pending = [t for t in targets if t != src]
     received: Dict[int, object] = {}
@@ -89,14 +75,15 @@ def aggregate_sum(
     tag: str,
     partials: Dict[int, np.ndarray],
     *,
+    fanout: int,
     root: int = 0,
-    fanout: Optional[int] = None,
 ) -> np.ndarray:
     """Sum dense numpy vectors held by machines, delivering the total to ``root``.
 
     Fan-in tree: machines are grouped in blocks of ``fanout``; block members
     send their partial to the block leader, leaders sum, and the process
-    repeats on the leaders.  Round cost: ``ceil(log_fanout(M))``.
+    repeats on the leaders.  Round cost:
+    :func:`~repro.core.accounting.fanin_round_count`.
 
     Parameters
     ----------
@@ -110,9 +97,6 @@ def aggregate_sum(
     if len(shapes) != 1:
         raise ValueError(f"partial vectors disagree in shape: {shapes}")
     (shape,) = shapes
-    words = int(np.prod(shape))
-    if fanout is None:
-        fanout = tree_fanout(cluster, words)
     # Work on the sorted list of participating machines; fold `root` in so
     # the final value lands there.
     current: Dict[int, np.ndarray] = {mid: np.array(v, dtype=np.float64) for mid, v in partials.items()}
@@ -143,8 +127,8 @@ def gather_concat(
     tag: str,
     parts: Dict[int, np.ndarray],
     *,
+    fanout: int,
     root: int = 0,
-    fanout: Optional[int] = None,
 ) -> np.ndarray:
     """Gather variable-length vectors to ``root``, concatenated in machine order.
 
@@ -161,9 +145,6 @@ def gather_concat(
     }
     if root not in current:
         current[root] = [(root, np.empty(0, dtype=dtype))]
-    if fanout is None:
-        max_words = max(int(np.asarray(v).size) for v in parts.values())
-        fanout = tree_fanout(cluster, max(1, max_words))
     while len(current) > 1:
         ids = sorted(current.keys(), key=lambda i: (i != root, i))
         out: List[Message] = []

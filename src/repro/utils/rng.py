@@ -18,7 +18,6 @@ key     purpose
 2       per-phase vertex partitioning
 3       per-phase threshold sampling
 4       baseline-internal randomness
-5       failure injection
 ======  ==============================================
 
 Phase-scoped streams append the phase index after the purpose key, i.e. the
@@ -39,7 +38,6 @@ PURPOSE_WEIGHTS = 1
 PURPOSE_PARTITION = 2
 PURPOSE_THRESHOLDS = 3
 PURPOSE_BASELINE = 4
-PURPOSE_FAILURES = 5
 
 
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:

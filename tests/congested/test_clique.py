@@ -41,9 +41,9 @@ class TestCongestedClique:
         with pytest.raises(ValueError, match="out of range"):
             cc.exchange([CliqueMessage(0, 7, 1.0)])
 
-    def test_idle_round(self):
+    def test_empty_exchange_is_a_round(self):
         cc = CongestedClique(3)
-        cc.idle_round()
+        assert cc.exchange([]) == {}
         assert cc.rounds == 1
         assert cc.total_messages == 0
 

@@ -20,12 +20,19 @@ class TestCongestedCliqueMWVC:
         assert np.array_equal(cc.in_cover, mpc.in_cover)
         assert cc.cover_weight == pytest.approx(mpc.cover_weight)
 
-    def test_round_translation_formula(self):
-        g = gnp_average_degree(400, 16.0, seed=3)
-        params = MPCParameters(eps=0.1, memory_factor=16.0)
+    @pytest.mark.parametrize(
+        "n,degree,memory_factor,per_round",
+        # S/n = 16 exactly, and two factors where ⌈S/n⌉ rounds up.
+        [(400, 16.0, 16.0, LENZEN_ROUNDS * 16), (150, 12.0, 2.5, LENZEN_ROUNDS * 3),
+         (333, 12.0, 7.3, LENZEN_ROUNDS * 8)],
+    )
+    def test_round_translation_formula(self, n, degree, memory_factor, per_round):
+        g = gnp_average_degree(n, degree, seed=3)
+        params = MPCParameters(eps=0.1, memory_factor=memory_factor)
         res = congested_clique_mwvc(g, params=params, seed=4)
-        assert res.cc_rounds_per_mpc_round == LENZEN_ROUNDS * 16
-        assert res.cc_rounds == res.cc_rounds_per_mpc_round * res.mpc_result.mpc_rounds
+        assert res.mpc_result.mpc_rounds > 0
+        assert res.cc_rounds_per_mpc_round == per_round
+        assert res.cc_rounds == per_round * res.mpc_result.mpc_rounds
 
     def test_rounds_charged_on_model(self):
         g = gnp_average_degree(200, 8.0, seed=5)

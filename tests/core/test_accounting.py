@@ -1,5 +1,7 @@
 """Tests for the round-cost model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.accounting import (
@@ -65,9 +67,9 @@ class TestFaninRounds:
 class TestPhaseCost:
     def test_breakdown_sums_to_total(self):
         cost = phase_cost(n=1000, n_high=800, num_workers=8, num_sim_machines=5, capacity=16000)
-        d = cost.as_dict()
-        assert d["total"] == cost.total
-        assert cost.total == sum(v for k, v in d.items() if k != "total")
+        steps = dataclasses.asdict(cost)
+        assert len(steps) == 7  # steps A..G
+        assert cost.total == sum(steps.values())
 
     def test_route_is_one_round(self):
         cost = phase_cost(n=100, n_high=50, num_workers=4, num_sim_machines=3, capacity=1600)

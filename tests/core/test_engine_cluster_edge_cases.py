@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
+from repro.core.params import MPCParameters
 from repro.graphs.generators import (
     complete_graph,
     disjoint_edges,
@@ -18,7 +19,8 @@ from repro.graphs.generators import (
     star,
 )
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.weights import adversarial_spread_weights
+from repro.graphs.weights import adversarial_spread_weights, uniform_weights
+from repro.mpc.exceptions import MPCError
 
 
 def _agree(graph, seed=0, eps=0.1):
@@ -73,3 +75,12 @@ class TestClusterEdgeCases:
     def test_eps_extremes(self, eps):
         g = gnp_average_degree(220, 14.0, seed=10)
         _agree(g, seed=11, eps=eps)
+
+    def test_capacity_squeeze_raises_mpc_error(self):
+        """An unreasonably small memory factor must produce a model
+        violation, not a wrong answer."""
+        g = gnp_average_degree(300, 20.0, seed=70)
+        g = g.with_weights(uniform_weights(g.n, seed=71))
+        params = MPCParameters(eps=0.1, memory_factor=0.05)
+        with pytest.raises(MPCError):
+            minimum_weight_vertex_cover(g, params=params, seed=74, engine="cluster")

@@ -165,12 +165,6 @@ class TestParameters:
         res = minimum_weight_vertex_cover(g, params=params, seed=21)
         assert all(p.iterations == 4 for p in res.phases)
 
-    def test_kill_schedule_requires_cluster(self, medium_random):
-        with pytest.raises(ValueError, match="cluster"):
-            minimum_weight_vertex_cover(
-                medium_random, seed=0, engine="vectorized", kill_schedule={0: [1]}
-            )
-
     def test_unknown_engine(self, medium_random):
         with pytest.raises(ValueError, match="unknown engine"):
             minimum_weight_vertex_cover(medium_random, seed=0, engine="quantum")

@@ -26,8 +26,6 @@ class TestValidation:
             MPCParameters(iteration_rule="magic")
         with pytest.raises(ValueError):
             MPCParameters(stop_rule="never")
-        with pytest.raises(ValueError):
-            MPCParameters(machine_rule="all")
 
     def test_bias_validation(self):
         with pytest.raises(ValueError):

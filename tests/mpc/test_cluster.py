@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpc.cluster import Cluster
-from repro.mpc.exceptions import (
-    CommunicationLimitExceeded,
-    DeadMachineError,
-    ProtocolError,
-)
+from repro.mpc.exceptions import CommunicationLimitExceeded, ProtocolError
 from repro.mpc.message import Message
 
 
@@ -68,7 +64,6 @@ class TestExchange:
         assert s["total_messages"] == 3
         assert s["total_words"] == 14
         assert s["max_received_words"] == 7
-        assert len(c.metrics.per_round) == 2
 
     def test_single_machine_cluster(self):
         c = Cluster(1, 10)
@@ -79,34 +74,8 @@ class TestExchange:
         with pytest.raises(ValueError):
             Cluster(0, 10)
 
-
-class TestFailureInjection:
-    def test_dead_machine_send_raises(self):
-        c = Cluster(3, 100, kill_schedule={1: [2]})
-        c.exchange([Message(0, 2, "a", 1)])  # round 0: still alive
-        with pytest.raises(DeadMachineError):
-            c.exchange([Message(0, 2, "a", 1)])  # round 1: dead
-
-    def test_dead_machine_source_raises(self):
-        c = Cluster(3, 100, kill_schedule={0: [1]})
-        with pytest.raises(DeadMachineError):
-            c.exchange([Message(1, 0, "a", 1)])
-
-    def test_dead_machine_cleared(self):
-        c = Cluster(2, 100, kill_schedule={0: [1]})
-        c.machine(1).store("x", 42)
-        c.exchange([])
-        assert not c.machine(1).alive
-        assert not c.machine(1).has("x")
-
-    def test_alive_ids(self):
-        c = Cluster(3, 100, kill_schedule={0: [2]})
-        c.exchange([])
-        assert c.alive_ids() == [0, 1]
-
     def test_memory_high_water_observed(self):
         c = Cluster(2, 100)
         c.machine(1).store("x", np.zeros(60))
         c.exchange([])
         assert c.metrics.memory_high_water == 60
-        assert c.memory_high_water() == 60

@@ -15,7 +15,8 @@ class TestMachineStorage:
         assert m.load("a").shape == (10,)
         m.free("a")
         assert m.used_words == 0
-        assert not m.has("a")
+        with pytest.raises(KeyError):
+            m.load("a")
 
     def test_replace_updates_usage(self):
         m = Machine(0, 100)
@@ -36,7 +37,8 @@ class TestMachineStorage:
         with pytest.raises(MemoryLimitExceeded):
             m.store("b", np.zeros(60))
         assert m.used_words == 50
-        assert not m.has("b")
+        with pytest.raises(KeyError):
+            m.load("b")
 
     def test_replace_may_free_room(self):
         m = Machine(0, 100)
@@ -66,11 +68,3 @@ class TestMachineStorage:
         m = Machine(0, 10)
         with pytest.raises(KeyError):
             m.load("nope")
-
-    def test_clear(self):
-        m = Machine(0, 100)
-        m.store("a", np.zeros(10))
-        m.clear()
-        assert m.used_words == 0
-        assert list(m.keys()) == []
-        assert m.high_water == 10  # peak survives clears

@@ -1,19 +1,18 @@
 """Direct tests for the metrics records."""
 
-from repro.mpc.metrics import ClusterMetrics, RoundRecord
+from repro.mpc.metrics import ClusterMetrics
 
 
 class TestClusterMetrics:
     def test_record_round_aggregates(self):
         m = ClusterMetrics()
-        m.record_round(RoundRecord(0, messages=3, total_words=30, max_sent_words=20, max_received_words=15))
-        m.record_round(RoundRecord(1, messages=1, total_words=5, max_sent_words=5, max_received_words=5))
+        m.record_round(messages=3, total_words=30, max_sent_words=20, max_received_words=15)
+        m.record_round(messages=1, total_words=5, max_sent_words=5, max_received_words=5)
         assert m.rounds == 2
         assert m.total_messages == 4
         assert m.total_words == 35
         assert m.max_sent_words == 20
         assert m.max_received_words == 15
-        assert len(m.per_round) == 2
 
     def test_observe_memory_monotone(self):
         m = ClusterMetrics()

@@ -3,8 +3,10 @@ runtime dependency, so a clean ``pip install`` can ``import repro``; and
 no module in ``src/`` or ``tests/`` keeps an import it does not use."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -47,6 +49,23 @@ def test_third_party_imports_are_declared():
     declared = _declared_dependencies()
     missing = {name: path for name, path in imports.items() if name.lower() not in declared}
     assert not missing, f"imported by src/ but not in [project].dependencies: {missing}"
+
+
+def test_cli_stream_and_batch_service_leave_scipy_unloaded():
+    """Only the geometric generator and the LP baseline use SciPy, and they
+    import it when called, so the hot paths never pay for loading it."""
+    env = dict(os.environ)
+    src = str(_REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = (
+        "import sys, repro.cli, repro.dynamic.stream, repro.service.batch; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _names_used(tree: ast.Module):
