@@ -109,7 +109,7 @@ def _load_or_generate(args) -> WeightedGraph:
         except FileNotFoundError:
             raise SystemExit(f"input file not found: {args.input}")
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read input file {args.input}: {exc}")
+            raise SystemExit(f"cannot read input file: {exc}")
     return _generate_graph(args)
 
 

@@ -140,22 +140,29 @@ def read_npz(path: PathLike, keys: Iterable[str], *, what: str) -> Dict[str, np.
     except KeyError as exc:
         raise ValueError(f"{name}: not {what} ({exc.args[0]})") from None
     except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-        raise ValueError(f"{name}: not a readable .npz archive ({exc})") from None
+        # An OSError about the file itself names it already.
+        detail = exc.strerror if isinstance(exc, OSError) and exc.filename else exc
+        raise ValueError(f"{name}: not a readable .npz archive ({detail})") from None
 
 
 def load_npz(path: PathLike) -> WeightedGraph:
     """Read a graph previously written by :func:`save_npz`.
 
-    An unreadable file raises ``ValueError`` naming it (see
-    :func:`read_npz`).
+    An unreadable file, or one that does not hold a valid graph, raises
+    ``ValueError`` naming it (see :func:`read_npz`).
     """
     data = read_npz(
         path, ("version", "n", "edges_u", "edges_v", "weights"), what="a graph file"
     )
-    version = int(data["version"])
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"{os.fspath(path)}: unsupported graph file version {version}")
-    return WeightedGraph(int(data["n"]), data["edges_u"], data["edges_v"], data["weights"])
+    try:
+        version = int(data["version"])
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported graph file version {version}")
+        return WeightedGraph(
+            int(data["n"]), data["edges_u"], data["edges_v"], data["weights"]
+        )
+    except ValueError as exc:
+        raise ValueError(f"{os.fspath(path)}: {exc}") from None
 
 
 def save_edgelist(graph: WeightedGraph, path: PathLike) -> None:
@@ -187,37 +194,45 @@ def load_edgelist(
     Handles plain and gzip-compressed (``.gz``) files.  The edge body is
     parsed ``chunk_edges`` lines at a time into the preallocated endpoint
     arrays, keeping transient memory constant per chunk regardless of file
-    size.
+    size.  A missing file raises ``FileNotFoundError``; a file that does not
+    hold a valid graph raises ``ValueError`` naming it.
     """
     if chunk_edges < 1:
         raise ValueError(f"chunk_edges must be >= 1, got {chunk_edges}")
-    with _open_text(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != "# mwvc-edgelist v1":
-            raise ValueError(f"unrecognized edgelist header: {header!r}")
-        sizes = fh.readline().split()
-        if len(sizes) != 4 or sizes[0] != "n" or sizes[2] != "m":
-            raise ValueError(f"malformed size line: {sizes!r}")
-        n, m = int(sizes[1]), int(sizes[3])
-        wline = fh.readline().split()
-        if not wline or wline[0] != "w":
-            raise ValueError("missing weight line")
-        weights = np.asarray([float(x) for x in wline[1:]], dtype=np.float64)
-        if weights.size != n:
-            raise ValueError(f"expected {n} weights, found {weights.size}")
-        us = np.empty(m, dtype=np.int64)
-        vs = np.empty(m, dtype=np.int64)
-        done = 0
-        while done < m:
-            want = min(chunk_edges, m - done)
-            chunk = []
-            for _ in range(want):
-                parts = fh.readline().split()
-                if len(parts) != 2:
-                    raise ValueError(f"malformed edge line {done + len(chunk)}: {parts!r}")
-                chunk.append(parts)
-            block = np.asarray(chunk, dtype=np.int64)
-            us[done : done + want] = block[:, 0]
-            vs[done : done + want] = block[:, 1]
-            done += want
+    try:
+        with _open_text(path, "r") as fh:
+            return _parse_edgelist(fh, chunk_edges)
+    except (ValueError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{os.fspath(path)}: {exc}") from None
+
+
+def _parse_edgelist(fh: IO[str], chunk_edges: int) -> WeightedGraph:
+    header = fh.readline().strip()
+    if header != "# mwvc-edgelist v1":
+        raise ValueError(f"unrecognized edgelist header: {header!r}")
+    sizes = fh.readline().split()
+    if len(sizes) != 4 or sizes[0] != "n" or sizes[2] != "m":
+        raise ValueError(f"malformed size line: {sizes!r}")
+    n, m = int(sizes[1]), int(sizes[3])
+    wline = fh.readline().split()
+    if not wline or wline[0] != "w":
+        raise ValueError("missing weight line")
+    weights = np.asarray([float(x) for x in wline[1:]], dtype=np.float64)
+    if weights.size != n:
+        raise ValueError(f"expected {n} weights, found {weights.size}")
+    us = np.empty(m, dtype=np.int64)
+    vs = np.empty(m, dtype=np.int64)
+    done = 0
+    while done < m:
+        want = min(chunk_edges, m - done)
+        chunk = []
+        for _ in range(want):
+            parts = fh.readline().split()
+            if len(parts) != 2:
+                raise ValueError(f"malformed edge line {done + len(chunk)}: {parts!r}")
+            chunk.append(parts)
+        block = np.asarray(chunk, dtype=np.int64)
+        us[done : done + want] = block[:, 0]
+        vs[done : done + want] = block[:, 1]
+        done += want
     return WeightedGraph(n, us, vs, weights)

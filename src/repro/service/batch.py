@@ -6,21 +6,27 @@ plumbing — but plumbing with guarantees:
 * **Caching and dedup.**  Every request is keyed by its canonical content
   digest.  Cache hits (and duplicate requests *within* one batch) never
   reach the pool; a warm-cache replay of a manifest does zero solving.
-* **Chunked dispatch.**  Pending requests are split into ~4 chunks per
-  worker, so one pool task amortizes pickling/IPC over several instances
-  while still load-balancing across workers.
+* **Chunked dispatch, heaviest first.**  Pending requests are ordered by
+  a cost read off the request — cluster engine before vectorized, then
+  more edges first, ties in request order — and dealt round-robin into
+  ~4 chunks per worker, so chunk 0 holds the costliest request and goes
+  out first.  One pool task amortizes pickling/IPC over several
+  instances, and no large solve is left to run alone at the end.
 * **Error isolation.**  Per-request failures are trapped inside the worker
   (:mod:`repro.service.worker`); pool-level failures (a worker dying,
   unpicklable payloads) are trapped per chunk.  ``solve_batch`` never
   raises because of a bad instance — it returns an error record in that
   request's slot and solves everything else.
 
-The pool is created lazily and kept warm across batches; use the solver as
-a context manager (or call :meth:`BatchSolver.close`) to release it.
+The pool is created lazily and kept across batches; each worker starts
+warm (:func:`repro.service.worker.warm_up` runs the imports a first solve
+would otherwise pay).  Use the solver as a context manager (or call
+:meth:`BatchSolver.close`) to release it.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -28,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.service.cache import ResultCache
 from repro.service.schema import SolveRequest, SolveResult
-from repro.service.worker import solve_chunk, solve_one
+from repro.service.worker import solve_chunk, solve_one, warm_up
 
 __all__ = ["BatchSolver"]
 
@@ -53,7 +59,10 @@ class BatchSolver:
         ``cache=None``), also handy under debuggers and on 1-core boxes.
 
     Pooled batches go out in chunks of pending requests, about four
-    chunks per worker (at least one request per chunk).
+    chunks per worker (at least one request per chunk).  Requests are
+    sorted heaviest first (cluster engine, then larger ``graph.m``) and
+    dealt round-robin over the chunks; chunk 0 is submitted first.  Pool
+    workers start warm, so no request pays a fresh worker's imports.
     """
 
     def __init__(
@@ -84,7 +93,9 @@ class BatchSolver:
     # ------------------------------------------------------------------ #
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers, initializer=warm_up
+            )
         return self._pool
 
     def close(self) -> None:
@@ -172,8 +183,12 @@ class BatchSolver:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _record(self, requests, keys, wire) -> SolveResult:
-        """Convert a worker wire record into a SolveResult + cache insert."""
+    def _record(self, requests, keys, wire, copy_result: bool = False) -> SolveResult:
+        """Convert a worker wire record into a SolveResult + cache insert.
+
+        ``copy_result`` keeps a deep copy of the result made on the calling
+        thread instead of the object the wire record carried.
+        """
         i = wire.index
         res = SolveResult(
             request_id=requests[i].label(),
@@ -181,7 +196,7 @@ class BatchSolver:
             cache_hit=False,
             elapsed=wire.elapsed,
             cache_key=keys[i],
-            result=wire.result,
+            result=copy.deepcopy(wire.result) if copy_result else wire.result,
             error=wire.error,
         )
         if res.ok and self.cache is not None and res.result is not None:
@@ -193,16 +208,22 @@ class BatchSolver:
             wire = solve_one(requests[i], index=i, timeout=self.timeout)
             results[i] = self._record(requests, keys, wire)
 
-    def _chunks(self, pending: List[int]) -> List[List[int]]:
+    def _chunks(self, requests, pending: List[int]) -> List[List[int]]:
+        """Deal ``pending`` heaviest first, round-robin, into ~4 chunks per worker."""
         workers = self.max_workers or os.cpu_count() or 1
         size = max(1, -(-len(pending) // (4 * workers)))
-        return [pending[i : i + size] for i in range(0, len(pending), size)]
+        count = -(-len(pending) // size)
+        ordered = sorted(
+            pending,
+            key=lambda i: (requests[i].engine != "cluster", -requests[i].graph.m),
+        )
+        return [ordered[j::count] for j in range(count)]
 
     def _solve_pooled(self, requests, keys, pending, results) -> None:
         pool = self._ensure_pool()
         chunk_futures = []
         try:
-            for chunk in self._chunks(pending):
+            for chunk in self._chunks(requests, pending):
                 payload = [(i, requests[i]) for i in chunk]
                 fut = pool.submit(solve_chunk, payload, self.timeout)
                 chunk_futures.append((chunk, fut))
@@ -222,10 +243,19 @@ class BatchSolver:
             )
             self.close()
             return
-        for chunk, fut in chunk_futures:
+        # The executor's result thread unpickles each chunk into its own
+        # malloc arena.  Results kept there for the whole batch leave that
+        # arena holding freed memory afterwards, more in some batches than
+        # in others, and every pool forked later inherits it as resident
+        # memory.  So each result is copied on this thread, and each future
+        # (with the unpickled chunk) is dropped as soon as it is read.
+        while chunk_futures:
+            chunk, fut = chunk_futures.pop(0)
             try:
                 for wire in fut.result():
-                    results[wire.index] = self._record(requests, keys, wire)
+                    results[wire.index] = self._record(
+                        requests, keys, wire, copy_result=True
+                    )
             except BrokenProcessPool as exc:
                 # The executor is poisoned: queued futures get cancelled.
                 # Rebuild lazily on the next batch.

@@ -15,6 +15,12 @@ Solve parameters ride alongside: ``eps`` (default 0.1), ``seed`` (default
 0), ``engine`` (default ``"vectorized"``), ``id`` (optional label).  Blank
 lines and ``#`` comment lines are skipped.
 
+Lines that describe one graph (the same graph keys with the same values)
+share it: :func:`load_manifest` reads or generates each distinct graph
+once, and every later line naming it gets the same immutable
+:class:`~repro.graphs.graph.WeightedGraph` object, so its content digest
+is computed once too.
+
 The same spec dicts power the programmatic API
 (:func:`request_from_spec`), so tests and services can build batches
 without touching the filesystem.
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterable, List, Union
+from typing import IO, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -114,8 +120,14 @@ def graph_from_spec(spec: dict) -> WeightedGraph:
     return graph
 
 
-def request_from_spec(spec: dict) -> SolveRequest:
-    """Build a :class:`SolveRequest` from one manifest record."""
+def request_from_spec(
+    spec: dict, graphs: Optional[Dict[str, WeightedGraph]] = None
+) -> SolveRequest:
+    """Build a :class:`SolveRequest` from one manifest record.
+
+    ``graphs`` memoizes built graphs by the canonical JSON of the record's
+    graph keys: a record whose graph is already there reuses that object.
+    """
     if not isinstance(spec, dict):
         raise ValueError(f"manifest record must be a JSON object, got {type(spec).__name__}")
     unknown = set(spec) - _SOLVE_KEYS - _GRAPH_KEYS
@@ -124,8 +136,15 @@ def request_from_spec(spec: dict) -> SolveRequest:
     engine = str(spec.get("engine", "vectorized"))
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
+    if graphs is None:
+        graph = graph_from_spec(spec)
+    else:
+        key = json.dumps({k: spec[k] for k in _GRAPH_KEYS & set(spec)}, sort_keys=True)
+        graph = graphs.get(key)
+        if graph is None:
+            graph = graphs[key] = graph_from_spec(spec)
     return SolveRequest(
-        graph=graph_from_spec(spec),
+        graph=graph,
         eps=float(spec.get("eps", 0.1)),
         seed=int(spec.get("seed", 0)),
         engine=engine,
@@ -137,22 +156,24 @@ def load_manifest(source: Union[str, IO[str], Iterable[str]]) -> List[SolveReque
     """Parse a JSON-lines manifest into solve requests.
 
     ``source`` is a path, an open text stream, or any iterable of lines.
-    A malformed line raises ``ValueError`` naming its line number — a
-    manifest is configuration, so it fails loudly up front rather than
-    per-request at solve time.
+    A malformed line, or one whose ``input`` file cannot be read, raises
+    ``ValueError`` naming its line number — a manifest is configuration, so
+    it fails loudly up front rather than per-request at solve time.  Each
+    distinct graph is built once (see the module docstring).
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_manifest(list(fh))
     requests: List[SolveRequest] = []
+    graphs: Dict[str, WeightedGraph] = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             spec = json.loads(line)
-            req = request_from_spec(spec)
-        except (KeyError, TypeError, ValueError) as exc:
+            req = request_from_spec(spec, graphs)
+        except (KeyError, OSError, TypeError, ValueError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ValueError(f"manifest line {lineno}: {detail}") from exc
         if not req.request_id:

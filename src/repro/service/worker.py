@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
 from repro.service.schema import SolveRequest, _WireResult
 
-__all__ = ["solve_chunk", "solve_one"]
+__all__ = ["solve_chunk", "solve_one", "warm_up"]
 
 _HAS_ITIMER = hasattr(signal, "setitimer") and hasattr(signal, "SIGALRM")
 
@@ -36,6 +36,19 @@ class _SolveTimeout(Exception):
 
 def _raise_timeout(signum, frame):  # pragma: no cover - signal handler
     raise _SolveTimeout()
+
+
+def warm_up() -> None:
+    """Pool initializer: pay a fresh worker's first-solve imports up front.
+
+    ``np.unique`` imports ``numpy.ma`` on its first call, and the cluster
+    engine is imported lazily on first use.  Importing both here keeps
+    either out of the first request's time.  They are not imported at
+    module top because the stream paths import this module and never
+    use the cluster engine.
+    """
+    import numpy.ma  # noqa: F401
+    import repro.core.engine_cluster  # noqa: F401
 
 
 def solve_one(

@@ -105,3 +105,68 @@ def test_spec_requires_exactly_one_graph_source():
         graph_from_spec({"family": "tree", "n": 5, "edges": [[0, 1]]})
     with pytest.raises(ValueError, match="exactly one"):
         graph_from_spec({"eps": 0.1})
+
+
+# --------------------------------------------------------------------- #
+# each distinct graph is built once per manifest
+# --------------------------------------------------------------------- #
+def _counting(monkeypatch, name):
+    import repro.service.manifest as manifest_mod
+
+    calls = []
+    real = getattr(manifest_mod, name)
+
+    def counted(path):
+        calls.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(manifest_mod, name, counted)
+    return calls
+
+
+def test_manifest_loads_each_input_file_once(tmp_path, monkeypatch):
+    from repro.graphs.io import save_edgelist, save_npz
+
+    npz, txt = str(tmp_path / "g.npz"), str(tmp_path / "h.txt")
+    save_npz(gnp_average_degree(40, 4.0, seed=3), npz)
+    save_edgelist(gnp_average_degree(30, 3.0, seed=4), txt)
+    npz_calls = _counting(monkeypatch, "load_npz")
+    txt_calls = _counting(monkeypatch, "load_edgelist")
+    lines = [
+        {"input": npz, "seed": 0},
+        {"input": txt},
+        {"input": npz, "seed": 1},
+        {"input": npz, "engine": "cluster"},
+        {"input": txt, "eps": 0.2},
+    ]
+    reqs = load_manifest([json.dumps(line) for line in lines])
+    assert npz_calls == [npz] and txt_calls == [txt]
+    assert reqs[0].graph is reqs[2].graph is reqs[3].graph
+    assert reqs[1].graph is reqs[4].graph
+    assert reqs[0].graph is not reqs[1].graph
+    assert [r.seed for r in reqs] == [0, 0, 1, 0, 0]
+    assert reqs[3].engine == "cluster" and reqs[4].eps == 0.2
+
+
+def test_manifest_shares_only_identical_family_graphs():
+    base = {"family": "gnp", "n": 60, "degree": 4, "graph_seed": 1}
+    lines = [
+        base,
+        {**base, "seed": 5},
+        {**base, "graph_seed": 2},
+        {**base, "weights": "uniform"},
+    ]
+    reqs = load_manifest([json.dumps(line) for line in lines])
+    assert reqs[0].graph is reqs[1].graph
+    assert len({id(r.graph) for r in reqs}) == 3
+    assert len({r.graph.content_digest() for r in reqs}) == 3
+
+
+def test_manifest_errors_after_shared_lines_name_their_line(tmp_path):
+    shared = json.dumps({"family": "tree", "n": 5})
+    with pytest.raises(ValueError, match="manifest line 3: "):
+        load_manifest([shared, shared, json.dumps({"family": "tree", "n": 5, "bogus": 1})])
+    missing = str(tmp_path / "nope.npz")
+    with pytest.raises(ValueError, match="manifest line 3: ") as exc_info:
+        load_manifest([shared, shared, json.dumps({"input": missing})])
+    assert str(exc_info.value).count(missing) == 1

@@ -216,6 +216,27 @@ class TestMissingInput:
         with pytest.raises(SystemExit, match="cannot read input file"):
             main(["solve", "--input", str(bad)])
 
+    @pytest.mark.parametrize("kind", ["junk", "directory"])
+    @pytest.mark.parametrize("name", ["bad.txt", "bad.npz"])
+    def test_unreadable_input_names_the_file_once(self, tmp_path, name, kind):
+        bad = tmp_path / name
+        if kind == "junk":
+            bad.write_text("junk\n")
+        else:
+            bad.mkdir()
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"family": "tree", "n": 5}) + "\n"
+                            + json.dumps({"input": str(bad)}) + "\n")
+        for argv, prefix in (
+            (["solve", "--input", str(bad)], "cannot read input file: "),
+            (["batch", "--manifest", str(manifest)], "bad manifest: manifest line 2: "),
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            message = str(exc_info.value.code)
+            assert message.startswith(prefix)
+            assert message.count(str(bad)) == 1
+
     def test_stream_missing_updates_file(self, tmp_path):
         missing = tmp_path / "nope.jsonl"
         with pytest.raises(SystemExit, match="update stream not found"):
