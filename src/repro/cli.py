@@ -348,11 +348,9 @@ def _cmd_stream(args) -> int:
             min_batches_between=args.min_batches_between,
             every_batch=args.resolve_every_batch,
         )
-        solver = BatchSolver(
-            max_workers=args.workers or None,
-            cache=args.cache_size,
-            use_processes=bool(args.workers),
-        )
+        # Re-solves come one at a time: a pool would add no parallelism,
+        # only ship the whole graph to a child and the result back.
+        solver = BatchSolver(cache=args.cache_size, use_processes=False)
         checkpoint = None
         if args.checkpoint_dir:
             checkpoint = CheckpointConfig(
@@ -420,11 +418,7 @@ def _cmd_resume(args) -> int:
     _read_stream_config(args.checkpoint_dir)
 
     try:
-        solver = BatchSolver(
-            max_workers=args.workers or None,
-            cache=args.cache_size,
-            use_processes=bool(args.workers),
-        )
+        solver = BatchSolver(cache=args.cache_size, use_processes=False)
     except ValueError as exc:
         raise SystemExit(str(exc))
 
@@ -544,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream",
         help="maintain a certified cover over an update stream "
-        "(incremental repair + drift-bounded re-solves)",
+        "(incremental repair + drift-bounded re-solves, solved in process)",
     )
     add_workload_args(stream)
     stream.add_argument(
@@ -592,12 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exactly re-verify the cover every k batches (0: final only)",
     )
     stream.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool size for re-solves (0: solve in-process)",
-    )
-    stream.add_argument(
         "--cache-size", type=int, default=256,
-        help="LRU result-cache capacity for warm-started re-solves",
+        help="LRU result-cache capacity for the in-process re-solves",
     )
     stream.add_argument(
         "--out", default=None,
@@ -642,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     resume = sub.add_parser(
         "resume",
         help="resume a checkpointed `repro stream` run after a crash: "
-        "restore the last snapshot, replay the WAL tail, finish the stream",
+        "restore the last snapshot, replay the WAL tail, finish the stream "
+        "(re-solves in process)",
     )
     resume.add_argument(
         "--checkpoint-dir", required=True,
@@ -654,12 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
         "updates.npz)",
     )
     resume.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool size for re-solves (0: solve in-process)",
-    )
-    resume.add_argument(
         "--cache-size", type=int, default=256,
-        help="LRU result-cache capacity for warm-started re-solves",
+        help="LRU result-cache capacity for the in-process re-solves",
     )
     resume.add_argument(
         "--out", default=None,

@@ -6,14 +6,14 @@ shard them over a process pool and cache results by graph identity.  This
 package is that layer:
 
 :mod:`repro.service.schema`
-    :class:`SolveRequest` / :class:`SolveResult` — the wire-level unit of
-    work and its outcome, both picklable, plus the canonical cache key.
+    :class:`SolveRequest` / :class:`SolveResult` — the unit of work
+    and its outcome, both picklable, plus the canonical cache key.
 :mod:`repro.service.cache`
     :class:`ResultCache` — bounded LRU keyed by
     :meth:`~repro.graphs.WeightedGraph.content_digest` + solve parameters.
 :mod:`repro.service.batch`
-    :class:`BatchSolver` — shards requests across a
-    ``ProcessPoolExecutor`` with chunked dispatch, per-request timeouts and
+    :class:`BatchSolver` — hands requests to a ``ProcessPoolExecutor``,
+    one task per request, heaviest first, with per-request timeouts and
     error isolation (one bad instance never kills the batch).
 :mod:`repro.service.manifest`
     JSON-lines manifest parsing for the ``repro batch`` CLI.

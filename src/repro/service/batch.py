@@ -1,4 +1,4 @@
-"""Batch coordinator: shard solve requests across a process pool.
+"""Batch coordinator: hand solve requests to a process pool.
 
 The instances of a batch are independent, so the coordinator's job is pure
 plumbing — but plumbing with guarantees:
@@ -6,20 +6,21 @@ plumbing — but plumbing with guarantees:
 * **Caching and dedup.**  Every request is keyed by its canonical content
   digest.  Cache hits (and duplicate requests *within* one batch) never
   reach the pool; a warm-cache replay of a manifest does zero solving.
-* **Chunked dispatch, heaviest first.**  Pending requests are ordered by
-  a cost read off the request — cluster engine before vectorized, then
-  more edges first, ties in request order — and dealt round-robin into
-  ~4 chunks per worker, so chunk 0 holds the costliest request and goes
-  out first.  One pool task amortizes pickling/IPC over several
-  instances, and no large solve is left to run alone at the end.
-* **Error isolation.**  Per-request failures are trapped inside the worker
-  (:mod:`repro.service.worker`); pool-level failures (a worker dying,
-  unpicklable payloads) are trapped per chunk.  ``solve_batch`` never
-  raises because of a bad instance — it returns an error record in that
-  request's slot and solves everything else.
+* **One task per request, heaviest first.**  Pending requests are
+  submitted in order of a cost read off the request — cluster engine
+  before vectorized, then more edges first, ties in request order — and
+  the executor's queue hands the next one to whichever worker frees up
+  first, so no large solve is left to run alone at the end.
+* **Error isolation.**  Failures inside a solve are trapped in the worker
+  (:mod:`repro.service.worker`); a request that cannot be shipped to or
+  back from a worker fails its own task only.  A worker dying fails the
+  requests still in flight and keeps the ones already finished.
+  ``solve_batch`` never raises because of a bad instance — it returns an
+  error record in that request's slot and solves everything else.
 
-The pool is created lazily and kept across batches; each worker starts
-warm (:func:`repro.service.worker.warm_up` runs the imports a first solve
+The pool is created lazily and kept across batches (a broken one is
+rebuilt by the next batch); each worker starts warm
+(:func:`repro.service.worker.warm_up` runs the imports a first solve
 would otherwise pay).  Use the solver as a context manager (or call
 :meth:`BatchSolver.close`) to release it.
 """
@@ -27,14 +28,14 @@ would otherwise pay).  Use the solver as a context manager (or call
 from __future__ import annotations
 
 import copy
-import os
-from concurrent.futures import CancelledError, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.service.cache import ResultCache
 from repro.service.schema import SolveRequest, SolveResult
-from repro.service.worker import solve_chunk, solve_one, warm_up
+from repro.service.worker import solve_one, warm_up
 
 __all__ = ["BatchSolver"]
 
@@ -48,7 +49,7 @@ class BatchSolver:
         Process-pool size; defaults to ``os.cpu_count()`` (the
         ``ProcessPoolExecutor`` default).
     cache:
-        A :class:`ResultCache`, an integer capacity, or ``None`` to disable
+        Capacity of the :class:`ResultCache`, or ``None`` to disable
         caching entirely.
     timeout:
         Per-request wall-clock budget in seconds, enforced inside the
@@ -58,10 +59,8 @@ class BatchSolver:
         request at a time — the sequential reference mode (with
         ``cache=None``), also handy under debuggers and on 1-core boxes.
 
-    Pooled batches go out in chunks of pending requests, about four
-    chunks per worker (at least one request per chunk).  Requests are
-    sorted heaviest first (cluster engine, then larger ``graph.m``) and
-    dealt round-robin over the chunks; chunk 0 is submitted first.  Pool
+    A pooled batch submits each distinct pending request as its own pool
+    task, heaviest first (cluster engine, then larger ``graph.m``).  Pool
     workers start warm, so no request pays a fresh worker's imports.
     """
 
@@ -69,7 +68,7 @@ class BatchSolver:
         self,
         *,
         max_workers: Optional[int] = None,
-        cache: Union[ResultCache, int, None] = 256,
+        cache: Optional[int] = 256,
         timeout: Optional[float] = None,
         use_processes: bool = True,
     ):
@@ -78,12 +77,7 @@ class BatchSolver:
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.max_workers = max_workers
-        if isinstance(cache, ResultCache):
-            self.cache: Optional[ResultCache] = cache
-        elif cache is None:
-            self.cache = None
-        else:
-            self.cache = ResultCache(int(cache))
+        self.cache = None if cache is None else ResultCache(cache)
         self.timeout = timeout
         self.use_processes = use_processes
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -161,7 +155,7 @@ class BatchSolver:
             if self.use_processes:
                 self._solve_pooled(requests, keys, pending, results)
             else:
-                self._solve_inline(requests, keys, pending, results)
+                self._solve_inline(requests, pending, results)
 
         # Stage 3: fill duplicates from their leader and warm the cache.
         for i, leader in followers.items():
@@ -183,104 +177,54 @@ class BatchSolver:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _record(self, requests, keys, wire, copy_result: bool = False) -> SolveResult:
-        """Convert a worker wire record into a SolveResult + cache insert.
-
-        ``copy_result`` keeps a deep copy of the result made on the calling
-        thread instead of the object the wire record carried.
-        """
-        i = wire.index
-        res = SolveResult(
-            request_id=requests[i].label(),
-            ok=wire.error is None,
-            cache_hit=False,
-            elapsed=wire.elapsed,
-            cache_key=keys[i],
-            result=copy.deepcopy(wire.result) if copy_result else wire.result,
-            error=wire.error,
-        )
-        if res.ok and self.cache is not None and res.result is not None:
-            self.cache.put(keys[i], res.result)
+    def _record(self, res: SolveResult) -> SolveResult:
+        """Cache a solved request's result; return ``res`` unchanged."""
+        if res.ok and self.cache is not None:
+            self.cache.put(res.cache_key, res.result)
         return res
 
-    def _solve_inline(self, requests, keys, pending, results) -> None:
+    def _solve_inline(self, requests, pending, results) -> None:
         for i in pending:
-            wire = solve_one(requests[i], index=i, timeout=self.timeout)
-            results[i] = self._record(requests, keys, wire)
-
-    def _chunks(self, requests, pending: List[int]) -> List[List[int]]:
-        """Deal ``pending`` heaviest first, round-robin, into ~4 chunks per worker."""
-        workers = self.max_workers or os.cpu_count() or 1
-        size = max(1, -(-len(pending) // (4 * workers)))
-        count = -(-len(pending) // size)
-        ordered = sorted(
-            pending,
-            key=lambda i: (requests[i].engine != "cluster", -requests[i].graph.m),
-        )
-        return [ordered[j::count] for j in range(count)]
+            results[i] = self._record(solve_one(requests[i], self.timeout))
 
     def _solve_pooled(self, requests, keys, pending, results) -> None:
         pool = self._ensure_pool()
-        chunk_futures = []
-        try:
-            for chunk in self._chunks(requests, pending):
-                payload = [(i, requests[i]) for i in chunk]
-                fut = pool.submit(solve_chunk, payload, self.timeout)
-                chunk_futures.append((chunk, fut))
-        except Exception as exc:  # pool already broken at submit time
-            # Harvest chunks that finished before the breakage, fail the
-            # rest, and drop the poisoned executor so the next batch gets
-            # a fresh one.
-            for chunk, fut in chunk_futures:
-                try:
-                    for wire in fut.result(timeout=1.0):
-                        results[wire.index] = self._record(requests, keys, wire)
-                except Exception:
-                    self._mark_failed(requests, keys, chunk, results, exc)
-            self._mark_failed(
-                requests, keys,
-                [i for i in pending if results[i] is None], results, exc,
-            )
-            self.close()
-            return
-        # The executor's result thread unpickles each chunk into its own
+        broken = False
+        futures = deque()
+        # Heaviest first; the sort is stable, so equal costs keep request order.
+        order = sorted(
+            pending, key=lambda j: (requests[j].engine != "cluster", -requests[j].graph.m)
+        )
+        for i in order:
+            try:
+                futures.append((i, pool.submit(solve_one, requests[i], self.timeout)))
+            except BrokenProcessPool as exc:  # a worker died mid-submit
+                results[i] = self._failure(requests[i], keys[i], exc)
+                broken = True
+        # The executor's result thread unpickles each result into its own
         # malloc arena.  Results kept there for the whole batch leave that
         # arena holding freed memory afterwards, more in some batches than
         # in others, and every pool forked later inherits it as resident
         # memory.  So each result is copied on this thread, and each future
-        # (with the unpickled chunk) is dropped as soon as it is read.
-        while chunk_futures:
-            chunk, fut = chunk_futures.pop(0)
+        # (with the unpickled result) is dropped as soon as it is read.
+        while futures:
+            i, fut = futures.popleft()
             try:
-                for wire in fut.result():
-                    results[wire.index] = self._record(
-                        requests, keys, wire, copy_result=True
-                    )
-            except BrokenProcessPool as exc:
-                # The executor is poisoned: queued futures get cancelled.
-                # Rebuild lazily on the next batch.
-                self._mark_failed(requests, keys, chunk, results, exc)
-                self.close()
-            except CancelledError as exc:  # BaseException since 3.8
-                self._mark_failed(requests, keys, chunk, results, exc)
+                results[i] = self._record(copy.deepcopy(fut.result()))
             except Exception as exc:
-                # Per-chunk transport failure (e.g. unpicklable payload);
-                # the pool itself is still healthy — keep it.
-                self._mark_failed(requests, keys, chunk, results, exc)
-            for i in chunk:
-                if results[i] is None:
-                    self._mark_failed(
-                        requests, keys, [i], results,
-                        RuntimeError("worker returned no record"),
-                    )
+                # A request that could not be shipped either way fails
+                # alone; a dead worker poisons the pool and fails every
+                # request still in flight.
+                results[i] = self._failure(requests[i], keys[i], exc)
+                broken = broken or isinstance(exc, BrokenProcessPool)
+        if broken:
+            self.close()  # the next batch builds a fresh pool
 
     @staticmethod
-    def _mark_failed(requests, keys, indices, results, exc) -> None:
-        for i in indices:
-            if results[i] is None:
-                results[i] = SolveResult(
-                    request_id=requests[i].label(),
-                    ok=False,
-                    cache_key=keys[i],
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+    def _failure(request, key, exc) -> SolveResult:
+        return SolveResult(
+            request_id=request.label(),
+            ok=False,
+            cache_key=key,
+            error=f"{type(exc).__name__}: {exc}",
+        )

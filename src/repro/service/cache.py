@@ -43,16 +43,6 @@ class CacheStats:
         """Hits per lookup (0.0 before any lookup)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": self.size,
-            "max_entries": self.max_entries,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class ResultCache:
     """LRU map ``digest -> MWVCResult`` with at most ``max_entries`` entries.

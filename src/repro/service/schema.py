@@ -5,8 +5,8 @@ parameters that affect the answer (``eps``, ``seed``, ``engine``).  A
 :class:`SolveResult` is its outcome: either a full
 :class:`~repro.core.result.MWVCResult` or an error string, plus service
 metadata (timing, cache hit, cache key).  Both are plain picklable
-dataclasses so they can cross :class:`~concurrent.futures.ProcessPoolExecutor`
-boundaries.
+dataclasses: a pool task ships one request to a worker and its result
+back across the :class:`~concurrent.futures.ProcessPoolExecutor` boundary.
 
 The cache key :func:`request_digest` hashes the *content* of the request —
 graph digest + solve parameters — so two requests for the same instance
@@ -136,16 +136,3 @@ class SolveResult:
             row["error"] = self.error
         return row
 
-
-@dataclass
-class _WireResult:
-    """Worker→parent transport record (internal).
-
-    Smaller than :class:`SolveResult`: carries the index of the request in
-    the batch instead of repeating identifying metadata.
-    """
-
-    index: int
-    elapsed: float
-    result: Optional[MWVCResult] = None
-    error: Optional[str] = None

@@ -1,15 +1,15 @@
 """Process-pool worker for the batch solving service.
 
 Must stay importable at module top level (``ProcessPoolExecutor`` pickles
-the function *by reference*).  The worker owns the two service guarantees
-that have to hold *inside* the child process:
+the function *by reference*).  One pool task solves one request, and the
+worker owns the two service guarantees that have to hold *inside* the
+child process:
 
-* **Error isolation** — every request is solved under its own
-  ``try/except``; a malformed instance (bad ε, zero-weight vertex, solver
-  bug) produces an error record for that request only, and the chunk's
-  remaining requests still run.
+* **Error isolation** — the solve runs under its own ``try/except``; a
+  malformed instance (bad ε, zero-weight vertex, solver bug) comes back
+  as that request's error result instead of an exception.
 * **Per-request timeout** — enforced with ``signal.setitimer`` (real
-  time) around each solve.  Pool workers are single-threaded child
+  time) around the solve.  Pool workers are single-threaded child
   processes on their main thread, which is exactly the setting where
   SIGALRM is reliable.  On platforms without ``setitimer`` (Windows) the
   timeout degrades to unenforced, which the batch solver documents.
@@ -20,12 +20,12 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.core.mpc_mwvc import minimum_weight_vertex_cover
-from repro.service.schema import SolveRequest, _WireResult
+from repro.service.schema import SolveRequest, SolveResult
 
-__all__ = ["solve_chunk", "solve_one", "warm_up"]
+__all__ = ["solve_one", "warm_up"]
 
 _HAS_ITIMER = hasattr(signal, "setitimer") and hasattr(signal, "SIGALRM")
 
@@ -51,11 +51,24 @@ def warm_up() -> None:
     import repro.core.engine_cluster  # noqa: F401
 
 
-def solve_one(
-    request: SolveRequest, index: int = 0, timeout: Optional[float] = None
-) -> _WireResult:
-    """Solve a single request, trapping failures and enforcing ``timeout``."""
+def solve_one(request: SolveRequest, timeout: Optional[float] = None) -> SolveResult:
+    """Solve a single request, trapping failures and enforcing ``timeout``.
+
+    The graph's digest travels with it through pickling, so the result's
+    ``cache_key`` costs no re-hash of the graph in a pool worker.
+    """
     start = time.perf_counter()
+
+    def finish(result=None, error=None) -> SolveResult:
+        return SolveResult(
+            request_id=request.label(),
+            ok=error is None,
+            elapsed=time.perf_counter() - start,
+            cache_key=request.cache_key(),
+            result=result,
+            error=error,
+        )
+
     # SIGALRM only works on the main thread; an inline BatchSolver embedded
     # in a threaded service must degrade to unenforced, not blow up.
     use_timer = (
@@ -91,35 +104,12 @@ def solve_one(
                     signal.setitimer(signal.ITIMER_REAL, 0.0)
         except _SolveTimeout:
             if not completed:
-                return _WireResult(
-                    index=index,
-                    elapsed=time.perf_counter() - start,
-                    error=f"timeout after {float(timeout):g}s",
-                )
+                return finish(error=f"timeout after {float(timeout):g}s")
             # The alarm fired in the gap between solve completion and
             # disarm: the result is valid — fall through and return it.
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            return _WireResult(
-                index=index,
-                elapsed=time.perf_counter() - start,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return _WireResult(
-            index=index, elapsed=time.perf_counter() - start, result=result
-        )
+            return finish(error=f"{type(exc).__name__}: {exc}")
+        return finish(result=result)
     finally:
         if use_timer:
             signal.signal(signal.SIGALRM, old_handler)
-
-
-def solve_chunk(
-    indexed_requests: Sequence[tuple], timeout: Optional[float] = None
-) -> List[_WireResult]:
-    """Solve a chunk of ``(index, request)`` pairs sequentially.
-
-    Chunking amortizes pickling/IPC overhead: the pool ships one task per
-    chunk instead of one per request, while the per-request accounting
-    (timing, timeout, isolation) stays exact because :func:`solve_one`
-    wraps each request individually.
-    """
-    return [solve_one(req, index=idx, timeout=timeout) for idx, req in indexed_requests]

@@ -36,16 +36,13 @@ def test_pooled_matches_sequential():
         assert np.array_equal(p.result.in_cover, s.result.in_cover)
 
 
-def test_error_isolation_one_bad_request():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_error_isolation_one_bad_request(workers):
     reqs = _requests(7)
     # eps = 0.4 is outside the solver's (0, 1/4) domain: the worker must
     # report it as a per-request failure, not kill the batch.
     reqs.insert(1, SolveRequest(_graph(9), eps=0.4, request_id="bad"))
-    with BatchSolver(max_workers=1, cache=None) as solver:
-        # One worker, 8 requests: the auto rule packs 2 per chunk, so the
-        # bad request shares its chunk with a good one.
-        chunks = solver._chunks(reqs, list(range(8)))
-        assert len(next(c for c in chunks if 1 in c)) == 2
+    with BatchSolver(max_workers=workers, cache=None) as solver:
         out = solver.solve_batch(reqs)
     by_id = {r.request_id: r for r in out}
     assert not by_id["bad"].ok
@@ -54,6 +51,50 @@ def test_error_isolation_one_bad_request():
     for rid in (f"r{i}" for i in range(7)):
         assert by_id[rid].ok, by_id[rid].error
         assert by_id[rid].result is not None
+
+
+class _Unshippable(SolveRequest):
+    """A request that cannot be pickled to a worker."""
+
+    def __reduce__(self):
+        raise TypeError("this request cannot be shipped")
+
+
+def test_unshippable_request_fails_alone():
+    reqs = _requests(7)
+    reqs.insert(1, _Unshippable(_graph(9), request_id="bad"))
+    with BatchSolver(max_workers=1, cache=None) as solver:
+        out = solver.solve_batch(reqs)
+    assert [r.request_id for r in out] == ["r0", "bad"] + [f"r{i}" for i in range(1, 7)]
+    by_id = {r.request_id: r for r in out}
+    assert not by_id["bad"].ok
+    assert "TypeError" in by_id["bad"].error
+    assert all(by_id[f"r{i}"].ok for i in range(7)), [r.error for r in out]
+
+
+def _exit_worker():
+    os._exit(3)
+
+
+class _WorkerKiller(SolveRequest):
+    """A request whose unpickling ends the worker process."""
+
+    def __reduce__(self):
+        return (_exit_worker, ())
+
+
+def test_dead_worker_fails_without_killing_the_solver():
+    reqs = _requests(3)
+    reqs.insert(1, _WorkerKiller(_graph(9), request_id="killer"))
+    with BatchSolver(max_workers=1, cache=None) as solver:
+        out = solver.solve_batch(reqs)
+        assert [r.request_id for r in out] == ["r0", "killer", "r1", "r2"]
+        by_id = {r.request_id: r for r in out}
+        assert not by_id["killer"].ok
+        assert "BrokenProcessPool" in by_id["killer"].error
+        assert all(r.ok or "BrokenProcessPool" in r.error for r in out)
+        again = solver.solve_batch(_requests(3))
+    assert all(r.ok for r in again), [r.error for r in again]
 
 
 def test_within_batch_dedup_and_warm_cache_replay():
@@ -118,42 +159,47 @@ def test_constructor_validation():
         BatchSolver(timeout=0.0)
 
 
-def test_results_keep_request_order_with_chunks():
+def test_results_keep_request_order():
     reqs = _requests(5)
-    # One worker, 5 requests: the auto rule makes chunks of 2, 2 and 1.
     with BatchSolver(max_workers=1, cache=None) as solver:
         out = solver.solve_batch(reqs)
     assert [r.request_id for r in out] == [f"r{i}" for i in range(5)]
 
 
 def _path_request(m, engine, index):
-    """A request on the path with ``m`` edges: its cost is read off ``m``."""
+    """A request on the path with ``m`` edges: its cost is read off ``m``,
+    and its seed keeps it distinct from other requests of the same cost."""
     path = WeightedGraph.from_edge_list(m + 1, [(i, i + 1) for i in range(m)])
-    return SolveRequest(path, engine=engine, request_id=f"p{index}")
+    return SolveRequest(path, seed=index, engine=engine, request_id=f"p{index}")
 
 
-def test_chunks_cover_pending_once_about_four_per_worker():
-    for workers in (1, 2, 3):
-        solver = BatchSolver(max_workers=workers, use_processes=False)
-        for n in range(1, 30):
-            reqs = [_path_request(1 + i % 4, "vectorized", i) for i in range(2 * n)]
-            pending = list(range(0, 2 * n, 2))
-            chunks = solver._chunks(reqs, pending)
-            assert sorted(i for c in chunks for i in c) == pending
-            size = -(-n // (4 * workers))
-            assert all(1 <= len(c) <= size for c in chunks)
-            assert len(chunks) == -(-n // size)
-
-
-def test_chunks_deal_heaviest_first_round_robin():
+def test_pool_gets_each_pending_request_once_heaviest_first():
     spec = [("vectorized", 5), ("cluster", 3), ("vectorized", 9), ("cluster", 7),
             ("vectorized", 5), ("vectorized", 1), ("cluster", 3), ("vectorized", 8),
             ("vectorized", 2)]
     reqs = [_path_request(m, engine, i) for i, (engine, m) in enumerate(spec)]
+    with BatchSolver(max_workers=2, cache=8) as solver:
+        pool = solver._ensure_pool()
+        submitted = []
+        submit = pool.submit
+
+        def recording_submit(fn, request, *args):
+            submitted.append(request.request_id)
+            return submit(fn, request, *args)
+
+        pool.submit = recording_submit
+        # A cached request and a duplicate within the batch never reach
+        # the pool.
+        cached = _path_request(4, "cluster", 9)
+        solver.solve_batch([cached])
+        submitted.clear()
+        dup = SolveRequest(reqs[2].graph, seed=2, request_id="dup")
+        out = solver.solve_batch(reqs + [cached, dup])
     # Cluster before vectorized, then more edges first, ties in request
-    # order: 3, 1, 6, 2, 7, 0, 4, 8, 5; dealt over 5 chunks of <= 2.
-    chunks = BatchSolver(max_workers=2)._chunks(reqs, list(range(9)))
-    assert chunks == [[3, 0], [1, 4], [6, 8], [2, 5], [7]]
+    # order.
+    assert submitted == ["p3", "p1", "p6", "p2", "p7", "p0", "p4", "p8", "p5"]
+    assert all(r.ok for r in out)
+    assert out[-2].cache_hit and out[-1].cache_hit
 
 
 def test_pooled_mixed_engines_keep_order_and_match_inline_bit_for_bit():
@@ -180,7 +226,7 @@ def test_pooled_mixed_engines_keep_order_and_match_inline_bit_for_bit():
 
 def test_pooled_results_own_their_arrays():
     """A pooled result is a copy made in the caller, not a view into the
-    buffer the executor's result thread unpickled the chunk from (which
+    buffer the executor's result thread unpickled the result from (which
     unpickling shares only for arrays of a few thousand bytes or more)."""
     reqs = [SolveRequest(_graph(i, n=6000, degree=3.0), request_id=f"o{i}") for i in range(3)]
     with BatchSolver(max_workers=2, cache=None) as solver:

@@ -188,6 +188,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["solve", "--family", "moebius"])
 
+    @pytest.mark.parametrize("argv", [
+        ["stream", "--family", "gnp", "--n", "60", "--degree", "4"],
+        ["resume", "--checkpoint-dir", "ckpt"],
+    ])
+    def test_streams_take_no_workers_flag(self, argv):
+        # Streams re-solve one request at a time, in process.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "2"])
+        assert exc.value.code == 2
+
 
 class TestVersion:
     def test_version_flag(self, capsys):
