@@ -11,7 +11,7 @@ Public API highlights
 :mod:`repro.mpc`
     MPC cluster simulator with memory/communication enforcement.
 :mod:`repro.congested`
-    Congested-clique model and the BDH18-style MPC adapter.
+    The BDH18 adapter: MPC rounds translated to the congested clique.
 :mod:`repro.baselines`
     Sequential 2-approximations, LP bounds, exact solver, and the
     O(log n)-round LOCAL baseline the paper improves on.

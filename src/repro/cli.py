@@ -642,7 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--updates", default=None,
         help="override the stored update stream (default: the checkpoint's "
-        "updates.npz)",
+        "updates.npz); it must match every committed batch, and only the "
+        "uncommitted remainder may differ",
     )
     resume.add_argument(
         "--cache-size", type=int, default=256,

@@ -1,6 +1,9 @@
-"""Congested-clique model and the BDH18 MWVC adapter (experiment E10)."""
+"""The BDH18 MWVC adapter to the congested clique (experiment E10).
 
-from repro.congested.clique import CliqueMessage, CongestedClique, LinkCapacityExceeded
+The clique simulator the test oracle runs Algorithm 1 on lives in
+``tests/clique_model.py``.
+"""
+
 from repro.congested.mwvc import (
     LENZEN_ROUNDS,
     CongestedCliqueMWVCResult,
@@ -8,9 +11,6 @@ from repro.congested.mwvc import (
 )
 
 __all__ = [
-    "CongestedClique",
-    "CliqueMessage",
-    "LinkCapacityExceeded",
     "congested_clique_mwvc",
     "CongestedCliqueMWVCResult",
     "LENZEN_ROUNDS",

@@ -23,7 +23,7 @@ certificate drifts past a policy bound:
 :mod:`repro.dynamic.checkpoint`
     Versioned, digest-stamped snapshots of maintainer + graph state.
 :mod:`repro.dynamic.wal`
-    Append-only, checksummed write-ahead log of applied update batches.
+    Append-only, checksummed write-ahead log of batch commits.
 :mod:`repro.dynamic.repair`
     The vectorized repair/prune/certification kernels the maintainer
     runs.

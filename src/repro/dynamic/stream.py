@@ -28,27 +28,28 @@ crash-recoverable.  The checkpoint directory holds:
   stream (the replay sources), the stream as the columnar arrays of
   :class:`~repro.graphs.updates.UpdateColumns`;
 * ``wal.jsonl`` — the write-ahead log: every batch is validated, then
-  committed (fsync'd, CRC-checked, version-2 columnar records, stamped
-  with the pre-apply :meth:`DynamicGraph.state_stamp`) *before* it is
-  applied (:mod:`repro.dynamic.wal`);
+  committed (fsync'd, CRC-checked version-3 records of its size and event
+  checksum, stamped with the pre-apply :meth:`DynamicGraph.state_stamp`)
+  *before* it is applied (:mod:`repro.dynamic.wal`);
 * ``snapshot-<batch>.npz`` — maintainer snapshots in format version 3,
   written atomically every ``snapshot_every`` batches and named by the
   stream position they hold; the newest ``keep_snapshots`` survive
   (:mod:`repro.dynamic.checkpoint`).
 
 :func:`resume_stream` reads exactly what :func:`run_stream` writes: a
-``config.json`` holding every key it writes and no other, version-2 WAL
+``config.json`` holding every key it writes and no other, version-3 WAL
 records and numbered version-3 snapshots.  A directory in an older
-build's layout (an ``updates.jsonl`` stream copy, version-1 WAL records,
-version-1/2 snapshots, a single ``snapshot.npz(.gz)``) fails with a
-specific error: its ``config.json`` with a :class:`CheckpointError`
-naming the unknown or missing key, a version-1 WAL line with a
+build's layout (an ``updates.jsonl`` stream copy, version-1/2 WAL
+records, version-1/2 snapshots, a single ``snapshot.npz(.gz)``) fails
+with a specific error: its ``config.json`` with a :class:`CheckpointError`
+naming the unknown or missing key, an older WAL line with a
 :class:`~repro.dynamic.wal.WALCorruptionError` naming the line, an older
 snapshot with a :class:`~repro.dynamic.checkpoint.CheckpointVersionError`
 naming its version.  Finish such a stream with the build that wrote it.
 
-:func:`resume_stream` restores ``last snapshot + WAL tail replay`` and
-continues the run.  Because every component is deterministic — the
+:func:`resume_stream` restores ``last snapshot + WAL tail replay``, the
+batches re-taken from the stored stream, and continues the run.  Because
+every component is deterministic — the
 maintainer's repair pass, the policy, and the seeded solver — a resumed
 run reproduces the uninterrupted run's cover mask and certificate exactly,
 whatever batch boundary the process died at (the property
@@ -111,9 +112,10 @@ _WAL_FILE = "wal.jsonl"
 class CheckpointConfig:
     """Durability policy of a checkpointed :func:`run_stream`.
 
-    Every WAL record is stamped with the pre-apply
-    :meth:`DynamicGraph.state_stamp` so replay verifies, record by record,
-    that it rebuilds the exact state the original run saw.  A stamp costs
+    Every WAL record holds a batch's size and event checksum, stamped
+    with the pre-apply :meth:`DynamicGraph.state_stamp`, so replay
+    verifies, record by record, that it re-takes the original events and
+    rebuilds the exact state the original run saw.  A stamp costs
     O(delta + n) per batch — the base edges are hashed once per
     compaction — never an O(m) pass.
 
@@ -825,9 +827,10 @@ def resume_stream(
        corrupt snapshot raises instead: a damaged checkpoint must never
        silently restore);
     4. replay the WAL records past the snapshot through the exact
-       per-batch machinery of :func:`run_stream` (each record's pre-apply
-       digest is verified when stamped);
-    5. continue with the remaining updates from the stored stream,
+       per-batch machinery of :func:`run_stream`, each record's batch
+       re-taken from the update stream and checked against its size,
+       checksum and pre-apply stamp;
+    5. continue with the remaining updates from the stream,
        write-ahead-logging and snapshotting as usual.
 
     Determinism makes the result *exact*: the resumed run's final cover
@@ -839,7 +842,9 @@ def resume_stream(
         The checkpoint directory of the interrupted run.
     updates:
         Override the stored update stream (defaults to the directory's
-        ``updates.npz``).
+        ``updates.npz``).  It must hold the run's number of events and
+        match every committed batch; only the uncommitted remainder may
+        differ.
     solver:
         Batch service for re-solves; a private in-process solver is
         created (and closed) when omitted.
@@ -852,7 +857,8 @@ def resume_stream(
     CheckpointError
         Missing/invalid checkpoint pieces (no or a damaged config, an
         unreadable stored stream, corrupt snapshot or WAL, a WAL gap the
-        snapshot cannot bridge, or a stream/WAL state mismatch), or pieces
+        snapshot cannot bridge, a stream that differs inside a committed
+        batch, or a snapshot/WAL state mismatch), or pieces
         in a format this build does not write (an unknown config key, an
         older snapshot version).
     """
@@ -930,26 +936,27 @@ def resume_stream(
         for record in wal_records:
             if record.batch_index < resumed_from:
                 continue
-            if record.batch_index != engine_.next_index:
+            index = record.batch_index
+            if index != engine_.next_index:
                 raise CheckpointError(
                     f"WAL gap: expected batch {engine_.next_index}, found "
-                    f"{record.batch_index} — the snapshot cannot bridge it"
+                    f"{index} — the snapshot cannot bridge it"
                 )
-            if record.state_digest:
-                current = maintainer.dyn.state_stamp()
-                if current != record.state_digest:
-                    raise CheckpointError(
-                        f"WAL batch {record.batch_index} was logged against "
-                        f"graph state {record.state_digest[:12]}… but replay "
-                        f"reached {current[:12]}… — snapshot/WAL/stream "
-                        f"mismatch"
-                    )
-            engine_.process_batch(record.updates)
-        if engine_.updates_applied > len(updates):
-            raise CheckpointError(
-                f"WAL replay consumed {engine_.updates_applied} updates but "
-                f"the stream holds only {len(updates)}"
-            )
+            start = engine_.updates_applied
+            batch = updates[start : start + record.size]  # a view
+            if len(batch) != record.size or batch.checksum() != record.batch_crc:
+                raise CheckpointError(
+                    f"WAL batch {index} (stream position {start}) does not "
+                    f"match the update stream — stream/WAL mismatch"
+                )
+            current = maintainer.dyn.state_stamp()
+            if current != record.state_digest:
+                raise CheckpointError(
+                    f"WAL batch {index} was logged against graph state "
+                    f"{record.state_digest[:12]}… but replay reached "
+                    f"{current[:12]}… — snapshot/WAL mismatch"
+                )
+            engine_.process_batch(batch)
 
         # ---- continue with the uncommitted remainder ------------------ #
         engine_.finish(updates, config["batch_size"])

@@ -1,4 +1,4 @@
-"""Write-ahead log of applied update batches.
+"""Write-ahead log of committed update batches.
 
 The durability contract of a dynamic stream (see
 :mod:`repro.dynamic.checkpoint` for the companion snapshots):
@@ -7,6 +7,9 @@ The durability contract of a dynamic stream (see
   the log *before* it is applied to the in-memory maintainer, so every
   state the process can die in is reconstructible as
   ``last snapshot + replay of the WAL tail``.
+* **Commits, not copies.**  A record holds a batch's size and checksum,
+  not its events: replay re-takes the batch from the checkpoint's stored
+  stream (``updates.npz``) and checks it against both.
 * **Per-record checksums.**  Each record is one line carrying a CRC32 of
   its body.  A committed record that fails its checksum is *corruption*
   and raises :class:`WALCorruptionError` — a damaged log must never be
@@ -16,29 +19,25 @@ The durability contract of a dynamic stream (see
   committed — the batch it describes produced no durable state — so
   :func:`read_wal` drops it and reports the truncation instead of failing.
 
-Record wire format, version 2, the only one this build writes or reads
+Record wire format, version 3, the only one this build writes or reads
 (one record per line)::
 
-    {"v":2,"crc":"1a2b3c4d","body":{"batch_index":3,"op":"iidr",
-     "u":[0,5,2,0],"v":[1,9,3,4],"w":[2.5],"state_digest":"..."}}
+    {"v":3,"crc":"1a2b3c4d","body":{"batch_index":3,"size":1000,
+     "batch_crc":2480866765,"state_digest":"..."}}
 
-The body is columnar (:class:`~repro.graphs.updates.UpdateColumns`): one
-``op`` letter per event (``i``nsert, ``d``elete, ``r``eweight), the ``u``
-and ``v`` of every event (a reweight has ``u`` 0 and its vertex in ``v``),
-and in ``w`` the new weight of each reweight, in order.  ``crc`` is
-``zlib.crc32`` over the body's raw bytes, written as 8 hex digits so the
-header has a fixed width: a reader finds the body by position, and
-:func:`compact_wal` verifies and copies a retained line byte for byte
-without decoding it.  The body always starts with ``batch_index``.
-
-``state_digest`` optionally stamps :meth:`DynamicGraph.state_stamp
+``size`` is the batch's event count, ``batch_crc`` its
+:meth:`UpdateColumns.checksum <repro.graphs.updates.UpdateColumns.checksum>`,
+and ``state_digest`` stamps :meth:`DynamicGraph.state_stamp
 <repro.dynamic.DynamicGraph.state_stamp>` of the graph the batch applies
-*to* (the pre-apply state), letting replay verify, record by record, that
-it reached the same graph the original run saw.
+*to* (the pre-apply state).  ``crc`` is ``zlib.crc32`` over the body's raw
+bytes, written as 8 hex digits so the header has a fixed width and a
+reader finds the body by position; :func:`compact_wal` verifies every
+line and copies a retained one byte for byte.
 
-A committed line in any other shape — an older build's version-1 record
-(one JSON object per event) included — is :class:`WALCorruptionError`
-naming its line; finish such a stream with the build that wrote it.
+A committed line in any other shape — an older build's version-1 or
+version-2 record (which held the batch's events) included — is
+:class:`WALCorruptionError` naming its line; finish such a stream with
+the build that wrote it.
 """
 
 from __future__ import annotations
@@ -47,11 +46,9 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
-import numpy as np
-
-from repro.graphs.updates import OP_REWEIGHT, UpdateColumns
+from repro.graphs.updates import UpdateColumns
 
 __all__ = [
     "WAL_FORMAT_VERSION",
@@ -66,13 +63,12 @@ __all__ = [
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-WAL_FORMAT_VERSION = 2
+WAL_FORMAT_VERSION = 3
 
-#: Fixed-width head of a line: ``{"v":2,"crc":"<8 hex>","body":``.
-_HEAD = b'{"v":2,"crc":"'
+#: Fixed-width head of a line: ``{"v":3,"crc":"<8 hex>","body":``.
+_HEAD = b'{"v":3,"crc":"'
 _BODY = b'","body":'
 _BODY_START = len(_HEAD) + 8 + len(_BODY)
-_BATCH_KEY = b'{"batch_index":'
 
 
 class WALError(Exception):
@@ -85,45 +81,43 @@ class WALCorruptionError(WALError):
 
 @dataclass(frozen=True)
 class WALRecord:
-    """One committed batch: its index, its updates, and an optional stamp.
+    """One committed batch: its index, size, checksum and stamp.
 
     Attributes
     ----------
     batch_index:
         Zero-based position of the batch in the stream.
-    updates:
-        The batch's events as :class:`~repro.graphs.updates.UpdateColumns`
-        in application order.
+    size, batch_crc:
+        The batch's event count and the checksum of its events; replay
+        re-takes that many events of the stream and refuses them unless
+        their checksum matches.
     state_digest:
-        Stamp of the graph the batch applies *to* (the pre-apply state;
-        empty when the writer did not stamp one).  Replay checks it
-        before applying the record, so a WAL paired with the wrong
-        snapshot or stream fails loudly instead of rebuilding a wrong
+        Stamp of the graph the batch applies *to* (the pre-apply state).
+        Replay checks it before applying the batch, so a WAL paired with
+        the wrong snapshot fails loudly instead of rebuilding a wrong
         cover.
     """
 
     batch_index: int
-    updates: UpdateColumns
-    state_digest: str = ""
+    size: int
+    batch_crc: int
+    state_digest: str
 
 
-def _encode(batch_index: int, cols: UpdateColumns, state_digest: str) -> bytes:
+def _encode(batch_index: int, updates: UpdateColumns, state_digest: str) -> bytes:
     """One record line, newline included."""
     body = {
         "batch_index": int(batch_index),
-        "op": cols.op.tobytes().decode("ascii"),
-        "u": cols.u.tolist(),
-        "v": cols.v.tolist(),
-        "w": cols.w[cols.op == OP_REWEIGHT].tolist(),
+        "size": len(updates),
+        "batch_crc": updates.checksum(),
+        "state_digest": state_digest,
     }
-    if state_digest:
-        body["state_digest"] = state_digest
     raw = json.dumps(body, separators=(",", ":")).encode("utf-8")
     return b"%s%08x%s%s}\n" % (_HEAD, zlib.crc32(raw), _BODY, raw)
 
 
-def _check_line(name: str, lineno: int, line: bytes) -> Tuple[int, bytes]:
-    """Checksum-verify one committed line; ``(batch_index, raw body)``."""
+def _check_line(name: str, lineno: int, line: bytes) -> WALRecord:
+    """Checksum-verify and decode one committed line."""
     where = f"WAL {name} line {lineno}"
     crc_hex = line[len(_HEAD) : len(_HEAD) + 8]
     if (
@@ -144,30 +138,15 @@ def _check_line(name: str, lineno: int, line: bytes) -> Tuple[int, bytes]:
             f"{computed}) — the log is damaged"
         )
     try:
-        if not body.startswith(_BATCH_KEY):
-            raise ValueError("body does not start with batch_index")
-        end = body.index(b",", len(_BATCH_KEY))
-        return int(body[len(_BATCH_KEY) : end]), body
-    except ValueError as exc:
-        raise WALCorruptionError(f"{where}: malformed WAL record body: {exc}") from None
-
-
-def _decode(batch_index: int, body: bytes) -> WALRecord:
-    """The record of a checksum-verified line (``ValueError`` etc. if malformed)."""
-    payload = json.loads(body)
-    op = np.frombuffer(payload["op"].encode("ascii"), dtype=np.uint8)
-    reweight = op == OP_REWEIGHT
-    if len(payload["w"]) != int(reweight.sum()):
-        raise ValueError("'w' does not hold one weight per reweight")
-    w = np.zeros(op.shape[0], dtype=np.float64)
-    w[reweight] = payload["w"]
-    cols = UpdateColumns(
-        op,
-        np.array(payload["u"], dtype=np.int64),
-        np.array(payload["v"], dtype=np.int64),
-        w,
-    )
-    return WALRecord(batch_index, cols, str(payload.get("state_digest", "")))
+        payload = json.loads(body)
+        fields = [payload[key] for key in ("batch_index", "size", "batch_crc", "state_digest")]
+        if [type(field) for field in fields] != [int, int, int, str]:
+            raise ValueError(f"fields of the wrong types: {fields}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WALCorruptionError(
+            f"{where}: malformed WAL record body: {type(exc).__name__}: {exc}"
+        ) from None
+    return WALRecord(*fields)
 
 
 class WriteAheadLog:
@@ -201,12 +180,13 @@ class WriteAheadLog:
             fsync_directory(os.path.dirname(self.path) or ".")
 
     def append(
-        self, batch_index: int, updates: UpdateColumns, *, state_digest: str = ""
+        self, batch_index: int, updates: UpdateColumns, *, state_digest: str
     ) -> None:
-        """Commit one batch record stamped with ``state_digest``.
+        """Commit one batch: its size and checksum, stamped with
+        ``state_digest``.
 
         The caller validates the batch first, as the stream engine does
-        before it stamps and logs one: a committed bad record would fail
+        before it stamps and logs one: a committed bad batch would fail
         every later replay.
         """
         if self._fh is None:
@@ -228,27 +208,30 @@ class WriteAheadLog:
         self.close()
 
 
-def _committed_lines(path: PathLike) -> Tuple[List[bytes], bool]:
-    """The log's newline-terminated lines, and whether a torn tail followed."""
+def _committed(path: PathLike) -> Tuple[List[bytes], List[WALRecord], bool]:
+    """The log's committed (newline-terminated) lines, their verified
+    records, and whether a torn tail followed them."""
+    name = os.fspath(path)
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except FileNotFoundError:
-        return [], False
+        return [], [], False
     except OSError as exc:
-        raise WALError(f"cannot read WAL {os.fspath(path)}: {exc}") from exc
+        raise WALError(f"cannot read WAL {name}: {exc}") from exc
     torn = bool(raw) and not raw.endswith(b"\n")
     lines = raw.split(b"\n")
     lines.pop()  # "" after the last newline, or the uncommitted tail
-    return lines, torn
-
-
-def _check_order(name: str, lineno: int, index: int, last: Optional[int]) -> None:
-    if last is not None and index <= last:
-        raise WALCorruptionError(
-            f"WAL {name} line {lineno}: batch index {index} does not "
-            f"increase past {last}"
-        )
+    records: List[WALRecord] = []
+    for lineno, line in enumerate(lines, start=1):
+        record = _check_line(name, lineno, line)
+        if records and record.batch_index <= records[-1].batch_index:
+            raise WALCorruptionError(
+                f"WAL {name} line {lineno}: batch index {record.batch_index} "
+                f"does not increase past {records[-1].batch_index}"
+            )
+        records.append(record)
+    return lines, records, torn
 
 
 def read_wal(path: PathLike) -> Tuple[List[WALRecord], bool]:
@@ -264,21 +247,7 @@ def read_wal(path: PathLike) -> Tuple[List[WALRecord], bool]:
     A missing file reads as an empty, untorn log — a stream that crashed
     before its first commit.
     """
-    name = os.fspath(path)
-    lines, torn = _committed_lines(path)
-    records: List[WALRecord] = []
-    last: Optional[int] = None
-    for lineno, line in enumerate(lines, start=1):
-        index, body = _check_line(name, lineno, line)
-        try:
-            record = _decode(index, body)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise WALCorruptionError(
-                f"WAL {name} line {lineno}: malformed WAL record body: {exc}"
-            ) from exc
-        _check_order(name, lineno, index, last)
-        last = index
-        records.append(record)
+    _, records, torn = _committed(path)
     return records, torn
 
 
@@ -293,7 +262,7 @@ def compact_wal(path: PathLike, min_batch_index: int, *, fsync: bool = True) -> 
     ones.
 
     Every committed line is checksum-verified and retained lines are
-    copied byte for byte — no record is decoded or re-encoded.  The log
+    copied byte for byte — no record is re-encoded.  The log
     is rewritten through a temp file + rename, so a crash mid-compaction
     leaves either the old or the new log, both valid.  A torn tail
     (crash mid-append) is dropped, exactly as :func:`repair_wal` would.
@@ -305,16 +274,12 @@ def compact_wal(path: PathLike, min_batch_index: int, *, fsync: bool = True) -> 
         If a committed record is damaged — a corrupt log must be
         inspected, not silently rewritten.
     """
-    name = os.fspath(path)
-    lines, torn = _committed_lines(path)
-    keep: List[bytes] = []
-    last: Optional[int] = None
-    for lineno, line in enumerate(lines, start=1):
-        index, _ = _check_line(name, lineno, line)
-        _check_order(name, lineno, index, last)
-        last = index
-        if index >= int(min_batch_index):
-            keep.append(line)
+    lines, records, torn = _committed(path)
+    keep = [
+        line
+        for line, record in zip(lines, records)
+        if record.batch_index >= int(min_batch_index)
+    ]
     if len(keep) == len(lines) and not torn:
         return 0
     data = b"".join(line + b"\n" for line in keep)
@@ -323,7 +288,7 @@ def compact_wal(path: PathLike, min_batch_index: int, *, fsync: bool = True) -> 
     try:
         write_bytes_atomic(path, data, fsync=fsync)
     except OSError as exc:
-        raise WALError(f"cannot compact WAL {name}: {exc}") from exc
+        raise WALError(f"cannot compact WAL {os.fspath(path)}: {exc}") from exc
     return len(lines) - len(keep)
 
 

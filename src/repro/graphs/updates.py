@@ -23,8 +23,8 @@ still name their line.
 (``op``/``u``/``v``/``w``).  It is the one form an event takes from a
 source to the kernel: :func:`load_update_stream` decodes into it, the
 generators of :mod:`repro.graphs.streams` return it, :func:`save_update_stream`
-writes from it, and it is the on-disk form of a ``.npz`` stream file and
-of a write-ahead-log record body, and the place a batch is validated.
+writes from it, it is the on-disk form of a ``.npz`` stream file, and
+it is where a batch is validated and checksummed for the write-ahead log.
 A stream built by hand is a list of ``(op, u, v, w)`` rows::
 
     UpdateColumns.from_rows([(OP_INSERT, 3, 7, 0.0), (OP_REWEIGHT, 0, 3, 2.5)])
@@ -44,6 +44,7 @@ import json
 import math
 import os
 import re
+import zlib
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
@@ -98,10 +99,10 @@ class UpdateColumns:
     ``v`` as given (``int64``); a reweight keeps its vertex in ``v`` and
     its weight in ``w`` (``float64``).  Unused slots hold 0.
 
-    The stream engine, the write-ahead log and ``apply_batch`` work on
-    the arrays.  ``len()`` counts the events and a slice is another
-    :class:`UpdateColumns` over views of them; there is no per-event
-    view, so indexing by an integer and iterating raise ``TypeError``.
+    The stream engine and ``apply_batch`` work on the arrays.  ``len()``
+    counts the events and a slice is another :class:`UpdateColumns` over
+    views of them; there is no per-event view, so indexing by an integer
+    and iterating raise ``TypeError``.
     """
 
     op: np.ndarray
@@ -133,6 +134,16 @@ class UpdateColumns:
                 f"UpdateColumns takes only slices, not {type(key).__name__}"
             )
         return UpdateColumns(self.op[key], self.u[key], self.v[key], self.w[key])
+
+    def checksum(self) -> int:
+        """CRC-32 of ``op``, ``v``, the ``u`` of edge events and the ``w`` of
+        reweights in canonical dtypes: equal events, equal checksum, whatever
+        their dtypes or unused slots (the write-ahead log commits it)."""
+        reweight = self.op == OP_REWEIGHT
+        crc = zlib.crc32(np.ascontiguousarray(self.op, dtype="u1"))
+        crc = zlib.crc32(np.ascontiguousarray(self.v, dtype="<i8"), crc)
+        crc = zlib.crc32(np.ascontiguousarray(self.u[~reweight], dtype="<i8"), crc)
+        return zlib.crc32(np.ascontiguousarray(self.w[reweight], dtype="<f8"), crc)
 
     def validate(self, n: int, *, batch_index: int, start: int) -> None:
         """Raise :class:`InvalidUpdateError` for the first event a graph on

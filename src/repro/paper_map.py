@@ -30,7 +30,8 @@ PAPER_MAP: Dict[str, List[str]] = {
         "repro.core.params.MPCParameters.machine_capacity_words",
     ],
     "congested clique model (Section 1.3)": [
-        "repro.congested.clique.CongestedClique",
+        "repro.congested.mwvc.congested_clique_mwvc",
+        "repro.congested.mwvc.LENZEN_ROUNDS",
     ],
     "BDH18 semi-MPC ≡ congested clique": [
         "repro.congested.mwvc.congested_clique_mwvc",

@@ -1,14 +1,14 @@
-"""The congested clique model [LPSPP05].
+"""The congested clique model [LPSPP05], as the test oracle runs it.
 
 ``n`` nodes, fully connected; computation proceeds in synchronous rounds; in
 each round every ordered pair of nodes may exchange one ``O(log n)``-bit
 message — one machine word in this package's accounting.  Local memory and
 computation are unbounded (the model's stated assumption).
 
-The simulator enforces the per-link word limit and counts rounds; it is the
-substrate for the BDH18 equivalence adapter in :mod:`repro.congested.mwvc`.
-The tests also run Algorithm 1 natively on it, message by message
-(``tests/clique_oracle.py``).
+The simulator enforces the per-link word limit and counts rounds.
+``tests/clique_oracle.py`` runs Algorithm 1 natively on it, message by
+message; the library's BDH18 adapter (:mod:`repro.congested.mwvc`)
+translates MPC rounds and simulates no clique rounds.
 """
 
 from __future__ import annotations

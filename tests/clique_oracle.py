@@ -24,7 +24,7 @@ execution certifying the centralized implementation (and vice versa).
 
 The collectives it runs on are the standard O(1)-round primitives of the
 model, implemented with real
-:class:`~repro.congested.clique.CongestedClique` messages so
+:class:`~tests.clique_model.CongestedClique` messages so
 ``tests/congested/test_primitives.py`` can pin their round counts and link
 loads:
 
@@ -43,7 +43,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.congested.clique import CliqueMessage, CongestedClique
+from tests.clique_model import CliqueMessage, CongestedClique
 from repro.core.centralized import termination_bound
 from repro.core.initialization import degree_scaled_init
 from repro.core.thresholds import ThresholdSampler

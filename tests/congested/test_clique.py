@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.congested.clique import CliqueMessage, CongestedClique, LinkCapacityExceeded
+from tests.clique_model import CliqueMessage, CongestedClique, LinkCapacityExceeded
 
 
 class TestCongestedClique:

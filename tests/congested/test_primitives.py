@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.congested.clique import CongestedClique
+from tests.clique_model import CongestedClique
 
 from tests.clique_oracle import (
     aggregate_sum,

@@ -1,4 +1,4 @@
-"""Write the golden checkpoint fixtures: snapshot format 3, WAL format 2.
+"""Write the golden checkpoint fixtures: snapshot format 3, WAL format 3.
 
 ``golden_snapshot.npz`` and ``golden_wal.jsonl`` beside this script pin a
 tiny, fully deterministic mid-stream state in the formats this build
@@ -23,7 +23,7 @@ from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns
 
 HERE = os.path.dirname(os.path.realpath(__file__))
 
-#: The fixture's weights and updates, batch by batch (also in the WAL).
+#: The fixture's weights and updates, batch by batch (committed in the WAL).
 WEIGHTS = [4.0, 1.0, 3.0, 1.0, 2.0]
 BATCHES = [
     [EdgeInsert(0, 1), EdgeInsert(1, 2), EdgeInsert(2, 3), EdgeInsert(0, 4)],

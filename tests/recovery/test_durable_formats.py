@@ -1,4 +1,4 @@
-"""The per-batch durable formats: state stamps, WAL v2, snapshot v3, updates.npz.
+"""The per-batch durable formats: state stamps, WAL v3, snapshot v3, updates.npz.
 
 A durable stream pays per batch for three things — a state stamp, one WAL
 record and, every few batches, a snapshot — and per run for its own copy of
@@ -6,10 +6,12 @@ the update stream.  These tests pin what each of them must guarantee:
 
 * the stamp depends on the current edges and weights only, and any single
   effective change moves it;
-* a version-2 WAL record is checksummed over its raw body bytes, so
-  compaction can verify it and copy it byte for byte;
+* a version-3 WAL record commits a batch's size and event checksum, not
+  its events, and is checksummed over its raw body bytes, so compaction
+  can verify it and copy it byte for byte;
 * a version-3 snapshot is written without materializing the graph;
-* ``updates.npz`` round-trips a stream exactly and decodes lazily.
+* ``updates.npz`` round-trips a stream exactly and decodes lazily, and
+  equal events have an equal checksum whatever their dtypes.
 """
 
 import json
@@ -26,6 +28,7 @@ from repro.dynamic import (
     InvalidUpdateError,
     UpdateColumns,
     WALCorruptionError,
+    WALRecord,
     WriteAheadLog,
     compact_wal,
     read_wal,
@@ -33,7 +36,7 @@ from repro.dynamic import (
 )
 from repro.dynamic.checkpoint import load_snapshot, save_snapshot
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.updates import load_update_stream, save_update_stream
+from repro.graphs.updates import OP_REWEIGHT, load_update_stream, save_update_stream
 
 from tests.events import EdgeDelete, EdgeInsert, WeightChange, columns, events
 from tests.kernel_oracle import apply_event, has_edge
@@ -143,75 +146,96 @@ def _lines(path):
     return path.read_bytes().splitlines(keepends=True)
 
 
-class TestWALVersion2:
+def _write_log(path, count):
+    """Commit ``count`` batches, alternating COLS1 and COLS0, each stamped
+    with the state it applies to on an edgeless 8-vertex graph; returns
+    the records read back from the log should equal."""
+    dyn = DynamicGraph(WeightedGraph.empty(8))
+    records = []
+    with WriteAheadLog(path, fsync=False) as wal:
+        for i in range(count):
+            cols = COLS0 if i % 2 else COLS1
+            stamp = dyn.state_stamp()
+            wal.append(i, cols, state_digest=stamp)
+            records.append(WALRecord(i, len(cols), cols.checksum(), stamp))
+            for event in events(cols):
+                apply_event(dyn, event)
+    return records
+
+
+class TestWALVersion3:
     def test_crc_is_over_the_raw_body_bytes(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, COLS0, state_digest="ab" * 16)
+        (expected,) = _write_log(path, 1)
         (line,) = _lines(path)
         record = json.loads(line)
-        assert record["v"] == 2
+        assert record["v"] == 3
         body = line[line.index(b'"body":') + len(b'"body":') : -2]
         assert zlib.crc32(body) == int(record["crc"], 16)
-        assert record["body"]["op"] == "idr"
-        assert record["body"]["w"] == [2.5]  # one weight per reweight
+        # The batch's size and checksum, never its events.
+        assert record["body"] == {
+            "batch_index": 0,
+            "size": 2,
+            "batch_crc": COLS1.checksum(),
+            "state_digest": expected.state_digest,
+        }
 
     def test_records_round_trip_exactly(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, COLS0, state_digest="s0")
-            wal.append(1, COLS1)
+        expected = _write_log(path, 3)
         records, torn = read_wal(path)
         assert not torn
-        assert [events(r.updates) for r in records] == [BATCH0, BATCH1]
-        assert [r.state_digest for r in records] == ["s0", ""]
+        assert records == expected
+        assert len({r.state_digest for r in records}) == 3
 
     def test_compaction_copies_retained_lines_byte_for_byte(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        with WriteAheadLog(path, fsync=False) as wal:
-            for i in range(5):
-                wal.append(i, COLS0 if i % 2 else COLS1, state_digest=f"s{i}")
+        _write_log(path, 5)
         before = _lines(path)
         assert compact_wal(path, 3, fsync=False) == 3
         assert _lines(path) == before[3:]
 
     def test_compaction_refuses_a_damaged_line(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        with WriteAheadLog(path, fsync=False) as wal:
-            for i in range(3):
-                wal.append(i, COLS0)
+        _write_log(path, 3)
         raw = bytearray(path.read_bytes())
-        pos = raw.index(b'"v":[1')
-        raw[pos + 5] = ord("7")  # inside the first (to-be-dropped) record
+        pos = raw.index(b'"size":2')
+        raw[pos + 7] = ord("7")  # inside the first (to-be-dropped) record
         path.write_bytes(bytes(raw))
-        with pytest.raises(WALCorruptionError, match="checksum mismatch"):
+        with pytest.raises(WALCorruptionError, match="line 1: checksum mismatch"):
             compact_wal(path, 2, fsync=False)
         assert path.read_bytes() == bytes(raw)
 
     def test_damaged_header_is_corruption(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, COLS0)
+        _write_log(path, 1)
         raw = path.read_bytes()
         path.write_bytes(raw.replace(b'"crc":"', b'"crc":"zz', 1))
         with pytest.raises(WALCorruptionError):
             read_wal(path)
 
-    def test_version1_record_after_version2_records_is_refused(self, tmp_path):
-        """A committed version-1 line is corruption wherever it sits: it is
-        named by its line number, never dropped as a torn tail, and no
-        reader rewrites the log around it."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_record_after_version3_records_is_refused(self, tmp_path, version):
+        """A committed version-1 or version-2 line (records that held the
+        batch's events) is corruption wherever it sits: it is named by its
+        line number, never dropped as a torn tail, and no reader rewrites
+        the log around it."""
         path = tmp_path / "wal.jsonl"
-        with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, COLS0)
-            wal.append(1, COLS1)
-        v1 = {"v": 1, "batch_index": 2, "updates": [{"op": "insert", "u": 0, "v": 1}]}
-        v1["crc"] = zlib.crc32(json.dumps(v1, sort_keys=True, separators=(",", ":")).encode())
+        _write_log(path, 2)
+        if version == 1:
+            old = {"v": 1, "batch_index": 2, "updates": [{"op": "insert", "u": 0, "v": 1}]}
+            old["crc"] = zlib.crc32(
+                json.dumps(old, sort_keys=True, separators=(",", ":")).encode()
+            )
+            line = (json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        else:
+            body = b'{"batch_index":2,"op":"i","u":[0],"v":[1],"w":[],"state_digest":"ab"}'
+            line = b'{"v":2,"crc":"%08x","body":%s}\n' % (zlib.crc32(body), body)
         with open(path, "ab") as fh:
-            fh.write((json.dumps(v1, sort_keys=True, separators=(",", ":")) + "\n").encode())
+            fh.write(line)
         before = path.read_bytes()
         for read in (read_wal, lambda p: compact_wal(p, 1, fsync=False)):
-            with pytest.raises(WALCorruptionError, match="line 3: .*version 2 only"):
+            with pytest.raises(WALCorruptionError, match="line 3: .*version 3 only"):
                 read(path)
         assert not repair_wal(path)
         assert path.read_bytes() == before
@@ -301,6 +325,37 @@ class TestUpdateColumns:
 
     def test_validation_accepts_what_the_graph_applies(self):
         columns(self.EVENTS).validate(8, batch_index=0, start=0)
+
+    def test_checksum_ignores_dtypes_and_unused_slots(self):
+        cols = columns(self.EVENTS)
+        reweight = cols.op == OP_REWEIGHT
+        as_int32 = UpdateColumns(
+            cols.op, cols.u.astype(np.int32), cols.v.astype(np.int32), cols.w
+        )
+        # A reweight's u and an edge event's w are not part of an event.
+        other_slots = UpdateColumns(
+            cols.op,
+            np.where(reweight, 99, cols.u),
+            cols.v,
+            np.where(reweight, cols.w, 5.0),
+        )
+        assert as_int32.checksum() == other_slots.checksum() == cols.checksum()
+        assert cols[1:3].checksum() == columns(self.EVENTS[1:3]).checksum()
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            [EdgeDelete(3, 7)] + EVENTS[1:],  # op
+            [EdgeInsert(3, 8)] + EVENTS[1:],  # v
+            [EdgeInsert(2, 7)] + EVENTS[1:],  # u of an edge event
+            EVENTS[:2] + [WeightChange(2, 0.3333)] + EVENTS[3:],  # w of a reweight
+            EVENTS[:3],  # one event fewer
+            EVENTS[1:2] + EVENTS[:1] + EVENTS[2:],  # the same events reordered
+        ],
+        ids=["op", "v", "u", "w", "shorter", "reordered"],
+    )
+    def test_checksum_sees_every_event_field(self, changed):
+        assert columns(changed).checksum() != columns(self.EVENTS).checksum()
 
 
 class TestSnapshotVersion3:

@@ -2,7 +2,7 @@
 
 The fixtures under ``tests/recovery/data/`` are ``make_golden.py``'s
 output in the formats this build writes (snapshot version 3, WAL version
-2).  These tests pin the wire formats: they fail if a change to the
+3).  These tests pin the wire formats: they fail if a change to the
 snapshot or WAL layout slips in without a version bump or a regenerated
 fixture, and they exercise the rejection paths a reader must keep (other
 version, digest mismatch, bit flips, WAL checksum damage).
@@ -17,7 +17,13 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.dynamic import read_wal
+from repro.dynamic import (
+    DynamicGraph,
+    IncrementalCoverMaintainer,
+    WALCorruptionError,
+    WALRecord,
+    read_wal,
+)
 from repro.dynamic.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointCorruptionError,
@@ -27,12 +33,16 @@ from repro.dynamic.checkpoint import (
     save_snapshot,
 )
 
-from tests.events import EdgeDelete, EdgeInsert, WeightChange, events
+from repro.graphs.graph import WeightedGraph
+
+from tests.events import columns
 from tests.recovery.harness import assert_same_state
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_SNAPSHOT = os.path.join(DATA, "golden_snapshot.npz")
 GOLDEN_WAL = os.path.join(DATA, "golden_wal.jsonl")
+#: ``make_golden.py``'s namespace: its ``WEIGHTS``, ``BATCHES`` and ``main``.
+MAKE_GOLDEN = runpy.run_path(os.path.join(DATA, "make_golden.py"))
 
 
 class TestGoldenSnapshot:
@@ -127,51 +137,50 @@ class TestGoldenSnapshot:
 
 class TestGoldenWAL:
     def test_reads_to_known_records(self):
+        # Each record is its batch's size, checksum and pre-apply stamp,
+        # against make_golden's literal batches.  The checksums are pinned
+        # too: a change to UpdateColumns.checksum is a format change.
+        maintainer = IncrementalCoverMaintainer(
+            DynamicGraph(WeightedGraph.empty(5, weights=MAKE_GOLDEN["WEIGHTS"]))
+        )
+        expected = []
+        for i, batch in enumerate(map(columns, MAKE_GOLDEN["BATCHES"])):
+            expected.append(
+                WALRecord(i, len(batch), batch.checksum(), maintainer.dyn.state_stamp())
+            )
+            maintainer.apply_batch(batch)
         records, torn = read_wal(GOLDEN_WAL)
         assert not torn
-        assert [r.batch_index for r in records] == [0, 1]
-        assert events(records[0].updates) == [
-            EdgeInsert(0, 1),
-            EdgeInsert(1, 2),
-            EdgeInsert(2, 3),
-            EdgeInsert(0, 4),
-        ]
-        assert events(records[1].updates) == [
-            EdgeInsert(2, 4),
-            EdgeDelete(1, 2),
-            WeightChange(3, 2.5),
+        assert records == expected
+        assert [(r.size, r.batch_crc) for r in records] == [
+            (4, 65496024),
+            (3, 2268455059),
         ]
         assert all(len(r.state_digest) == 32 for r in records)
 
     def test_wal_replays_onto_golden_base(self):
-        # Applying the golden WAL to the documented base graph lands on
-        # the snapshot's stamped graph digest.
-        from repro.dynamic import DynamicGraph, IncrementalCoverMaintainer
-        from repro.graphs.graph import WeightedGraph
-
+        # Replaying make_golden's batches as the golden WAL commits them
+        # lands on the snapshot's state.
         records, _ = read_wal(GOLDEN_WAL)
         maintainer = IncrementalCoverMaintainer(
-            DynamicGraph(
-                WeightedGraph.empty(5, weights=[4.0, 1.0, 3.0, 1.0, 2.0])
-            )
+            DynamicGraph(WeightedGraph.empty(5, weights=MAKE_GOLDEN["WEIGHTS"]))
         )
-        for record in records:
+        for record, batch in zip(records, map(columns, MAKE_GOLDEN["BATCHES"])):
+            assert (record.size, record.batch_crc) == (len(batch), batch.checksum())
             assert maintainer.dyn.state_stamp() == record.state_digest
-            maintainer.apply_batch(record.updates)
+            maintainer.apply_batch(batch)
         golden = load_snapshot(GOLDEN_SNAPSHOT)
         graph = maintainer.dyn.materialize()
         assert graph.content_digest() == golden.meta["graph_digest"]
         assert_same_state(maintainer, golden.maintainer)
 
     def test_golden_wal_checksum_damage_detected(self, tmp_path):
-        from repro.dynamic import WALCorruptionError
-
         path = tmp_path / "wal.jsonl"
         raw = bytearray(open(GOLDEN_WAL, "rb").read())
-        pos = raw.index(b'"op":"iiii"')
-        raw[pos + 6 : pos + 10] = b"iidd"  # same length, different bytes
+        pos = raw.index(b'"size":4')
+        raw[pos + 7] = ord("5")  # same length, different bytes
         path.write_bytes(bytes(raw))
-        with pytest.raises(WALCorruptionError, match="checksum mismatch"):
+        with pytest.raises(WALCorruptionError, match="line 1: checksum mismatch"):
             read_wal(path)
 
 
@@ -182,7 +191,7 @@ class TestMakeGolden:
 
     @staticmethod
     def _main():
-        return runpy.run_path(os.path.join(DATA, "make_golden.py"))["main"]
+        return MAKE_GOLDEN["main"]
 
     def test_a_fresh_run_reproduces_the_pins(self, tmp_path, capsys):
         self._main()([str(tmp_path)])

@@ -21,8 +21,9 @@ from repro.dynamic import (
     run_stream,
 )
 from repro.graphs.io import save_npz
-from repro.graphs.updates import save_update_stream
+from repro.graphs.updates import load_update_stream, save_update_stream
 
+from tests.events import WeightChange, columns, events
 from tests.recovery.harness import CrashAfter, concat, make_batches, make_workload
 
 BATCH_SIZE = 20
@@ -53,6 +54,18 @@ def _setup(tmp_path, monkeypatch, *, crash_after=3, batches=8, churn="uniform"):
                 checkpoint=checkpoint,
             )
     return graph, updates, reference, checkpoint
+
+
+def _altered(updates, position):
+    """``updates`` with the event at ``position`` replaced by a reweight."""
+    rows = events(updates)
+    rows[position] = WeightChange(0, 123.0)
+    return columns(rows)
+
+
+def _files(directory):
+    """Every file of a directory, by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 def _snapshot(checkpoint):
@@ -185,17 +198,46 @@ class TestResumeScenarios:
         with pytest.raises(CheckpointError, match="unreadable"):
             resume_stream(checkpoint.directory)
 
-    def test_swapped_stream_still_yields_valid_cover(self, tmp_path, monkeypatch):
-        # Rewrite updates.npz with a different (same-length) stream.
-        # WAL replay is unaffected — records are self-contained — and the
-        # continuation silently follows the swapped remainder, so the
-        # final cover may differ from the reference; the guarantee under
-        # operator error is *safety*: no crash, never an invalid cover.
-        graph, updates, _, checkpoint = _setup(tmp_path, monkeypatch)
+    def test_swapped_stream_is_refused_at_the_first_replayed_batch(
+        self, tmp_path, monkeypatch
+    ):
+        # Rewrite updates.npz with a different (same-length) stream.  The
+        # WAL holds only each batch's size and checksum, so the replay
+        # re-takes batch 2 (the first past snapshot-2) from the swapped
+        # stream and refuses it, before anything is written.
+        graph, _, _, checkpoint = _setup(tmp_path, monkeypatch)
         other = concat(make_batches(graph, "uniform", 8, BATCH_SIZE, seed=4242))
         save_update_stream(other, checkpoint.updates_path)
-        resumed = resume_stream(checkpoint.directory)
-        assert resumed.final_is_cover
+        before = _files(checkpoint.directory)
+        with pytest.raises(CheckpointError, match="WAL batch 2 .*stream/WAL mismatch"):
+            resume_stream(checkpoint.directory)
+        assert _files(checkpoint.directory) == before
+
+    def test_override_differing_in_the_last_committed_batch_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        # Batches 0-3 are committed (batch 3 crashed after its commit);
+        # the override differs from the stored stream only at position
+        # 70, inside batch 3, which no later stamp covers.
+        _, updates, _, checkpoint = _setup(tmp_path, monkeypatch)
+        records, _ = read_wal(checkpoint.wal_path)
+        assert [r.batch_index for r in records] == [0, 1, 2, 3]
+        altered = _altered(updates, 3 * BATCH_SIZE + 10)
+        with pytest.raises(CheckpointError, match="WAL batch 3 .*stream/WAL mismatch"):
+            resume_stream(checkpoint.directory, updates=altered)
+
+    def test_override_may_differ_in_the_uncommitted_remainder(
+        self, tmp_path, monkeypatch
+    ):
+        graph, updates, _, checkpoint = _setup(tmp_path, monkeypatch)
+        altered = _altered(updates, 4 * BATCH_SIZE)  # batch 4, never committed
+        resumed = resume_stream(checkpoint.directory, updates=altered)
+        reference = run_stream(
+            graph, altered, batch_size=BATCH_SIZE,
+            policy=ResolvePolicy(max_drift=0.15), eps=EPS, seed=SEED,
+        )
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+        assert resumed.final_dual_value == reference.final_dual_value
 
     def test_records_are_always_stamped(self, tmp_path, monkeypatch):
         _, _, reference, checkpoint = _setup(tmp_path, monkeypatch)
@@ -205,9 +247,9 @@ class TestResumeScenarios:
         records, _ = read_wal(checkpoint.wal_path)
         assert len(records) == 8 and all(r.state_digest for r in records)
 
-    def test_digest_stamps_catch_foreign_wal(self, tmp_path, monkeypatch):
-        # Pair checkpoint A's snapshot with checkpoint B's WAL: the
-        # stamped pre-apply digests must expose the mismatch instead of
+    def test_foreign_wal_is_refused(self, tmp_path, monkeypatch):
+        # Pair checkpoint A's snapshot and stream with checkpoint B's WAL:
+        # B's batch checksums must expose the mismatch instead of
         # replaying a foreign history into A's state.
         _, _, _, ckpt_a = _setup(tmp_path, monkeypatch, crash_after=5)
         graph_b = make_workload(n=120, seed=4000)
@@ -228,7 +270,30 @@ class TestResumeScenarios:
         wal_b = open(os.path.join(dir_b, "wal.jsonl"), "rb").read()
         with open(ckpt_a.wal_path, "wb") as fh:
             fh.write(wal_b)
-        with pytest.raises(CheckpointError, match="mismatch"):
+        with pytest.raises(CheckpointError, match="WAL batch 4 .*stream/WAL mismatch"):
+            resume_stream(ckpt_a.directory)
+
+    def test_state_stamps_catch_a_foreign_snapshot(self, tmp_path, monkeypatch):
+        # Checkpoint B runs A's stream on another graph; B's snapshot-2
+        # in A's directory restores a state A's batch 2 was not applied
+        # to.  The batch checksums match A's stream, so the pre-apply
+        # stamp is what refuses it.
+        _, updates, _, ckpt_a = _setup(tmp_path, monkeypatch)
+        ckpt_b = CheckpointConfig(
+            directory=tmp_path / "ckpt-b", snapshot_every=2, fsync=False
+        )
+        with CrashAfter(monkeypatch, 3):
+            with pytest.raises(CrashAfter.Crash):
+                run_stream(
+                    make_workload(n=120, seed=4000), updates,
+                    batch_size=BATCH_SIZE, policy=ResolvePolicy(max_drift=0.15),
+                    eps=EPS, seed=SEED, checkpoint=ckpt_b,
+                )
+        snapshot = _snapshot(ckpt_a)
+        assert os.path.basename(snapshot) == os.path.basename(_snapshot(ckpt_b))
+        with open(snapshot, "wb") as fh:
+            fh.write(open(_snapshot(ckpt_b), "rb").read())
+        with pytest.raises(CheckpointError, match="WAL batch 2 was logged against"):
             resume_stream(ckpt_a.directory)
 
 
@@ -329,11 +394,29 @@ class TestResumeCLI:
         checkpoint = CheckpointConfig(directory=directory)
         os.unlink(_snapshot(checkpoint))  # force a WAL read on resume
         raw = bytearray((directory / "wal.jsonl").read_bytes())
-        pos = raw.index(b'"op":"')
-        raw[pos + 6] = ord("X")
+        pos = raw.index(b'"size":25')
+        raw[pos + 7] = ord("3")
         (directory / "wal.jsonl").write_bytes(bytes(raw))
         with pytest.raises(SystemExit, match="checksum mismatch"):
             main(["resume", "--checkpoint-dir", str(directory)])
+
+    def test_resume_cli_refuses_an_override_differing_in_a_committed_batch(
+        self, tmp_path
+    ):
+        directory = tmp_path / "ckpt"
+        assert main(self._stream_args(directory, tmp_path / "c.txt")) == 0
+        os.unlink(_snapshot(CheckpointConfig(directory=directory)))  # replay all
+        stored = load_update_stream(directory / "updates.npz")
+        save_update_stream(_altered(stored, 10), tmp_path / "altered.npz")
+        before = _files(directory)
+        with pytest.raises(SystemExit, match="WAL batch 0 .*stream/WAL mismatch"):
+            main(
+                [
+                    "resume", "--checkpoint-dir", str(directory),
+                    "--updates", str(tmp_path / "altered.npz"),
+                ]
+            )
+        assert _files(directory) == before
 
     def test_stream_cli_bad_out_fails_before_running(self, tmp_path):
         # --out is opened up front: a typo'd path must not cost a full run.
@@ -398,7 +481,6 @@ class TestSigkill:
         assert resumed.final_is_cover
 
         from repro.graphs.io import load_npz
-        from repro.graphs.updates import load_update_stream
 
         graph = load_npz(directory / "graph.npz")
         updates = load_update_stream(directory / "updates.npz")
