@@ -368,6 +368,8 @@ class _StreamEngine:
         self.verify_every = verify_every
         self.checkpoint = checkpoint
         self.wal: Optional[WriteAheadLog] = None
+        #: The stream position of the last snapshot this engine wrote.
+        self.snapshot_at: Optional[int] = None
         self.records: List[StreamRecord] = []
         self.next_index = 0
         self.num_resolves = 0
@@ -422,7 +424,9 @@ class _StreamEngine:
 
     # -- durability ------------------------------------------------------ #
     def write_snapshot(self) -> None:
-        if self.checkpoint is None:
+        """Snapshot the state, prune old snapshots and compact the WAL; a
+        no-op without a checkpoint or at a position already written."""
+        if self.checkpoint is None or self.snapshot_at == self.next_index:
             return
         checkpoint = self.checkpoint
         save_snapshot(
@@ -431,6 +435,7 @@ class _StreamEngine:
             extra=self.counters(),
             fsync=checkpoint.fsync,
         )
+        self.snapshot_at = self.next_index
         retained_floor = checkpoint.prune_snapshots()
         if checkpoint.compact_wal and self.wal is not None:
             # The append handle points at the pre-rewrite inode: close it
@@ -442,7 +447,9 @@ class _StreamEngine:
     # -- one batch ------------------------------------------------------- #
     def process_batch(self, batch: UpdateColumns) -> StreamRecord:
         """Apply ``batch`` as batch :attr:`next_index`, logging it first
-        while the WAL is open (a replay runs with it closed)."""
+        and snapshotting after it while the WAL is open.  A replay runs
+        with the log closed and writes nothing: its batches are durable
+        in the WAL and the stored stream already."""
         index = self.next_index
         watch = self.watch
         watch.lap("other_s")
@@ -486,7 +493,7 @@ class _StreamEngine:
         self.records.append(record)
         self.next_index = index + 1
         if (
-            self.checkpoint is not None
+            self.wal is not None
             and self.next_index % self.checkpoint.snapshot_every == 0
         ):
             self.write_snapshot()
@@ -829,9 +836,12 @@ def resume_stream(
     4. replay the WAL records past the snapshot through the exact
        per-batch machinery of :func:`run_stream`, each record's batch
        re-taken from the update stream and checked against its size,
-       checksum and pre-apply stamp;
+       checksum and pre-apply stamp.  Replay writes nothing — no
+       snapshot, no WAL compaction — so a resume refused here leaves the
+       directory as it found it;
     5. continue with the remaining updates from the stream,
-       write-ahead-logging and snapshotting as usual.
+       write-ahead-logging and snapshotting as usual, and write the one
+       final snapshot.
 
     Determinism makes the result *exact*: the resumed run's final cover
     mask and certificate equal the uninterrupted run's.

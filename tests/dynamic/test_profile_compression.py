@@ -101,11 +101,12 @@ class TestKernelProfile:
 
 
 class TestSnapshotCompression:
-    def test_resumed_run_snapshots_deflate_as_always(
+    def test_resumed_run_snapshots_deflate_only_what_shrinks(
         self, workload, tmp_path, monkeypatch
     ):
         """A crashed run resumes to the uninterrupted run, and the snapshots
-        the resume writes deflate all members but weights and loads."""
+        the resume writes deflate the header, the edge row deltas and the
+        cover, and store the rest."""
         graph, updates = workload
         checkpoint = CheckpointConfig(
             directory=tmp_path / "ckpt", snapshot_every=2, fsync=False
@@ -125,8 +126,8 @@ class TestSnapshotCompression:
         (_, newest), *_ = checkpoint.list_snapshots()
         with zipfile.ZipFile(newest) as zf:
             methods = {i.filename: i.compress_type for i in zf.infolist()}
-        stored = {"weights.npy", "loads.npy"}
+        deflated = {"meta_json.npy", "edge_row_deltas.npy", "cover.npy"}
         assert methods == {
-            name: zipfile.ZIP_STORED if name in stored else zipfile.ZIP_DEFLATED
+            name: zipfile.ZIP_DEFLATED if name in deflated else zipfile.ZIP_STORED
             for name in methods
         }

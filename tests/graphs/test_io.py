@@ -1,5 +1,7 @@
 """Round-trip tests for graph serialization."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,36 @@ class TestNpz:
         path = tmp_path / "e.npz"
         save_npz(g, path)
         assert load_npz(path) == g
+
+    def test_deflates_the_endpoints_and_stores_the_rest(self, sample, tmp_path):
+        path = tmp_path / "g.npz"
+        save_npz(sample, path)
+        with zipfile.ZipFile(path) as zf:
+            methods = {i.filename: i.compress_type for i in zf.infolist()}
+        assert methods == {
+            "version.npy": zipfile.ZIP_STORED,
+            "n.npy": zipfile.ZIP_STORED,
+            "edges_u.npy": zipfile.ZIP_DEFLATED,
+            "edges_v.npy": zipfile.ZIP_DEFLATED,
+            "weights.npy": zipfile.ZIP_STORED,
+        }
+
+    def test_savez_compressed_archive_loads_alike(self, sample, tmp_path):
+        # Graph files written by np.savez_compressed (level 6, every
+        # member deflated) load to the same graph as the writer's own.
+        ours, theirs = tmp_path / "ours.npz", tmp_path / "theirs.npz"
+        save_npz(sample, ours)
+        np.savez_compressed(
+            theirs,
+            version=np.int64(1),
+            n=np.int64(sample.n),
+            edges_u=sample.edges_u,
+            edges_v=sample.edges_v,
+            weights=sample.weights,
+        )
+        loaded = load_npz(theirs)
+        assert loaded == load_npz(ours) == sample
+        assert loaded.content_digest() == sample.content_digest()
 
     def test_version_checked(self, sample, tmp_path):
         path = tmp_path / "g.npz"

@@ -1,7 +1,9 @@
 """Recovery scenarios end-to-end: resume paths, clean failures, CLI, SIGKILL."""
 
+import filecmp
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -295,6 +297,76 @@ class TestResumeScenarios:
             fh.write(open(_snapshot(ckpt_b), "rb").read())
         with pytest.raises(CheckpointError, match="WAL batch 2 was logged against"):
             resume_stream(ckpt_a.directory)
+
+
+class TestRefusedResumeWritesNothing:
+    """Replay writes no snapshot and compacts no WAL, so a resume refused
+    at any committed batch leaves the directory as it found it."""
+
+    @staticmethod
+    def _assert_each_refusal_leaves_it_untouched(directory, updates, batches, tmp_path):
+        for k in batches:
+            copy = tmp_path / f"refused-{k}"
+            shutil.copytree(directory, copy)
+            altered = _altered(updates, k * BATCH_SIZE + 10)
+            with pytest.raises(
+                CheckpointError, match=f"WAL batch {k} .*stream/WAL mismatch"
+            ):
+                resume_stream(copy, updates=altered)
+            diff = filecmp.dircmp(directory, copy)
+            assert (diff.left_only, diff.right_only, diff.diff_files) == ([], [], [])
+
+    def test_past_a_corrupt_newest_snapshot(self, tmp_path, monkeypatch):
+        # Batches 0-5 are committed and snapshot-4 is corrupt, so the
+        # resume falls back to snapshot-2 and replays batches 2-5 across
+        # position 4: a replay that wrote snapshots would rewrite it.
+        graph = make_workload(n=120, seed=81)
+        updates = concat(make_batches(graph, "uniform", 8, BATCH_SIZE, seed=83))
+        directory = tmp_path / "ckpt"
+        checkpoint = CheckpointConfig(
+            directory=directory, snapshot_every=2, keep_snapshots=2, fsync=False
+        )
+        with CrashAfter(monkeypatch, 5):
+            with pytest.raises(CrashAfter.Crash):
+                run_stream(
+                    graph, updates, batch_size=BATCH_SIZE, eps=EPS, seed=SEED,
+                    checkpoint=checkpoint,
+                )
+        (newest, path), _ = checkpoint.list_snapshots()
+        assert newest == 4
+        data = bytearray(open(path, "rb").read())
+        data[len(data) // 2] ^= 0xFF
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        self._assert_each_refusal_leaves_it_untouched(
+            directory, updates, range(2, 6), tmp_path
+        )
+        resumed = resume_stream(directory)
+        assert resumed.snapshot_fallbacks == 1
+        reference = run_stream(
+            graph, updates, batch_size=BATCH_SIZE, eps=EPS, seed=SEED
+        )
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+
+    def test_after_a_resume_killed_past_a_snapshot_position(
+        self, tmp_path, monkeypatch
+    ):
+        # The first resume replays batches 2-3 without snapshotting
+        # position 4, then dies at batch 5 after its commit: snapshot-2
+        # is still the newest, four committed batches past it.
+        graph, updates, reference, checkpoint = _setup(tmp_path, monkeypatch)
+        with CrashAfter(monkeypatch, 3):
+            with pytest.raises(CrashAfter.Crash):
+                resume_stream(checkpoint.directory)
+        records, _ = read_wal(checkpoint.wal_path)
+        assert [r.batch_index for r in records] == list(range(6))
+        assert os.path.basename(_snapshot(checkpoint)) == "snapshot-00000002.npz"
+        self._assert_each_refusal_leaves_it_untouched(
+            checkpoint.directory, updates, range(2, 6), tmp_path
+        )
+        resumed = resume_stream(checkpoint.directory)
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+        assert resumed.final_certified_ratio == reference.final_certified_ratio
 
 
 #: Damages to ``config.json``: the rewrite, and the error that names it.

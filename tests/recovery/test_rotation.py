@@ -16,9 +16,16 @@ from repro.dynamic import (
     resume_stream,
     run_stream,
 )
-from repro.dynamic.checkpoint import load_snapshot
+from repro.dynamic import stream as stream_module
+from repro.dynamic.checkpoint import load_snapshot, save_snapshot
 
-from tests.recovery.harness import CrashAfter, concat, make_batches, make_workload
+from tests.recovery.harness import (
+    CrashAfter,
+    assert_same_state,
+    concat,
+    make_batches,
+    make_workload,
+)
 
 BATCH_SIZE = 20
 EPS = 0.1
@@ -37,10 +44,14 @@ def _stream(graph, updates, checkpoint=None):
     )
 
 
-def _run(tmp_path, **checkpoint_kwargs):
+def _inputs():
+    """A graph and a stream of 10 batches."""
     graph = make_workload(n=100, seed=17)
-    batches = make_batches(graph, "uniform", 10, BATCH_SIZE, seed=19)
-    updates = concat(batches)
+    return graph, concat(make_batches(graph, "uniform", 10, BATCH_SIZE, seed=19))
+
+
+def _run(tmp_path, **checkpoint_kwargs):
+    graph, updates = _inputs()
     checkpoint = CheckpointConfig(
         directory=tmp_path / "ckpt", snapshot_every=2, **checkpoint_kwargs
     )
@@ -109,6 +120,82 @@ class TestRotation:
     def test_keep_snapshots_validation(self, tmp_path):
         with pytest.raises(ValueError, match="keep_snapshots"):
             CheckpointConfig(directory=tmp_path, keep_snapshots=0)
+
+
+def _name(position):
+    return f"snapshot-{position:08d}.npz"
+
+
+class TestOneSnapshotPerPosition:
+    """Every stream position is snapshotted at most once: the final
+    snapshot of a stream whose length is a multiple of ``snapshot_every``
+    is the periodic one, and a resume's replay writes none."""
+
+    @staticmethod
+    def _counting_saves(mp):
+        saves = []
+
+        def counting(path, maintainer, **kwargs):
+            digest = save_snapshot(path, maintainer, **kwargs)
+            saves.append((os.path.basename(path), digest))
+            return digest
+
+        mp.setattr(stream_module, "save_snapshot", counting)
+        return saves
+
+    @staticmethod
+    def _final(checkpoint, saves):
+        """The final snapshot, checked to be the last one saved."""
+        (_, path), *_ = checkpoint.list_snapshots()
+        restored = load_snapshot(path)
+        assert (os.path.basename(path), restored.meta["content_digest"]) == saves[-1]
+        return restored
+
+    def test_run_saves_each_position_once(self, tmp_path):
+        graph, updates = _inputs()
+        checkpoint = CheckpointConfig(
+            directory=tmp_path / "ckpt", snapshot_every=2, fsync=False
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            saves = self._counting_saves(mp)
+            summary = _stream(graph, updates, checkpoint)
+        assert [name for name, _ in saves] == [_name(p) for p in range(0, 11, 2)]
+        plain = _stream(graph, updates)
+        assert np.array_equal(summary.final_cover, plain.final_cover)
+        assert summary.final_dual_value == plain.final_dual_value
+        assert summary.final_certified_ratio == plain.final_certified_ratio
+        final = self._final(checkpoint, saves)
+        assert np.array_equal(final.maintainer.cover, plain.final_cover)
+
+    def test_crashed_and_resumed_run_saves_each_position_once(
+        self, tmp_path, monkeypatch
+    ):
+        graph, updates = _inputs()
+        uninterrupted = CheckpointConfig(
+            directory=tmp_path / "whole", snapshot_every=2, fsync=False
+        )
+        reference = _stream(graph, updates, uninterrupted)
+        checkpoint = CheckpointConfig(
+            directory=tmp_path / "ckpt", snapshot_every=2, fsync=False
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            saves = self._counting_saves(mp)
+            # Dies at the last batch, after its commit: positions 0-8 are
+            # saved, and the replay of batches 8-9 reaches position 10.
+            with CrashAfter(monkeypatch, 9):
+                with pytest.raises(CrashAfter.Crash):
+                    _stream(graph, updates, checkpoint)
+            assert [name for name, _ in saves] == [_name(p) for p in range(0, 9, 2)]
+            del saves[:]
+            resumed = resume_stream(checkpoint.directory)
+        assert [name for name, _ in saves] == [_name(10)]
+        assert resumed.resumed_from_batch == 8
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+        assert resumed.final_dual_value == reference.final_dual_value
+        assert resumed.final_certified_ratio == reference.final_certified_ratio
+        final = self._final(checkpoint, saves)
+        (_, whole), = uninterrupted.list_snapshots()
+        assert_same_state(final.maintainer, load_snapshot(whole).maintainer)
 
 
 class TestWalCompaction:
