@@ -47,13 +47,13 @@ naming the unknown or missing key, an older WAL line with a
 snapshot with a :class:`~repro.dynamic.checkpoint.CheckpointVersionError`
 naming its version.  Finish such a stream with the build that wrote it.
 
-:func:`resume_stream` restores ``last snapshot + WAL tail replay``, the
-batches re-taken from the stored stream, and continues the run.  Because
-every component is deterministic — the
-maintainer's repair pass, the policy, and the seeded solver — a resumed
-run reproduces the uninterrupted run's cover mask and certificate exactly,
-whatever batch boundary the process died at (the property
-``tests/recovery`` enforces).
+:func:`resume_stream` checks every committed WAL record against the
+stored stream, restores ``last snapshot + WAL tail replay`` and continues
+the run through the same driver as :func:`run_stream`.  Because every
+component is deterministic — the maintainer's repair pass, the policy,
+and the seeded solver — a resumed run reproduces the uninterrupted run's
+cover mask and certificate exactly, whatever batch boundary the process
+died at (the property ``tests/recovery`` enforces).
 """
 
 from __future__ import annotations
@@ -80,7 +80,13 @@ from repro.dynamic.maintainer import (
     IncrementalCoverMaintainer,
 )
 from repro.dynamic.policy import ResolvePolicy
-from repro.dynamic.wal import WriteAheadLog, compact_wal, read_wal, repair_wal
+from repro.dynamic.wal import (
+    WALRecord,
+    WriteAheadLog,
+    compact_wal,
+    read_wal,
+    repair_wal,
+)
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.io import fsync_directory, load_npz, save_npz, write_bytes_atomic
 from repro.graphs.updates import UpdateColumns, load_update_stream, save_update_stream
@@ -113,9 +119,10 @@ class CheckpointConfig:
     """Durability policy of a checkpointed :func:`run_stream`.
 
     Every WAL record holds a batch's size and event checksum, stamped
-    with the pre-apply :meth:`DynamicGraph.state_stamp`, so replay
-    verifies, record by record, that it re-takes the original events and
-    rebuilds the exact state the original run saw.  A stamp costs
+    with the pre-apply :meth:`DynamicGraph.state_stamp`, so a resume
+    verifies that the stream holds the original events of every committed
+    batch, and replay, record by record, that it rebuilds the exact state
+    the original run saw.  A stamp costs
     O(delta + n) per batch — the base edges are hashed once per
     compaction — never an O(m) pass.
 
@@ -329,7 +336,7 @@ class StreamSummary:
 
 
 class _StreamEngine:
-    """Shared per-batch machinery of ``run_stream`` and ``resume_stream``.
+    """Per-batch machinery of :func:`_drive`, the stream driver.
 
     Owns the mutable counters (stream position, cooldown, re-solve tally)
     and performs one batch end-to-end: validation and WAL commit (while
@@ -341,7 +348,8 @@ class _StreamEngine:
     ``watch`` is the run's one clock: it laps ``ingest_s``, ``repair_s``
     and ``resolve_s``, and ``other_s`` for everything between them.
     ``profile`` only decides whether records and the summary carry the
-    maintainer's kernel sections.
+    maintainer's kernel sections.  ``counters`` are a restored snapshot's
+    (``None``: a fresh run, to be snapshotted at its position).
     """
 
     def __init__(
@@ -349,33 +357,30 @@ class _StreamEngine:
         maintainer: IncrementalCoverMaintainer,
         policy: ResolvePolicy,
         solver: Optional[BatchSolver],
+        params: dict,
         *,
-        eps: float,
-        seed: int,
-        engine: str,
-        verify_every: int,
         watch: Stopwatch,
-        profile: bool = False,
-        checkpoint: Optional[CheckpointConfig] = None,
+        profile: bool,
+        checkpoint: Optional[CheckpointConfig],
+        counters: Optional[dict],
     ):
         self.maintainer = maintainer
         self.policy = policy
         self.own_solver = solver is None
         self.solver = BatchSolver(use_processes=False) if solver is None else solver
-        self.eps = eps
-        self.seed = seed
-        self.engine = engine
-        self.verify_every = verify_every
+        self.solve_params = {key: params[key] for key in ("eps", "seed", "engine")}
+        self.verify_every = params["verify_every"]
         self.checkpoint = checkpoint
         self.wal: Optional[WriteAheadLog] = None
-        #: The stream position of the last snapshot this engine wrote.
-        self.snapshot_at: Optional[int] = None
+        restored = counters or {}
         self.records: List[StreamRecord] = []
-        self.next_index = 0
+        self.next_index = int(restored.get("next_batch_index", 0))
         self.num_resolves = 0
         self.cache_hits = 0
-        self.batches_since = 0
-        self.updates_applied = 0
+        self.batches_since = int(restored.get("batches_since_resolve", 0))
+        self.updates_applied = int(restored.get("updates_applied", 0))
+        #: The stream position of the last snapshot written or restored.
+        self.snapshot_at = None if counters is None else self.next_index
         self.watch = watch
         self.profile = profile
 
@@ -388,12 +393,6 @@ class _StreamEngine:
             self.wal = None
         if self.own_solver:
             self.solver.close()
-
-    # -- state restored from a snapshot's extra counters ---------------- #
-    def restore_counters(self, extra: dict) -> None:
-        self.next_index = int(extra.get("next_batch_index", 0))
-        self.batches_since = int(extra.get("batches_since_resolve", 0))
-        self.updates_applied = int(extra.get("updates_applied", 0))
 
     def counters(self) -> dict:
         return {
@@ -410,10 +409,7 @@ class _StreamEngine:
         and the adopted state's certificate."""
         self.watch.lap("other_s")
         graph = self.maintainer.dyn.compact()
-        request = SolveRequest(
-            graph=graph, eps=self.eps, seed=self.seed, engine=self.engine
-        )
-        result = self.solver.solve(request)
+        result = self.solver.solve(SolveRequest(graph=graph, **self.solve_params))
         if not result.ok or result.result is None:
             raise RuntimeError(f"re-solve failed: {result.error}")
         cert = self.maintainer.adopt(result.result, graph=graph)
@@ -445,7 +441,7 @@ class _StreamEngine:
             self.wal = WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
 
     # -- one batch ------------------------------------------------------- #
-    def process_batch(self, batch: UpdateColumns) -> StreamRecord:
+    def process_batch(self, batch: UpdateColumns) -> None:
         """Apply ``batch`` as batch :attr:`next_index`, logging it first
         and snapshotting after it while the WAL is open.  A replay runs
         with the log closed and writes nothing: its batches are durable
@@ -497,72 +493,16 @@ class _StreamEngine:
             and self.next_index % self.checkpoint.snapshot_every == 0
         ):
             self.write_snapshot()
-        return record
-
-    def finish(self, updates: UpdateColumns, batch_size: int) -> None:
-        """Open the WAL, log and process ``updates`` from the engine's
-        position onward, and write the final snapshot."""
-        if self.checkpoint is not None:
-            self.wal = WriteAheadLog(
-                self.checkpoint.wal_path, fsync=self.checkpoint.fsync
-            )
-        for offset in range(self.updates_applied, len(updates), batch_size):
-            self.process_batch(updates[offset : offset + batch_size])  # a view
-        self.write_snapshot()
-
-    # -- the summary ----------------------------------------------------- #
-    def summarize(
-        self,
-        *,
-        num_updates: int,
-        resumed_from_batch: Optional[int] = None,
-        recovered_torn_tail: bool = False,
-        snapshot_fallbacks: int = 0,
-    ) -> StreamSummary:
-        self.watch.lap("other_s")
-        seconds = self.watch.seconds
-        kernel_profile = None
-        if self.profile:
-            kernel_profile = {
-                key: sum(r.kernel_profile[key] for r in self.records)
-                for key in KERNEL_PROFILE_KEYS
-            }
-        cert = self.maintainer.certificate()
-        return StreamSummary(
-            num_updates=num_updates,
-            num_batches=len(self.records),
-            num_resolves=self.num_resolves,
-            num_resolve_cache_hits=self.cache_hits,
-            final_cover_weight=cert.cover_weight,
-            final_dual_value=cert.dual_value,
-            final_certified_ratio=cert.certified_ratio,
-            final_is_cover=self.maintainer.verify(),
-            elapsed_s=self.watch.total,
-            records=self.records,
-            final_cover=self.maintainer.cover,
-            resumed_from_batch=resumed_from_batch,
-            ingest_s=seconds.get("ingest_s", 0.0),
-            repair_s=seconds.get("repair_s", 0.0),
-            resolve_s=seconds.get("resolve_s", 0.0),
-            kernel_profile=kernel_profile,
-            recovered_torn_tail=recovered_torn_tail,
-            snapshot_fallbacks=snapshot_fallbacks,
-        )
 
 
 def _prepare_checkpoint_dir(
     checkpoint: CheckpointConfig,
     graph: WeightedGraph,
     updates: UpdateColumns,
-    *,
-    batch_size: int,
-    policy: ResolvePolicy,
-    eps: float,
-    seed: int,
-    engine: str,
-    verify_every: int,
+    params: dict,
 ) -> None:
-    """Store the graph, the stream and ``config.json`` in a fresh directory.
+    """Store the graph, the stream and ``config.json`` — the run
+    ``params`` plus the checkpoint's — in a fresh directory.
 
     With ``checkpoint.fsync`` the graph, the stream and their directory
     entries reach disk before ``config.json`` is written, so a committed
@@ -588,12 +528,7 @@ def _prepare_checkpoint_dir(
         fsync_directory(directory)
     config = {
         "format_version": CONFIG_FORMAT_VERSION,
-        "batch_size": int(batch_size),
-        "eps": float(eps),
-        "seed": int(seed),
-        "engine": str(engine),
-        "verify_every": int(verify_every),
-        "policy": asdict(policy),
+        **params,
         "snapshot_every": int(checkpoint.snapshot_every),
         "fsync": bool(checkpoint.fsync),
         "keep_snapshots": int(checkpoint.keep_snapshots),
@@ -674,38 +609,159 @@ def run_stream(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     policy = policy or ResolvePolicy()
+    params = {
+        "batch_size": int(batch_size),
+        "eps": float(eps),
+        "seed": int(seed),
+        "engine": str(engine),
+        "verify_every": int(verify_every),
+        "policy": asdict(policy),
+    }
     if checkpoint is not None:
-        _prepare_checkpoint_dir(
-            checkpoint,
-            graph,
-            updates,
-            batch_size=batch_size,
-            policy=policy,
-            eps=eps,
-            seed=seed,
-            engine=engine,
-            verify_every=verify_every,
-        )
+        _prepare_checkpoint_dir(checkpoint, graph, updates, params)
     watch = Stopwatch()
     maintainer = IncrementalCoverMaintainer(DynamicGraph(graph))
+    return _drive(
+        maintainer,
+        updates,
+        params,
+        policy,
+        solver=solver,
+        checkpoint=checkpoint,
+        profile=profile,
+        watch=watch,
+    )
+
+
+def _drive(
+    maintainer: IncrementalCoverMaintainer,
+    updates: UpdateColumns,
+    params: dict,
+    policy: ResolvePolicy,
+    *,
+    solver: Optional[BatchSolver],
+    checkpoint: Optional[CheckpointConfig],
+    profile: bool,
+    watch: Stopwatch,
+    counters: Optional[dict] = None,
+    records: Optional[List[WALRecord]] = None,
+    fallbacks: int = 0,
+) -> StreamSummary:
+    """The one driver of :func:`run_stream` and :func:`resume_stream`.
+
+    ``counters`` are a restored snapshot's (``None``: the maintainer holds
+    the unsolved initial graph); ``records`` are a resume's committed WAL
+    records, checked against ``updates`` by :func:`_check_committed`
+    (``None``: a fresh run).  In order:
+
+    1. refuse a restored position the records do not continue, then
+       solve the initial graph unless a snapshot was restored;
+    2. replay the records past that position with the log closed,
+       checking each one's pre-apply stamp — replay writes nothing;
+    3. truncate a torn WAL tail;
+    4. snapshot the initial solve (when nothing was replayed), open the
+       log, and log and process the rest of the stream;
+    5. write the final snapshot.
+    """
+    batch_size = params["batch_size"]
     with _StreamEngine(
         maintainer,
         policy,
         solver,
-        eps=eps,
-        seed=seed,
-        engine=engine,
-        verify_every=verify_every,
+        params,
         watch=watch,
         profile=profile,
         checkpoint=checkpoint,
+        counters=counters,
     ) as engine_:
-        if graph.m:
+        position, updates_at_start = engine_.next_index, engine_.updates_applied
+        replay = records or []
+        if replay:
+            first, last = replay[0].batch_index, replay[-1].batch_index
+            if not first <= position <= last + 1:
+                raise CheckpointError(
+                    f"WAL gap: the restored state is at batch {position} but "
+                    f"the log holds batches {first}-{last} — the snapshot "
+                    f"cannot bridge it"
+                )
+            replay = replay[position - first :]
+        if counters is None and maintainer.dyn.m:
             engine_.resolve()
-        engine_.write_snapshot()
-        engine_.finish(updates, batch_size)
 
-    return engine_.summarize(num_updates=len(updates))
+        for record in replay:
+            current = maintainer.dyn.state_stamp()
+            if current != record.state_digest:
+                raise CheckpointError(
+                    f"WAL batch {record.batch_index} was logged against graph "
+                    f"state {record.state_digest[:12]}… but replay reached "
+                    f"{current[:12]}… — snapshot/WAL mismatch"
+                )
+            start = engine_.updates_applied
+            engine_.process_batch(updates[start : start + batch_size])  # a view
+
+        torn = checkpoint is not None and repair_wal(checkpoint.wal_path)
+        if not replay:
+            engine_.write_snapshot()
+        if checkpoint is not None:
+            engine_.wal = WriteAheadLog(checkpoint.wal_path, fsync=checkpoint.fsync)
+        for offset in range(engine_.updates_applied, len(updates), batch_size):
+            engine_.process_batch(updates[offset : offset + batch_size])  # a view
+        engine_.write_snapshot()
+
+    watch.lap("other_s")
+    seconds = watch.seconds
+    kernel_profile = None
+    if profile:
+        kernel_profile = {
+            key: sum(r.kernel_profile[key] for r in engine_.records)
+            for key in KERNEL_PROFILE_KEYS
+        }
+    cert = maintainer.certificate()
+    return StreamSummary(
+        num_updates=engine_.updates_applied - updates_at_start,
+        num_batches=len(engine_.records),
+        num_resolves=engine_.num_resolves,
+        num_resolve_cache_hits=engine_.cache_hits,
+        final_cover_weight=cert.cover_weight,
+        final_dual_value=cert.dual_value,
+        final_certified_ratio=cert.certified_ratio,
+        final_is_cover=maintainer.verify(),
+        elapsed_s=watch.total,
+        records=engine_.records,
+        final_cover=maintainer.cover,
+        resumed_from_batch=None if records is None else position,
+        ingest_s=seconds.get("ingest_s", 0.0),
+        repair_s=seconds.get("repair_s", 0.0),
+        resolve_s=seconds.get("resolve_s", 0.0),
+        kernel_profile=kernel_profile,
+        recovered_torn_tail=torn,
+        snapshot_fallbacks=fallbacks,
+    )
+
+
+def _check_committed(
+    records: List[WALRecord], updates: UpdateColumns, batch_size: int
+) -> None:
+    """Refuse committed WAL records that ``updates`` does not reproduce.
+
+    Batch ``k`` starts at stream position ``k * batch_size``, so every
+    record is checked — its size and event checksum against the stream's
+    slice there, its index against its predecessor's — before any state
+    is restored, and a stream that differs inside any committed batch is
+    refused, however old the batch.
+    """
+    first = records[0].batch_index if records else 0
+    for expected, record in enumerate(records, first):
+        index = record.batch_index
+        if index != expected:
+            raise CheckpointError(f"WAL gap: expected batch {expected}, found {index}")
+        start = index * batch_size
+        batch = updates[start : start + batch_size]  # a view
+        if len(batch) != record.size or batch.checksum() != record.batch_crc:
+            raise CheckpointError(
+                f"WAL batch {index} (stream position {start}) does not "
+                f"match the update stream — stream/WAL mismatch"
+            )
 
 
 def _newest_intact(checkpoint: CheckpointConfig):
@@ -827,21 +883,24 @@ def resume_stream(
 
     1. read ``config.json`` (run parameters travel with the checkpoint —
        no flags to re-specify);
-    2. repair a torn WAL tail (a record cut mid-write was never
-       committed), then read the committed records;
+    2. read the committed WAL records (a torn tail, cut mid-write, was
+       never committed) and check every one against the update stream —
+       its size and event checksum, and that no index is missing —
+       before anything is restored;
     3. restore the latest snapshot — or, when no snapshot file is left,
        cold-start from ``graph.npz`` and replay the WAL from batch 0 (a
        corrupt snapshot raises instead: a damaged checkpoint must never
        silently restore);
-    4. replay the WAL records past the snapshot through the exact
-       per-batch machinery of :func:`run_stream`, each record's batch
-       re-taken from the update stream and checked against its size,
-       checksum and pre-apply stamp.  Replay writes nothing — no
-       snapshot, no WAL compaction — so a resume refused here leaves the
-       directory as it found it;
-    5. continue with the remaining updates from the stream,
-       write-ahead-logging and snapshotting as usual, and write the one
-       final snapshot.
+    4. replay the records past the snapshot through the exact per-batch
+       machinery of :func:`run_stream`, each batch re-taken from the
+       stream and checked against its record's pre-apply stamp;
+    5. only then truncate a torn WAL tail, continue with the remaining
+       updates from the stream, write-ahead-logging and snapshotting as
+       usual, and write the one final snapshot.
+
+    Steps 3-5 are the driver :func:`run_stream` runs too.  Nothing is
+    written before step 5, so a resume refused at any step leaves the
+    directory byte for byte as it found it.
 
     Determinism makes the result *exact*: the resumed run's final cover
     mask and certificate equal the uninterrupted run's.
@@ -892,14 +951,14 @@ def resume_stream(
             f"update stream length {len(updates)} does not match the "
             f"checkpointed run's {config['num_updates']}"
         )
-    torn = repair_wal(checkpoint.wal_path)
-    wal_records, _ = read_wal(checkpoint.wal_path)
+    records, _ = read_wal(checkpoint.wal_path)
+    _check_committed(records, updates, config["batch_size"])
 
     watch = Stopwatch()
     restored, fallbacks = _newest_intact(checkpoint)
     if restored is not None:
         maintainer = restored.maintainer
-        extra = restored.meta.get("extra", {})
+        counters = restored.meta.get("extra", {})
     else:
         # No snapshot survived — rebuild from the initial graph and
         # replay the WAL from the beginning.
@@ -922,58 +981,17 @@ def resume_stream(
                 f"checkpointed run's graph digest"
             )
         maintainer = IncrementalCoverMaintainer(DynamicGraph(graph))
-        extra = {}
-
-    with _StreamEngine(
+        counters = None
+    return _drive(
         maintainer,
+        updates,
+        config,
         policy,
-        solver,
-        eps=float(config["eps"]),
-        seed=config["seed"],
-        engine=config["engine"],
-        verify_every=config["verify_every"],
-        watch=watch,
-        profile=profile,
+        solver=solver,
         checkpoint=checkpoint,
-    ) as engine_:
-        engine_.restore_counters(extra)
-        resumed_from = engine_.next_index
-        updates_at_restore = engine_.updates_applied
-        if restored is None and maintainer.dyn.m:
-            engine_.resolve()
-
-        # ---- replay the committed WAL tail (the log stays closed) ------ #
-        for record in wal_records:
-            if record.batch_index < resumed_from:
-                continue
-            index = record.batch_index
-            if index != engine_.next_index:
-                raise CheckpointError(
-                    f"WAL gap: expected batch {engine_.next_index}, found "
-                    f"{index} — the snapshot cannot bridge it"
-                )
-            start = engine_.updates_applied
-            batch = updates[start : start + record.size]  # a view
-            if len(batch) != record.size or batch.checksum() != record.batch_crc:
-                raise CheckpointError(
-                    f"WAL batch {index} (stream position {start}) does not "
-                    f"match the update stream — stream/WAL mismatch"
-                )
-            current = maintainer.dyn.state_stamp()
-            if current != record.state_digest:
-                raise CheckpointError(
-                    f"WAL batch {index} was logged against graph state "
-                    f"{record.state_digest[:12]}… but replay reached "
-                    f"{current[:12]}… — snapshot/WAL mismatch"
-                )
-            engine_.process_batch(batch)
-
-        # ---- continue with the uncommitted remainder ------------------ #
-        engine_.finish(updates, config["batch_size"])
-
-    return engine_.summarize(
-        num_updates=engine_.updates_applied - updates_at_restore,
-        resumed_from_batch=resumed_from,
-        recovered_torn_tail=torn,
-        snapshot_fallbacks=fallbacks,
+        profile=profile,
+        watch=watch,
+        counters=counters,
+        records=records,
+        fallbacks=fallbacks,
     )

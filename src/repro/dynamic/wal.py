@@ -297,9 +297,11 @@ def repair_wal(path: PathLike) -> bool:
 
     Appending to a log whose last record was cut mid-write would weld the
     new record onto the fragment and corrupt *both*; callers reopening a
-    WAL after a crash must repair it first (``resume_stream`` does).  Only
-    the unterminated tail is dropped — committed records are untouched —
-    and the truncation itself is crash-safe (re-running it is a no-op).
+    WAL after a crash must repair it first.  ``resume_stream`` does so
+    only once every committed record has been checked and replayed, so a
+    refused resume leaves even the torn tail in place.  Only the
+    unterminated tail is dropped — committed records are untouched — and
+    the truncation itself is crash-safe (re-running it is a no-op).
     """
     try:
         with open(path, "rb+") as fh:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.dynamic.stream as stream_module
 from repro.cli import main
 from repro.dynamic import (
     CheckpointConfig,
@@ -24,6 +25,7 @@ from repro.dynamic import (
 )
 from repro.graphs.io import save_npz
 from repro.graphs.updates import load_update_stream, save_update_stream
+from repro.service.batch import BatchSolver
 
 from tests.events import WeightChange, columns, events
 from tests.recovery.harness import CrashAfter, concat, make_batches, make_workload
@@ -68,6 +70,19 @@ def _altered(updates, position):
 def _files(directory):
     """Every file of a directory, by name, with its bytes."""
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _drop_wal_record(checkpoint, index):
+    """Delete the WAL's ``index``-th line (a log that starts at batch 0)."""
+    lines = open(checkpoint.wal_path, "rb").read().splitlines(keepends=True)
+    with open(checkpoint.wal_path, "wb") as fh:
+        fh.writelines(lines[:index] + lines[index + 1 :])
+
+
+def _tear_wal(checkpoint):
+    """Append a record cut mid-write, as a crash mid-append leaves one."""
+    with open(checkpoint.wal_path, "ab") as fh:
+        fh.write(b'{"v":3,"crc":"0123')
 
 
 def _snapshot(checkpoint):
@@ -138,9 +153,7 @@ class TestResumeScenarios:
     def test_wal_gap_fails_cleanly(self, tmp_path, monkeypatch):
         _, _, _, checkpoint = _setup(tmp_path, monkeypatch, crash_after=5)
         os.unlink(_snapshot(checkpoint))  # force replay from batch 0
-        lines = open(checkpoint.wal_path, "rb").read().splitlines(keepends=True)
-        with open(checkpoint.wal_path, "wb") as fh:
-            fh.writelines(lines[:2] + lines[3:])  # drop a middle record
+        _drop_wal_record(checkpoint, 2)
         with pytest.raises(CheckpointError, match="WAL gap"):
             resume_stream(checkpoint.directory)
 
@@ -200,18 +213,18 @@ class TestResumeScenarios:
         with pytest.raises(CheckpointError, match="unreadable"):
             resume_stream(checkpoint.directory)
 
-    def test_swapped_stream_is_refused_at_the_first_replayed_batch(
+    def test_swapped_stream_is_refused_at_the_first_committed_batch(
         self, tmp_path, monkeypatch
     ):
         # Rewrite updates.npz with a different (same-length) stream.  The
-        # WAL holds only each batch's size and checksum, so the replay
-        # re-takes batch 2 (the first past snapshot-2) from the swapped
-        # stream and refuses it, before anything is written.
+        # WAL holds only each batch's size and checksum, and every
+        # committed record is checked before anything is restored, so
+        # batch 0 is refused though snapshot-2 holds it already.
         graph, _, _, checkpoint = _setup(tmp_path, monkeypatch)
         other = concat(make_batches(graph, "uniform", 8, BATCH_SIZE, seed=4242))
         save_update_stream(other, checkpoint.updates_path)
         before = _files(checkpoint.directory)
-        with pytest.raises(CheckpointError, match="WAL batch 2 .*stream/WAL mismatch"):
+        with pytest.raises(CheckpointError, match="WAL batch 0 .*stream/WAL mismatch"):
             resume_stream(checkpoint.directory)
         assert _files(checkpoint.directory) == before
 
@@ -227,6 +240,34 @@ class TestResumeScenarios:
         altered = _altered(updates, 3 * BATCH_SIZE + 10)
         with pytest.raises(CheckpointError, match="WAL batch 3 .*stream/WAL mismatch"):
             resume_stream(checkpoint.directory, updates=altered)
+
+    def test_override_differing_before_the_restored_snapshot_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        # Batches 0-5 are committed and snapshot-4 is restored, so replay
+        # never re-takes batch 0; the check of every committed record
+        # before the restore still refuses it.
+        _, updates, _, checkpoint = _setup(tmp_path, monkeypatch, crash_after=5)
+        assert os.path.basename(_snapshot(checkpoint)) == "snapshot-00000004.npz"
+        altered = _altered(updates, 10)
+        with pytest.raises(CheckpointError, match="WAL batch 0 .*stream/WAL mismatch"):
+            resume_stream(checkpoint.directory, updates=altered)
+
+    def test_wal_gap_behind_a_snapshot_is_refused_before_any_solve(
+        self, tmp_path, monkeypatch
+    ):
+        # snapshot-4 would let replay start past the missing record 2;
+        # the gap is refused before a snapshot is loaded or a solve runs.
+        _, _, _, checkpoint = _setup(tmp_path, monkeypatch, crash_after=5)
+        _drop_wal_record(checkpoint, 2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("restored or solved before the refusal")
+
+        monkeypatch.setattr(stream_module, "load_snapshot", forbidden)
+        monkeypatch.setattr(BatchSolver, "solve", forbidden)
+        with pytest.raises(CheckpointError, match="WAL gap: expected batch 2, found 3"):
+            resume_stream(checkpoint.directory)
 
     def test_override_may_differ_in_the_uncommitted_remainder(
         self, tmp_path, monkeypatch
@@ -272,7 +313,7 @@ class TestResumeScenarios:
         wal_b = open(os.path.join(dir_b, "wal.jsonl"), "rb").read()
         with open(ckpt_a.wal_path, "wb") as fh:
             fh.write(wal_b)
-        with pytest.raises(CheckpointError, match="WAL batch 4 .*stream/WAL mismatch"):
+        with pytest.raises(CheckpointError, match="WAL batch 0 .*stream/WAL mismatch"):
             resume_stream(ckpt_a.directory)
 
     def test_state_stamps_catch_a_foreign_snapshot(self, tmp_path, monkeypatch):
@@ -300,21 +341,78 @@ class TestResumeScenarios:
 
 
 class TestRefusedResumeWritesNothing:
-    """Replay writes no snapshot and compacts no WAL, so a resume refused
-    at any committed batch leaves the directory as it found it."""
+    """Every committed batch is checked before anything is restored, and
+    replay writes nothing — no snapshot, no WAL compaction, no torn-tail
+    truncation — so a refused resume leaves the directory as it found it."""
 
     @staticmethod
-    def _assert_each_refusal_leaves_it_untouched(directory, updates, batches, tmp_path):
+    def _assert_refusal_leaves_it_untouched(directory, copy, match, **kwargs):
+        shutil.copytree(directory, copy)
+        with pytest.raises(CheckpointError, match=match):
+            resume_stream(copy, **kwargs)
+        diff = filecmp.dircmp(directory, copy)
+        assert (diff.left_only, diff.right_only, diff.diff_files) == ([], [], [])
+
+    @classmethod
+    def _assert_each_refusal_leaves_it_untouched(
+        cls, directory, updates, batches, tmp_path
+    ):
         for k in batches:
-            copy = tmp_path / f"refused-{k}"
-            shutil.copytree(directory, copy)
-            altered = _altered(updates, k * BATCH_SIZE + 10)
-            with pytest.raises(
-                CheckpointError, match=f"WAL batch {k} .*stream/WAL mismatch"
-            ):
-                resume_stream(copy, updates=altered)
-            diff = filecmp.dircmp(directory, copy)
-            assert (diff.left_only, diff.right_only, diff.diff_files) == ([], [], [])
+            cls._assert_refusal_leaves_it_untouched(
+                directory,
+                tmp_path / f"refused-{k}",
+                f"WAL batch {k} .*stream/WAL mismatch",
+                updates=_altered(updates, k * BATCH_SIZE + 10),
+            )
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn-tail"])
+    def test_in_any_committed_batch(self, tmp_path, monkeypatch, torn):
+        # Batches 0-5 are committed and snapshot-4 is the newest: batches
+        # 0-3 lie before it, 4-5 are replayed past it.
+        _, updates, reference, checkpoint = _setup(
+            tmp_path, monkeypatch, crash_after=5
+        )
+        if torn:
+            _tear_wal(checkpoint)
+        self._assert_each_refusal_leaves_it_untouched(
+            checkpoint.directory, updates, range(6), tmp_path
+        )
+        resumed = resume_stream(checkpoint.directory)
+        assert resumed.recovered_torn_tail == torn
+        assert np.array_equal(resumed.final_cover, reference.final_cover)
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn-tail"])
+    def test_a_foreign_snapshot(self, tmp_path, monkeypatch, torn):
+        # Checkpoint B runs A's stream on another graph; its snapshot-4
+        # in place of A's passes the record checks and fails on batch 4's
+        # pre-apply stamp, mid-replay.
+        _, updates, _, ckpt_a = _setup(tmp_path, monkeypatch, crash_after=5)
+        ckpt_b = CheckpointConfig(
+            directory=tmp_path / "ckpt-b", snapshot_every=2, fsync=False
+        )
+        with CrashAfter(monkeypatch, 5):
+            with pytest.raises(CrashAfter.Crash):
+                run_stream(
+                    make_workload(n=120, seed=4000), updates,
+                    batch_size=BATCH_SIZE, policy=ResolvePolicy(max_drift=0.15),
+                    eps=EPS, seed=SEED, checkpoint=ckpt_b,
+                )
+        shutil.copyfile(_snapshot(ckpt_b), _snapshot(ckpt_a))
+        if torn:
+            _tear_wal(ckpt_a)
+        self._assert_refusal_leaves_it_untouched(
+            ckpt_a.directory, tmp_path / "refused", "WAL batch 4 was logged against"
+        )
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn-tail"])
+    def test_a_wal_gap(self, tmp_path, monkeypatch, torn):
+        _, _, _, checkpoint = _setup(tmp_path, monkeypatch, crash_after=5)
+        _drop_wal_record(checkpoint, 2)
+        if torn:
+            _tear_wal(checkpoint)
+        self._assert_refusal_leaves_it_untouched(
+            checkpoint.directory, tmp_path / "refused", "WAL gap"
+        )
 
     def test_past_a_corrupt_newest_snapshot(self, tmp_path, monkeypatch):
         # Batches 0-5 are committed and snapshot-4 is corrupt, so the
@@ -537,17 +635,17 @@ class TestSigkill:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        # Let it commit some batches, then kill it dead.
-        deadline = time.time() + 30
+        # Kill it dead once ten of its 80 batches are committed.
+        deadline = time.time() + 60
         wal = directory / "wal.jsonl"
-        while time.time() < deadline:
-            if wal.exists() and wal.stat().st_size > 0:
+        while time.time() < deadline and proc.poll() is None:
+            if wal.exists() and wal.read_bytes().count(b"\n") >= 10:
                 break
-            time.sleep(0.05)
-        time.sleep(0.5)
+            time.sleep(0.02)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
-        assert wal.exists(), "stream never committed a batch"
+        committed = wal.read_bytes().count(b"\n") if wal.exists() else 0
+        assert 10 <= committed < 80, f"the kill landed after {committed} batches"
 
         resumed = resume_stream(directory)
         assert resumed.final_is_cover
