@@ -5,8 +5,8 @@ algorithm in the package depends on its canonical edge order.  A dynamic
 workload therefore needs a wrapper that absorbs updates cheaply and
 re-canonicalizes only occasionally.  Its whole state is flat arrays, so a
 batch of updates is applied with a few array operations
-(:meth:`DynamicGraph.flip_edges`, :meth:`DynamicGraph.set_weights`), never
-a Python loop over events or vertices:
+(:meth:`DynamicGraph.set_presence`, :meth:`DynamicGraph.set_weights`),
+never a Python loop over events or vertices:
 
 * **Base CSR.**  A frozen :class:`WeightedGraph` snapshot, whose own
   row-sorted ``indptr``/``adj_vertices`` arrays are shared read-only, with
@@ -34,9 +34,10 @@ plus insertions.  :meth:`neighbors` returns a flat ``int64`` array (a
 zero-copy CSR slice when the vertex has no pending deletions or overlay
 edges); :meth:`prune_gather` returns whole neighborhoods of a vertex set
 as segments of one array, which is what the prune kernel of
-:mod:`repro.dynamic.repair` consumes; :meth:`has_edges` answers a whole
-frontier with one ``searchsorted`` against the base codes and one against
-the added codes.
+:mod:`repro.dynamic.repair` consumes.  :meth:`set_presence` sets a
+batch's sorted edge codes present or absent and returns the presence
+each had before, locating them with one ``searchsorted`` against the
+base codes and one against the added codes.
 
 :meth:`materialize` produces the current graph as a canonical
 :class:`WeightedGraph` (memoized until the next mutation); its
@@ -93,15 +94,29 @@ def _edge_set_hash(codes: np.ndarray) -> int:
     return int(z.sum(dtype=np.uint64))
 
 
-def _sorted_member(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Membership of ``codes`` in a sorted code array (binary search —
-    unlike ``np.isin``, never re-sorts the haystack)."""
+def _search(
+    sorted_codes: np.ndarray, codes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Insertion points of ``codes`` in a sorted code array, and which of
+    them are members (one binary search — unlike ``np.isin``, it never
+    re-sorts the haystack)."""
+    pos = np.searchsorted(sorted_codes, codes)
     if not sorted_codes.size:
-        return np.zeros(codes.shape, dtype=bool)
-    pos = np.minimum(
-        np.searchsorted(sorted_codes, codes), sorted_codes.size - 1
-    )
-    return sorted_codes[pos] == codes
+        return pos, np.zeros(codes.shape, dtype=bool)
+    return pos, sorted_codes[np.minimum(pos, sorted_codes.size - 1)] == codes
+
+
+def _toggle(
+    sorted_codes: np.ndarray, codes: np.ndarray, pos: np.ndarray, member: np.ndarray
+) -> np.ndarray:
+    """``sorted_codes`` with its ``member`` codes removed and the other
+    ``codes`` inserted, given ``pos, member = _search(sorted_codes, codes)``
+    and ``codes`` sorted.  The removed codes below an inserted one are
+    the members before it in ``codes``, so its insertion point moves down
+    by their running count."""
+    kept = np.delete(sorted_codes, pos[member])
+    new = ~member
+    return np.insert(kept, pos[new] - np.cumsum(member)[new], codes[new])
 
 
 def _segments(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -152,7 +167,6 @@ class DynamicGraph:
         self.compact_fraction = float(compact_fraction)
         self.min_compact = int(min_compact)
         self._weights = np.array(base.weights, dtype=np.float64)  # mutable copy
-        self._generation = 0
         self._compactions = 0
         self._set_base(base)
         # At construction the snapshot *is* the current graph.
@@ -216,12 +230,6 @@ class DynamicGraph:
         return self._added.size + self._num_deleted
 
     @property
-    def generation(self) -> int:
-        """Monotone counter bumped by every mutation that changes the graph
-        (cache invalidation)."""
-        return self._generation
-
-    @property
     def compactions(self) -> int:
         """Number of snapshot rebuilds performed so far."""
         return self._compactions
@@ -229,7 +237,7 @@ class DynamicGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DynamicGraph(n={self.n}, m={self.m}, delta={self.delta_size}, "
-            f"generation={self._generation})"
+            f"compactions={self._compactions})"
         )
 
     # ------------------------------------------------------------------ #
@@ -241,22 +249,21 @@ class DynamicGraph:
             raise ValueError(f"vertex {v} out of range [0, {self._n})")
         return v
 
-    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vectorized presence of canonical ``(u, v)`` endpoint arrays."""
-        return self.has_codes(encode_edge_codes(u, v))
+    def _locate(
+        self, codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(base_pos, in_base, added_pos, present)`` of each edge code:
+        one binary search against the base codes (then its keep bit), one
+        against the added codes.  No code is both a base and an added one:
+        a deleted snapshot edge that returns flips its keep bit back."""
+        base_pos, in_base = _search(self._base_codes, codes)
+        added_pos, present = _search(self._added, codes)
+        present[in_base] = self._base_keep[base_pos[in_base]]
+        return base_pos, in_base, added_pos, present
 
     def has_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Presence of each edge code: one binary search against the base
-        codes (then its keep bit), one against the added codes."""
-        base = self._base_codes
-        if base.size:
-            pos = np.minimum(np.searchsorted(base, codes), base.size - 1)
-            present = (base[pos] == codes) & self._base_keep[pos]
-        else:
-            present = np.zeros(codes.shape, dtype=bool)
-        if self._added.size:
-            present |= _sorted_member(self._added, codes)
-        return present
+        """Presence of each edge code."""
+        return self._locate(codes)[3]
 
     def _overlay_bounds(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Start and end of each vertex's slice of the directed added codes."""
@@ -337,67 +344,50 @@ class DynamicGraph:
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
-    def flip_edges(self, on_codes: np.ndarray, off_codes: np.ndarray) -> None:
-        """Insert the edges ``on_codes`` and delete the edges ``off_codes``.
+    def set_presence(self, codes: np.ndarray, present: np.ndarray) -> np.ndarray:
+        """Make edge ``codes[i]`` present iff ``present[i]``; return the
+        presence each code had before.
 
-        Both are sorted, duplicate-free ``int64`` edge-code arrays;
-        ``on_codes`` must be absent and ``off_codes`` present (this is not
-        checked — :meth:`has_codes` answers it).  Snapshot edges flip
-        their keep and aliveness bits; other edges enter or leave the
-        sorted added arrays by ``np.insert``/``np.delete``; degrees move
-        by ``np.add.at``.
+        ``codes`` is a sorted, duplicate-free ``int64`` edge-code array and
+        ``present`` a bool array of the same shape.  The codes are located
+        once (:meth:`_locate`), and only those whose presence changes
+        flip: snapshot edges flip their keep and aliveness bits, other
+        edges leave or enter the sorted added arrays (:func:`_toggle`),
+        and degrees move by ``np.add.at``.  When nothing flips, nothing
+        changes, and the memoized :meth:`materialize` graph stays.
         """
-        on = np.asarray(on_codes, dtype=np.int64)
-        off = np.asarray(off_codes, dtype=np.int64)
-        if not (on.size or off.size):
-            return
-        base_on, added_on = self._split_base(on)
-        base_off, added_off = self._split_base(off)
-        for pos, alive in ((base_off, False), (base_on, True)):
-            if pos.size:
-                self._base_keep[pos] = alive
-                self._alive[self._slot_uv[pos]] = alive
-                self._alive[self._slot_vu[pos]] = alive
-        self._num_deleted += base_off.size - base_on.size
-        if added_off.size:
-            self._added = np.delete(
-                self._added, np.searchsorted(self._added, added_off)
+        base_pos, in_base, added_pos, was = self._locate(codes)
+        flip = present != was
+        if not flip.any():
+            return was
+        at_base = flip & in_base
+        pos, alive = base_pos[at_base], present[at_base]
+        self._base_keep[pos] = alive
+        self._alive[self._slot_uv[pos]] = alive
+        self._alive[self._slot_vu[pos]] = alive
+        self._num_deleted += alive.size - 2 * int(alive.sum())
+        at_added = flip & ~in_base
+        if at_added.any():
+            self._added = _toggle(
+                self._added, codes[at_added], added_pos[at_added], was[at_added]
             )
-            directed = _directed(added_off)
-            self._added_dir = np.delete(
-                self._added_dir, np.searchsorted(self._added_dir, directed)
+            directed = _directed(codes[at_added])
+            self._added_dir = _toggle(
+                self._added_dir, directed, *_search(self._added_dir, directed)
             )
-        if added_on.size:
-            self._added = np.insert(
-                self._added, np.searchsorted(self._added, added_on), added_on
-            )
-            directed = _directed(added_on)
-            self._added_dir = np.insert(
-                self._added_dir, np.searchsorted(self._added_dir, directed), directed
-            )
-        np.add.at(self._degrees, np.concatenate(decode_edge_codes(on)), 1)
-        np.subtract.at(self._degrees, np.concatenate(decode_edge_codes(off)), 1)
-        self._touch()
-
-    def _split_base(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(positions in the base of the snapshot codes, the other codes)``."""
-        base = self._base_codes
-        if not (codes.size and base.size):
-            return np.empty(0, dtype=np.int64), codes
-        pos = np.minimum(np.searchsorted(base, codes), base.size - 1)
-        in_base = base[pos] == codes
-        return pos[in_base], codes[~in_base]
+        u, v = decode_edge_codes(codes[flip])
+        step = np.where(present[flip], 1, -1)
+        np.add.at(self._degrees, u, step)
+        np.add.at(self._degrees, v, step)
+        self._materialized = None
+        return was
 
     def set_weights(self, vertices: np.ndarray, weights: np.ndarray) -> None:
         """Set ``w(vertices[i]) = weights[i]`` (distinct vertices, finite
         positive weights — not checked)."""
         if len(vertices):
             self._weights[vertices] = weights
-            self._touch()
-
-    def _touch(self) -> None:
-        self._generation += 1
-        self._materialized = None
+            self._materialized = None
 
     # ------------------------------------------------------------------ #
     # materialization / compaction

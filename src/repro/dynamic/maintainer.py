@@ -36,7 +36,7 @@ it through the batch service is :func:`repro.dynamic.stream.run_stream`'s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -383,7 +383,7 @@ class IncrementalCoverMaintainer:
         watch.lap("adjacency_s")
         repaired, entered = self._repair(uncovered)
         watch.lap("repair_s")
-        pruned = self._prune_touched(touched, entered)
+        pruned = self._prune_touched(touched)
         watch.lap("prune_s")
         # Amortized: fold the delta into a fresh snapshot once it outgrows
         # the base (the maintainer's edge-code-keyed state is
@@ -401,7 +401,7 @@ class IncrementalCoverMaintainer:
             deletes=deletes,
             reweights=reweights,
             repaired_edges=repaired,
-            added_to_cover=len(entered),
+            added_to_cover=entered,
             pruned_from_cover=pruned,
             retired_dual=retired,
             certificate=cert,
@@ -416,21 +416,22 @@ class IncrementalCoverMaintainer:
 
         Returns ``(inserts, deletes, reweights, retired, touched,
         uncovered)``: effective events by kind, the dual mass retired with
-        deleted edges, the touched vertices (an id array), and the
-        inserted edges that arrived uncovered (a sorted ``(k, 2)`` key
-        array).  The result equals applying the events one at a time in
-        stream order:
+        deleted edges, the touched vertices (an id array), and the sorted
+        codes of the edges the repair must patch.  The result equals
+        applying the events one at a time in stream order:
 
-        * Edge events are stable-sorted by edge code.  The presence before
-          a code's first event is the graph's; before any later one, it is
-          the previous event's target.  An event is *effective* iff its
-          target differs from that presence, and each code whose final
-          target differs from its first presence flips once, in one
-          :meth:`DynamicGraph.flip_edges` call.
+        * Edge events are stable-sorted by edge code, one run per code.
+          Each run's final target goes to one
+          :meth:`DynamicGraph.set_presence` call, which returns the
+          presence before the run's first event; before any later event
+          it is the previous event's target.  An event is *effective* iff
+          its target differs from that presence.
         * Reweights group by vertex the same way: effective iff the weight
           differs from the one before it; the last one wins.
-        * The cover does not change until repair, so the uncovered edges
-          are the effective inserts with both endpoints uncovered.
+        * The cover does not change until repair, so the edges to patch
+          are those with an effective insert that are present at batch
+          end (their run's final target) and have both endpoints
+          uncovered.  An edge inserted and then deleted again is not one.
         * Only an edge present at batch start can hold a dual, so each
           such edge's first effective delete retires it, in stream order
           (:meth:`_retire_duals`).
@@ -457,33 +458,33 @@ class IncrementalCoverMaintainer:
         codes, lo, hi, edge_pos = codes[order], lo[order], hi[order], edge_pos[order]
         target = op[edge_pos] == OP_INSERT
         first, last = _runs(codes)
+        run_codes, end = codes[last], target[last]
+        start = self.dyn.set_presence(run_codes, end)
         before = np.empty_like(target)
         before[1:] = target[:-1]
-        start = self.dyn.has_codes(codes[first])
         before[first] = start
         effective = target != before
         eff_insert = effective & target
 
         # A code's first effective event is a delete iff the code was
         # present at batch start; that delete retires its dual.
+        run = np.cumsum(first) - 1
         eff_idx = np.flatnonzero(effective)
-        lead = eff_idx[np.diff(np.cumsum(first)[eff_idx], prepend=0) != 0]
+        lead = eff_idx[np.diff(run[eff_idx], prepend=-1) != 0]
         retiring = lead[~target[lead]]
         retiring = retiring[np.argsort(edge_pos[retiring])]
-
-        end = target[last]
-        flip = end != start
-        self.dyn.flip_edges(codes[last][flip & end], codes[last][flip & ~end])
         retired = self._retire_duals(codes[retiring])
 
+        inserted = np.zeros(run_codes.size, dtype=bool)
+        inserted[run[eff_insert]] = True
         cover = self._cover
-        uncovered = np.unique(codes[eff_insert & ~(cover[lo] | cover[hi])])
+        uncovered = inserted & end & ~(cover[lo[last]] | cover[hi[last]])
         return (
             int(eff_insert.sum()),
             int(effective.sum()) - int(eff_insert.sum()),
             retired,
             np.concatenate([lo[effective], hi[effective]]),
-            np.stack(decode_edge_codes(uncovered), axis=1),
+            run_codes[uncovered],
         )
 
     def _apply_reweights(self, cols: UpdateColumns) -> Tuple[int, np.ndarray]:
@@ -545,8 +546,9 @@ class IncrementalCoverMaintainer:
         self._dual_value = dual
         return float(np.add.accumulate(pays)[-1])
 
-    def _repair(self, uncovered: np.ndarray) -> Tuple[int, Set[int]]:
-        """Patch uncovered edges via the pricing-repair kernel.
+    def _repair(self, codes: np.ndarray) -> Tuple[int, int]:
+        """Patch the uncovered edges ``codes`` via the pricing-repair
+        kernel; returns ``(repaired, entered)``.
 
         For each still-uncovered edge, raise its dual by the smaller
         endpoint residual ``w − y``; every endpoint whose residual is
@@ -561,12 +563,11 @@ class IncrementalCoverMaintainer:
         start or deleted earlier in the batch, which retired its dual.
         """
         outcome = pricing_repair_pass(
-            uncovered,
+            codes,
             weights=self.dyn.weights,
             cover=self._cover,
             loads=self._loads,
             dual_value=self._dual_value,
-            has_edges=self.dyn.has_edges,
         )
         self._dual_value = outcome.dual_value
         if outcome.paid_codes.size:
@@ -575,20 +576,17 @@ class IncrementalCoverMaintainer:
             self._dual_values = np.insert(self._dual_values, at, outcome.pays)
         return outcome.repaired, outcome.entered
 
-    def _prune_touched(self, touched: np.ndarray, entered: Set[int]) -> int:
-        """Greedy redundancy pruning restricted to the touched vertices
-        and those the repair put into the cover.
+    def _prune_touched(self, touched: np.ndarray) -> int:
+        """Greedy redundancy pruning restricted to the touched vertices.
 
-        The kernel walks the dynamic CSR directly — O(batch
-        neighborhood), *never* materializing the graph: decreasing
-        ``w/deg`` order, droppable iff every incident edge's other
-        endpoint is covered, and dropping ``v`` locks its neighbors —
-        each now solely covers its edge to ``v``.
+        Every vertex the repair put into the cover is an endpoint of an
+        effective insert, so it is touched already.  The kernel walks the
+        dynamic CSR directly — O(batch neighborhood), *never*
+        materializing the graph: decreasing ``w/deg`` order, droppable iff
+        every incident edge's other endpoint is covered, and dropping
+        ``v`` locks its neighbors — each now solely covers its edge to
+        ``v``.
         """
-        if entered:
-            touched = np.union1d(
-                touched, np.fromiter(entered, dtype=np.int64, count=len(entered))
-            )
         candidates = touched[self._cover[touched]]
         if not candidates.size:
             return 0

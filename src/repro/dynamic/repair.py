@@ -5,7 +5,7 @@ that involve floating point or cover membership are free functions over
 plain arrays:
 
 * :func:`pricing_repair_pass` — the local-ratio/pricing repair of
-  uncovered edges, processed in canonical sorted-key order;
+  uncovered edges, processed in ascending edge-code order;
 * :func:`~repro.core.postprocess.greedy_prune_pass` — the sequential
   greedy redundancy prune over a candidate set, reading neighborhoods
   through the dynamic graph's batched degree and gather accessors (it
@@ -14,9 +14,9 @@ plain arrays:
 * :func:`certificate_from_state` — the duality certificate from the raw
   ``(weights, cover, loads, dual_value)`` arrays.
 
-Both mutation kernels do a masked array *prepass* (presence,
-covered-endpoint, residual/tolerance precomputation for the repair;
-effectiveness ordering and bulk droppability for the prune) so the
+Both mutation kernels do an array *prepass* (residual/tolerance
+precomputation for the repair; effectiveness ordering and bulk
+droppability for the prune) so the
 sequential tail loop — whose float-accumulation *order* fixes every
 result bit and therefore cannot be parallelized — only touches surviving
 items through preextracted Python locals.  The original object-at-a-time
@@ -26,23 +26,28 @@ Hypothesis suite ``tests/properties/test_property_kernels.py`` and the
 identical streams and require bit-for-bit equal covers, duals, and dual
 totals.
 
-Why the repair prepass is exact, not approximate: the loop skips an edge
-iff it is absent or an endpoint is covered *when reached*; an edge absent
-or covered before the pass starts is skipped with no side effects, so
-filtering those up front removes only no-op iterations.  The prune's
-argument is in :mod:`repro.core.postprocess`.
+Why filtering the repair's input is exact, not approximate: the
+edge-at-a-time loop skips an edge iff it is absent at batch end or an
+endpoint is covered *when reached*.  An edge already absent or covered
+when the pass starts is skipped with no side effects, so filtering it out
+beforehand removes only a no-op iteration.  The maintainer filters while
+it applies the batch: it passes the sorted codes of exactly the effective
+inserts whose event run ends present and whose endpoints are both
+uncovered.  The kernel then checks only cover membership, which an
+earlier repair of the same pass may have changed.
+The prune's argument is in :mod:`repro.core.postprocess`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Set, Tuple, Union
+from typing import List
 
 import numpy as np
 
 from repro.core.certificates import CoverCertificate
 from repro.core.postprocess import greedy_prune_pass
-from repro.dynamic.duals import encode_edge_codes
+from repro.dynamic.duals import decode_edge_codes
 
 __all__ = [
     "RepairOutcome",
@@ -54,8 +59,6 @@ __all__ = [
 #: Relative tolerance for "residual weight is exhausted" decisions.
 RESIDUAL_RTOL = 1e-9
 
-EdgeKey = Tuple[int, int]
-
 
 @dataclass(frozen=True)
 class RepairOutcome:
@@ -64,9 +67,9 @@ class RepairOutcome:
     Attributes
     ----------
     repaired:
-        Number of edges processed (present and uncovered when reached).
+        Number of edges processed (uncovered when reached).
     entered:
-        Vertices that entered the cover during the pass.
+        Number of vertices that entered the cover during the pass.
     dual_value:
         The updated dual total (additions applied in processing order).
     paid_codes, pays:
@@ -75,50 +78,41 @@ class RepairOutcome:
     """
 
     repaired: int
-    entered: Set[int]
+    entered: int
     dual_value: float
     paid_codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     pays: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
 
 
 def pricing_repair_pass(
-    keys: Union[np.ndarray, Sequence[EdgeKey]],
+    codes: np.ndarray,
     *,
     weights: np.ndarray,
     cover: np.ndarray,
     loads: np.ndarray,
     dual_value: float,
-    has_edges: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> RepairOutcome:
     """Patch uncovered edges via the local-ratio/pricing rule.
 
-    ``keys`` must be canonical ``(u, v)`` pairs with ``u < v`` in sorted
-    order (a ``(k, 2)`` array or a sequence of pairs).  For each edge still
-    present and still uncovered, the dual is raised by the smaller
-    endpoint residual ``w − y``; every endpoint whose residual is
-    exhausted enters the cover.  An endpoint already fully paid
-    (residual ≤ 0, possible after an adopted solve with load factor > 1
-    or a weight decrease) enters for free.  ``cover`` and ``loads`` are
-    mutated in place; the new duals are returned as
-    :attr:`RepairOutcome.paid_codes` and :attr:`RepairOutcome.pays`.
+    ``codes`` are the ascending ``int64`` edge codes
+    (:mod:`repro.dynamic.duals`) of present edges.  For each edge still
+    uncovered when reached, the dual is raised by the smaller endpoint
+    residual ``w − y``; every endpoint whose residual is exhausted enters
+    the cover.  An endpoint already fully paid (residual ≤ 0, possible
+    after an adopted solve with load factor > 1 or a weight decrease)
+    enters for free.  ``cover`` and ``loads`` are mutated in place; the
+    new duals are returned as :attr:`RepairOutcome.paid_codes` and
+    :attr:`RepairOutcome.pays`.
 
-    ``has_edges(u_arr, v_arr) -> bool array`` answers presence for the
-    whole frontier at once (an edge inserted then deleted within the same
-    batch is skipped).  The vectorized prepass removes edges that are
-    absent or covered at pass start and precomputes per-edge
-    weights/tolerances; the ordered dual-accumulation tail runs over the
-    survivors only (see the module docstring for the exactness argument).
+    The vectorized prepass precomputes per-edge weights/tolerances; the
+    ordered dual-accumulation tail runs over Python locals (see the
+    module docstring for why the caller's filtering is exact).
     """
-    arr = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    if not arr.size:
-        return RepairOutcome(repaired=0, entered=set(), dual_value=dual_value)
+    codes = np.asarray(codes, dtype=np.int64)
+    if not codes.size:
+        return RepairOutcome(repaired=0, entered=0, dual_value=dual_value)
 
-    u_arr, v_arr = arr[:, 0], arr[:, 1]
-    keep = ~(cover[u_arr] | cover[v_arr]) & has_edges(u_arr, v_arr)
-    if not keep.any():
-        return RepairOutcome(repaired=0, entered=set(), dual_value=dual_value)
-
-    su, sv = u_arr[keep], v_arr[keep]
+    su, sv = decode_edge_codes(codes)
     w_u = weights[su]
     w_v = weights[sv]
     # IEEE-identical to per-edge scalar products.
@@ -128,7 +122,7 @@ def pricing_repair_pass(
     wus, wvs = w_u.tolist(), w_v.tolist()
 
     repaired = 0
-    entered: Set[int] = set()
+    entered = 0
     paid: List[int] = []
     pays: List[float] = []
     for i in range(len(us)):
@@ -149,22 +143,22 @@ def pricing_repair_pass(
             dual_value += pay
         if ru - pay <= tols_u[i]:
             cover[u] = True
-            entered.add(u)
+            entered += 1
         if rv - pay <= tols_v[i]:
             cover[v] = True
-            entered.add(v)
+            entered += 1
         if not (cover[u] or cover[v]):  # pragma: no cover
             # min(ru, rv) - pay == 0 exactly for at least one endpoint;
             # defensive fallback for pathological float inputs.
             cheap = u if wu <= wv else v
             cover[cheap] = True
-            entered.add(cheap)
+            entered += 1
         repaired += 1
     return RepairOutcome(
         repaired=repaired,
         entered=entered,
         dual_value=dual_value,
-        paid_codes=encode_edge_codes(su[paid], sv[paid]),
+        paid_codes=codes[paid],
         pays=np.array(pays, dtype=np.float64),
     )
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dynamic.duals import encode_edge_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.graphs.generators import gnp_average_degree
 from repro.graphs.graph import WeightedGraph
@@ -101,12 +102,12 @@ class TestApply:
         with pytest.raises(ValueError, match="> 0"):
             apply_event(dyn_path4, WeightChange(0, -1.0))
 
-    def test_generation_counts_effective_updates(self, dyn_path4):
-        g0 = dyn_path4.generation
+    def test_only_effective_updates_drop_the_materialized_graph(self, dyn_path4):
+        g0 = dyn_path4.materialize()
         apply_event(dyn_path4, EdgeInsert(0, 1))  # no-op
-        assert dyn_path4.generation == g0
+        assert dyn_path4.materialize() is g0
         apply_event(dyn_path4, EdgeInsert(0, 2))
-        assert dyn_path4.generation == g0 + 1
+        assert dyn_path4.materialize() is not g0
 
 
 class TestQueries:
@@ -134,12 +135,11 @@ class TestQueries:
         expect = [dyn_path4.degree(v) for v in range(4)]
         assert dyn_path4.degrees_of(ids).tolist() == expect
 
-    def test_has_edges_matches_has_edge(self, dyn_path4):
+    def test_has_codes_matches_has_edge(self, dyn_path4):
         apply_event(dyn_path4, EdgeDelete(1, 2))
         apply_event(dyn_path4, EdgeInsert(0, 3))
         pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)]
-        arr = np.asarray(pairs, dtype=np.int64)
-        got = dyn_path4.has_edges(arr[:, 0], arr[:, 1])
+        got = dyn_path4.has_codes(_codes(pairs))
         assert got.tolist() == [has_edge(dyn_path4, u, v) for u, v in pairs]
 
     def test_neighbors_match_materialized(self):
@@ -160,8 +160,7 @@ class TestQueries:
                 int(x) for x in mat.neighbors(v)
             )
             assert dyn.degree(v) == int(mat.degrees[v])
-        eu, ev = mat.edges_u, mat.edges_v
-        assert dyn.has_edges(eu, ev).all()
+        assert dyn.has_codes(encode_edge_codes(mat.edges_u, mat.edges_v)).all()
         assert dyn.degrees_of(np.arange(60)).tolist() == mat.degrees.tolist()
 
 
@@ -183,18 +182,55 @@ class TestArrayState:
         both = np.concatenate([dyn._slot_uv, dyn._slot_vu])
         assert sorted(both.tolist()) == list(range(2 * base.m))
 
-    def test_flip_edges_inserts_and_deletes_in_bulk(self, dyn_path4):
-        g0 = dyn_path4.generation
-        dyn_path4.flip_edges(_codes([(0, 2), (0, 3)]), _codes([(1, 2)]))
-        assert dyn_path4.generation == g0 + 1
+    def test_set_presence_inserts_and_deletes_in_bulk(self, dyn_path4):
+        g0 = dyn_path4.materialize()
+        # (0, 1) stays present, (1, 3) stays absent: neither flips.
+        codes = _codes([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        was = dyn_path4.set_presence(codes, np.array([True, True, True, False, False]))
+        assert was.tolist() == [True, False, False, True, False]
+        assert dyn_path4.materialize() is not g0
         assert dyn_path4.edge_codes().tolist() == _codes(
             [(0, 1), (0, 2), (0, 3), (2, 3)]
         ).tolist()
         assert dyn_path4.degrees_of(np.arange(4)).tolist() == [3, 1, 2, 2]
         assert dyn_path4.m == 4 and dyn_path4.delta_size == 3
-        dyn_path4.flip_edges(_codes([(1, 2)]), _codes([(0, 2), (0, 3)]))
+        assert sorted(dyn_path4.neighbors(0).tolist()) == [1, 2, 3]
+        was = dyn_path4.set_presence(
+            _codes([(0, 2), (0, 3), (1, 2)]), np.array([False, False, True])
+        )
+        assert was.tolist() == [True, True, False]
         assert dyn_path4.delta_size == 0
         assert dyn_path4.materialize() == dyn_path4.base
+        assert dyn_path4._added.size == dyn_path4._added_dir.size == 0
+
+    def test_set_presence_without_a_flip_changes_nothing(self, dyn_path4):
+        apply_event(dyn_path4, EdgeInsert(0, 2))
+        g0 = dyn_path4.materialize()
+        codes = _codes([(0, 1), (0, 2), (0, 3)])
+        was = dyn_path4.set_presence(codes, np.array([True, True, False]))
+        assert was.tolist() == [True, True, False]
+        assert dyn_path4.materialize() is g0
+        assert dyn_path4.set_presence(codes[:0], np.empty(0, dtype=bool)).shape == (0,)
+
+    def test_set_presence_keeps_the_added_arrays_sorted(self):
+        """One call removes some added edges and inserts others between
+        the ones it keeps; both added arrays stay exactly sorted."""
+        base = gnp_average_degree(40, 3.0, seed=11)
+        dyn = DynamicGraph(base)
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            pairs = {tuple(sorted(p)) for p in rng.integers(0, 40, (12, 2)).tolist()}
+            codes = _codes(sorted(p for p in pairs if p[0] != p[1]))
+            target = rng.random(codes.size) < 0.5
+            expect = dyn.has_codes(codes)
+            assert dyn.set_presence(codes, target).tolist() == expect.tolist()
+            assert dyn.has_codes(codes).tolist() == target.tolist()
+            assert (np.diff(dyn._added) > 0).all()
+            assert (np.diff(dyn._added_dir) > 0).all()
+        mat = dyn.materialize()
+        assert dyn.degrees_of(np.arange(40)).tolist() == mat.degrees.tolist()
+        for v in range(40):
+            assert sorted(dyn.neighbors(v).tolist()) == mat.neighbors(v).tolist()
 
     def test_prune_gather_segments_are_whole_neighborhoods(self):
         base = gnp_average_degree(50, 4.0, seed=8)

@@ -140,6 +140,53 @@ class TestRepair:
         assert report.num_updates == 3
         assert report.applied <= 3  # duplicate insert is a no-op
 
+    @pytest.mark.parametrize(
+        "events, repaired",
+        [
+            ([EdgeInsert(3, 4), EdgeDelete(4, 3)], 0),
+            ([EdgeInsert(3, 4), EdgeDelete(3, 4), EdgeInsert(4, 3)], 1),
+        ],
+        ids=["ins-del", "ins-del-ins"],
+    )
+    def test_only_an_edge_present_at_batch_end_is_repaired(self, events, repaired):
+        """An absent edge between two uncovered vertices, inserted and
+        deleted within one batch, is not repaired; inserted once more, it
+        is repaired once, with one dual.  The oracle tests each uncovered
+        insert's presence after the batch itself."""
+        # Path 0-1-2 covered by {1}; vertices 3 and 4 are isolated.
+        g = WeightedGraph.from_edge_list(5, [(0, 1), (1, 2)], [1.0, 1.0, 1.0, 2.0, 3.0])
+        state = {
+            "cover": np.array([False, True, False, False, False]),
+            "loads": np.array([0.5, 1.0, 0.5, 0.0, 0.0]),
+            "dual_codes": encode_edge_codes([0, 1], [1, 2]),
+            "dual_values": np.array([0.5, 0.5]),
+            "dual_value": 1.0,
+            "base_ratio": None,
+            "batches_applied": 0,
+        }
+        vec, ref = (
+            cls.from_state(DynamicGraph(g), state)
+            for cls in (IncrementalCoverMaintainer, ReferenceMaintainer)
+        )
+        report = vec.apply_batch(columns(events))
+        assert report == ref.apply_batch(columns(events))
+        assert report.repaired_edges == repaired
+        assert report.added_to_cover == repaired
+        assert np.array_equal(vec.cover, ref.cover)
+        assert np.array_equal(vec._loads, ref._loads)
+        assert vec.edge_duals() == ref.edge_duals()
+        assert vec.dual_value == ref.dual_value
+        duals = {(0, 1): 0.5, (1, 2): 0.5}
+        if repaired:
+            # Vertex 3's residual (2) is the smaller: it alone enters.
+            duals[(3, 4)] = 2.0
+            assert vec.cover.tolist() == [False, True, False, True, False]
+        else:
+            assert vec.cover.tolist() == state["cover"].tolist()
+        assert vec.edge_duals() == duals
+        assert vec.dual_value == 1.0 + 2.0 * repaired
+        assert vec.verify()
+
 
 def _held(m):
     """The maintainer's dual arrays, as exported."""
@@ -247,7 +294,6 @@ class TestAtomicBatch:
     def _state(m):
         return (
             m.dyn.state_stamp(),
-            m.dyn.generation,
             m.cover.tobytes(),
             m._loads.tobytes(),
             m.edge_duals(),
@@ -270,10 +316,13 @@ class TestAtomicBatch:
         u, v = int(medium.edges_u[0]), int(medium.edges_v[0])
         good = [EdgeDelete(u, v), EdgeInsert(10, 11), WeightChange(3, 0.5)]
         before = self._state(m)
+        # Every graph mutation drops the memoized materialized graph.
+        graph = m.dyn.materialize()
         with pytest.raises(InvalidUpdateError, match=reason) as info:
             m.apply_batch(columns(good + [bad] + good))
         assert info.value.batch_index == 1 and info.value.position == 3
         assert self._state(m) == before
+        assert m.dyn.materialize() is graph
         # The batch without its bad event still applies.
         assert m.apply_batch(columns(good + good)).applied > 0
 

@@ -72,11 +72,7 @@ def apply_event(dyn: DynamicGraph, update: GraphUpdate) -> bool:
         return False
     if has_edge(dyn, update.u, update.v) == insert:
         return False
-    codes, none = np.array([code], dtype=np.int64), np.empty(0, dtype=np.int64)
-    if insert:
-        dyn.flip_edges(codes, none)
-    else:
-        dyn.flip_edges(none, codes)
+    dyn.set_presence(np.array([code], dtype=np.int64), np.array([insert]))
     return True
 
 
@@ -87,17 +83,20 @@ def reference_pricing_repair_pass(
     cover: np.ndarray,
     loads: np.ndarray,
     duals: Dict[int, float],
+    entered: Set[int],
     dual_value: float,
     has_edge: Callable[[int, int], bool],
 ) -> RepairOutcome:
     """The original edge-at-a-time pricing repair loop.
 
     Same contract as :func:`repro.dynamic.repair.pricing_repair_pass`,
-    with a scalar presence test, but each pay is added into ``duals``
-    (edge code → value) as it happens, instead of being returned.
+    but over sorted ``(u, v)`` keys that may include absent edges, which
+    the scalar presence test skips.  Each pay is added into ``duals``
+    (edge code → value) and each vertex that enters the cover into
+    ``entered`` as it happens, instead of being returned.
     """
     repaired = 0
-    entered: Set[int] = set()
+    start = len(entered)
     for key in keys:
         u, v = key
         if not has_edge(u, v):
@@ -126,7 +125,9 @@ def reference_pricing_repair_pass(
             cover[cheap] = True
             entered.add(cheap)
         repaired += 1
-    return RepairOutcome(repaired=repaired, entered=entered, dual_value=dual_value)
+    return RepairOutcome(
+        repaired=repaired, entered=len(entered) - start, dual_value=dual_value
+    )
 
 
 def reference_greedy_prune_pass(
@@ -172,9 +173,14 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
     after every batch.  Deleted edges' duals retire one at a time, clamping each load
     and the dual total at zero, and each pay lands as its own
     single-element edit of the dual arrays (added to a dual the edge
-    already holds, if any), never through the production merge.  Every prune is
-    :func:`reference_greedy_prune_pass`, so the oracle never runs the
-    production prune kernel it checks.
+    already holds, if any), never through the production merge.  The
+    repair gets every effective insert that arrived uncovered and tests
+    each one's presence itself, and the prune's candidates are the touched
+    vertices plus the entered ones, which the oracle keeps itself: the
+    differential suites thus check the maintainer's end-of-batch filter
+    and that every entered vertex is touched, instead of assuming them.
+    Every prune is :func:`reference_greedy_prune_pass`, so the oracle
+    never runs the production prune kernel it checks.
     """
 
     @property
@@ -254,14 +260,16 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
                 self._dual_value = 0.0
         return pay
 
-    def _repair(self, uncovered: Iterable[EdgeKey]) -> Tuple[int, Set[int]]:
+    def _repair(self, uncovered: Iterable[EdgeKey]) -> Tuple[int, int]:
         paid: Dict[int, float] = {}
+        self._entered: Set[int] = set()
         outcome = reference_pricing_repair_pass(
             sorted(set(uncovered)),
             weights=self.dyn.weights,
             cover=self._cover,
             loads=self._loads,
             duals=paid,
+            entered=self._entered,
             dual_value=self._dual_value,
             has_edge=lambda u, v: has_edge(self.dyn, u, v),
         )
@@ -270,8 +278,9 @@ class ReferenceMaintainer(IncrementalCoverMaintainer):
         self._dual_value = outcome.dual_value
         return outcome.repaired, outcome.entered
 
-    def _prune_touched(self, touched: Set[int], entered: Set[int]) -> int:
-        candidates = [v for v in touched | entered if self._cover[v]]
+    def _prune_touched(self, touched: Set[int]) -> int:
+        # The oracle does not assume that every entered vertex is touched.
+        candidates = [v for v in touched | self._entered if self._cover[v]]
         if not candidates:
             return 0
         pruned = reference_greedy_prune_pass(

@@ -8,6 +8,14 @@ from hypothesis import strategies as st
 from repro.graphs.graph import WeightedGraph
 
 
+#: Unit or dyadic weights ``k / 2**j``: sums and differences of a few of
+#: them are exact in binary floating point, so residuals tie exactly.
+tied_weight_values = st.one_of(
+    st.just(1.0),
+    st.builds(lambda k, j: k / 2.0**j, st.integers(1, 64), st.integers(0, 3)),
+)
+
+
 @st.composite
 def weighted_graphs(
     draw,
@@ -16,12 +24,16 @@ def weighted_graphs(
     max_edge_factor: int = 4,
     min_weight: float = 0.1,
     max_weight: float = 100.0,
+    ties: bool = False,
 ):
     """A random simple weighted graph.
 
     Edges are drawn as endpoint pairs (duplicates and reversals collapse in
     canonicalization, so the realized edge count may be below the drawn
     one — that's fine, it broadens the distribution toward sparse cases).
+    With ``ties`` the weights come from a pool of at most three
+    :data:`tied_weight_values`, so most repeat and exact float ties are
+    common (the weight bounds are then ignored).
     """
     n = draw(st.integers(min_n, max_n))
     max_m = min(max_edge_factor * n, n * (n - 1) // 2)
@@ -35,15 +47,19 @@ def weighted_graphs(
             max_size=m,
         )
     )
-    weights = draw(
-        st.lists(
-            st.floats(
-                min_weight, max_weight, allow_nan=False, allow_infinity=False
-            ),
-            min_size=n,
-            max_size=n,
+    if ties:
+        pool = draw(st.lists(tied_weight_values, min_size=1, max_size=3))
+        weights = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        weights = draw(
+            st.lists(
+                st.floats(
+                    min_weight, max_weight, allow_nan=False, allow_infinity=False
+                ),
+                min_size=n,
+                max_size=n,
+            )
         )
-    )
     return WeightedGraph.from_edge_list(n, pairs, np.asarray(weights))
 
 

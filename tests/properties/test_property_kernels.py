@@ -14,6 +14,7 @@ not approximately.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,23 +32,28 @@ from tests.kernel_oracle import (
     reference_greedy_prune_pass,
     reference_pricing_repair_pass,
 )
-from tests.properties.strategies import weighted_graphs
+from tests.properties.strategies import tied_weight_values, weighted_graphs
 
 EPS = 0.1
 SEED = 3
 
 
 @st.composite
-def update_sequences(draw, n: int, max_events: int = 50):
-    """A random (not necessarily coherent) event sequence over ``n`` vertices."""
+def update_sequences(draw, n: int, max_events: int = 50, ties: bool = False):
+    """A random (not necessarily coherent) event sequence over ``n``
+    vertices; with ``ties``, reweights draw tie-prone values."""
+    weight = (
+        tied_weight_values
+        if ties
+        else st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False)
+    )
     events = []
     num = draw(st.integers(0, max_events))
     for _ in range(num):
         kind = draw(st.integers(0, 2))
         if kind == 2 or n < 2:
             v = draw(st.integers(0, n - 1))
-            w = draw(st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False))
-            events.append(WeightChange(v, w))
+            events.append(WeightChange(v, draw(weight)))
             continue
         u = draw(st.integers(0, n - 1))
         v = draw(st.integers(0, n - 1).filter(lambda x: x != u))
@@ -137,10 +143,12 @@ def _assert_same_maintainer_state(a: IncrementalCoverMaintainer, b):
 
 
 class TestMaintainerEquivalence:
+    @pytest.mark.parametrize("ties", [False, True], ids=["floats", "ties"])
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), graph=weighted_graphs(min_n=2, max_n=16))
-    def test_vectorized_stream_equals_reference_stream(self, data, graph):
-        updates = columns(data.draw(update_sequences(graph.n)))
+    @given(data=st.data())
+    def test_vectorized_stream_equals_reference_stream(self, data, ties):
+        graph = data.draw(weighted_graphs(min_n=2, max_n=16, ties=ties))
+        updates = columns(data.draw(update_sequences(graph.n, ties=ties)))
         batch = data.draw(st.integers(1, 12))
         maintainers = []
         for maintainer_cls in (IncrementalCoverMaintainer, ReferenceMaintainer):
@@ -288,40 +296,48 @@ class TestMaintainerEquivalence:
 
 
 class TestBareKernels:
+    @pytest.mark.parametrize("ties", [False, True], ids=["floats", "ties"])
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), graph=weighted_graphs(min_n=2, max_n=20))
-    def test_pricing_repair_pass_matches_reference(self, data, graph):
+    @given(data=st.data())
+    def test_pricing_repair_pass_matches_reference(self, data, ties):
+        """The reference loop gets the graph's edges and some absent
+        pairs, and skips the absent ones itself; the kernel gets the
+        present codes only, as the maintainer passes them.  With ``ties``
+        the loads are quarter multiples of tie-prone weights, so equal
+        residuals and exhausted ones are common."""
+        graph = data.draw(weighted_graphs(min_n=2, max_n=20, ties=ties))
         n = graph.n
+        weights = np.asarray(graph.weights)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         cover = rng.random(n) < data.draw(st.floats(0.0, 0.9))
-        loads = rng.random(n) * np.asarray(graph.weights)
+        if ties:
+            loads = weights * rng.integers(0, 5, n) / 4.0
+        else:
+            loads = rng.random(n) * weights
+        extra = rng.integers(0, n, size=(data.draw(st.integers(0, n)), 2))
         keys = sorted(
-            {
-                (int(u), int(v))
-                for u, v in zip(graph.edges_u, graph.edges_v)
-            }
+            {(int(u), int(v)) for u, v in zip(graph.edges_u, graph.edges_v)}
+            | {(int(min(p)), int(max(p))) for p in extra.tolist() if p[0] != p[1]}
         )
         dyn = DynamicGraph(graph)
-        args = dict(weights=np.asarray(graph.weights), dual_value=0.25)
-        ref_cover, ref_loads, ref_duals = cover.copy(), loads.copy(), {}
+        args = dict(weights=weights, dual_value=0.25)
+        ref_cover, ref_loads, ref_duals, ref_entered = cover.copy(), loads.copy(), {}, set()
         ref = reference_pricing_repair_pass(
             keys,
             cover=ref_cover,
             loads=ref_loads,
             duals=ref_duals,
+            entered=ref_entered,
             has_edge=lambda u, v: has_edge(dyn, u, v),
             **args,
         )
+        codes = encode_edge_codes(*np.array(keys, dtype=np.int64).reshape(-1, 2).T)
         vec_cover, vec_loads = cover.copy(), loads.copy()
         vec = pricing_repair_pass(
-            keys,
-            cover=vec_cover,
-            loads=vec_loads,
-            has_edges=dyn.has_edges,
-            **args,
+            codes[dyn.has_codes(codes)], cover=vec_cover, loads=vec_loads, **args
         )
         assert vec.repaired == ref.repaired
-        assert vec.entered == ref.entered
+        assert vec.entered == ref.entered == len(ref_entered)
         assert vec.dual_value == ref.dual_value
         assert np.array_equal(vec_cover, ref_cover)
         assert np.array_equal(vec_loads, ref_loads)

@@ -117,7 +117,7 @@ class TestInvalidBatchIsRefusedBeforeTheWAL:
 
         monkeypatch.setattr(IncrementalCoverMaintainer, "apply_batch", tagging)
         mutations = []
-        for name in ("flip_edges", "set_weights"):
+        for name in ("set_presence", "set_weights"):
             mutate = getattr(DynamicGraph, name)
 
             def spy(self, *args, _mutate=mutate, _name=name):
@@ -137,7 +137,8 @@ class TestInvalidBatchIsRefusedBeforeTheWAL:
         assert applying == [0, 1, 2]
         assert {batch for batch, *_ in mutations} == {0, 1, 2}
         inserted = np.concatenate(
-            [args[0] for _, name, args, _ in mutations if name == "flip_edges"]
+            [codes[present] for _, name, (codes, present), _ in mutations
+             if name == "set_presence"]
         )
         assert (5 << 32) | 999 not in inserted.tolist()
         dyn = mutations[-1][3]
