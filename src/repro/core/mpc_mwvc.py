@@ -233,6 +233,10 @@ def minimum_weight_vertex_cover(
             stalled = True
             break
 
+    # The engine sees the state the phases left (the cluster engine audits
+    # its last step G against it).
+    eng.sync_state(state.wprime, state.resid_degree, state.frozen)
+
     # ------------------------------------------------------------------ #
     # Line 3: final centralized phase on the nonfrozen induced subgraph.
     # ------------------------------------------------------------------ #

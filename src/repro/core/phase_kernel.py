@@ -14,7 +14,8 @@ data reaches it:
 2. ``simulate`` — Lines (2g)–(2i).  One loop, :func:`local_iterations`,
    runs the local iterations: :func:`simulate_phase_vectorized` calls it
    once over all local edges, and each simulation machine of
-   :mod:`repro.core.engine_cluster` calls it on the edges it received.
+   :mod:`repro.core.engine_cluster` calls it on the edges it received,
+   relabeled to the machine's own vertices.
    :func:`final_duals` is the Line (2h) finalization and
    :func:`safety_check` the Line (2i) decision for both.  Both engines
    produce bit-identical :class:`PhaseOutcome` for the same
@@ -64,12 +65,24 @@ class GlobalState:
       simply ``w - incident_sums(x_final)``;
     * ``wprime >= 0`` (up to float tolerance) for every nonfrozen vertex;
     * ``resid_degree[v]`` equals the number of nonfrozen edges at ``v``.
+
+    Line (2j) finalizes every edge with a frozen endpoint, and frozen is
+    forever, so the phases select and count over the live edges instead of
+    all ``m``:
+
+    * ``live_edges`` — the ascending ids of the nonfrozen edges,
+      ``flatnonzero`` of :meth:`nonfrozen_edge_mask`;
+    * ``live_u``, ``live_v`` — their endpoints, ``graph.edges_u[live_edges]``
+      and ``graph.edges_v[live_edges]``.
     """
 
     frozen: np.ndarray
     x_final: np.ndarray
     resid_degree: np.ndarray
     wprime: np.ndarray
+    live_edges: np.ndarray
+    live_u: np.ndarray
+    live_v: np.ndarray
 
     @classmethod
     def initial(cls, graph: WeightedGraph, weights: np.ndarray) -> "GlobalState":
@@ -78,6 +91,9 @@ class GlobalState:
             x_final=np.zeros(graph.m, dtype=np.float64),
             resid_degree=graph.degrees.astype(np.int64).copy(),
             wprime=weights.astype(np.float64).copy(),
+            live_edges=np.arange(graph.m, dtype=np.int64),
+            live_u=graph.edges_u,
+            live_v=graph.edges_v,
         )
 
     def nonfrozen_edge_mask(self, graph: WeightedGraph) -> np.ndarray:
@@ -85,7 +101,7 @@ class GlobalState:
         return ~(fu | fv)
 
     def nonfrozen_edge_count(self, graph: WeightedGraph) -> int:
-        return int(self.nonfrozen_edge_mask(graph).sum())
+        return int(self.live_edges.size)
 
     def average_residual_degree(self, graph: WeightedGraph) -> float:
         """``d̄ = (1/n) Σ_{v nonfrozen} d(v)`` — denominator always ``n``
@@ -215,6 +231,7 @@ def local_iterations(
     iterations: int,
     *,
     trace: bool,
+    rows: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
     """Line (2g) over the local edges ``(lu, lv)`` with initial duals ``x``.
 
@@ -223,6 +240,10 @@ def local_iterations(
     ``active`` vertices freeze against threshold column ``t``, then the
     still-active edges grow by ``1/(1-ε)``.  The inputs are not modified.
 
+    ``rows`` gives the ``V^high`` position of each vertex when the arrays
+    are indexed by machine-local ids (``sampler`` rows are positions); by
+    default vertex ``i`` is position ``i``.
+
     Returns ``(freeze_iter, trace_ytilde, trace_active)``: each vertex's
     freeze iteration (``iterations`` if it never froze) and, when tracing,
     each iteration's estimates and active mask.
@@ -230,20 +251,21 @@ def local_iterations(
     growth = params.growth_factor()
     x = x.copy()
     active = active.copy()
-    n_high = active.size
-    freeze_iter = np.full(n_high, iterations, dtype=np.int64)
+    num_vertices = active.size
+    freeze_iter = np.full(num_vertices, iterations, dtype=np.int64)
     trace_ytilde: List[np.ndarray] = []
     trace_active: List[np.ndarray] = []
     for t in range(iterations):
-        sums = endpoint_sums(lu, lv, x, n_high)
+        sums = endpoint_sums(lu, lv, x, num_vertices)
         ytilde = params.bias(t, num_machines) * wprime_high + num_machines * sums
         if trace:
             trace_ytilde.append(ytilde)
             trace_active.append(active.copy())
-        newly = active & (ytilde >= sampler.column(t) * wprime_high)
+        column = sampler.column(t) if rows is None else sampler.column(t)[rows]
+        newly = active & (ytilde >= column * wprime_high)
         freeze_iter[newly] = t
         active &= ~newly
-        x[active[lu] & active[lv]] *= growth
+        x[np.flatnonzero(active[lu] & active[lv])] *= growth
     return freeze_iter, trace_ytilde, trace_active
 
 
@@ -305,7 +327,9 @@ def plan_phase(
     assignment = random_assignment(
         np.random.default_rng(partition_seed), high_ids.size, m_machines
     )
-    edges_high, hu, hv, x0 = high_edges(graph.edges_u, graph.edges_v, is_high, pos, ratio)
+    # V^high vertices are nonfrozen, so E[V^high] lies inside the live edges.
+    sel, hu, hv, x0 = high_edges(state.live_u, state.live_v, is_high, pos, ratio)
+    edges_high = state.live_edges[sel]
 
     return PhasePlan(
         phase_index=phase_index,
@@ -336,7 +360,7 @@ def simulate_phase_vectorized(
     n_high = plan.num_high
     I = plan.iterations
     au = plan.assignment[plan.hu]
-    is_local = au == plan.assignment[plan.hv]
+    is_local = np.flatnonzero(au == plan.assignment[plan.hv])
     machine_edge_counts = np.bincount(au[is_local], minlength=plan.num_machines)
 
     freeze_iter, trace_ytilde, trace_active = local_iterations(
@@ -386,7 +410,8 @@ def apply_outcome(
     * edges of ``E[V^inactive; V^high]`` frozen by this phase keep
       ``x_final = 0`` (Line 2j) — already the array default;
     * recompute residual degrees (Line 2k) and residual weights (Line 2b of
-      the next phase, done eagerly so the loop condition sees fresh state);
+      the next phase, done eagerly so the loop condition sees fresh state),
+      the degrees over the live edges only (see :class:`GlobalState`);
     * depleted-weight guard: any nonfrozen vertex whose residual weight has
       been driven to (numerical) zero is frozen defensively — its dual
       constraint is tight, so including it is exactly what Algorithm 1 would
@@ -398,24 +423,24 @@ def apply_outcome(
     state.frozen[newly] = True
 
     if plan.num_edges_high:
-        edge_frozen_now = frozen_local[plan.hu] | frozen_local[plan.hv]
-        ids = plan.edges_high[edge_frozen_now]
-        state.x_final[ids] = outcome.x_high[edge_frozen_now]
+        edge_frozen_now = np.flatnonzero(frozen_local[plan.hu] | frozen_local[plan.hv])
+        state.x_final[plan.edges_high[edge_frozen_now]] = outcome.x_high[edge_frozen_now]
 
     # Depleted-weight guard (see docstring).
-    loads = graph.incident_sums(state.x_final)
-    wprime = weights - loads
+    wprime = weights - graph.incident_sums(state.x_final)
     depleted = (~state.frozen) & (wprime <= _DEPLETED_RTOL * weights)
     if depleted.any():
         state.frozen[depleted] = True
         # Their nonfrozen incident edges freeze at dual 0 — nothing to write.
 
-    edge_nonfrozen = state.nonfrozen_edge_mask(graph)
-    state.resid_degree = graph.incident_counts(edge_nonfrozen)
+    still = np.flatnonzero(~(state.frozen[state.live_u] | state.frozen[state.live_v]))
+    state.live_edges = state.live_edges[still]
+    state.live_u = state.live_u[still]
+    state.live_v = state.live_v[still]
+    state.resid_degree = endpoint_sums(state.live_u, state.live_v, None, graph.n)
     state.wprime = np.maximum(wprime, 0.0)
 
-    nz = state.x_final[edge_nonfrozen]
-    if nz.size and float(np.abs(nz).max()) != 0.0:
+    if state.x_final[state.live_edges].any():
         raise AssertionError("invariant violated: nonfrozen edge has nonzero final dual")
     # Frozen vertices may legitimately carry loads up to (1+6ε)·w
     # (Theorem 4.7); only *nonfrozen* vertices must keep w' >= 0.

@@ -90,6 +90,8 @@ def aggregate_sum(
     partials:
         ``machine_id -> vector``; all vectors must share shape and dtype.
         Machines without an entry contribute zero (and send nothing).
+        They are never written, and the returned total never shares
+        memory with them.
     """
     if not partials:
         raise ValueError("aggregate_sum needs at least one partial")
@@ -99,7 +101,9 @@ def aggregate_sum(
     (shape,) = shapes
     # Work on the sorted list of participating machines; fold `root` in so
     # the final value lands there.
-    current: Dict[int, np.ndarray] = {mid: np.array(v, dtype=np.float64) for mid, v in partials.items()}
+    current: Dict[int, np.ndarray] = {
+        mid: np.asarray(v, dtype=np.float64) for mid, v in partials.items()
+    }
     if root not in current:
         current[root] = np.zeros(shape, dtype=np.float64)
     while len(current) > 1:
@@ -119,7 +123,10 @@ def aggregate_sum(
                 acc = acc + msg.payload
             leaders[leader] = acc
         current = leaders
-    return current[root]
+    total = current[root]
+    # A lone partial at the root is never summed into a new array.
+    aliased = any(np.may_share_memory(total, v) for v in partials.values())
+    return total.copy() if aliased else total
 
 
 def gather_concat(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graphs.generators import (
     complete_bipartite,
@@ -19,6 +20,11 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.weights import uniform_weights
+
+#: Opt-in deep campaign (``--hypothesis-profile=deep``): the properties
+#: sized by ``tests.properties.strategies.profile_examples`` run this many
+#: examples instead of their plain-run counts.
+settings.register_profile("deep", max_examples=1500, deadline=None)
 
 
 @pytest.fixture

@@ -97,6 +97,18 @@ class TestAggregateSum:
         _within_capacity(c, capacity)
         assert c.metrics.rounds == fanin_round_count(num_machines, fanout)
 
+    @pytest.mark.parametrize(
+        "machines", [[0], [0, 1, 2], [1, 2]], ids=["root-alone", "with-root", "without-root"]
+    )
+    def test_total_never_aliases_a_partial_and_partials_stay_untouched(self, machines):
+        c = Cluster(3, 1000)
+        partials = {i: np.full(4, float(i + 1)) for i in machines}
+        before = {i: v.copy() for i, v in partials.items()}
+        total = aggregate_sum(c, "t", partials, fanout=2)
+        assert total.tolist() == [float(sum(i + 1 for i in machines))] * 4
+        assert not any(np.shares_memory(total, v) for v in partials.values())
+        assert all(np.array_equal(partials[i], before[i]) for i in machines)
+
     def test_shape_mismatch_rejected(self):
         c = Cluster(3, 1000)
         with pytest.raises(ValueError, match="shape"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.graphs.graph import WeightedGraph
@@ -47,20 +48,46 @@ def weighted_graphs(
             max_size=m,
         )
     )
+    weights = _weights(draw, n, ties, min_weight, max_weight)
+    return WeightedGraph.from_edge_list(n, pairs, np.asarray(weights))
+
+
+def _weights(draw, n: int, ties: bool, min_weight: float, max_weight: float):
     if ties:
         pool = draw(st.lists(tied_weight_values, min_size=1, max_size=3))
-        weights = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    else:
-        weights = draw(
-            st.lists(
-                st.floats(
-                    min_weight, max_weight, allow_nan=False, allow_infinity=False
-                ),
-                min_size=n,
-                max_size=n,
-            )
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return draw(
+        st.lists(
+            st.floats(min_weight, max_weight, allow_nan=False, allow_infinity=False),
+            min_size=n,
+            max_size=n,
         )
+    )
+
+
+@st.composite
+def circulant_graphs(draw, min_n: int = 3, max_n: int = 40, ties: bool = False):
+    """An exactly regular circulant graph: vertex ``i`` is joined to
+    ``i ± k (mod n)`` for each ``k`` of a drawn offset set.
+
+    Every vertex has the same degree, so with tied weights every vertex
+    has the same ``w/d`` ratio and every edge the same initial dual — the
+    shape on which float ties between the engines are most likely.
+    """
+    n = draw(st.integers(min_n, max_n))
+    offsets = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=max(1, n // 4)))
+    i = np.arange(n)
+    pairs = [(int(a), int(b)) for k in sorted(offsets) for a, b in zip(i, (i + k) % n)]
+    weights = _weights(draw, n, ties, 0.1, 100.0)
     return WeightedGraph.from_edge_list(n, pairs, np.asarray(weights))
+
+
+def profile_examples(count: int) -> int:
+    """``count`` under the default Hypothesis profile; the active profile's
+    larger ``max_examples`` under an opt-in one (``--hypothesis-profile=deep``,
+    registered in ``tests/conftest.py``)."""
+    active = settings().max_examples
+    return active if active > settings.get_profile("default").max_examples else count
 
 
 seeds = st.integers(0, 2**32 - 1)

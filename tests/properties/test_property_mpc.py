@@ -1,6 +1,7 @@
 """Property-based tests of the MPC substrate and phase kernel."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from repro.core.phase_kernel import (
 from repro.mpc.message import payload_words
 from repro.mpc.partition import random_assignment
 
-from tests.properties.strategies import seeds, weighted_graphs
+from tests.properties.strategies import profile_examples, seeds, weighted_graphs
 
 
 class TestPartitionProperties:
@@ -79,3 +80,34 @@ class TestPhaseKernelProperties:
         cap = plan.x0 / (1 - params.eps) ** plan.iterations
         assert (outcome.x_high <= cap * (1 + 1e-12)).all()
         assert (outcome.x_high >= plan.x0 * (1 - 1e-12)).all()
+
+
+class TestPhaseInvariantProperties:
+    @pytest.mark.parametrize("ties", [False, True], ids=["floats", "ties"])
+    @settings(max_examples=profile_examples(30), deadline=None)
+    @given(data=st.data(), seed=seeds)
+    def test_live_index_matches_the_state_after_every_phase(self, data, seed, ties):
+        """The live-edge index and its endpoints equal what the frozen flags
+        give, and the residual degrees and weights equal their whole-graph
+        definitions bit for bit, after each of several phases."""
+        g = data.draw(weighted_graphs(min_n=2, max_n=30, ties=ties))
+        params = MPCParameters(eps=0.1)
+        state = GlobalState.initial(g, g.weights)
+        for phase in range(4):
+            plan = plan_phase(
+                g, state, params, phase_index=phase,
+                partition_seed=seed + 2 * phase, threshold_seed=seed + 2 * phase + 1,
+            )
+            apply_outcome(g, g.weights, state, plan, simulate_phase_vectorized(plan, params))
+            live_mask = state.nonfrozen_edge_mask(g)
+            live = np.flatnonzero(live_mask)
+            assert np.array_equal(state.live_edges, live)
+            assert np.array_equal(state.live_u, g.edges_u[live])
+            assert np.array_equal(state.live_v, g.edges_v[live])
+            assert state.nonfrozen_edge_count(g) == live.size
+            assert np.array_equal(state.resid_degree, g.incident_counts(live_mask))
+            nonfrozen = ~state.frozen
+            expected = np.maximum(g.weights - g.incident_sums(state.x_final), 0.0)
+            assert np.array_equal(state.wprime[nonfrozen], expected[nonfrozen])
+            if not live.size:
+                break
