@@ -413,8 +413,8 @@ def _cmd_resume(args) -> int:
         except (OSError, ValueError) as exc:
             raise SystemExit(f"bad update stream: {exc}")
 
-    # Fail on a missing or unsupported checkpoint before any solver is
-    # started.
+    # Fail on a missing or unsupported checkpoint before --out is opened
+    # (truncated), so a refused resume writes nothing.
     _read_stream_config(args.checkpoint_dir)
 
     try:

@@ -194,7 +194,7 @@ def run_centralized(
         freeze_iteration[newly] = t
         active_v &= ~newly
         active_e &= active_v[eu] & active_v[ev]
-        x[active_e] *= growth
+        x[np.flatnonzero(active_e)] *= growth
         t += 1
 
     result.in_cover = freeze_iteration >= 0

@@ -47,8 +47,8 @@ key warm-started re-solves in the service result cache.
 :meth:`state_stamp` is the cheap identity a durable stream stamps into
 every write-ahead-log record: a 64-bit multiset hash of the current edge
 codes (a sum mod 2**64 of per-edge hashes, so the base part is computed
-once per compaction and the delta part costs O(delta)) plus a hash of the
-weight vector.  It never materializes the graph.
+once per compaction) plus a hash of the weight vector.  It never
+materializes the graph, but each call passes once over the keep mask.
 """
 
 from __future__ import annotations
@@ -58,7 +58,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.dynamic.duals import _MASK, _SHIFT, decode_edge_codes, encode_edge_codes
+from repro.dynamic.duals import (
+    _MASK,
+    _SHIFT,
+    decode_edge_codes,
+    encode_edge_codes,
+    search_codes,
+)
 from repro.graphs.graph import WeightedGraph
 
 __all__ = ["DynamicGraph"]
@@ -94,23 +100,11 @@ def _edge_set_hash(codes: np.ndarray) -> int:
     return int(z.sum(dtype=np.uint64))
 
 
-def _search(
-    sorted_codes: np.ndarray, codes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Insertion points of ``codes`` in a sorted code array, and which of
-    them are members (one binary search — unlike ``np.isin``, it never
-    re-sorts the haystack)."""
-    pos = np.searchsorted(sorted_codes, codes)
-    if not sorted_codes.size:
-        return pos, np.zeros(codes.shape, dtype=bool)
-    return pos, sorted_codes[np.minimum(pos, sorted_codes.size - 1)] == codes
-
-
 def _toggle(
     sorted_codes: np.ndarray, codes: np.ndarray, pos: np.ndarray, member: np.ndarray
 ) -> np.ndarray:
     """``sorted_codes`` with its ``member`` codes removed and the other
-    ``codes`` inserted, given ``pos, member = _search(sorted_codes, codes)``
+    ``codes`` inserted, given ``pos, member = search_codes(sorted_codes, codes)``
     and ``codes`` sorted.  The removed codes below an inserted one are
     the members before it in ``codes``, so its insertion point moves down
     by their running count."""
@@ -256,8 +250,8 @@ class DynamicGraph:
         one binary search against the base codes (then its keep bit), one
         against the added codes.  No code is both a base and an added one:
         a deleted snapshot edge that returns flips its keep bit back."""
-        base_pos, in_base = _search(self._base_codes, codes)
-        added_pos, present = _search(self._added, codes)
+        base_pos, in_base = search_codes(self._base_codes, codes)
+        added_pos, present = search_codes(self._added, codes)
         present[in_base] = self._base_keep[base_pos[in_base]]
         return base_pos, in_base, added_pos, present
 
@@ -373,7 +367,7 @@ class DynamicGraph:
             )
             directed = _directed(codes[at_added])
             self._added_dir = _toggle(
-                self._added_dir, directed, *_search(self._added_dir, directed)
+                self._added_dir, directed, *search_codes(self._added_dir, directed)
             )
         u, v = decode_edge_codes(codes[flip])
         step = np.where(present[flip], 1, -1)
@@ -429,7 +423,9 @@ class DynamicGraph:
         edges' hash is memoized until the next compaction, the delta's
         comes from the added codes and the cleared keep bits, and the
         weights are hashed with BLAKE2b.  It is the pre-apply stamp of
-        write-ahead-log records.
+        write-ahead-log records.  Each call still gathers the deleted
+        base codes through the whole keep mask (O(m)) and hashes all n
+        weights: ~0.2–0.3 ms at n = 10k, m = 45k on a 2-vCPU x86-64 VM.
         """
         if self._base_hash is None:
             self._base_hash = _edge_set_hash(self._base_codes)

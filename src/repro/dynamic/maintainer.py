@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.certificates import CoverCertificate
 from repro.core.postprocess import greedy_prune_pass, prune_redundant_vertices
 from repro.core.result import MWVCResult
-from repro.dynamic.duals import decode_edge_codes, encode_edge_codes
+from repro.dynamic.duals import decode_edge_codes, encode_edge_codes, search_codes
 from repro.dynamic.dynamic_graph import DynamicGraph
 from repro.dynamic.repair import certificate_from_state, pricing_repair_pass
 from repro.graphs.updates import OP_DELETE, OP_INSERT, OP_REWEIGHT, UpdateColumns
@@ -507,43 +507,30 @@ class IncrementalCoverMaintainer:
         """Drop the duals of deleted edges ``codes`` (in stream order);
         returns the retired mass.
 
-        The per-edge rule subtracts the dual from both endpoint loads and
-        from the dual total, clamping each at zero (accumulated float
-        noise).  These only decrease, so when none ends below zero no
-        clamp fired on the way, and ``np.subtract.at``/``accumulate`` —
-        which apply their operands strictly in order — equal the
-        edge-at-a-time loop bit for bit.  Otherwise the loop runs.
+        The rule, edge at a time, subtracts the dual from both endpoint
+        loads and from the dual total and clamps each at zero (float
+        noise).  ``np.subtract.at``/``accumulate`` apply the same
+        subtractions in the same order unclamped, and one clamp at the
+        end gives the same bits: duals are nonnegative and ``round(a − p)
+        ≤ a`` (also for ``a = +inf``), so each value only decreases.  One
+        that never dips below zero takes the same steps both ways; one
+        that does is 0.0 from that step on under the rule, and unclamped
+        ends at or below that negative value, which the clamp maps to 0.0.
         """
-        held_codes = self._dual_codes
-        if not (codes.size and held_codes.size):
+        pos, held = search_codes(self._dual_codes, codes)
+        at = pos[held]
+        if not at.size:
             return 0.0
-        at = np.minimum(np.searchsorted(held_codes, codes), held_codes.size - 1)
-        held = held_codes[at] == codes
-        pays = np.where(held, self._dual_values[at], 0.0)
-        self._dual_codes = np.delete(held_codes, at[held])
-        self._dual_values = np.delete(self._dual_values, at[held])
-        paid = np.flatnonzero(pays)
-        if not paid.size:
-            return 0.0
-        pays = pays[paid]
-        u, v = decode_edge_codes(codes[paid])
+        pays = self._dual_values[at]
+        self._dual_codes = np.delete(self._dual_codes, at)
+        self._dual_values = np.delete(self._dual_values, at)
+        u, v = decode_edge_codes(codes[held])
         ends = np.stack([u, v], axis=1).ravel()
         loads = self._loads
-        saved = loads[ends]
         np.subtract.at(loads, ends, np.repeat(pays, 2))
+        loads[ends] = np.maximum(loads[ends], 0.0)
         dual = float(np.subtract.accumulate(np.r_[self._dual_value, pays])[-1])
-        if dual < 0.0 or (loads[ends] < 0.0).any():
-            loads[ends] = saved
-            dual = self._dual_value
-            for t, pay in zip(ends.tolist(), np.repeat(pays, 2).tolist()):
-                loads[t] -= pay
-                if loads[t] < 0.0:
-                    loads[t] = 0.0
-            for pay in pays.tolist():
-                dual -= pay
-                if dual < 0.0:
-                    dual = 0.0
-        self._dual_value = dual
+        self._dual_value = max(dual, 0.0)
         return float(np.add.accumulate(pays)[-1])
 
     def _repair(self, codes: np.ndarray) -> Tuple[int, int]:
@@ -580,18 +567,16 @@ class IncrementalCoverMaintainer:
         """Greedy redundancy pruning restricted to the touched vertices.
 
         Every vertex the repair put into the cover is an endpoint of an
-        effective insert, so it is touched already.  The kernel walks the
+        effective insert, so it is touched already; the kernel itself
+        keeps only the covered candidates.  The kernel walks the
         dynamic CSR directly — O(batch neighborhood), *never*
         materializing the graph: decreasing ``w/deg`` order, droppable iff
         every incident edge's other endpoint is covered, and dropping
         ``v`` locks its neighbors — each now solely covers its edge to
         ``v``.
         """
-        candidates = touched[self._cover[touched]]
-        if not candidates.size:
-            return 0
         pruned = greedy_prune_pass(
-            candidates,
+            touched,
             weights=self.dyn.weights,
             cover=self._cover,
             degrees_of=self.dyn.degrees_of,

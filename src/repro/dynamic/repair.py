@@ -104,6 +104,12 @@ def pricing_repair_pass(
     new duals are returned as :attr:`RepairOutcome.paid_codes` and
     :attr:`RepairOutcome.pays`.
 
+    Every processed edge ends covered by the rule alone: with ``pay =
+    max(0, min(ru, rv))`` the smaller residual minus ``pay`` is exactly
+    ``0.0`` (``pay > 0``) or already ``≤ 0`` (``pay == 0``), and ``tol =
+    RESIDUAL_RTOL · w ≥ 0``.  No NaN reaches that test: weights are
+    validated finite and > 0, and loads are finite or ``+inf``.
+
     The vectorized prepass precomputes per-edge weights/tolerances; the
     ordered dual-accumulation tail runs over Python locals (see the
     module docstring for why the caller's filtering is exact).
@@ -130,10 +136,8 @@ def pricing_repair_pass(
         v = vs[i]
         if cover[u] or cover[v]:
             continue  # an earlier repair already covered this edge
-        wu = wus[i]
-        wv = wvs[i]
-        ru = wu - float(loads[u])
-        rv = wv - float(loads[v])
+        ru = wus[i] - float(loads[u])
+        rv = wvs[i] - float(loads[v])
         pay = max(0.0, min(ru, rv))
         if pay > 0.0:
             paid.append(i)
@@ -146,12 +150,6 @@ def pricing_repair_pass(
             entered += 1
         if rv - pay <= tols_v[i]:
             cover[v] = True
-            entered += 1
-        if not (cover[u] or cover[v]):  # pragma: no cover
-            # min(ru, rv) - pay == 0 exactly for at least one endpoint;
-            # defensive fallback for pathological float inputs.
-            cheap = u if wu <= wv else v
-            cover[cheap] = True
             entered += 1
         repaired += 1
     return RepairOutcome(

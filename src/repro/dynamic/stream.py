@@ -122,9 +122,9 @@ class CheckpointConfig:
     with the pre-apply :meth:`DynamicGraph.state_stamp`, so a resume
     verifies that the stream holds the original events of every committed
     batch, and replay, record by record, that it rebuilds the exact state
-    the original run saw.  A stamp costs
-    O(delta + n) per batch — the base edges are hashed once per
-    compaction — never an O(m) pass.
+    the original run saw.  A stamp hashes the base edges once per
+    compaction, and per batch the delta, the n weights and one O(m)
+    pass over the keep mask (~0.2–0.3 ms at n = 10k, m = 45k).
 
     Attributes
     ----------

@@ -32,7 +32,11 @@ from tests.kernel_oracle import (
     reference_greedy_prune_pass,
     reference_pricing_repair_pass,
 )
-from tests.properties.strategies import tied_weight_values, weighted_graphs
+from tests.properties.strategies import (
+    profile_examples,
+    tied_weight_values,
+    weighted_graphs,
+)
 
 EPS = 0.1
 SEED = 3
@@ -238,18 +242,22 @@ class TestMaintainerEquivalence:
             assert (values > 0).all()
             assert m.dyn.has_codes(codes).all()
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        data=st.data(),
-        graph=weighted_graphs(min_n=3, max_n=14),
-        shrink=st.floats(0.0, 1.0),
-    )
-    def test_retiring_duals_below_zero_clamps_like_the_loop(self, data, graph, shrink):
+    @pytest.mark.parametrize("ties", [False, True], ids=["floats", "ties"])
+    @settings(max_examples=profile_examples(40), deadline=None)
+    @given(data=st.data())
+    def test_retiring_duals_below_zero_clamps_like_the_loop(self, data, ties):
         """Loads and the dual total shrunk under the duals they carry, so
         deleting dual-carrying edges drives them below zero and the clamp
-        fires: the bulk retirement still equals the edge-at-a-time loop."""
+        fires: the bulk retirement, clamped once at the end, still equals
+        the edge-at-a-time loop that clamps after every step.  With
+        ``ties`` the weights and the shrink factor are dyadic, so exact
+        ``x − x = 0.0`` steps are common."""
+        graph = data.draw(weighted_graphs(min_n=3, max_n=14, ties=ties))
         if not graph.m:
             return
+        shrink = data.draw(
+            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) if ties else st.floats(0.0, 1.0)
+        )
         solved = IncrementalCoverMaintainer(DynamicGraph(graph))
         solved.adopt(minimum_weight_vertex_cover(graph, eps=EPS, seed=SEED))
         state = solved.export_state()
@@ -295,6 +303,47 @@ class TestMaintainerEquivalence:
         assert reports[0].retired_dual == 1.5
 
 
+#: Weights at the ends of the float range: subnormal, the smallest normal,
+#: and near ``float max`` (whose loads may overflow to ``+inf``).
+EXTREME_WEIGHTS = [5e-324, 1e-310, 2.2250738585072014e-308, 1.7e308, 6e307]
+
+
+def _repair_matches_reference(dyn, keys, *, weights, cover, loads, dual_value):
+    """Run the reference loop over ``keys`` and the kernel over the
+    present ones, assert they agree bit for bit; returns the kernel's
+    cover."""
+    ref_cover, ref_loads, ref_duals, ref_entered = cover.copy(), loads.copy(), {}, set()
+    ref = reference_pricing_repair_pass(
+        keys,
+        weights=weights,
+        cover=ref_cover,
+        loads=ref_loads,
+        duals=ref_duals,
+        entered=ref_entered,
+        dual_value=dual_value,
+        has_edge=lambda u, v: has_edge(dyn, u, v),
+    )
+    codes = encode_edge_codes(*np.array(keys, dtype=np.int64).reshape(-1, 2).T)
+    vec_cover, vec_loads = cover.copy(), loads.copy()
+    vec = pricing_repair_pass(
+        codes[dyn.has_codes(codes)],
+        weights=weights,
+        cover=vec_cover,
+        loads=vec_loads,
+        dual_value=dual_value,
+    )
+    assert vec.repaired == ref.repaired
+    assert vec.entered == ref.entered == len(ref_entered)
+    assert vec.dual_value == ref.dual_value
+    assert np.array_equal(vec_cover, ref_cover)
+    assert np.array_equal(vec_loads, ref_loads)
+    assert (np.diff(vec.paid_codes) > 0).all(), "paid codes not ascending"
+    # The total grew by the pays in processing order.
+    assert np.add.accumulate(np.r_[dual_value, vec.pays])[-1] == vec.dual_value
+    assert dict(zip(vec.paid_codes.tolist(), vec.pays.tolist())) == ref_duals
+    return vec_cover
+
+
 class TestBareKernels:
     @pytest.mark.parametrize("ties", [False, True], ids=["floats", "ties"])
     @settings(max_examples=60, deadline=None)
@@ -319,32 +368,49 @@ class TestBareKernels:
             {(int(u), int(v)) for u, v in zip(graph.edges_u, graph.edges_v)}
             | {(int(min(p)), int(max(p))) for p in extra.tolist() if p[0] != p[1]}
         )
-        dyn = DynamicGraph(graph)
-        args = dict(weights=weights, dual_value=0.25)
-        ref_cover, ref_loads, ref_duals, ref_entered = cover.copy(), loads.copy(), {}, set()
-        ref = reference_pricing_repair_pass(
+        _repair_matches_reference(
+            DynamicGraph(graph),
             keys,
-            cover=ref_cover,
-            loads=ref_loads,
-            duals=ref_duals,
-            entered=ref_entered,
-            has_edge=lambda u, v: has_edge(dyn, u, v),
-            **args,
+            weights=weights,
+            cover=cover,
+            loads=loads,
+            dual_value=0.25,
         )
-        codes = encode_edge_codes(*np.array(keys, dtype=np.int64).reshape(-1, 2).T)
-        vec_cover, vec_loads = cover.copy(), loads.copy()
-        vec = pricing_repair_pass(
-            codes[dyn.has_codes(codes)], cover=vec_cover, loads=vec_loads, **args
-        )
-        assert vec.repaired == ref.repaired
-        assert vec.entered == ref.entered == len(ref_entered)
-        assert vec.dual_value == ref.dual_value
-        assert np.array_equal(vec_cover, ref_cover)
-        assert np.array_equal(vec_loads, ref_loads)
-        assert (np.diff(vec.paid_codes) > 0).all(), "paid codes not ascending"
-        # The total grew by the pays in processing order.
-        assert np.add.accumulate(np.r_[0.25, vec.pays])[-1] == vec.dual_value
-        assert dict(zip(vec.paid_codes.tolist(), vec.pays.tolist())) == ref_duals
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["floats", "ties"])
+    @settings(max_examples=profile_examples(60), deadline=None)
+    @given(data=st.data())
+    def test_pricing_repair_covers_every_edge_with_loads_past_the_weights(
+        self, data, ties
+    ):
+        """Loads drawn up to 1.5·w, so many residuals start ≤ 0, and some
+        weights at the ends of the float range: the pricing rule alone
+        leaves every edge it processes covered (the kernel has no other
+        way to cover one), and the kernel still equals the reference
+        loop."""
+        graph = data.draw(weighted_graphs(min_n=2, max_n=20, ties=ties))
+        n = graph.n
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        weights = np.array(graph.weights)
+        extreme = data.draw(st.lists(st.sampled_from(EXTREME_WEIGHTS), max_size=n))
+        weights[rng.permutation(n)[: len(extreme)]] = extreme
+        graph = graph.with_weights(weights)
+        cover = rng.random(n) < data.draw(st.floats(0.0, 0.5))
+        keys = list(zip(graph.edges_u.tolist(), graph.edges_v.tolist()))
+        with np.errstate(over="ignore"):
+            if ties:
+                loads = weights * (rng.integers(0, 7, n) / 4.0)
+            else:
+                loads = weights * rng.uniform(0.0, 1.5, n)
+            vec_cover = _repair_matches_reference(
+                DynamicGraph(graph),
+                keys,
+                weights=weights,
+                cover=cover,
+                loads=loads,
+                dual_value=0.0,
+            )
+        assert (vec_cover[graph.edges_u] | vec_cover[graph.edges_v]).all()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), graph=weighted_graphs(min_n=1, max_n=20))

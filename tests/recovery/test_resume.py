@@ -546,6 +546,14 @@ class TestResumeCLI:
         with pytest.raises(SystemExit, match="missing config.json"):
             main(["resume", "--checkpoint-dir", str(tmp_path / "nope")])
 
+    def test_refused_resume_cli_leaves_out_file_untouched(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        out.write_text("earlier records\n")
+        args = ["resume", "--checkpoint-dir", str(tmp_path / "nope"), "--out", str(out)]
+        with pytest.raises(SystemExit, match="missing config.json"):
+            main(args)
+        assert out.read_text() == "earlier records\n"
+
     def test_sharded_checkpoint_fails_cleanly(self, tmp_path):
         # The config a `repro stream --shards N` run wrote: this build
         # writes neither key, so every entry point refuses them by name.
